@@ -65,9 +65,13 @@ def illuminance_for_open_voltage(volts: float) -> float:
     return PV_OPEN_VOLTAGE_KNEE_LUX * volts / (PV_OPEN_VOLTAGE_MAX - volts)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StorageCapacitor:
-    """Ideal supercapacitor state plus its management thresholds."""
+    """Ideal supercapacitor state plus its management thresholds.
+
+    Mutable: storage_step advances the voltage in place, once per node
+    per kernel tick.
+    """
 
     capacitance: float = STORAGE_CAPACITANCE_F
     voltage: float = 0.0
@@ -292,19 +296,26 @@ def dynamic_power(k: float, v_supply: float, f_operating: float) -> float:
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
-                 dt: float) -> StorageCapacitor:
-    """Advance the capacitor by dt under net power p_in - p_out - leak.
+                 dt: float) -> float:
+    """Advance cap.voltage in place by dt under net power p_in - p_out - leak.
 
-    Energy clamps to [0, full]; the clamp is the contract, callers that
-    care about the discarded amount should compare energies themselves.
+    Energy clamps to [0, full].  Returns the clamp loss: the unclamped
+    energy minus the energy now stored, joules.  It is positive when the
+    top clamp spilled harvest, negative when the floor refused a draw the
+    storage could not pay, and within a few ulps of zero otherwise (the
+    square root and its square do not round-trip exactly).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
     e = cap.energy + (p_in - p_out - cap.leak_power) * dt
-    e = min(max(e, 0.0), cap.energy_full)
-    return cap.with_voltage(cap.voltage_at(e))
+    voltage = cap.voltage_at(min(max(e, 0.0), cap.energy_full))
+    # the clamp bounds every finite result, so this rejects a NaN input
+    if not 0.0 <= voltage <= cap.v_max + 1e-9:
+        raise ValueError(f"voltage {voltage} outside [0, v_max]")
+    cap.voltage = voltage
+    return e - cap.energy
 
 
 def recovery_time(cap: StorageCapacitor, p_harvest: float, p_sleep: float,

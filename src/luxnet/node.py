@@ -49,7 +49,6 @@ from .energy import (
     StorageCapacitor,
     default_harvester,
     pv_open_voltage,
-    storage_step,
 )
 from .protocol import (
     Command,

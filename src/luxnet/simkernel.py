@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -188,8 +188,35 @@ def _as_vec(value, what: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(key: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key} must be finite, got {value}")
+
+
 def validate_scenario(scenario: Scenario) -> None:
-    """Reject malformed scenarios before any work starts."""
+    """Reject malformed scenarios before any work starts.
+
+    Every number must be finite: a NaN compares false against every
+    bound below, and an infinity overflows the tick count.
+    """
+    for key in ("duration_s", "step_s", "trace_interval_s"):
+        _require_finite(key, getattr(scenario, key))
+    cfg = scenario.oap.config
+    for key, value in (("t_data_req_s", cfg.t_data_req),
+                       ("t_int_s", cfg.t_int),
+                       ("psn_pv_threshold_v", cfg.psn_pv_threshold),
+                       ("slot_spacing_s", cfg.slot_spacing_s),
+                       ("etx_offset_s", cfg.etx_offset_s),
+                       ("etx_spacing_s", cfg.etx_spacing_s),
+                       ("stale_after_rounds", cfg.stale_after_rounds)):
+        _require_finite(f"oap: {key}", value)
+    if scenario.interference is not None:
+        for f in fields(scenario.interference):
+            _require_finite(f"interference: {f.name}",
+                            getattr(scenario.interference, f.name))
+    for f in fields(scenario.profile):
+        _require_finite(f"calibration: {f.name}_w",
+                        getattr(scenario.profile, f.name))
     if scenario.duration_s <= 0.0:
         raise ScenarioError("duration_s must be positive")
     if scenario.step_s <= 0.0:
@@ -214,17 +241,25 @@ def validate_scenario(scenario: Scenario) -> None:
         seen.add(spec.node_id)
         if len(spec.faces) != 3:
             raise ScenarioError(f"{label}: exactly three faces are required")
-        for face in spec.faces:
+        for letter, face in zip("abc", spec.faces):
+            _require_finite(f"{label}: face_{letter}_ambient_lux",
+                            face.ambient_lux)
             normal = _as_vec(face.normal, f"{label} face normal")
             if float(np.linalg.norm(normal)) <= 0.0:
                 raise ScenarioError(f"{label}: face normal must be nonzero")
             if face.ambient_lux < 0.0:
                 raise ScenarioError(f"{label}: ambient_lux must be >= 0")
         _as_vec(spec.position, f"{label} position")
+        for key, value in (("start_voltage_v", spec.start_voltage),
+                           ("v_min_v", spec.v_min),
+                           ("led_power_w", spec.led_power_w),
+                           ("led_half_angle_deg", spec.led_half_angle_deg),
+                           ("sensor_base_c", spec.sensor_base_c)):
+            _require_finite(f"{label}: {key}", value)
         if not 0.0 < spec.start_voltage <= 4.5 + 1e-9:
             raise ScenarioError(f"{label}: start_voltage_v must be in (0, 4.5]")
         if spec.led_power_w < 0.0:
-            raise ScenarioError(f"{label}: led_power_mw must be >= 0")
+            raise ScenarioError(f"{label}: led_power_w must be >= 0")
         if spec.led_power_w > 0.0:
             if spec.led_aim is None:
                 raise ScenarioError(
@@ -329,6 +364,8 @@ class _Runtime:
             self.gain[src] = per_dst
 
         self.lux: Dict[int, Tuple[float, ...]] = {}
+        # harvest watts at self.lux; both change only with the on-air set
+        self.harvest_w: Dict[int, float] = {}
         self._lux_signature: Optional[Tuple] = None
         self._refresh_lux(())
 
@@ -377,6 +414,8 @@ class _Runtime:
             if extra is not None:
                 total = total + extra
             self.lux[nid] = tuple(float(x) for x in total)
+            self.harvest_w[nid] = self.records[nid].harvesters.harvest_power(
+                self.lux[nid])
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -512,14 +551,11 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             record = rt.records[nid]
             agg = rt.agg[nid]
             lux_faces = rt.lux[nid]
-            harvest = record.harvesters.harvest_power(lux_faces)
+            harvest = rt.harvest_w[nid]
             p_out = state_draw_w(record) + record.instant_cost_j / dt
             storage = record.storage
-            proposed = storage.energy + (harvest - p_out
-                                         - storage.leak_power) * dt
-            record.storage = storage_step(storage, harvest, p_out, dt)
+            agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
             record.instant_cost_j = 0.0
-            agg.clamp_loss_j += proposed - record.storage.energy
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt
             agg.leaked_j += storage.leak_power * dt

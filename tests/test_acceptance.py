@@ -251,9 +251,9 @@ def test_c9_physics_calculators():
 
     cap = StorageCapacitor(voltage=4.5)
     p_out = 10e-3
-    stepped = cap
+    stepped = StorageCapacitor(voltage=4.5)
     for _ in range(1000):
-        stepped = storage_step(stepped, 0.0, p_out, 0.01)
+        storage_step(stepped, 0.0, p_out, 0.01)
     drained = (p_out + cap.leak_power) * 10.0
     analytic = (cap.energy - drained) ** 0.5 / (0.5 * cap.capacitance) ** 0.5
     assert abs(stepped.voltage - analytic) <= 1e-6, \

@@ -261,6 +261,28 @@ def test_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra, mangle, key", [
+    (["--duration-s", "inf"], None, "duration_s"),
+    (["--duration-s", "nan"], None, "duration_s"),
+    (["--step-s", "nan"], None, "step_s"),
+    ([], lambda t: t.replace("face_a_ambient_lux = 150.0",
+                             "face_a_ambient_lux = nan"),
+     "node.2: face_a_ambient_lux"),
+    ([], lambda t: t + "\n[calibration]\nsense_w = nan\n",
+     "calibration: sense_w"),
+])
+def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
+    scn = tmp_path / "in.scn"
+    base = read(shipped_scenario_path("paper_a"))
+    scn.write_text(mangle(base) if mangle else base)
+    code = main(["run", str(scn), "--out-dir", str(tmp_path)] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "paper-a.csv").exists()
+
+
 def test_seed_affects_only_interfered_runs(tmp_path, capsys):
     scn = tmp_path / "seeded.scn"
     scn.write_text(INTERFERED_SCENARIO)

@@ -69,29 +69,31 @@ def test_default_profile_idle_draws_below_single_cell_generation():
 
 def test_storage_step_equilibrium():
     cap = make_cap(voltage=4.0, leak=0.0)
-    stepped = storage_step(cap, p_in=1e-3, p_out=1e-3, dt=10.0)
-    assert stepped.voltage == pytest.approx(4.0, abs=1e-12)
+    storage_step(cap, p_in=1e-3, p_out=1e-3, dt=10.0)
+    assert cap.voltage == pytest.approx(4.0, abs=1e-12)
 
 
 def test_storage_step_frozen_discharge():
     # 2.0025 J net drain from full is exactly the 4.5 -> 3.2 V span
     cap = make_cap(voltage=4.5, leak=0.0)
-    stepped = storage_step(cap, p_in=0.0, p_out=2.0025, dt=1.0)
-    assert stepped.voltage == pytest.approx(3.2, abs=1e-3)
+    storage_step(cap, p_in=0.0, p_out=2.0025, dt=1.0)
+    assert cap.voltage == pytest.approx(3.2, abs=1e-3)
 
 
 def test_storage_step_clamps_at_v_max_and_zero():
     cap = make_cap(voltage=4.5, leak=0.0)
-    assert storage_step(cap, p_in=1.0, p_out=0.0, dt=100.0).voltage == pytest.approx(4.5)
+    storage_step(cap, p_in=1.0, p_out=0.0, dt=100.0)
+    assert cap.voltage == pytest.approx(4.5)
     cap_low = make_cap(voltage=0.5, leak=0.0)
-    assert storage_step(cap_low, p_in=0.0, p_out=1.0, dt=100.0).voltage == 0.0
+    storage_step(cap_low, p_in=0.0, p_out=1.0, dt=100.0)
+    assert cap_low.voltage == 0.0
 
 
 def test_storage_step_leak_only():
     cap = make_cap(voltage=4.5, leak=10e-6)
-    stepped = storage_step(cap, p_in=0.0, p_out=0.0, dt=3600.0)
     expected_v = math.sqrt(2.0 * (cap.energy - 10e-6 * 3600.0) / 0.4)
-    assert stepped.voltage == pytest.approx(expected_v, rel=1e-12)
+    storage_step(cap, p_in=0.0, p_out=0.0, dt=3600.0)
+    assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
 
 
 def test_storage_step_matches_fine_integration_without_clamp():
@@ -102,11 +104,11 @@ def test_storage_step_matches_fine_integration_without_clamp():
         v0 = float(rng.uniform(3.3, 4.4))
         p_in = float(rng.uniform(0.0, 3e-3))
         p_out = float(rng.uniform(0.0, 3e-3))
-        cap = make_cap(voltage=v0)
-        coarse = storage_step(cap, p_in, p_out, dt=10.0)
-        fine = cap
+        coarse = make_cap(voltage=v0)
+        storage_step(coarse, p_in, p_out, dt=10.0)
+        fine = make_cap(voltage=v0)
         for _ in range(100):
-            fine = storage_step(fine, p_in, p_out, dt=0.1)
+            storage_step(fine, p_in, p_out, dt=0.1)
         assert fine.voltage == pytest.approx(coarse.voltage, abs=1e-9)
 
 
@@ -116,6 +118,53 @@ def test_storage_step_validation():
         storage_step(cap, p_in=0.0, p_out=0.0, dt=0.0)
     with pytest.raises(ValueError):
         storage_step(cap, p_in=-1.0, p_out=0.0, dt=1.0)
+
+
+def test_storage_step_advances_in_place():
+    cap = make_cap(voltage=4.0, leak=0.0)
+    expected_v = math.sqrt(2.0 * (cap.energy - 0.05) / 0.4)
+    storage_step(cap, p_in=0.0, p_out=5e-3, dt=10.0)
+    assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
+    storage_step(cap, p_in=5e-3, p_out=0.0, dt=10.0)
+    assert cap.voltage == pytest.approx(4.0, rel=1e-12)
+
+
+def test_storage_step_returns_clamp_loss():
+    # top clamp: the spilled harvest
+    cap = make_cap(voltage=4.4, leak=10e-6)
+    unclamped = cap.energy + (1e-2 - 1e-3 - 10e-6) * 100.0
+    loss = storage_step(cap, p_in=1e-2, p_out=1e-3, dt=100.0)
+    assert cap.voltage == pytest.approx(4.5)
+    assert loss == unclamped - cap.energy
+    assert loss == pytest.approx(unclamped - cap.energy_full, rel=1e-12)
+    assert loss > 0.0
+
+    # floor: the draw the storage could not pay, a negative loss
+    cap = make_cap(voltage=0.5, leak=10e-6)
+    unclamped = cap.energy + (0.0 - 1.0 - 10e-6) * 100.0
+    loss = storage_step(cap, p_in=0.0, p_out=1.0, dt=100.0)
+    assert cap.voltage == 0.0
+    assert loss == unclamped - cap.energy == unclamped
+    assert loss < 0.0
+
+    # in between nothing is clamped; what remains is the rounding of
+    # the square-root round trip, a few ulps of the stored energy
+    cap = make_cap(voltage=3.9, leak=10e-6)
+    unclamped = cap.energy + (2e-3 - 1e-3 - 10e-6) * 10.0
+    loss = storage_step(cap, p_in=2e-3, p_out=1e-3, dt=10.0)
+    assert loss == unclamped - cap.energy
+    assert abs(loss) <= 4.0 * math.ulp(unclamped)
+
+
+@pytest.mark.parametrize("p_in, p_out", [
+    (float("nan"), 0.0),
+    (0.0, float("nan")),
+])
+def test_storage_step_rejects_nan_power(p_in, p_out):
+    cap = make_cap(voltage=4.0)
+    with pytest.raises(ValueError, match="voltage nan"):
+        storage_step(cap, p_in=p_in, p_out=p_out, dt=0.1)
+    assert cap.voltage == 4.0
 
 
 def test_recovery_time_frozen_value():
@@ -167,7 +216,7 @@ def test_min_capacitance_cross_check_by_integration():
                            leak_power=10e-6)
     p_load = (2.0 / 0.85) / 40.0
     for _ in range(4000):
-        cap = storage_step(cap, p_in=0.0, p_out=p_load, dt=0.01)
+        storage_step(cap, p_in=0.0, p_out=p_load, dt=0.01)
     assert cap.voltage == pytest.approx(3.2, abs=1e-6)
 
 

@@ -54,7 +54,7 @@ def tick(node, now, lux, frames=(), dt=0.1, rng=None):
                                          frames=list(frames)), rng)
     harvest = node.harvesters.harvest_power(lux)
     p_out = state_draw_w(node) + node.instant_cost_j / dt
-    node.storage = storage_step(node.storage, harvest, p_out, dt)
+    storage_step(node.storage, harvest, p_out, dt)
     node.instant_cost_j = 0.0
     apply_hysteresis(node, res)
     return res

@@ -1,6 +1,7 @@
 """Scenario engine tests: validation, delivery timing, light superposition,
 determinism, and the conservation audit."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from luxnet.channel import InterferenceModel, illuminance_at
+from luxnet.cli import main, shipped_scenario_path
 from luxnet.controller import ControllerConfig
 from luxnet.energy import StorageCapacitor, storage_step
 from luxnet.errors import InfeasibleError, ScenarioError
@@ -19,6 +21,7 @@ from luxnet.simkernel import (
     Scenario,
     audit_conservation,
     format_trace_csv,
+    render_summary,
     run_scenario,
     summarize,
     validate_scenario,
@@ -76,8 +79,9 @@ def test_trivial_scenario_one_step():
     # startup state (standby-class draw) while face A harvests 150 lx
     cap = StorageCapacitor(voltage=4.5, v_min=3.3)
     harvest = 0.9e-3 * 150.0 / 1000.0
-    expect = storage_step(cap, harvest, 550e-6, 0.1).voltage
-    assert samples_for(trace, 1)[-1].v_cap == pytest.approx(expect, abs=1e-12)
+    storage_step(cap, harvest, 550e-6, 0.1)
+    assert samples_for(trace, 1)[-1].v_cap == pytest.approx(cap.voltage,
+                                                            abs=1e-12)
 
 
 @pytest.mark.parametrize("mutate, fragment", [
@@ -110,6 +114,49 @@ def test_node_spec_validation(spec_kw, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(**spec_kw),))
     with pytest.raises(ScenarioError, match=fragment):
         validate_scenario(sc)
+
+
+def test_led_power_error_names_the_key():
+    sc = Scenario(name="t", duration_s=10.0,
+                  nodes=(lone_node(led_power_w=-1e-3),))
+    with pytest.raises(ScenarioError, match=r"node\.1: led_power_w must"):
+        validate_scenario(sc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+@pytest.mark.parametrize("build, key", [
+    (lambda sc, x: replace(sc, duration_s=x), "duration_s"),
+    (lambda sc, x: replace(sc, step_s=x), "step_s"),
+    (lambda sc, x: replace(sc, trace_interval_s=x), "trace_interval_s"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(ambient=x),)),
+     "face_a_ambient_lux"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(start_voltage=x),)),
+     "start_voltage_v"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(v_min=x),)), "v_min_v"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(led_power_w=x),)),
+     "led_power_w"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(led_half_angle_deg=x),)),
+     "led_half_angle_deg"),
+    (lambda sc, x: replace(sc, nodes=(lone_node(sensor_base_c=x),)),
+     "sensor_base_c"),
+    (lambda sc, x: replace(sc, profile=replace(sc.profile, sense=x)),
+     "sense_w"),
+    (lambda sc, x: replace(sc, profile=replace(sc.profile, etx=x)),
+     "etx_w"),
+    (lambda sc, x: replace(sc, oap=OapSpec(config=replace(
+        sc.oap.config, etx_offset_s=x))), "etx_offset_s"),
+    (lambda sc, x: replace(sc, interference=InterferenceModel(
+        midpoint_lux=x)), "midpoint_lux"),
+    (lambda sc, x: replace(sc, interference=InterferenceModel(
+        steepness_per_lux=x)), "steepness_per_lux"),
+])
+def test_non_finite_numbers_rejected(build, key, bad):
+    sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
+    with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+        validate_scenario(build(sc, bad))
 
 
 def test_duplicate_and_bad_shape_rejected():
@@ -335,6 +382,61 @@ def test_conservation_audit_is_tight():
                   etx_policy="oap")
     residuals = audit_conservation(run_scenario(sc))
     assert all(r < 1e-9 for r in residuals.values())
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_paper_b_first_hour_digests(tmp_path):
+    # emitter sessions change the light field, and so the harvest,
+    # mid-run; any change to the per-tick arithmetic moves these bytes
+    code = main(["run", shipped_scenario_path("paper_b"),
+                 "--duration-s", "3600", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert sha256_hex((tmp_path / "paper-b.csv").read_bytes()) == (
+        "b0befeba7029f014f1620b1a8d923b7057be603f75bac6236424619de4f24e21")
+    assert sha256_hex((tmp_path / "paper-b.summary.txt").read_bytes()) == (
+        "bb50943520bb31a42948b557774c32fff4fecf87b66dec280165b65e2bc24ef3")
+
+
+def test_shared_light_with_interference_digests():
+    """Four nodes, scheduled sharing, interference, a row every tick.
+
+    The first sharing round comes at t_data_req (480 s), so 600 s takes
+    in both emitter sessions, and with seed 1 one sharing request is lost
+    to interference while the other emitter is on the air.
+    """
+    def node(node_id, position, lux, **kw):
+        return NodeSpec(
+            node_id=node_id, position=position,
+            faces=(FaceSpec((0.0, 1.0, 0.0), lux[0]),
+                   FaceSpec((1.0, 0.0, 0.0), lux[1]),
+                   FaceSpec((0.0, 0.0, 1.0), lux[2])),
+            **kw)
+
+    bright = (1000.0, 1000.0, 1000.0)
+    sc = Scenario(
+        name="guard", duration_s=600.0, step_s=0.1, seed=1,
+        trace_interval_s=0.1, etx_policy="oap",
+        nodes=(node(1, (-0.075, 0.1299, 0.0), bright, v_min=3.8,
+                    led_power_w=27.8e-3, led_aim=(0.075, -0.1299, 0.0)),
+               node(2, (0.0, 0.0, 0.0), (150.0, 0.0, 0.0), v_min=3.4),
+               node(3, (0.075, 0.1299, 0.0), bright, v_min=3.8,
+                    led_power_w=27.8e-3, led_aim=(-0.075, -0.1299, 0.0)),
+               node(4, (0.0, -0.1, 0.0), (90.0, 40.0, 0.0), v_min=3.4,
+                    start_voltage=4.2)),
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
+            etx_offset_s=20.0, etx_spacing_s=30.0)),
+        interference=InterferenceModel(midpoint_lux=1000.0,
+                                       steepness_per_lux=0.01, floor=0.05))
+    trace = run_scenario(sc)
+    assert any(e.cause == "interference" for e in trace.frame_log)
+    assert sha256_hex(format_trace_csv(trace).encode()) == (
+        "8ac156b97aaf15ae1d302eaa17e76abd59dd412c5a53cc00ea91a792701e0fbc")
+    assert sha256_hex(render_summary(summarize(trace)).encode()) == (
+        "14b7f3b152cb610a5fb5d2688a1373f5b88dabbb8af348d32b8ae38038cf8f1f")
 
 
 # ---------------------------------------------------------------------------
