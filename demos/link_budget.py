@@ -13,8 +13,8 @@ from luxnet.channel import (
     illuminance_at,
     lambertian_order,
     photon_energy,
+    pv_input_power,
 )
-from luxnet.energy import HarvesterCell
 
 
 def main():
@@ -34,9 +34,8 @@ def main():
                                  normal=(0.0, 0.866, 0.5))
         lux = illuminance_at(head_on, 0.0, [led])
         lux_tilted = illuminance_at(tilted, 0.0, [led])
-        cell = HarvesterCell(receiver=head_on)
         print(f"{d:>10.2f} {lux:>10.1f} {lux_tilted:>10.1f} "
-              f"{cell.electrical_power(lux) * 1e3:>8.4f}")
+              f"{pv_input_power(lux) * 1e3:>8.4f}")
     print()
     print(f"a 550 nm photon carries {photon_energy(550e-9):.4e} J; the "
           f"burst above moves ~{power / photon_energy(550e-9):.2e} of "

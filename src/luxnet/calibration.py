@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order
+from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order, pv_input_power
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
@@ -66,20 +66,12 @@ ANCHOR_DECODE_W = 2.0e-3
 # power-LED wall-plug efficiency at the chosen drive current
 LED_WALL_PLUG_EFFICIENCY = 0.5275
 
-# single photovoltaic cell output at the 1000 lx calibration point
-CELL_REFERENCE_W = 0.9e-3
-CELL_REFERENCE_LUX = 1000.0
-
 ENDURANCE_TARGET_H = 8.0
 ENDURANCE_TOLERANCE = 0.25
 UPLIFT_TARGET = 0.40
 
 REQUEST_ROUND_S = 600.0
 EMITTERS_PER_ROUND = 2
-
-
-def _cell_power(lux: float) -> float:
-    return CELL_REFERENCE_W * lux / CELL_REFERENCE_LUX
 
 
 def burst_gain_lux(optical_power_w: float,
@@ -133,7 +125,7 @@ def _band_energy_j(v_high: float, v_low: float) -> float:
 def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Full-to-floor burst session length at the bright reference light."""
     band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
-    harvest = 3.0 * _cell_power(PSN_AMBIENT_LUX)
+    harvest = 3.0 * pv_input_power(PSN_AMBIENT_LUX)
     net = profile.etx + LEAK_POWER_W - harvest
     if net <= 0.0:
         return DEFAULT_TIMING.t_energy_net
@@ -143,7 +135,7 @@ def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
 def recovery_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Sleep recovery from the share floor back to full, seconds."""
     band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
-    net = 3.0 * _cell_power(PSN_AMBIENT_LUX) - profile.sleep - LEAK_POWER_W
+    net = 3.0 * pv_input_power(PSN_AMBIENT_LUX) - profile.sleep - LEAK_POWER_W
     if net <= 0.0:
         raise ValueError("bright-node sleep budget does not recover")
     return band / net
@@ -159,7 +151,7 @@ def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE,
     afford, so the estimate is conservative.
     """
     budget = _band_energy_j(SHARE_CEILING_V, V_OVERDISCHARGE)
-    idle = profile.sleep + LEAK_POWER_W - _cell_power(ambient_lux)
+    idle = profile.sleep + LEAK_POWER_W - pv_input_power(ambient_lux)
     if idle <= 0.0:
         return math.inf
     cycle = (profile.sense * DEFAULT_TIMING.t_sense

@@ -22,21 +22,22 @@ spectra we do not track, so illuminance at a face is
     E_v [lux] = efficacy * irradiance [W/m^2]
 
 Photovoltaic harvest is linear in illuminance through one calibration
-point (power produced at a reference illuminance with conversion losses
-folded in), which holds well for small indoor cells over the range the
-network operates in.
+point, CELL_REFERENCE_W produced at CELL_REFERENCE_LUX with conversion
+losses folded in, which holds well for small indoor cells over the range
+the network operates in.
 
-Optical interference: while an energy burst is on the air near a receiver,
-downlink decoding degrades as ambient signal strength falls.  The failure
-ratio is modelled as a logistic curve in ambient illuminance; with no
-burst in progress frames are assumed clean.
+Optical interference: while any energy burst is on the air anywhere in
+the cell, every node's downlink decoding degrades as its own ambient
+light falls.  The burst's gain onto the receiving node does not enter.
+The failure ratio is modelled as a logistic curve in ambient
+illuminance; with no burst in progress frames are assumed clean.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -45,6 +46,11 @@ LIGHT_SPEED_M_S = 2.99792458e8
 
 # lm per radiated watt for a generic warm-white phosphor LED spectrum
 LUMINOUS_EFFICACY_LM_W = 250.0
+
+# one photovoltaic cell's electrical output at the calibration point,
+# conversion and regulator losses folded in
+CELL_REFERENCE_W = 0.9e-3
+CELL_REFERENCE_LUX = 1000.0
 
 Vec3 = Tuple[float, float, float]
 
@@ -171,24 +177,6 @@ def path_loss(link: OpticalLink, area_m2: float,
     return geometric * math.cos(alpha) ** m * math.cos(beta)
 
 
-def received_optical_power(tx: OpticalTransmitter, rx: OpticalReceiver,
-                           link: OpticalLink | None = None) -> float:
-    """Optical watts collected by the receiver over the link."""
-    if link is None:
-        link = link_between(tx, rx)
-    return tx.optical_power_w * path_loss(link, rx.area_m2,
-                                          rx.field_of_view_half_angle_deg)
-
-
-def irradiance_at(tx: OpticalTransmitter, rx: OpticalReceiver,
-                  link: OpticalLink | None = None) -> float:
-    """Irradiance (W/m^2) on the receiver plane from one source."""
-    if link is None:
-        link = link_between(tx, rx)
-    return tx.optical_power_w * path_loss(link, rx.area_m2,
-                                          rx.field_of_view_half_angle_deg) / rx.area_m2
-
-
 def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
                    active_sources: Iterable[OpticalTransmitter] = (),
                    efficacy_lm_w: float = LUMINOUS_EFFICACY_LM_W) -> float:
@@ -201,32 +189,18 @@ def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
         raise ValueError("ambient illuminance must be non-negative")
     lux = ambient_lux
     for tx in active_sources:
-        lux += efficacy_lm_w * irradiance_at(tx, rx)
+        gain = path_loss(link_between(tx, rx), rx.area_m2,
+                         rx.field_of_view_half_angle_deg)
+        # irradiance on the face, W/m^2, times the efficacy
+        lux += efficacy_lm_w * (tx.optical_power_w * gain / rx.area_m2)
     return lux
 
 
-@dataclass(frozen=True)
-class PvCalibration:
-    """One-point linear calibration of a photovoltaic cell.
-
-    reference_power_w is the electrical output measured at
-    reference_illuminance_lux; conversion and regulator losses are folded
-    into that measurement.
-    """
-
-    reference_power_w: float = 0.9e-3
-    reference_illuminance_lux: float = 1000.0
-
-    def __post_init__(self):
-        if self.reference_power_w <= 0.0 or self.reference_illuminance_lux <= 0.0:
-            raise ValueError("calibration point must be positive")
-
-
-def pv_input_power(illuminance_lux: float, cal: PvCalibration = PvCalibration()) -> float:
+def pv_input_power(illuminance_lux: float) -> float:
     """Electrical watts from one cell at the given illuminance (linear model)."""
     if illuminance_lux < 0.0:
         raise ValueError("illuminance must be non-negative")
-    return cal.reference_power_w * illuminance_lux / cal.reference_illuminance_lux
+    return CELL_REFERENCE_W * illuminance_lux / CELL_REFERENCE_LUX
 
 
 @dataclass(frozen=True)
@@ -236,8 +210,8 @@ class InterferenceModel:
     failure = floor + (1 - floor) / (1 + exp(steepness * (lux - midpoint)))
 
     Monotone non-increasing in lux; approaches 1 - o(1) in the dark and
-    `floor` under strong ambient light.  Applies only while an energy
-    burst is actually on the air near the receiver.
+    `floor` under strong ambient light.  Applies to every receiver while
+    any energy burst is on the air, wherever its emitter points.
     """
 
     midpoint_lux: float = 300.0

@@ -183,30 +183,37 @@ def _parse_node(section: _Section, node_id: int) -> NodeSpec:
 
 
 def _parse_oap(section: _Section) -> OapSpec:
+    d = OapSpec()
+    c = d.config
     try:
         config = ControllerConfig(
-            t_data_req=section.number("t_data_req_s", 600.0),
-            t_int=section.number("t_int_s", 3600.0),
-            n_min=section.integer("n_min", 1),
-            psn_pv_threshold=section.number("psn_pv_threshold_v", 3.0),
-            slot_spacing_s=section.number("slot_spacing_s", 10.0),
-            etx_offset_s=section.number("etx_offset_s", 30.0),
-            etx_spacing_s=section.number("etx_spacing_s", 60.0),
-            etx_bursts_per_request=section.integer("etx_bursts_per_request", 1),
-            stale_after_rounds=section.number("stale_after_rounds", 3.0),
+            t_data_req=section.number("t_data_req_s", c.t_data_req),
+            t_int=section.number("t_int_s", c.t_int),
+            n_min=section.integer("n_min", c.n_min),
+            psn_pv_threshold=section.number("psn_pv_threshold_v",
+                                            c.psn_pv_threshold),
+            slot_spacing_s=section.number("slot_spacing_s", c.slot_spacing_s),
+            etx_offset_s=section.number("etx_offset_s", c.etx_offset_s),
+            etx_spacing_s=section.number("etx_spacing_s", c.etx_spacing_s),
+            etx_bursts_per_request=section.integer("etx_bursts_per_request",
+                                                   c.etx_bursts_per_request),
+            stale_after_rounds=section.number("stale_after_rounds",
+                                              c.stale_after_rounds),
         )
     except ValueError as exc:
         raise ScenarioError(f"oap: {exc}") from exc
     return OapSpec(config=config,
-                   position=section.vector("position_m", (0.0, 0.0866, 0.4)))
+                   position=section.vector("position_m", d.position))
 
 
 def _parse_interference(section: _Section) -> InterferenceModel:
+    d = InterferenceModel()
     try:
         return InterferenceModel(
-            midpoint_lux=section.number("midpoint_lux", 300.0),
-            steepness_per_lux=section.number("steepness_per_lux", 0.02),
-            floor=section.number("floor", 0.0),
+            midpoint_lux=section.number("midpoint_lux", d.midpoint_lux),
+            steepness_per_lux=section.number("steepness_per_lux",
+                                             d.steepness_per_lux),
+            floor=section.number("floor", d.floor),
         )
     except ValueError as exc:
         raise ScenarioError(f"interference: {exc}") from exc

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .energy import illuminance_for_open_voltage
-from .node import DEFAULT_TIMING, NodeMode, TimingParams
+from .node import DEFAULT_TIMING, PSN_PV_THRESHOLD_V, NodeMode, TimingParams
 from .protocol import (
     BROADCAST_ADDRESS,
     Command,
@@ -60,17 +60,6 @@ def standby_time(timing: TimingParams, n: int) -> float:
     if not duty.feasible:
         raise ValueError(f"no standby budget left with n={n}")
     return duty.ratio * timing.t_int - timing.t_sense
-
-
-def reconstructed_data_window(timing: TimingParams, n: int) -> float:
-    """Length of the data phase implied by the duty ratio.
-
-    The duty formula books the sensing phase inside the receive
-    window, so adding one sensing time back recovers the data-phase
-    length; the full interval identity then closes exactly:
-    window + receive + n * (recovery + emission) = interval.
-    """
-    return duty_cycle(timing, n).ratio * timing.t_int + timing.t_sense
 
 
 def select_t_data_req(timings: Sequence[TimingParams],
@@ -119,7 +108,7 @@ class ControllerConfig:
     t_int: float = 3600.0
     n_min: int = 1
     timing: TimingParams = DEFAULT_TIMING
-    psn_pv_threshold: float = 3.0
+    psn_pv_threshold: float = PSN_PV_THRESHOLD_V
     slot_spacing_s: float = 10.0
     etx_offset_s: float = 30.0
     etx_spacing_s: float = 60.0
@@ -162,38 +151,6 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
     per_session = recovery + timing.t_energy_net
     n = int(budget / per_session) if budget > 0.0 else 0
     return max(n, config.n_min)
-
-
-@dataclass
-class RoutePlan:
-    """Roles plus the relay set serving each dim node."""
-
-    roles: Dict[int, NodeMode]
-    relays: Dict[int, Tuple[int, ...]]
-    relay_shortage: bool
-
-
-def classify_and_route(registry: Dict[int, RegistryEntry],
-                       config: ControllerConfig) -> RoutePlan:
-    """Split nodes into bright and dim and point every dim node at
-    the full bright set.
-
-    With a handful of nodes under one access point every well-lit node
-    serves every dim one; the shortage flag reports the degenerate
-    case of dim nodes with nobody to feed them.
-    """
-    roles: Dict[int, NodeMode] = {}
-    for node_id in sorted(registry):
-        entry = registry[node_id]
-        if entry.last_pv > config.psn_pv_threshold:
-            roles[node_id] = NodeMode.PSN
-        else:
-            roles[node_id] = NodeMode.SSN
-    psns = tuple(i for i in sorted(roles) if roles[i] is NodeMode.PSN)
-    ssns = [i for i in sorted(roles) if roles[i] is NodeMode.SSN]
-    relays = {ssn: psns for ssn in ssns} if psns else {}
-    shortage = bool(ssns) and not psns
-    return RoutePlan(roles=roles, relays=relays, relay_shortage=shortage)
 
 
 @dataclass
@@ -316,6 +273,3 @@ class Controller:
                 self.events.append(f"{now:.1f}s node {node_id} gets n={n}")
         else:
             entry.assigned_n = 0
-
-    def route_plan(self) -> RoutePlan:
-        return classify_and_route(self.registry, self.config)

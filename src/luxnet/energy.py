@@ -7,14 +7,14 @@ and it may only reconnect once the cell has climbed back past v_chrdy.
 v_min is the software guard floor a node keeps above the hard v_ovdis so
 that scheduled work never strands it in the dead band.
 
-Harvest is a set of photovoltaic cells, each with its own geometry
-(an OpticalReceiver face), one-point linear calibration, and a conversion
-efficiency.  The scavenged-energy budget over an interval T is
+Harvest is a set of photovoltaic cells, each with its own geometry (an
+OpticalReceiver face).  Every cell converts illuminance to electrical
+watts through the one shared calibration point in the channel module,
+and a node's harvest is the sum over its cells:
 
-    E = sum_i sum_j N_j * P_rx(i,j) * t_burst(j) * eta_i
-      + sum_i P_illum(i) * T * eta_i
+    P_harvest = sum_i CELL_REFERENCE_W * E_v(i) / CELL_REFERENCE_LUX
 
-i.e. directed energy bursts from neighbours plus steady ambient input.
+with E_v(i) the ambient plus burst illuminance on face i.
 
 The default power profile was fit against three targets at once: standby
 and sleep below what a single cell makes at full room light, an unassisted
@@ -26,10 +26,10 @@ module, which re-derives the numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
-from .channel import OpticalReceiver, PvCalibration, pv_input_power
+from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 
 # hard undervoltage thresholds of the power-management front end
 V_OVERDISCHARGE = 3.2
@@ -37,7 +37,6 @@ V_CHARGE_READY = 3.8
 V_STORAGE_MAX = 4.5
 STORAGE_CAPACITANCE_F = 0.4
 LEAK_POWER_W = 10e-6
-PMIC_EFFICIENCY_DEFAULT = 0.85
 
 PV_CELL_AREA_M2 = 2.5e-3
 PV_CELLS_PER_NODE = 3
@@ -110,16 +109,14 @@ class StorageCapacitor:
             raise ValueError("energy must be non-negative")
         return math.sqrt(2.0 * energy_j / self.capacitance)
 
-    def with_voltage(self, voltage: float) -> "StorageCapacitor":
-        return replace(self, voltage=voltage)
-
 
 @dataclass(frozen=True)
 class PowerProfile:
     """Electrical draw of each node activity, watts.
 
-    Sleep and standby must both stay under the 0.9 mW a single cell
-    produces at full room light, otherwise idle life is not sustainable.
+    Sleep and standby must both stay under what a single cell produces
+    at full room light (CELL_REFERENCE_W), otherwise idle life is not
+    sustainable.
     """
 
     sleep: float
@@ -129,8 +126,6 @@ class PowerProfile:
     etx: float
     decode: float
 
-    _SINGLE_CELL_BOUND_W = 0.9e-3
-
     def __post_init__(self):
         draws = (self.sleep, self.standby, self.sense, self.data_tx,
                  self.etx, self.decode)
@@ -138,7 +133,7 @@ class PowerProfile:
             raise ValueError("power draws must be non-negative")
         if not self.sleep < self.standby:
             raise ValueError("sleep draw must sit below standby draw")
-        if self.standby >= self._SINGLE_CELL_BOUND_W:
+        if self.standby >= CELL_REFERENCE_W:
             raise ValueError("standby draw must stay below single-cell generation")
 
 
@@ -155,20 +150,10 @@ DEFAULT_PROFILE = PowerProfile(
 
 @dataclass(frozen=True)
 class HarvesterCell:
-    """One photovoltaic face: efficiency, calibration, geometry."""
+    """One photovoltaic face: its geometry."""
 
-    conversion_efficiency: float = 1.0
-    calibration: PvCalibration = field(default_factory=PvCalibration)
     receiver: OpticalReceiver = field(default_factory=lambda: OpticalReceiver(
         area_m2=PV_CELL_AREA_M2))
-
-    def __post_init__(self):
-        if not 0.0 < self.conversion_efficiency <= 1.0:
-            raise ValueError("conversion efficiency must be in (0, 1]")
-
-    def electrical_power(self, illuminance_lux: float) -> float:
-        return self.conversion_efficiency * pv_input_power(
-            illuminance_lux, self.calibration)
 
 
 @dataclass(frozen=True)
@@ -188,89 +173,11 @@ class HarvesterArray:
         """Total electrical watts given per-face illuminance."""
         if len(illuminance_per_cell) != len(self.cells):
             raise ValueError("one illuminance value per cell required")
-        return sum(c.electrical_power(lux)
-                   for c, lux in zip(self.cells, illuminance_per_cell))
+        return sum(pv_input_power(lux) for lux in illuminance_per_cell)
 
 
 def default_harvester(cells: int = PV_CELLS_PER_NODE) -> HarvesterArray:
     return HarvesterArray(cells=tuple(HarvesterCell() for _ in range(cells)))
-
-
-@dataclass(frozen=True)
-class EtxBurstEntry:
-    """Bursts expected from one neighbour over the budget interval."""
-
-    n_bursts: int
-    p_receive_per_cell: Tuple[float, ...]   # electrical-equivalent watts per cell
-    t_energy_net: float                     # seconds one burst lasts
-
-    def __post_init__(self):
-        if self.n_bursts < 0:
-            raise ValueError("burst count must be non-negative")
-        if self.t_energy_net <= 0.0:
-            raise ValueError("burst duration must be positive")
-        if any(p < 0.0 for p in self.p_receive_per_cell):
-            raise ValueError("received powers must be non-negative")
-
-
-@dataclass(frozen=True)
-class EtxBurstPlan:
-    """All neighbours' planned bursts toward one node."""
-
-    entries: Tuple[EtxBurstEntry, ...] = ()
-
-
-@dataclass(frozen=True)
-class AutonomyBudget:
-    """Joules over one interval, income against the four consumption buckets."""
-
-    e_scavenge: float
-    e_store: float
-    e_oper: float
-    e_sense: float
-    e_process: float
-    e_transmit: float
-
-    def __post_init__(self):
-        for name in ("e_scavenge", "e_store", "e_oper", "e_sense",
-                     "e_process", "e_transmit"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-def autonomy_margin(budget: AutonomyBudget) -> float:
-    """Signed joules of headroom; positive means the node is autonomous."""
-    income = budget.e_scavenge + budget.e_store
-    outgo = (budget.e_oper + budget.e_sense + budget.e_process
-             + budget.e_transmit)
-    return income - outgo
-
-
-def scavenged_energy(interval_s: float, harvesters: HarvesterArray,
-                     plan: EtxBurstPlan,
-                     p_illum_per_cell: Sequence[float]) -> float:
-    """Energy gathered over the interval: bursts plus ambient, joules.
-
-    p_illum_per_cell is the pre-conversion input power on each cell from
-    steady light; each burst entry carries its own per-cell received
-    powers.  Both are scaled by the cell's conversion efficiency.
-    """
-    if interval_s <= 0.0:
-        raise ValueError("interval must be positive")
-    if len(p_illum_per_cell) != len(harvesters.cells):
-        raise ValueError("one ambient power value per cell required")
-    for entry in plan.entries:
-        if len(entry.p_receive_per_cell) != len(harvesters.cells):
-            raise ValueError("one received power value per cell per entry")
-
-    burst = 0.0
-    for entry in plan.entries:
-        for cell, p_rx in zip(harvesters.cells, entry.p_receive_per_cell):
-            burst += (entry.n_bursts * p_rx * entry.t_energy_net
-                      * cell.conversion_efficiency)
-    ambient = sum(cell.conversion_efficiency * p * interval_s
-                  for cell, p in zip(harvesters.cells, p_illum_per_cell))
-    return burst + ambient
 
 
 def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
@@ -286,13 +193,6 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     if not v_max > v_min >= 0.0:
         raise ValueError("need v_max > v_min >= 0")
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
-
-
-def dynamic_power(k: float, v_supply: float, f_operating: float) -> float:
-    """Switching dissipation k V^2 f of a digital core, watts."""
-    if k < 0.0 or v_supply < 0.0 or f_operating < 0.0:
-        raise ValueError("arguments must be non-negative")
-    return k * v_supply ** 2 * f_operating
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
@@ -317,15 +217,3 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
     cap.voltage = voltage
     return e - cap.energy
 
-
-def recovery_time(cap: StorageCapacitor, p_harvest: float, p_sleep: float,
-                  v_from: float, v_to: float) -> float:
-    """Seconds to climb from v_from to v_to while sleeping, constant harvest."""
-    if v_to < v_from:
-        raise ValueError("v_to must not sit below v_from")
-    net = p_harvest - p_sleep - cap.leak_power
-    if v_to == v_from:
-        return 0.0
-    if net <= 0.0:
-        raise ValueError("net power is non-positive, target voltage unreachable")
-    return 0.5 * cap.capacitance * (v_to ** 2 - v_from ** 2) / net

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calibration import CELL_REFERENCE_LUX, CELL_REFERENCE_W, burst_power_for_peak
-from .channel import InterferenceModel, frame_failure_probability
+from .calibration import burst_power_for_peak
+from .channel import InterferenceModel, frame_failure_probability, pv_input_power
 from .energy import PV_CELLS_PER_NODE
 from .errors import InfeasibleError
 from .simkernel import FaceSpec, NodeSpec, Scenario, TraceSet, run_scenario
@@ -115,8 +115,7 @@ def time_to_harvest(trace: TraceSet, node_id: int, target_j: float) -> float:
 
 
 def _baseline_power_w(ambient_lux: float) -> float:
-    cell = CELL_REFERENCE_W * ambient_lux / CELL_REFERENCE_LUX
-    return PV_CELLS_PER_NODE * cell
+    return PV_CELLS_PER_NODE * pv_input_power(ambient_lux)
 
 
 def recharge_improvement(

@@ -6,7 +6,6 @@ LED for energy transmission.  Its life is a loop over a handful of states:
 
     Init         boot, sample the PV terminal, pick a role
     Standby      receiver on, waiting for frames
-    Decoding     a frame is being clocked in
     Sensing      measurement cycle, ends with one uplink report
     DataRelay    forwarding a neighbour's report toward the access point
     EnergyRelay  power LED on, draining the capacitor into a neighbour
@@ -38,8 +37,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .channel import OpticalTransmitter
 from .energy import (
@@ -83,7 +80,6 @@ class NodeMode(Enum):
 class NodeState(Enum):
     INIT = "Init"
     STANDBY = "Standby"
-    DECODING = "Decoding"
     SENSING = "Sensing"
     DATA_RELAY = "DataRelay"
     ENERGY_RELAY = "EnergyRelay"
@@ -112,18 +108,6 @@ class TimingParams:
 DEFAULT_TIMING = TimingParams()
 
 
-def check_interval_consistency(timing: TimingParams, n: int) -> float:
-    """Residual of the interval decomposition at burst count n, seconds.
-
-    Zero when the standby figure, two sensing windows (one inside the
-    data-networking block, one alongside it), the recovery allowance, and
-    n full burst-plus-recovery slots tile the interval exactly.
-    """
-    used = (timing.t_standby + 2.0 * timing.t_sense + timing.t_data_net_rec
-            + n * (timing.t_energy_net_rec + timing.t_energy_net))
-    return timing.t_int - used
-
-
 def select_role(pv_samples: Sequence[float]) -> NodeMode:
     """Role from three spaced PV terminal readings: primary iff min > 3.0 V."""
     if len(pv_samples) != ROLE_SAMPLE_COUNT:
@@ -148,18 +132,14 @@ class NodeRecord:
 
     # geometry and policy
     led: Optional[OpticalTransmitter] = None   # energy-burst emitter, if fitted
-    uplink_dest: int = OAP_ADDRESS
     etx_autonomous: bool = False
     sensing_enabled: bool = True
-    pv_noise_v: float = 0.0
     sensor_base_c: float = 25.0
-    sensor_noise_c: float = 0.0
     bitrate_bps: float = DEFAULT_BITRATE_BPS
 
     # bookkeeping, managed by step_node
     state_elapsed: float = 0.0
     next_report_s: float = 0.0
-    reply_dest: Optional[int] = None
     instant_cost_j: float = 0.0
     led_active: bool = False
     # remaining seconds of the running burst session, and the on-air
@@ -239,7 +219,6 @@ class NodeStepResult:
 _STATE_DRAW_ATTR = {
     NodeState.INIT: "standby",
     NodeState.STANDBY: "standby",
-    NodeState.DECODING: "standby",
     NodeState.SENSING: "sleep",
     NodeState.DATA_RELAY: "standby",
     NodeState.ENERGY_RELAY: "sleep",
@@ -254,21 +233,11 @@ def state_draw_w(node: NodeRecord) -> float:
     return getattr(node.profile, _STATE_DRAW_ATTR[node.state])
 
 
-def _sample_pv(node: NodeRecord, lux_per_face: Sequence[float],
-               rng: np.random.Generator) -> float:
-    """One PV terminal reading: brightest face sets the terminal."""
-    v = pv_open_voltage(max(lux_per_face))
-    if node.pv_noise_v > 0.0:
-        v += float(rng.normal(0.0, node.pv_noise_v))
-    return max(v, 0.0)
-
-
-def _role_samples(node: NodeRecord, lux_per_face: Sequence[float],
-                  rng: np.random.Generator) -> List[float]:
-    # three reads spaced 50 ms; the field is static over that window in
-    # this simulator, so the spacing matters only under configured noise
-    return [_sample_pv(node, lux_per_face, rng)
-            for _ in range(ROLE_SAMPLE_COUNT)]
+def _role_samples(lux_per_face: Sequence[float]) -> List[float]:
+    """Three PV terminal reads, 50 ms apart; the brightest face sets the
+    terminal.  The light field is static over that window in this
+    simulator, so the reads agree."""
+    return [pv_open_voltage(max(lux_per_face))] * ROLE_SAMPLE_COUNT
 
 
 def _enter(node: NodeRecord, state: NodeState) -> None:
@@ -281,15 +250,16 @@ def _schedule_next_report(node: NodeRecord, now: float) -> None:
     node.next_report_s = k * node.timing.t_int
 
 
-def _build_report(node: NodeRecord, dest: int, sensor_c: float) -> Frame44:
+def _build_report(node: NodeRecord) -> Frame44:
+    """The node's telemetry report, addressed to the access point."""
     cap_v = min(node.storage.voltage, node.storage.v_max)
     payload = NodeToOap(
         sender_id=node.node_id,
         pv_level=quantize_voltage(min(max(node.v_pv, 0.0), 5.10)),
         cap_level=quantize_voltage(min(max(cap_v, 0.0), 5.10)),
-        sensor=quantize_temperature(min(max(sensor_c, -40.0), 87.5)),
+        sensor=quantize_temperature(min(max(node.sensor_base_c, -40.0), 87.5)),
     )
-    return Frame44(dest_address=dest, payload=payload)
+    return Frame44(dest_address=OAP_ADDRESS, payload=payload)
 
 
 def handle_frame(node: NodeRecord, frame: Frame44,
@@ -303,7 +273,7 @@ def handle_frame(node: NodeRecord, frame: Frame44,
     if node.state is NodeState.DEPLETED:
         result.dropped.append((frame, "depleted receiver"))
         return
-    if node.state not in (NodeState.STANDBY, NodeState.DECODING):
+    if node.state is not NodeState.STANDBY:
         result.dropped.append((frame, "receiver not listening"))
         return
 
@@ -325,7 +295,6 @@ def handle_frame(node: NodeRecord, frame: Frame44,
         elif command == Command.DATA_REQUEST:
             cost = node.sense_cycle_cost_j()
             if energy_guard(node, cost):
-                node.reply_dest = OAP_ADDRESS
                 _enter(node, NodeState.SENSING)
                 result.events.append("data request accepted")
             else:
@@ -410,8 +379,8 @@ def _maybe_start_etx(node: NodeRecord, inputs: NodeInputs, dt: float,
     _session_tick(node, dt, result)
 
 
-def step_node(node: NodeRecord, dt: float, inputs: NodeInputs,
-              rng: np.random.Generator) -> NodeStepResult:
+def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
+              ) -> NodeStepResult:
     """Advance the node by one step: frames, state logic, energy.
 
     The kernel integrates storage separately (it owns the conservation
@@ -441,7 +410,7 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs,
 
     if state is NodeState.INIT:
         if node.state_elapsed + dt >= ROLE_SAMPLE_COUNT * ROLE_SAMPLE_SPACING_S:
-            samples = _role_samples(node, inputs.lux_per_face, rng)
+            samples = _role_samples(inputs.lux_per_face)
             node.v_pv = min(samples)
             node.mode = select_role(samples)
             _enter(node, NodeState.STANDBY)
@@ -459,21 +428,15 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs,
         node.instant_cost_j += ((node.profile.sense - node.profile.sleep)
                                 * (phase_after - phase_before))
         if node.state_elapsed >= node.timing.t_sense:
-            samples = _role_samples(node, inputs.lux_per_face, rng)
+            samples = _role_samples(inputs.lux_per_face)
             node.v_pv = min(samples)
             tx_cost = node.profile.data_tx * node.frame_airtime_s()
             if energy_guard(node, tx_cost):
                 node.instant_cost_j += tx_cost
-                dest = node.reply_dest if node.reply_dest is not None \
-                    else node.uplink_dest
-                reading = node.sensor_base_c
-                if node.sensor_noise_c > 0.0:
-                    reading += float(rng.normal(0.0, node.sensor_noise_c))
-                result.emitted.append(_build_report(node, dest, reading))
+                result.emitted.append(_build_report(node))
                 result.events.append("report sent")
             else:
                 result.events.append("report suppressed (guard)")
-            node.reply_dest = None
             # end-of-cycle self-assessment
             new_mode = select_role(samples)
             if new_mode is not node.mode:
@@ -512,7 +475,6 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs,
                 and now + dt >= node.next_report_s - 1e-9):
             cost = node.sense_cycle_cost_j()
             if energy_guard(node, cost):
-                node.reply_dest = None
                 _enter(node, NodeState.SENSING)
                 result.events.append("timer wake")
             else:
@@ -524,7 +486,7 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs,
                 result.events.append("recovered")
         return result
 
-    if state is NodeState.STANDBY or state is NodeState.DECODING:
+    if state is NodeState.STANDBY:
         node.state_elapsed += dt
         _maybe_start_etx(node, inputs, dt, result)
         if node.state is NodeState.STANDBY:
@@ -553,6 +515,5 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult) -> None:
         node.led_fraction = 0.0
         node.session_remaining_s = 0.0
         node.pending_n = 0
-        node.reply_dest = None
         _enter(node, NodeState.DEPLETED)
         result.events.append("depleted")

@@ -17,9 +17,9 @@ Voltages are carried as 8-bit codes in 0.02 V steps over 0.00..5.10 V, and
 the sensor byte carries temperature in 0.5 degC steps from -40.0 degC.
 Rounding is to the nearest code with ties away from zero.
 
-For storage or piping between tools a word is rendered as 11 hex digits or
-packed into 6 bytes (top 4 bits zero).  The byte-level container used on
-slower serial-style links wraps a word (or any short payload) as
+For storage or piping between tools a word is rendered as 11 hex digits.
+The byte-level container used on slower serial-style links wraps a word
+(or any short payload) as
 
     preamble (0xAA) | address hi | address lo | length | data | crc8
 
@@ -129,10 +129,6 @@ class Frame44:
             return self.payload.sender_id
         return OAP_SENDER_ID
 
-    @property
-    def is_downlink(self) -> bool:
-        return isinstance(self.payload, OapToNode)
-
 
 def encode44(frame: Frame44) -> int:
     """Pack a frame into its 44-bit word."""
@@ -191,22 +187,6 @@ def parse_word(text: str) -> int:
     if len(s) != 11:
         raise ValueError(f"expected 11 hex digits, got {len(s)}")
     return int(s, 16)
-
-
-def word_to_bytes(word: int) -> bytes:
-    """Pack a word into 6 bytes, big-endian, top 4 bits zero."""
-    if not 0 <= word <= WORD_MASK:
-        raise ValueError(f"word out of 44-bit range: {word:#x}")
-    return word.to_bytes(6, "big")
-
-
-def word_from_bytes(buf: bytes) -> int:
-    if len(buf) != 6:
-        raise ValueError(f"expected 6 bytes, got {len(buf)}")
-    word = int.from_bytes(buf, "big")
-    if word > WORD_MASK:
-        raise ValueError("top 4 bits of the 6-byte packing must be zero")
-    return word
 
 
 def airtime_s(bits: int = WORD_BITS, bitrate_bps: float = DEFAULT_BITRATE_BPS) -> float:

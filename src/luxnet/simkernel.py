@@ -59,6 +59,10 @@ Vec3 = Tuple[float, float, float]
 
 ETX_POLICIES = ("disabled", "oap", "autonomous")
 
+# longest run accepted, in ticks; the shipped paper-b scenario (60 h at
+# 0.1 s) takes 2.16 M
+MAX_TICKS = 10 ** 8
+
 # handle_frame outcomes that mean the radio itself never took the frame;
 # everything else it reports is an application-level refusal and still
 # counts as a delivery
@@ -193,11 +197,26 @@ def _require_finite(key: str, value: float) -> None:
         raise ScenarioError(f"{key} must be finite, got {value}")
 
 
+def tick_count(duration_s: float, step_s: float) -> int:
+    """Ticks a run of duration_s takes at step_s, at least one.
+
+    Raises InfeasibleError above MAX_TICKS, before any work starts.  The
+    ratio is compared unrounded because an overflowed one is infinite.
+    """
+    ratio = duration_s / step_s
+    if ratio > MAX_TICKS:
+        raise InfeasibleError(
+            f"duration_s / step_s asks for {ratio:.3g} ticks, "
+            f"more than the {MAX_TICKS} a run may take")
+    return max(1, int(round(ratio)))
+
+
 def validate_scenario(scenario: Scenario) -> None:
     """Reject malformed scenarios before any work starts.
 
     Every number must be finite: a NaN compares false against every
-    bound below, and an infinity overflows the tick count.
+    bound below, and an infinity overflows the tick count.  A run of
+    more than MAX_TICKS ticks is infeasible rather than malformed.
     """
     for key in ("duration_s", "step_s", "trace_interval_s"):
         _require_finite(key, getattr(scenario, key))
@@ -273,6 +292,7 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.oap.config.t_int > 65535:
         raise ScenarioError("oap t_int_s exceeds the 16-bit config field")
     _as_vec(scenario.oap.position, "oap position")
+    tick_count(scenario.duration_s, scenario.step_s)
 
 
 def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
@@ -314,7 +334,7 @@ class _Runtime:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.dt = scenario.step_s
-        self.n_steps = max(1, int(round(scenario.duration_s / scenario.step_s)))
+        self.n_steps = tick_count(scenario.duration_s, scenario.step_s)
         self.records: Dict[int, NodeRecord] = {}
         self.specs: Dict[int, NodeSpec] = {}
         for spec in sorted(scenario.nodes, key=lambda s: s.node_id):
@@ -337,6 +357,7 @@ class _Runtime:
             etx_enabled=(scenario.etx_policy == "oap"),
         )
 
+        # one generator per node; only the interference draw uses it
         self.rng = {nid: np.random.default_rng((scenario.seed, nid))
                     for nid in self.node_ids}
         self.ambient = {
@@ -432,6 +453,12 @@ class _Runtime:
             dest=frame.dest_address))
 
     def _interference_lost(self, nid: int) -> bool:
+        """Draw whether nid misses a downlink frame to burst interference.
+
+        Any emitter on the air exposes every node, whatever its gain onto
+        nid; the failure probability follows the ambient light on nid's
+        brightest face.
+        """
         model = self.scenario.interference
         if model is None or not self._lux_signature:
             return False
@@ -536,8 +563,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
         for nid in rt.node_ids:
             record = rt.records[nid]
             result = step_node(record, dt, NodeInputs(
-                now=now, lux_per_face=rt.lux[nid], frames=inbox[nid]),
-                rt.rng[nid])
+                now=now, lux_per_face=rt.lux[nid], frames=inbox[nid]))
             for frame in result.emitted:
                 rt.send(frame, f"node {nid}", i)
             if inbox[nid]:

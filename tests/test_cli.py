@@ -11,8 +11,9 @@ from luxnet.cli import (
     serialize_scenario,
     shipped_scenario_path,
 )
+from luxnet.channel import InterferenceModel
 from luxnet.errors import ScenarioError
-from luxnet.simkernel import validate_scenario
+from luxnet.simkernel import OapSpec, validate_scenario
 
 DUTY_TABLE_GOLDEN = """\
 n,duty_ratio,standby_s,feasible
@@ -352,6 +353,17 @@ def test_parse_diagnostics(mangle, needle):
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text(mangle(base))
     assert needle in str(err.value)
+
+
+def test_empty_oap_and_interference_sections_take_the_defaults():
+    scenario = parse_scenario_text(
+        "[scenario]\nname = x\nduration_s = 1\n\n[oap]\n\n"
+        "[interference]\n\n[node.1]\nposition_m = 0 0 0\n"
+        "face_a_normal = 0 1 0\nface_a_ambient_lux = 150\n"
+        "face_b_normal = 0 0 1\nface_b_ambient_lux = 0\n"
+        "face_c_normal = 0 0 -1\nface_c_ambient_lux = 0\n")
+    assert scenario.oap == OapSpec()
+    assert scenario.interference == InterferenceModel()
 
 
 def test_missing_scenario_section_is_rejected():

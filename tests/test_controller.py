@@ -9,9 +9,7 @@ from luxnet.controller import (
     DutyCycle,
     RegistryEntry,
     assign_n,
-    classify_and_route,
     duty_cycle,
-    reconstructed_data_window,
     select_t_data_req,
     standby_time,
 )
@@ -62,14 +60,6 @@ def test_standby_time_frozen_points():
         standby_time(DEFAULT_TIMING, 8)
 
 
-def test_interval_identity_closes():
-    t = DEFAULT_TIMING
-    for n in range(8):
-        total = (reconstructed_data_window(t, n) + t.t_data_net_rec
-                 + n * (t.t_energy_net_rec + t.t_energy_net))
-        assert total == pytest.approx(t.t_int, abs=1e-9)
-
-
 def test_select_t_data_req_rules():
     assert select_t_data_req([DEFAULT_TIMING], preferred=600.0) == 600.0
     assert select_t_data_req([DEFAULT_TIMING]) == 525.0
@@ -118,27 +108,6 @@ def test_assign_n_floors_at_minimum():
     timing = TimingParams(t_int=1000.0, t_energy_net_rec=400.0)
     config = ControllerConfig(t_data_req=500.0, timing=timing, n_min=2)
     assert assign_n(psn_entry(), config, 1000.0) == 2
-
-
-def test_classify_and_route_examples():
-    config = ControllerConfig()
-
-    def registry(pvs):
-        return {i: RegistryEntry(node_id=i, last_pv=v) for i, v in pvs.items()}
-
-    plan = classify_and_route(registry({1: 3.4, 2: 1.8, 3: 3.3}), config)
-    assert plan.roles == {1: NodeMode.PSN, 2: NodeMode.SSN, 3: NodeMode.PSN}
-    assert plan.relays == {2: (1, 3)}
-    assert not plan.relay_shortage
-
-    bright = classify_and_route(registry({1: 3.4, 2: 3.2}), config)
-    assert bright.relays == {}
-    assert not bright.relay_shortage
-
-    dark = classify_and_route(registry({1: 2.0, 2: 1.0}), config)
-    assert set(dark.roles.values()) == {NodeMode.SSN}
-    assert dark.relays == {}
-    assert dark.relay_shortage
 
 
 def test_config_validation():
@@ -211,9 +180,6 @@ def test_controller_round_with_classified_roles():
 
     setn = command_log(emissions, Command.SET_N)
     assert {(d, p) for _, d, p in setn} == {(1, 6), (3, 6)}
-
-    plan = controller.route_plan()
-    assert plan.relays == {2: (1, 3)}
 
 
 def test_controller_skips_stale_nodes():

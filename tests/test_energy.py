@@ -5,23 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from luxnet.channel import OpticalReceiver, PvCalibration
 from luxnet.energy import (
     DEFAULT_PROFILE,
-    AutonomyBudget,
-    EtxBurstEntry,
-    EtxBurstPlan,
-    HarvesterArray,
-    HarvesterCell,
     PowerProfile,
     StorageCapacitor,
-    autonomy_margin,
     default_harvester,
-    dynamic_power,
     min_capacitance,
     pv_open_voltage,
-    recovery_time,
-    scavenged_energy,
     storage_step,
 )
 
@@ -167,27 +157,6 @@ def test_storage_step_rejects_nan_power(p_in, p_out):
     assert cap.voltage == 4.0
 
 
-def test_recovery_time_frozen_value():
-    cap = make_cap(leak=10e-6)
-    # net climb power of 4.45 mW across the full hysteresis span
-    t = recovery_time(cap, p_harvest=4.46e-3, p_sleep=0.0,
-                      v_from=3.2, v_to=4.5)
-    assert t == pytest.approx(449.888, rel=1e-4)
-
-
-def test_recovery_time_edges():
-    cap = make_cap()
-    assert recovery_time(cap, 1e-3, 0.0, 3.5, 3.5) == 0.0
-    with pytest.raises(ValueError):
-        recovery_time(cap, 1e-5, 1e-5, 3.2, 4.5)  # net <= 0
-    with pytest.raises(ValueError):
-        recovery_time(cap, 1e-3, 0.0, 4.5, 3.2)
-    # doubling net power halves the time
-    t1 = recovery_time(cap, 2.01e-3, 1e-3, 3.2, 4.5)
-    t2 = recovery_time(cap, 3.01e-3, 1e-3, 3.2, 4.5)
-    assert t1 == pytest.approx(2.0 * t2, rel=1e-9)
-
-
 def test_min_capacitance_frozen_value():
     c = min_capacitance(e_peak=2.0, eta_pmic_l=0.85, p_leak=10e-6,
                         t_peak=40.0, v_max=4.5, v_min=3.2)
@@ -218,67 +187,6 @@ def test_min_capacitance_cross_check_by_integration():
     for _ in range(4000):
         storage_step(cap, p_in=0.0, p_out=p_load, dt=0.01)
     assert cap.voltage == pytest.approx(3.2, abs=1e-6)
-
-
-def test_dynamic_power_frozen_value():
-    assert dynamic_power(1e-12, 3.3, 8e6) == pytest.approx(8.712e-5, rel=1e-9)
-    assert dynamic_power(1e-12, 0.0, 8e6) == 0.0
-    assert dynamic_power(1e-12, 6.6, 8e6) == pytest.approx(4 * 8.712e-5, rel=1e-9)
-
-
-def test_scavenged_energy_frozen_example():
-    cell = HarvesterCell(conversion_efficiency=0.2)
-    harv = HarvesterArray(cells=(cell,))
-    plan = EtxBurstPlan(entries=(
-        EtxBurstEntry(n_bursts=6, p_receive_per_cell=(1e-3,), t_energy_net=40.0),
-    ))
-    e = scavenged_energy(3600.0, harv, plan, p_illum_per_cell=[4.5e-3])
-    assert e == pytest.approx(3.288, rel=1e-9)
-
-
-def test_scavenged_energy_zero_sources():
-    harv = HarvesterArray(cells=(HarvesterCell(),))
-    assert scavenged_energy(3600.0, harv, EtxBurstPlan(), [0.0]) == 0.0
-
-
-def test_scavenged_energy_linearity():
-    rng = np.random.default_rng(33)
-    cells = tuple(HarvesterCell(conversion_efficiency=float(rng.uniform(0.1, 1.0)))
-                  for _ in range(3))
-    harv = HarvesterArray(cells=cells)
-    n = int(rng.integers(1, 10))
-    p_rx = tuple(float(x) for x in rng.uniform(0.0, 1e-3, size=3))
-    plan1 = EtxBurstPlan(entries=(EtxBurstEntry(n, p_rx, 40.0),))
-    plan2 = EtxBurstPlan(entries=(EtxBurstEntry(2 * n, p_rx, 40.0),))
-    p_illum = [float(x) for x in rng.uniform(0.0, 5e-3, size=3)]
-    e1 = scavenged_energy(3600.0, harv, plan1, p_illum)
-    e2 = scavenged_energy(3600.0, harv, plan2, p_illum)
-    e_amb = scavenged_energy(3600.0, harv, EtxBurstPlan(), p_illum)
-    # doubling every burst count doubles only the burst term
-    assert e2 - e_amb == pytest.approx(2.0 * (e1 - e_amb), rel=1e-9)
-    # ambient term is linear in the interval
-    assert scavenged_energy(7200.0, harv, EtxBurstPlan(), p_illum) == pytest.approx(
-        2.0 * e_amb, rel=1e-9)
-
-
-def test_scavenged_energy_length_mismatch():
-    harv = HarvesterArray(cells=(HarvesterCell(), HarvesterCell()))
-    with pytest.raises(ValueError):
-        scavenged_energy(10.0, harv, EtxBurstPlan(), [1e-3])
-    plan = EtxBurstPlan(entries=(EtxBurstEntry(1, (1e-3,), 1.0),))
-    with pytest.raises(ValueError):
-        scavenged_energy(10.0, harv, plan, [1e-3, 1e-3])
-
-
-def test_autonomy_margin_examples():
-    zero = AutonomyBudget(0, 0, 0, 0, 0, 0)
-    assert autonomy_margin(zero) == 0.0
-    b = AutonomyBudget(e_scavenge=3.288, e_store=2.0, e_oper=1.0,
-                       e_sense=1.0, e_process=1.0, e_transmit=1.0)
-    assert autonomy_margin(b) == pytest.approx(1.288, rel=1e-9)
-    short = AutonomyBudget(e_scavenge=0.5, e_store=0.0, e_oper=1.0,
-                           e_sense=0.0, e_process=0.0, e_transmit=0.0)
-    assert autonomy_margin(short) < 0.0
 
 
 def test_harvester_power_sums_cells():

@@ -1,6 +1,5 @@
 """Node state machine tests: roles, guards, sessions, hysteresis."""
 
-import numpy as np
 import pytest
 
 from luxnet.channel import OpticalTransmitter
@@ -18,7 +17,6 @@ from luxnet.node import (
     NodeState,
     TimingParams,
     apply_hysteresis,
-    check_interval_consistency,
     energy_guard,
     etx_session,
     handle_frame,
@@ -46,12 +44,10 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False, **kw):
     return rec
 
 
-def tick(node, now, lux, frames=(), dt=0.1, rng=None):
+def tick(node, now, lux, frames=(), dt=0.1):
     """One kernel-style step: state logic, then energy integration."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     res = step_node(node, dt, NodeInputs(now=now, lux_per_face=lux,
-                                         frames=list(frames)), rng)
+                                         frames=list(frames)))
     harvest = node.harvesters.harvest_power(lux)
     p_out = state_draw_w(node) + node.instant_cost_j / dt
     storage_step(node.storage, harvest, p_out, dt)
@@ -75,11 +71,6 @@ def test_select_role_rule():
 def test_timing_params_validation_and_consistency():
     with pytest.raises(ValueError):
         TimingParams(t_int=0.0)
-    timing = TimingParams()
-    # the shipped timings tile the hour exactly at six bursts
-    assert check_interval_consistency(timing, 6) == pytest.approx(0.0, abs=1e-9)
-    assert check_interval_consistency(timing, 0) == pytest.approx(
-        6 * (450.0 + 40.0), abs=1e-9)
 
 
 def test_energy_guard_boundaries():
@@ -117,40 +108,38 @@ def test_etx_session_empty_at_floor():
 
 
 def test_init_selects_role_from_light():
-    rng = np.random.default_rng(1)
     bright = make_node(node_id=1)
     for k in range(3):
-        tick(bright, k * 0.1, FULL, rng=rng)
+        tick(bright, k * 0.1, FULL)
     assert bright.mode is NodeMode.PSN
     assert bright.state is NodeState.STANDBY
     assert bright.v_pv == pytest.approx(4.4 * 1000.0 / 1350.0, rel=1e-9)
 
     dim = make_node(node_id=2)
     for k in range(3):
-        tick(dim, k * 0.1, DIM, rng=rng)
+        tick(dim, k * 0.1, DIM)
     assert dim.mode is NodeMode.SSN
     assert dim.v_pv == pytest.approx(4.4 * 150.0 / 500.0, rel=1e-9)
 
 
 def booted(node_id=1, lux=FULL, **kw):
     node = make_node(node_id=node_id, **kw)
-    rng = np.random.default_rng(2)
     t = 0.0
     for _ in range(4):
-        tick(node, t, lux, rng=rng)
+        tick(node, t, lux)
         t += 0.1
     assert node.state is NodeState.STANDBY
-    return node, t, rng
+    return node, t
 
 
 def test_false_wakeup_charges_decode_only():
-    node, t, rng = booted()
+    node, t = booted()
     # drop off the ceiling so the top clamp cannot hide the cost
-    node.storage = node.storage.with_voltage(4.2)
+    node.storage.voltage = 4.2
     e_before = node.storage.energy
     stray = Frame44(dest_address=0x000A,
                     payload=OapToNode(command=Command.DATA_REQUEST, param=0))
-    res = tick(node, t, FULL, frames=[stray], rng=rng)
+    res = tick(node, t, FULL, frames=[stray])
     assert "false wakeup" in res.events
     assert node.state is NodeState.STANDBY
     decode_cost = node.profile.decode * node.frame_airtime_s()
@@ -161,14 +150,14 @@ def test_false_wakeup_charges_decode_only():
 
 
 def test_data_request_sense_reply_cycle():
-    node, t, rng = booted(node_id=3)
+    node, t = booted(node_id=3)
     req = Frame44(dest_address=3,
                   payload=OapToNode(command=Command.DATA_REQUEST, param=0))
-    res = tick(node, t, FULL, frames=[req], rng=rng)
+    res = tick(node, t, FULL, frames=[req])
     assert node.state is NodeState.SENSING
     emitted = []
     for k in range(1, 98):
-        res = tick(node, t + 0.1 * k, FULL, rng=rng)
+        res = tick(node, t + 0.1 * k, FULL)
         emitted.extend(res.emitted)
         if node.state is not NodeState.SENSING:
             break
@@ -184,11 +173,10 @@ def test_data_request_sense_reply_cycle():
 def test_ssn_timer_report_and_periodicity():
     timing = TimingParams(t_int=100.0, t_sense=0.5)
     node = make_node(node_id=2, timing=timing)
-    rng = np.random.default_rng(3)
     t = 0.0
     tx_times = []
     while t < 350.0:
-        res = tick(node, t, DIM, rng=rng)
+        res = tick(node, t, DIM)
         if any(e == "report sent" for e in res.events):
             tx_times.append(t)
         t += 0.1
@@ -206,46 +194,45 @@ def test_ssn_guard_skip_defers_one_interval():
     node.mode = NodeMode.SSN
     node.state = NodeState.SLEEP
     node.next_report_s = 50.0
-    rng = np.random.default_rng(4)
     events = []
     t = 49.5
     for k in range(12):
-        events += tick(node, t + 0.1 * k, DIM, rng=rng).events
+        events += tick(node, t + 0.1 * k, DIM).events
     assert "sense skipped (guard)" in events
     assert node.state is NodeState.SLEEP
     assert node.next_report_s == pytest.approx(100.0)
 
 
 def test_relay_preserves_origin_sender():
-    node, t, rng = booted(node_id=1)
+    node, t = booted(node_id=1)
     inner = NodeToOap(sender_id=2, pv_level=66, cap_level=170, sensor=130)
     res = tick(node, t, FULL,
-               frames=[Frame44(dest_address=1, payload=inner)], rng=rng)
+               frames=[Frame44(dest_address=1, payload=inner)])
     assert len(res.emitted) == 1
     fwd = res.emitted[0]
     assert fwd.dest_address == OAP_ADDRESS
     assert fwd.payload.sender_id == 2
     assert fwd.payload == inner
     assert node.state is NodeState.DATA_RELAY
-    tick(node, t + 0.1, FULL, rng=rng)
+    tick(node, t + 0.1, FULL)
     assert node.state is NodeState.STANDBY
 
 
 def test_ssn_does_not_relay():
-    node, t, rng = booted(node_id=2, lux=DIM)
+    node, t = booted(node_id=2, lux=DIM)
     inner = NodeToOap(sender_id=3, pv_level=66, cap_level=170, sensor=130)
     res = tick(node, t, DIM,
-               frames=[Frame44(dest_address=2, payload=inner)], rng=rng)
+               frames=[Frame44(dest_address=2, payload=inner)])
     assert res.emitted == []
     assert any(cause == "not a relay node" for _, cause in res.dropped)
 
 
 def test_etx_request_starts_session_at_full_charge():
-    node, t, rng = booted(node_id=1, led=True, v_min=3.8)
+    node, t = booted(node_id=1, led=True, v_min=3.8)
     req = Frame44(dest_address=1,
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
     # capacitor is full, so the session begins within the decode step
-    res = tick(node, t, FULL, frames=[req], rng=rng)
+    res = tick(node, t, FULL, frames=[req])
     assert "etx start" in res.events
     assert node.state is NodeState.ENERGY_RELAY
     assert node.led_active
@@ -253,33 +240,33 @@ def test_etx_request_starts_session_at_full_charge():
 
 
 def test_etx_request_deferred_until_full():
-    node, t, rng = booted(node_id=1, led=True, v_min=3.8)
-    node.storage = node.storage.with_voltage(4.4)
+    node, t = booted(node_id=1, led=True, v_min=3.8)
+    node.storage.voltage = 4.4
     req = Frame44(dest_address=1,
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
-    tick(node, t, FULL, frames=[req], rng=rng)
-    res = tick(node, t + 0.1, FULL, rng=rng)
+    tick(node, t, FULL, frames=[req])
+    res = tick(node, t + 0.1, FULL)
     assert node.state is NodeState.STANDBY
     assert node.pending_n == 1
     # charge back to full, then the pending session fires
     steps = 0
     while node.state is NodeState.STANDBY and steps < 20000:
-        res = tick(node, t + 0.2 + 0.1 * steps, FULL, rng=rng)
+        res = tick(node, t + 0.2 + 0.1 * steps, FULL)
         steps += 1
     assert node.state is NodeState.ENERGY_RELAY
 
 
 def test_etx_session_stops_at_guard_floor_then_recovers():
-    node, t, rng = booted(node_id=1, led=True, v_min=3.8)
+    node, t = booted(node_id=1, led=True, v_min=3.8)
     req = Frame44(dest_address=1,
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
-    tick(node, t, FULL, frames=[req], rng=rng)
-    tick(node, t + 0.1, FULL, rng=rng)
+    tick(node, t, FULL, frames=[req])
+    tick(node, t + 0.1, FULL)
     assert node.state is NodeState.ENERGY_RELAY
     t += 0.2
     session_ticks = 0
     while node.state is NodeState.ENERGY_RELAY:
-        tick(node, t, FULL, rng=rng)
+        tick(node, t, FULL)
         t += 0.1
         session_ticks += 1
         assert session_ticks < 500
@@ -293,7 +280,7 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
     assert session_ticks * 0.1 == pytest.approx(23.3, abs=0.3)
     # sleeps until full, then returns to listening
     while node.state is NodeState.SLEEP:
-        tick(node, t, FULL, rng=rng)
+        tick(node, t, FULL)
         t += 0.1
         assert t < 600.0
     assert node.state is NodeState.STANDBY
@@ -304,13 +291,13 @@ def test_etx_session_window_cap():
     # with a dimmer drive the floor is out of reach and the window rules
     profile = PowerProfile(sleep=180e-6, standby=550e-6, sense=11e-3,
                            data_tx=12e-3, etx=10e-3, decode=2e-3)
-    node, t, rng = booted(node_id=1, led=True, v_min=3.2, profile=profile)
+    node, t = booted(node_id=1, led=True, v_min=3.2, profile=profile)
     node.etx_autonomous = True
-    res = tick(node, t, FULL, rng=rng)
+    res = tick(node, t, FULL)
     assert node.state is NodeState.ENERGY_RELAY
     ticks = 0
     while node.state is NodeState.ENERGY_RELAY:
-        res = tick(node, t + 0.1 * (1 + ticks), FULL, rng=rng)
+        res = tick(node, t + 0.1 * (1 + ticks), FULL)
         ticks += 1
         assert ticks < 450
     assert ticks * 0.1 == pytest.approx(40.0, abs=0.2)
@@ -318,46 +305,46 @@ def test_etx_session_window_cap():
 
 
 def test_depletion_hysteresis():
-    node, t, rng = booted(node_id=2, lux=DIM)
-    node.storage = node.storage.with_voltage(3.19)
-    res = tick(node, t, DIM, rng=rng)
+    node, t = booted(node_id=2, lux=DIM)
+    node.storage.voltage = 3.19
+    res = tick(node, t, DIM)
     assert node.state is NodeState.DEPLETED
     # frames are lost while depleted, at no cost
     e_before = node.storage.energy
     req = Frame44(dest_address=2,
                   payload=OapToNode(command=Command.DATA_REQUEST, param=0))
-    res = tick(node, t + 0.1, DIM, frames=[req], rng=rng)
+    res = tick(node, t + 0.1, DIM, frames=[req])
     assert any(cause == "depleted receiver" for _, cause in res.dropped)
     assert node.state is NodeState.DEPLETED
     # no reconnect below v_chrdy
-    node.storage = node.storage.with_voltage(3.7)
-    tick(node, t + 0.2, DIM, rng=rng)
+    node.storage.voltage = 3.7
+    tick(node, t + 0.2, DIM)
     assert node.state is NodeState.DEPLETED
     # reconnect at v_chrdy goes through a fresh boot
-    node.storage = node.storage.with_voltage(3.81)
-    res = tick(node, t + 0.3, DIM, rng=rng)
+    node.storage.voltage = 3.81
+    res = tick(node, t + 0.3, DIM)
     assert node.state is NodeState.INIT
     assert "recovered from depletion" in res.events
 
 
 def test_depleted_node_draws_only_leak():
-    node, t, rng = booted(node_id=2, lux=DIM)
-    node.storage = node.storage.with_voltage(3.0)
-    tick(node, t, DIM, rng=rng)
+    node, t = booted(node_id=2, lux=DIM)
+    node.storage.voltage = 3.0
+    tick(node, t, DIM)
     assert node.state is NodeState.DEPLETED
     e0 = node.storage.energy
     harvest = node.harvesters.harvest_power((0.0, 0.0, 0.0))
-    tick(node, t + 0.1, (0.0, 0.0, 0.0), rng=rng)
+    tick(node, t + 0.1, (0.0, 0.0, 0.0))
     de = node.storage.energy - e0
     assert de == pytest.approx((harvest - node.storage.leak_power) * 0.1,
                                rel=1e-9)
 
 
 def test_standby_idle_ssn_sleeps():
-    node, t, rng = booted(node_id=2, lux=DIM)
+    node, t = booted(node_id=2, lux=DIM)
     steps = 0
     while node.state is NodeState.STANDBY:
-        tick(node, t + 0.1 * steps, DIM, rng=rng)
+        tick(node, t + 0.1 * steps, DIM)
         steps += 1
         assert steps < 400
     assert node.state is NodeState.SLEEP
@@ -372,17 +359,17 @@ def test_node_record_validation():
 
 
 def test_init_config_updates_interval():
-    node, t, rng = booted(node_id=2, lux=DIM)
+    node, t = booted(node_id=2, lux=DIM)
     frame = Frame44(dest_address=0xFFFF,
                     payload=OapToNode(command=Command.INIT_CONFIG, param=1800))
-    res = tick(node, t, DIM, frames=[frame], rng=rng)
+    res = tick(node, t, DIM, frames=[frame])
     assert node.timing.t_int == 1800.0
     assert any(e.startswith("config") for e in res.events)
 
 
 def test_set_n_updates_assignment():
-    node, t, rng = booted(node_id=1)
+    node, t = booted(node_id=1)
     frame = Frame44(dest_address=1,
                     payload=OapToNode(command=Command.SET_N, param=6))
-    tick(node, t, FULL, frames=[frame], rng=rng)
+    tick(node, t, FULL, frames=[frame])
     assert node.assigned_n == 6

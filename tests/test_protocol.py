@@ -23,8 +23,6 @@ from luxnet.protocol import (
     quantize_voltage,
     temperature_from_code,
     voltage_from_code,
-    word_from_bytes,
-    word_to_bytes,
 )
 
 
@@ -164,9 +162,6 @@ def test_word_hex_and_byte_packing_round_trips():
     for _ in range(500):
         word = int(rng.integers(0, proto.WORD_MASK + 1, dtype=np.uint64))
         assert parse_word(format_word(word)) == word
-        blob = word_to_bytes(word)
-        assert len(blob) == 6
-        assert word_from_bytes(blob) == word
 
 
 def test_parse_word_accepts_0x_prefix():
@@ -177,8 +172,6 @@ def test_word_out_of_range_rejected():
     with pytest.raises(ValueError):
         encode_word = proto.WORD_MASK + 1
         decode44(encode_word)
-    with pytest.raises(ValueError):
-        word_to_bytes(1 << 44)
 
 
 def test_airtime_default_rate():

@@ -15,6 +15,7 @@ from luxnet.energy import StorageCapacitor, storage_step
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.simkernel import (
     CSV_HEADER,
+    MAX_TICKS,
     FaceSpec,
     NodeSpec,
     OapSpec,
@@ -121,6 +122,38 @@ def test_led_power_error_names_the_key():
                   nodes=(lone_node(led_power_w=-1e-3),))
     with pytest.raises(ScenarioError, match=r"node\.1: led_power_w must"):
         validate_scenario(sc)
+
+
+@pytest.mark.parametrize("duration_s, step_s", [
+    (10.0, 1e-300),                  # about 1e301 ticks
+    (1e300, 1e-300),                 # the tick count overflows to inf
+    (MAX_TICKS * 0.1 + 1.0, 0.1),    # ten ticks over the cap
+])
+def test_tick_cap_is_infeasible(duration_s, step_s):
+    # validation only: none of these runs is ever started
+    sc = Scenario(name="t", duration_s=duration_s, step_s=step_s,
+                  trace_interval_s=step_s, nodes=(lone_node(),))
+    with pytest.raises(InfeasibleError, match="ticks"):
+        validate_scenario(sc)
+
+
+def test_tick_cap_admits_a_run_at_the_cap():
+    sc = Scenario(name="t", duration_s=MAX_TICKS * 1.0, step_s=1.0,
+                  nodes=(lone_node(),))
+    validate_scenario(sc)
+
+
+def test_cli_tick_cap_exits_3_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(scenario):
+        raise AssertionError("a run over the tick cap was started")
+
+    monkeypatch.setattr("luxnet.simkernel._Runtime", no_run)
+    code = main(["run", shipped_scenario_path("paper_a"), "--step-s",
+                 "1e-300", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "ticks" in err
+    assert not (tmp_path / "paper-a.csv").exists()
 
 
 NAN, INF = float("nan"), float("inf")
