@@ -38,7 +38,6 @@ from .node import DEFAULT_TIMING, TimingParams
 from .protocol import (
     BROADCAST_ADDRESS,
     OAP_ADDRESS,
-    Command,
     Frame44,
     FrameError,
     NodeToOap,

@@ -246,6 +246,17 @@ class Controller:
         due_now.sort()
         return [frame for _, _, frame in due_now]
 
+    def next_action_s(self) -> float:
+        """Earliest instant at which step may act, -inf before the start.
+
+        For any earlier `now`, up to the rounding of its 1e-9 tolerance,
+        step(now) returns no frame and changes nothing.
+        """
+        if not self._started:
+            return -math.inf
+        due = min((item[0] for item in self._pending), default=math.inf)
+        return min(self._next_round, due) - 1e-9
+
     def on_uplink(self, frame: Frame44, now: float) -> None:
         """Fold one node report into the registry."""
         payload = frame.payload

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 
@@ -68,8 +68,8 @@ def illuminance_for_open_voltage(volts: float) -> float:
 class StorageCapacitor:
     """Ideal supercapacitor state plus its management thresholds.
 
-    Mutable: storage_step advances the voltage in place, once per node
-    per kernel tick.
+    Mutable: storage_run and storage_step advance the voltage in place,
+    one kernel tick at a time.
     """
 
     capacitance: float = STORAGE_CAPACITANCE_F
@@ -195,25 +195,57 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
 
 
-def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
-                 dt: float) -> float:
-    """Advance cap.voltage in place by dt under net power p_in - p_out - leak.
+def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
+                ticks: int, v_low: float = -math.inf, v_high: float = math.inf
+                ) -> Tuple[List[float], List[float]]:
+    """Advance cap.voltage in place by up to `ticks` ticks at constant power.
 
-    Energy clamps to [0, full].  Returns the clamp loss: the unclamped
-    energy minus the energy now stored, joules.  It is positive when the
-    top clamp spilled harvest, negative when the floor refused a draw the
-    storage could not pay, and within a few ulps of zero otherwise (the
-    square root and its square do not round-trip exactly).
+    Each tick applies net power p_in - p_out - leak for dt and clamps the
+    energy to [0, full].  The run stops early after the first tick whose
+    voltage leaves [v_low, v_high).  Returns two lists with one entry per
+    tick run: the voltage after it, and its clamp loss (the unclamped
+    energy minus the energy then stored, joules).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
-    e = cap.energy + (p_in - p_out - cap.leak_power) * dt
-    voltage = cap.voltage_at(min(max(e, 0.0), cap.energy_full))
-    # the clamp bounds every finite result, so this rejects a NaN input
-    if not 0.0 <= voltage <= cap.v_max + 1e-9:
-        raise ValueError(f"voltage {voltage} outside [0, v_max]")
+    capacitance = cap.capacitance
+    half_c = 0.5 * capacitance
+    full = cap.energy_full
+    net = (p_in - p_out - cap.leak_power) * dt
+    v_top = cap.v_max + 1e-9
+    voltage = cap.voltage
+    voltages: List[float] = []
+    losses: List[float] = []
+    keep_voltage = voltages.append
+    keep_loss = losses.append
+    sqrt = math.sqrt
+    for _ in range(ticks):
+        e = half_c * voltage ** 2 + net
+        # min(max(e, 0), full), spelled out; a NaN passes through
+        stored = 0.0 if e < 0.0 else full if e > full else e
+        voltage = sqrt(2.0 * stored / capacitance)
+        # the clamp bounds every finite result, so this rejects a NaN input
+        if not 0.0 <= voltage <= v_top:
+            raise ValueError(f"voltage {voltage} outside [0, v_max]")
+        keep_voltage(voltage)
+        keep_loss(e - half_c * voltage ** 2)
+        if voltage < v_low or voltage >= v_high:
+            break
     cap.voltage = voltage
-    return e - cap.energy
+    return voltages, losses
 
+
+def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
+                 dt: float) -> float:
+    """Advance cap.voltage in place by dt under net power p_in - p_out - leak.
+
+    One tick of storage_run.  Energy clamps to [0, full].  Returns the
+    clamp loss: the unclamped energy minus the energy now stored, joules.
+    It is positive when the top clamp spilled harvest, negative when the
+    floor refused a draw the storage could not pay, and within a few ulps
+    of zero otherwise (the square root and its square do not round-trip
+    exactly).
+    """
+    return storage_run(cap, p_in, p_out, dt, 1)[1][0]

@@ -349,12 +349,15 @@ def _session_tick(node: NodeRecord, dt: float, result: NodeStepResult) -> None:
         result.events.append(f"etx end ({node.session_cause})")
 
 
+def _wants_burst(node: NodeRecord) -> bool:
+    """A primary with an emitter and a pending or autonomous session."""
+    return (node.mode is NodeMode.PSN and node.led is not None
+            and (node.pending_n > 0 or node.etx_autonomous))
+
+
 def _maybe_start_etx(node: NodeRecord, inputs: NodeInputs, dt: float,
                      result: NodeStepResult) -> None:
-    if node.mode is not NodeMode.PSN or node.led is None:
-        return
-    wants = node.pending_n > 0 or node.etx_autonomous
-    if not wants:
+    if not _wants_burst(node):
         return
     if node.storage.voltage < node.storage.v_max - 1e-9:
         return
@@ -499,6 +502,75 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         return result
 
     return result
+
+
+# With no frame, no metered cost and no emission, step_node leaves a node
+# in one of these states alone except for its state clock, until a timer
+# or a voltage threshold fires.  The kernel advances such quiet stretches
+# without calling step_node; the two functions below say when they end.
+_QUIET_STATES = (NodeState.SLEEP, NodeState.STANDBY, NodeState.DEPLETED)
+
+
+def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
+    """Ticks from `tick` on, at most limit, that step_node spends idle.
+
+    Tick j starts at j * dt.  The count assumes no frames arrive; it is 0
+    when step_node may act on this very tick.  The timers are tested with
+    step_node's own float expressions, so the count is exact rather than
+    rounded tick arithmetic.
+    """
+    if (node.state not in _QUIET_STATES or node.instant_cost_j != 0.0
+            or node.led_fraction != 0.0):
+        return 0
+    full = node.storage.voltage >= node.storage.v_max - 1e-9
+    if node.state is NodeState.SLEEP:
+        if node.mode is NodeMode.SSN and node.sensing_enabled:
+            wake = node.next_report_s - 1e-9
+
+            def due(j: int) -> bool:
+                return j * dt + dt >= wake
+
+            # a guess off by a tick or two, then the exact first due tick
+            j = min(max(tick, math.floor(wake / dt)), tick + limit)
+            while j > tick and due(j - 1):
+                j -= 1
+            while j < tick + limit and not due(j):
+                j += 1
+            return j - tick
+        if node.mode is NodeMode.PSN and full:
+            return 0
+        return limit
+    if node.state is NodeState.STANDBY:
+        if node.mode is NodeMode.SSN:
+            elapsed = node.state_elapsed
+            for m in range(limit):
+                elapsed += dt
+                if elapsed >= STANDBY_IDLE_TIMEOUT_S:
+                    return m
+            return limit
+        if _wants_burst(node) and full:
+            return 0
+    return limit
+
+
+def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
+    """[low, high): a quiet node's storage voltages that change nothing.
+
+    A tick whose storage step leaves the band ends the quiet stretch:
+    below v_ovdis (or from v_chrdy up, while Depleted) apply_hysteresis
+    acts on that tick; a primary that reaches full in Sleep, or in
+    Standby with a session to run, acts on the next one.
+    """
+    storage = node.storage
+    if node.state is NodeState.DEPLETED:
+        return -math.inf, storage.v_chrdy
+    high = math.inf
+    if node.state is NodeState.SLEEP:
+        if node.mode is NodeMode.PSN:
+            high = storage.v_max - 1e-9
+    elif _wants_burst(node):
+        high = storage.v_max - 1e-9
+    return storage.v_ovdis, high
 
 
 def apply_hysteresis(node: NodeRecord, result: NodeStepResult) -> None:

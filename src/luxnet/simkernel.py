@@ -6,6 +6,20 @@ ascending id order, and storage is integrated once per tick from the
 state draw plus any metered instantaneous costs.  Identical scenarios
 with identical seeds reproduce byte-identical traces.
 
+Time advances to the next tick on which anything discrete can act: the
+head of the frame heap, the controller's next action, a node's report
+wake or standby timeout, or any tick while some node is outside Sleep,
+Standby and Depleted, has a metered cost or has its emitter lit.  That
+tick runs in full: frame delivery, the controller, step_node for every
+node, the light-field refresh, the storage step and the depletion
+hysteresis.  The quiet ticks before it run only the continuous part:
+the storage step, the per-tick tallies, the state clocks and trace
+sampling, with the full tick's float operations in the same order.  A
+quiet stretch also ends after a tick on which some node's voltage
+leaves its quiet band (node.quiet_voltage_band); the hysteresis runs on
+that tick as on a full one.  Traces are therefore bit-identical to
+stepping every tick in full, which tests/kernel_oracle.py still does.
+
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
 emitter's on-air fraction, so the radiated and harvested energies agree
@@ -17,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +50,7 @@ from .energy import (
     HarvesterCell,
     PowerProfile,
     StorageCapacitor,
+    storage_run,
     storage_step,
 )
 from .errors import InfeasibleError, ScenarioError
@@ -45,6 +60,8 @@ from .node import (
     NodeState,
     NodeStepResult,
     apply_hysteresis,
+    quiet_ticks,
+    quiet_voltage_band,
     state_draw_w,
     step_node,
 )
@@ -62,6 +79,11 @@ ETX_POLICIES = ("disabled", "oap", "autonomous")
 # longest run accepted, in ticks; the shipped paper-b scenario (60 h at
 # 0.1 s) takes 2.16 M
 MAX_TICKS = 10 ** 8
+
+# longest quiet stretch advanced at once; it bounds the per-tick voltage
+# and clamp-loss lists a stretch holds, at the price of one stretch
+# set-up per this many quiet ticks
+STRETCH_MAX_TICKS = 256
 
 # handle_frame outcomes that mean the radio itself never took the frame;
 # everything else it reports is an application-level refusal and still
@@ -521,18 +543,193 @@ class _Runtime:
                     time_s=now, outcome="delivered", origin="network",
                     dest=nid, cause=cause))
 
+    # -- ticks -------------------------------------------------------------
+
+    def full_tick(self, i: int) -> None:
+        """Tick i in full: frames, controller, node logic, storage."""
+        dt = self.dt
+        now = i * dt
+        inbox = self.deliver_due(i)
+
+        for frame in self.controller.step(now):
+            self.send(frame, "oap", i)
+
+        results: Dict[int, NodeStepResult] = {}
+        for nid in self.node_ids:
+            record = self.records[nid]
+            result = step_node(record, dt, NodeInputs(
+                now=now, lux_per_face=self.lux[nid], frames=inbox[nid]))
+            for frame in result.emitted:
+                self.send(frame, f"node {nid}", i)
+            if inbox[nid]:
+                self.account_deliveries(nid, inbox[nid], result, now)
+            results[nid] = result
+
+        # the on-air set for this step reflects the transitions just taken
+        self._refresh_lux(self._emitter_signature())
+
+        for nid in self.node_ids:
+            record = self.records[nid]
+            p_out = state_draw_w(record) + record.instant_cost_j / dt
+            clamp_loss = storage_step(record.storage, self.harvest_w[nid],
+                                      p_out, dt)
+            record.instant_cost_j = 0.0
+            self._tally(nid, p_out, [clamp_loss])
+            self._hysteresis(nid, now, results[nid])
+
+    def quiet_run(self, i: int) -> int:
+        """Ticks from i on in which nothing discrete can happen, 0 if i
+        itself may need the full path.
+
+        A stretch ends before the next frame due, the controller's next
+        action and the first node timer due, and is at most
+        STRETCH_MAX_TICKS long.
+        """
+        action = self.controller.next_action_s()
+        if action == -math.inf:
+            return 0
+        # a tick of margin for the rounding of tick * dt
+        end = min(self.n_steps, i + STRETCH_MAX_TICKS,
+                  math.floor(action / self.dt) - 1)
+        if self.heap:
+            end = min(end, self.heap[0][0])
+        ticks = end - i
+        for nid in self.node_ids:
+            if ticks <= 0:
+                return 0
+            ticks = quiet_ticks(self.records[nid], i, self.dt, ticks)
+        return max(ticks, 0)
+
+    def advance_quiet(self, i: int, ticks: int) -> int:
+        """Run up to `ticks` quiet ticks from i; return the next tick.
+
+        Only the continuous part runs, with the full path's float
+        operations in its order: storage, the per-tick tallies, the state
+        clocks and the trace instants before the last tick.  The stretch
+        ends early after the first tick on which some node's voltage
+        leaves its quiet band; the hysteresis then runs on that tick as
+        in the full path.
+        """
+        dt = self.dt
+        # as on a full tick: the last hysteresis may have darkened an
+        # emitter since the light field was last refreshed
+        self._refresh_lux(self._emitter_signature())
+        records = [self.records[nid] for nid in self.node_ids]
+        starts = [record.storage.voltage for record in records]
+        p_outs = [state_draw_w(record) + record.instant_cost_j / dt
+                  for record in records]
+        bands = [quiet_voltage_band(record) for record in records]
+
+        def run(ticks: int) -> List[Tuple[List[float], List[float]]]:
+            return [storage_run(record.storage, self.harvest_w[nid], p_out,
+                                dt, ticks, low, high)
+                    for nid, record, p_out, (low, high)
+                    in zip(self.node_ids, records, p_outs, bands)]
+
+        runs = run(ticks)
+        shortest = min(len(voltages) for voltages, _ in runs)
+        if shortest < ticks:
+            # a node left its band early; no node leaves it before that
+            # tick, so one replay up to it settles every node
+            for record, voltage in zip(records, starts):
+                record.storage.voltage = voltage
+            ticks = shortest
+            runs = run(ticks)
+        # trace instants before the last tick, as offsets into the stretch;
+        # the caller samples the last tick after its hysteresis
+        every = self.sample_every
+        marks = range(every - 1 - i % every, ticks - 1, every)
+        harvested = []
+        for nid, record, p_out, (_, losses) in zip(self.node_ids, records,
+                                                   p_outs, runs):
+            elapsed = record.state_elapsed
+            for _ in range(ticks):
+                elapsed += dt
+            record.state_elapsed = elapsed
+            harvested.append(self._tally(nid, p_out, losses, marks))
+        for k, m in enumerate(marks):
+            time_s = (i + m + 1) * dt
+            for nid, (voltages, _), at_marks in zip(self.node_ids, runs,
+                                                     harvested):
+                self._sample(nid, time_s, voltages[m], at_marks[k])
+        last = i + ticks - 1
+        for nid in self.node_ids:
+            self._hysteresis(nid, last * dt, NodeStepResult())
+        return last + 1
+
+    def _tally(self, nid: int, p_out: float, clamp_losses: List[float],
+               marks: Sequence[int] = ()) -> List[float]:
+        """Book one tick per clamp loss at this tick's draw and light.
+
+        Returns the harvested total after each tick offset in marks.
+        """
+        dt = self.dt
+        agg = self.agg[nid]
+        harvest_dt = self.harvest_w[nid] * dt
+        consumed_dt = p_out * dt
+        leaked_dt = self.records[nid].storage.leak_power * dt
+        face_a = self.lux[nid][0]
+        lux_dt = face_a * dt
+        state_name = self.records[nid].state.value
+        clamp = agg.clamp_loss_j
+        harvested = agg.harvested_j
+        consumed = agg.consumed_j
+        leaked = agg.leaked_j
+        in_state = agg.time_by_state.get(state_name, 0.0)
+        lux_integral = agg.lux_integral
+        at_marks = []
+        pending = iter(marks)
+        next_mark = next(pending, -1)
+        for m, clamp_loss in enumerate(clamp_losses):
+            clamp += clamp_loss
+            harvested += harvest_dt
+            consumed += consumed_dt
+            leaked += leaked_dt
+            in_state += dt
+            lux_integral += lux_dt
+            if m == next_mark:
+                at_marks.append(harvested)
+                next_mark = next(pending, -1)
+        agg.clamp_loss_j = clamp
+        agg.harvested_j = harvested
+        agg.consumed_j = consumed
+        agg.leaked_j = leaked
+        agg.time_by_state[state_name] = in_state
+        agg.lux_integral = lux_integral
+        if face_a < agg.lux_min:
+            agg.lux_min = face_a
+        if face_a > agg.lux_max:
+            agg.lux_max = face_a
+        return at_marks
+
+    def _hysteresis(self, nid: int, now: float,
+                    result: NodeStepResult) -> None:
+        """Depletion lockout after the storage step, then the event rows."""
+        record = self.records[nid]
+        agg = self.agg[nid]
+        was_depleted = record.state is NodeState.DEPLETED
+        apply_hysteresis(record, result)
+        if (record.state is NodeState.DEPLETED and not was_depleted
+                and agg.depleted_at is None):
+            agg.depleted_at = now
+        if result.events:
+            self.event_rows(nid, now, result.events)
+
     # -- trace -------------------------------------------------------------
 
     def sample_rows(self, time_s: float) -> None:
         for nid in self.node_ids:
-            record = self.records[nid]
-            self.rows.append(TraceRow(
-                time_s=time_s, node_id=nid,
-                v_cap=record.storage.voltage, v_pv=record.v_pv,
-                mode=record.mode.value, state=record.state.value,
-                lux=self.lux[nid][0]))
-            self.harvest_samples[nid].append(
-                (time_s, self.agg[nid].harvested_j))
+            self._sample(nid, time_s, self.records[nid].storage.voltage,
+                         self.agg[nid].harvested_j)
+
+    def _sample(self, nid: int, time_s: float, v_cap: float,
+                harvested_j: float) -> None:
+        record = self.records[nid]
+        self.rows.append(TraceRow(
+            time_s=time_s, node_id=nid, v_cap=v_cap, v_pv=record.v_pv,
+            mode=record.mode.value, state=record.state.value,
+            lux=self.lux[nid][0]))
+        self.harvest_samples[nid].append((time_s, harvested_j))
 
     def event_rows(self, nid: int, time_s: float, events: List[str]) -> None:
         record = self.records[nid]
@@ -552,60 +749,16 @@ def run_scenario(scenario: Scenario) -> TraceSet:
 
     rt.sample_rows(0.0)
 
-    for i in range(rt.n_steps):
-        now = i * dt
-        inbox = rt.deliver_due(i)
-
-        for frame in rt.controller.step(now):
-            rt.send(frame, "oap", i)
-
-        results: Dict[int, NodeStepResult] = {}
-        for nid in rt.node_ids:
-            record = rt.records[nid]
-            result = step_node(record, dt, NodeInputs(
-                now=now, lux_per_face=rt.lux[nid], frames=inbox[nid]))
-            for frame in result.emitted:
-                rt.send(frame, f"node {nid}", i)
-            if inbox[nid]:
-                rt.account_deliveries(nid, inbox[nid], result, now)
-            results[nid] = result
-
-        # the on-air set for this step reflects the transitions just taken
-        rt._refresh_lux(rt._emitter_signature())
-
-        for nid in rt.node_ids:
-            record = rt.records[nid]
-            agg = rt.agg[nid]
-            lux_faces = rt.lux[nid]
-            harvest = rt.harvest_w[nid]
-            p_out = state_draw_w(record) + record.instant_cost_j / dt
-            storage = record.storage
-            agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
-            record.instant_cost_j = 0.0
-            agg.harvested_j += harvest * dt
-            agg.consumed_j += p_out * dt
-            agg.leaked_j += storage.leak_power * dt
-            state_name = record.state.value
-            agg.time_by_state[state_name] = (
-                agg.time_by_state.get(state_name, 0.0) + dt)
-            face_a = lux_faces[0]
-            agg.lux_integral += face_a * dt
-            if face_a < agg.lux_min:
-                agg.lux_min = face_a
-            if face_a > agg.lux_max:
-                agg.lux_max = face_a
-
-            result = results[nid]
-            was_depleted = record.state is NodeState.DEPLETED
-            apply_hysteresis(record, result)
-            if (record.state is NodeState.DEPLETED and not was_depleted
-                    and agg.depleted_at is None):
-                agg.depleted_at = now
-            if result.events:
-                rt.event_rows(nid, now, result.events)
-
-        if (i + 1) % rt.sample_every == 0 or (i + 1) == rt.n_steps:
-            rt.sample_rows((i + 1) * dt)
+    i = 0
+    while i < rt.n_steps:
+        ticks = rt.quiet_run(i)
+        if ticks:
+            i = rt.advance_quiet(i, ticks)
+        else:
+            rt.full_tick(i)
+            i += 1
+        if i % rt.sample_every == 0 or i == rt.n_steps:
+            rt.sample_rows(i * dt)
 
     for nid in rt.node_ids:
         record = rt.records[nid]
@@ -684,14 +837,20 @@ def summarize(trace: TraceSet) -> Summary:
         raise ValueError("empty trace")
     nodes = {}
     steady_start = 0.75 * trace.duration_s
+    # one pass over the rows, each node's samples kept in row order
+    steady_by_node: Dict[int, List[float]] = {
+        nid: [] for nid in trace.aggregates}
+    for row in trace.rows:
+        samples = steady_by_node.get(row.node_id)
+        if (samples is not None and row.event == ""
+                and row.time_s >= steady_start):
+            samples.append(row.v_cap)
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
         idle = (agg.time_by_state.get(NodeState.SLEEP.value, 0.0)
                 + agg.time_by_state.get(NodeState.STANDBY.value, 0.0))
-        steady = [row.v_cap for row in trace.rows
-                  if row.node_id == nid and row.event == ""
-                  and row.time_s >= steady_start]
+        steady = steady_by_node[nid]
         if steady:
             mean_v = sum(steady) / len(steady)
             band = max(abs(v - mean_v) for v in steady)

@@ -1,7 +1,5 @@
 """Golden-file and contract tests for the command-line front end."""
 
-import os
-
 import pytest
 
 from luxnet.cli import (

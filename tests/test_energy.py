@@ -12,6 +12,7 @@ from luxnet.energy import (
     default_harvester,
     min_capacitance,
     pv_open_voltage,
+    storage_run,
     storage_step,
 )
 
@@ -155,6 +156,32 @@ def test_storage_step_rejects_nan_power(p_in, p_out):
     with pytest.raises(ValueError, match="voltage nan"):
         storage_step(cap, p_in=p_in, p_out=p_out, dt=0.1)
     assert cap.voltage == 4.0
+
+
+def test_storage_run_is_repeated_storage_step():
+    # filling into the top clamp, so clamped and unclamped ticks both run
+    stepped = make_cap(voltage=4.49)
+    expected_v, expected_loss = [], []
+    for _ in range(200):
+        expected_loss.append(storage_step(stepped, 2e-3, 1e-3, 0.1))
+        expected_v.append(stepped.voltage)
+    run = make_cap(voltage=4.49)
+    voltages, losses = storage_run(run, 2e-3, 1e-3, 0.1, 200)
+    assert voltages == expected_v
+    assert losses == expected_loss
+    assert run.voltage == stepped.voltage == 4.5
+
+
+def test_storage_run_stops_after_leaving_the_band():
+    cap = make_cap(voltage=3.21)
+    voltages, losses = storage_run(cap, 0.0, 1e-2, 0.1, 1000, v_low=3.2)
+    assert len(voltages) == len(losses) < 1000
+    assert voltages[-1] < 3.2 <= voltages[-2]
+    assert cap.voltage == voltages[-1]
+    # the upper edge is exclusive: reaching it ends the run
+    cap = make_cap(voltage=4.0)
+    voltages, _ = storage_run(cap, 1e-2, 0.0, 0.1, 1000, v_high=4.1)
+    assert voltages[-1] >= 4.1 > voltages[-2]
 
 
 def test_min_capacitance_frozen_value():

@@ -1,0 +1,137 @@
+"""Differential tests: the kernel against the per-tick reference loop.
+
+The kernel runs the full tick only where a frame, the controller or a
+node can act, and advances the quiet ticks in between with the storage
+step and the tallies alone.  Every TraceSet it returns must equal, bit
+for bit, the one from the loop that runs every tick in full
+(kernel_oracle.py).
+"""
+
+import math
+from dataclasses import asdict, replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kernel_oracle import run_scenario as oracle_run
+from luxnet.channel import InterferenceModel
+from luxnet.cli import parse_scenario_file, shipped_scenario_path
+from luxnet.controller import ControllerConfig
+from luxnet.energy import DEFAULT_PROFILE
+from luxnet.simkernel import (
+    FaceSpec,
+    NodeSpec,
+    OapSpec,
+    Scenario,
+    audit_conservation,
+    run_scenario,
+)
+from test_simkernel import guard_scenario
+
+
+def shipped(stem, **changes):
+    return replace(parse_scenario_file(shipped_scenario_path(stem)),
+                   **changes)
+
+
+def assert_same_trace(scenario):
+    trace = run_scenario(scenario)
+    assert asdict(trace) == asdict(oracle_run(scenario))
+    return trace
+
+
+@pytest.mark.parametrize("stem", ["paper_a", "paper_b"])
+def test_first_two_hours_of_shipped_scenarios(stem):
+    assert_same_trace(shipped(stem, duration_s=7200.0))
+
+
+def test_autonomous_sharing():
+    trace = assert_same_trace(shipped("paper_b", duration_s=3600.0,
+                                      etx_policy="autonomous"))
+    assert any(r.event == "etx start" for r in trace.rows)
+
+
+def test_row_every_tick_at_a_finer_step():
+    trace = assert_same_trace(shipped("paper_b", duration_s=900.0,
+                                      step_s=0.05, trace_interval_s=0.05))
+    assert any(r.event == "etx start" for r in trace.rows)
+
+
+def test_lone_node_depletes_and_recovers():
+    # sleep outdraws the 300 uW harvest, so the node runs down into the
+    # lockout; locked out it draws nothing and charges back past v_chrdy
+    node = NodeSpec(node_id=1, position=(0.0, 0.0, 0.0),
+                    faces=(FaceSpec((0.0, 1.0, 0.0), 1000.0 / 3.0),
+                           FaceSpec((0.0, 0.0, 1.0), 0.0),
+                           FaceSpec((0.0, 0.0, -1.0), 0.0)),
+                    start_voltage=3.3)
+    profile = replace(DEFAULT_PROFILE, sleep=0.4e-3, standby=0.5e-3)
+    trace = assert_same_trace(Scenario(
+        name="relapse", duration_s=5000.0, nodes=(node,), profile=profile))
+    events = [r.event for r in trace.rows if r.event]
+    assert "depleted" in events
+    assert "recovered from depletion" in events
+
+
+def test_four_node_interference_guard():
+    assert_same_trace(guard_scenario())
+
+
+# ---------------------------------------------------------------------------
+# generated networks
+
+RING_RADIUS_M = 0.15
+
+
+def ring_position(index, count):
+    angle = 2.0 * math.pi * index / count
+    return (RING_RADIUS_M * math.cos(angle), RING_RADIUS_M * math.sin(angle),
+            0.0)
+
+
+@st.composite
+def networks(draw):
+    count = draw(st.integers(1, 4))
+    lux = st.sampled_from([0.0, 60.0, 150.0, 400.0, 1000.0, 1500.0])
+    nodes = []
+    for index in range(count):
+        here = ring_position(index, count)
+        there = ring_position((index + 1) % count, count)
+        aim = tuple(b - a for a, b in zip(here, there))
+        emitter = count > 1 and draw(st.booleans())
+        nodes.append(NodeSpec(
+            node_id=index + 1, position=here,
+            faces=(FaceSpec((0.0, 1.0, 0.0), draw(lux)),
+                   FaceSpec((1.0, 0.0, 0.0), draw(lux)),
+                   FaceSpec((0.0, 0.0, 1.0), draw(lux))),
+            start_voltage=draw(st.floats(3.1, 4.5)),
+            v_min=draw(st.sampled_from([3.2, 3.3, 3.4, 3.8])),
+            led_power_w=27.8e-3 if emitter else 0.0,
+            led_aim=aim if emitter else None,
+            sensing_enabled=draw(st.booleans())))
+    policies = ["disabled"]
+    if any(n.led_power_w > 0.0 for n in nodes):
+        policies += ["oap", "autonomous"]
+    step_s = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    interference = draw(st.sampled_from([
+        None, InterferenceModel(midpoint_lux=1000.0, steepness_per_lux=0.01,
+                                floor=0.05)]))
+    return Scenario(
+        name="generated",
+        duration_s=draw(st.floats(60.0, 900.0)),
+        nodes=tuple(nodes),
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=draw(st.sampled_from([480.0, 600.0])), t_int=600.0,
+            slot_spacing_s=5.0, etx_offset_s=20.0, etx_spacing_s=30.0)),
+        step_s=step_s,
+        seed=draw(st.integers(0, 2 ** 16)),
+        trace_interval_s=step_s * draw(st.sampled_from([1, 7, 100])),
+        etx_policy=draw(st.sampled_from(policies)),
+        interference=interference)
+
+
+@given(networks())
+def test_generated_networks_match_the_reference(scenario):
+    trace = assert_same_trace(scenario)
+    assert max(audit_conservation(trace).values()) <= 1e-9

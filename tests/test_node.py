@@ -4,10 +4,8 @@ import pytest
 
 from luxnet.channel import OpticalTransmitter
 from luxnet.energy import (
-    DEFAULT_PROFILE,
     PowerProfile,
     StorageCapacitor,
-    default_harvester,
     storage_step,
 )
 from luxnet.node import (
@@ -19,7 +17,6 @@ from luxnet.node import (
     apply_hysteresis,
     energy_guard,
     etx_session,
-    handle_frame,
     select_role,
     state_draw_w,
     step_node,

@@ -2,10 +2,8 @@
 determinism, and the conservation audit."""
 
 import hashlib
-import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from luxnet.channel import InterferenceModel, illuminance_at
@@ -433,7 +431,7 @@ def test_paper_b_first_hour_digests(tmp_path):
         "bb50943520bb31a42948b557774c32fff4fecf87b66dec280165b65e2bc24ef3")
 
 
-def test_shared_light_with_interference_digests():
+def guard_scenario():
     """Four nodes, scheduled sharing, interference, a row every tick.
 
     The first sharing round comes at t_data_req (480 s), so 600 s takes
@@ -449,7 +447,7 @@ def test_shared_light_with_interference_digests():
             **kw)
 
     bright = (1000.0, 1000.0, 1000.0)
-    sc = Scenario(
+    return Scenario(
         name="guard", duration_s=600.0, step_s=0.1, seed=1,
         trace_interval_s=0.1, etx_policy="oap",
         nodes=(node(1, (-0.075, 0.1299, 0.0), bright, v_min=3.8,
@@ -464,6 +462,10 @@ def test_shared_light_with_interference_digests():
             etx_offset_s=20.0, etx_spacing_s=30.0)),
         interference=InterferenceModel(midpoint_lux=1000.0,
                                        steepness_per_lux=0.01, floor=0.05))
+
+
+def test_shared_light_with_interference_digests():
+    sc = guard_scenario()
     trace = run_scenario(sc)
     assert any(e.cause == "interference" for e in trace.frame_log)
     assert sha256_hex(format_trace_csv(trace).encode()) == (
