@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
+import math
 import os
 import re
 import sys
@@ -32,14 +32,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .calibration import calibrate, render_report
 from .channel import InterferenceModel
 from .controller import ControllerConfig, duty_cycle, standby_time
-from .energy import DEFAULT_PROFILE, PowerProfile, min_capacitance
+from .energy import (
+    DEFAULT_PROFILE,
+    LEAK_POWER_W,
+    V_OVERDISCHARGE,
+    V_STORAGE_MAX,
+    PowerProfile,
+    min_capacitance,
+)
 from .errors import InfeasibleError, ScenarioError
 from .node import DEFAULT_TIMING, TimingParams
 from .protocol import (
     BROADCAST_ADDRESS,
     OAP_ADDRESS,
     Frame44,
-    FrameError,
     NodeToOap,
     OapToNode,
     decode44,
@@ -50,6 +56,14 @@ from .protocol import (
     voltage_from_code,
 )
 from .simkernel import (
+    CALIBRATION_KEYS,
+    CONTROLLER_KEYS,
+    FACE_KEYS,
+    FACE_LETTERS,
+    INTERFERENCE_KEYS,
+    NODE_KEYS,
+    OAP_KEYS,
+    SCENARIO_KEYS,
     FaceSpec,
     NodeSpec,
     OapSpec,
@@ -69,22 +83,6 @@ def shipped_scenario_path(stem: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "scenarios", stem + ".scn")
 
-_SCENARIO_KEYS = ("name", "duration_s", "step_s", "seed", "trace_interval_s",
-                  "etx_policy")
-_OAP_KEYS = ("position_m", "t_data_req_s", "t_int_s", "n_min",
-             "psn_pv_threshold_v", "slot_spacing_s", "etx_offset_s",
-             "etx_spacing_s", "etx_bursts_per_request", "stale_after_rounds")
-_NODE_KEYS = ("position_m",
-              "face_a_normal", "face_a_ambient_lux",
-              "face_b_normal", "face_b_ambient_lux",
-              "face_c_normal", "face_c_ambient_lux",
-              "start_voltage_v", "v_min_v", "led_power_w",
-              "led_half_angle_deg", "led_aim", "sensing_enabled",
-              "sensor_base_c")
-_INTERFERENCE_KEYS = ("midpoint_lux", "steepness_per_lux", "floor")
-_CALIBRATION_KEYS = ("sleep_w", "standby_w", "sense_w", "data_tx_w",
-                     "etx_w", "decode_w")
-
 _BOOL_WORDS = {"yes": True, "true": True, "on": True, "1": True,
                "no": False, "false": False, "off": False, "0": False}
 
@@ -93,8 +91,23 @@ _BOOL_WORDS = {"yes": True, "true": True, "on": True, "1": True,
 # scenario file parsing
 
 
+def _keys(table, prefix: str = "") -> List[str]:
+    return [prefix + key for key, _, _ in table]
+
+
+_SECTION_KEYS = {
+    "scenario": _keys(SCENARIO_KEYS),
+    "oap": _keys(OAP_KEYS + CONTROLLER_KEYS),
+    "interference": _keys(INTERFERENCE_KEYS),
+    "calibration": _keys(CALIBRATION_KEYS),
+}
+_NODE_SECTION_KEYS = _keys(NODE_KEYS) + [
+    key for letter in FACE_LETTERS
+    for key in _keys(FACE_KEYS, f"face_{letter}_")]
+
+
 class _Section:
-    """One INI section with typed accessors and unknown-key rejection."""
+    """One INI section with typed readers and unknown-key rejection."""
 
     def __init__(self, name: str, raw: Dict[str, str], allowed: Sequence[str]):
         self.name = name
@@ -103,22 +116,36 @@ class _Section:
             if key not in allowed:
                 raise ScenarioError(f"{name}: unknown key '{key}'")
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
+    def read(self, cls, table, defaults: Optional[Dict[str, object]] = None,
+             prefix: str = "", **given):
+        """An instance of cls from the given fields plus one per table row.
 
-    def text(self, key: str, default: Optional[str] = None) -> str:
-        if key not in self.raw:
-            if default is None:
-                raise ScenarioError(f"{self.name}: missing required key '{key}'")
-            return default
+        An absent key takes its default, the dataclass field default
+        unless defaults are passed; a key without one is required.
+        """
+        if defaults is None:
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for key, name, reader in table:
+            key = prefix + key
+            if key in self.raw:
+                given[name] = getattr(self, reader)(key)
+            elif defaults[name] is dataclasses.MISSING:
+                raise ScenarioError(
+                    f"{self.name}: missing required key '{key}'")
+            else:
+                given[name] = defaults[name]
+        try:
+            return cls(**given)
+        except ValueError as exc:
+            raise ScenarioError(f"{self.name}: {exc}") from exc
+
+    def text(self, key: str) -> str:
         value = self.raw[key].strip()
         if not value:
             raise ScenarioError(f"{self.name}: {key}: empty value")
         return value
 
-    def number(self, key: str, default: Optional[float] = None) -> float:
-        if key not in self.raw and default is not None:
-            return default
+    def number(self, key: str) -> float:
         text = self.text(key)
         try:
             return float(text)
@@ -126,9 +153,7 @@ class _Section:
             raise ScenarioError(
                 f"{self.name}: {key}: expected a number, got '{text}'") from None
 
-    def integer(self, key: str, default: Optional[int] = None) -> int:
-        if key not in self.raw and default is not None:
-            return default
+    def integer(self, key: str) -> int:
         text = self.text(key)
         try:
             return int(text)
@@ -136,24 +161,16 @@ class _Section:
             raise ScenarioError(
                 f"{self.name}: {key}: expected an integer, got '{text}'") from None
 
-    def flag(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
-            return default
+    def flag(self, key: str) -> bool:
         text = self.text(key).lower()
         if text not in _BOOL_WORDS:
             raise ScenarioError(
                 f"{self.name}: {key}: expected yes/no, got '{text}'")
         return _BOOL_WORDS[text]
 
-    def vector(self, key: str, default: Optional[Vec3] = None) -> Vec3:
-        if key not in self.raw and default is not None:
-            return default
-        parts = self.text(key).split()
-        if len(parts) != 3:
-            raise ScenarioError(
-                f"{self.name}: {key}: expected three numbers")
-        try:
-            x, y, z = (float(p) for p in parts)
+    def vector(self, key: str) -> Vec3:
+        try:    # a count other than three fails the unpacking
+            x, y, z = (float(p) for p in self.text(key).split())
         except ValueError:
             raise ScenarioError(
                 f"{self.name}: {key}: expected three numbers") from None
@@ -161,76 +178,9 @@ class _Section:
 
 
 def _parse_node(section: _Section, node_id: int) -> NodeSpec:
-    faces = []
-    for letter in ("a", "b", "c"):
-        normal = section.vector(f"face_{letter}_normal")
-        ambient = section.number(f"face_{letter}_ambient_lux")
-        faces.append(FaceSpec(normal=normal, ambient_lux=ambient))
-    led_aim = section.vector("led_aim") if section.has("led_aim") else None
-    return NodeSpec(
-        node_id=node_id,
-        position=section.vector("position_m"),
-        faces=tuple(faces),
-        start_voltage=section.number("start_voltage_v", 4.5),
-        v_min=section.number("v_min_v", 3.3),
-        led_power_w=section.number("led_power_w", 0.0),
-        led_half_angle_deg=section.number("led_half_angle_deg", 15.0),
-        led_aim=led_aim,
-        sensing_enabled=section.flag("sensing_enabled", True),
-        sensor_base_c=section.number("sensor_base_c", 25.0),
-    )
-
-
-def _parse_oap(section: _Section) -> OapSpec:
-    d = OapSpec()
-    c = d.config
-    try:
-        config = ControllerConfig(
-            t_data_req=section.number("t_data_req_s", c.t_data_req),
-            t_int=section.number("t_int_s", c.t_int),
-            n_min=section.integer("n_min", c.n_min),
-            psn_pv_threshold=section.number("psn_pv_threshold_v",
-                                            c.psn_pv_threshold),
-            slot_spacing_s=section.number("slot_spacing_s", c.slot_spacing_s),
-            etx_offset_s=section.number("etx_offset_s", c.etx_offset_s),
-            etx_spacing_s=section.number("etx_spacing_s", c.etx_spacing_s),
-            etx_bursts_per_request=section.integer("etx_bursts_per_request",
-                                                   c.etx_bursts_per_request),
-            stale_after_rounds=section.number("stale_after_rounds",
-                                              c.stale_after_rounds),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"oap: {exc}") from exc
-    return OapSpec(config=config,
-                   position=section.vector("position_m", d.position))
-
-
-def _parse_interference(section: _Section) -> InterferenceModel:
-    d = InterferenceModel()
-    try:
-        return InterferenceModel(
-            midpoint_lux=section.number("midpoint_lux", d.midpoint_lux),
-            steepness_per_lux=section.number("steepness_per_lux",
-                                             d.steepness_per_lux),
-            floor=section.number("floor", d.floor),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"interference: {exc}") from exc
-
-
-def _parse_profile(section: _Section) -> PowerProfile:
-    d = DEFAULT_PROFILE
-    try:
-        return PowerProfile(
-            sleep=section.number("sleep_w", d.sleep),
-            standby=section.number("standby_w", d.standby),
-            sense=section.number("sense_w", d.sense),
-            data_tx=section.number("data_tx_w", d.data_tx),
-            etx=section.number("etx_w", d.etx),
-            decode=section.number("decode_w", d.decode),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"calibration: {exc}") from exc
+    faces = tuple(section.read(FaceSpec, FACE_KEYS, prefix=f"face_{letter}_")
+                  for letter in FACE_LETTERS)
+    return section.read(NodeSpec, NODE_KEYS, node_id=node_id, faces=faces)
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
@@ -245,20 +195,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     node_sections: List[Tuple[int, _Section]] = []
     for name in parser.sections():
         raw = dict(parser.items(name))
-        if name == "scenario":
-            sections[name] = _Section(name, raw, _SCENARIO_KEYS)
-        elif name == "oap":
-            sections[name] = _Section(name, raw, _OAP_KEYS)
-        elif name == "interference":
-            sections[name] = _Section(name, raw, _INTERFERENCE_KEYS)
-        elif name == "calibration":
-            sections[name] = _Section(name, raw, _CALIBRATION_KEYS)
+        if name in _SECTION_KEYS:
+            sections[name] = _Section(name, raw, _SECTION_KEYS[name])
         elif name.startswith("node."):
             suffix = name[len("node."):]
             if not suffix.isdigit():
                 raise ScenarioError(
                     f"{name}: node sections are named node.<id>")
-            node_sections.append((int(suffix), _Section(name, raw, _NODE_KEYS)))
+            node_sections.append(
+                (int(suffix), _Section(name, raw, _NODE_SECTION_KEYS)))
         else:
             raise ScenarioError(f"unknown section '{name}'")
     if "scenario" not in sections:
@@ -266,25 +211,23 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if not node_sections:
         raise ScenarioError("at least one [node.<id>] section is required")
 
-    head = sections["scenario"]
-    oap = (_parse_oap(sections["oap"]) if "oap" in sections else OapSpec())
-    interference = (_parse_interference(sections["interference"])
-                    if "interference" in sections else None)
-    profile = (_parse_profile(sections["calibration"])
-               if "calibration" in sections else DEFAULT_PROFILE)
-    nodes = tuple(_parse_node(sec, nid) for nid, sec in node_sections)
-    return Scenario(
-        name=head.text("name"),
-        duration_s=head.number("duration_s"),
-        nodes=nodes,
-        oap=oap,
-        step_s=head.number("step_s", 0.1),
-        seed=head.integer("seed", 0),
-        trace_interval_s=head.number("trace_interval_s", 10.0),
-        etx_policy=head.text("etx_policy", "disabled"),
-        interference=interference,
-        profile=profile,
-    )
+    oap = OapSpec()
+    if "oap" in sections:
+        section = sections["oap"]
+        oap = section.read(OapSpec, OAP_KEYS, config=section.read(
+            ControllerConfig, CONTROLLER_KEYS))
+    interference = None
+    if "interference" in sections:
+        interference = sections["interference"].read(
+            InterferenceModel, INTERFERENCE_KEYS)
+    profile = DEFAULT_PROFILE
+    if "calibration" in sections:
+        profile = sections["calibration"].read(
+            PowerProfile, CALIBRATION_KEYS, dataclasses.asdict(DEFAULT_PROFILE))
+    return sections["scenario"].read(
+        Scenario, SCENARIO_KEYS,
+        nodes=tuple(_parse_node(sec, nid) for nid, sec in node_sections),
+        oap=oap, interference=interference, profile=profile)
 
 
 def parse_scenario_file(path: str) -> Scenario:
@@ -300,7 +243,9 @@ def parse_scenario_file(path: str) -> Scenario:
 # scenario serialization
 
 
-def _fmt(value) -> str:
+def _fmt(value, reader: str) -> str:
+    if reader == "vector":
+        return " ".join(repr(float(x)) for x in value)
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
@@ -308,70 +253,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _vec(value) -> str:
-    return " ".join(repr(float(x)) for x in value)
+def _write_section(title: str, parts) -> str:
+    """One section: the rows of each (object, table, key prefix) part."""
+    lines = [f"[{title}]"]
+    for obj, table, prefix in parts:
+        for key, name, reader in table:
+            value = getattr(obj, name)
+            if value is not None:
+                lines.append(f"{prefix}{key} = {_fmt(value, reader)}")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a Scenario back to its file form (parse round-trips)."""
-    out = io.StringIO()
-
-    def line(key, value):
-        out.write(f"{key} = {value}\n")
-
-    out.write("[scenario]\n")
-    line("name", scenario.name)
-    line("duration_s", _fmt(scenario.duration_s))
-    line("step_s", _fmt(scenario.step_s))
-    line("seed", scenario.seed)
-    line("trace_interval_s", _fmt(scenario.trace_interval_s))
-    line("etx_policy", scenario.etx_policy)
-
-    cfg = scenario.oap.config
-    out.write("\n[oap]\n")
-    line("position_m", _vec(scenario.oap.position))
-    line("t_data_req_s", _fmt(cfg.t_data_req))
-    line("t_int_s", _fmt(cfg.t_int))
-    line("n_min", cfg.n_min)
-    line("psn_pv_threshold_v", _fmt(cfg.psn_pv_threshold))
-    line("slot_spacing_s", _fmt(cfg.slot_spacing_s))
-    line("etx_offset_s", _fmt(cfg.etx_offset_s))
-    line("etx_spacing_s", _fmt(cfg.etx_spacing_s))
-    line("etx_bursts_per_request", cfg.etx_bursts_per_request)
-    line("stale_after_rounds", _fmt(cfg.stale_after_rounds))
-
+    sections = [
+        ("scenario", [(scenario, SCENARIO_KEYS, "")]),
+        ("oap", [(scenario.oap, OAP_KEYS, ""),
+                 (scenario.oap.config, CONTROLLER_KEYS, "")]),
+    ]
     if scenario.interference is not None:
-        m = scenario.interference
-        out.write("\n[interference]\n")
-        line("midpoint_lux", _fmt(m.midpoint_lux))
-        line("steepness_per_lux", _fmt(m.steepness_per_lux))
-        line("floor", _fmt(m.floor))
-
+        sections.append(("interference",
+                         [(scenario.interference, INTERFERENCE_KEYS, "")]))
     if scenario.profile != DEFAULT_PROFILE:
-        p = scenario.profile
-        out.write("\n[calibration]\n")
-        line("sleep_w", _fmt(p.sleep))
-        line("standby_w", _fmt(p.standby))
-        line("sense_w", _fmt(p.sense))
-        line("data_tx_w", _fmt(p.data_tx))
-        line("etx_w", _fmt(p.etx))
-        line("decode_w", _fmt(p.decode))
-
+        sections.append(("calibration",
+                         [(scenario.profile, CALIBRATION_KEYS, "")]))
     for spec in scenario.nodes:
-        out.write(f"\n[node.{spec.node_id}]\n")
-        line("position_m", _vec(spec.position))
-        for letter, face in zip(("a", "b", "c"), spec.faces):
-            line(f"face_{letter}_normal", _vec(face.normal))
-            line(f"face_{letter}_ambient_lux", _fmt(face.ambient_lux))
-        line("start_voltage_v", _fmt(spec.start_voltage))
-        line("v_min_v", _fmt(spec.v_min))
-        line("led_power_w", _fmt(spec.led_power_w))
-        line("led_half_angle_deg", _fmt(spec.led_half_angle_deg))
-        if spec.led_aim is not None:
-            line("led_aim", _vec(spec.led_aim))
-        line("sensing_enabled", _fmt(spec.sensing_enabled))
-        line("sensor_base_c", _fmt(spec.sensor_base_c))
-    return out.getvalue()
+        faces = [(face, FACE_KEYS, f"face_{letter}_")
+                 for letter, face in zip(FACE_LETTERS, spec.faces)]
+        sections.append((f"node.{spec.node_id}",
+                         [(spec, NODE_KEYS[:1], "")] + faces
+                         + [(spec, NODE_KEYS[1:], "")]))
+    return "\n".join(_write_section(title, parts) for title, parts in sections)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +294,21 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name) or "scenario"
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_run(args) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(
+            f"output directory {out_dir}: {exc.strerror}") from exc
     for path in args.scenario:
         scenario = parse_scenario_file(path)
         if args.duration_s is not None:
@@ -396,11 +320,9 @@ def cmd_run(args) -> int:
         trace = run_scenario(scenario)
         stem = _safe_name(scenario.name)
         csv_path = os.path.join(out_dir, stem + ".csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_trace_csv(trace))
+        _write_output(csv_path, format_trace_csv(trace))
         summary_path = os.path.join(out_dir, stem + ".summary.txt")
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_summary(summarize(trace)))
+        _write_output(summary_path, render_summary(summarize(trace)))
         print(f"{scenario.name}: wrote {csv_path}")
         print(f"{scenario.name}: wrote {summary_path}")
     return 0
@@ -431,14 +353,20 @@ def cmd_duty_table(args) -> int:
 
 
 def cmd_size_capacitor(args) -> int:
-    farads = min_capacitance(
-        e_peak=args.e_peak_j,
-        eta_pmic_l=args.eta_pmic,
-        p_leak=args.p_leak_w,
-        t_peak=args.t_peak_s,
-        v_max=args.v_max_v,
-        v_min=args.v_min_v,
-    )
+    try:
+        farads = min_capacitance(
+            e_peak=args.e_peak_j,
+            eta_pmic_l=args.eta_pmic,
+            p_leak=args.p_leak_w,
+            t_peak=args.t_peak_s,
+            v_max=args.v_max_v,
+            v_min=args.v_min_v,
+        )
+    except ArithmeticError:     # a square overflows or the band underflows
+        farads = math.inf
+    if not math.isfinite(farads):
+        raise ValueError("the capacitance for these inputs is not a finite "
+                         "number")
     print(f"{farads:.4f} F")
     return 0
 
@@ -497,6 +425,18 @@ def cmd_calibrate(args) -> int:
 # argument wiring
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the planning options: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="luxnet",
@@ -518,25 +458,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_duty = sub.add_parser("duty-table",
                             help="duty ratio and standby budget per n")
     p_duty.add_argument("--n-max", type=int, default=10)
-    p_duty.add_argument("--t-int-s", type=float, default=DEFAULT_TIMING.t_int)
-    p_duty.add_argument("--t-sense-s", type=float,
+    p_duty.add_argument("--t-int-s", type=_finite_float,
+                        default=DEFAULT_TIMING.t_int)
+    p_duty.add_argument("--t-sense-s", type=_finite_float,
                         default=DEFAULT_TIMING.t_sense)
-    p_duty.add_argument("--t-data-net-rec-s", type=float,
+    p_duty.add_argument("--t-data-net-rec-s", type=_finite_float,
                         default=DEFAULT_TIMING.t_data_net_rec)
-    p_duty.add_argument("--t-energy-net-s", type=float,
+    p_duty.add_argument("--t-energy-net-s", type=_finite_float,
                         default=DEFAULT_TIMING.t_energy_net)
-    p_duty.add_argument("--t-energy-net-rec-s", type=float,
+    p_duty.add_argument("--t-energy-net-rec-s", type=_finite_float,
                         default=DEFAULT_TIMING.t_energy_net_rec)
     p_duty.set_defaults(func=cmd_duty_table)
 
     p_size = sub.add_parser("size-capacitor",
                             help="smallest capacitance for a peak load")
-    p_size.add_argument("--e-peak-j", type=float, required=True)
-    p_size.add_argument("--eta-pmic", type=float, default=0.85)
-    p_size.add_argument("--p-leak-w", type=float, default=10e-6)
-    p_size.add_argument("--t-peak-s", type=float, required=True)
-    p_size.add_argument("--v-max-v", type=float, default=4.5)
-    p_size.add_argument("--v-min-v", type=float, default=3.2)
+    p_size.add_argument("--e-peak-j", type=_finite_float, required=True)
+    p_size.add_argument("--eta-pmic", type=_finite_float, default=0.85)
+    p_size.add_argument("--p-leak-w", type=_finite_float, default=LEAK_POWER_W)
+    p_size.add_argument("--t-peak-s", type=_finite_float, required=True)
+    p_size.add_argument("--v-max-v", type=_finite_float, default=V_STORAGE_MAX)
+    p_size.add_argument("--v-min-v", type=_finite_float,
+                        default=V_OVERDISCHARGE)
     p_size.set_defaults(func=cmd_size_capacitor)
 
     p_frame = sub.add_parser("frame", help="encode or decode 44-bit words")
@@ -571,10 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ScenarioError, FrameError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:   # ScenarioError and FrameError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,9 @@ def duty_cycle(timing: TimingParams, n: int) -> DutyCycle:
     if n < 0:
         raise ValueError("session count must be non-negative")
     data_share = (timing.t_data_net_rec + timing.t_sense) / timing.t_int
-    share_share = n * (timing.t_energy_net_rec + timing.t_energy_net) / timing.t_int
+    # no sessions cost nothing, even when one session's length overflows
+    share_share = (n * (timing.t_energy_net_rec + timing.t_energy_net)
+                   / timing.t_int if n else 0.0)
     ratio = 1.0 - data_share - share_share
     if ratio < 0.0:
         return DutyCycle(ratio=0.0, feasible=False)

@@ -104,11 +104,6 @@ class StorageCapacitor:
     def energy_at(self, voltage: float) -> float:
         return 0.5 * self.capacitance * voltage ** 2
 
-    def voltage_at(self, energy_j: float) -> float:
-        if energy_j < 0.0:
-            raise ValueError("energy must be non-negative")
-        return math.sqrt(2.0 * energy_j / self.capacitance)
-
 
 @dataclass(frozen=True)
 class PowerProfile:

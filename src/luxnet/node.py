@@ -12,9 +12,11 @@ LED for energy transmission.  Its life is a loop over a handful of states:
     Sleep        everything off except the wake timer
     Depleted     undervoltage lockout, load disconnected
 
-Role selection reads the PV terminal three times, 50 ms apart, and takes
-the minimum; a node calls itself primary (PSN) only when that minimum
-clears 3.0 V, which keeps one bright flicker from promoting a dim node.
+Role selection reads the PV terminal after a 90 ms Init window: the
+hardware keeps the minimum of three reads 30 ms apart against flicker,
+and the simulated light is static over the window, so one read stands
+for all three.  A node calls itself primary (PSN) only when the read
+clears 3.0 V.
 Primary nodes keep their receiver on and serve requests; secondary nodes
 (SSN) sleep and wake on an internal timer every t_int seconds to report.
 
@@ -62,10 +64,9 @@ from .protocol import (
 )
 
 PSN_PV_THRESHOLD_V = 3.0
-ROLE_SAMPLE_COUNT = 3
-# sampling finishes inside the first kernel step so a freshly booted node
-# is already listening when the opening broadcast lands
-ROLE_SAMPLE_SPACING_S = 0.03
+# three PV reads 30 ms apart, done inside the first kernel step so a
+# freshly booted node is already listening when the opening broadcast lands
+ROLE_SAMPLE_WINDOW_S = 0.09
 
 # a node lingering in Standby with nothing to do for this long goes to
 # sleep; primaries never do (their job is to listen)
@@ -108,11 +109,9 @@ class TimingParams:
 DEFAULT_TIMING = TimingParams()
 
 
-def select_role(pv_samples: Sequence[float]) -> NodeMode:
-    """Role from three spaced PV terminal readings: primary iff min > 3.0 V."""
-    if len(pv_samples) != ROLE_SAMPLE_COUNT:
-        raise ValueError(f"exactly {ROLE_SAMPLE_COUNT} samples required")
-    return NodeMode.PSN if min(pv_samples) > PSN_PV_THRESHOLD_V else NodeMode.SSN
+def select_role(v_pv: float) -> NodeMode:
+    """Role from the PV terminal reading: primary iff it exceeds 3.0 V."""
+    return NodeMode.PSN if v_pv > PSN_PV_THRESHOLD_V else NodeMode.SSN
 
 
 @dataclass
@@ -233,11 +232,9 @@ def state_draw_w(node: NodeRecord) -> float:
     return getattr(node.profile, _STATE_DRAW_ATTR[node.state])
 
 
-def _role_samples(lux_per_face: Sequence[float]) -> List[float]:
-    """Three PV terminal reads, 50 ms apart; the brightest face sets the
-    terminal.  The light field is static over that window in this
-    simulator, so the reads agree."""
-    return [pv_open_voltage(max(lux_per_face))] * ROLE_SAMPLE_COUNT
+def _read_pv(lux_per_face: Sequence[float]) -> float:
+    """The PV terminal voltage; the brightest face sets it."""
+    return pv_open_voltage(max(lux_per_face))
 
 
 def _enter(node: NodeRecord, state: NodeState) -> None:
@@ -412,10 +409,9 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         return result
 
     if state is NodeState.INIT:
-        if node.state_elapsed + dt >= ROLE_SAMPLE_COUNT * ROLE_SAMPLE_SPACING_S:
-            samples = _role_samples(inputs.lux_per_face)
-            node.v_pv = min(samples)
-            node.mode = select_role(samples)
+        if node.state_elapsed + dt >= ROLE_SAMPLE_WINDOW_S:
+            node.v_pv = _read_pv(inputs.lux_per_face)
+            node.mode = select_role(node.v_pv)
             _enter(node, NodeState.STANDBY)
             result.events.append(f"role {node.mode.value}")
         else:
@@ -431,8 +427,7 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         node.instant_cost_j += ((node.profile.sense - node.profile.sleep)
                                 * (phase_after - phase_before))
         if node.state_elapsed >= node.timing.t_sense:
-            samples = _role_samples(inputs.lux_per_face)
-            node.v_pv = min(samples)
+            node.v_pv = _read_pv(inputs.lux_per_face)
             tx_cost = node.profile.data_tx * node.frame_airtime_s()
             if energy_guard(node, tx_cost):
                 node.instant_cost_j += tx_cost
@@ -441,7 +436,7 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
             else:
                 result.events.append("report suppressed (guard)")
             # end-of-cycle self-assessment
-            new_mode = select_role(samples)
+            new_mode = select_role(node.v_pv)
             if new_mode is not node.mode:
                 node.mode = new_mode
                 result.events.append(f"role {node.mode.value}")

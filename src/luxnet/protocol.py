@@ -179,13 +179,20 @@ def format_word(word: int) -> str:
     return f"{word:011X}"
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_word(text: str) -> int:
-    """Parse the 11-hex-digit rendering (an optional 0x prefix is accepted)."""
+    """Parse the 11-hex-digit rendering (an optional 0x prefix is accepted).
+
+    Exactly eleven ASCII hex digits: int(s, 16) alone would also take a
+    sign, underscores and non-ASCII digits.
+    """
     s = text.strip()
     if s.lower().startswith("0x"):
         s = s[2:]
-    if len(s) != 11:
-        raise ValueError(f"expected 11 hex digits, got {len(s)}")
+    if len(s) != 11 or not _HEX_DIGITS.issuperset(s):
+        raise ValueError(f"expected 11 hex digits, got {s!r}")
     return int(s, 16)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +46,7 @@ from .controller import Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     PV_CELL_AREA_M2,
+    V_STORAGE_MAX,
     HarvesterArray,
     HarvesterCell,
     PowerProfile,
@@ -106,7 +107,7 @@ class NodeSpec:
     node_id: int
     position: Vec3
     faces: Tuple[FaceSpec, ...]
-    start_voltage: float = 4.5
+    start_voltage: float = V_STORAGE_MAX
     v_min: float = 3.3
     led_power_w: float = 0.0
     led_half_angle_deg: float = 15.0
@@ -135,6 +136,66 @@ class Scenario:
     etx_policy: str = "disabled"
     interference: Optional[InterferenceModel] = None
     profile: PowerProfile = DEFAULT_PROFILE
+
+
+# The scenario file format: one table per dataclass, each row
+# (file key, dataclass field, reader), in file order.  The reader is one
+# of text, number, integer, flag or vector.  A field without a dataclass
+# default is a required key, and a None default makes the key optional.
+# cli parses and writes files through these tables, and validate_scenario
+# checks every number row for finiteness.
+SCENARIO_KEYS = (
+    ("name", "name", "text"),
+    ("duration_s", "duration_s", "number"),
+    ("step_s", "step_s", "number"),
+    ("seed", "seed", "integer"),
+    ("trace_interval_s", "trace_interval_s", "number"),
+    ("etx_policy", "etx_policy", "text"),
+)
+# [oap] holds the OapSpec rows, then the ControllerConfig rows
+OAP_KEYS = (("position_m", "position", "vector"),)
+CONTROLLER_KEYS = (
+    ("t_data_req_s", "t_data_req", "number"),
+    ("t_int_s", "t_int", "number"),
+    ("n_min", "n_min", "integer"),
+    ("psn_pv_threshold_v", "psn_pv_threshold", "number"),
+    ("slot_spacing_s", "slot_spacing_s", "number"),
+    ("etx_offset_s", "etx_offset_s", "number"),
+    ("etx_spacing_s", "etx_spacing_s", "number"),
+    ("etx_bursts_per_request", "etx_bursts_per_request", "integer"),
+    ("stale_after_rounds", "stale_after_rounds", "number"),
+)
+INTERFERENCE_KEYS = (
+    ("midpoint_lux", "midpoint_lux", "number"),
+    ("steepness_per_lux", "steepness_per_lux", "number"),
+    ("floor", "floor", "number"),
+)
+# [calibration] defaults to DEFAULT_PROFILE, not to dataclass defaults
+CALIBRATION_KEYS = (
+    ("sleep_w", "sleep", "number"),
+    ("standby_w", "standby", "number"),
+    ("sense_w", "sense", "number"),
+    ("data_tx_w", "data_tx", "number"),
+    ("etx_w", "etx", "number"),
+    ("decode_w", "decode", "number"),
+)
+# in a [node.<id>] section the three face groups, each FACE_KEYS under
+# its face_<letter>_ prefix, sit between position_m and the other rows
+NODE_KEYS = (
+    ("position_m", "position", "vector"),
+    ("start_voltage_v", "start_voltage", "number"),
+    ("v_min_v", "v_min", "number"),
+    ("led_power_w", "led_power_w", "number"),
+    ("led_half_angle_deg", "led_half_angle_deg", "number"),
+    ("led_aim", "led_aim", "vector"),
+    ("sensing_enabled", "sensing_enabled", "flag"),
+    ("sensor_base_c", "sensor_base_c", "number"),
+)
+FACE_KEYS = (
+    ("normal", "normal", "vector"),
+    ("ambient_lux", "ambient_lux", "number"),
+)
+FACE_LETTERS = "abc"
 
 
 @dataclass(frozen=True)
@@ -214,9 +275,13 @@ def _as_vec(value, what: str) -> np.ndarray:
     return arr
 
 
-def _require_finite(key: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ScenarioError(f"{key} must be finite, got {value}")
+def _require_finite(label: str, obj, table, prefix: str = "") -> None:
+    """Reject a non-finite value in any number row of a format table."""
+    for key, name, reader in table:
+        value = getattr(obj, name)
+        if reader == "number" and not math.isfinite(value):
+            raise ScenarioError(
+                f"{label}{prefix}{key} must be finite, got {value}")
 
 
 def tick_count(duration_s: float, step_s: float) -> int:
@@ -240,24 +305,12 @@ def validate_scenario(scenario: Scenario) -> None:
     bound below, and an infinity overflows the tick count.  A run of
     more than MAX_TICKS ticks is infeasible rather than malformed.
     """
-    for key in ("duration_s", "step_s", "trace_interval_s"):
-        _require_finite(key, getattr(scenario, key))
-    cfg = scenario.oap.config
-    for key, value in (("t_data_req_s", cfg.t_data_req),
-                       ("t_int_s", cfg.t_int),
-                       ("psn_pv_threshold_v", cfg.psn_pv_threshold),
-                       ("slot_spacing_s", cfg.slot_spacing_s),
-                       ("etx_offset_s", cfg.etx_offset_s),
-                       ("etx_spacing_s", cfg.etx_spacing_s),
-                       ("stale_after_rounds", cfg.stale_after_rounds)):
-        _require_finite(f"oap: {key}", value)
+    _require_finite("", scenario, SCENARIO_KEYS)
+    _require_finite("oap: ", scenario.oap.config, CONTROLLER_KEYS)
     if scenario.interference is not None:
-        for f in fields(scenario.interference):
-            _require_finite(f"interference: {f.name}",
-                            getattr(scenario.interference, f.name))
-    for f in fields(scenario.profile):
-        _require_finite(f"calibration: {f.name}_w",
-                        getattr(scenario.profile, f.name))
+        _require_finite("interference: ", scenario.interference,
+                        INTERFERENCE_KEYS)
+    _require_finite("calibration: ", scenario.profile, CALIBRATION_KEYS)
     if scenario.duration_s <= 0.0:
         raise ScenarioError("duration_s must be positive")
     if scenario.step_s <= 0.0:
@@ -266,6 +319,8 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError("duration_s must cover at least one step")
     if scenario.trace_interval_s < scenario.step_s - 1e-12:
         raise ScenarioError("trace_interval_s must be at least step_s")
+    if scenario.seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {scenario.seed}")
     if scenario.etx_policy not in ETX_POLICIES:
         raise ScenarioError(
             f"etx_policy must be one of {ETX_POLICIES}, "
@@ -282,23 +337,18 @@ def validate_scenario(scenario: Scenario) -> None:
         seen.add(spec.node_id)
         if len(spec.faces) != 3:
             raise ScenarioError(f"{label}: exactly three faces are required")
-        for letter, face in zip("abc", spec.faces):
-            _require_finite(f"{label}: face_{letter}_ambient_lux",
-                            face.ambient_lux)
+        for letter, face in zip(FACE_LETTERS, spec.faces):
+            _require_finite(f"{label}: ", face, FACE_KEYS, f"face_{letter}_")
             normal = _as_vec(face.normal, f"{label} face normal")
             if float(np.linalg.norm(normal)) <= 0.0:
                 raise ScenarioError(f"{label}: face normal must be nonzero")
             if face.ambient_lux < 0.0:
                 raise ScenarioError(f"{label}: ambient_lux must be >= 0")
         _as_vec(spec.position, f"{label} position")
-        for key, value in (("start_voltage_v", spec.start_voltage),
-                           ("v_min_v", spec.v_min),
-                           ("led_power_w", spec.led_power_w),
-                           ("led_half_angle_deg", spec.led_half_angle_deg),
-                           ("sensor_base_c", spec.sensor_base_c)):
-            _require_finite(f"{label}: {key}", value)
-        if not 0.0 < spec.start_voltage <= 4.5 + 1e-9:
-            raise ScenarioError(f"{label}: start_voltage_v must be in (0, 4.5]")
+        _require_finite(f"{label}: ", spec, NODE_KEYS)
+        if not 0.0 < spec.start_voltage <= V_STORAGE_MAX + 1e-9:
+            raise ScenarioError(
+                f"{label}: start_voltage_v must be in (0, {V_STORAGE_MAX}]")
         if spec.led_power_w < 0.0:
             raise ScenarioError(f"{label}: led_power_w must be >= 0")
         if spec.led_power_w > 0.0:
@@ -311,8 +361,16 @@ def validate_scenario(scenario: Scenario) -> None:
             if not 0.0 < spec.led_half_angle_deg < 90.0:
                 raise ScenarioError(
                     f"{label}: led_half_angle_deg must be in (0, 90)")
-    if scenario.oap.config.t_int > 65535:
+    cfg = scenario.oap.config
+    if cfg.t_int > 65535:
         raise ScenarioError("oap t_int_s exceeds the 16-bit config field")
+    # the integer [oap] keys, n_min and etx_bursts_per_request, travel as
+    # 16-bit frame parameters; out of range, the run would stop at the
+    # first frame that carries one
+    for key, name, reader in CONTROLLER_KEYS:
+        value = getattr(cfg, name)
+        if reader == "integer" and not 0 <= value <= 65535:
+            raise ScenarioError(f"oap: {key} must be 0..65535, got {value}")
     _as_vec(scenario.oap.position, "oap position")
     tick_count(scenario.duration_s, scenario.step_s)
 

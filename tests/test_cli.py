@@ -1,6 +1,14 @@
 """Golden-file and contract tests for the command-line front end."""
 
+import contextlib
+import hashlib
+import io
+import re
+import tempfile
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from luxnet.cli import (
     main,
@@ -10,8 +18,17 @@ from luxnet.cli import (
     shipped_scenario_path,
 )
 from luxnet.channel import InterferenceModel
+from luxnet.controller import ControllerConfig
+from luxnet.energy import PowerProfile
 from luxnet.errors import ScenarioError
-from luxnet.simkernel import OapSpec, validate_scenario
+from luxnet.simkernel import (
+    ETX_POLICIES,
+    FaceSpec,
+    NodeSpec,
+    OapSpec,
+    Scenario,
+    validate_scenario,
+)
 
 DUTY_TABLE_GOLDEN = """\
 n,duty_ratio,standby_s,feasible
@@ -165,6 +182,44 @@ def test_size_capacitor_rejects_inverted_band(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_duty_table_row_zero_ignores_an_overflowing_session(capsys):
+    # one session lasts longer than a float holds; zero sessions still fit
+    assert main(["duty-table", "--n-max", "1", "--t-energy-net-s", "1.7e308",
+                 "--t-energy-net-rec-s", "1.7e308"]) == 0
+    assert capsys.readouterr().out == (
+        "n,duty_ratio,standby_s,feasible\n0,0.9862,3540.94,yes\n"
+        "1,0.0000,,no\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["duty-table", "--t-int-s", "nan"], "--t-int-s"),
+    (["size-capacitor", "--e-peak-j", "nan", "--t-peak-s", "40"],
+     "--e-peak-j"),
+    (["size-capacitor", "--e-peak-j", "2", "--t-peak-s", "inf"],
+     "--t-peak-s"),
+])
+def test_planning_options_must_be_finite(capsys, argv, option):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exited.value.code == 2
+    assert out == ""
+    assert f"argument {option}: expected a finite number" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--v-max-v", "1e200"],                    # the square overflows
+    ["--v-max-v", "1e-200", "--v-min-v", "0"],  # the band underflows to 0
+    ["--eta-pmic", "1e-320"],                   # e_peak / eta overflows
+])
+def test_size_capacitor_out_of_float_range(capsys, extra):
+    assert main(["size-capacitor", "--e-peak-j", "2", "--t-peak-s", "40"]
+                + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not a finite number" in err
+
+
 def test_frame_encode_uplink_golden(capsys):
     # layout oracle: dest 16 | sender 4 | pv 8 | cap 8 | sensor 8
     word = (0 << 28) | (1 << 24) | (162 << 16) | (43 << 8) | 196
@@ -193,7 +248,9 @@ def test_frame_rejects_malformed_hex(capsys):
     assert main(["frame", "decode", "0001A22BC4"]) == 2      # 10 digits
     assert main(["frame", "decode", "000001A22BC4"]) == 2    # 12 digits
     assert main(["frame", "decode", "0000ZA22BC4"]) == 2     # not hex
-    assert capsys.readouterr().err.count("error:") == 3
+    assert main(["frame", "decode", "0001A22BC_4"]) == 2     # underscore
+    assert main(["frame", "decode", "+0001A22BC4"]) == 2     # sign
+    assert capsys.readouterr().err.count("error:") == 5
 
 
 def test_frame_encode_needs_one_direction(capsys):
@@ -282,6 +339,22 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     assert not (tmp_path / "paper-a.csv").exists()
 
 
+def test_run_rejects_an_unusable_out_dir(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub"):
+        code = main(["run", shipped_scenario_path("paper_a"),
+                     "--duration-s", "1", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"error: output directory {out_dir}" in capsys.readouterr().err
+
+    (tmp_path / "paper-a.csv").mkdir()
+    code = main(["run", shipped_scenario_path("paper_a"),
+                 "--duration-s", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_seed_affects_only_interfered_runs(tmp_path, capsys):
     scn = tmp_path / "seeded.scn"
     scn.write_text(INTERFERED_SCENARIO)
@@ -324,6 +397,18 @@ def test_scenario_roundtrip_is_identity():
         second = parse_scenario_text(serialize_scenario(first))
         assert second == first
         assert serialize_scenario(second) == serialize_scenario(first)
+
+
+def test_shipped_scenarios_serialize_to_fixed_bytes():
+    # recorded before the file format moved into the simkernel key tables
+    digests = {
+        "paper_a": "5fe5cd4aea419c3edcf213f2cb20cbcbb3495242c1757653150103ed8be30712",
+        "paper_b": "3632ada9b3107e148542e89b96301e95ab57e61e4ce1a044ee435eb862811745",
+    }
+    for stem, digest in digests.items():
+        text = serialize_scenario(parse_scenario_file(
+            shipped_scenario_path(stem)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_roundtrip_keeps_interference_and_profile(tmp_path):
@@ -374,3 +459,190 @@ def test_nodeless_file_is_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario_text("[scenario]\nname = x\nduration_s = 1\n")
     assert "node" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# properties
+#
+# Round-trip domain: every number is a finite float, every integer is
+# non-negative and below 2**64, the name is one line with no surrounding
+# whitespace, and each dataclass is built through its own constructor, so
+# its checks hold.
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUNTS = st.integers(min_value=0, max_value=2 ** 64)
+VECTORS = st.tuples(FINITE, FINITE, FINITE)
+NAMES = st.text(min_size=1).filter(
+    lambda s: s == s.strip() and s.splitlines() == [s])
+
+
+@st.composite
+def profiles(draw):
+    standby = draw(st.floats(min_value=0.0, max_value=0.9e-3,
+                             exclude_min=True, exclude_max=True))
+    return PowerProfile(
+        sleep=draw(st.floats(min_value=0.0, max_value=standby,
+                             exclude_max=True)),
+        standby=standby, sense=draw(NON_NEGATIVE), data_tx=draw(NON_NEGATIVE),
+        etx=draw(NON_NEGATIVE), decode=draw(NON_NEGATIVE))
+
+
+def node_specs(node_id):
+    return st.builds(
+        NodeSpec, node_id=st.just(node_id), position=VECTORS,
+        faces=st.tuples(*[st.builds(FaceSpec, normal=VECTORS,
+                                    ambient_lux=FINITE)] * 3),
+        start_voltage=FINITE, v_min=FINITE, led_power_w=FINITE,
+        led_half_angle_deg=FINITE, led_aim=st.none() | VECTORS,
+        sensing_enabled=st.booleans(), sensor_base_c=FINITE)
+
+
+scenarios = st.builds(
+    Scenario, name=NAMES, duration_s=FINITE,
+    nodes=st.lists(st.integers(1, 15), min_size=1, max_size=15,
+                   unique=True).flatmap(
+        lambda ids: st.tuples(*[node_specs(i) for i in ids])),
+    oap=st.builds(OapSpec, position=VECTORS, config=st.builds(
+        ControllerConfig,
+        t_data_req=st.floats(min_value=450.0, max_value=600.94,
+                             exclude_min=True),
+        t_int=POSITIVE, n_min=COUNTS, psn_pv_threshold=FINITE,
+        slot_spacing_s=POSITIVE, etx_offset_s=FINITE, etx_spacing_s=POSITIVE,
+        etx_bursts_per_request=COUNTS, stale_after_rounds=FINITE)),
+    step_s=FINITE, seed=COUNTS, trace_interval_s=FINITE,
+    etx_policy=st.sampled_from(ETX_POLICIES),
+    interference=st.none() | st.builds(
+        InterferenceModel, midpoint_lux=FINITE, steepness_per_lux=POSITIVE,
+        floor=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    profile=profiles())
+
+
+@given(scenarios)
+def test_parse_inverts_serialize(scenario):
+    text = serialize_scenario(scenario)
+    parsed = parse_scenario_text(text)
+    assert parsed == scenario
+    assert serialize_scenario(parsed) == text
+
+
+SMALL_SCENARIO = """\
+[scenario]
+name = small
+duration_s = 60.0
+etx_policy = autonomous
+
+[interference]
+midpoint_lux = 500.0
+
+[node.1]
+position_m = 0.0 0.1 0.0
+face_a_normal = 0.0 1.0 0.0
+face_a_ambient_lux = 1000.0
+face_b_normal = 1.0 0.0 0.0
+face_b_ambient_lux = 1000.0
+face_c_normal = 0.0 0.0 1.0
+face_c_ambient_lux = 1000.0
+v_min_v = 3.8
+led_power_w = 0.0278
+led_aim = 0.0 -1.0 0.0
+
+[node.2]
+position_m = 0.0 0.0 0.0
+face_a_normal = 0.0 1.0 0.0
+face_a_ambient_lux = 150.0
+face_b_normal = 0.0 0.0 1.0
+face_b_ambient_lux = 0.0
+face_c_normal = 0.0 0.0 -1.0
+face_c_ambient_lux = 0.0
+"""
+
+# Argv domain: each option is absent or takes a plausible value, and one
+# of them takes a wild value instead: an edge value, any float or integer
+# rendering, or a word that no number parser takes.
+JUNK = ["", "abc", "1_0", "+-1", "0x10", "--"]
+WILD_NUMBERS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "1e200", "1e-200", "1e-320", "0", "-1"]
+    + JUNK) | st.floats().map(repr)
+WILD_INTS = st.sampled_from(
+    ["-1", "16", "256", "65536", str(2 ** 64)] + JUNK) | st.integers().map(str)
+PLAIN_NUMBERS = st.floats(min_value=1e-3, max_value=1e4).map(repr)
+PLAIN_INTS = st.integers(0, 15).map(str)
+
+
+@st.composite
+def option_argvs(draw, plain, wild):
+    """Some of the options, plausible, and one of them wild."""
+    values = {name: draw(st.none() | strategy)
+              for name, strategy in plain.items()}
+    values[draw(st.sampled_from(sorted(plain)))] = draw(wild)
+    return [arg for name, value in values.items() if value is not None
+            for arg in (name, value)]
+
+
+# argparse keeps the last value of a repeated option, so a leading
+# default can still be overridden by the drawn options
+PLANNING_ARGVS = {
+    "duty-table": option_argvs(
+        {"--n-max": PLAIN_INTS, "--t-int-s": PLAIN_NUMBERS,
+         "--t-sense-s": PLAIN_NUMBERS, "--t-data-net-rec-s": PLAIN_NUMBERS,
+         "--t-energy-net-s": PLAIN_NUMBERS,
+         "--t-energy-net-rec-s": PLAIN_NUMBERS},
+        WILD_NUMBERS | WILD_INTS),
+    "size-capacitor --e-peak-j 2 --t-peak-s 40": option_argvs(
+        {name: PLAIN_NUMBERS for name in ("--e-peak-j", "--eta-pmic",
+                                          "--p-leak-w", "--t-peak-s",
+                                          "--v-max-v", "--v-min-v")},
+        WILD_NUMBERS),
+    "frame encode": option_argvs(
+        {name: PLAIN_INTS for name in ("--dest", "--sender", "--pv-level",
+                                       "--cap-level", "--sensor",
+                                       "--command", "--param")},
+        WILD_INTS),
+    "frame decode": (st.text()
+                     | st.integers(0, 2 ** 48).map(lambda w: f"{w:011X}")
+                     ).map(lambda word: [word]),
+}
+
+# --duration-s stays at most 60 s and --step-s at least 0.05 s, so no
+# accepted run takes more than 1200 ticks; 1e-300 reaches the tick cap
+RUN_ARGVS = option_argvs(
+    {"--duration-s": st.floats(min_value=0.1, max_value=60.0).map(repr),
+     "--step-s": st.floats(min_value=0.05, max_value=5.0).map(repr),
+     "--seed": PLAIN_INTS},
+    st.sampled_from(["nan", "inf", "0", "-1", "1e-300", "-5"] + JUNK))
+
+
+def exit_code_and_output(argv):
+    """main's exit code, stdout and stderr; any other exception fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", PLANNING_ARGVS)
+@given(data=st.data())
+def test_every_planning_argv_exits_0_2_or_3(command, data):
+    argv = command.split() + data.draw(PLANNING_ARGVS[command])
+    code, out, err = exit_code_and_output(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    # an accepted request prints no non-finite number
+    assert not re.search(r"\b(nan|inf)\b", out)
+
+
+@given(RUN_ARGVS)
+def test_every_run_argv_exits_0_2_or_3(argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        scenario = f"{out_dir}/small.scn"
+        with open(scenario, "w", encoding="utf-8") as fh:
+            fh.write(SMALL_SCENARIO)
+        code, _, err = exit_code_and_output(
+            ["run", scenario, "--out-dir", out_dir] + argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

@@ -58,11 +58,8 @@ DIM = (150.0, 0.0, 0.0)
 
 
 def test_select_role_rule():
-    assert select_role([3.2, 3.4, 3.1]) is NodeMode.PSN
-    assert select_role([3.5, 3.5, 2.9]) is NodeMode.SSN  # min rejects the spike
-    assert select_role([3.0, 3.0, 3.0]) is NodeMode.SSN  # strict inequality
-    with pytest.raises(ValueError):
-        select_role([3.2, 3.4])
+    assert select_role(3.1) is NodeMode.PSN
+    assert select_role(3.0) is NodeMode.SSN  # strict inequality
 
 
 def test_timing_params_validation_and_consistency():

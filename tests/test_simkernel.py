@@ -2,6 +2,7 @@
 determinism, and the conservation audit."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,7 @@ def test_trivial_scenario_one_step():
     (dict(trace_interval_s=0.01), "trace_interval_s"),
     (dict(etx_policy="sometimes"), "etx_policy"),
     (dict(nodes=()), "at least one node"),
+    (dict(seed=-1), "seed must be >= 0"),
 ])
 def test_scenario_field_validation(mutate, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
@@ -141,17 +143,43 @@ def test_tick_cap_admits_a_run_at_the_cap():
     validate_scenario(sc)
 
 
-def test_cli_tick_cap_exits_3_before_the_run(tmp_path, capsys, monkeypatch):
-    def no_run(scenario):
-        raise AssertionError("a run over the tick cap was started")
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a run starts: validation must stop it first."""
+    def refuse(scenario):
+        raise AssertionError("a run that validation rejects was started")
 
-    monkeypatch.setattr("luxnet.simkernel._Runtime", no_run)
+    monkeypatch.setattr("luxnet.simkernel._Runtime", refuse)
+
+
+def test_cli_tick_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
     code = main(["run", shipped_scenario_path("paper_a"), "--step-s",
                  "1e-300", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert "ticks" in err
     assert not (tmp_path / "paper-a.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("etx_bursts_per_request", "70000"),
+    ("etx_bursts_per_request", "-1"),
+    ("n_min", "70000"),
+])
+def test_cli_16_bit_oap_params_exit_2_before_the_run(tmp_path, capsys, no_run,
+                                                     key, value):
+    # each travels as a 16-bit frame parameter; unchecked, a 3600 s run
+    # stopped at the first frame carrying it, with a message naming no key
+    text = open(shipped_scenario_path("paper_b"), encoding="utf-8").read()
+    scn = tmp_path / "in.scn"
+    scn.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                          flags=re.M))
+    code = main(["run", str(scn), "--duration-s", "3600",
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"oap: {key} must be 0..65535, got {value}" in err
+    assert not (tmp_path / "paper-b.csv").exists()
 
 
 NAN, INF = float("nan"), float("inf")
