@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-import numpy as np
-
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
 
@@ -126,15 +124,21 @@ class OpticalLink:
                 raise ValueError(f"{name} angle must be in [0, 90] deg, got {angle}")
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+def norm(v: Vec3) -> float:
+    """Euclidean length of a 3-vector."""
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _unit(v: Vec3) -> Vec3:
+    n = norm(v)
     if n == 0.0:
         raise ValueError("zero-length direction vector")
-    return v / n
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def _angle_deg(a: np.ndarray, b: np.ndarray) -> float:
-    cosine = float(np.clip(np.dot(_unit(a), _unit(b)), -1.0, 1.0))
+def _angle_deg(a: Vec3, b: Vec3) -> float:
+    (ax, ay, az), (bx, by, bz) = _unit(a), _unit(b)
+    cosine = min(max(ax * bx + ay * by + az * bz, -1.0), 1.0)
     return math.degrees(math.acos(cosine))
 
 
@@ -145,14 +149,12 @@ def link_between(tx: OpticalTransmitter, rx: OpticalReceiver) -> OpticalLink:
     are clamped to 90 so the cosine terms zero the gain rather than going
     negative for back-facing geometry.
     """
-    p_tx = np.asarray(tx.position, dtype=float)
-    p_rx = np.asarray(rx.position, dtype=float)
-    sep = p_rx - p_tx
-    distance = float(np.linalg.norm(sep))
+    sep = tuple(r - t for r, t in zip(rx.position, tx.position))
+    distance = norm(sep)
     if distance <= 0.0:
         raise ValueError("transmitter and receiver are co-located")
-    alpha = _angle_deg(np.asarray(tx.boresight, dtype=float), sep)
-    beta = _angle_deg(np.asarray(rx.normal, dtype=float), -sep)
+    alpha = _angle_deg(tx.boresight, sep)
+    beta = _angle_deg(rx.normal, tuple(-x for x in sep))
     return OpticalLink(distance_m=distance,
                        irradiance_angle_deg=min(alpha, 90.0),
                        incidence_angle_deg=min(beta, 90.0),

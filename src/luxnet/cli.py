@@ -13,9 +13,10 @@ Scenario files are INI-style text with sections [scenario], [oap],
 carry their unit as a suffix (duration_s, ambient_lux, v_min_v).
 Unknown sections or keys are rejected, naming the offender.  Exit
 codes: 0 on success, 2 on validation errors, 3 when a requested run is
-infeasible.  Multiple scenario files run independently in argument
-order; the output directory defaults to $LUXNET_OUT_DIR, then the
-working directory.
+infeasible.  Multiple scenario files are all read and validated before
+the first one runs, then run in argument order; two that would write
+the same output name are rejected.  The output directory defaults to
+$LUXNET_OUT_DIR, then the working directory.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .simkernel import (
     render_summary,
     run_scenario,
     summarize,
+    validate_scenario,
 )
 
 OUT_DIR_ENV = "LUXNET_OUT_DIR"
@@ -309,16 +311,22 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise ValueError(
             f"output directory {out_dir}: {exc.strerror}") from exc
+    overrides = {name: value for name, value in (
+        ("duration_s", args.duration_s), ("step_s", args.step_s),
+        ("seed", args.seed)) if value is not None}
+    # read and check every file first: a bad or clashing one writes nothing
+    runs: Dict[str, Tuple[str, Scenario]] = {}
     for path in args.scenario:
-        scenario = parse_scenario_file(path)
-        if args.duration_s is not None:
-            scenario = dataclasses.replace(scenario, duration_s=args.duration_s)
-        if args.step_s is not None:
-            scenario = dataclasses.replace(scenario, step_s=args.step_s)
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
-        trace = run_scenario(scenario)
+        scenario = dataclasses.replace(parse_scenario_file(path), **overrides)
+        validate_scenario(scenario)
         stem = _safe_name(scenario.name)
+        if stem in runs:
+            raise ScenarioError(
+                f"{runs[stem][0]} and {path} both write outputs named "
+                f"'{stem}'")
+        runs[stem] = (path, scenario)
+    for stem, (_, scenario) in runs.items():
+        trace = run_scenario(scenario)
         csv_path = os.path.join(out_dir, stem + ".csv")
         _write_output(csv_path, format_trace_csv(trace))
         summary_path = os.path.join(out_dir, stem + ".summary.txt")

@@ -33,14 +33,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .channel import (
     InterferenceModel,
     OpticalReceiver,
     OpticalTransmitter,
+    Vec3,
     frame_failure_probability,
     illuminance_at,
+    norm,
 )
 from .controller import Controller, ControllerConfig
 from .energy import (
@@ -72,8 +72,6 @@ from .protocol import (
     Frame44,
     airtime_s,
 )
-
-Vec3 = Tuple[float, float, float]
 
 ETX_POLICIES = ("disabled", "oap", "autonomous")
 
@@ -198,17 +196,6 @@ FACE_KEYS = (
 FACE_LETTERS = "abc"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence, totally ordered by (tick, sequence)."""
-
-    tick: int
-    sequence: int
-    kind: str
-    target: str
-    frame: Frame44
-
-
 @dataclass
 class TraceRow:
     time_s: float
@@ -268,11 +255,15 @@ class TraceSet:
         default_factory=dict)
 
 
-def _as_vec(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+def _as_vec(value, what: str) -> Vec3:
+    try:
+        vec = tuple(float(c) for c in value)
+    except (TypeError, ValueError, OverflowError):
+        vec = ()
+    if (isinstance(value, str) or len(vec) != 3
+            or not all(map(math.isfinite, vec))):
         raise ScenarioError(f"{what} must be a finite 3-vector")
-    return arr
+    return vec
 
 
 def _require_finite(label: str, obj, table, prefix: str = "") -> None:
@@ -339,8 +330,7 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioError(f"{label}: exactly three faces are required")
         for letter, face in zip(FACE_LETTERS, spec.faces):
             _require_finite(f"{label}: ", face, FACE_KEYS, f"face_{letter}_")
-            normal = _as_vec(face.normal, f"{label} face normal")
-            if float(np.linalg.norm(normal)) <= 0.0:
+            if norm(_as_vec(face.normal, f"{label} face normal")) <= 0.0:
                 raise ScenarioError(f"{label}: face normal must be nonzero")
             if face.ambient_lux < 0.0:
                 raise ScenarioError(f"{label}: ambient_lux must be >= 0")
@@ -355,8 +345,7 @@ def validate_scenario(scenario: Scenario) -> None:
             if spec.led_aim is None:
                 raise ScenarioError(
                     f"{label}: led_aim is required when an emitter is fitted")
-            aim = _as_vec(spec.led_aim, f"{label} led_aim")
-            if float(np.linalg.norm(aim)) <= 0.0:
+            if norm(_as_vec(spec.led_aim, f"{label} led_aim")) <= 0.0:
                 raise ScenarioError(f"{label}: led_aim must be nonzero")
             if not 0.0 < spec.led_half_angle_deg < 90.0:
                 raise ScenarioError(
@@ -437,16 +426,20 @@ class _Runtime:
             etx_enabled=(scenario.etx_policy == "oap"),
         )
 
-        # one generator per node; only the interference draw uses it
-        self.rng = {nid: np.random.default_rng((scenario.seed, nid))
-                    for nid in self.node_ids}
-        self.ambient = {
-            nid: np.array([f.ambient_lux for f in self.specs[nid].faces])
+        # one generator per node; only the interference draw uses it, so
+        # numpy is imported only for a run that has one
+        self.rng = {}
+        if scenario.interference is not None:
+            import numpy as np
+            self.rng = {nid: np.random.default_rng((scenario.seed, nid))
+                        for nid in self.node_ids}
+        self.ambient: Dict[int, Tuple[float, ...]] = {
+            nid: tuple(float(f.ambient_lux) for f in self.specs[nid].faces)
             for nid in self.node_ids}
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air fraction at use.  A node never lights itself.
-        self.gain: Dict[int, Dict[int, np.ndarray]] = {}
+        self.gain: Dict[int, Dict[int, Tuple[float, ...]]] = {}
         for src in self.node_ids:
             led = self.records[src].led
             if led is None:
@@ -461,7 +454,7 @@ class _Runtime:
                 except ValueError as exc:
                     raise ScenarioError(
                         f"node.{src} to node.{dst} link: {exc}") from exc
-                per_dst[dst] = np.array(face_lux)
+                per_dst[dst] = tuple(face_lux)
             self.gain[src] = per_dst
 
         self.lux: Dict[int, Tuple[float, ...]] = {}
@@ -470,7 +463,7 @@ class _Runtime:
         self._lux_signature: Optional[Tuple] = None
         self._refresh_lux(())
 
-        self.heap: List[Tuple[int, int, Event]] = []
+        self.heap: List[Tuple[int, int, Frame44]] = []
         self.seq = 0
         self.airtime_ticks = max(
             1, int(math.ceil(airtime_s() / self.dt - 1e-9)))
@@ -510,11 +503,12 @@ class _Runtime:
             for src, fraction in signature:
                 contribution = self.gain.get(src, {}).get(nid)
                 if contribution is not None:
-                    extra = (contribution * fraction if extra is None
-                             else extra + contribution * fraction)
+                    scaled = tuple(c * fraction for c in contribution)
+                    extra = (scaled if extra is None
+                             else tuple(e + c for e, c in zip(extra, scaled)))
             if extra is not None:
-                total = total + extra
-            self.lux[nid] = tuple(float(x) for x in total)
+                total = tuple(a + e for a, e in zip(total, extra))
+            self.lux[nid] = total
             self.harvest_w[nid] = self.records[nid].harvesters.harvest_power(
                 self.lux[nid])
 
@@ -522,10 +516,7 @@ class _Runtime:
 
     def send(self, frame: Frame44, origin: str, now_tick: int) -> None:
         due = now_tick + self.airtime_ticks
-        target = "oap" if frame.dest_address == OAP_ADDRESS else "nodes"
-        event = Event(tick=due, sequence=self.seq, kind="frame",
-                      target=target, frame=frame)
-        heapq.heappush(self.heap, (due, self.seq, event))
+        heapq.heappush(self.heap, (due, self.seq, frame))
         self.seq += 1
         self.frames_sent += 1
         self.frame_log.append(FrameLogEntry(
@@ -542,7 +533,7 @@ class _Runtime:
         model = self.scenario.interference
         if model is None or not self._lux_signature:
             return False
-        ambient = float(np.max(self.ambient[nid]))
+        ambient = max(self.ambient[nid])
         p = frame_failure_probability(ambient, True, model)
         if p <= 0.0:
             return False
@@ -553,9 +544,8 @@ class _Runtime:
         inbox: Dict[int, List[Frame44]] = {nid: [] for nid in self.node_ids}
         now = tick * self.dt
         while self.heap and self.heap[0][0] <= tick:
-            _, _, event = heapq.heappop(self.heap)
-            frame = event.frame
-            if event.target == "oap":
+            _, _, frame = heapq.heappop(self.heap)
+            if frame.dest_address == OAP_ADDRESS:
                 self.deliveries_intended += 1
                 self.deliveries_made += 1
                 self.controller.on_uplink(frame, now)

@@ -3,13 +3,17 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import luxnet
 from luxnet.cli import (
     main,
     parse_scenario_file,
@@ -285,6 +289,60 @@ def test_run_many_scenarios_in_order(tmp_path, capsys):
     assert (tmp_path / "paper-b.csv").exists()
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("paper-a:") and lines[2].startswith("paper-b:")
+
+
+@pytest.mark.parametrize("first, second, stem", [
+    ("paper-a", "paper-a", "paper-a"),
+    ("a b", "a-b", "a-b"),
+])
+def test_run_rejects_scenarios_sharing_an_output_name(tmp_path, capsys,
+                                                      first, second, stem):
+    base = read(shipped_scenario_path("paper_a"))
+    paths = []
+    for i, name in enumerate((first, second)):
+        scn = tmp_path / f"in{i}.scn"
+        scn.write_text(base.replace("name = paper-a", f"name = {name}"))
+        paths.append(str(scn))
+    out_dir = tmp_path / "out"
+    code = main(["run", *paths, "--duration-s", "1",
+                 "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{paths[0]} and {paths[1]}" in captured.err
+    assert f"'{stem}'" in captured.err
+    assert captured.out == ""
+    assert not list(out_dir.glob("*.csv"))
+
+
+def test_run_checks_every_file_before_the_first_run(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(read(shipped_scenario_path("paper_b"))
+                   .replace("step_s = 0.1", "step_s = -0.1"))
+    code = main(["run", shipped_scenario_path("paper_a"), str(bad),
+                 "--duration-s", "1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "step_s must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_run_without_interference_never_imports_numpy(tmp_path):
+    # numpy serves only the interference draw, so a plain run, started in a
+    # fresh interpreter, must not pay for importing it
+    src = os.path.dirname(os.path.dirname(luxnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from luxnet.cli import main, shipped_scenario_path\n"
+        "rc = main(['run', shipped_scenario_path('paper_a'),\n"
+        f"          '--duration-s', '60', '--out-dir', {str(tmp_path)!r}])\n"
+        "print(rc, 'numpy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "paper-a.csv").exists()
 
 
 def test_run_honours_out_dir_env(tmp_path, capsys, monkeypatch):

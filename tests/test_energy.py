@@ -22,7 +22,7 @@ def make_cap(voltage=4.5, leak=10e-6, v_min=3.3):
                             leak_power=leak)
 
 
-def test_capacitor_energy_voltage_round_trip():
+def test_capacitor_energy_from_voltage():
     cap = make_cap(voltage=3.7)
     assert cap.energy == pytest.approx(0.5 * 0.4 * 3.7 ** 2)
     assert cap.energy_full == pytest.approx(0.5 * 0.4 * 4.5 ** 2)

@@ -157,7 +157,7 @@ def test_decode_encode_bijection_on_words():
         assert encode44(decode44(word)) == word
 
 
-def test_word_hex_and_byte_packing_round_trips():
+def test_word_hex_round_trips():
     rng = np.random.default_rng(10)
     for _ in range(500):
         word = int(rng.integers(0, proto.WORD_MASK + 1, dtype=np.uint64))

@@ -218,6 +218,53 @@ def test_non_finite_numbers_rejected(build, key, bad):
         validate_scenario(build(sc, bad))
 
 
+def with_face_a_normal(sc, normal):
+    node = lone_node()
+    faces = (replace(node.faces[0], normal=normal),) + node.faces[1:]
+    return replace(sc, nodes=(replace(node, faces=faces),))
+
+
+def with_led_aim(sc, aim):
+    return replace(sc, nodes=(lone_node(led_power_w=5e-3, led_aim=aim),))
+
+
+@pytest.mark.parametrize("bad", [
+    (NAN, 0.0, 1.0), (0.0, INF, 1.0), (0.0, 0.0, -INF),
+    (0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
+])
+@pytest.mark.parametrize("build, what", [
+    (lambda sc, v: replace(sc, nodes=(replace(lone_node(), position=v),)),
+     "node.1 position"),
+    (with_face_a_normal, "node.1 face normal"),
+    (with_led_aim, "node.1 led_aim"),
+    (lambda sc, v: replace(sc, oap=replace(sc.oap, position=v)),
+     "oap position"),
+])
+def test_non_finite_or_misshapen_vectors_rejected(build, what, bad):
+    sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
+    with pytest.raises(ScenarioError,
+                       match=re.escape(f"{what} must be a finite 3-vector")):
+        validate_scenario(build(sc, bad))
+
+
+@pytest.mark.parametrize("bad", ["123", (0.0, 1.0, "x"), (10 ** 400, 0, 0)])
+def test_vectors_that_are_not_three_floats_rejected(bad):
+    sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
+    with pytest.raises(ScenarioError,
+                       match="oap position must be a finite 3-vector"):
+        validate_scenario(replace(sc, oap=replace(sc.oap, position=bad)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (with_face_a_normal, "node.1: face normal must be nonzero"),
+    (with_led_aim, "node.1: led_aim must be nonzero"),
+])
+def test_zero_direction_vectors_rejected(build, message):
+    sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        validate_scenario(build(sc, (0.0, 0.0, 0.0)))
+
+
 def test_duplicate_and_bad_shape_rejected():
     sc = Scenario(name="t", duration_s=10.0,
                   nodes=(lone_node(1), lone_node(1)))
