@@ -39,7 +39,7 @@ from .energy import (
     PowerProfile,
 )
 from .node import DEFAULT_TIMING
-from .protocol import airtime_s
+from .protocol import FRAME_AIRTIME_S
 
 # reference deployment geometry: emitters one triangle side away from
 # the harvesting face, aimed straight at it
@@ -155,7 +155,7 @@ def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE,
     if idle <= 0.0:
         return math.inf
     cycle = (profile.sense * DEFAULT_TIMING.t_sense
-             + profile.data_tx * airtime_s())
+             + profile.data_tx * FRAME_AIRTIME_S)
     return budget / (idle * 3600.0 + cycle)
 
 

@@ -21,7 +21,6 @@ from .protocol import (
     Frame44,
     NodeToOap,
     OapToNode,
-    temperature_from_code,
     voltage_from_code,
 )
 
@@ -97,8 +96,6 @@ class RegistryEntry:
 
     node_id: int
     last_pv: float = 0.0
-    last_cap_voltage: float = 0.0
-    last_sensor: float = 0.0
     role: NodeMode = NodeMode.SSN
     assigned_n: int = 0
     last_seen: float = float("-inf")
@@ -267,8 +264,6 @@ class Controller:
         node_id = payload.sender_id
         entry = self.registry.setdefault(node_id, RegistryEntry(node_id=node_id))
         entry.last_pv = voltage_from_code(payload.pv_level)
-        entry.last_cap_voltage = voltage_from_code(payload.cap_level)
-        entry.last_sensor = temperature_from_code(payload.sensor)
         entry.last_seen = now
         role = (NodeMode.PSN if entry.last_pv > self.config.psn_pv_threshold
                 else NodeMode.SSN)

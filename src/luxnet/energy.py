@@ -26,7 +26,7 @@ module, which re-derives the numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
@@ -144,35 +144,20 @@ DEFAULT_PROFILE = PowerProfile(
 
 
 @dataclass(frozen=True)
-class HarvesterCell:
-    """One photovoltaic face: its geometry."""
-
-    receiver: OpticalReceiver = field(default_factory=lambda: OpticalReceiver(
-        area_m2=PV_CELL_AREA_M2))
-
-
-@dataclass(frozen=True)
 class HarvesterArray:
-    """The full set of cells on one node."""
+    """The full set of cells on one node, one receiver face per cell."""
 
-    cells: Tuple[HarvesterCell, ...]
+    cells: Tuple[OpticalReceiver, ...]
 
     def __post_init__(self):
         if len(self.cells) == 0:
             raise ValueError("harvester needs at least one cell")
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
     def harvest_power(self, illuminance_per_cell: Sequence[float]) -> float:
         """Total electrical watts given per-face illuminance."""
         if len(illuminance_per_cell) != len(self.cells):
             raise ValueError("one illuminance value per cell required")
         return sum(pv_input_power(lux) for lux in illuminance_per_cell)
-
-
-def default_harvester(cells: int = PV_CELLS_PER_NODE) -> HarvesterArray:
-    return HarvesterArray(cells=tuple(HarvesterCell() for _ in range(cells)))
 
 
 def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,

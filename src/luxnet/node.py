@@ -43,10 +43,8 @@ from typing import List, Optional, Sequence, Tuple
 from .channel import OpticalTransmitter
 from .energy import (
     DEFAULT_PROFILE,
-    HarvesterArray,
     PowerProfile,
     StorageCapacitor,
-    default_harvester,
     pv_open_voltage,
 )
 from .protocol import (
@@ -56,16 +54,15 @@ from .protocol import (
     OapToNode,
     OAP_ADDRESS,
     BROADCAST_ADDRESS,
-    DEFAULT_BITRATE_BPS,
-    WORD_BITS,
-    airtime_s,
+    FRAME_AIRTIME_S,
     quantize_temperature,
     quantize_voltage,
 )
 
 PSN_PV_THRESHOLD_V = 3.0
-# three PV reads 30 ms apart, done inside the first kernel step so a
-# freshly booted node is already listening when the opening broadcast lands
+# three PV reads 30 ms apart; on the step that closes this window the
+# node picks its role before it handles that step's frames, so at any step
+# size a freshly booted node hears the opening broadcast
 ROLE_SAMPLE_WINDOW_S = 0.09
 
 # a node lingering in Standby with nothing to do for this long goes to
@@ -120,30 +117,27 @@ class NodeRecord:
 
     node_id: int
     storage: StorageCapacitor
-    harvesters: HarvesterArray = field(default_factory=default_harvester)
     profile: PowerProfile = DEFAULT_PROFILE
     timing: TimingParams = DEFAULT_TIMING
     mode: NodeMode = NodeMode.SSN
     state: NodeState = NodeState.INIT
     v_pv: float = 0.0
     pending_n: int = 0
-    assigned_n: int = 0
 
     # geometry and policy
     led: Optional[OpticalTransmitter] = None   # energy-burst emitter, if fitted
     etx_autonomous: bool = False
     sensing_enabled: bool = True
     sensor_base_c: float = 25.0
-    bitrate_bps: float = DEFAULT_BITRATE_BPS
 
     # bookkeeping, managed by step_node
     state_elapsed: float = 0.0
     next_report_s: float = 0.0
     instant_cost_j: float = 0.0
-    led_active: bool = False
     # remaining seconds of the running burst session, and the on-air
     # share of the current step (1.0 mid-session, fractional on the
-    # closing step so the emitted energy is exact at any step size)
+    # closing step so the emitted energy is exact at any step size, 0.0
+    # when the emitter is dark)
     session_remaining_s: float = 0.0
     session_cause: str = ""
     led_fraction: float = 0.0
@@ -160,13 +154,10 @@ class NodeRecord:
     def guard_floor_j(self) -> float:
         return self.storage.energy_at(self.storage.v_min)
 
-    def frame_airtime_s(self) -> float:
-        return airtime_s(WORD_BITS, self.bitrate_bps)
-
     def sense_cycle_cost_j(self) -> float:
         """Energy for one full measurement-and-report cycle."""
         return (self.profile.sense * self.timing.t_sense
-                + self.profile.data_tx * self.frame_airtime_s())
+                + self.profile.data_tx * FRAME_AIRTIME_S)
 
 
 def energy_guard(node: NodeRecord, task_cost: float) -> bool:
@@ -193,15 +184,6 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0
     else:
         duration = min(node.timing.t_energy_net, available / net_drain)
     return duration, node.profile.etx * duration
-
-
-@dataclass
-class NodeInputs:
-    """What the kernel hands a node for one integration step."""
-
-    now: float
-    lux_per_face: Tuple[float, ...]
-    frames: List[Frame44] = field(default_factory=list)
 
 
 @dataclass
@@ -274,7 +256,7 @@ def handle_frame(node: NodeRecord, frame: Frame44,
         result.dropped.append((frame, "receiver not listening"))
         return
 
-    decode_cost = node.profile.decode * node.frame_airtime_s()
+    decode_cost = node.profile.decode * FRAME_AIRTIME_S
     node.instant_cost_j += decode_cost
 
     if frame.dest_address not in (node.node_id, BROADCAST_ADDRESS):
@@ -307,7 +289,6 @@ def handle_frame(node: NodeRecord, frame: Frame44,
             else:
                 result.events.append("etx request ignored (no emitter)")
         elif command == Command.SET_N:
-            node.assigned_n = payload.param
             result.events.append(f"assigned n={payload.param}")
         else:
             result.events.append(f"unknown command {int(command)}")
@@ -315,7 +296,7 @@ def handle_frame(node: NodeRecord, frame: Frame44,
 
     # a frame authored by another node: relay it toward the access point
     if node.mode is NodeMode.PSN:
-        relay_cost = node.profile.data_tx * node.frame_airtime_s()
+        relay_cost = node.profile.data_tx * FRAME_AIRTIME_S
         if energy_guard(node, relay_cost):
             node.instant_cost_j += relay_cost
             result.emitted.append(Frame44(dest_address=OAP_ADDRESS,
@@ -341,7 +322,6 @@ def _session_tick(node: NodeRecord, dt: float, result: NodeStepResult) -> None:
     node.led_fraction = take / dt
     if node.session_remaining_s <= 1e-12:
         node.session_remaining_s = 0.0
-        node.led_active = False
         _enter(node, NodeState.SLEEP)
         result.events.append(f"etx end ({node.session_cause})")
 
@@ -352,14 +332,13 @@ def _wants_burst(node: NodeRecord) -> bool:
             and (node.pending_n > 0 or node.etx_autonomous))
 
 
-def _maybe_start_etx(node: NodeRecord, inputs: NodeInputs, dt: float,
+def _maybe_start_etx(node: NodeRecord, harvest_w: float, dt: float,
                      result: NodeStepResult) -> None:
     if not _wants_burst(node):
         return
     if node.storage.voltage < node.storage.v_max - 1e-9:
         return
-    harvest = node.harvesters.harvest_power(inputs.lux_per_face)
-    duration, _ = etx_session(node, harvest_power_w=harvest)
+    duration, _ = etx_session(node, harvest_power_w=harvest_w)
     if duration <= 0.0:
         return
     # storage cost of the planned session, never more than what sits
@@ -370,7 +349,6 @@ def _maybe_start_etx(node: NodeRecord, inputs: NodeInputs, dt: float,
         return
     if node.pending_n > 0:
         node.pending_n -= 1
-    node.led_active = True
     node.session_remaining_s = duration
     node.session_cause = ("window" if duration
                           >= node.timing.t_energy_net - 1e-9 else "floor")
@@ -379,10 +357,13 @@ def _maybe_start_etx(node: NodeRecord, inputs: NodeInputs, dt: float,
     _session_tick(node, dt, result)
 
 
-def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
-              ) -> NodeStepResult:
-    """Advance the node by one step: frames, state logic, energy.
+def step_node(node: NodeRecord, dt: float, now: float,
+              lux_per_face: Sequence[float], harvest_w: float,
+              frames: Sequence[Frame44] = ()) -> NodeStepResult:
+    """Advance the node by one step starting at `now`: frames, state logic.
 
+    lux_per_face is the light on each face and harvest_w the electrical
+    watts it makes; the kernel computes both once per light-field change.
     The kernel integrates storage separately (it owns the conservation
     audit); this function accumulates instantaneous costs on the record
     and performs every state transition.
@@ -390,13 +371,26 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     result = NodeStepResult()
-    now = inputs.now
     if node.state is not NodeState.ENERGY_RELAY:
         # a closing step's fractional emission has been consumed by now
         node.led_fraction = 0.0
 
+    if node.state is NodeState.INIT:
+        if node.state_elapsed + dt >= ROLE_SAMPLE_WINDOW_S:
+            # pick the role before this step's frames, so the node that
+            # closes its window here is already listening for them
+            node.v_pv = _read_pv(lux_per_face)
+            node.mode = select_role(node.v_pv)
+            _enter(node, NodeState.STANDBY)
+            result.events.append(f"role {node.mode.value}")
+        else:
+            node.state_elapsed += dt
+        for frame in frames:
+            handle_frame(node, frame, result, now)
+        return result
+
     entry_state = node.state
-    for frame in inputs.frames:
+    for frame in frames:
         handle_frame(node, frame, result, now)
     if node.state is not entry_state:
         # decoding and switching consumed this step; the new state's
@@ -408,16 +402,6 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         node.state_elapsed += dt
         return result
 
-    if state is NodeState.INIT:
-        if node.state_elapsed + dt >= ROLE_SAMPLE_WINDOW_S:
-            node.v_pv = _read_pv(inputs.lux_per_face)
-            node.mode = select_role(node.v_pv)
-            _enter(node, NodeState.STANDBY)
-            result.events.append(f"role {node.mode.value}")
-        else:
-            node.state_elapsed += dt
-        return result
-
     if state is NodeState.SENSING:
         # meter the sensing chain against its phase clock so the cycle
         # cost is exactly sense power times t_sense at any step size
@@ -427,8 +411,8 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         node.instant_cost_j += ((node.profile.sense - node.profile.sleep)
                                 * (phase_after - phase_before))
         if node.state_elapsed >= node.timing.t_sense:
-            node.v_pv = _read_pv(inputs.lux_per_face)
-            tx_cost = node.profile.data_tx * node.frame_airtime_s()
+            node.v_pv = _read_pv(lux_per_face)
+            tx_cost = node.profile.data_tx * FRAME_AIRTIME_S
             if energy_guard(node, tx_cost):
                 node.instant_cost_j += tx_cost
                 result.emitted.append(_build_report(node))
@@ -454,7 +438,6 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
         if drained_early:
             # the light budget moved under us; cut the session short
             node.session_remaining_s = 0.0
-            node.led_active = False
             node.led_fraction = 0.0
             _enter(node, NodeState.SLEEP)
             result.events.append("etx end (floor)")
@@ -486,7 +469,7 @@ def step_node(node: NodeRecord, dt: float, inputs: NodeInputs
 
     if state is NodeState.STANDBY:
         node.state_elapsed += dt
-        _maybe_start_etx(node, inputs, dt, result)
+        _maybe_start_etx(node, harvest_w, dt, result)
         if node.state is NodeState.STANDBY:
             idle_ssn = (node.mode is NodeMode.SSN
                         and node.state_elapsed >= STANDBY_IDLE_TIMEOUT_S)
@@ -574,11 +557,9 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult) -> None:
     if node.state is NodeState.DEPLETED:
         if v >= node.storage.v_chrdy:
             node.pending_n = 0
-            node.led_active = False
             _enter(node, NodeState.INIT)
             result.events.append("recovered from depletion")
     elif v < node.storage.v_ovdis:
-        node.led_active = False
         node.led_fraction = 0.0
         node.session_remaining_s = 0.0
         node.pending_n = 0

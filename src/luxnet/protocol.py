@@ -203,6 +203,10 @@ def airtime_s(bits: int = WORD_BITS, bitrate_bps: float = DEFAULT_BITRATE_BPS) -
     return bits / bitrate_bps
 
 
+# every frame is one 44-bit word at the default bitrate
+FRAME_AIRTIME_S = airtime_s()
+
+
 # ---------------------------------------------------------------------------
 # quantisation
 

@@ -46,9 +46,9 @@ from .controller import Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     PV_CELL_AREA_M2,
+    V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
-    HarvesterCell,
     PowerProfile,
     StorageCapacitor,
     storage_run,
@@ -56,7 +56,6 @@ from .energy import (
 )
 from .errors import InfeasibleError, ScenarioError
 from .node import (
-    NodeInputs,
     NodeRecord,
     NodeState,
     NodeStepResult,
@@ -68,9 +67,9 @@ from .node import (
 )
 from .protocol import (
     BROADCAST_ADDRESS,
+    FRAME_AIRTIME_S,
     OAP_ADDRESS,
     Frame44,
-    airtime_s,
 )
 
 ETX_POLICIES = ("disabled", "oap", "autonomous")
@@ -339,6 +338,8 @@ def validate_scenario(scenario: Scenario) -> None:
         if not 0.0 < spec.start_voltage <= V_STORAGE_MAX + 1e-9:
             raise ScenarioError(
                 f"{label}: start_voltage_v must be in (0, {V_STORAGE_MAX}]")
+        if spec.v_min < V_OVERDISCHARGE:
+            raise ScenarioError(f"{label}: v_min must not sit below v_ovdis")
         if spec.led_power_w < 0.0:
             raise ScenarioError(f"{label}: led_power_w must be >= 0")
         if spec.led_power_w > 0.0:
@@ -350,6 +351,21 @@ def validate_scenario(scenario: Scenario) -> None:
             if not 0.0 < spec.led_half_angle_deg < 90.0:
                 raise ScenarioError(
                     f"{label}: led_half_angle_deg must be in (0, 90)")
+    # the burst gain (channel.link_between) needs a nonzero distance from
+    # each emitter to every other node
+    nodes = sorted(scenario.nodes, key=lambda spec: spec.node_id)
+    emitters = [spec for spec in nodes if spec.led_power_w > 0.0]
+    for src in emitters:
+        for dst in nodes:
+            sep = tuple(float(r) - float(t)
+                        for r, t in zip(dst.position, src.position))
+            if dst is not src and norm(sep) <= 0.0:
+                raise ScenarioError(
+                    f"node.{src.node_id} to node.{dst.node_id} link: "
+                    "transmitter and receiver are co-located")
+    if scenario.etx_policy != "disabled" and not emitters:
+        raise InfeasibleError(
+            "energy sharing requested but no node has an emitter")
     cfg = scenario.oap.config
     if cfg.t_int > 65535:
         raise ScenarioError("oap t_int_s exceeds the 16-bit config field")
@@ -364,15 +380,16 @@ def validate_scenario(scenario: Scenario) -> None:
     tick_count(scenario.duration_s, scenario.step_s)
 
 
+def _harvester(spec: NodeSpec) -> HarvesterArray:
+    """The node's PV cells: one receiver per face, at the node."""
+    position = tuple(float(x) for x in spec.position)
+    return HarvesterArray(cells=tuple(
+        OpticalReceiver(area_m2=PV_CELL_AREA_M2, position=position,
+                        normal=tuple(float(x) for x in face.normal))
+        for face in spec.faces))
+
+
 def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
-    cells = []
-    for face in spec.faces:
-        receiver = OpticalReceiver(
-            area_m2=PV_CELL_AREA_M2,
-            position=tuple(float(x) for x in spec.position),
-            normal=tuple(float(x) for x in face.normal),
-        )
-        cells.append(HarvesterCell(receiver=receiver))
     led = None
     if spec.led_power_w > 0.0:
         led = OpticalTransmitter(
@@ -381,15 +398,10 @@ def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
             position=tuple(float(x) for x in spec.position),
             boresight=tuple(float(x) for x in spec.led_aim),
         )
-    try:
-        storage = StorageCapacitor(voltage=spec.start_voltage,
-                                   v_min=spec.v_min)
-    except ValueError as exc:
-        raise ScenarioError(f"node.{spec.node_id}: {exc}") from exc
     return NodeRecord(
         node_id=spec.node_id,
-        storage=storage,
-        harvesters=HarvesterArray(cells=tuple(cells)),
+        storage=StorageCapacitor(voltage=spec.start_voltage,
+                                 v_min=spec.v_min),
         profile=profile,
         led=led,
         sensing_enabled=spec.sensing_enabled,
@@ -405,16 +417,16 @@ class _Runtime:
         self.dt = scenario.step_s
         self.n_steps = tick_count(scenario.duration_s, scenario.step_s)
         self.records: Dict[int, NodeRecord] = {}
-        self.specs: Dict[int, NodeSpec] = {}
+        self.harvester: Dict[int, HarvesterArray] = {}
+        self.ambient: Dict[int, Tuple[float, ...]] = {}
         for spec in sorted(scenario.nodes, key=lambda s: s.node_id):
-            self.records[spec.node_id] = _build_node(spec, scenario.profile)
-            self.specs[spec.node_id] = spec
+            nid = spec.node_id
+            self.records[nid] = _build_node(spec, scenario.profile)
+            self.harvester[nid] = _harvester(spec)
+            self.ambient[nid] = tuple(float(f.ambient_lux)
+                                      for f in spec.faces)
         self.node_ids = sorted(self.records)
 
-        if scenario.etx_policy in ("oap", "autonomous"):
-            if not any(r.led is not None for r in self.records.values()):
-                raise InfeasibleError(
-                    "energy sharing requested but no node has an emitter")
         if scenario.etx_policy == "autonomous":
             for record in self.records.values():
                 if record.led is not None:
@@ -433,9 +445,6 @@ class _Runtime:
             import numpy as np
             self.rng = {nid: np.random.default_rng((scenario.seed, nid))
                         for nid in self.node_ids}
-        self.ambient: Dict[int, Tuple[float, ...]] = {
-            nid: tuple(float(f.ambient_lux) for f in self.specs[nid].faces)
-            for nid in self.node_ids}
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air fraction at use.  A node never lights itself.
@@ -448,13 +457,8 @@ class _Runtime:
             for dst in self.node_ids:
                 if dst == src:
                     continue
-                try:
-                    face_lux = [illuminance_at(cell.receiver, 0.0, [led])
-                                for cell in self.records[dst].harvesters.cells]
-                except ValueError as exc:
-                    raise ScenarioError(
-                        f"node.{src} to node.{dst} link: {exc}") from exc
-                per_dst[dst] = tuple(face_lux)
+                per_dst[dst] = tuple(illuminance_at(face, 0.0, [led])
+                                     for face in self.harvester[dst].cells)
             self.gain[src] = per_dst
 
         self.lux: Dict[int, Tuple[float, ...]] = {}
@@ -466,7 +470,7 @@ class _Runtime:
         self.heap: List[Tuple[int, int, Frame44]] = []
         self.seq = 0
         self.airtime_ticks = max(
-            1, int(math.ceil(airtime_s() / self.dt - 1e-9)))
+            1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
         self.rows: List[TraceRow] = []
         self.frame_log: List[FrameLogEntry] = []
@@ -509,8 +513,7 @@ class _Runtime:
             if extra is not None:
                 total = tuple(a + e for a, e in zip(total, extra))
             self.lux[nid] = total
-            self.harvest_w[nid] = self.records[nid].harvesters.harvest_power(
-                self.lux[nid])
+            self.harvest_w[nid] = self.harvester[nid].harvest_power(total)
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -605,8 +608,8 @@ class _Runtime:
         results: Dict[int, NodeStepResult] = {}
         for nid in self.node_ids:
             record = self.records[nid]
-            result = step_node(record, dt, NodeInputs(
-                now=now, lux_per_face=self.lux[nid], frames=inbox[nid]))
+            result = step_node(record, dt, now, self.lux[nid],
+                               self.harvest_w[nid], inbox[nid])
             for frame in result.emitted:
                 self.send(frame, f"node {nid}", i)
             if inbox[nid]:
@@ -663,26 +666,21 @@ class _Runtime:
         # emitter since the light field was last refreshed
         self._refresh_lux(self._emitter_signature())
         records = [self.records[nid] for nid in self.node_ids]
-        starts = [record.storage.voltage for record in records]
         p_outs = [state_draw_w(record) + record.instant_cost_j / dt
                   for record in records]
-        bands = [quiet_voltage_band(record) for record in records]
-
-        def run(ticks: int) -> List[Tuple[List[float], List[float]]]:
-            return [storage_run(record.storage, self.harvest_w[nid], p_out,
-                                dt, ticks, low, high)
-                    for nid, record, p_out, (low, high)
-                    in zip(self.node_ids, records, p_outs, bands)]
-
-        runs = run(ticks)
+        runs = []
+        for nid, record, p_out in zip(self.node_ids, records, p_outs):
+            low, high = quiet_voltage_band(record)
+            runs.append(storage_run(record.storage, self.harvest_w[nid],
+                                    p_out, dt, ticks, low, high))
         shortest = min(len(voltages) for voltages, _ in runs)
         if shortest < ticks:
-            # a node left its band early; no node leaves it before that
-            # tick, so one replay up to it settles every node
-            for record, voltage in zip(records, starts):
-                record.storage.voltage = voltage
+            # a node left its band early, so the stretch ends on that
+            # tick; a shorter run would have taken every run's first ticks
             ticks = shortest
-            runs = run(ticks)
+            for record, (voltages, losses) in zip(records, runs):
+                del voltages[ticks:], losses[ticks:]
+                record.storage.voltage = voltages[-1]
         # trace instants before the last tick, as offsets into the stretch;
         # the caller samples the last tick after its hysteresis
         every = self.sample_every

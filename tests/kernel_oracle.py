@@ -14,7 +14,6 @@ from typing import Dict
 
 from luxnet.energy import storage_step
 from luxnet.node import (
-    NodeInputs,
     NodeState,
     NodeStepResult,
     apply_hysteresis,
@@ -42,8 +41,8 @@ def run_scenario(scenario: Scenario) -> TraceSet:
         results: Dict[int, NodeStepResult] = {}
         for nid in rt.node_ids:
             record = rt.records[nid]
-            result = step_node(record, dt, NodeInputs(
-                now=now, lux_per_face=rt.lux[nid], frames=inbox[nid]))
+            result = step_node(record, dt, now, rt.lux[nid],
+                               rt.harvest_w[nid], inbox[nid])
             for frame in result.emitted:
                 rt.send(frame, f"node {nid}", i)
             if inbox[nid]:

@@ -314,14 +314,34 @@ def test_run_rejects_scenarios_sharing_an_output_name(tmp_path, capsys,
     assert not list(out_dir.glob("*.csv"))
 
 
-def test_run_checks_every_file_before_the_first_run(tmp_path, capsys):
+def run_after_a_bad_paper_b(tmp_path, old, new):
+    """`luxnet run paper_a.scn bad.scn`, bad.scn paper-b with old -> new."""
     bad = tmp_path / "bad.scn"
-    bad.write_text(read(shipped_scenario_path("paper_b"))
-                   .replace("step_s = 0.1", "step_s = -0.1"))
-    code = main(["run", shipped_scenario_path("paper_a"), str(bad),
+    bad.write_text(read(shipped_scenario_path("paper_b")).replace(old, new))
+    return main(["run", shipped_scenario_path("paper_a"), str(bad),
                  "--duration-s", "1", "--out-dir", str(tmp_path)])
+
+
+def test_run_checks_every_file_before_the_first_run(tmp_path, capsys):
+    code = run_after_a_bad_paper_b(tmp_path, "step_s = 0.1", "step_s = -0.1")
     assert code == 2
     assert "step_s must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("old, new, code, message", [
+    ("v_min_v = 3.4", "v_min_v = 3.0", 2,
+     "node.2: v_min must not sit below v_ovdis"),
+    # node 2 moved onto emitter node 3
+    ("position_m = 0.0 0.0 0.0", "position_m = 0.075 0.1299 0.0", 2,
+     "node.3 to node.2 link: transmitter and receiver are co-located"),
+    ("led_power_w = 0.0278", "led_power_w = 0.0", 3,
+     "energy sharing requested but no node has an emitter"),
+], ids=["v_min", "co-located", "no-emitter"])
+def test_run_checks_node_limits_before_the_first_run(tmp_path, capsys, old,
+                                                     new, code, message):
+    assert run_after_a_bad_paper_b(tmp_path, old, new) == code
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

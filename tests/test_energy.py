@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from luxnet.channel import OpticalReceiver
 from luxnet.energy import (
     DEFAULT_PROFILE,
+    PV_CELL_AREA_M2,
+    HarvesterArray,
     PowerProfile,
     StorageCapacitor,
-    default_harvester,
     min_capacitance,
     pv_open_voltage,
     storage_run,
@@ -216,8 +218,8 @@ def test_min_capacitance_cross_check_by_integration():
 
 
 def test_harvester_power_sums_cells():
-    harv = default_harvester()
-    assert len(harv) == 3
+    harv = HarvesterArray(cells=tuple(
+        OpticalReceiver(area_m2=PV_CELL_AREA_M2) for _ in range(3)))
     p = harv.harvest_power([1000.0, 1000.0, 1000.0])
     assert p == pytest.approx(3 * 0.9e-3, rel=1e-9)
     assert harv.harvest_power([150.0, 0.0, 0.0]) == pytest.approx(0.135e-3, rel=1e-9)

@@ -2,14 +2,15 @@
 
 import pytest
 
-from luxnet.channel import OpticalTransmitter
+from luxnet.channel import OpticalReceiver, OpticalTransmitter
 from luxnet.energy import (
+    PV_CELL_AREA_M2,
+    HarvesterArray,
     PowerProfile,
     StorageCapacitor,
     storage_step,
 )
 from luxnet.node import (
-    NodeInputs,
     NodeMode,
     NodeRecord,
     NodeState,
@@ -22,6 +23,7 @@ from luxnet.node import (
     step_node,
 )
 from luxnet.protocol import (
+    FRAME_AIRTIME_S,
     Command,
     Frame44,
     NodeToOap,
@@ -41,11 +43,15 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False, **kw):
     return rec
 
 
+# three PV cells, as on every scenario node
+HARVESTER = HarvesterArray(
+    cells=(OpticalReceiver(area_m2=PV_CELL_AREA_M2),) * 3)
+
+
 def tick(node, now, lux, frames=(), dt=0.1):
     """One kernel-style step: state logic, then energy integration."""
-    res = step_node(node, dt, NodeInputs(now=now, lux_per_face=lux,
-                                         frames=list(frames)))
-    harvest = node.harvesters.harvest_power(lux)
+    harvest = HARVESTER.harvest_power(lux)
+    res = step_node(node, dt, now, lux, harvest, frames)
     p_out = state_draw_w(node) + node.instant_cost_j / dt
     storage_step(node.storage, harvest, p_out, dt)
     node.instant_cost_j = 0.0
@@ -136,8 +142,8 @@ def test_false_wakeup_charges_decode_only():
     res = tick(node, t, FULL, frames=[stray])
     assert "false wakeup" in res.events
     assert node.state is NodeState.STANDBY
-    decode_cost = node.profile.decode * node.frame_airtime_s()
-    harvest = node.harvesters.harvest_power(FULL)
+    decode_cost = node.profile.decode * FRAME_AIRTIME_S
+    harvest = HARVESTER.harvest_power(FULL)
     drawn = (e_before - node.storage.energy
              + (harvest - node.profile.standby - node.storage.leak_power) * 0.1)
     assert drawn == pytest.approx(decode_cost, rel=1e-6)
@@ -229,7 +235,7 @@ def test_etx_request_starts_session_at_full_charge():
     res = tick(node, t, FULL, frames=[req])
     assert "etx start" in res.events
     assert node.state is NodeState.ENERGY_RELAY
-    assert node.led_active
+    assert node.led_fraction == 1.0
     assert node.pending_n == 0
 
 
@@ -269,7 +275,7 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
     assert node.storage.voltage >= node.storage.v_min - 1e-9
     assert node.storage.voltage <= node.storage.v_min + 3e-4
     assert node.state is NodeState.SLEEP
-    assert not node.led_active
+    assert node.session_remaining_s == 0.0
     # duration close to the analytic 23.2 s figure
     assert session_ticks * 0.1 == pytest.approx(23.3, abs=0.3)
     # sleeps until full, then returns to listening
@@ -327,7 +333,7 @@ def test_depleted_node_draws_only_leak():
     tick(node, t, DIM)
     assert node.state is NodeState.DEPLETED
     e0 = node.storage.energy
-    harvest = node.harvesters.harvest_power((0.0, 0.0, 0.0))
+    harvest = HARVESTER.harvest_power((0.0, 0.0, 0.0))
     tick(node, t + 0.1, (0.0, 0.0, 0.0))
     de = node.storage.energy - e0
     assert de == pytest.approx((harvest - node.storage.leak_power) * 0.1,
@@ -365,5 +371,5 @@ def test_set_n_updates_assignment():
     node, t = booted(node_id=1)
     frame = Frame44(dest_address=1,
                     payload=OapToNode(command=Command.SET_N, param=6))
-    tick(node, t, FULL, frames=[frame])
-    assert node.assigned_n == 6
+    res = tick(node, t, FULL, frames=[frame])
+    assert "assigned n=6" in res.events

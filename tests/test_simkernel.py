@@ -483,6 +483,24 @@ def test_step_halving_converges_below_millivolt():
         assert abs(va - vb) < 1e-3, f"node {nid}: {va} vs {vb}"
 
 
+def test_step_halving_keeps_events_once_config_matters():
+    # the opening config broadcast (t_int=600 s) lands on the second tick
+    # at either step; at 0.05 s that is the tick on which the 90 ms Init
+    # window closes, and the dim node must still hear it and wake at 600 s
+    sc = Scenario(name="t", duration_s=760.0, nodes=triangle_nodes(),
+                  oap=OapSpec(config=ControllerConfig(t_int=600.0)),
+                  etx_policy="oap")
+    coarse = run_scenario(sc)
+    fine = run_scenario(replace(sc, step_s=0.05))
+    assert "timer wake" in [r.event for r in events_for(coarse, 2)]
+    for nid in (1, 2, 3):
+        assert ([r.event for r in events_for(coarse, nid)]
+                == [r.event for r in events_for(fine, nid)]), f"node {nid}"
+        va = coarse.aggregates[nid].final_voltage
+        vb = fine.aggregates[nid].final_voltage
+        assert abs(va - vb) < 1e-3, f"node {nid}: {va} vs {vb}"
+
+
 def test_conservation_audit_is_tight():
     sc = Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
                   etx_policy="oap")
