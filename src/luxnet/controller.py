@@ -170,7 +170,6 @@ class Controller:
     events: List[str] = field(default_factory=list)
     _pending: List[Tuple[float, int, Frame44]] = field(default_factory=list)
     _seq: int = 0
-    _started: bool = False
     _next_round: float = 0.0
 
     def __post_init__(self):
@@ -178,6 +177,18 @@ class Controller:
         if not self.node_ids:
             raise ValueError("controller needs at least one node id")
         self._next_round = self.config.t_data_req
+        # the run starts at t = 0 with the config broadcast and the polls
+        self._queue(0.0, Frame44(
+            dest_address=BROADCAST_ADDRESS,
+            payload=OapToNode(command=Command.INIT_CONFIG,
+                              param=int(self.config.t_int))))
+        for rank, node_id in enumerate(self.node_ids):
+            due = 1.0 + rank * self.config.slot_spacing_s
+            self._queue(due, Frame44(
+                dest_address=node_id,
+                payload=OapToNode(command=Command.DATA_REQUEST, param=0)))
+        self.events.append("0.0s start: config broadcast and "
+                           f"{len(self.node_ids)} initial polls")
 
     def _queue(self, due: float, frame: Frame44) -> None:
         self._pending.append((due, self._seq, frame))
@@ -193,20 +204,6 @@ class Controller:
             if now - entry.last_seen <= limit:
                 out.append(node_id)
         return out
-
-    def _start(self, now: float) -> None:
-        self._started = True
-        self._queue(now, Frame44(
-            dest_address=BROADCAST_ADDRESS,
-            payload=OapToNode(command=Command.INIT_CONFIG,
-                              param=int(self.config.t_int))))
-        for rank, node_id in enumerate(self.node_ids):
-            due = now + 1.0 + rank * self.config.slot_spacing_s
-            self._queue(due, Frame44(
-                dest_address=node_id,
-                payload=OapToNode(command=Command.DATA_REQUEST, param=0)))
-        self.events.append(f"{now:.1f}s start: config broadcast and "
-                           f"{len(self.node_ids)} initial polls")
 
     def _schedule_round(self, boundary: float) -> None:
         psns = self._fresh_psns(boundary)
@@ -231,8 +228,6 @@ class Controller:
 
     def step(self, now: float) -> List[Frame44]:
         """Frames the access point puts on the air at this instant."""
-        if not self._started:
-            self._start(now)
         while now >= self._next_round - 1e-9:
             self._schedule_round(self._next_round)
             self._next_round += self.config.t_data_req
@@ -246,13 +241,11 @@ class Controller:
         return [frame for _, _, frame in due_now]
 
     def next_action_s(self) -> float:
-        """Earliest instant at which step may act, -inf before the start.
+        """Earliest instant at which step may act.
 
         For any earlier `now`, up to the rounding of its 1e-9 tolerance,
         step(now) returns no frame and changes nothing.
         """
-        if not self._started:
-            return -math.inf
         due = min((item[0] for item in self._pending), default=math.inf)
         return min(self._next_round, due) - 1e-9
 

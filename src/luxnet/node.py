@@ -12,11 +12,12 @@ LED for energy transmission.  Its life is a loop over a handful of states:
     Sleep        everything off except the wake timer
     Depleted     undervoltage lockout, load disconnected
 
-Role selection reads the PV terminal after a 90 ms Init window: the
-hardware keeps the minimum of three reads 30 ms apart against flicker,
-and the simulated light is static over the window, so one read stands
-for all three.  A node calls itself primary (PSN) only when the read
-clears 3.0 V.
+Role selection reads the PV terminal after a 90 ms Init window, once
+the storage is above v_ovdis (below it the load is off): the hardware
+keeps the minimum of three reads 30 ms apart against flicker, and the
+simulated light is static over the window, so one read stands for all
+three.  A node calls itself primary (PSN) only when the read clears
+3.0 V.
 Primary nodes keep their receiver on and serve requests; secondary nodes
 (SSN) sleep and wake on an internal timer every t_int seconds to report.
 
@@ -130,8 +131,10 @@ class NodeRecord:
     sensing_enabled: bool = True
     sensor_base_c: float = 25.0
 
-    # bookkeeping, managed by step_node
-    state_elapsed: float = 0.0
+    # bookkeeping, managed by step_node; state_since is the instant the
+    # state's clock starts: the end of the step that entered the state,
+    # or a stray frame's arrival, which restarts Standby's
+    state_since: float = 0.0
     next_report_s: float = 0.0
     instant_cost_j: float = 0.0
     # remaining seconds of the running burst session, and the on-air
@@ -219,9 +222,9 @@ def _read_pv(lux_per_face: Sequence[float]) -> float:
     return pv_open_voltage(max(lux_per_face))
 
 
-def _enter(node: NodeRecord, state: NodeState) -> None:
+def _enter(node: NodeRecord, state: NodeState, since: float) -> None:
     node.state = state
-    node.state_elapsed = 0.0
+    node.state_since = since
 
 
 def _schedule_next_report(node: NodeRecord, now: float) -> None:
@@ -241,12 +244,13 @@ def _build_report(node: NodeRecord) -> Frame44:
     return Frame44(dest_address=OAP_ADDRESS, payload=payload)
 
 
-def handle_frame(node: NodeRecord, frame: Frame44,
-                 result: NodeStepResult, now: float = 0.0) -> None:
-    """Dispatch one delivered frame.  The node must be listening.
+def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
+                 now: float, dt: float) -> None:
+    """Dispatch one frame delivered on the step from now to now + dt.
 
-    Address mismatch is a false wakeup: the decode energy is spent and
-    nothing else happens.  A frame from the access point switches state
+    The node must be listening.  Address mismatch is a false wakeup: the
+    decode energy is spent and the listening clock restarts from the
+    frame's arrival at now.  A frame from the access point switches state
     by command; a frame from another node asks this one to relay it.
     """
     if node.state is NodeState.DEPLETED:
@@ -261,7 +265,7 @@ def handle_frame(node: NodeRecord, frame: Frame44,
 
     if frame.dest_address not in (node.node_id, BROADCAST_ADDRESS):
         result.events.append("false wakeup")
-        _enter(node, NodeState.STANDBY)
+        _enter(node, NodeState.STANDBY, now)
         return
 
     payload = frame.payload
@@ -274,14 +278,14 @@ def handle_frame(node: NodeRecord, frame: Frame44,
         elif command == Command.DATA_REQUEST:
             cost = node.sense_cycle_cost_j()
             if energy_guard(node, cost):
-                _enter(node, NodeState.SENSING)
+                _enter(node, NodeState.SENSING, now + dt)
                 result.events.append("data request accepted")
             else:
                 # not enough margin: sleep it off rather than brown out
                 result.events.append("data request refused (guard)")
                 if node.mode is NodeMode.SSN:
                     _schedule_next_report(node, now)
-                _enter(node, NodeState.SLEEP)
+                _enter(node, NodeState.SLEEP, now + dt)
         elif command == Command.ETX_REQUEST:
             if node.mode is NodeMode.PSN and node.led is not None:
                 node.pending_n = payload.param
@@ -301,7 +305,7 @@ def handle_frame(node: NodeRecord, frame: Frame44,
             node.instant_cost_j += relay_cost
             result.emitted.append(Frame44(dest_address=OAP_ADDRESS,
                                           payload=payload))
-            _enter(node, NodeState.DATA_RELAY)
+            _enter(node, NodeState.DATA_RELAY, now + dt)
             result.events.append(f"relayed from node {payload.sender_id}")
         else:
             result.dropped.append((frame, "relay refused (guard)"))
@@ -309,7 +313,8 @@ def handle_frame(node: NodeRecord, frame: Frame44,
         result.dropped.append((frame, "not a relay node"))
 
 
-def _session_tick(node: NodeRecord, dt: float, result: NodeStepResult) -> None:
+def _session_tick(node: NodeRecord, now: float, dt: float,
+                  result: NodeStepResult) -> None:
     """Consume one step of the running burst session.
 
     The emitter is metered against the session clock, not the step
@@ -322,21 +327,47 @@ def _session_tick(node: NodeRecord, dt: float, result: NodeStepResult) -> None:
     node.led_fraction = take / dt
     if node.session_remaining_s <= 1e-12:
         node.session_remaining_s = 0.0
-        _enter(node, NodeState.SLEEP)
+        _enter(node, NodeState.SLEEP, now + dt)
         result.events.append(f"etx end ({node.session_cause})")
 
 
-def _wants_burst(node: NodeRecord) -> bool:
-    """A primary with an emitter and a pending or autonomous session."""
-    return (node.mode is NodeMode.PSN and node.led is not None
-            and (node.pending_n > 0 or node.etx_autonomous))
+def _full_trigger_v(node: NodeRecord) -> float:
+    """Storage voltage from which a primary acts, inf if it waits for none.
+
+    A primary in Sleep goes back to listening once full, and one in
+    Standby with an emitter and a pending or autonomous session starts
+    that session once full.
+    """
+    if node.mode is NodeMode.PSN and (
+            node.state is NodeState.SLEEP
+            or (node.state is NodeState.STANDBY and node.led is not None
+                and (node.pending_n > 0 or node.etx_autonomous))):
+        return node.storage.v_max - 1e-9
+    return math.inf
 
 
-def _maybe_start_etx(node: NodeRecord, harvest_w: float, dt: float,
-                     result: NodeStepResult) -> None:
-    if not _wants_burst(node):
-        return
-    if node.storage.voltage < node.storage.v_max - 1e-9:
+def timer_due_s(node: NodeRecord) -> float:
+    """The instant the current state's timer fires, inf for a state with none.
+
+    step_node fires it on the step whose end reaches it, and quiet_ticks
+    counts the idle ticks before that step.
+    """
+    state = node.state
+    if state is NodeState.INIT:
+        return node.state_since + ROLE_SAMPLE_WINDOW_S
+    if state is NodeState.SENSING:
+        return node.state_since + node.timing.t_sense
+    if node.mode is NodeMode.SSN:
+        if state is NodeState.STANDBY:
+            return node.state_since + STANDBY_IDLE_TIMEOUT_S
+        if state is NodeState.SLEEP and node.sensing_enabled:
+            return node.next_report_s - 1e-9
+    return math.inf
+
+
+def _maybe_start_etx(node: NodeRecord, harvest_w: float, now: float,
+                     dt: float, result: NodeStepResult) -> None:
+    if node.storage.voltage < _full_trigger_v(node):
         return
     duration, _ = etx_session(node, harvest_power_w=harvest_w)
     if duration <= 0.0:
@@ -352,9 +383,9 @@ def _maybe_start_etx(node: NodeRecord, harvest_w: float, dt: float,
     node.session_remaining_s = duration
     node.session_cause = ("window" if duration
                           >= node.timing.t_energy_net - 1e-9 else "floor")
-    _enter(node, NodeState.ENERGY_RELAY)
+    _enter(node, NodeState.ENERGY_RELAY, now + dt)
     result.events.append("etx start")
-    _session_tick(node, dt, result)
+    _session_tick(node, now, dt, result)
 
 
 def step_node(node: NodeRecord, dt: float, now: float,
@@ -366,7 +397,9 @@ def step_node(node: NodeRecord, dt: float, now: float,
     watts it makes; the kernel computes both once per light-field change.
     The kernel integrates storage separately (it owns the conservation
     audit); this function accumulates instantaneous costs on the record
-    and performs every state transition.
+    and performs every state transition.  A state's timer fires on the
+    step whose end, now + dt, reaches timer_due_s, and a state entered on
+    a step starts its clock at that step's end.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -374,43 +407,40 @@ def step_node(node: NodeRecord, dt: float, now: float,
     if node.state is not NodeState.ENERGY_RELAY:
         # a closing step's fractional emission has been consumed by now
         node.led_fraction = 0.0
+    end = now + dt
 
     if node.state is NodeState.INIT:
-        if node.state_elapsed + dt >= ROLE_SAMPLE_WINDOW_S:
+        # the load is off below v_ovdis, so the role waits for the lockout
+        if (end >= timer_due_s(node)
+                and node.storage.voltage >= node.storage.v_ovdis):
             # pick the role before this step's frames, so the node that
             # closes its window here is already listening for them
             node.v_pv = _read_pv(lux_per_face)
             node.mode = select_role(node.v_pv)
-            _enter(node, NodeState.STANDBY)
+            _enter(node, NodeState.STANDBY, end)
             result.events.append(f"role {node.mode.value}")
-        else:
-            node.state_elapsed += dt
         for frame in frames:
-            handle_frame(node, frame, result, now)
+            handle_frame(node, frame, result, now, dt)
         return result
 
     entry_state = node.state
     for frame in frames:
-        handle_frame(node, frame, result, now)
+        handle_frame(node, frame, result, now, dt)
     if node.state is not entry_state:
         # decoding and switching consumed this step; the new state's
         # clock starts on the next one
         return result
 
     state = node.state
-    if state is NodeState.DEPLETED:
-        node.state_elapsed += dt
-        return result
-
     if state is NodeState.SENSING:
         # meter the sensing chain against its phase clock so the cycle
         # cost is exactly sense power times t_sense at any step size
-        phase_before = min(node.state_elapsed, node.timing.t_sense)
-        node.state_elapsed += dt
-        phase_after = min(node.state_elapsed, node.timing.t_sense)
+        t_sense = node.timing.t_sense
+        phase_before = min(now - node.state_since, t_sense)
+        phase_after = min(end - node.state_since, t_sense)
         node.instant_cost_j += ((node.profile.sense - node.profile.sleep)
                                 * (phase_after - phase_before))
-        if node.state_elapsed >= node.timing.t_sense:
+        if end >= timer_due_s(node):
             node.v_pv = _read_pv(lux_per_face)
             tx_cost = node.profile.data_tx * FRAME_AIRTIME_S
             if energy_guard(node, tx_cost):
@@ -426,66 +456,60 @@ def step_node(node: NodeRecord, dt: float, now: float,
                 result.events.append(f"role {node.mode.value}")
             if node.mode is NodeMode.SSN:
                 _schedule_next_report(node, now)
-                _enter(node, NodeState.SLEEP)
+                _enter(node, NodeState.SLEEP, end)
             else:
-                _enter(node, NodeState.STANDBY)
+                _enter(node, NodeState.STANDBY, end)
         return result
 
     if state is NodeState.ENERGY_RELAY:
-        node.state_elapsed += dt
         drained_early = (node.storage.voltage <= node.storage.v_min + 1e-12
                          and node.session_remaining_s > 1e-9)
         if drained_early:
             # the light budget moved under us; cut the session short
             node.session_remaining_s = 0.0
             node.led_fraction = 0.0
-            _enter(node, NodeState.SLEEP)
+            _enter(node, NodeState.SLEEP, end)
             result.events.append("etx end (floor)")
         else:
-            _session_tick(node, dt, result)
+            _session_tick(node, now, dt, result)
         return result
 
     if state is NodeState.DATA_RELAY:
         # one visible step, then back to listening
-        _enter(node, NodeState.STANDBY)
+        _enter(node, NodeState.STANDBY, end)
         return result
 
     if state is NodeState.SLEEP:
-        node.state_elapsed += dt
-        if (node.mode is NodeMode.SSN and node.sensing_enabled
-                and now + dt >= node.next_report_s - 1e-9):
+        if end >= timer_due_s(node):
+            # a secondary's report wake
             cost = node.sense_cycle_cost_j()
             if energy_guard(node, cost):
-                _enter(node, NodeState.SENSING)
+                _enter(node, NodeState.SENSING, end)
                 result.events.append("timer wake")
             else:
                 node.next_report_s += node.timing.t_int
                 result.events.append("sense skipped (guard)")
-        elif node.mode is NodeMode.PSN:
-            if node.storage.voltage >= node.storage.v_max - 1e-9:
-                _enter(node, NodeState.STANDBY)
-                result.events.append("recovered")
+        elif node.storage.voltage >= _full_trigger_v(node):
+            _enter(node, NodeState.STANDBY, end)
+            result.events.append("recovered")
         return result
 
     if state is NodeState.STANDBY:
-        node.state_elapsed += dt
-        _maybe_start_etx(node, harvest_w, dt, result)
-        if node.state is NodeState.STANDBY:
-            idle_ssn = (node.mode is NodeMode.SSN
-                        and node.state_elapsed >= STANDBY_IDLE_TIMEOUT_S)
-            if idle_ssn:
-                _schedule_next_report(node, now)
-                _enter(node, NodeState.SLEEP)
-                result.events.append("standby idle")
+        _maybe_start_etx(node, harvest_w, now, dt, result)
+        if node.state is NodeState.STANDBY and end >= timer_due_s(node):
+            # a secondary idle for STANDBY_IDLE_TIMEOUT_S
+            _schedule_next_report(node, now)
+            _enter(node, NodeState.SLEEP, end)
+            result.events.append("standby idle")
         return result
 
     return result
 
 
 # With no frame, no metered cost and no emission, step_node leaves a node
-# in one of these states alone except for its state clock, until a timer
-# or a voltage threshold fires.  The kernel advances such quiet stretches
-# without calling step_node; the two functions below say when they end.
+# in one of these states alone until its timer (timer_due_s) or a voltage
+# threshold fires.  The kernel advances such quiet stretches without
+# calling step_node; the two functions below say when they end.
 _QUIET_STATES = (NodeState.SLEEP, NodeState.STANDBY, NodeState.DEPLETED)
 
 
@@ -493,42 +517,25 @@ def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
     """Ticks from `tick` on, at most limit, that step_node spends idle.
 
     Tick j starts at j * dt.  The count assumes no frames arrive; it is 0
-    when step_node may act on this very tick.  The timers are tested with
-    step_node's own float expressions, so the count is exact rather than
-    rounded tick arithmetic.
+    when step_node may act on this very tick.  Otherwise it runs up to
+    the first tick whose end reaches timer_due_s, found with step_node's
+    own float expression, so the count is exact rather than rounded tick
+    arithmetic.
     """
     if (node.state not in _QUIET_STATES or node.instant_cost_j != 0.0
-            or node.led_fraction != 0.0):
+            or node.led_fraction != 0.0
+            or node.storage.voltage >= _full_trigger_v(node)):
         return 0
-    full = node.storage.voltage >= node.storage.v_max - 1e-9
-    if node.state is NodeState.SLEEP:
-        if node.mode is NodeMode.SSN and node.sensing_enabled:
-            wake = node.next_report_s - 1e-9
-
-            def due(j: int) -> bool:
-                return j * dt + dt >= wake
-
-            # a guess off by a tick or two, then the exact first due tick
-            j = min(max(tick, math.floor(wake / dt)), tick + limit)
-            while j > tick and due(j - 1):
-                j -= 1
-            while j < tick + limit and not due(j):
-                j += 1
-            return j - tick
-        if node.mode is NodeMode.PSN and full:
-            return 0
+    due = timer_due_s(node)
+    if due == math.inf:
         return limit
-    if node.state is NodeState.STANDBY:
-        if node.mode is NodeMode.SSN:
-            elapsed = node.state_elapsed
-            for m in range(limit):
-                elapsed += dt
-                if elapsed >= STANDBY_IDLE_TIMEOUT_S:
-                    return m
-            return limit
-        if _wants_burst(node) and full:
-            return 0
-    return limit
+    # a guess off by a tick or two, then the first tick whose end is due
+    j = min(max(tick, math.floor(due / dt) - 1), tick + limit)
+    while j > tick and (j - 1) * dt + dt >= due:
+        j -= 1
+    while j < tick + limit and j * dt + dt < due:
+        j += 1
+    return j - tick
 
 
 def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
@@ -542,26 +549,25 @@ def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
     storage = node.storage
     if node.state is NodeState.DEPLETED:
         return -math.inf, storage.v_chrdy
-    high = math.inf
-    if node.state is NodeState.SLEEP:
-        if node.mode is NodeMode.PSN:
-            high = storage.v_max - 1e-9
-    elif _wants_burst(node):
-        high = storage.v_max - 1e-9
-    return storage.v_ovdis, high
+    return storage.v_ovdis, _full_trigger_v(node)
 
 
-def apply_hysteresis(node: NodeRecord, result: NodeStepResult) -> None:
-    """Depletion lockout, applied by the kernel after integration."""
+def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
+                     end: float) -> None:
+    """Depletion lockout, applied by the kernel after integration.
+
+    end is the end of the integrated step, where a new state's clock
+    starts.
+    """
     v = node.storage.voltage
     if node.state is NodeState.DEPLETED:
         if v >= node.storage.v_chrdy:
             node.pending_n = 0
-            _enter(node, NodeState.INIT)
+            _enter(node, NodeState.INIT, end)
             result.events.append("recovered from depletion")
     elif v < node.storage.v_ovdis:
         node.led_fraction = 0.0
         node.session_remaining_s = 0.0
         node.pending_n = 0
-        _enter(node, NodeState.DEPLETED)
+        _enter(node, NodeState.DEPLETED, end)
         result.events.append("depleted")

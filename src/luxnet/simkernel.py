@@ -7,18 +7,20 @@ state draw plus any metered instantaneous costs.  Identical scenarios
 with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
-head of the frame heap, the controller's next action, a node's report
-wake or standby timeout, or any tick while some node is outside Sleep,
+head of the frame heap, the controller's next action, a node's timer
+(node.timer_due_s), or any tick while some node is outside Sleep,
 Standby and Depleted, has a metered cost or has its emitter lit.  That
 tick runs in full: frame delivery, the controller, step_node for every
 node, the light-field refresh, the storage step and the depletion
 hysteresis.  The quiet ticks before it run only the continuous part:
-the storage step, the per-tick tallies, the state clocks and trace
-sampling, with the full tick's float operations in the same order.  A
-quiet stretch also ends after a tick on which some node's voltage
-leaves its quiet band (node.quiet_voltage_band); the hysteresis runs on
-that tick as on a full one.  Traces are therefore bit-identical to
-stepping every tick in full, which tests/kernel_oracle.py still does.
+the storage step, the per-tick tallies and trace sampling, with the
+full tick's float operations in the same order.  A node's timers are
+instants, not clocks, so a quiet tick leaves every node field but the
+storage voltage alone.  A quiet stretch also ends after a tick on
+which some node's voltage leaves its quiet band
+(node.quiet_voltage_band); the hysteresis runs on that tick as on a
+full one.  Traces are therefore bit-identical to stepping every tick
+in full, which tests/kernel_oracle.py still does.
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
@@ -636,12 +638,9 @@ class _Runtime:
         action and the first node timer due, and is at most
         STRETCH_MAX_TICKS long.
         """
-        action = self.controller.next_action_s()
-        if action == -math.inf:
-            return 0
         # a tick of margin for the rounding of tick * dt
         end = min(self.n_steps, i + STRETCH_MAX_TICKS,
-                  math.floor(action / self.dt) - 1)
+                  math.floor(self.controller.next_action_s() / self.dt) - 1)
         if self.heap:
             end = min(end, self.heap[0][0])
         ticks = end - i
@@ -655,19 +654,19 @@ class _Runtime:
         """Run up to `ticks` quiet ticks from i; return the next tick.
 
         Only the continuous part runs, with the full path's float
-        operations in its order: storage, the per-tick tallies, the state
-        clocks and the trace instants before the last tick.  The stretch
-        ends early after the first tick on which some node's voltage
-        leaves its quiet band; the hysteresis then runs on that tick as
-        in the full path.
+        operations in its order: storage, the per-tick tallies and the
+        trace instants before the last tick.  The stretch ends early
+        after the first tick on which some node's voltage leaves its
+        quiet band; the hysteresis then runs on that tick as in the full
+        path.
         """
         dt = self.dt
         # as on a full tick: the last hysteresis may have darkened an
         # emitter since the light field was last refreshed
         self._refresh_lux(self._emitter_signature())
         records = [self.records[nid] for nid in self.node_ids]
-        p_outs = [state_draw_w(record) + record.instant_cost_j / dt
-                  for record in records]
+        # a quiet node has no metered cost, so it draws its state's power
+        p_outs = [state_draw_w(record) for record in records]
         runs = []
         for nid, record, p_out in zip(self.node_ids, records, p_outs):
             low, high = quiet_voltage_band(record)
@@ -685,14 +684,9 @@ class _Runtime:
         # the caller samples the last tick after its hysteresis
         every = self.sample_every
         marks = range(every - 1 - i % every, ticks - 1, every)
-        harvested = []
-        for nid, record, p_out, (_, losses) in zip(self.node_ids, records,
-                                                   p_outs, runs):
-            elapsed = record.state_elapsed
-            for _ in range(ticks):
-                elapsed += dt
-            record.state_elapsed = elapsed
-            harvested.append(self._tally(nid, p_out, losses, marks))
+        harvested = [self._tally(nid, p_out, losses, marks)
+                     for nid, p_out, (_, losses) in zip(self.node_ids, p_outs,
+                                                        runs)]
         for k, m in enumerate(marks):
             time_s = (i + m + 1) * dt
             for nid, (voltages, _), at_marks in zip(self.node_ids, runs,
@@ -754,7 +748,7 @@ class _Runtime:
         record = self.records[nid]
         agg = self.agg[nid]
         was_depleted = record.state is NodeState.DEPLETED
-        apply_hysteresis(record, result)
+        apply_hysteresis(record, result, now + self.dt)
         if (record.state is NodeState.DEPLETED and not was_depleted
                 and agg.depleted_at is None):
             agg.depleted_at = now

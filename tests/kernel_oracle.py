@@ -76,7 +76,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
 
             result = results[nid]
             was_depleted = record.state is NodeState.DEPLETED
-            apply_hysteresis(record, result)
+            apply_hysteresis(record, result, now + dt)
             if (record.state is NodeState.DEPLETED and not was_depleted
                     and agg.depleted_at is None):
                 agg.depleted_at = now

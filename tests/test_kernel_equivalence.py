@@ -24,6 +24,7 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    _Runtime,
     audit_conservation,
     run_scenario,
 )
@@ -76,6 +77,34 @@ def test_lone_node_depletes_and_recovers():
 
 def test_four_node_interference_guard():
     assert_same_trace(guard_scenario())
+
+
+def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
+    # node timers are instants, so a quiet stretch writes nothing on a
+    # node but its storage voltage, unless the last tick's hysteresis
+    # moves the node into or out of the lockout
+    def snapshot(record):
+        fields = dict(vars(record))
+        storage = dict(vars(fields.pop("storage")))
+        del storage["voltage"]
+        return fields, storage
+
+    advance_quiet = _Runtime.advance_quiet
+    compared = []
+
+    def checked(rt, i, ticks):
+        before = {nid: snapshot(r) for nid, r in rt.records.items()}
+        states = {nid: r.state for nid, r in rt.records.items()}
+        after_last = advance_quiet(rt, i, ticks)
+        for nid, record in rt.records.items():
+            if record.state is states[nid]:
+                assert snapshot(record) == before[nid], f"node {nid}, tick {i}"
+                compared.append(nid)
+        return after_last
+
+    monkeypatch.setattr(_Runtime, "advance_quiet", checked)
+    run_scenario(shipped("paper_b", duration_s=3600.0))
+    assert len(compared) > 100
 
 
 # ---------------------------------------------------------------------------

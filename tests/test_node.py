@@ -18,6 +18,7 @@ from luxnet.node import (
     apply_hysteresis,
     energy_guard,
     etx_session,
+    quiet_ticks,
     select_role,
     state_draw_w,
     step_node,
@@ -55,7 +56,7 @@ def tick(node, now, lux, frames=(), dt=0.1):
     p_out = state_draw_w(node) + node.instant_cost_j / dt
     storage_step(node.storage, harvest, p_out, dt)
     node.instant_cost_j = 0.0
-    apply_hysteresis(node, res)
+    apply_hysteresis(node, res, now + dt)
     return res
 
 
@@ -349,6 +350,49 @@ def test_standby_idle_ssn_sleeps():
         assert steps < 400
     assert node.state is NodeState.SLEEP
     assert steps * 0.1 == pytest.approx(30.0, abs=0.5)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.25, 0.3])
+def test_standby_idle_fires_on_the_step_ending_30_s_in(dt):
+    # the clock starts at the end of the step that picks the role, and
+    # the timeout is an instant on it, so no step size can delay it
+    node = make_node(node_id=2)
+    harvest = HARVESTER.harvest_power(DIM)
+    clock_start = None
+    for i in range(int(40.0 / dt)):
+        now = i * dt
+        events = step_node(node, dt, now, DIM, harvest).events
+        if "role SSN" in events:
+            clock_start = now + dt
+        if "standby idle" in events:
+            break
+    else:
+        pytest.fail("no standby idle within 40 s")
+    assert node.state is NodeState.SLEEP
+    assert now + dt - clock_start == pytest.approx(30.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3])
+def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
+    # a secondary idles out of Standby, then sleeps to its report wake;
+    # quiet_ticks must count exactly the steps before each timer fires
+    node = make_node(node_id=2, timing=TimingParams(t_int=100.0))
+    harvest = HARVESTER.harvest_power(DIM)
+    fired = []
+    i = 0
+    while len(fired) < 2:
+        quiet = quiet_ticks(node, i, dt, 10 ** 6)
+        for _ in range(quiet):
+            state = node.state
+            assert step_node(node, dt, i * dt, DIM, harvest).events == []
+            assert node.state is state
+            i += 1
+        events = step_node(node, dt, i * dt, DIM, harvest).events
+        if quiet:
+            assert events, f"nothing fired on tick {i}"
+            fired.append(events[0])
+        i += 1
+    assert fired == ["standby idle", "timer wake"]
 
 
 def test_node_record_validation():

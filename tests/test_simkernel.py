@@ -501,6 +501,26 @@ def test_step_halving_keeps_events_once_config_matters():
         assert abs(va - vb) < 1e-3, f"node {nid}: {va} vs {vb}"
 
 
+def test_step_halving_keeps_events_below_the_lockout():
+    # the node boots below v_ovdis with its load cut, so it picks no role
+    # before the lockout, whether its Init window closes on the first
+    # tick (0.1 s) or the second (0.05 s); it recharges and boots later
+    node = NodeSpec(node_id=1, position=(0.0, 0.0, 0.0),
+                    faces=(FaceSpec((0.0, 1.0, 0.0), 1000.0),
+                           FaceSpec((1.0, 0.0, 0.0), 1000.0),
+                           FaceSpec((0.0, 0.0, 1.0), 1000.0)),
+                    start_voltage=3.1)
+    sc = Scenario(name="t", duration_s=900.0, nodes=(node,))
+    coarse = run_scenario(sc)
+    fine = run_scenario(replace(sc, step_s=0.05))
+    events = [r.event for r in events_for(coarse, 1)]
+    assert events[:2] == ["depleted", "recovered from depletion"]
+    assert events == [r.event for r in events_for(fine, 1)]
+    va = coarse.aggregates[1].final_voltage
+    vb = fine.aggregates[1].final_voltage
+    assert abs(va - vb) < 1e-3, f"{va} vs {vb}"
+
+
 def test_conservation_audit_is_tight():
     sc = Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
                   etx_policy="oap")
