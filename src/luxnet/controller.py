@@ -250,10 +250,8 @@ class Controller:
         return min(self._next_round, due) - 1e-9
 
     def on_uplink(self, frame: Frame44, now: float) -> None:
-        """Fold one node report into the registry."""
-        payload = frame.payload
-        if not isinstance(payload, NodeToOap):
-            return
+        """Fold one node report (an uplink frame) into the registry."""
+        payload: NodeToOap = frame.payload
         node_id = payload.sender_id
         entry = self.registry.setdefault(node_id, RegistryEntry(node_id=node_id))
         entry.last_pv = voltage_from_code(payload.pv_level)

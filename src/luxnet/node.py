@@ -7,7 +7,6 @@ LED for energy transmission.  Its life is a loop over a handful of states:
     Init         boot, sample the PV terminal, pick a role
     Standby      receiver on, waiting for frames
     Sensing      measurement cycle, ends with one uplink report
-    DataRelay    forwarding a neighbour's report toward the access point
     EnergyRelay  power LED on, draining the capacitor into a neighbour
     Sleep        everything off except the wake timer
     Depleted     undervoltage lockout, load disconnected
@@ -80,7 +79,6 @@ class NodeState(Enum):
     INIT = "Init"
     STANDBY = "Standby"
     SENSING = "Sensing"
-    DATA_RELAY = "DataRelay"
     ENERGY_RELAY = "EnergyRelay"
     SLEEP = "Sleep"
     DEPLETED = "Depleted"
@@ -204,7 +202,6 @@ _STATE_DRAW_ATTR = {
     NodeState.INIT: "standby",
     NodeState.STANDBY: "standby",
     NodeState.SENSING: "sleep",
-    NodeState.DATA_RELAY: "standby",
     NodeState.ENERGY_RELAY: "sleep",
     NodeState.SLEEP: "sleep",
 }
@@ -246,12 +243,13 @@ def _build_report(node: NodeRecord) -> Frame44:
 
 def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
                  now: float, dt: float) -> None:
-    """Dispatch one frame delivered on the step from now to now + dt.
+    """Dispatch one downlink frame delivered on the step from now to now + dt.
 
-    The node must be listening.  Address mismatch is a false wakeup: the
-    decode energy is spent and the listening clock restarts from the
-    frame's arrival at now.  A frame from the access point switches state
-    by command; a frame from another node asks this one to relay it.
+    Nodes hear only the access point: every node-authored frame goes to
+    the controller, never to a node.  The node must be listening.
+    Address mismatch is a false wakeup: the decode energy is spent and the
+    listening clock restarts from the frame's arrival at now.  A frame
+    addressed to this node, or broadcast, switches state by command.
     """
     if node.state is NodeState.DEPLETED:
         result.dropped.append((frame, "depleted receiver"))
@@ -268,49 +266,33 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
         _enter(node, NodeState.STANDBY, now)
         return
 
-    payload = frame.payload
-    if isinstance(payload, OapToNode):
-        command = payload.command
-        if command == Command.INIT_CONFIG:
-            if payload.param > 0:
-                node.timing = replace(node.timing, t_int=float(payload.param))
-            result.events.append(f"config t_int={payload.param}")
-        elif command == Command.DATA_REQUEST:
-            cost = node.sense_cycle_cost_j()
-            if energy_guard(node, cost):
-                _enter(node, NodeState.SENSING, now + dt)
-                result.events.append("data request accepted")
-            else:
-                # not enough margin: sleep it off rather than brown out
-                result.events.append("data request refused (guard)")
-                if node.mode is NodeMode.SSN:
-                    _schedule_next_report(node, now)
-                _enter(node, NodeState.SLEEP, now + dt)
-        elif command == Command.ETX_REQUEST:
-            if node.mode is NodeMode.PSN and node.led is not None:
-                node.pending_n = payload.param
-                result.events.append(f"etx request pending_n={payload.param}")
-            else:
-                result.events.append("etx request ignored (no emitter)")
-        elif command == Command.SET_N:
-            result.events.append(f"assigned n={payload.param}")
+    payload: OapToNode = frame.payload
+    command = payload.command
+    if command == Command.INIT_CONFIG:
+        if payload.param > 0:
+            node.timing = replace(node.timing, t_int=float(payload.param))
+        result.events.append(f"config t_int={payload.param}")
+    elif command == Command.DATA_REQUEST:
+        cost = node.sense_cycle_cost_j()
+        if energy_guard(node, cost):
+            _enter(node, NodeState.SENSING, now + dt)
+            result.events.append("data request accepted")
         else:
-            result.events.append(f"unknown command {int(command)}")
-        return
-
-    # a frame authored by another node: relay it toward the access point
-    if node.mode is NodeMode.PSN:
-        relay_cost = node.profile.data_tx * FRAME_AIRTIME_S
-        if energy_guard(node, relay_cost):
-            node.instant_cost_j += relay_cost
-            result.emitted.append(Frame44(dest_address=OAP_ADDRESS,
-                                          payload=payload))
-            _enter(node, NodeState.DATA_RELAY, now + dt)
-            result.events.append(f"relayed from node {payload.sender_id}")
+            # not enough margin: sleep it off rather than brown out
+            result.events.append("data request refused (guard)")
+            if node.mode is NodeMode.SSN:
+                _schedule_next_report(node, now)
+            _enter(node, NodeState.SLEEP, now + dt)
+    elif command == Command.ETX_REQUEST:
+        if node.mode is NodeMode.PSN and node.led is not None:
+            node.pending_n = payload.param
+            result.events.append(f"etx request pending_n={payload.param}")
         else:
-            result.dropped.append((frame, "relay refused (guard)"))
+            result.events.append("etx request ignored (no emitter)")
+    elif command == Command.SET_N:
+        result.events.append(f"assigned n={payload.param}")
     else:
-        result.dropped.append((frame, "not a relay node"))
+        result.events.append(f"unknown command {int(command)}")
 
 
 def _session_tick(node: NodeRecord, now: float, dt: float,
@@ -371,12 +353,6 @@ def _maybe_start_etx(node: NodeRecord, harvest_w: float, now: float,
         return
     duration, _ = etx_session(node, harvest_power_w=harvest_w)
     if duration <= 0.0:
-        return
-    # storage cost of the planned session, never more than what sits
-    # above the guard floor
-    planned_drain = min(node.storage.energy - node.guard_floor_j,
-                        (node.profile.etx + node.storage.leak_power) * duration)
-    if not energy_guard(node, planned_drain):
         return
     if node.pending_n > 0:
         node.pending_n -= 1
@@ -472,11 +448,6 @@ def step_node(node: NodeRecord, dt: float, now: float,
             result.events.append("etx end (floor)")
         else:
             _session_tick(node, now, dt, result)
-        return result
-
-    if state is NodeState.DATA_RELAY:
-        # one visible step, then back to listening
-        _enter(node, NodeState.STANDBY, end)
         return result
 
     if state is NodeState.SLEEP:

@@ -123,12 +123,6 @@ class Frame44:
         if not 0 <= self.dest_address <= 0xFFFF:
             raise ValueError(f"dest_address must be 16 bit, got {self.dest_address}")
 
-    @property
-    def sender_id(self) -> int:
-        if isinstance(self.payload, NodeToOap):
-            return self.payload.sender_id
-        return OAP_SENDER_ID
-
 
 def encode44(frame: Frame44) -> int:
     """Pack a frame into its 44-bit word."""

@@ -70,8 +70,8 @@ from .node import (
 from .protocol import (
     BROADCAST_ADDRESS,
     FRAME_AIRTIME_S,
-    OAP_ADDRESS,
     Frame44,
+    NodeToOap,
 )
 
 ETX_POLICIES = ("disabled", "oap", "autonomous")
@@ -84,11 +84,6 @@ MAX_TICKS = 10 ** 8
 # and clamp-loss lists a stretch holds, at the price of one stretch
 # set-up per this many quiet ticks
 STRETCH_MAX_TICKS = 256
-
-# handle_frame outcomes that mean the radio itself never took the frame;
-# everything else it reports is an application-level refusal and still
-# counts as a delivery
-_RADIO_FAILURES = ("depleted receiver", "receiver not listening")
 
 
 @dataclass(frozen=True)
@@ -545,12 +540,17 @@ class _Runtime:
         return bool(self.rng[nid].random() < p)
 
     def deliver_due(self, tick: int) -> Dict[int, List[Frame44]]:
-        """Pop due frames; route to the access point and node inboxes."""
+        """Pop due frames and route them by direction, not by address.
+
+        Every uplink (a NodeToOap payload) goes to the access point, and
+        every downlink floods the node inboxes, so a node hears only the
+        access point.
+        """
         inbox: Dict[int, List[Frame44]] = {nid: [] for nid in self.node_ids}
         now = tick * self.dt
         while self.heap and self.heap[0][0] <= tick:
             _, _, frame = heapq.heappop(self.heap)
-            if frame.dest_address == OAP_ADDRESS:
+            if isinstance(frame.payload, NodeToOap):
                 self.deliveries_intended += 1
                 self.deliveries_made += 1
                 self.controller.on_uplink(frame, now)
@@ -577,16 +577,17 @@ class _Runtime:
 
     def account_deliveries(self, nid: int, delivered: List[Frame44],
                            result: NodeStepResult, now: float) -> None:
-        """Log per-node outcomes for frames addressed to this node."""
-        failed = {}
-        for frame, cause in result.dropped:
-            if frame.dest_address in (nid, BROADCAST_ADDRESS):
-                failed[id(frame)] = cause
+        """Log per-node outcomes for frames addressed to this node.
+
+        A node drops only the frames its receiver never took, so a
+        dropped frame failed and any other was delivered.
+        """
+        failed = {id(frame): cause for frame, cause in result.dropped}
         for frame in delivered:
             if frame.dest_address not in (nid, BROADCAST_ADDRESS):
                 continue
-            cause = failed.get(id(frame), "")
-            if cause in _RADIO_FAILURES:
+            cause = failed.get(id(frame))
+            if cause:
                 self.frame_log.append(FrameLogEntry(
                     time_s=now, outcome="failed", origin="network",
                     dest=nid, cause=cause))
@@ -594,7 +595,7 @@ class _Runtime:
                 self.deliveries_made += 1
                 self.frame_log.append(FrameLogEntry(
                     time_s=now, outcome="delivered", origin="network",
-                    dest=nid, cause=cause))
+                    dest=nid))
 
     # -- ticks -------------------------------------------------------------
 

@@ -1,10 +1,12 @@
-"""Every module-level import in the package, the tests and the demos is used.
+"""Every module-level import in the package, the tests and the demos is used,
+and every name the benchmark tracer wraps still exists.
 
 The scan compares the names each file's top-level imports bind with the
 names its code reads.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +34,16 @@ def test_no_unused_module_level_imports():
             found += [f"{path.relative_to(ROOT)}:{line}: {name}"
                       for line, name in unused_imports(path)]
     assert found == []
+
+
+def test_tracer_targets_exist():
+    # perfbench/run.py --trace 1 wraps each (owner, attr) in place; a
+    # renamed or moved function would drop out of the trace unnoticed
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{span}: {getattr(owner, '__name__', owner)}.{attr}"
+               for span, owner, attr in tracer.layer_targets()
+               if not callable(vars(owner).get(attr))]
+    assert missing == []

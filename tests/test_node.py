@@ -204,30 +204,6 @@ def test_ssn_guard_skip_defers_one_interval():
     assert node.next_report_s == pytest.approx(100.0)
 
 
-def test_relay_preserves_origin_sender():
-    node, t = booted(node_id=1)
-    inner = NodeToOap(sender_id=2, pv_level=66, cap_level=170, sensor=130)
-    res = tick(node, t, FULL,
-               frames=[Frame44(dest_address=1, payload=inner)])
-    assert len(res.emitted) == 1
-    fwd = res.emitted[0]
-    assert fwd.dest_address == OAP_ADDRESS
-    assert fwd.payload.sender_id == 2
-    assert fwd.payload == inner
-    assert node.state is NodeState.DATA_RELAY
-    tick(node, t + 0.1, FULL)
-    assert node.state is NodeState.STANDBY
-
-
-def test_ssn_does_not_relay():
-    node, t = booted(node_id=2, lux=DIM)
-    inner = NodeToOap(sender_id=3, pv_level=66, cap_level=170, sensor=130)
-    res = tick(node, t, DIM,
-               frames=[Frame44(dest_address=2, payload=inner)])
-    assert res.emitted == []
-    assert any(cause == "not a relay node" for _, cause in res.dropped)
-
-
 def test_etx_request_starts_session_at_full_charge():
     node, t = booted(node_id=1, led=True, v_min=3.8)
     req = Frame44(dest_address=1,

@@ -7,11 +7,13 @@ from dataclasses import replace
 
 import pytest
 
+from luxnet import simkernel
 from luxnet.channel import InterferenceModel, illuminance_at
-from luxnet.cli import main, shipped_scenario_path
-from luxnet.controller import ControllerConfig
+from luxnet.cli import main, parse_scenario_file, shipped_scenario_path
+from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import StorageCapacitor, storage_step
 from luxnet.errors import InfeasibleError, ScenarioError
+from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
     CSV_HEADER,
     MAX_TICKS,
@@ -585,6 +587,78 @@ def test_shared_light_with_interference_digests():
         "8ac156b97aaf15ae1d302eaa17e76abd59dd412c5a53cc00ea91a792701e0fbc")
     assert sha256_hex(render_summary(summarize(trace)).encode()) == (
         "14b7f3b152cb610a5fb5d2688a1373f5b88dabbb8af348d32b8ae38038cf8f1f")
+
+
+# ---------------------------------------------------------------------------
+# traffic direction and the frame log
+
+
+def traffic_scenarios():
+    paper_b = parse_scenario_file(shipped_scenario_path("paper_b"))
+    return {
+        # emitter sessions under the access point's sharing schedule
+        "paper-b-2h": replace(paper_b, duration_s=7200.0),
+        # frames lost to interference while an emitter is on the air
+        "guard": guard_scenario(),
+        # in the dark, node 1 is locked out from the start and node 2
+        # sleeps through its poll at 41 s: each drops what it is sent
+        "drops": Scenario(
+            name="t", duration_s=60.0,
+            nodes=(lone_node(1, ambient=0.0, start_voltage=3.1),
+                   lone_node(2, ambient=0.0)),
+            oap=OapSpec(config=ControllerConfig(slot_spacing_s=40.0))),
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(traffic_scenarios()))
+def traffic(request):
+    """One run with every frame a node is handed and every uplink recorded."""
+    handed, uplinks = [], []
+    step_node = simkernel.step_node
+    on_uplink = Controller.on_uplink
+
+    def spy_step_node(record, dt, now, lux_per_face, harvest_w, frames=()):
+        handed.extend(frames)
+        return step_node(record, dt, now, lux_per_face, harvest_w, frames)
+
+    def spy_on_uplink(controller, frame, now):
+        uplinks.append(frame)
+        on_uplink(controller, frame, now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simkernel, "step_node", spy_step_node)
+        mp.setattr(Controller, "on_uplink", spy_on_uplink)
+        trace = run_scenario(traffic_scenarios()[request.param])
+    return request.param, trace, handed, uplinks
+
+
+def test_nodes_hear_only_the_access_point(traffic):
+    name, _, handed, uplinks = traffic
+    assert handed
+    assert all(isinstance(f.payload, OapToNode) for f in handed)
+    assert all(isinstance(f.payload, NodeToOap) for f in uplinks)
+    if name != "drops":
+        assert uplinks
+
+
+def test_frame_log_balances_the_counters(traffic):
+    name, trace, _, _ = traffic
+    by_outcome = {}
+    for entry in trace.frame_log:
+        by_outcome.setdefault(entry.outcome, []).append(entry)
+    sent = by_outcome.get("sent", [])
+    delivered = by_outcome.get("delivered", [])
+    failed = by_outcome.get("failed", [])
+    assert set(by_outcome) <= {"sent", "delivered", "failed"}
+    assert all(entry.cause for entry in failed)
+    assert all(entry.cause == "" for entry in delivered)
+    assert trace.frames_sent == len(sent)
+    assert trace.deliveries_made == len(delivered)
+    assert trace.deliveries_intended == len(delivered) + len(failed)
+    expected_causes = {
+        "paper-b-2h": set(), "guard": {"interference"},
+        "drops": {"depleted receiver", "receiver not listening"}}
+    assert {entry.cause for entry in failed} == expected_causes[name]
 
 
 # ---------------------------------------------------------------------------
