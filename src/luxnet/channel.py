@@ -227,13 +227,11 @@ class InterferenceModel:
             raise ValueError("floor must be in [0, 1)")
 
 
-def frame_failure_probability(ambient_lux: float, etx_active: bool,
+def frame_failure_probability(ambient_lux: float,
                               model: InterferenceModel = InterferenceModel()) -> float:
-    """Probability that a downlink frame is lost to burst interference."""
+    """Probability that a downlink frame is lost while a burst is on the air."""
     if ambient_lux < 0.0:
         raise ValueError("ambient illuminance must be non-negative")
-    if not etx_active:
-        return 0.0
     z = model.steepness_per_lux * (ambient_lux - model.midpoint_lux)
     # exp overflow guard: the curve is flat to double precision out here
     if z > 700.0:

@@ -66,28 +66,25 @@ def illuminance_for_open_voltage(volts: float) -> float:
 
 @dataclass
 class StorageCapacitor:
-    """Ideal supercapacitor state plus its management thresholds.
+    """Ideal supercapacitor state plus the node's guard floor v_min.
 
-    Mutable: storage_run and storage_step advance the voltage in place,
-    one kernel tick at a time.
+    The hardware thresholds are the module constants V_STORAGE_MAX (full),
+    V_OVERDISCHARGE (v_ovdis) and V_CHARGE_READY (v_chrdy).  Mutable:
+    storage_run and storage_step advance the voltage in place, one kernel
+    tick at a time.
     """
 
     capacitance: float = STORAGE_CAPACITANCE_F
     voltage: float = 0.0
-    v_max: float = V_STORAGE_MAX
     v_min: float = V_OVERDISCHARGE + 0.1
-    v_ovdis: float = V_OVERDISCHARGE
-    v_chrdy: float = V_CHARGE_READY
     leak_power: float = LEAK_POWER_W
 
     def __post_init__(self):
         if self.capacitance <= 0.0:
             raise ValueError("capacitance must be positive")
-        if not 0.0 <= self.voltage <= self.v_max + 1e-9:
+        if not 0.0 <= self.voltage <= V_STORAGE_MAX + 1e-9:
             raise ValueError(f"voltage {self.voltage} outside [0, v_max]")
-        if not self.v_ovdis < self.v_chrdy <= self.v_max:
-            raise ValueError("need v_ovdis < v_chrdy <= v_max")
-        if self.v_min < self.v_ovdis:
+        if self.v_min < V_OVERDISCHARGE:
             raise ValueError("v_min must not sit below v_ovdis")
         if self.leak_power < 0.0:
             raise ValueError("leak power must be non-negative")
@@ -99,7 +96,7 @@ class StorageCapacitor:
 
     @property
     def energy_full(self) -> float:
-        return 0.5 * self.capacitance * self.v_max ** 2
+        return 0.5 * self.capacitance * V_STORAGE_MAX ** 2
 
     def energy_at(self, voltage: float) -> float:
         return 0.5 * self.capacitance * voltage ** 2
@@ -194,7 +191,7 @@ def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     half_c = 0.5 * capacitance
     full = cap.energy_full
     net = (p_in - p_out - cap.leak_power) * dt
-    v_top = cap.v_max + 1e-9
+    v_top = V_STORAGE_MAX + 1e-9
     voltage = cap.voltage
     voltages: List[float] = []
     losses: List[float] = []

@@ -99,11 +99,14 @@ def _triangle_scenario(name: str, ambient_lux: float, policy: str,
 def time_to_harvest(trace: TraceSet, node_id: int, target_j: float) -> float:
     """First time the node's cumulative harvest reaches the target.
 
-    Linear interpolation between trace checkpoints; raises if the run
-    ended short of the target.
+    Linear interpolation between the node's sample rows, the trace's
+    harvest checkpoints; raises if the run ended short of the target.
     """
     prev_t, prev_e = 0.0, 0.0
-    for t, e in trace.harvest_samples.get(node_id, []):
+    for row in trace.rows:
+        if row.node_id != node_id or row.event:
+            continue
+        t, e = row.time_s, row.harvested_j
         if e >= target_j:
             if e == prev_e:
                 return t
@@ -170,7 +173,7 @@ def interference_sweep(
     rng = np.random.default_rng(seed)
     points = []
     for lux in lux_points:
-        p = frame_failure_probability(float(lux), True, model)
+        p = frame_failure_probability(float(lux), model)
         failures = rng.random(frames_per_point) < p
         points.append(SweepPoint(
             ambient_lux=float(lux),

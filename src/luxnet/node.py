@@ -43,11 +43,17 @@ from typing import List, Optional, Sequence, Tuple
 from .channel import OpticalTransmitter
 from .energy import (
     DEFAULT_PROFILE,
+    V_CHARGE_READY,
+    V_OVERDISCHARGE,
+    V_STORAGE_MAX,
     PowerProfile,
     StorageCapacitor,
     pv_open_voltage,
 )
 from .protocol import (
+    TEMP_MAX_C,
+    TEMP_MIN_C,
+    VOLTAGE_MAX_V,
     Command,
     Frame44,
     NodeToOap,
@@ -168,30 +174,29 @@ def energy_guard(node: NodeRecord, task_cost: float) -> bool:
     return node.storage.energy - task_cost >= node.guard_floor_j - 1e-12
 
 
-def etx_session(node: NodeRecord, harvest_power_w: float = 0.0
-                ) -> Tuple[float, float]:
-    """Planned energy-burst session from the node's current charge.
+def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
+    """Seconds of the energy-burst session the node's charge can run.
 
-    Returns (duration_s, transmitted_energy_j).  The session ends when
-    storage reaches v_min or after t_energy_net seconds, whichever comes
-    first; transmitted energy is the drive power times the duration.
+    The session ends when storage reaches v_min or after t_energy_net
+    seconds, whichever comes first; 0.0 when the storage is at or below
+    the guard floor.
     """
     available = node.storage.energy - node.guard_floor_j
     if available <= 0.0:
-        return 0.0, 0.0
+        return 0.0
     net_drain = node.profile.etx + node.storage.leak_power - harvest_power_w
     if net_drain <= 0.0:
-        duration = node.timing.t_energy_net
-    else:
-        duration = min(node.timing.t_energy_net, available / net_drain)
-    return duration, node.profile.etx * duration
+        return node.timing.t_energy_net
+    return min(node.timing.t_energy_net, available / net_drain)
 
 
 @dataclass
 class NodeStepResult:
     emitted: List[Frame44] = field(default_factory=list)
     events: List[str] = field(default_factory=list)
-    dropped: List[Tuple[Frame44, str]] = field(default_factory=list)
+    # one per frame handed in, in order: why the receiver never took it,
+    # or "" when it did
+    causes: List[str] = field(default_factory=list)
 
 
 # Sensing and burst sessions are metered exactly against their phase
@@ -231,12 +236,13 @@ def _schedule_next_report(node: NodeRecord, now: float) -> None:
 
 def _build_report(node: NodeRecord) -> Frame44:
     """The node's telemetry report, addressed to the access point."""
-    cap_v = min(node.storage.voltage, node.storage.v_max)
+    cap_v = min(node.storage.voltage, V_STORAGE_MAX)
     payload = NodeToOap(
         sender_id=node.node_id,
-        pv_level=quantize_voltage(min(max(node.v_pv, 0.0), 5.10)),
-        cap_level=quantize_voltage(min(max(cap_v, 0.0), 5.10)),
-        sensor=quantize_temperature(min(max(node.sensor_base_c, -40.0), 87.5)),
+        pv_level=quantize_voltage(min(max(node.v_pv, 0.0), VOLTAGE_MAX_V)),
+        cap_level=quantize_voltage(min(max(cap_v, 0.0), VOLTAGE_MAX_V)),
+        sensor=quantize_temperature(
+            min(max(node.sensor_base_c, TEMP_MIN_C), TEMP_MAX_C)),
     )
     return Frame44(dest_address=OAP_ADDRESS, payload=payload)
 
@@ -252,11 +258,12 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
     addressed to this node, or broadcast, switches state by command.
     """
     if node.state is NodeState.DEPLETED:
-        result.dropped.append((frame, "depleted receiver"))
+        result.causes.append("depleted receiver")
         return
     if node.state is not NodeState.STANDBY:
-        result.dropped.append((frame, "receiver not listening"))
+        result.causes.append("receiver not listening")
         return
+    result.causes.append("")
 
     decode_cost = node.profile.decode * FRAME_AIRTIME_S
     node.instant_cost_j += decode_cost
@@ -324,7 +331,7 @@ def _full_trigger_v(node: NodeRecord) -> float:
             node.state is NodeState.SLEEP
             or (node.state is NodeState.STANDBY and node.led is not None
                 and (node.pending_n > 0 or node.etx_autonomous))):
-        return node.storage.v_max - 1e-9
+        return V_STORAGE_MAX - 1e-9
     return math.inf
 
 
@@ -351,7 +358,7 @@ def _maybe_start_etx(node: NodeRecord, harvest_w: float, now: float,
                      dt: float, result: NodeStepResult) -> None:
     if node.storage.voltage < _full_trigger_v(node):
         return
-    duration, _ = etx_session(node, harvest_power_w=harvest_w)
+    duration = etx_session(node, harvest_power_w=harvest_w)
     if duration <= 0.0:
         return
     if node.pending_n > 0:
@@ -388,7 +395,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
     if node.state is NodeState.INIT:
         # the load is off below v_ovdis, so the role waits for the lockout
         if (end >= timer_due_s(node)
-                and node.storage.voltage >= node.storage.v_ovdis):
+                and node.storage.voltage >= V_OVERDISCHARGE):
             # pick the role before this step's frames, so the node that
             # closes its window here is already listening for them
             node.v_pv = _read_pv(lux_per_face)
@@ -517,10 +524,9 @@ def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
     acts on that tick; a primary that reaches full in Sleep, or in
     Standby with a session to run, acts on the next one.
     """
-    storage = node.storage
     if node.state is NodeState.DEPLETED:
-        return -math.inf, storage.v_chrdy
-    return storage.v_ovdis, _full_trigger_v(node)
+        return -math.inf, V_CHARGE_READY
+    return V_OVERDISCHARGE, _full_trigger_v(node)
 
 
 def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
@@ -532,11 +538,11 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
     """
     v = node.storage.voltage
     if node.state is NodeState.DEPLETED:
-        if v >= node.storage.v_chrdy:
+        if v >= V_CHARGE_READY:
             node.pending_n = 0
             _enter(node, NodeState.INIT, end)
             result.events.append("recovered from depletion")
-    elif v < node.storage.v_ovdis:
+    elif v < V_OVERDISCHARGE:
         node.led_fraction = 0.0
         node.session_remaining_s = 0.0
         node.pending_n = 0

@@ -194,6 +194,13 @@ FACE_LETTERS = "abc"
 
 @dataclass
 class TraceRow:
+    """One node at one instant: a sample row, or an event row if event is set.
+
+    harvested_j is the node's cumulative harvest at time_s.  The sample
+    rows, written at the trace instants, are the harvest checkpoints that
+    recharge-time questions interpolate between; the CSV omits it.
+    """
+
     time_s: float
     node_id: int
     v_cap: float
@@ -201,6 +208,7 @@ class TraceRow:
     mode: str
     state: str
     lux: float
+    harvested_j: float
     event: str = ""
 
 
@@ -234,6 +242,13 @@ class NodeAggregate:
 
 @dataclass
 class TraceSet:
+    """Everything one run recorded.
+
+    frame_log is the only record of frames: each is logged once as sent,
+    then once per node it was addressed to as delivered or failed (an
+    uplink, once as delivered).  The frame counts are read from it.
+    """
+
     scenario_name: str
     duration_s: float
     step_s: float
@@ -242,13 +257,21 @@ class TraceSet:
     frame_log: List[FrameLogEntry]
     controller_log: List[str]
     aggregates: Dict[int, NodeAggregate]
-    frames_sent: int
-    deliveries_intended: int
-    deliveries_made: int
-    # cumulative harvested joules checkpointed at the trace instants,
-    # for recharge-time questions that need a crossing, not a total
-    harvest_samples: Dict[int, List[Tuple[float, float]]] = field(
-        default_factory=dict)
+
+    def _outcomes(self, *outcomes: str) -> int:
+        return sum(1 for entry in self.frame_log if entry.outcome in outcomes)
+
+    @property
+    def frames_sent(self) -> int:
+        return self._outcomes("sent")
+
+    @property
+    def deliveries_made(self) -> int:
+        return self._outcomes("delivered")
+
+    @property
+    def deliveries_intended(self) -> int:
+        return self._outcomes("delivered", "failed")
 
 
 def _as_vec(value, what: str) -> Vec3:
@@ -476,13 +499,8 @@ class _Runtime:
             agg = NodeAggregate(node_id=nid)
             agg.start_energy_j = self.records[nid].storage.energy
             self.agg[nid] = agg
-        self.frames_sent = 0
-        self.deliveries_intended = 0
-        self.deliveries_made = 0
         self.sample_every = max(
             1, int(round(scenario.trace_interval_s / self.dt)))
-        self.harvest_samples: Dict[int, List[Tuple[float, float]]] = {
-            nid: [] for nid in self.node_ids}
 
     # -- light field -----------------------------------------------------
 
@@ -518,7 +536,6 @@ class _Runtime:
         due = now_tick + self.airtime_ticks
         heapq.heappush(self.heap, (due, self.seq, frame))
         self.seq += 1
-        self.frames_sent += 1
         self.frame_log.append(FrameLogEntry(
             time_s=now_tick * self.dt, outcome="sent", origin=origin,
             dest=frame.dest_address))
@@ -534,7 +551,7 @@ class _Runtime:
         if model is None or not self._lux_signature:
             return False
         ambient = max(self.ambient[nid])
-        p = frame_failure_probability(ambient, True, model)
+        p = frame_failure_probability(ambient, model)
         if p <= 0.0:
             return False
         return bool(self.rng[nid].random() < p)
@@ -551,8 +568,6 @@ class _Runtime:
         while self.heap and self.heap[0][0] <= tick:
             _, _, frame = heapq.heappop(self.heap)
             if isinstance(frame.payload, NodeToOap):
-                self.deliveries_intended += 1
-                self.deliveries_made += 1
                 self.controller.on_uplink(frame, now)
                 self.frame_log.append(FrameLogEntry(
                     time_s=now, outcome="delivered", origin="network",
@@ -560,14 +575,9 @@ class _Runtime:
                 continue
             # an optical downlink floods every node in the cell; the
             # address field sorts out who acts on it
-            if frame.dest_address == BROADCAST_ADDRESS:
-                intended = set(self.node_ids)
-            else:
-                intended = {frame.dest_address} & set(self.node_ids)
-            self.deliveries_intended += len(intended)
             for nid in self.node_ids:
                 if self._interference_lost(nid):
-                    if nid in intended:
+                    if frame.dest_address in (nid, BROADCAST_ADDRESS):
                         self.frame_log.append(FrameLogEntry(
                             time_s=now, outcome="failed", origin="network",
                             dest=nid, cause="interference"))
@@ -579,23 +589,15 @@ class _Runtime:
                            result: NodeStepResult, now: float) -> None:
         """Log per-node outcomes for frames addressed to this node.
 
-        A node drops only the frames its receiver never took, so a
-        dropped frame failed and any other was delivered.
+        result.causes pairs with the frames handed in: a frame with a
+        cause never reached the receiver and failed; any other was
+        delivered.
         """
-        failed = {id(frame): cause for frame, cause in result.dropped}
-        for frame in delivered:
-            if frame.dest_address not in (nid, BROADCAST_ADDRESS):
-                continue
-            cause = failed.get(id(frame))
-            if cause:
+        for frame, cause in zip(delivered, result.causes):
+            if frame.dest_address in (nid, BROADCAST_ADDRESS):
                 self.frame_log.append(FrameLogEntry(
-                    time_s=now, outcome="failed", origin="network",
-                    dest=nid, cause=cause))
-            else:
-                self.deliveries_made += 1
-                self.frame_log.append(FrameLogEntry(
-                    time_s=now, outcome="delivered", origin="network",
-                    dest=nid))
+                    time_s=now, outcome="failed" if cause else "delivered",
+                    origin="network", dest=nid, cause=cause))
 
     # -- ticks -------------------------------------------------------------
 
@@ -769,8 +771,7 @@ class _Runtime:
         self.rows.append(TraceRow(
             time_s=time_s, node_id=nid, v_cap=v_cap, v_pv=record.v_pv,
             mode=record.mode.value, state=record.state.value,
-            lux=self.lux[nid][0]))
-        self.harvest_samples[nid].append((time_s, harvested_j))
+            lux=self.lux[nid][0], harvested_j=harvested_j))
 
     def event_rows(self, nid: int, time_s: float, events: List[str]) -> None:
         record = self.records[nid]
@@ -779,7 +780,8 @@ class _Runtime:
                 time_s=time_s, node_id=nid,
                 v_cap=record.storage.voltage, v_pv=record.v_pv,
                 mode=record.mode.value, state=record.state.value,
-                lux=self.lux[nid][0], event=text))
+                lux=self.lux[nid][0], harvested_j=self.agg[nid].harvested_j,
+                event=text))
 
 
 def run_scenario(scenario: Scenario) -> TraceSet:
@@ -816,10 +818,6 @@ def run_scenario(scenario: Scenario) -> TraceSet:
         frame_log=rt.frame_log,
         controller_log=list(rt.controller.events),
         aggregates=rt.agg,
-        frames_sent=rt.frames_sent,
-        deliveries_intended=rt.deliveries_intended,
-        deliveries_made=rt.deliveries_made,
-        harvest_samples=rt.harvest_samples,
     )
 
 
@@ -860,8 +858,6 @@ class Summary:
     duration_s: float
     nodes: Dict[int, NodeSummary]
     frames_sent: int
-    deliveries_intended: int
-    deliveries_made: int
     delivery_ratio: float
 
 
@@ -909,15 +905,13 @@ def summarize(trace: TraceSet) -> Summary:
             steady_band_v=band,
             final_v=agg.final_voltage,
         )
-    ratio = (trace.deliveries_made / trace.deliveries_intended
-             if trace.deliveries_intended else 1.0)
+    intended = trace.deliveries_intended
+    ratio = trace.deliveries_made / intended if intended else 1.0
     return Summary(
         scenario_name=trace.scenario_name,
         duration_s=trace.duration_s,
         nodes=nodes,
         frames_sent=trace.frames_sent,
-        deliveries_intended=trace.deliveries_intended,
-        deliveries_made=trace.deliveries_made,
         delivery_ratio=ratio,
     )
 

@@ -101,8 +101,4 @@ def run_scenario(scenario: Scenario) -> TraceSet:
         frame_log=rt.frame_log,
         controller_log=list(rt.controller.events),
         aggregates=rt.agg,
-        frames_sent=rt.frames_sent,
-        deliveries_intended=rt.deliveries_intended,
-        deliveries_made=rt.deliveries_made,
-        harvest_samples=rt.harvest_samples,
     )

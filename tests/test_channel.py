@@ -165,23 +165,15 @@ def test_illuminance_superposes_ambient_and_sources():
     assert lit2 - 150.0 == pytest.approx(2.0 * (lit - 150.0), rel=1e-12)
 
 
-def test_frame_failure_zero_without_burst():
-    model = InterferenceModel()
-    rng = np.random.default_rng(24)
-    for lux in rng.uniform(0.0, 2000.0, size=50):
-        assert frame_failure_probability(float(lux), etx_active=False,
-                                         model=model) == 0.0
-
-
 def test_frame_failure_logistic_shape():
     model = InterferenceModel(midpoint_lux=300.0, steepness_per_lux=0.02,
                               floor=0.0)
-    assert frame_failure_probability(300.0, True, model) == pytest.approx(0.5)
-    assert frame_failure_probability(0.0, True, model) == pytest.approx(
+    assert frame_failure_probability(300.0, model) == pytest.approx(0.5)
+    assert frame_failure_probability(0.0, model) == pytest.approx(
         1.0 / (1.0 + math.exp(-6.0)), rel=1e-9)
     # monotone non-increasing in illuminance
     lux = np.linspace(0.0, 2000.0, 81)
-    p = [frame_failure_probability(float(x), True, model) for x in lux]
+    p = [frame_failure_probability(float(x), model) for x in lux]
     assert all(a >= b for a, b in zip(p, p[1:]))
     assert p[0] > 0.99
     assert p[-1] < 1e-6
@@ -189,8 +181,8 @@ def test_frame_failure_logistic_shape():
 
 def test_frame_failure_floor_respected():
     model = InterferenceModel(floor=0.05)
-    assert frame_failure_probability(1e6, True, model) == pytest.approx(0.05)
-    assert frame_failure_probability(0.0, True, model) <= 1.0
+    assert frame_failure_probability(1e6, model) == pytest.approx(0.05)
+    assert frame_failure_probability(0.0, model) <= 1.0
 
 
 def test_validation_errors():

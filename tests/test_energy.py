@@ -38,8 +38,6 @@ def test_capacitor_invariants():
     with pytest.raises(ValueError):
         StorageCapacitor(voltage=-0.1)
     with pytest.raises(ValueError):
-        StorageCapacitor(v_ovdis=3.9, v_chrdy=3.8)
-    with pytest.raises(ValueError):
         StorageCapacitor(v_min=3.0)  # below the hard undervoltage floor
 
 

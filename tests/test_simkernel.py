@@ -451,6 +451,22 @@ def test_no_interference_without_model():
     assert summarize(trace).delivery_ratio == 1.0
 
 
+def test_no_interference_draw_without_a_burst(monkeypatch):
+    # an interference model on a cell whose emitters never light: the
+    # kernel asks for no failure probability and loses no frame
+    def no_burst_on_air(*args, **kwargs):
+        raise AssertionError("frame_failure_probability called")
+
+    monkeypatch.setattr(simkernel, "frame_failure_probability",
+                        no_burst_on_air)
+    sc = Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
+                  interference=InterferenceModel())
+    trace = run_scenario(sc)
+    assert any(e.outcome == "delivered" and e.dest != 0
+               for e in trace.frame_log)
+    assert not any(e.cause == "interference" for e in trace.frame_log)
+
+
 # ---------------------------------------------------------------------------
 # determinism and numerics
 
@@ -659,6 +675,15 @@ def test_frame_log_balances_the_counters(traffic):
         "paper-b-2h": set(), "guard": {"interference"},
         "drops": {"depleted receiver", "receiver not listening"}}
     assert {entry.cause for entry in failed} == expected_causes[name]
+
+
+def test_sample_rows_carry_the_harvest_tally(traffic):
+    _, trace, _, _ = traffic
+    for nid, agg in trace.aggregates.items():
+        tally = [row.harvested_j for row in samples_for(trace, nid)]
+        assert tally[0] == 0.0
+        assert all(a <= b for a, b in zip(tally, tally[1:]))
+        assert tally[-1] == agg.harvested_j
 
 
 # ---------------------------------------------------------------------------
