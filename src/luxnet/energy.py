@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 
@@ -70,8 +70,8 @@ class StorageCapacitor:
 
     The hardware thresholds are the module constants V_STORAGE_MAX (full),
     V_OVERDISCHARGE (v_ovdis) and V_CHARGE_READY (v_chrdy).  Mutable:
-    storage_run and storage_step advance the voltage in place, one kernel
-    tick at a time.
+    storage_run advances the voltage in place over any number of ticks,
+    and storage_step over one.
     """
 
     capacitance: float = STORAGE_CAPACITANCE_F
@@ -172,57 +172,73 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
 
 
-def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
-                ticks: int, v_low: float = -math.inf, v_high: float = math.inf
-                ) -> Tuple[List[float], List[float]]:
-    """Advance cap.voltage in place by up to `ticks` ticks at constant power.
+def _closed_form(cap: StorageCapacitor, net: float,
+                 ticks: int) -> Tuple[float, float]:
+    """Unclamped energy and voltage after `ticks` ticks of net joules each."""
+    e = 0.5 * cap.capacitance * cap.voltage ** 2 + ticks * net
+    full = cap.energy_full
+    # min(max(e, 0), full), spelled out; a NaN passes through
+    stored = 0.0 if e < 0.0 else full if e > full else e
+    return e, math.sqrt(2.0 * stored / cap.capacitance)
 
-    Each tick applies net power p_in - p_out - leak for dt and clamps the
-    energy to [0, full].  The run stops early after the first tick whose
-    voltage leaves [v_low, v_high).  Returns two lists with one entry per
-    tick run: the voltage after it, and its clamp loss (the unclamped
-    energy minus the energy then stored, joules).
+
+def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
+                ticks: int) -> float:
+    """Advance cap.voltage in place by `ticks` ticks at constant power.
+
+    Between events the stored energy is linear in time, so the run is one
+    step: E = clamp(E0 + ticks * net), net = (p_in - p_out - leak) * dt,
+    clamped to [0, full].  Returns the clamp loss: E0 + ticks * net minus
+    the energy now stored, joules, which is the sum of the losses of
+    clamping tick by tick.  It is positive when the top clamp spilled
+    harvest, negative when the floor refused a draw the storage could not
+    pay, and within a few ulps of zero otherwise (the square root and its
+    square do not round-trip exactly).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
-    capacitance = cap.capacitance
-    half_c = 0.5 * capacitance
-    full = cap.energy_full
-    net = (p_in - p_out - cap.leak_power) * dt
-    v_top = V_STORAGE_MAX + 1e-9
-    voltage = cap.voltage
-    voltages: List[float] = []
-    losses: List[float] = []
-    keep_voltage = voltages.append
-    keep_loss = losses.append
-    sqrt = math.sqrt
-    for _ in range(ticks):
-        e = half_c * voltage ** 2 + net
-        # min(max(e, 0), full), spelled out; a NaN passes through
-        stored = 0.0 if e < 0.0 else full if e > full else e
-        voltage = sqrt(2.0 * stored / capacitance)
-        # the clamp bounds every finite result, so this rejects a NaN input
-        if not 0.0 <= voltage <= v_top:
-            raise ValueError(f"voltage {voltage} outside [0, v_max]")
-        keep_voltage(voltage)
-        keep_loss(e - half_c * voltage ** 2)
-        if voltage < v_low or voltage >= v_high:
-            break
+    e, voltage = _closed_form(cap, (p_in - p_out - cap.leak_power) * dt,
+                              ticks)
+    # the clamp bounds every finite result, so this rejects a NaN input
+    if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
+        raise ValueError(f"voltage {voltage} outside [0, v_max]")
     cap.voltage = voltage
-    return voltages, losses
+    return e - 0.5 * cap.capacitance * voltage ** 2
+
+
+def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
+              ticks: int, v_low: float, v_high: float) -> int:
+    """The first of `ticks` ticks whose storage_run voltage leaves
+    [v_low, v_high), or ticks if none does.
+
+    At constant power the voltage moves one way, so the exit is guessed
+    from the energy of the edge it moves toward, then corrected against
+    storage_run's own expression.
+    """
+    net = (p_in - p_out - cap.leak_power) * dt
+
+    def inside(n: int) -> bool:
+        return v_low <= _closed_form(cap, net, n)[1] < v_high
+
+    # a NaN voltage is outside, and storage_run then rejects it
+    if not inside(1):
+        return 1
+    if inside(ticks):
+        return ticks
+    # the exit lies in (1, ticks], past a finite edge
+    edge = v_high if net > 0.0 else v_low
+    n = min(max(math.ceil((cap.energy_at(edge) - cap.energy) / net), 2), ticks)
+    while not inside(n - 1):
+        n -= 1
+    while inside(n):
+        n += 1
+    return n
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
                  dt: float) -> float:
-    """Advance cap.voltage in place by dt under net power p_in - p_out - leak.
-
-    One tick of storage_run.  Energy clamps to [0, full].  Returns the
-    clamp loss: the unclamped energy minus the energy now stored, joules.
-    It is positive when the top clamp spilled harvest, negative when the
-    floor refused a draw the storage could not pay, and within a few ulps
-    of zero otherwise (the square root and its square do not round-trip
-    exactly).
-    """
-    return storage_run(cap, p_in, p_out, dt, 1)[1][0]
+    """One tick of storage_run: advance cap.voltage in place by dt and
+    return the clamp loss."""
+    return storage_run(cap, p_in, p_out, dt, 1)

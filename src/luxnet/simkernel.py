@@ -12,15 +12,17 @@ head of the frame heap, the controller's next action, a node's timer
 Standby and Depleted, has a metered cost or has its emitter lit.  That
 tick runs in full: frame delivery, the controller, step_node for every
 node, the light-field refresh, the storage step and the depletion
-hysteresis.  The quiet ticks before it run only the continuous part:
-the storage step, the per-tick tallies and trace sampling, with the
-full tick's float operations in the same order.  A node's timers are
-instants, not clocks, so a quiet tick leaves every node field but the
-storage voltage alone.  A quiet stretch also ends after a tick on
-which some node's voltage leaves its quiet band
-(node.quiet_voltage_band); the hysteresis runs on that tick as on a
-full one.  Traces are therefore bit-identical to stepping every tick
-in full, which tests/kernel_oracle.py still does.
+hysteresis.  Between such ticks every node draws constant power, so its
+stored energy is linear in time, and the quiet stretch advances in one
+closed-form step (energy.storage_run) with its tallies booked by
+multiplication.  A node's timers are instants, not clocks, so a quiet
+stretch leaves every node field but the storage voltage alone.  It ends
+on the first tick on which some node's voltage leaves its quiet band
+(node.quiet_voltage_band, energy.band_exit); the hysteresis runs on that
+tick as on a full one.  Events, states and frames therefore match
+stepping every tick in full, which tests/kernel_oracle.py still does;
+voltages and float tallies differ only by the rounding of one step
+against many.
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .channel import (
     InterferenceModel,
@@ -53,6 +55,7 @@ from .energy import (
     HarvesterArray,
     PowerProfile,
     StorageCapacitor,
+    band_exit,
     storage_run,
     storage_step,
 )
@@ -79,11 +82,6 @@ ETX_POLICIES = ("disabled", "oap", "autonomous")
 # longest run accepted, in ticks; the shipped paper-b scenario (60 h at
 # 0.1 s) takes 2.16 M
 MAX_TICKS = 10 ** 8
-
-# longest quiet stretch advanced at once; it bounds the per-tick voltage
-# and clamp-loss lists a stretch holds, at the price of one stretch
-# set-up per this many quiet ticks
-STRETCH_MAX_TICKS = 256
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,7 @@ class FrameLogEntry:
 
 @dataclass
 class NodeAggregate:
-    """Exact per-node tallies accumulated every tick."""
+    """Per-node tallies, booked per full tick and per quiet stretch."""
 
     node_id: int
     lux_integral: float = 0.0
@@ -387,8 +385,10 @@ def validate_scenario(scenario: Scenario) -> None:
         raise InfeasibleError(
             "energy sharing requested but no node has an emitter")
     cfg = scenario.oap.config
-    if cfg.t_int > 65535:
-        raise ScenarioError("oap t_int_s exceeds the 16-bit config field")
+    if not (1 <= cfg.t_int <= 65535 and cfg.t_int == int(cfg.t_int)):
+        raise ScenarioError(
+            "oap: t_int_s must be a whole number of seconds in 1..65535 "
+            f"(a 16-bit config field), got {cfg.t_int}")
     # the integer [oap] keys, n_min and etx_bursts_per_request, travel as
     # 16-bit frame parameters; out of range, the run would stop at the
     # first frame that carries one
@@ -630,7 +630,7 @@ class _Runtime:
             clamp_loss = storage_step(record.storage, self.harvest_w[nid],
                                       p_out, dt)
             record.instant_cost_j = 0.0
-            self._tally(nid, p_out, [clamp_loss])
+            self._tally(nid, p_out, clamp_loss, 1)
             self._hysteresis(nid, now, results[nid])
 
     def quiet_run(self, i: int) -> int:
@@ -638,11 +638,10 @@ class _Runtime:
         itself may need the full path.
 
         A stretch ends before the next frame due, the controller's next
-        action and the first node timer due, and is at most
-        STRETCH_MAX_TICKS long.
+        action and the first node timer due.
         """
         # a tick of margin for the rounding of tick * dt
-        end = min(self.n_steps, i + STRETCH_MAX_TICKS,
+        end = min(self.n_steps,
                   math.floor(self.controller.next_action_s() / self.dt) - 1)
         if self.heap:
             end = min(end, self.heap[0][0])
@@ -654,96 +653,66 @@ class _Runtime:
         return max(ticks, 0)
 
     def advance_quiet(self, i: int, ticks: int) -> int:
-        """Run up to `ticks` quiet ticks from i; return the next tick.
+        """Run up to `ticks` quiet ticks from i at once; return the next tick.
 
-        Only the continuous part runs, with the full path's float
-        operations in its order: storage, the per-tick tallies and the
-        trace instants before the last tick.  The stretch ends early
-        after the first tick on which some node's voltage leaves its
-        quiet band; the hysteresis then runs on that tick as in the full
-        path.
+        Only the continuous part runs: each node's storage moves in one
+        closed-form step (energy.storage_run), the tallies are booked by
+        multiplication, and the trace instants before the last tick read
+        the same closed form.  The stretch ends early on the first tick
+        on which some node's voltage leaves its quiet band; the
+        hysteresis then runs on that tick as in the full path.
         """
         dt = self.dt
         # as on a full tick: the last hysteresis may have darkened an
         # emitter since the light field was last refreshed
         self._refresh_lux(self._emitter_signature())
-        records = [self.records[nid] for nid in self.node_ids]
         # a quiet node has no metered cost, so it draws its state's power
-        p_outs = [state_draw_w(record) for record in records]
-        runs = []
-        for nid, record, p_out in zip(self.node_ids, records, p_outs):
-            low, high = quiet_voltage_band(record)
-            runs.append(storage_run(record.storage, self.harvest_w[nid],
-                                    p_out, dt, ticks, low, high))
-        shortest = min(len(voltages) for voltages, _ in runs)
-        if shortest < ticks:
-            # a node left its band early, so the stretch ends on that
-            # tick; a shorter run would have taken every run's first ticks
-            ticks = shortest
-            for record, (voltages, losses) in zip(records, runs):
-                del voltages[ticks:], losses[ticks:]
-                record.storage.voltage = voltages[-1]
-        # trace instants before the last tick, as offsets into the stretch;
-        # the caller samples the last tick after its hysteresis
+        nodes = [(nid, self.records[nid].storage, self.harvest_w[nid],
+                  state_draw_w(self.records[nid])) for nid in self.node_ids]
+        for nid, cap, harvest_w, p_out in nodes:
+            ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
+                              *quiet_voltage_band(self.records[nid]))
+        lanes = [(nid, cap.energy, cap.energy_full, cap.capacitance,
+                  (harvest_w - p_out - cap.leak_power) * dt,
+                  self.agg[nid].harvested_j, harvest_w * dt)
+                 for nid, cap, harvest_w, p_out in nodes]
+        for nid, cap, harvest_w, p_out in nodes:
+            self._tally(nid, p_out, storage_run(cap, harvest_w, p_out, dt,
+                                                ticks), ticks)
+        # trace instants n ticks in, before the last (the caller samples it
+        # after the hysteresis): storage_run's closed form and _tally's
+        # harvest, inline because a row every tick makes this loop hot
         every = self.sample_every
-        marks = range(every - 1 - i % every, ticks - 1, every)
-        harvested = [self._tally(nid, p_out, losses, marks)
-                     for nid, p_out, (_, losses) in zip(self.node_ids, p_outs,
-                                                        runs)]
-        for k, m in enumerate(marks):
-            time_s = (i + m + 1) * dt
-            for nid, (voltages, _), at_marks in zip(self.node_ids, runs,
-                                                     harvested):
-                self._sample(nid, time_s, voltages[m], at_marks[k])
+        sqrt = math.sqrt
+        for n in range(every - i % every, ticks, every):
+            time_s = (i + n) * dt
+            for nid, e0, full, capacitance, net, h0, harvest_dt in lanes:
+                e = e0 + n * net
+                stored = 0.0 if e < 0.0 else full if e > full else e
+                self._sample(nid, time_s, sqrt(2.0 * stored / capacitance),
+                             h0 + n * harvest_dt)
         last = i + ticks - 1
         for nid in self.node_ids:
             self._hysteresis(nid, last * dt, NodeStepResult())
         return last + 1
 
-    def _tally(self, nid: int, p_out: float, clamp_losses: List[float],
-               marks: Sequence[int] = ()) -> List[float]:
-        """Book one tick per clamp loss at this tick's draw and light.
-
-        Returns the harvested total after each tick offset in marks.
-        """
+    def _tally(self, nid: int, p_out: float, clamp_loss: float,
+               ticks: int) -> None:
+        """Book `ticks` ticks at this draw and light, with their clamp loss."""
         dt = self.dt
         agg = self.agg[nid]
-        harvest_dt = self.harvest_w[nid] * dt
-        consumed_dt = p_out * dt
-        leaked_dt = self.records[nid].storage.leak_power * dt
+        record = self.records[nid]
+        agg.clamp_loss_j += clamp_loss
+        agg.harvested_j += ticks * (self.harvest_w[nid] * dt)
+        agg.consumed_j += ticks * (p_out * dt)
+        agg.leaked_j += ticks * (record.storage.leak_power * dt)
+        state_name = record.state.value
+        agg.time_by_state[state_name] = (
+            agg.time_by_state.get(state_name, 0.0) + ticks * dt)
         face_a = self.lux[nid][0]
-        lux_dt = face_a * dt
-        state_name = self.records[nid].state.value
-        clamp = agg.clamp_loss_j
-        harvested = agg.harvested_j
-        consumed = agg.consumed_j
-        leaked = agg.leaked_j
-        in_state = agg.time_by_state.get(state_name, 0.0)
-        lux_integral = agg.lux_integral
-        at_marks = []
-        pending = iter(marks)
-        next_mark = next(pending, -1)
-        for m, clamp_loss in enumerate(clamp_losses):
-            clamp += clamp_loss
-            harvested += harvest_dt
-            consumed += consumed_dt
-            leaked += leaked_dt
-            in_state += dt
-            lux_integral += lux_dt
-            if m == next_mark:
-                at_marks.append(harvested)
-                next_mark = next(pending, -1)
-        agg.clamp_loss_j = clamp
-        agg.harvested_j = harvested
-        agg.consumed_j = consumed
-        agg.leaked_j = leaked
-        agg.time_by_state[state_name] = in_state
-        agg.lux_integral = lux_integral
-        if face_a < agg.lux_min:
-            agg.lux_min = face_a
-        if face_a > agg.lux_max:
-            agg.lux_max = face_a
-        return at_marks
+        agg.lux_integral += ticks * (face_a * dt)
+        agg.lux_min = min(agg.lux_min, face_a)
+        agg.lux_max = max(agg.lux_max, face_a)
 
     def _hysteresis(self, nid: int, now: float,
                     result: NodeStepResult) -> None:

@@ -4,8 +4,9 @@ run_scenario below is the loop the kernel ran before it learned to skip
 quiet ticks, kept verbatim: every tick delivers frames, steps the
 controller and every node, and applies the hysteresis.  It shares the
 _Runtime machinery with the kernel, so the two differ only in which
-ticks take the full path.  The kernel must return a TraceSet equal to
-this one, field for field and bit for bit.
+ticks take the full path and how a quiet stretch adds up: the kernel
+advances one in a single closed-form step, this loop tick by tick.
+test_kernel_equivalence.py states how close the two TraceSets must be.
 """
 
 from __future__ import annotations

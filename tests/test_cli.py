@@ -417,6 +417,25 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     assert not (tmp_path / "paper-a.csv").exists()
 
 
+@pytest.mark.parametrize("t_int, code", [
+    ("0.5", 2), ("600.7", 2), ("600.0", 0), ("65535.0", 0)])
+def test_run_takes_t_int_as_whole_seconds_of_the_config_field(
+        tmp_path, capsys, t_int, code):
+    # the access point broadcasts t_int as a 16-bit count of seconds
+    scn = tmp_path / "in.scn"
+    scn.write_text(read(shipped_scenario_path("paper_a")).replace(
+        "t_int_s = 3600.0", f"t_int_s = {t_int}"))
+    assert main(["run", str(scn), "--duration-s", "1",
+                 "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert (tmp_path / "paper-a.csv").exists() == (code == 0)
+    if code:
+        assert "oap: t_int_s must be a whole number of seconds" in err
+    else:
+        csv = (tmp_path / "paper-a.csv").read_text()
+        assert f"config t_int={int(float(t_int))}\n" in csv
+
+
 def test_run_rejects_an_unusable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -12,6 +12,7 @@ from luxnet.energy import (
     HarvesterArray,
     PowerProfile,
     StorageCapacitor,
+    band_exit,
     min_capacitance,
     pv_open_voltage,
     storage_run,
@@ -157,30 +158,50 @@ def test_storage_step_rejects_nan_power(p_in, p_out):
     assert cap.voltage == 4.0
 
 
-def test_storage_run_is_repeated_storage_step():
+def test_storage_run_matches_repeated_storage_step():
     # filling into the top clamp, so clamped and unclamped ticks both run
-    stepped = make_cap(voltage=4.49)
-    expected_v, expected_loss = [], []
-    for _ in range(200):
-        expected_loss.append(storage_step(stepped, 2e-3, 1e-3, 0.1))
-        expected_v.append(stepped.voltage)
-    run = make_cap(voltage=4.49)
-    voltages, losses = storage_run(run, 2e-3, 1e-3, 0.1, 200)
-    assert voltages == expected_v
-    assert losses == expected_loss
-    assert run.voltage == stepped.voltage == 4.5
+    for ticks in (1, 50, 200):
+        stepped = make_cap(voltage=4.49)
+        stepped_loss = sum(storage_step(stepped, 2e-3, 1e-3, 0.1)
+                           for _ in range(ticks))
+        run = make_cap(voltage=4.49)
+        loss = storage_run(run, 2e-3, 1e-3, 0.1, ticks)
+        assert abs(run.voltage - stepped.voltage) <= 1e-12
+        assert loss == pytest.approx(stepped_loss, abs=1e-12)
+    assert run.voltage == 4.5
 
 
-def test_storage_run_stops_after_leaving_the_band():
-    cap = make_cap(voltage=3.21)
-    voltages, losses = storage_run(cap, 0.0, 1e-2, 0.1, 1000, v_low=3.2)
-    assert len(voltages) == len(losses) < 1000
-    assert voltages[-1] < 3.2 <= voltages[-2]
-    assert cap.voltage == voltages[-1]
-    # the upper edge is exclusive: reaching it ends the run
-    cap = make_cap(voltage=4.0)
-    voltages, _ = storage_run(cap, 1e-2, 0.0, 0.1, 1000, v_high=4.1)
-    assert voltages[-1] >= 4.1 > voltages[-2]
+def test_storage_run_returns_the_closed_form_clamp_loss():
+    for p_in, p_out in ((2e-3, 1e-3), (0.0, 1.0), (1e-3, 1e-3)):
+        cap = make_cap(voltage=4.0)
+        e0 = cap.energy
+        net = (p_in - p_out - cap.leak_power) * 0.1
+        loss = storage_run(cap, p_in, p_out, 0.1, 9000)
+        assert loss == e0 + 9000 * net - cap.energy
+
+
+@pytest.mark.parametrize("p_in, p_out, band", [
+    (0.0, 1e-2, (3.2, math.inf)),       # draining through the lower edge
+    (1e-2, 0.0, (-math.inf, 4.1)),      # charging up to the upper edge
+    (1e-2, 0.0, (3.2, 4.5 - 1e-9)),     # the full trigger
+], ids=["lower", "upper", "full"])
+def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
+    def voltage_after(ticks):
+        cap = make_cap(voltage=3.9)
+        storage_run(cap, p_in, p_out, 0.1, ticks)
+        return cap.voltage
+
+    low, high = band
+    exit_tick = band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 10 ** 6,
+                          low, high)
+    assert 1 < exit_tick < 10 ** 6
+    assert not low <= voltage_after(exit_tick) < high
+    assert low <= voltage_after(exit_tick - 1) < high
+    # a shorter run ends before the exit, and one already outside at once
+    assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, exit_tick - 1,
+                     low, high) == exit_tick - 1
+    assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 10 ** 6,
+                     3.95, 4.0) == 1
 
 
 def test_min_capacitance_frozen_value():
