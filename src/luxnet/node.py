@@ -140,14 +140,12 @@ class NodeRecord:
     # or a stray frame's arrival, which restarts Standby's
     state_since: float = 0.0
     next_report_s: float = 0.0
-    instant_cost_j: float = 0.0
-    # remaining seconds of the running burst session, and the on-air
-    # share of the current step (1.0 mid-session, fractional on the
-    # closing step so the emitted energy is exact at any step size, 0.0
-    # when the emitter is dark)
-    session_remaining_s: float = 0.0
-    session_cause: str = ""
-    led_fraction: float = 0.0
+    # the last metered phase, [phase_start_s, phase_end_s): a sensing
+    # cycle, or a burst session if phase_lit; it draws its power on top
+    # of sleep for the share of each step it covers (phase_share)
+    phase_lit: bool = False
+    phase_start_s: float = 0.0
+    phase_end_s: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.node_id <= 15:
@@ -197,12 +195,15 @@ class NodeStepResult:
     # one per frame handed in, in order: why the receiver never took it,
     # or "" when it did
     causes: List[str] = field(default_factory=list)
+    # joules of the step's frames (decodes and the report), on top of
+    # state_draw_w
+    cost_j: float = 0.0
 
 
-# Sensing and burst sessions are metered exactly against their phase
-# clocks through instant costs, so those states carry only the sleep
-# baseline here; the metering adds (phase power - sleep) per in-phase
-# second.  Totals then come out independent of the integration step.
+# Sensing and burst sessions are metered against their phase interval,
+# so those states carry only the sleep baseline here; state_draw_w adds
+# (phase power - sleep) for the share of the step the phase covers.
+# Totals then come out independent of the integration step.
 _STATE_DRAW_ATTR = {
     NodeState.INIT: "standby",
     NodeState.STANDBY: "standby",
@@ -212,11 +213,28 @@ _STATE_DRAW_ATTR = {
 }
 
 
-def state_draw_w(node: NodeRecord) -> float:
-    """Baseline draw of the current state (Depleted draws nothing)."""
+def phase_share(node: NodeRecord, now: float, dt: float) -> float:
+    """The share of the step from now to now + dt that the phase covers.
+
+    1.0 mid-phase and on a session's first step (it starts at now, so
+    the last term is dt exactly), the leftover fraction on the closing
+    step, 0.0 outside the phase.  Less than 1e-6 of the step counts as
+    none: that sliver is the rounding between one step's now + dt and
+    the next step's i * dt.
+    """
+    take = min(dt, node.phase_end_s - now, dt - (node.phase_start_s - now))
+    return take / dt if take >= 1e-6 * dt else 0.0
+
+
+def state_draw_w(node: NodeRecord, now: float, dt: float) -> float:
+    """Draw over the step from now to now + dt: the state's baseline plus
+    the phase's power above sleep for its share (Depleted draws nothing)."""
     if node.state is NodeState.DEPLETED:
         return 0.0
-    return getattr(node.profile, _STATE_DRAW_ATTR[node.state])
+    profile = node.profile
+    phase_w = profile.etx if node.phase_lit else profile.sense
+    return (getattr(profile, _STATE_DRAW_ATTR[node.state])
+            + (phase_w - profile.sleep) * phase_share(node, now, dt))
 
 
 def _read_pv(lux_per_face: Sequence[float]) -> float:
@@ -227,6 +245,12 @@ def _read_pv(lux_per_face: Sequence[float]) -> float:
 def _enter(node: NodeRecord, state: NodeState, since: float) -> None:
     node.state = state
     node.state_since = since
+
+
+def _enter_sensing(node: NodeRecord, since: float) -> None:
+    _enter(node, NodeState.SENSING, since)
+    node.phase_lit, node.phase_start_s = False, since
+    node.phase_end_s = since + node.timing.t_sense
 
 
 def _schedule_next_report(node: NodeRecord, now: float) -> None:
@@ -265,8 +289,7 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
         return
     result.causes.append("")
 
-    decode_cost = node.profile.decode * FRAME_AIRTIME_S
-    node.instant_cost_j += decode_cost
+    result.cost_j += node.profile.decode * FRAME_AIRTIME_S
 
     if frame.dest_address not in (node.node_id, BROADCAST_ADDRESS):
         result.events.append("false wakeup")
@@ -282,7 +305,7 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
     elif command == Command.DATA_REQUEST:
         cost = node.sense_cycle_cost_j()
         if energy_guard(node, cost):
-            _enter(node, NodeState.SENSING, now + dt)
+            _enter_sensing(node, now + dt)
             result.events.append("data request accepted")
         else:
             # not enough margin: sleep it off rather than brown out
@@ -300,24 +323,6 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
         result.events.append(f"assigned n={payload.param}")
     else:
         result.events.append(f"unknown command {int(command)}")
-
-
-def _session_tick(node: NodeRecord, now: float, dt: float,
-                  result: NodeStepResult) -> None:
-    """Consume one step of the running burst session.
-
-    The emitter is metered against the session clock, not the step
-    grid: a closing step burns and radiates only the leftover fraction,
-    so the session's total energy is exact at any step size.
-    """
-    take = min(dt, node.session_remaining_s)
-    node.session_remaining_s -= take
-    node.instant_cost_j += (node.profile.etx - node.profile.sleep) * take
-    node.led_fraction = take / dt
-    if node.session_remaining_s <= 1e-12:
-        node.session_remaining_s = 0.0
-        _enter(node, NodeState.SLEEP, now + dt)
-        result.events.append(f"etx end ({node.session_cause})")
 
 
 def _full_trigger_v(node: NodeRecord) -> float:
@@ -345,7 +350,9 @@ def timer_due_s(node: NodeRecord) -> float:
     if state is NodeState.INIT:
         return node.state_since + ROLE_SAMPLE_WINDOW_S
     if state is NodeState.SENSING:
-        return node.state_since + node.timing.t_sense
+        return node.phase_end_s
+    if state is NodeState.ENERGY_RELAY:
+        return node.phase_end_s - 1e-9
     if node.mode is NodeMode.SSN:
         if state is NodeState.STANDBY:
             return node.state_since + STANDBY_IDLE_TIMEOUT_S
@@ -363,12 +370,27 @@ def _maybe_start_etx(node: NodeRecord, harvest_w: float, now: float,
         return
     if node.pending_n > 0:
         node.pending_n -= 1
-    node.session_remaining_s = duration
-    node.session_cause = ("window" if duration
-                          >= node.timing.t_energy_net - 1e-9 else "floor")
+    # the session is on the air from this step's start
     _enter(node, NodeState.ENERGY_RELAY, now + dt)
+    node.phase_lit, node.phase_start_s = True, now
+    node.phase_end_s = now + duration
     result.events.append("etx start")
-    _session_tick(node, now, dt, result)
+    _end_session_if_due(node, now + dt, result)
+
+
+def _end_session_if_due(node: NodeRecord, end: float,
+                        result: NodeStepResult) -> None:
+    """Close the session on the step whose end reaches its timer."""
+    if end < timer_due_s(node):
+        return
+    length = node.phase_end_s - node.phase_start_s
+    cause = ("window" if length >= node.timing.t_energy_net - 1e-9
+             else "floor")
+    # a session due up to 1e-9 s past the step ends with it, so none of
+    # it falls on the next step at any step size
+    node.phase_end_s = min(node.phase_end_s, end)
+    _enter(node, NodeState.SLEEP, end)
+    result.events.append(f"etx end ({cause})")
 
 
 def step_node(node: NodeRecord, dt: float, now: float,
@@ -379,17 +401,14 @@ def step_node(node: NodeRecord, dt: float, now: float,
     lux_per_face is the light on each face and harvest_w the electrical
     watts it makes; the kernel computes both once per light-field change.
     The kernel integrates storage separately (it owns the conservation
-    audit); this function accumulates instantaneous costs on the record
-    and performs every state transition.  A state's timer fires on the
+    audit); this function performs every state transition and returns
+    the step's frame costs in result.cost_j.  A state's timer fires on the
     step whose end, now + dt, reaches timer_due_s, and a state entered on
     a step starts its clock at that step's end.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     result = NodeStepResult()
-    if node.state is not NodeState.ENERGY_RELAY:
-        # a closing step's fractional emission has been consumed by now
-        node.led_fraction = 0.0
     end = now + dt
 
     if node.state is NodeState.INIT:
@@ -416,18 +435,11 @@ def step_node(node: NodeRecord, dt: float, now: float,
 
     state = node.state
     if state is NodeState.SENSING:
-        # meter the sensing chain against its phase clock so the cycle
-        # cost is exactly sense power times t_sense at any step size
-        t_sense = node.timing.t_sense
-        phase_before = min(now - node.state_since, t_sense)
-        phase_after = min(end - node.state_since, t_sense)
-        node.instant_cost_j += ((node.profile.sense - node.profile.sleep)
-                                * (phase_after - phase_before))
         if end >= timer_due_s(node):
             node.v_pv = _read_pv(lux_per_face)
             tx_cost = node.profile.data_tx * FRAME_AIRTIME_S
             if energy_guard(node, tx_cost):
-                node.instant_cost_j += tx_cost
+                result.cost_j += tx_cost
                 result.emitted.append(_build_report(node))
                 result.events.append("report sent")
             else:
@@ -445,16 +457,13 @@ def step_node(node: NodeRecord, dt: float, now: float,
         return result
 
     if state is NodeState.ENERGY_RELAY:
-        drained_early = (node.storage.voltage <= node.storage.v_min + 1e-12
-                         and node.session_remaining_s > 1e-9)
-        if drained_early:
+        if node.storage.voltage <= node.storage.v_min + 1e-12:
             # the light budget moved under us; cut the session short
-            node.session_remaining_s = 0.0
-            node.led_fraction = 0.0
+            node.phase_end_s = now
             _enter(node, NodeState.SLEEP, end)
             result.events.append("etx end (floor)")
         else:
-            _session_tick(node, now, dt, result)
+            _end_session_if_due(node, end, result)
         return result
 
     if state is NodeState.SLEEP:
@@ -462,7 +471,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
             # a secondary's report wake
             cost = node.sense_cycle_cost_j()
             if energy_guard(node, cost):
-                _enter(node, NodeState.SENSING, end)
+                _enter_sensing(node, end)
                 result.events.append("timer wake")
             else:
                 node.next_report_s += node.timing.t_int
@@ -484,13 +493,11 @@ def step_node(node: NodeRecord, dt: float, now: float,
     return result
 
 
-# With no frame, no metered cost and no emission, step_node leaves a node
-# in one of these states alone until its timer (timer_due_s) or a voltage
-# threshold fires.  The kernel advances such quiet stretches without
-# calling step_node; the two functions below say when they end.
-_QUIET_STATES = (NodeState.SLEEP, NodeState.STANDBY, NodeState.DEPLETED)
-
-
+# With no frame, step_node leaves a node alone until its timer
+# (timer_due_s) fires or its storage voltage leaves a band.  A phase's
+# power is constant between its first and closing steps, so the kernel
+# advances such quiet stretches without calling step_node; the two
+# functions below say when they end.
 def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
     """Ticks from `tick` on, at most limit, that step_node spends idle.
 
@@ -500,9 +507,8 @@ def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
     own float expression, so the count is exact rather than rounded tick
     arithmetic.
     """
-    if (node.state not in _QUIET_STATES or node.instant_cost_j != 0.0
-            or node.led_fraction != 0.0
-            or node.storage.voltage >= _full_trigger_v(node)):
+    low, high = quiet_voltage_band(node)
+    if not low <= node.storage.voltage < high:
         return 0
     due = timer_due_s(node)
     if due == math.inf:
@@ -517,15 +523,19 @@ def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
 
 
 def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
-    """[low, high): a quiet node's storage voltages that change nothing.
+    """[low, high): the storage voltages at which a node's state acts on
+    nothing.
 
     A tick whose storage step leaves the band ends the quiet stretch:
     below v_ovdis (or from v_chrdy up, while Depleted) apply_hysteresis
     acts on that tick; a primary that reaches full in Sleep, or in
-    Standby with a session to run, acts on the next one.
+    Standby with a session to run, acts on the next one, as does a
+    session that sags to v_min + 1e-12, which step_node cuts.
     """
     if node.state is NodeState.DEPLETED:
         return -math.inf, V_CHARGE_READY
+    if node.state is NodeState.ENERGY_RELAY:
+        return math.nextafter(node.storage.v_min + 1e-12, math.inf), math.inf
     return V_OVERDISCHARGE, _full_trigger_v(node)
 
 
@@ -543,8 +553,8 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
             _enter(node, NodeState.INIT, end)
             result.events.append("recovered from depletion")
     elif v < V_OVERDISCHARGE:
-        node.led_fraction = 0.0
-        node.session_remaining_s = 0.0
+        # the load is cut: a running phase ends with this step
+        node.phase_end_s = min(node.phase_end_s, end)
         node.pending_n = 0
         _enter(node, NodeState.DEPLETED, end)
         result.events.append("depleted")

@@ -2,18 +2,18 @@
 
 Control traffic is event-driven over a fixed integration grid: frames
 land on the first grid tick after their airtime, nodes advance in
-ascending id order, and storage is integrated once per tick from the
-state draw plus any metered instantaneous costs.  Identical scenarios
-with identical seeds reproduce byte-identical traces.
+ascending id order, and storage is integrated once per tick from each
+node's draw (node.state_draw_w) plus the step's frame costs.  Identical
+scenarios with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
-head of the frame heap, the controller's next action, a node's timer
-(node.timer_due_s), or any tick while some node is outside Sleep,
-Standby and Depleted, has a metered cost or has its emitter lit.  That
-tick runs in full: frame delivery, the controller, step_node for every
-node, the light-field refresh, the storage step and the depletion
-hysteresis.  Between such ticks every node draws constant power, so its
-stored energy is linear in time, and the quiet stretch advances in one
+head of the frame heap, the controller's next action, or a node's timer
+(node.timer_due_s), which for Sensing and EnergyRelay is the end of the
+node's metered phase.  That tick runs in full: frame delivery, the
+controller, step_node for every node, the light-field refresh, the
+storage step and the depletion hysteresis.  Between such ticks every
+phase covers whole steps, so every node draws constant power, its stored
+energy is linear in time, and the quiet stretch advances in one
 closed-form step (energy.storage_run) with its tallies booked by
 multiplication.  A node's timers are instants, not clocks, so a quiet
 stretch leaves every node field but the storage voltage alone.  It ends
@@ -26,8 +26,9 @@ against many.
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
-emitter's on-air fraction, so the radiated and harvested energies agree
-exactly with the session accounting inside the nodes.
+emitter's on-air share (node.phase_share), so the radiated and
+harvested energies agree exactly with the session accounting inside the
+nodes.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .node import (
     NodeState,
     NodeStepResult,
     apply_hysteresis,
+    phase_share,
     quiet_ticks,
     quiet_voltage_band,
     state_draw_w,
@@ -467,7 +469,7 @@ class _Runtime:
                         for nid in self.node_ids}
 
         # emitter-to-face illuminance at full drive; scaled by the
-        # on-air fraction at use.  A node never lights itself.
+        # on-air share at use.  A node never lights itself.
         self.gain: Dict[int, Dict[int, Tuple[float, ...]]] = {}
         for src in self.node_ids:
             led = self.records[src].led
@@ -504,13 +506,13 @@ class _Runtime:
 
     # -- light field -----------------------------------------------------
 
-    def _emitter_signature(self) -> Tuple:
-        sig = []
-        for nid in self.node_ids:
-            record = self.records[nid]
-            if record.led is not None and record.led_fraction > 0.0:
-                sig.append((nid, record.led_fraction))
-        return tuple(sig)
+    def _emitter_signature(self, now: float) -> Tuple:
+        """(emitter, on-air share) for each session on the air in the
+        step from now to now + dt."""
+        records = self.records
+        lit = [(nid, phase_share(records[nid], now, self.dt))
+               for nid in self.node_ids if records[nid].phase_lit]
+        return tuple((nid, share) for nid, share in lit if share)
 
     def _refresh_lux(self, signature: Tuple) -> None:
         if signature == self._lux_signature:
@@ -622,14 +624,13 @@ class _Runtime:
             results[nid] = result
 
         # the on-air set for this step reflects the transitions just taken
-        self._refresh_lux(self._emitter_signature())
+        self._refresh_lux(self._emitter_signature(now))
 
         for nid in self.node_ids:
             record = self.records[nid]
-            p_out = state_draw_w(record) + record.instant_cost_j / dt
+            p_out = state_draw_w(record, now, dt) + results[nid].cost_j / dt
             clamp_loss = storage_step(record.storage, self.harvest_w[nid],
                                       p_out, dt)
-            record.instant_cost_j = 0.0
             self._tally(nid, p_out, clamp_loss, 1)
             self._hysteresis(nid, now, results[nid])
 
@@ -642,7 +643,7 @@ class _Runtime:
         """
         # a tick of margin for the rounding of tick * dt
         end = min(self.n_steps,
-                  math.floor(self.controller.next_action_s() / self.dt) - 1)
+                  math.floor(self.controller.next_action_s() / self.dt))
         if self.heap:
             end = min(end, self.heap[0][0])
         ticks = end - i
@@ -663,12 +664,17 @@ class _Runtime:
         hysteresis then runs on that tick as in the full path.
         """
         dt = self.dt
+        now = i * dt
         # as on a full tick: the last hysteresis may have darkened an
-        # emitter since the light field was last refreshed
-        self._refresh_lux(self._emitter_signature())
-        # a quiet node has no metered cost, so it draws its state's power
+        # emitter, or a phase's share moved to 1.0 or to none, since the
+        # light field was last refreshed
+        self._refresh_lux(self._emitter_signature(now))
+        # a stretch ends before any phase's closing step, and a phase's
+        # share is 1.0 from its second step on, so a quiet node draws on
+        # every tick what it draws on the first
         nodes = [(nid, self.records[nid].storage, self.harvest_w[nid],
-                  state_draw_w(self.records[nid])) for nid in self.node_ids]
+                  state_draw_w(self.records[nid], now, dt))
+                 for nid in self.node_ids]
         for nid, cap, harvest_w, p_out in nodes:
             ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
                               *quiet_voltage_band(self.records[nid]))

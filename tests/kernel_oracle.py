@@ -1,11 +1,14 @@
 """Reference kernel for the differential tests: the per-tick loop.
 
 run_scenario below is the loop the kernel ran before it learned to skip
-quiet ticks, kept verbatim: every tick delivers frames, steps the
-controller and every node, and applies the hysteresis.  It shares the
-_Runtime machinery with the kernel, so the two differ only in which
-ticks take the full path and how a quiet stretch adds up: the kernel
-advances one in a single closed-form step, this loop tick by tick.
+quiet ticks, kept verbatim but for the node's draw and the emitters'
+on-air shares, which read the phase share of the step (node.phase_share)
+and the step's frame costs (NodeStepResult.cost_j): every tick delivers
+frames, steps the controller and every node, and applies the
+hysteresis.  It shares the _Runtime machinery with the kernel, so the
+two differ only in which ticks take the full path and how a quiet
+stretch adds up: the kernel advances one in a single closed-form step,
+this loop tick by tick.
 test_kernel_equivalence.py states how close the two TraceSets must be.
 """
 
@@ -51,17 +54,16 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             results[nid] = result
 
         # the on-air set for this step reflects the transitions just taken
-        rt._refresh_lux(rt._emitter_signature())
+        rt._refresh_lux(rt._emitter_signature(now))
 
         for nid in rt.node_ids:
             record = rt.records[nid]
             agg = rt.agg[nid]
             lux_faces = rt.lux[nid]
             harvest = rt.harvest_w[nid]
-            p_out = state_draw_w(record) + record.instant_cost_j / dt
+            p_out = state_draw_w(record, now, dt) + results[nid].cost_j / dt
             storage = record.storage
             agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
-            record.instant_cost_j = 0.0
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt
             agg.leaked_j += storage.leak_power * dt

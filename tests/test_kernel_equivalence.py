@@ -115,6 +115,32 @@ def test_four_node_interference_guard():
     assert_same_trace(guard_scenario())
 
 
+def test_a_session_cut_at_its_floor_when_a_neighbour_goes_dark():
+    # node 1's short burst charges node 2 to full, so node 2 starts its
+    # session in node 1's light and budgets with it.  Node 1 goes dark a
+    # tenth of a second later, node 2 drains faster than budgeted, and
+    # step_node cuts its session at v_min, ending a quiet stretch
+    faces = (FaceSpec((0.0, 1.0, 0.0), 1000.0),
+             FaceSpec((0.0, 0.0, 1.0), 1000.0))
+    first = NodeSpec(node_id=1, position=(0.0, 0.0, 0.0),
+                     faces=faces + (FaceSpec((1.0, 0.0, 0.0), 0.0),),
+                     start_voltage=4.5, v_min=4.3, led_power_w=27.8e-3,
+                     led_aim=(1.0, 0.0, 0.0))
+    second = NodeSpec(node_id=2, position=(0.2, 0.0, 0.0),
+                      faces=(FaceSpec((-1.0, 0.0, 0.0), 1000.0),) + faces,
+                      start_voltage=4.49, v_min=3.8, led_power_w=27.8e-3,
+                      led_aim=(-1.0, 0.0, 0.0))
+    trace = assert_same_trace(Scenario(
+        name="cut", duration_s=60.0, nodes=(first, second),
+        etx_policy="autonomous"))
+    sessions = [(r.time_s, r.node_id, r.event) for r in trace.rows
+                if r.event.startswith("etx")]
+    assert sessions == [(0.1, 1, "etx start"), (6.9, 2, "etx start"),
+                        (7.0, 1, "etx end (floor)"),
+                        (30.200000000000003, 2, "etx end (floor)")]
+    # node 2 is on the air 23.3 s of the 23.48 s budgeted in node 1's light
+
+
 def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     # node timers are instants, so a quiet stretch writes nothing on a
     # node but its storage voltage, unless the last tick's hysteresis

@@ -1,5 +1,8 @@
 """Node state machine tests: roles, guards, sessions, hysteresis."""
 
+import copy
+import math
+
 import pytest
 
 from luxnet.channel import OpticalReceiver, OpticalTransmitter
@@ -8,17 +11,23 @@ from luxnet.energy import (
     HarvesterArray,
     PowerProfile,
     StorageCapacitor,
+    band_exit,
+    pv_open_voltage,
+    storage_run,
     storage_step,
 )
 from luxnet.node import (
     NodeMode,
     NodeRecord,
     NodeState,
+    NodeStepResult,
     TimingParams,
     apply_hysteresis,
     energy_guard,
     etx_session,
+    phase_share,
     quiet_ticks,
+    quiet_voltage_band,
     select_role,
     state_draw_w,
     step_node,
@@ -53,9 +62,8 @@ def tick(node, now, lux, frames=(), dt=0.1):
     """One kernel-style step: state logic, then energy integration."""
     harvest = HARVESTER.harvest_power(lux)
     res = step_node(node, dt, now, lux, harvest, frames)
-    p_out = state_draw_w(node) + node.instant_cost_j / dt
+    p_out = state_draw_w(node, now, dt) + res.cost_j / dt
     storage_step(node.storage, harvest, p_out, dt)
-    node.instant_cost_j = 0.0
     apply_hysteresis(node, res, now + dt)
     return res
 
@@ -209,7 +217,7 @@ def test_etx_request_starts_session_at_full_charge():
     res = tick(node, t, FULL, frames=[req])
     assert "etx start" in res.events
     assert node.state is NodeState.ENERGY_RELAY
-    assert node.led_fraction == 1.0
+    assert phase_share(node, t, 0.1) == 1.0
     assert node.pending_n == 0
 
 
@@ -244,12 +252,12 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
         t += 0.1
         session_ticks += 1
         assert session_ticks < 500
-    # lands on the floor: the emitter is metered against the session
-    # clock, and only the closing step's idle remainder recharges a hair
+    # lands on the floor: the emitter is metered against the session's
+    # interval, and only the closing step's idle remainder recharges a hair
     assert node.storage.voltage >= node.storage.v_min - 1e-9
     assert node.storage.voltage <= node.storage.v_min + 3e-4
     assert node.state is NodeState.SLEEP
-    assert node.session_remaining_s == 0.0
+    assert phase_share(node, t, 0.1) == 0.0
     # duration close to the analytic 23.2 s figure
     assert session_ticks * 0.1 == pytest.approx(23.3, abs=0.3)
     # sleeps until full, then returns to listening
@@ -347,25 +355,225 @@ def test_standby_idle_fires_on_the_step_ending_30_s_in(dt):
 
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3])
 def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
-    # a secondary idles out of Standby, then sleeps to its report wake;
-    # quiet_ticks must count exactly the steps before each timer fires
-    node = make_node(node_id=2, timing=TimingParams(t_int=100.0))
-    harvest = HARVESTER.harvest_power(DIM)
-    fired = []
-    i = 0
-    while len(fired) < 2:
-        quiet = quiet_ticks(node, i, dt, 10 ** 6)
-        for _ in range(quiet):
-            state = node.state
-            assert step_node(node, dt, i * dt, DIM, harvest).events == []
-            assert node.state is state
+    # quiet_ticks must count exactly the steps before each timer fires:
+    # Init's role window (it spans two steps at 0.05 s), a secondary's
+    # standby idle, report wake and sensing cycle, and a primary's burst
+    # sessions (without integration its storage stays full, so each
+    # session starts on the step after the one that ends the last)
+    for lux, led, fires in (
+            (DIM, False, ["standby idle", "timer wake", "report sent"]),
+            (FULL, True, ["etx end (floor)", "etx end (floor)"])):
+        node = make_node(node_id=2, led=led, etx_autonomous=led,
+                         timing=TimingParams(t_int=100.0))
+        if dt == 0.05:
+            role = select_role(pv_open_voltage(max(lux)))
+            fires = [f"role {role.value}"] + fires
+        harvest = HARVESTER.harvest_power(lux)
+        fired = []
+        i = 0
+        while len(fired) < len(fires):
+            quiet = quiet_ticks(node, i, dt, 10 ** 6)
+            for _ in range(quiet):
+                before = dict(vars(node))
+                assert step_node(node, dt, i * dt, lux, harvest).events == []
+                assert vars(node) == before, f"tick {i}"
+                i += 1
+            events = step_node(node, dt, i * dt, lux, harvest).events
+            if quiet:
+                assert events, f"nothing fired on tick {i}"
+                fired.append(events[0])
             i += 1
-        events = step_node(node, dt, i * dt, DIM, harvest).events
-        if quiet:
-            assert events, f"nothing fired on tick {i}"
-            fired.append(events[0])
+            assert i * dt < 200.0
+        assert fired == fires
+
+
+def baseline_w(node):
+    """The draw of the node's state without its phase."""
+    if node.state is NodeState.DEPLETED:
+        return 0.0
+    if node.state in (NodeState.INIT, NodeState.STANDBY):
+        return node.profile.standby
+    return node.profile.sleep
+
+
+def step_phase(node, dt, first_tick, lux=FULL):
+    """Step node from first_tick with now = i * dt, as the kernel does,
+    through the step that closes the phase it enters or runs.
+
+    Returns, per step, (now, events, share, watts above the baseline)
+    as the kernel reads them after step_node's transitions.
+    """
+    harvest = HARVESTER.harvest_power(lux)
+    steps = []
+    i = first_tick
+    while True:
+        now = i * dt
+        events = step_node(node, dt, now, lux, harvest).events
+        steps.append((now, events, phase_share(node, now, dt),
+                      state_draw_w(node, now, dt) - baseline_w(node)))
+        if "report sent" in events or any(e.startswith("etx end")
+                                          for e in events):
+            return steps
         i += 1
-    assert fired == ["standby idle", "timer wake"]
+        assert len(steps) < 100.0 / dt
+
+
+def sensing_node(wake_s):
+    return make_node(node_id=2, mode=NodeMode.SSN, state=NodeState.SLEEP,
+                     next_report_s=wake_s)
+
+
+def session_node(v_min):
+    # a listening primary at full charge starts its session on its next
+    # step; its storage is not integrated here, so no floor cuts it
+    return make_node(node_id=1, led=True, v_min=v_min, mode=NodeMode.PSN,
+                     state=NodeState.STANDBY, etx_autonomous=True)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3])
+def test_a_sensing_cycle_books_its_phase_power_at_any_step(dt):
+    node = sensing_node(100.0)
+    steps = step_phase(node, dt, math.floor(99.0 / dt))
+    entering = [s for s in steps if "timer wake" in s[1]]
+    assert len(entering) == 1
+    # the cycle starts at the end of the step that enters it
+    assert entering[0][2] == 0.0
+    profile = node.profile
+    booked = sum(extra * dt for _, _, _, extra in steps)
+    assert booked == pytest.approx(
+        (profile.sense - profile.sleep) * node.timing.t_sense, rel=1e-12)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3])
+@pytest.mark.parametrize("v_min, cause", [(3.2, "window"), (3.8, "floor")])
+def test_a_session_books_its_phase_power_at_any_step(dt, v_min, cause):
+    node = session_node(v_min)
+    steps = step_phase(node, dt, math.floor(77.7 / dt))
+    assert steps[0][1] == ["etx start"]
+    assert steps[-1][1] == [f"etx end ({cause})"]
+    duration = node.phase_end_s - node.phase_start_s
+    # on the air from the start of its first step
+    assert node.phase_start_s == steps[0][0]
+    assert len(steps) == math.ceil(duration / dt - 1e-6)
+    profile = node.profile
+    booked = sum(extra * dt for _, _, _, extra in steps)
+    assert booked == pytest.approx((profile.etx - profile.sleep) * duration,
+                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("start_s", [0.0, 13.37, 77.7, 1234.56, 9999.99])
+def test_a_window_session_takes_its_steps_wherever_it_starts(start_s):
+    # 40 s at 0.1 s is 400 steps, though the step ends and the session's
+    # end, counted from different instants, round apart by a few ulps
+    node = session_node(3.2)
+    steps = step_phase(node, 0.1, round(start_s / 0.1))
+    assert steps[-1][1] == ["etx end (window)"]
+    assert len(steps) == 400
+
+
+def test_shares_at_a_fine_step_are_whole_or_none():
+    # at 0.01 s a step's now + dt and the next step's i * dt round apart:
+    # after the sensing cycle below closes, the next step starts 3.6e-15 s
+    # before the phase's end.  That sliver counts as none, and mid-phase
+    # the share is exactly 1.0
+    dt = 0.01
+    slivers = []
+    for node, first_tick in ((sensing_node(21.06), 2000),
+                             (session_node(3.8), 3059)):
+        steps = step_phase(node, dt, first_tick)
+        close = round(steps[-1][0] / dt)
+        shares = [share for _, _, share, _ in steps]
+        first = next(k for k, share in enumerate(shares) if share)
+        assert shares[first + 1:-1] == [1.0] * (len(shares) - first - 2)
+        after = [phase_share(node, i * dt, dt) for i in range(close + 1,
+                                                              close + 100)]
+        assert after == [0.0] * 99
+        slivers.append(node.phase_end_s - (close + 1) * dt)
+    assert slivers[0] == pytest.approx(3.6e-15, rel=0.1)
+
+
+def test_a_session_due_just_past_its_last_step_ends_with_it():
+    # the timer closes a session up to 1e-9 s before its end; at 0.1 ms
+    # steps that remainder is more than the sliver a share ignores, so
+    # the closing step ends the phase
+    dt = 1e-4
+    harvest = HARVESTER.harvest_power(FULL)
+    node = session_node(3.8)
+    step_node(node, dt, 0.0, FULL, harvest)
+    node.phase_end_s = 1.0 + 5e-10
+    events = step_node(node, dt, 9999 * dt, FULL, harvest).events
+    assert events == ["etx end (floor)"]
+    assert phase_share(node, 10000 * dt, dt) == 0.0
+
+
+def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
+    # the session is budgeted in full light; the light drops to DIM five
+    # seconds in, so the storage sags to v_min before the budget runs
+    # out.  Advanced as the kernel does, in closed-form quiet stretches,
+    # the session must end on the same step as when stepped tick by tick
+    dt = 0.1
+    drop = 50
+
+    def run(quiet):
+        node = session_node(3.8)
+        log = []
+        i = 0
+        while i < 400:
+            lux = FULL if i < drop else DIM
+            harvest = HARVESTER.harvest_power(lux)
+            ticks = 0
+            if quiet:
+                limit = (drop if i < drop else 400) - i
+                ticks = quiet_ticks(node, i, dt, limit)
+            if ticks:
+                p_out = state_draw_w(node, i * dt, dt)
+                ticks = band_exit(node.storage, harvest, p_out, dt, ticks,
+                                  *quiet_voltage_band(node))
+                storage_run(node.storage, harvest, p_out, dt, ticks)
+                res = NodeStepResult()
+                apply_hysteresis(node, res, (i + ticks) * dt)
+                i += ticks
+            else:
+                res = tick(node, i * dt, lux, dt=dt)
+                i += 1
+            log += [(i, event) for event in res.events]
+        return log
+
+    log = run(quiet=True)
+    assert log == run(quiet=False)
+    ends = [i for i, event in log if event.startswith("etx end")]
+    assert log[0] == (1, "etx start") and len(ends) == 1
+    assert log[1] == (ends[0], "etx end (floor)")
+    # cut short: its budget, taken in full light, ran further
+    budget = etx_session(session_node(3.8), HARVESTER.harvest_power(FULL))
+    assert ends[0] * dt < budget - 0.5
+
+
+def test_the_quiet_band_of_a_session_starts_above_its_floor_cut():
+    # step_node cuts a session whose storage sits at v_min + 1e-12, so a
+    # quiet stretch must stop there, and not one voltage step above
+    harvest = HARVESTER.harvest_power(FULL)
+    node = session_node(3.8)
+    assert step_node(node, 0.1, 0.0, FULL, harvest).events == ["etx start"]
+    edge = node.storage.v_min + 1e-12
+    for voltage, cut in ((edge, True), (math.nextafter(edge, math.inf), False)):
+        session = copy.deepcopy(node)
+        session.storage.voltage = voltage
+        assert (quiet_ticks(session, 1, 0.1, 100) == 0) is cut
+        events = step_node(session, 0.1, 0.1, FULL, harvest).events
+        assert (events == ["etx end (floor)"]) is cut
+
+
+def test_the_lockout_darkens_a_running_session():
+    node = session_node(3.2)
+    tick(node, 0.0, FULL)
+    assert node.state is NodeState.ENERGY_RELAY
+    # one step of the burst drains about 4 mV here, through v_ovdis
+    node.storage.voltage = 3.202
+    res = tick(node, 0.1, FULL)
+    assert res.events == ["depleted"]
+    assert phase_share(node, 0.2, 0.1) == 0.0
+    assert state_draw_w(node, 0.2, 0.1) == 0.0
 
 
 def test_node_record_validation():
