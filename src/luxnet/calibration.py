@@ -33,6 +33,7 @@ from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order, pv_input_power
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
+    PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
@@ -125,7 +126,7 @@ def _band_energy_j(v_high: float, v_low: float) -> float:
 def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Full-to-floor burst session length at the bright reference light."""
     band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
-    harvest = 3.0 * pv_input_power(PSN_AMBIENT_LUX)
+    harvest = PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX)
     net = profile.etx + LEAK_POWER_W - harvest
     if net <= 0.0:
         return DEFAULT_TIMING.t_energy_net
@@ -135,7 +136,8 @@ def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
 def recovery_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Sleep recovery from the share floor back to full, seconds."""
     band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
-    net = 3.0 * pv_input_power(PSN_AMBIENT_LUX) - profile.sleep - LEAK_POWER_W
+    net = (PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX)
+           - profile.sleep - LEAK_POWER_W)
     if net <= 0.0:
         raise ValueError("bright-node sleep budget does not recover")
     return band / net

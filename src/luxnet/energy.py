@@ -70,8 +70,8 @@ class StorageCapacitor:
 
     The hardware thresholds are the module constants V_STORAGE_MAX (full),
     V_OVERDISCHARGE (v_ovdis) and V_CHARGE_READY (v_chrdy).  Mutable:
-    storage_run advances the voltage in place over any number of ticks,
-    and storage_step over one.
+    storage_step advances the voltage in place, over one tick or over a
+    quiet stretch of many in one closed-form step.
     """
 
     capacitance: float = STORAGE_CAPACITANCE_F
@@ -182,18 +182,18 @@ def _closed_form(cap: StorageCapacitor, net: float,
     return e, math.sqrt(2.0 * stored / cap.capacitance)
 
 
-def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
-                ticks: int) -> float:
+def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
+                 ticks: int = 1) -> float:
     """Advance cap.voltage in place by `ticks` ticks at constant power.
 
-    Between events the stored energy is linear in time, so the run is one
-    step: E = clamp(E0 + ticks * net), net = (p_in - p_out - leak) * dt,
-    clamped to [0, full].  Returns the clamp loss: E0 + ticks * net minus
-    the energy now stored, joules, which is the sum of the losses of
-    clamping tick by tick.  It is positive when the top clamp spilled
-    harvest, negative when the floor refused a draw the storage could not
-    pay, and within a few ulps of zero otherwise (the square root and its
-    square do not round-trip exactly).
+    Between events the stored energy is linear in time, so any number of
+    ticks is one step: E = clamp(E0 + ticks * net), net = (p_in - p_out -
+    leak) * dt, clamped to [0, full].  Returns the clamp loss: E0 + ticks
+    * net minus the energy now stored, joules, which is the sum of the
+    losses of clamping tick by tick.  It is positive when the top clamp
+    spilled harvest, negative when the floor refused a draw the storage
+    could not pay, and within a few ulps of zero otherwise (the square
+    root and its square do not round-trip exactly).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -210,19 +210,19 @@ def storage_run(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
 
 def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
               ticks: int, v_low: float, v_high: float) -> int:
-    """The first of `ticks` ticks whose storage_run voltage leaves
-    [v_low, v_high), or ticks if none does.
+    """The first of `ticks` ticks whose storage_step voltage leaves
+    [v_low, v_high), or ticks if none does; 1 when ticks is 1.
 
     At constant power the voltage moves one way, so the exit is guessed
     from the energy of the edge it moves toward, then corrected against
-    storage_run's own expression.
+    storage_step's own expression.
     """
     net = (p_in - p_out - cap.leak_power) * dt
 
     def inside(n: int) -> bool:
         return v_low <= _closed_form(cap, net, n)[1] < v_high
 
-    # a NaN voltage is outside, and storage_run then rejects it
+    # a NaN voltage is outside, and storage_step then rejects it
     if not inside(1):
         return 1
     if inside(ticks):
@@ -236,9 +236,3 @@ def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
         n += 1
     return n
 
-
-def storage_step(cap: StorageCapacitor, p_in: float, p_out: float,
-                 dt: float) -> float:
-    """One tick of storage_run: advance cap.voltage in place by dt and
-    return the clamp loss."""
-    return storage_run(cap, p_in, p_out, dt, 1)

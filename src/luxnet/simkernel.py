@@ -9,20 +9,25 @@ scenarios with identical seeds reproduce byte-identical traces.
 Time advances to the next tick on which anything discrete can act: the
 head of the frame heap, the controller's next action, or a node's timer
 (node.timer_due_s), which for Sensing and EnergyRelay is the end of the
-node's metered phase.  That tick runs in full: frame delivery, the
-controller, step_node for every node, the light-field refresh, the
-storage step and the depletion hysteresis.  Between such ticks every
-phase covers whole steps, so every node draws constant power, its stored
-energy is linear in time, and the quiet stretch advances in one
-closed-form step (energy.storage_run) with its tallies booked by
-multiplication.  A node's timers are instants, not clocks, so a quiet
-stretch leaves every node field but the storage voltage alone.  It ends
-on the first tick on which some node's voltage leaves its quiet band
-(node.quiet_voltage_band, energy.band_exit); the hysteresis runs on that
-tick as on a full one.  Events, states and frames therefore match
-stepping every tick in full, which tests/kernel_oracle.py still does;
-voltages and float tallies differ only by the rounding of one step
-against many.
+node's metered phase.  That tick runs its discrete half in full: frame
+delivery, the controller and step_node for every node.  Storage is then
+integrated in one place for every tick.  Between full ticks every phase
+covers whole steps, so every node draws constant power, its stored
+energy is linear in time, and a stretch of ticks advances in one
+closed-form step (energy.storage_step) with its tallies booked by
+multiplication; a full tick is a one-tick stretch whose draw adds the
+step's frame costs.  A stretch refreshes the light field, steps the
+storage, books the tallies and runs the depletion hysteresis on its last
+tick.  A node's timers are instants, not clocks, so a quiet stretch
+leaves every node field but the storage voltage alone.  It ends on the
+first tick on which some node's voltage leaves its quiet band
+(node.quiet_voltage_band, energy.band_exit).  Events, states and frames
+therefore match stepping every tick in full, which tests/kernel_oracle.py
+still does; voltages and float tallies differ only by the rounding of
+one step against many.
+
+Each node's run state is one lane (_Lane): its record, faces, light,
+harvest, tallies and interference generator, kept in node-id order.
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
@@ -57,7 +62,6 @@ from .energy import (
     PowerProfile,
     StorageCapacitor,
     band_exit,
-    storage_run,
     storage_step,
 )
 from .errors import InfeasibleError, ScenarioError
@@ -223,7 +227,8 @@ class FrameLogEntry:
 
 @dataclass
 class NodeAggregate:
-    """Per-node tallies, booked per full tick and per quiet stretch."""
+    """Per-node tallies, booked once per stretch; a full tick is a one-tick
+    stretch."""
 
     node_id: int
     lux_integral: float = 0.0
@@ -431,6 +436,47 @@ def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
     )
 
 
+class _Lane:
+    """One node's run state: its record, its light and its tallies.
+
+    incoming holds each emitter's illuminance on this node's faces at
+    full drive, keyed by the emitter's id; rng is the node's interference
+    generator, None in a run without interference.  lux and harvest_w,
+    the light on each face and the watts it makes, change only with the
+    on-air set; _Runtime._refresh_lux sets them, first before tick 0.
+    """
+
+    __slots__ = ("record", "harvester", "ambient", "incoming", "lux",
+                 "harvest_w", "agg", "rng")
+
+    def __init__(self, spec: NodeSpec, profile: PowerProfile):
+        self.record = _build_node(spec, profile)
+        self.harvester = _harvester(spec)
+        self.ambient = tuple(float(f.ambient_lux) for f in spec.faces)
+        self.incoming: Dict[int, Tuple[float, ...]] = {}
+        self.agg = NodeAggregate(node_id=spec.node_id,
+                                 start_energy_j=self.record.storage.energy)
+        self.rng = None
+
+    def tally(self, dt: float, p_in: float, p_out: float, clamp_loss: float,
+              ticks: int) -> None:
+        """Book `ticks` ticks at this harvest, draw and light, with their
+        clamp loss."""
+        agg = self.agg
+        record = self.record
+        agg.clamp_loss_j += clamp_loss
+        agg.harvested_j += ticks * (p_in * dt)
+        agg.consumed_j += ticks * (p_out * dt)
+        agg.leaked_j += ticks * (record.storage.leak_power * dt)
+        state_name = record.state.value
+        agg.time_by_state[state_name] = (
+            agg.time_by_state.get(state_name, 0.0) + ticks * dt)
+        face_a = self.lux[0]
+        agg.lux_integral += ticks * (face_a * dt)
+        agg.lux_min = min(agg.lux_min, face_a)
+        agg.lux_max = max(agg.lux_max, face_a)
+
+
 class _Runtime:
     """Mutable per-run machinery, internal to run_scenario."""
 
@@ -438,54 +484,41 @@ class _Runtime:
         self.scenario = scenario
         self.dt = scenario.step_s
         self.n_steps = tick_count(scenario.duration_s, scenario.step_s)
-        self.records: Dict[int, NodeRecord] = {}
-        self.harvester: Dict[int, HarvesterArray] = {}
-        self.ambient: Dict[int, Tuple[float, ...]] = {}
-        for spec in sorted(scenario.nodes, key=lambda s: s.node_id):
-            nid = spec.node_id
-            self.records[nid] = _build_node(spec, scenario.profile)
-            self.harvester[nid] = _harvester(spec)
-            self.ambient[nid] = tuple(float(f.ambient_lux)
-                                      for f in spec.faces)
-        self.node_ids = sorted(self.records)
+        # one lane per node, in node-id order
+        self.lanes = [_Lane(spec, scenario.profile) for spec in
+                      sorted(scenario.nodes, key=lambda s: s.node_id)]
 
         if scenario.etx_policy == "autonomous":
-            for record in self.records.values():
-                if record.led is not None:
-                    record.etx_autonomous = True
+            for lane in self.lanes:
+                if lane.record.led is not None:
+                    lane.record.etx_autonomous = True
 
         self.controller = Controller(
             config=scenario.oap.config,
-            node_ids=list(self.node_ids),
+            node_ids=[lane.record.node_id for lane in self.lanes],
             etx_enabled=(scenario.etx_policy == "oap"),
         )
 
         # one generator per node; only the interference draw uses it, so
         # numpy is imported only for a run that has one
-        self.rng = {}
         if scenario.interference is not None:
             import numpy as np
-            self.rng = {nid: np.random.default_rng((scenario.seed, nid))
-                        for nid in self.node_ids}
+            for lane in self.lanes:
+                lane.rng = np.random.default_rng(
+                    (scenario.seed, lane.record.node_id))
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air share at use.  A node never lights itself.
-        self.gain: Dict[int, Dict[int, Tuple[float, ...]]] = {}
-        for src in self.node_ids:
-            led = self.records[src].led
+        for src in self.lanes:
+            led = src.record.led
             if led is None:
                 continue
-            per_dst = {}
-            for dst in self.node_ids:
-                if dst == src:
-                    continue
-                per_dst[dst] = tuple(illuminance_at(face, 0.0, [led])
-                                     for face in self.harvester[dst].cells)
-            self.gain[src] = per_dst
+            for dst in self.lanes:
+                if dst is not src:
+                    dst.incoming[src.record.node_id] = tuple(
+                        illuminance_at(face, 0.0, [led])
+                        for face in dst.harvester.cells)
 
-        self.lux: Dict[int, Tuple[float, ...]] = {}
-        # harvest watts at self.lux; both change only with the on-air set
-        self.harvest_w: Dict[int, float] = {}
         self._lux_signature: Optional[Tuple] = None
         self._refresh_lux(())
 
@@ -496,11 +529,6 @@ class _Runtime:
 
         self.rows: List[TraceRow] = []
         self.frame_log: List[FrameLogEntry] = []
-        self.agg: Dict[int, NodeAggregate] = {}
-        for nid in self.node_ids:
-            agg = NodeAggregate(node_id=nid)
-            agg.start_energy_j = self.records[nid].storage.energy
-            self.agg[nid] = agg
         self.sample_every = max(
             1, int(round(scenario.trace_interval_s / self.dt)))
 
@@ -509,28 +537,27 @@ class _Runtime:
     def _emitter_signature(self, now: float) -> Tuple:
         """(emitter, on-air share) for each session on the air in the
         step from now to now + dt."""
-        records = self.records
-        lit = [(nid, phase_share(records[nid], now, self.dt))
-               for nid in self.node_ids if records[nid].phase_lit]
+        lit = [(lane.record.node_id, phase_share(lane.record, now, self.dt))
+               for lane in self.lanes if lane.record.phase_lit]
         return tuple((nid, share) for nid, share in lit if share)
 
     def _refresh_lux(self, signature: Tuple) -> None:
         if signature == self._lux_signature:
             return
         self._lux_signature = signature
-        for nid in self.node_ids:
-            total = self.ambient[nid]
+        for lane in self.lanes:
+            total = lane.ambient
             extra = None
             for src, fraction in signature:
-                contribution = self.gain.get(src, {}).get(nid)
+                contribution = lane.incoming.get(src)
                 if contribution is not None:
                     scaled = tuple(c * fraction for c in contribution)
                     extra = (scaled if extra is None
                              else tuple(e + c for e, c in zip(extra, scaled)))
             if extra is not None:
                 total = tuple(a + e for a, e in zip(total, extra))
-            self.lux[nid] = total
-            self.harvest_w[nid] = self.harvester[nid].harvest_power(total)
+            lane.lux = total
+            lane.harvest_w = lane.harvester.harvest_power(total)
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -542,30 +569,31 @@ class _Runtime:
             time_s=now_tick * self.dt, outcome="sent", origin=origin,
             dest=frame.dest_address))
 
-    def _interference_lost(self, nid: int) -> bool:
-        """Draw whether nid misses a downlink frame to burst interference.
+    def _interference_lost(self, lane: _Lane) -> bool:
+        """Draw whether the lane's node misses a downlink frame to burst
+        interference.
 
         Any emitter on the air exposes every node, whatever its gain onto
-        nid; the failure probability follows the ambient light on nid's
-        brightest face.
+        this one; the failure probability follows the ambient light on
+        the node's brightest face.
         """
         model = self.scenario.interference
         if model is None or not self._lux_signature:
             return False
-        ambient = max(self.ambient[nid])
-        p = frame_failure_probability(ambient, model)
+        p = frame_failure_probability(max(lane.ambient), model)
         if p <= 0.0:
             return False
-        return bool(self.rng[nid].random() < p)
+        return bool(lane.rng.random() < p)
 
-    def deliver_due(self, tick: int) -> Dict[int, List[Frame44]]:
-        """Pop due frames and route them by direction, not by address.
+    def deliver_due(self, tick: int) -> List[List[Frame44]]:
+        """Pop due frames and route them by direction, not by address;
+        return one inbox per lane.
 
         Every uplink (a NodeToOap payload) goes to the access point, and
         every downlink floods the node inboxes, so a node hears only the
         access point.
         """
-        inbox: Dict[int, List[Frame44]] = {nid: [] for nid in self.node_ids}
+        inboxes: List[List[Frame44]] = [[] for _ in self.lanes]
         now = tick * self.dt
         while self.heap and self.heap[0][0] <= tick:
             _, _, frame = heapq.heappop(self.heap)
@@ -577,15 +605,16 @@ class _Runtime:
                 continue
             # an optical downlink floods every node in the cell; the
             # address field sorts out who acts on it
-            for nid in self.node_ids:
-                if self._interference_lost(nid):
+            for lane, inbox in zip(self.lanes, inboxes):
+                if self._interference_lost(lane):
+                    nid = lane.record.node_id
                     if frame.dest_address in (nid, BROADCAST_ADDRESS):
                         self.frame_log.append(FrameLogEntry(
                             time_s=now, outcome="failed", origin="network",
                             dest=nid, cause="interference"))
                     continue
-                inbox[nid].append(frame)
-        return inbox
+                inbox.append(frame)
+        return inboxes
 
     def account_deliveries(self, nid: int, delivered: List[Frame44],
                            result: NodeStepResult, now: float) -> None:
@@ -603,36 +632,27 @@ class _Runtime:
 
     # -- ticks -------------------------------------------------------------
 
-    def full_tick(self, i: int) -> None:
-        """Tick i in full: frames, controller, node logic, storage."""
+    def full_tick(self, i: int) -> int:
+        """Tick i in full: frames, the controller and every node's logic,
+        then the storage as a one-tick stretch; return the next tick."""
         dt = self.dt
         now = i * dt
-        inbox = self.deliver_due(i)
+        inboxes = self.deliver_due(i)
 
         for frame in self.controller.step(now):
             self.send(frame, "oap", i)
 
-        results: Dict[int, NodeStepResult] = {}
-        for nid in self.node_ids:
-            record = self.records[nid]
-            result = step_node(record, dt, now, self.lux[nid],
-                               self.harvest_w[nid], inbox[nid])
+        results = []
+        for lane, inbox in zip(self.lanes, inboxes):
+            nid = lane.record.node_id
+            result = step_node(lane.record, dt, now, lane.lux,
+                               lane.harvest_w, inbox)
             for frame in result.emitted:
                 self.send(frame, f"node {nid}", i)
-            if inbox[nid]:
-                self.account_deliveries(nid, inbox[nid], result, now)
-            results[nid] = result
-
-        # the on-air set for this step reflects the transitions just taken
-        self._refresh_lux(self._emitter_signature(now))
-
-        for nid in self.node_ids:
-            record = self.records[nid]
-            p_out = state_draw_w(record, now, dt) + results[nid].cost_j / dt
-            clamp_loss = storage_step(record.storage, self.harvest_w[nid],
-                                      p_out, dt)
-            self._tally(nid, p_out, clamp_loss, 1)
-            self._hysteresis(nid, now, results[nid])
+            if inbox:
+                self.account_deliveries(nid, inbox, result, now)
+            results.append(result)
+        return self.stretch(i, 1, results)
 
     def quiet_run(self, i: int) -> int:
         """Ticks from i on in which nothing discrete can happen, 0 if i
@@ -647,153 +667,144 @@ class _Runtime:
         if self.heap:
             end = min(end, self.heap[0][0])
         ticks = end - i
-        for nid in self.node_ids:
+        for lane in self.lanes:
             if ticks <= 0:
                 return 0
-            ticks = quiet_ticks(self.records[nid], i, self.dt, ticks)
+            ticks = quiet_ticks(lane.record, i, self.dt, ticks)
         return max(ticks, 0)
 
-    def advance_quiet(self, i: int, ticks: int) -> int:
-        """Run up to `ticks` quiet ticks from i at once; return the next tick.
+    def stretch(self, i: int, ticks: int,
+                results: Optional[List[NodeStepResult]] = None) -> int:
+        """Integrate up to `ticks` ticks from i at constant power; return
+        the next tick.
 
-        Only the continuous part runs: each node's storage moves in one
-        closed-form step (energy.storage_run), the tallies are booked by
-        multiplication, and the trace instants before the last tick read
-        the same closed form.  The stretch ends early on the first tick
-        on which some node's voltage leaves its quiet band; the
-        hysteresis then runs on that tick as in the full path.
+        Each node's storage moves in one closed-form step
+        (energy.storage_step), the tallies are booked by multiplication,
+        and the trace instants before the last tick read the same closed
+        form.  The stretch ends early on the first tick on which some
+        node's voltage leaves its quiet band; the hysteresis runs on its
+        last tick.  A full tick is a one-tick stretch that hands in its
+        step results, whose frame costs join each node's draw; a quiet
+        stretch has none.
         """
         dt = self.dt
         now = i * dt
-        # as on a full tick: the last hysteresis may have darkened an
-        # emitter, or a phase's share moved to 1.0 or to none, since the
-        # light field was last refreshed
+        if results is None:
+            results = [NodeStepResult() for _ in self.lanes]
+        # the on-air set reflects the transitions a full tick just took,
+        # and the last hysteresis, which may have darkened an emitter; a
+        # phase's share may also have moved to 1.0 or to none
         self._refresh_lux(self._emitter_signature(now))
         # a stretch ends before any phase's closing step, and a phase's
         # share is 1.0 from its second step on, so a quiet node draws on
         # every tick what it draws on the first
-        nodes = [(nid, self.records[nid].storage, self.harvest_w[nid],
-                  state_draw_w(self.records[nid], now, dt))
-                 for nid in self.node_ids]
-        for nid, cap, harvest_w, p_out in nodes:
-            ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
-                              *quiet_voltage_band(self.records[nid]))
-        lanes = [(nid, cap.energy, cap.energy_full, cap.capacitance,
-                  (harvest_w - p_out - cap.leak_power) * dt,
-                  self.agg[nid].harvested_j, harvest_w * dt)
-                 for nid, cap, harvest_w, p_out in nodes]
-        for nid, cap, harvest_w, p_out in nodes:
-            self._tally(nid, p_out, storage_run(cap, harvest_w, p_out, dt,
-                                                ticks), ticks)
-        # trace instants n ticks in, before the last (the caller samples it
-        # after the hysteresis): storage_run's closed form and _tally's
-        # harvest, inline because a row every tick makes this loop hot
-        every = self.sample_every
-        sqrt = math.sqrt
-        for n in range(every - i % every, ticks, every):
-            time_s = (i + n) * dt
-            for nid, e0, full, capacitance, net, h0, harvest_dt in lanes:
-                e = e0 + n * net
-                stored = 0.0 if e < 0.0 else full if e > full else e
-                self._sample(nid, time_s, sqrt(2.0 * stored / capacitance),
-                             h0 + n * harvest_dt)
+        nodes = [(lane, lane.record.storage, lane.harvest_w,
+                  state_draw_w(lane.record, now, dt) + result.cost_j / dt)
+                 for lane, result in zip(self.lanes, results)]
+        # a single tick, such as a full tick's, cannot end early and has
+        # no trace instant before its last
+        if ticks > 1:
+            for lane, cap, harvest_w, p_out in nodes:
+                ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
+                                  *quiet_voltage_band(lane.record))
+            # trace instants n ticks in, before the last (the caller
+            # samples it after the hysteresis): storage_step's closed form
+            # and the tally's harvest, inline because a row every tick
+            # makes this loop hot
+            starts = [(lane, cap.energy, cap.energy_full, cap.capacitance,
+                       (harvest_w - p_out - cap.leak_power) * dt,
+                       lane.agg.harvested_j, harvest_w * dt)
+                      for lane, cap, harvest_w, p_out in nodes]
+            every = self.sample_every
+            sqrt = math.sqrt
+            for n in range(every - i % every, ticks, every):
+                time_s = (i + n) * dt
+                for lane, e0, full, capacitance, net, h0, harvest_dt in starts:
+                    e = e0 + n * net
+                    stored = 0.0 if e < 0.0 else full if e > full else e
+                    self._sample(lane, time_s,
+                                 sqrt(2.0 * stored / capacitance),
+                                 h0 + n * harvest_dt)
+        for lane, cap, harvest_w, p_out in nodes:
+            lane.tally(dt, harvest_w, p_out,
+                       storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
         last = i + ticks - 1
-        for nid in self.node_ids:
-            self._hysteresis(nid, last * dt, NodeStepResult())
+        for lane, result in zip(self.lanes, results):
+            self._hysteresis(lane, last * dt, result)
         return last + 1
 
-    def _tally(self, nid: int, p_out: float, clamp_loss: float,
-               ticks: int) -> None:
-        """Book `ticks` ticks at this draw and light, with their clamp loss."""
-        dt = self.dt
-        agg = self.agg[nid]
-        record = self.records[nid]
-        agg.clamp_loss_j += clamp_loss
-        agg.harvested_j += ticks * (self.harvest_w[nid] * dt)
-        agg.consumed_j += ticks * (p_out * dt)
-        agg.leaked_j += ticks * (record.storage.leak_power * dt)
-        state_name = record.state.value
-        agg.time_by_state[state_name] = (
-            agg.time_by_state.get(state_name, 0.0) + ticks * dt)
-        face_a = self.lux[nid][0]
-        agg.lux_integral += ticks * (face_a * dt)
-        agg.lux_min = min(agg.lux_min, face_a)
-        agg.lux_max = max(agg.lux_max, face_a)
-
-    def _hysteresis(self, nid: int, now: float,
+    def _hysteresis(self, lane: _Lane, now: float,
                     result: NodeStepResult) -> None:
         """Depletion lockout after the storage step, then the event rows."""
-        record = self.records[nid]
-        agg = self.agg[nid]
+        record = lane.record
+        agg = lane.agg
         was_depleted = record.state is NodeState.DEPLETED
         apply_hysteresis(record, result, now + self.dt)
         if (record.state is NodeState.DEPLETED and not was_depleted
                 and agg.depleted_at is None):
             agg.depleted_at = now
         if result.events:
-            self.event_rows(nid, now, result.events)
+            self.event_rows(lane, now, result.events)
 
     # -- trace -------------------------------------------------------------
 
     def sample_rows(self, time_s: float) -> None:
-        for nid in self.node_ids:
-            self._sample(nid, time_s, self.records[nid].storage.voltage,
-                         self.agg[nid].harvested_j)
+        for lane in self.lanes:
+            self._sample(lane, time_s, lane.record.storage.voltage,
+                         lane.agg.harvested_j)
 
-    def _sample(self, nid: int, time_s: float, v_cap: float,
+    def _sample(self, lane: _Lane, time_s: float, v_cap: float,
                 harvested_j: float) -> None:
-        record = self.records[nid]
+        record = lane.record
         self.rows.append(TraceRow(
-            time_s=time_s, node_id=nid, v_cap=v_cap, v_pv=record.v_pv,
-            mode=record.mode.value, state=record.state.value,
-            lux=self.lux[nid][0], harvested_j=harvested_j))
+            time_s=time_s, node_id=record.node_id, v_cap=v_cap,
+            v_pv=record.v_pv, mode=record.mode.value,
+            state=record.state.value, lux=lane.lux[0],
+            harvested_j=harvested_j))
 
-    def event_rows(self, nid: int, time_s: float, events: List[str]) -> None:
-        record = self.records[nid]
+    def event_rows(self, lane: _Lane, time_s: float,
+                   events: List[str]) -> None:
+        record = lane.record
         for text in events:
             self.rows.append(TraceRow(
-                time_s=time_s, node_id=nid,
+                time_s=time_s, node_id=record.node_id,
                 v_cap=record.storage.voltage, v_pv=record.v_pv,
                 mode=record.mode.value, state=record.state.value,
-                lux=self.lux[nid][0], harvested_j=self.agg[nid].harvested_j,
+                lux=lane.lux[0], harvested_j=lane.agg.harvested_j,
                 event=text))
+
+    def trace(self) -> TraceSet:
+        """Book each node's final energy and return the run's TraceSet."""
+        aggregates = {}
+        for lane in self.lanes:
+            storage = lane.record.storage
+            lane.agg.final_energy_j = storage.energy
+            lane.agg.final_voltage = storage.voltage
+            aggregates[lane.record.node_id] = lane.agg
+        return TraceSet(
+            scenario_name=self.scenario.name,
+            duration_s=self.n_steps * self.dt,
+            step_s=self.dt,
+            seed=self.scenario.seed,
+            rows=self.rows,
+            frame_log=self.frame_log,
+            controller_log=list(self.controller.events),
+            aggregates=aggregates,
+        )
 
 
 def run_scenario(scenario: Scenario) -> TraceSet:
     """Execute one scenario to completion and return its trace."""
     validate_scenario(scenario)
     rt = _Runtime(scenario)
-    dt = rt.dt
-
     rt.sample_rows(0.0)
-
     i = 0
     while i < rt.n_steps:
         ticks = rt.quiet_run(i)
-        if ticks:
-            i = rt.advance_quiet(i, ticks)
-        else:
-            rt.full_tick(i)
-            i += 1
+        i = rt.stretch(i, ticks) if ticks else rt.full_tick(i)
         if i % rt.sample_every == 0 or i == rt.n_steps:
-            rt.sample_rows(i * dt)
-
-    for nid in rt.node_ids:
-        record = rt.records[nid]
-        agg = rt.agg[nid]
-        agg.final_energy_j = record.storage.energy
-        agg.final_voltage = record.storage.voltage
-
-    return TraceSet(
-        scenario_name=scenario.name,
-        duration_s=rt.n_steps * dt,
-        step_s=dt,
-        seed=scenario.seed,
-        rows=rt.rows,
-        frame_log=rt.frame_log,
-        controller_log=list(rt.controller.events),
-        aggregates=rt.agg,
-    )
+            rt.sample_rows(i * rt.dt)
+    return rt.trace()
 
 
 def audit_conservation(trace: TraceSet) -> Dict[int, float]:

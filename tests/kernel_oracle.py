@@ -3,23 +3,22 @@
 run_scenario below is the loop the kernel ran before it learned to skip
 quiet ticks, kept verbatim but for the node's draw and the emitters'
 on-air shares, which read the phase share of the step (node.phase_share)
-and the step's frame costs (NodeStepResult.cost_j): every tick delivers
-frames, steps the controller and every node, and applies the
-hysteresis.  It shares the _Runtime machinery with the kernel, so the
-two differ only in which ticks take the full path and how a quiet
-stretch adds up: the kernel advances one in a single closed-form step,
-this loop tick by tick.
+and the step's frame costs (NodeStepResult.cost_j), and for reading each
+node's state from its lane: every tick delivers frames, steps the
+controller and every node, integrates the storage and applies the
+hysteresis, node by node.  It shares the _Runtime machinery with the
+kernel, so the two differ only in which ticks take the full path and how
+a stretch adds up: the kernel integrates a full tick as a one-tick
+stretch and a quiet stretch in a single closed-form step, this loop tick
+by tick in its own body.
 test_kernel_equivalence.py states how close the two TraceSets must be.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from luxnet.energy import storage_step
 from luxnet.node import (
     NodeState,
-    NodeStepResult,
     apply_hysteresis,
     state_draw_w,
     step_node,
@@ -37,31 +36,31 @@ def run_scenario(scenario: Scenario) -> TraceSet:
 
     for i in range(rt.n_steps):
         now = i * dt
-        inbox = rt.deliver_due(i)
+        inboxes = rt.deliver_due(i)
 
         for frame in rt.controller.step(now):
             rt.send(frame, "oap", i)
 
-        results: Dict[int, NodeStepResult] = {}
-        for nid in rt.node_ids:
-            record = rt.records[nid]
-            result = step_node(record, dt, now, rt.lux[nid],
-                               rt.harvest_w[nid], inbox[nid])
+        results = []
+        for lane, inbox in zip(rt.lanes, inboxes):
+            nid = lane.record.node_id
+            result = step_node(lane.record, dt, now, lane.lux,
+                               lane.harvest_w, inbox)
             for frame in result.emitted:
                 rt.send(frame, f"node {nid}", i)
-            if inbox[nid]:
-                rt.account_deliveries(nid, inbox[nid], result, now)
-            results[nid] = result
+            if inbox:
+                rt.account_deliveries(nid, inbox, result, now)
+            results.append(result)
 
         # the on-air set for this step reflects the transitions just taken
         rt._refresh_lux(rt._emitter_signature(now))
 
-        for nid in rt.node_ids:
-            record = rt.records[nid]
-            agg = rt.agg[nid]
-            lux_faces = rt.lux[nid]
-            harvest = rt.harvest_w[nid]
-            p_out = state_draw_w(record, now, dt) + results[nid].cost_j / dt
+        for lane, result in zip(rt.lanes, results):
+            record = lane.record
+            agg = lane.agg
+            lux_faces = lane.lux
+            harvest = lane.harvest_w
+            p_out = state_draw_w(record, now, dt) + result.cost_j / dt
             storage = record.storage
             agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
             agg.harvested_j += harvest * dt
@@ -77,31 +76,15 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             if face_a > agg.lux_max:
                 agg.lux_max = face_a
 
-            result = results[nid]
             was_depleted = record.state is NodeState.DEPLETED
             apply_hysteresis(record, result, now + dt)
             if (record.state is NodeState.DEPLETED and not was_depleted
                     and agg.depleted_at is None):
                 agg.depleted_at = now
             if result.events:
-                rt.event_rows(nid, now, result.events)
+                rt.event_rows(lane, now, result.events)
 
         if (i + 1) % rt.sample_every == 0 or (i + 1) == rt.n_steps:
             rt.sample_rows((i + 1) * dt)
 
-    for nid in rt.node_ids:
-        record = rt.records[nid]
-        agg = rt.agg[nid]
-        agg.final_energy_j = record.storage.energy
-        agg.final_voltage = record.storage.voltage
-
-    return TraceSet(
-        scenario_name=scenario.name,
-        duration_s=rt.n_steps * dt,
-        step_s=dt,
-        seed=scenario.seed,
-        rows=rt.rows,
-        frame_log=rt.frame_log,
-        controller_log=list(rt.controller.events),
-        aggregates=rt.agg,
-    )
+    return rt.trace()

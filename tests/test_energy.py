@@ -15,7 +15,6 @@ from luxnet.energy import (
     band_exit,
     min_capacitance,
     pv_open_voltage,
-    storage_run,
     storage_step,
 )
 
@@ -158,25 +157,25 @@ def test_storage_step_rejects_nan_power(p_in, p_out):
     assert cap.voltage == 4.0
 
 
-def test_storage_run_matches_repeated_storage_step():
+def test_a_many_tick_storage_step_matches_repeated_single_ticks():
     # filling into the top clamp, so clamped and unclamped ticks both run
     for ticks in (1, 50, 200):
         stepped = make_cap(voltage=4.49)
         stepped_loss = sum(storage_step(stepped, 2e-3, 1e-3, 0.1)
                            for _ in range(ticks))
         run = make_cap(voltage=4.49)
-        loss = storage_run(run, 2e-3, 1e-3, 0.1, ticks)
+        loss = storage_step(run, 2e-3, 1e-3, 0.1, ticks)
         assert abs(run.voltage - stepped.voltage) <= 1e-12
         assert loss == pytest.approx(stepped_loss, abs=1e-12)
     assert run.voltage == 4.5
 
 
-def test_storage_run_returns_the_closed_form_clamp_loss():
+def test_a_many_tick_storage_step_returns_the_closed_form_clamp_loss():
     for p_in, p_out in ((2e-3, 1e-3), (0.0, 1.0), (1e-3, 1e-3)):
         cap = make_cap(voltage=4.0)
         e0 = cap.energy
         net = (p_in - p_out - cap.leak_power) * 0.1
-        loss = storage_run(cap, p_in, p_out, 0.1, 9000)
+        loss = storage_step(cap, p_in, p_out, 0.1, 9000)
         assert loss == e0 + 9000 * net - cap.energy
 
 
@@ -188,7 +187,7 @@ def test_storage_run_returns_the_closed_form_clamp_loss():
 def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
     def voltage_after(ticks):
         cap = make_cap(voltage=3.9)
-        storage_run(cap, p_in, p_out, 0.1, ticks)
+        storage_step(cap, p_in, p_out, 0.1, ticks)
         return cap.voltage
 
     low, high = band
@@ -202,6 +201,11 @@ def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
                      low, high) == exit_tick - 1
     assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 10 ** 6,
                      3.95, 4.0) == 1
+    # a one-tick stretch, which is how the kernel integrates a full tick,
+    # ends on that tick whatever the band
+    for edges in (band, (3.95, 4.0)):
+        assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 1,
+                         *edges) == 1
 
 
 def test_min_capacitance_frozen_value():

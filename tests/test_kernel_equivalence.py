@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import run_scenario as oracle_run
@@ -142,31 +142,33 @@ def test_a_session_cut_at_its_floor_when_a_neighbour_goes_dark():
 
 
 def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
-    # node timers are instants, so a quiet stretch writes nothing on a
-    # node but its storage voltage, unless the last tick's hysteresis
-    # moves the node into or out of the lockout
+    # node timers are instants, so a stretch writes nothing on a node but
+    # its storage voltage, unless the last tick's hysteresis moves the
+    # node into or out of the lockout; that holds for a full tick's
+    # one-tick stretch too, after its step_node calls
     def snapshot(record):
         fields = dict(vars(record))
         storage = dict(vars(fields.pop("storage")))
         del storage["voltage"]
         return fields, storage
 
-    advance_quiet = _Runtime.advance_quiet
+    stretch = _Runtime.stretch
     compared = []
 
-    def checked(rt, i, ticks):
-        before = {nid: snapshot(r) for nid, r in rt.records.items()}
-        states = {nid: r.state for nid, r in rt.records.items()}
-        after_last = advance_quiet(rt, i, ticks)
-        for nid, record in rt.records.items():
-            if record.state is states[nid]:
-                assert snapshot(record) == before[nid], f"node {nid}, tick {i}"
-                compared.append(nid)
+    def checked(rt, i, ticks, results=None):
+        records = [lane.record for lane in rt.lanes]
+        before = [snapshot(record) for record in records]
+        states = [record.state for record in records]
+        after_last = stretch(rt, i, ticks, results)
+        for record, was, state in zip(records, before, states):
+            if record.state is state:
+                assert snapshot(record) == was, (record.node_id, i)
+                compared.append(results is None)
         return after_last
 
-    monkeypatch.setattr(_Runtime, "advance_quiet", checked)
+    monkeypatch.setattr(_Runtime, "stretch", checked)
     run_scenario(shipped("paper_b", duration_s=7200.0))
-    assert len(compared) > 100
+    assert compared.count(True) > 100 and compared.count(False) > 100
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,9 @@ def networks(draw):
         interference=interference)
 
 
+# each shrink step runs the kernel twice and the per-tick loop once, so a
+# failure reports the drawn network as it is
+@settings(phases=(Phase.explicit, Phase.generate))
 @given(networks())
 def test_generated_networks_match_the_reference(scenario):
     assert_same_trace(scenario)

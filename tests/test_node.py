@@ -13,7 +13,6 @@ from luxnet.energy import (
     StorageCapacitor,
     band_exit,
     pv_open_voltage,
-    storage_run,
     storage_step,
 )
 from luxnet.node import (
@@ -529,7 +528,7 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
                 p_out = state_draw_w(node, i * dt, dt)
                 ticks = band_exit(node.storage, harvest, p_out, dt, ticks,
                                   *quiet_voltage_band(node))
-                storage_run(node.storage, harvest, p_out, dt, ticks)
+                storage_step(node.storage, harvest, p_out, dt, ticks)
                 res = NodeStepResult()
                 apply_hysteresis(node, res, (i + ticks) * dt)
                 i += ticks
