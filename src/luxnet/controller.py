@@ -9,6 +9,7 @@ as plain functions usable without a running network.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -160,7 +161,9 @@ class Controller:
     a staggered first poll of every known node, then data rounds on
     the request period with sharing requests in between.  Uplink
     reports keep the registry current and trigger session-count
-    updates when a node's light budget moves.
+    updates when a node's light budget moves.  Queued frames wait in a
+    heap by due instant, then queue order; next_due_s tells the kernel
+    when step next acts, as an instant it turns into a tick.
     """
 
     config: ControllerConfig
@@ -191,7 +194,7 @@ class Controller:
                            f"{len(self.node_ids)} initial polls")
 
     def _queue(self, due: float, frame: Frame44) -> None:
-        self._pending.append((due, self._seq, frame))
+        heapq.heappush(self._pending, (due, self._seq, frame))
         self._seq += 1
 
     def _fresh_psns(self, now: float) -> List[int]:
@@ -227,27 +230,25 @@ class Controller:
                 + (" with sharing requests" if self.etx_enabled else ""))
 
     def step(self, now: float) -> List[Frame44]:
-        """Frames the access point puts on the air at this instant."""
-        while now >= self._next_round - 1e-9:
+        """Frames the access point puts on the air at this instant, in the
+        order they were queued when due together."""
+        while self._next_round <= now + 1e-9:
             self._schedule_round(self._next_round)
             self._next_round += self.config.t_data_req
-        if not self._pending:
-            return []
-        due_now = [item for item in self._pending if item[0] <= now + 1e-9]
-        if not due_now:
-            return []
-        self._pending = [item for item in self._pending if item[0] > now + 1e-9]
-        due_now.sort()
-        return [frame for _, _, frame in due_now]
+        frames = []
+        while self._pending and self._pending[0][0] <= now + 1e-9:
+            frames.append(heapq.heappop(self._pending)[2])
+        return frames
 
-    def next_action_s(self) -> float:
-        """Earliest instant at which step may act.
+    def next_due_s(self) -> float:
+        """The next round or queued frame: the earliest instant `due` at
+        which step may act, on the first `now` with due <= now + 1e-9.
 
-        For any earlier `now`, up to the rounding of its 1e-9 tolerance,
-        step(now) returns no frame and changes nothing.
+        For any earlier `now`, step(now) returns no frame and changes
+        nothing.
         """
-        due = min((item[0] for item in self._pending), default=math.inf)
-        return min(self._next_round, due) - 1e-9
+        due = self._pending[0][0] if self._pending else math.inf
+        return min(self._next_round, due)
 
     def on_uplink(self, frame: Frame44, now: float) -> None:
         """Fold one node report (an uplink frame) into the registry."""

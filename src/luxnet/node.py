@@ -343,8 +343,8 @@ def _full_trigger_v(node: NodeRecord) -> float:
 def timer_due_s(node: NodeRecord) -> float:
     """The instant the current state's timer fires, inf for a state with none.
 
-    step_node fires it on the step whose end reaches it, and quiet_ticks
-    counts the idle ticks before that step.
+    step_node fires it on the step whose end reaches it, and next_due_s
+    hands it to the kernel.
     """
     state = node.state
     if state is NodeState.INIT:
@@ -498,28 +498,17 @@ def step_node(node: NodeRecord, dt: float, now: float,
 # power is constant between its first and closing steps, so the kernel
 # advances such quiet stretches without calling step_node; the two
 # functions below say when they end.
-def quiet_ticks(node: NodeRecord, tick: int, dt: float, limit: int) -> int:
-    """Ticks from `tick` on, at most limit, that step_node spends idle.
+def next_due_s(node: NodeRecord) -> float:
+    """The instant from which step_node may act on a node that hears no
+    frame: -inf while its storage is outside its quiet band, else its
+    timer (timer_due_s), inf for none.
 
-    Tick j starts at j * dt.  The count assumes no frames arrive; it is 0
-    when step_node may act on this very tick.  Otherwise it runs up to
-    the first tick whose end reaches timer_due_s, found with step_node's
-    own float expression, so the count is exact rather than rounded tick
-    arithmetic.
+    step_node acts on the first step whose end reaches it.
     """
     low, high = quiet_voltage_band(node)
     if not low <= node.storage.voltage < high:
-        return 0
-    due = timer_due_s(node)
-    if due == math.inf:
-        return limit
-    # a guess off by a tick or two, then the first tick whose end is due
-    j = min(max(tick, math.floor(due / dt) - 1), tick + limit)
-    while j > tick and (j - 1) * dt + dt >= due:
-        j -= 1
-    while j < tick + limit and j * dt + dt < due:
-        j += 1
-    return j - tick
+        return -math.inf
+    return timer_due_s(node)
 
 
 def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:

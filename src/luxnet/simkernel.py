@@ -7,9 +7,14 @@ node's draw (node.state_draw_w) plus the step's frame costs.  Identical
 scenarios with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
-head of the frame heap, the controller's next action, or a node's timer
-(node.timer_due_s), which for Sensing and EnergyRelay is the end of the
-node's metered phase.  That tick runs its discrete half in full: frame
+head of the frame heap, or the first tick that reaches the instant the
+controller or a node is next due (Controller.next_due_s,
+node.next_due_s).  A node is due at its timer (node.timer_due_s), which
+for Sensing and EnergyRelay is the end of its metered phase, or at once
+while its storage is outside its quiet band.  first_tick is the one
+conversion from an instant to a tick; it tests the float expression the
+instant's consumer tests, so no full tick is spent on which nothing is
+due.  The tick so found runs its discrete half in full: frame
 delivery, the controller and step_node for every node.  Storage is then
 integrated in one place for every tick.  Between full ticks every phase
 covers whole steps, so every node draws constant power, its stored
@@ -70,8 +75,8 @@ from .node import (
     NodeState,
     NodeStepResult,
     apply_hysteresis,
+    next_due_s,
     phase_share,
-    quiet_ticks,
     quiet_voltage_band,
     state_draw_w,
     step_node,
@@ -311,6 +316,27 @@ def tick_count(duration_s: float, step_s: float) -> int:
             f"duration_s / step_s asks for {ratio:.3g} ticks, "
             f"more than the {MAX_TICKS} a run may take")
     return max(1, int(round(ratio)))
+
+
+def first_tick(instant: float, offset: float, dt: float, start: int) -> float:
+    """The first tick j >= start with instant <= j * dt + offset.
+
+    This is the one conversion from an instant to a tick.  It tests that
+    exact float expression, the one the instant's consumer tests, so the
+    answer is exact rather than rounded tick arithmetic.  An instant
+    already reached (-inf among them) gives start, and inf gives inf.
+    """
+    if instant <= start * dt + offset:
+        return start
+    if instant == math.inf:
+        return math.inf
+    # a guess off by a tick or two, then the first tick that reaches it
+    j = max(start, math.floor((instant - offset) / dt) - 1)
+    while j > start and instant <= (j - 1) * dt + offset:
+        j -= 1
+    while instant > j * dt + offset:
+        j += 1
+    return j
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -658,20 +684,20 @@ class _Runtime:
         """Ticks from i on in which nothing discrete can happen, 0 if i
         itself may need the full path.
 
-        A stretch ends before the next frame due, the controller's next
-        action and the first node timer due.
+        A stretch ends before the first tick on which a frame lands, the
+        controller is due (its step tests due <= now + 1e-9) or a node is
+        due (step_node tests due <= now + dt).
         """
-        # a tick of margin for the rounding of tick * dt
+        dt = self.dt
         end = min(self.n_steps,
-                  math.floor(self.controller.next_action_s() / self.dt))
+                  first_tick(self.controller.next_due_s(), 1e-9, dt, i))
         if self.heap:
             end = min(end, self.heap[0][0])
-        ticks = end - i
         for lane in self.lanes:
-            if ticks <= 0:
-                return 0
-            ticks = quiet_ticks(lane.record, i, self.dt, ticks)
-        return max(ticks, 0)
+            if end == i:
+                break
+            end = min(end, first_tick(next_due_s(lane.record), dt, dt, i))
+        return end - i
 
     def stretch(self, i: int, ticks: int,
                 results: Optional[List[NodeStepResult]] = None) -> int:

@@ -6,6 +6,8 @@ closed-form step.  Every TraceSet it returns must match the one from the
 loop that runs every tick in full (kernel_oracle.py): the same events,
 frames, states and depletion instants, and storage voltages and float
 tallies that differ only by the rounding of one step against many.
+The same generated networks also run at two step sizes against each
+other (the step-halving property).
 """
 
 import math
@@ -16,10 +18,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import run_scenario as oracle_run
+from luxnet import simkernel
 from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import ControllerConfig
-from luxnet.energy import DEFAULT_PROFILE
+from luxnet.energy import DEFAULT_PROFILE, V_OVERDISCHARGE
+from luxnet.node import NodeState, next_due_s, step_node
 from luxnet.simkernel import (
     FaceSpec,
     NodeSpec,
@@ -28,8 +32,9 @@ from luxnet.simkernel import (
     _Runtime,
     audit_conservation,
     run_scenario,
+    tick_count,
 )
-from test_simkernel import guard_scenario
+from test_simkernel import events_for, guard_scenario
 
 
 def shipped(stem, **changes):
@@ -171,6 +176,30 @@ def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     assert compared.count(True) > 100 and compared.count(False) > 100
 
 
+@pytest.mark.parametrize("scenario", [
+    shipped("paper_b", duration_s=7200.0), guard_scenario()],
+    ids=["paper_b", "guard"])
+def test_every_full_tick_has_something_due(monkeypatch, scenario):
+    # a full tick is spent only where a frame lands, the controller's
+    # step acts (due <= now + 1e-9) or a node's step_node may (due <=
+    # now + dt); any other tick belongs to a quiet stretch
+    full_tick = _Runtime.full_tick
+    ticks = []
+
+    def checked(rt, i):
+        now = i * rt.dt
+        assert ((rt.heap and rt.heap[0][0] <= i)
+                or rt.controller.next_due_s() <= now + 1e-9
+                or any(next_due_s(lane.record) <= now + rt.dt
+                       for lane in rt.lanes)), i
+        ticks.append(i)
+        return full_tick(rt, i)
+
+    monkeypatch.setattr(_Runtime, "full_tick", checked)
+    run_scenario(scenario)
+    assert ticks
+
+
 # ---------------------------------------------------------------------------
 # generated networks
 
@@ -230,3 +259,73 @@ def networks(draw):
 @given(networks())
 def test_generated_networks_match_the_reference(scenario):
     assert_same_trace(scenario)
+
+
+def halving_domain(scenario):
+    """A drawn network at 0.1 s without interference, off two edges that
+    only a threshold tested at step ends tells apart.
+
+    - Lockout edge: a node that starts within 1 mV of v_ovdis can end the
+      step that decodes its INIT_CONFIG on either side of it, depending on
+      how much harvest shares that step; it moves 1 mV off, on its side.
+    - Session budget: etx_session sizes a session without the decode
+      step_node books on the same step, so an emitter whose floor is
+      v_ovdis can end its session just under the lockout at one step size
+      only; its floor moves to 3.3 V.
+    Both runs cover the coarse run's ticks, at a trace interval both
+    step sizes accept.
+    """
+    nodes = []
+    for spec in scenario.nodes:
+        start = spec.start_voltage
+        if abs(start - V_OVERDISCHARGE) < 1e-3:
+            start = V_OVERDISCHARGE + math.copysign(
+                1e-3, start - V_OVERDISCHARGE)
+        v_min = spec.v_min
+        if spec.led_power_w > 0.0 and v_min == V_OVERDISCHARGE:
+            v_min = 3.3
+        nodes.append(replace(spec, start_voltage=start, v_min=v_min))
+    return replace(scenario, nodes=tuple(nodes), interference=None,
+                   step_s=0.1,
+                   duration_s=tick_count(scenario.duration_s, 0.1) * 0.1,
+                   trace_interval_s=max(scenario.trace_interval_s, 0.1))
+
+
+def run_noting_sessions(scenario):
+    """The run's trace, and the ids of the nodes whose session step_node
+    cut at its floor or that end the run in a session."""
+    noted = set()
+
+    def noting(record, *args):
+        if (record.state is NodeState.ENERGY_RELAY
+                and record.storage.voltage <= record.storage.v_min + 1e-12):
+            noted.add(record.node_id)
+        return step_node(record, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "step_node", noting)
+        trace = run_scenario(scenario)
+    noted.update(nid for nid in trace.aggregates
+                 if [r for r in trace.rows if r.node_id == nid][-1].state
+                 == NodeState.ENERGY_RELAY.value)
+    return trace, noted
+
+
+@given(networks().map(halving_domain))
+def test_step_halving_keeps_events_and_final_voltages(scenario):
+    # every node logs the same events in the same order at 0.05 s as at
+    # 0.1 s, and ends within 1 mV, unless either run has a session that
+    # the grid places: a session's floor cut and its start on reaching
+    # full are tested at step ends, so a cut overshoots v_min by up to a
+    # step of drain (2.8 mV at 0.1 s), and a run that ends in a session
+    # that started one fine step later ends one fine step less into its
+    # drain (1.4 mV at 4.5 V).  Such a node's voltage is not compared
+    coarse, coarse_noted = run_noting_sessions(scenario)
+    fine, fine_noted = run_noting_sessions(replace(scenario, step_s=0.05))
+    for spec in scenario.nodes:
+        nid = spec.node_id
+        assert ([r.event for r in events_for(coarse, nid)]
+                == [r.event for r in events_for(fine, nid)]), nid
+        if nid not in coarse_noted | fine_noted:
+            assert abs(coarse.aggregates[nid].final_voltage
+                       - fine.aggregates[nid].final_voltage) <= 1e-3, nid

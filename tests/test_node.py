@@ -24,8 +24,8 @@ from luxnet.node import (
     apply_hysteresis,
     energy_guard,
     etx_session,
+    next_due_s,
     phase_share,
-    quiet_ticks,
     quiet_voltage_band,
     select_role,
     state_draw_w,
@@ -39,6 +39,7 @@ from luxnet.protocol import (
     OapToNode,
     OAP_ADDRESS,
 )
+from luxnet.simkernel import first_tick
 
 
 def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False, **kw):
@@ -354,7 +355,8 @@ def test_standby_idle_fires_on_the_step_ending_30_s_in(dt):
 
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3])
 def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
-    # quiet_ticks must count exactly the steps before each timer fires:
+    # the tick first_tick finds for next_due_s must be exactly the step
+    # on which each timer fires:
     # Init's role window (it spans two steps at 0.05 s), a secondary's
     # standby idle, report wake and sensing cycle, and a primary's burst
     # sessions (without integration its storage stays full, so each
@@ -371,7 +373,7 @@ def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
         fired = []
         i = 0
         while len(fired) < len(fires):
-            quiet = quiet_ticks(node, i, dt, 10 ** 6)
+            quiet = first_tick(next_due_s(node), dt, dt, i) - i
             for _ in range(quiet):
                 before = dict(vars(node))
                 assert step_node(node, dt, i * dt, lux, harvest).events == []
@@ -522,8 +524,8 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
             harvest = HARVESTER.harvest_power(lux)
             ticks = 0
             if quiet:
-                limit = (drop if i < drop else 400) - i
-                ticks = quiet_ticks(node, i, dt, limit)
+                ticks = min(first_tick(next_due_s(node), dt, dt, i),
+                            drop if i < drop else 400) - i
             if ticks:
                 p_out = state_draw_w(node, i * dt, dt)
                 ticks = band_exit(node.storage, harvest, p_out, dt, ticks,
@@ -558,7 +560,7 @@ def test_the_quiet_band_of_a_session_starts_above_its_floor_cut():
     for voltage, cut in ((edge, True), (math.nextafter(edge, math.inf), False)):
         session = copy.deepcopy(node)
         session.storage.voltage = voltage
-        assert (quiet_ticks(session, 1, 0.1, 100) == 0) is cut
+        assert (next_due_s(session) == -math.inf) is cut
         events = step_node(session, 0.1, 0.1, FULL, harvest).events
         assert (events == ["etx end (floor)"]) is cut
 

@@ -2,6 +2,7 @@
 determinism, and the conservation audit."""
 
 import hashlib
+import math
 import re
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from luxnet.simkernel import (
     OapSpec,
     Scenario,
     audit_conservation,
+    first_tick,
     format_trace_csv,
     render_summary,
     run_scenario,
@@ -143,6 +145,30 @@ def test_tick_cap_admits_a_run_at_the_cap():
     sc = Scenario(name="t", duration_s=MAX_TICKS * 1.0, step_s=1.0,
                   nodes=(lone_node(),))
     validate_scenario(sc)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("offset", [1e-9, "dt"])
+def test_first_tick_is_the_first_tick_that_reaches_the_instant(dt, offset):
+    # against a scan of the same float expression, on and around the grid
+    offset = dt if offset == "dt" else offset
+    for k in range(0, 1500, 37):
+        for instant in (k * dt, k * dt + offset, k * dt + 1e-9, k * dt - 1e-9,
+                        math.nextafter(k * dt + offset, math.inf)):
+            for start in (0, k // 2, k + 3):
+                j = start
+                while instant > j * dt + offset:
+                    j += 1
+                assert first_tick(instant, offset, dt, start) == j
+
+
+def test_first_tick_edges():
+    # an on-grid instant is due on its own tick, not on the one before it
+    for k in (1, 3, 6000, 36000):
+        assert first_tick(k * 0.1, 1e-9, 0.1, 0) == k
+        assert first_tick(float(k) / 10.0, 1e-9, 0.1, 0) == k
+    assert first_tick(-math.inf, 0.1, 0.1, 42) == 42
+    assert first_tick(math.inf, 1e-9, 0.1, 42) == math.inf
 
 
 @pytest.fixture
