@@ -45,8 +45,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .channel import (
     InterferenceModel,
@@ -201,8 +203,7 @@ FACE_KEYS = (
 FACE_LETTERS = "abc"
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     """One node at one instant: a sample row, or an event row if event is set.
 
     harvested_j is the node's cumulative harvest at time_s.  The sample
@@ -219,6 +220,46 @@ class TraceRow:
     lux: float
     harvested_j: float
     event: str = ""
+
+
+def _column(typecode: str):
+    return field(default_factory=lambda: array(typecode))
+
+
+@dataclass
+class TraceColumns:
+    """The trace rows as one column per TraceRow field, in row order.
+
+    Numbers sit in stdlib arrays, mode, state and event in lists of
+    strings; a sample row's event is "".  The kernel appends a row at a
+    time, or extends every column at once for a quiet stretch.
+    """
+
+    time_s: array = _column("d")
+    node_id: array = _column("B")
+    v_cap: array = _column("d")
+    v_pv: array = _column("d")
+    mode: List[str] = field(default_factory=list)
+    state: List[str] = field(default_factory=list)
+    lux: array = _column("d")
+    harvested_j: array = _column("d")
+    event: List[str] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.node_id)
+
+    def append(self, time_s: float, node_id: int, v_cap: float, v_pv: float,
+               mode: str, state: str, lux: float, harvested_j: float,
+               event: str = "") -> None:
+        self.time_s.append(time_s)
+        self.node_id.append(node_id)
+        self.v_cap.append(v_cap)
+        self.v_pv.append(v_pv)
+        self.mode.append(mode)
+        self.state.append(state)
+        self.lux.append(lux)
+        self.harvested_j.append(harvested_j)
+        self.event.append(event)
 
 
 @dataclass
@@ -254,7 +295,8 @@ class NodeAggregate:
 class TraceSet:
     """Everything one run recorded.
 
-    frame_log is the only record of frames: each is logged once as sent,
+    columns holds the trace rows; rows reads them back one TraceRow at a
+    time.  frame_log is the only record of frames: each is logged once as sent,
     then once per node it was addressed to as delivered or failed (an
     uplink, once as delivered).  The frame counts are read from it.
     """
@@ -263,10 +305,18 @@ class TraceSet:
     duration_s: float
     step_s: float
     seed: int
-    rows: List[TraceRow]
+    columns: TraceColumns
     frame_log: List[FrameLogEntry]
     controller_log: List[str]
     aggregates: Dict[int, NodeAggregate]
+
+    @property
+    def rows(self) -> List[TraceRow]:
+        """A fresh list of the rows, for readers that want one at a time;
+        the run's own outputs read the columns."""
+        c = self.columns
+        return list(map(TraceRow, c.time_s, c.node_id, c.v_cap, c.v_pv,
+                        c.mode, c.state, c.lux, c.harvested_j, c.event))
 
     def _outcomes(self, *outcomes: str) -> int:
         return sum(1 for entry in self.frame_log if entry.outcome in outcomes)
@@ -553,7 +603,7 @@ class _Runtime:
         self.airtime_ticks = max(
             1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
-        self.rows: List[TraceRow] = []
+        self.columns = TraceColumns()
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = max(
             1, int(round(scenario.trace_interval_s / self.dt)))
@@ -734,23 +784,11 @@ class _Runtime:
                 ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
                                   *quiet_voltage_band(lane.record))
             # trace instants n ticks in, before the last (the caller
-            # samples it after the hysteresis): storage_step's closed form
-            # and the tally's harvest, inline because a row every tick
-            # makes this loop hot
-            starts = [(lane, cap.energy, cap.energy_full, cap.capacitance,
-                       (harvest_w - p_out - cap.leak_power) * dt,
-                       lane.agg.harvested_j, harvest_w * dt)
-                      for lane, cap, harvest_w, p_out in nodes]
+            # samples it after the hysteresis)
             every = self.sample_every
-            sqrt = math.sqrt
-            for n in range(every - i % every, ticks, every):
-                time_s = (i + n) * dt
-                for lane, e0, full, capacitance, net, h0, harvest_dt in starts:
-                    e = e0 + n * net
-                    stored = 0.0 if e < 0.0 else full if e > full else e
-                    self._sample(lane, time_s,
-                                 sqrt(2.0 * stored / capacitance),
-                                 h0 + n * harvest_dt)
+            instants = range(every - i % every, ticks, every)
+            if instants:
+                self._sample_stretch(i, instants, nodes)
         for lane, cap, harvest_w, p_out in nodes:
             lane.tally(dt, harvest_w, p_out,
                        storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
@@ -776,28 +814,63 @@ class _Runtime:
 
     def sample_rows(self, time_s: float) -> None:
         for lane in self.lanes:
-            self._sample(lane, time_s, lane.record.storage.voltage,
-                         lane.agg.harvested_j)
-
-    def _sample(self, lane: _Lane, time_s: float, v_cap: float,
-                harvested_j: float) -> None:
-        record = lane.record
-        self.rows.append(TraceRow(
-            time_s=time_s, node_id=record.node_id, v_cap=v_cap,
-            v_pv=record.v_pv, mode=record.mode.value,
-            state=record.state.value, lux=lane.lux[0],
-            harvested_j=harvested_j))
+            self._sample(lane, time_s)
 
     def event_rows(self, lane: _Lane, time_s: float,
                    events: List[str]) -> None:
-        record = lane.record
         for text in events:
-            self.rows.append(TraceRow(
-                time_s=time_s, node_id=record.node_id,
-                v_cap=record.storage.voltage, v_pv=record.v_pv,
-                mode=record.mode.value, state=record.state.value,
-                lux=lane.lux[0], harvested_j=lane.agg.harvested_j,
-                event=text))
+            self._sample(lane, time_s, text)
+
+    def _sample(self, lane: _Lane, time_s: float, event: str = "") -> None:
+        record = lane.record
+        self.columns.append(time_s, record.node_id, record.storage.voltage,
+                            record.v_pv, record.mode.value,
+                            record.state.value, lane.lux[0],
+                            lane.agg.harvested_j, event)
+
+    def _sample_stretch(self, i: int, instants: range, nodes) -> None:
+        """The sample rows `instants` ticks into a quiet stretch from i,
+        before its storage step.
+
+        Every node field but the storage voltage holds still in a quiet
+        stretch, so the other columns extend once, from a one-instant
+        pattern in node-id order.  The storage voltage and the harvest
+        tally read storage_step's closed form and the tally's harvest,
+        one node at a time, interleaved time-major by strided
+        assignment; a row every tick makes this hot.
+        """
+        cols = self.columns
+        dt = self.dt
+        width = len(nodes)
+        count = len(instants)
+        records = [lane.record for lane, _, _, _ in nodes]
+        cols.node_id.extend(array("B", [r.node_id for r in records]) * count)
+        cols.v_pv.extend(array("d", [r.v_pv for r in records]) * count)
+        cols.mode.extend([r.mode.value for r in records] * count)
+        cols.state.extend([r.state.value for r in records] * count)
+        cols.lux.extend(
+            array("d", [lane.lux[0] for lane, _, _, _ in nodes]) * count)
+        cols.event.extend([""] * (width * count))
+        times = array("d", [(i + n) * dt for n in instants])
+        time_s = array("d", [0.0]) * (width * count)
+        v_cap = array("d", time_s)
+        harvested_j = array("d", time_s)
+        sqrt = math.sqrt
+        for j, (lane, cap, harvest_w, p_out) in enumerate(nodes):
+            e0, full = cap.energy, cap.energy_full
+            net = (harvest_w - p_out - cap.leak_power) * dt
+            energy = [e0 + n * net for n in instants]
+            capacitance = cap.capacitance
+            h0, harvest_dt = lane.agg.harvested_j, harvest_w * dt
+            time_s[j::width] = times
+            v_cap[j::width] = array("d", [
+                sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
+                     / capacitance) for e in energy])
+            harvested_j[j::width] = array(
+                "d", [h0 + n * harvest_dt for n in instants])
+        cols.time_s.extend(time_s)
+        cols.v_cap.extend(v_cap)
+        cols.harvested_j.extend(harvested_j)
 
     def trace(self) -> TraceSet:
         """Book each node's final energy and return the run's TraceSet."""
@@ -812,7 +885,7 @@ class _Runtime:
             duration_s=self.n_steps * self.dt,
             step_s=self.dt,
             seed=self.scenario.seed,
-            rows=self.rows,
+            columns=self.columns,
             frame_log=self.frame_log,
             controller_log=list(self.controller.events),
             aggregates=aggregates,
@@ -882,18 +955,19 @@ def summarize(trace: TraceSet) -> Summary:
     steady-voltage band is measured over the sampled rows in the final
     quarter of the run.
     """
-    if not trace.rows:
+    cols = trace.columns
+    if not len(cols):
         raise ValueError("empty trace")
     nodes = {}
-    steady_start = 0.75 * trace.duration_s
-    # one pass over the rows, each node's samples kept in row order
+    # the rows are in time order, so the final quarter is a tail of them,
+    # read once with each node's samples kept in row order
+    first = bisect_left(cols.time_s, 0.75 * trace.duration_s)
     steady_by_node: Dict[int, List[float]] = {
         nid: [] for nid in trace.aggregates}
-    for row in trace.rows:
-        samples = steady_by_node.get(row.node_id)
-        if (samples is not None and row.event == ""
-                and row.time_s >= steady_start):
-            samples.append(row.v_cap)
+    for nid, v_cap, event in zip(cols.node_id[first:], cols.v_cap[first:],
+                                 cols.event[first:]):
+        if not event:
+            steady_by_node[nid].append(v_cap)
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
@@ -931,15 +1005,33 @@ def summarize(trace: TraceSet) -> Summary:
 CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+
+
+def _format_each(column: array, spec: str) -> List[str]:
+    """format(value, spec) for each value of a finite float column,
+    worked out once per distinct value.  -0.0 and 0.0 are one dict key
+    but format apart, so a column holding -0.0 is formatted value by
+    value."""
+    if _NEGATIVE_ZERO in column.tobytes():
+        return [format(value, spec) for value in column]
+    text = {value: format(value, spec) for value in set(column)}
+    return list(map(text.__getitem__, column))
+
+
 def format_trace_csv(trace: TraceSet) -> str:
-    """Render the trace rows as CSV (LF endings, fixed precision)."""
-    lines = [CSV_HEADER]
-    for row in trace.rows:
-        lines.append(
-            f"{row.time_s:.2f},{row.node_id},{row.v_cap:.6f},"
-            f"{row.v_pv:.6f},{row.mode},{row.state},{row.lux:.3f},"
-            f"{row.event}")
-    return "\n".join(lines) + "\n"
+    """Render the trace rows as CSV (LF endings, fixed precision).
+
+    It works column-wise: time, node id, v_pv and lux repeat from row to
+    row, so each of their distinct values is formatted once.
+    """
+    cols = trace.columns
+    names = {nid: str(nid) for nid in set(cols.node_id)}
+    lines = map(",".join, zip(
+        _format_each(cols.time_s, ".2f"), map(names.__getitem__, cols.node_id),
+        map("{:.6f}".format, cols.v_cap), _format_each(cols.v_pv, ".6f"),
+        cols.mode, cols.state, _format_each(cols.lux, ".3f"), cols.event))
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def render_summary(summary: Summary) -> str:

@@ -11,24 +11,24 @@ from luxnet.experiments import (
     render_sweep_table,
     time_to_harvest,
 )
-from luxnet.simkernel import TraceRow, TraceSet
+from luxnet.simkernel import TraceColumns, TraceSet
 
 
 def synthetic_trace(samples):
     """Node 1's sample rows at the given (time, harvest) checkpoints; an
     event row and another node's rows in between must not count."""
-    rows = []
+    columns = TraceColumns()
     for t, e in samples:
-        rows.append(TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e))
-        rows.append(TraceRow(t, 2, 4.0, 0.0, "SSN", "Sleep", 0.0, 100.0))
-        rows.append(TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
-                             event="timer wake"))
+        columns.append(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e)
+        columns.append(t, 2, 4.0, 0.0, "SSN", "Sleep", 0.0, 100.0)
+        columns.append(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
+                       event="timer wake")
     return TraceSet(
         scenario_name="synthetic",
         duration_s=3.0,
         step_s=0.1,
         seed=0,
-        rows=rows,
+        columns=columns,
         frame_log=[],
         controller_log=[],
         aggregates={},

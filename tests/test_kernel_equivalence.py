@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import run_scenario as oracle_run
@@ -57,8 +57,8 @@ def assert_same_trace(scenario):
     reference = oracle_run(scenario)
     assert len(trace.rows) == len(reference.rows)
     for got, want in zip(trace.rows, reference.rows):
-        assert (replace(got, v_cap=0.0, harvested_j=0.0)
-                == replace(want, v_cap=0.0, harvested_j=0.0))
+        assert (got._replace(v_cap=0.0, harvested_j=0.0)
+                == want._replace(v_cap=0.0, harvested_j=0.0))
         assert abs(got.v_cap - want.v_cap) <= VOLTS, got
         assert got.harvested_j == pytest.approx(want.harvested_j,
                                                 rel=RELATIVE), got
@@ -253,10 +253,52 @@ def networks(draw):
         interference=interference)
 
 
+def sharing_pair(policy, duration_s):
+    """A network networks() can draw that starts a sharing session: a
+    full, bright emitter aimed at a dim neighbour.  Its session runs out
+    its budget mid-step at 0.1 s and at 0.05 s."""
+    bright = (1000.0, 1000.0, 1000.0)
+    dim = (150.0, 0.0, 0.0)
+    nodes = []
+    for index, (lux, start, v_min, emitter) in enumerate(
+            [(bright, 4.5, 3.8, True), (dim, 4.0, 3.4, False)]):
+        here = ring_position(index, 2)
+        there = ring_position((index + 1) % 2, 2)
+        nodes.append(NodeSpec(
+            node_id=index + 1, position=here,
+            faces=(FaceSpec((0.0, 1.0, 0.0), lux[0]),
+                   FaceSpec((1.0, 0.0, 0.0), lux[1]),
+                   FaceSpec((0.0, 0.0, 1.0), lux[2])),
+            start_voltage=start, v_min=v_min,
+            led_power_w=27.8e-3 if emitter else 0.0,
+            led_aim=(tuple(b - a for a, b in zip(here, there))
+                     if emitter else None),
+            sensing_enabled=False))
+    return Scenario(
+        name="generated", duration_s=duration_s, nodes=tuple(nodes),
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
+            etx_offset_s=20.0, etx_spacing_s=30.0)),
+        step_s=0.1, seed=0, trace_interval_s=0.7, etx_policy=policy)
+
+
+# the derandomized draws start no session, so these two do
+SHARING_PAIRS = (sharing_pair("autonomous", 120.0),
+                 sharing_pair("oap", 900.0))
+
+
+def test_the_sharing_pairs_start_a_session():
+    for scenario in SHARING_PAIRS:
+        trace = run_scenario(halving_domain(scenario))
+        assert "etx start" in [r.event for r in events_for(trace, 1)]
+
+
 # each shrink step runs the kernel twice and the per-tick loop once, so a
 # failure reports the drawn network as it is
 @settings(phases=(Phase.explicit, Phase.generate))
 @given(networks())
+@example(SHARING_PAIRS[0])
+@example(SHARING_PAIRS[1])
 def test_generated_networks_match_the_reference(scenario):
     assert_same_trace(scenario)
 
@@ -312,6 +354,8 @@ def run_noting_sessions(scenario):
 
 
 @given(networks().map(halving_domain))
+@example(halving_domain(SHARING_PAIRS[0]))
+@example(halving_domain(SHARING_PAIRS[1]))
 def test_step_halving_keeps_events_and_final_voltages(scenario):
     # every node logs the same events in the same order at 0.05 s as at
     # 0.1 s, and ends within 1 mV, unless either run has a session that

@@ -12,7 +12,7 @@ from luxnet import simkernel
 from luxnet.channel import InterferenceModel, illuminance_at
 from luxnet.cli import main, parse_scenario_file, shipped_scenario_path
 from luxnet.controller import Controller, ControllerConfig
-from luxnet.energy import StorageCapacitor, storage_step
+from luxnet.energy import V_STORAGE_MAX, StorageCapacitor, storage_step
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
@@ -22,6 +22,7 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    TraceRow,
     audit_conservation,
     first_tick,
     format_trace_csv,
@@ -771,6 +772,48 @@ def test_csv_shape_and_precision():
         assert len(fields[3].split(".")[1]) == 6
         assert fields[4] in ("PSN", "SSN")
         assert len(fields[6].split(".")[1]) == 3
+
+
+def row_by_row_csv(trace):
+    """format_trace_csv as it was when the trace was a list of rows: one
+    f-string per row."""
+    lines = [CSV_HEADER]
+    for row in trace.rows:
+        lines.append(
+            f"{row.time_s:.2f},{row.node_id},{row.v_cap:.6f},"
+            f"{row.v_pv:.6f},{row.mode},{row.state},{row.lux:.3f},"
+            f"{row.event}")
+    return "\n".join(lines) + "\n"
+
+
+def clamped_and_signed_zero_scenario():
+    """A row every tick: node 1 harvests more than even its sensing
+    draws, so the closed form holds its voltage at the clamp, and nodes
+    2 and 3 are dark, one under -0.0 lx, which formats apart from 0.0."""
+    return Scenario(
+        name="t", duration_s=30.0, trace_interval_s=0.1,
+        nodes=(lone_node(1, ambient=20000.0),
+               lone_node(2, ambient=-0.0, start_voltage=4.0),
+               lone_node(3, ambient=0.0, start_voltage=4.0)))
+
+
+@pytest.mark.parametrize("build", [guard_scenario,
+                                   clamped_and_signed_zero_scenario])
+def test_csv_renders_as_row_by_row(build):
+    trace = run_scenario(build())
+    rows = trace.rows
+    assert TraceRow._fields == ("time_s", "node_id", "v_cap", "v_pv", "mode",
+                                "state", "lux", "harvested_j", "event")
+    assert TraceRow._field_defaults == {"event": ""}
+    assert all(type(row) is TraceRow for row in rows)
+    assert any(row.event for row in rows)
+    assert format_trace_csv(trace) == row_by_row_csv(trace)
+    if build is clamped_and_signed_zero_scenario:
+        # most of node 1's rows come from quiet stretches
+        assert sum(row.v_cap == V_STORAGE_MAX
+                   for row in samples_for(trace, 1)) > 200
+        assert ",-0.000," in format_trace_csv(trace)
+        assert ",0.000," in format_trace_csv(trace)
 
 
 def test_rows_are_time_sorted():
