@@ -347,8 +347,9 @@ def _timing_from_args(args) -> TimingParams:
 
 
 def cmd_duty_table(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    # a SET_N parameter carries at most 16 bits
+    if not 0 <= args.n_max <= 0xFFFF:
+        raise ValueError(f"n_max must be 0..65535, got {args.n_max}")
     timing = _timing_from_args(args)
     print("n,duty_ratio,standby_s,feasible")
     for n in range(args.n_max + 1):

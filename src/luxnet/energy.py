@@ -57,10 +57,13 @@ def pv_open_voltage(illuminance_lux: float) -> float:
 def illuminance_for_open_voltage(volts: float) -> float:
     """Invert pv_open_voltage: the illuminance producing this reading.
 
-    Valid for 0 <= volts < the saturation voltage.
+    A reading at or above the saturation voltage bounds the light only
+    from below, so it inverts to infinity.
     """
-    if not 0.0 <= volts < PV_OPEN_VOLTAGE_MAX:
+    if not volts >= 0.0:    # negative or NaN
         raise ValueError("voltage outside the invertible range")
+    if volts >= PV_OPEN_VOLTAGE_MAX:
+        return math.inf
     return PV_OPEN_VOLTAGE_KNEE_LUX * volts / (PV_OPEN_VOLTAGE_MAX - volts)
 
 

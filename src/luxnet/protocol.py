@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Union
+from typing import NamedTuple, Union
 
 WORD_BITS = 44
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -62,8 +62,7 @@ class Command(IntEnum):
     SET_N = 3
 
 
-@dataclass(frozen=True)
-class NodeToOap:
+class NodeToOap(NamedTuple):
     """Uplink payload: quantised telemetry snapshot of one node."""
 
     sender_id: int
@@ -71,18 +70,8 @@ class NodeToOap:
     cap_level: int
     sensor: int
 
-    def __post_init__(self):
-        if not 1 <= self.sender_id <= 15:
-            raise ValueError(f"sender_id must be 1..15, got {self.sender_id}")
-        for name, value in (("pv_level", self.pv_level),
-                            ("cap_level", self.cap_level),
-                            ("sensor", self.sensor)):
-            if not 0 <= value <= 255:
-                raise ValueError(f"{name} must be 0..255, got {value}")
 
-
-@dataclass(frozen=True)
-class OapToNode:
+class OapToNode(NamedTuple):
     """Downlink payload: a command with a 16-bit parameter.
 
     The trailing reserved nibble carries no meaning yet but is kept so
@@ -92,14 +81,6 @@ class OapToNode:
     command: int
     param: int
     reserved: int = 0
-
-    def __post_init__(self):
-        if not 0 <= int(self.command) <= 15:
-            raise ValueError(f"command must be 0..15, got {self.command}")
-        if not 0 <= self.param <= 0xFFFF:
-            raise ValueError(f"param must be 0..65535, got {self.param}")
-        if not 0 <= self.reserved <= 15:
-            raise ValueError(f"reserved must be 0..15, got {self.reserved}")
 
     @property
     def command_name(self) -> str:
@@ -112,33 +93,49 @@ class OapToNode:
 Payload = Union[NodeToOap, OapToNode]
 
 
-@dataclass(frozen=True)
-class Frame44:
+class Frame44(NamedTuple):
     """One addressed 44-bit word."""
 
     dest_address: int
     payload: Payload
 
-    def __post_init__(self):
-        if not 0 <= self.dest_address <= 0xFFFF:
-            raise ValueError(f"dest_address must be 16 bit, got {self.dest_address}")
+
+# decode44's command field: the Command for a known id, the int otherwise
+_COMMANDS = tuple(Command) + tuple(range(len(Command), 16))
+
+# each payload type's field ranges in declaration order, the bounds
+# encode44 tests inline; once a test fails, it names the first field broken
+_FIELD_RANGES = {
+    NodeToOap: ((1, 15, "1..15"), (0, 255, "0..255"), (0, 255, "0..255"),
+                (0, 255, "0..255")),
+    OapToNode: ((0, 15, "0..15"), (0, 0xFFFF, "0..65535"), (0, 15, "0..15")),
+}
 
 
 def encode44(frame: Frame44) -> int:
-    """Pack a frame into its 44-bit word."""
-    word = (frame.dest_address & 0xFFFF) << 28
-    p = frame.payload
+    """Pack a frame into its 44-bit word.
+
+    The one place a frame's fields are checked: the first field out of
+    its range, payload fields in order and then dest_address, raises
+    ValueError.
+    """
+    dest, p = frame
     if isinstance(p, NodeToOap):
-        word |= (p.sender_id & 0xF) << 24
-        word |= (p.pv_level & 0xFF) << 16
-        word |= (p.cap_level & 0xFF) << 8
-        word |= p.sensor & 0xFF
+        sender, pv, cap, sensor = p
+        if (1 <= sender <= 15 and 0 <= pv <= 255 and 0 <= cap <= 255
+                and 0 <= sensor <= 255 and 0 <= dest <= 0xFFFF):
+            return dest << 28 | sender << 24 | pv << 16 | cap << 8 | sensor
     else:
-        # sender id field stays 0 to mark the downlink direction
-        word |= (int(p.command) & 0xF) << 20
-        word |= (p.param & 0xFFFF) << 4
-        word |= p.reserved & 0xF
-    return word
+        # the sender id field stays 0 to mark the downlink direction
+        command, param, reserved = p
+        if (0 <= command <= 15 and 0 <= param <= 0xFFFF
+                and 0 <= reserved <= 15 and 0 <= dest <= 0xFFFF):
+            return dest << 28 | command << 20 | param << 4 | reserved
+    for name, value, (low, high, span) in zip(p._fields, p,
+                                              _FIELD_RANGES[type(p)]):
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be {span}, got {value}")
+    raise ValueError(f"dest_address must be 16 bit, got {dest}")
 
 
 def decode44(word: int) -> Frame44:
@@ -149,21 +146,14 @@ def decode44(word: int) -> Frame44:
     """
     if not 0 <= word <= WORD_MASK:
         raise ValueError(f"word out of 44-bit range: {word:#x}")
-    dest = (word >> 28) & 0xFFFF
     sender = (word >> 24) & 0xF
     if sender == OAP_SENDER_ID:
-        command = (word >> 20) & 0xF
-        if command in Command._value2member_map_:
-            command = Command(command)
-        payload: Payload = OapToNode(command=command,
-                                     param=(word >> 4) & 0xFFFF,
-                                     reserved=word & 0xF)
+        payload: Payload = OapToNode(_COMMANDS[(word >> 20) & 0xF],
+                                     (word >> 4) & 0xFFFF, word & 0xF)
     else:
-        payload = NodeToOap(sender_id=sender,
-                            pv_level=(word >> 16) & 0xFF,
-                            cap_level=(word >> 8) & 0xFF,
-                            sensor=word & 0xFF)
-    return Frame44(dest_address=dest, payload=payload)
+        payload = NodeToOap(sender, (word >> 16) & 0xFF, (word >> 8) & 0xFF,
+                            word & 0xFF)
+    return Frame44(word >> 28, payload)
 
 
 def format_word(word: int) -> str:

@@ -10,7 +10,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import luxnet
@@ -261,6 +261,34 @@ def test_frame_encode_needs_one_direction(capsys):
     assert main(["frame", "encode", "--pv-level", "10"]) == 2
     assert main(["frame", "encode", "--sender", "1", "--command", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frame", "encode", "--sender", "16"], "sender_id must be 1..15, got 16"),
+    (["frame", "encode", "--command", "2", "--param", "65536"],
+     "param must be 0..65535, got 65536"),
+    (["frame", "encode", "--sender", "1", "--dest", "65536"],
+     "dest_address must be 16 bit, got 65536"),
+    (["duty-table", "--n-max", "65536"], "n_max must be 0..65535, got 65536"),
+])
+def test_out_of_range_fields_exit_2_naming_the_field(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_run_with_a_saturated_pv_reading(tmp_path, capsys):
+    # at 200,000 lx node 1 reports pv_level 220, the open-circuit voltage
+    # ceiling of 4.40 V: the access point books no recovery and sends n=73
+    bright = tmp_path / "bright.scn"
+    bright.write_text(read(shipped_scenario_path("paper_a")).replace(
+        "face_a_ambient_lux = 1000.0", "face_a_ambient_lux = 200000.0", 1))
+    assert main(["run", str(bright), "--duration-s", "600",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert ("11.40,1,4.500000,4.392313,PSN,Standby,200000.000,assigned n=73\n"
+            in read(tmp_path / "paper-a.csv"))
 
 
 def test_calibrate_golden(capsys):
@@ -722,8 +750,20 @@ def exit_code_and_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class PinnedOptions:
+    """Stands in for st.data() in an @example: every draw gives argv."""
+
+    def __init__(self, argv):
+        self.argv = argv
+
+    def draw(self, strategy):
+        return self.argv
+
+
 @pytest.mark.parametrize("command", PLANNING_ARGVS)
 @given(data=st.data())
+# a table this long would never end
+@example(data=PinnedOptions(["--n-max", str(2 ** 64)]))
 def test_every_planning_argv_exits_0_2_or_3(command, data):
     argv = command.split() + data.draw(PLANNING_ARGVS[command])
     code, out, err = exit_code_and_output(argv)

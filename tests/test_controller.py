@@ -1,5 +1,7 @@
 """Access-point scheduling tests: duty math, selection rules, rounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from luxnet.controller import (
     select_t_data_req,
     standby_time,
 )
+from luxnet.energy import illuminance_for_open_voltage
 from luxnet.node import DEFAULT_TIMING, NodeMode, TimingParams
 from luxnet.protocol import (
     BROADCAST_ADDRESS,
@@ -180,6 +183,19 @@ def test_controller_round_with_classified_roles():
 
     setn = command_log(emissions, Command.SET_N)
     assert {(d, p) for _, d, p in setn} == {(1, 6), (3, 6)}
+
+
+def test_a_saturated_pv_report_books_no_recovery():
+    # 220 codes 4.40 V, the open-circuit ceiling: the light is bounded
+    # only from below, so recovery is free and the whole budget is sessions
+    assert illuminance_for_open_voltage(4.40) == math.inf
+    with pytest.raises(ValueError):
+        illuminance_for_open_voltage(-0.02)
+    for code in (220, 255):
+        controller = Controller(config=ControllerConfig(), node_ids=[1])
+        emissions = drive(controller, 20.0, [(11.0, report(1, code))])
+        setn = command_log(emissions, Command.SET_N)
+        assert [(round(t, 3), d, n) for t, d, n in setn] == [(11.5, 1, 73)]
 
 
 def test_controller_skips_stale_nodes():

@@ -24,6 +24,7 @@ from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import ControllerConfig
 from luxnet.energy import DEFAULT_PROFILE, V_OVERDISCHARGE
 from luxnet.node import NodeState, next_due_s, step_node
+from luxnet.protocol import Command, NodeToOap, OapToNode, decode44, encode44
 from luxnet.simkernel import (
     FaceSpec,
     NodeSpec,
@@ -373,3 +374,45 @@ def test_step_halving_keeps_events_and_final_voltages(scenario):
         if nid not in coarse_noted | fine_noted:
             assert abs(coarse.aggregates[nid].final_voltage
                        - fine.aggregates[nid].final_voltage) <= 1e-3, nid
+
+
+# ---------------------------------------------------------------------------
+# frames on the air: encode44 is the only place a frame's fields are
+# checked, so every frame a run sends must pass it
+
+def sent_frames(scenario):
+    """Every frame a run of the scenario puts on the air."""
+    frames = []
+    send = _Runtime.send
+
+    def noting(rt, frame, origin, now_tick):
+        frames.append(frame)
+        send(rt, frame, origin, now_tick)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Runtime, "send", noting)
+        run_scenario(scenario)
+    return frames
+
+
+def assert_frames_encode(frames):
+    for frame in frames:
+        assert decode44(encode44(frame)) == frame, frame
+
+
+def test_the_frames_of_the_shipped_scenarios_encode():
+    commands = set()
+    for stem in ("paper_a", "paper_b"):
+        frames = sent_frames(shipped(stem, duration_s=3600.0))
+        assert_frames_encode(frames)
+        commands.update(f.payload.command for f in frames
+                        if isinstance(f.payload, OapToNode))
+        assert any(isinstance(f.payload, NodeToOap) for f in frames), stem
+    assert commands == set(Command)
+
+
+@given(networks())
+@example(SHARING_PAIRS[0])
+@example(SHARING_PAIRS[1])
+def test_the_frames_of_generated_networks_encode(scenario):
+    assert_frames_encode(sent_frames(scenario))

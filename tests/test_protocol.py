@@ -180,16 +180,53 @@ def test_airtime_default_rate():
 
 
 def test_node_payload_validation():
-    with pytest.raises(ValueError):
-        NodeToOap(sender_id=0, pv_level=0, cap_level=0, sensor=0)
-    with pytest.raises(ValueError):
-        NodeToOap(sender_id=16, pv_level=0, cap_level=0, sensor=0)
-    with pytest.raises(ValueError):
-        NodeToOap(sender_id=1, pv_level=256, cap_level=0, sensor=0)
-    with pytest.raises(ValueError):
-        OapToNode(command=16, param=0)
-    with pytest.raises(ValueError):
-        OapToNode(command=0, param=1 << 16)
+    # encode44 is where a frame's fields are checked: each field packs at
+    # both of its bounds, and one past either bound names the field
+    uplink = NodeToOap(sender_id=1, pv_level=0, cap_level=0, sensor=0)
+    downlink = OapToNode(command=0, param=0)
+    cases = [(uplink, "sender_id", 1, 15, "1..15"),
+             (uplink, "pv_level", 0, 255, "0..255"),
+             (uplink, "cap_level", 0, 255, "0..255"),
+             (uplink, "sensor", 0, 255, "0..255"),
+             (downlink, "command", 0, 15, "0..15"),
+             (downlink, "param", 0, 0xFFFF, "0..65535"),
+             (downlink, "reserved", 0, 15, "0..15")]
+    for payload, name, low, high, span in cases:
+        for value in (low, high):
+            frame = Frame44(0, payload._replace(**{name: value}))
+            assert decode44(encode44(frame)) == frame
+        for value in (low - 1, high + 1):
+            with pytest.raises(ValueError) as bad:
+                encode44(Frame44(0, payload._replace(**{name: value})))
+            assert str(bad.value) == f"{name} must be {span}, got {value}"
+    for payload in (uplink, downlink):
+        for dest in (0, 0xFFFF):
+            frame = Frame44(dest, payload)
+            assert decode44(encode44(frame)) == frame
+        for dest in (-1, 0x10000):
+            with pytest.raises(ValueError) as bad:
+                encode44(Frame44(dest, payload))
+            assert str(bad.value) == f"dest_address must be 16 bit, got {dest}"
+    # with several bad fields, the first payload field is named, and the
+    # address only after them
+    for payload, first in ((NodeToOap(0, 0, 256, 0), "sender_id"),
+                           (OapToNode(0, -1, 16), "param"),
+                           (NodeToOap(1, 0, 0, 256), "sensor")):
+        with pytest.raises(ValueError, match=f"^{first} "):
+            encode44(Frame44(-1, payload))
+
+
+def test_frames_are_plain_values():
+    frame = Frame44(dest_address=2,
+                    payload=OapToNode(command=Command.SET_N, param=6))
+    assert repr(frame) == ("Frame44(dest_address=2, payload=OapToNode("
+                           "command=<Command.SET_N: 3>, param=6, reserved=0))")
+    assert frame == decode44(encode44(frame))
+    assert hash(frame) == hash(decode44(encode44(frame)))
+    assert decode44(0x00005C8BE4D) == Frame44(0, NodeToOap(5, 200, 190, 77))
+    # a known command id decodes to its Command, a reserved one to an int
+    assert decode44(0x00000300000).payload.command is Command.SET_N
+    assert type(decode44(0x00000900000).payload.command) is int
 
 
 def test_generic_frame_round_trip_and_crc():
