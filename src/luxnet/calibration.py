@@ -39,8 +39,7 @@ from .energy import (
     V_STORAGE_MAX,
     PowerProfile,
 )
-from .node import DEFAULT_TIMING
-from .protocol import FRAME_AIRTIME_S
+from .node import DEFAULT_TIMING, sense_cycle_cost_j
 
 # reference deployment geometry: emitters one triangle side away from
 # the harvesting face, aimed straight at it
@@ -156,9 +155,8 @@ def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE,
     idle = profile.sleep + LEAK_POWER_W - pv_input_power(ambient_lux)
     if idle <= 0.0:
         return math.inf
-    cycle = (profile.sense * DEFAULT_TIMING.t_sense
-             + profile.data_tx * FRAME_AIRTIME_S)
-    return budget / (idle * 3600.0 + cycle)
+    return budget / (idle * DEFAULT_TIMING.t_int
+                     + sense_cycle_cost_j(profile))
 
 
 def mean_uplift_fraction(profile: PowerProfile = DEFAULT_PROFILE) -> float:

@@ -410,16 +410,24 @@ def cmd_frame(args) -> int:
         sys.stdout.write(_render_frame(decode44(word)))
         return 0
     uplink = args.sender is not None
-    downlink = args.command is not None
-    if uplink == downlink:
+    if uplink == (args.command is not None):
         raise ValueError(
             "encode needs either --sender (uplink) or --command (downlink)")
+    # payload options default to None, so one of the other direction's
+    # is rejected rather than dropped
+    levels = {"--pv-level": args.pv_level, "--cap-level": args.cap_level,
+              "--sensor": args.sensor}
+    stray = {"--param": args.param} if uplink else levels
+    for option, value in stray.items():
+        if value is not None:
+            kind = "an uplink" if uplink else "a downlink"
+            raise ValueError(f"{option} is not an option of {kind} frame")
     if uplink:
-        payload = NodeToOap(sender_id=args.sender, pv_level=args.pv_level,
-                            cap_level=args.cap_level, sensor=args.sensor)
+        payload = NodeToOap(args.sender, args.pv_level or 0,
+                            args.cap_level or 0, args.sensor or 0)
         dest = OAP_ADDRESS if args.dest is None else args.dest
     else:
-        payload = OapToNode(command=args.command, param=args.param)
+        payload = OapToNode(command=args.command, param=args.param or 0)
         dest = BROADCAST_ADDRESS if args.dest is None else args.dest
     sys.stdout.write(_render_frame(Frame44(dest_address=dest, payload=payload)))
     return 0
@@ -497,12 +505,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="destination address (defaults per direction)")
     p_enc.add_argument("--sender", type=int, default=None,
                        help="uplink sender id 1..15")
-    p_enc.add_argument("--pv-level", type=int, default=0)
-    p_enc.add_argument("--cap-level", type=int, default=0)
-    p_enc.add_argument("--sensor", type=int, default=0)
+    p_enc.add_argument("--pv-level", type=int, default=None)
+    p_enc.add_argument("--cap-level", type=int, default=None)
+    p_enc.add_argument("--sensor", type=int, default=None)
     p_enc.add_argument("--command", type=int, default=None,
                        help="downlink command 0..15")
-    p_enc.add_argument("--param", type=int, default=0)
+    p_enc.add_argument("--param", type=int, default=None)
     p_enc.set_defaults(func=cmd_frame)
     p_dec = frame_sub.add_parser("decode")
     p_dec.add_argument("word", help="11 hex digits")

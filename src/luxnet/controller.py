@@ -105,9 +105,8 @@ class RegistryEntry:
 @dataclass(frozen=True)
 class ControllerConfig:
     t_data_req: float = 600.0
-    t_int: float = 3600.0
+    t_int: float = DEFAULT_TIMING.t_int
     n_min: int = 1
-    timing: TimingParams = DEFAULT_TIMING
     psn_pv_threshold: float = PSN_PV_THRESHOLD_V
     slot_spacing_s: float = 10.0
     etx_offset_s: float = 30.0
@@ -120,12 +119,12 @@ class ControllerConfig:
             raise ValueError("periods must be positive")
         if self.n_min < 0:
             raise ValueError("n_min must be non-negative")
-        if not (self.timing.t_energy_net_rec < self.t_data_req
-                <= self.timing.t_standby):
+        if not (DEFAULT_TIMING.t_energy_net_rec < self.t_data_req
+                <= DEFAULT_TIMING.t_standby):
             raise ValueError(
                 f"t_data_req {self.t_data_req:.2f} s outside "
-                f"({self.timing.t_energy_net_rec:.2f}, "
-                f"{self.timing.t_standby:.2f}]")
+                f"({DEFAULT_TIMING.t_energy_net_rec:.2f}, "
+                f"{DEFAULT_TIMING.t_standby:.2f}]")
         if self.slot_spacing_s <= 0.0 or self.etx_spacing_s <= 0.0:
             raise ValueError("slot spacings must be positive")
 
@@ -142,10 +141,12 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
     """
     if entry.role is not NodeMode.PSN:
         return 0
-    timing = config.timing
+    timing = DEFAULT_TIMING
     recovery = timing.t_energy_net_rec
     if observed_illuminance > REFERENCE_ILLUMINANCE_LUX:
         recovery = recovery * REFERENCE_ILLUMINANCE_LUX / observed_illuminance
+    # the default interval, not the broadcast config.t_int, until the
+    # budget follows the interval the nodes adopt (ROADMAP item 3)
     budget = (timing.t_int - timing.t_data_net_rec - 2.0 * timing.t_sense
               - config.t_data_req)
     per_session = recovery + timing.t_energy_net

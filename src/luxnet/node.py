@@ -36,7 +36,7 @@ fire as soon as it fills.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -92,7 +92,13 @@ class NodeState(Enum):
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Protocol timing constants shared by nodes and the access point."""
+    """Protocol durations, the input of the duty planners.
+
+    duty_cycle, standby_time, select_t_data_req and `luxnet duty-table`
+    take one of these.  A run reads the fixed durations from
+    DEFAULT_TIMING; the one that varies, the reporting interval t_int,
+    is set by the access point's INIT_CONFIG and lives on each node.
+    """
 
     t_int: float = 3600.0
     t_sense: float = 9.53
@@ -123,7 +129,7 @@ class NodeRecord:
     node_id: int
     storage: StorageCapacitor
     profile: PowerProfile = DEFAULT_PROFILE
-    timing: TimingParams = DEFAULT_TIMING
+    t_int: float = DEFAULT_TIMING.t_int   # set by INIT_CONFIG
     mode: NodeMode = NodeMode.SSN
     state: NodeState = NodeState.INIT
     v_pv: float = 0.0
@@ -159,10 +165,11 @@ class NodeRecord:
     def guard_floor_j(self) -> float:
         return self.storage.energy_at(self.storage.v_min)
 
-    def sense_cycle_cost_j(self) -> float:
-        """Energy for one full measurement-and-report cycle."""
-        return (self.profile.sense * self.timing.t_sense
-                + self.profile.data_tx * FRAME_AIRTIME_S)
+
+def sense_cycle_cost_j(profile: PowerProfile) -> float:
+    """Energy for one full measurement-and-report cycle."""
+    return (profile.sense * DEFAULT_TIMING.t_sense
+            + profile.data_tx * FRAME_AIRTIME_S)
 
 
 def energy_guard(node: NodeRecord, task_cost: float) -> bool:
@@ -184,8 +191,8 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
         return 0.0
     net_drain = node.profile.etx + node.storage.leak_power - harvest_power_w
     if net_drain <= 0.0:
-        return node.timing.t_energy_net
-    return min(node.timing.t_energy_net, available / net_drain)
+        return DEFAULT_TIMING.t_energy_net
+    return min(DEFAULT_TIMING.t_energy_net, available / net_drain)
 
 
 @dataclass
@@ -250,12 +257,12 @@ def _enter(node: NodeRecord, state: NodeState, since: float) -> None:
 def _enter_sensing(node: NodeRecord, since: float) -> None:
     _enter(node, NodeState.SENSING, since)
     node.phase_lit, node.phase_start_s = False, since
-    node.phase_end_s = since + node.timing.t_sense
+    node.phase_end_s = since + DEFAULT_TIMING.t_sense
 
 
 def _schedule_next_report(node: NodeRecord, now: float) -> None:
-    k = math.floor((now + 1e-9) / node.timing.t_int) + 1
-    node.next_report_s = k * node.timing.t_int
+    k = math.floor((now + 1e-9) / node.t_int) + 1
+    node.next_report_s = k * node.t_int
 
 
 def _build_report(node: NodeRecord) -> Frame44:
@@ -300,10 +307,10 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
     command = payload.command
     if command == Command.INIT_CONFIG:
         if payload.param > 0:
-            node.timing = replace(node.timing, t_int=float(payload.param))
+            node.t_int = float(payload.param)
         result.events.append(f"config t_int={payload.param}")
     elif command == Command.DATA_REQUEST:
-        cost = node.sense_cycle_cost_j()
+        cost = sense_cycle_cost_j(node.profile)
         if energy_guard(node, cost):
             _enter_sensing(node, now + dt)
             result.events.append("data request accepted")
@@ -384,7 +391,7 @@ def _end_session_if_due(node: NodeRecord, end: float,
     if end < timer_due_s(node):
         return
     length = node.phase_end_s - node.phase_start_s
-    cause = ("window" if length >= node.timing.t_energy_net - 1e-9
+    cause = ("window" if length >= DEFAULT_TIMING.t_energy_net - 1e-9
              else "floor")
     # a session due up to 1e-9 s past the step ends with it, so none of
     # it falls on the next step at any step size
@@ -469,12 +476,12 @@ def step_node(node: NodeRecord, dt: float, now: float,
     if state is NodeState.SLEEP:
         if end >= timer_due_s(node):
             # a secondary's report wake
-            cost = node.sense_cycle_cost_j()
+            cost = sense_cycle_cost_j(node.profile)
             if energy_guard(node, cost):
                 _enter_sensing(node, end)
                 result.events.append("timer wake")
             else:
-                node.next_report_s += node.timing.t_int
+                node.next_report_s += node.t_int
                 result.events.append("sense skipped (guard)")
         elif node.storage.voltage >= _full_trigger_v(node):
             _enter(node, NodeState.STANDBY, end)

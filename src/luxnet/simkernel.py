@@ -7,7 +7,7 @@ node's draw (node.state_draw_w) plus the step's frame costs.  Identical
 scenarios with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
-head of the frame heap, or the first tick that reaches the instant the
+head of the in-flight queue, or the first tick that reaches the instant the
 controller or a node is next due (Controller.next_due_s,
 node.next_due_s).  A node is due at its timer (node.timer_due_s), which
 for Sensing and EnergyRelay is the end of its metered phase, or at once
@@ -43,12 +43,12 @@ nodes.
 
 from __future__ import annotations
 
-import heapq
 import math
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .channel import (
     InterferenceModel,
@@ -528,7 +528,8 @@ class _Lane:
     def __init__(self, spec: NodeSpec, profile: PowerProfile):
         self.record = _build_node(spec, profile)
         self.harvester = _harvester(spec)
-        self.ambient = tuple(float(f.ambient_lux) for f in spec.faces)
+        # abs turns a validated -0.0 into 0.0, so no trace column holds -0.0
+        self.ambient = tuple(abs(float(f.ambient_lux)) for f in spec.faces)
         self.incoming: Dict[int, Tuple[float, ...]] = {}
         self.agg = NodeAggregate(node_id=spec.node_id,
                                  start_energy_j=self.record.storage.energy)
@@ -598,8 +599,10 @@ class _Runtime:
         self._lux_signature: Optional[Tuple] = None
         self._refresh_lux(())
 
-        self.heap: List[Tuple[int, int, Frame44]] = []
-        self.seq = 0
+        # (due tick, frame): every frame takes airtime_ticks and send is
+        # never called at an earlier tick than the last, so due order is
+        # send order
+        self.in_flight: Deque[Tuple[int, Frame44]] = deque()
         self.airtime_ticks = max(
             1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
@@ -639,8 +642,7 @@ class _Runtime:
 
     def send(self, frame: Frame44, origin: str, now_tick: int) -> None:
         due = now_tick + self.airtime_ticks
-        heapq.heappush(self.heap, (due, self.seq, frame))
-        self.seq += 1
+        self.in_flight.append((due, frame))
         self.frame_log.append(FrameLogEntry(
             time_s=now_tick * self.dt, outcome="sent", origin=origin,
             dest=frame.dest_address))
@@ -671,8 +673,8 @@ class _Runtime:
         """
         inboxes: List[List[Frame44]] = [[] for _ in self.lanes]
         now = tick * self.dt
-        while self.heap and self.heap[0][0] <= tick:
-            _, _, frame = heapq.heappop(self.heap)
+        while self.in_flight and self.in_flight[0][0] <= tick:
+            _, frame = self.in_flight.popleft()
             if isinstance(frame.payload, NodeToOap):
                 self.controller.on_uplink(frame, now)
                 self.frame_log.append(FrameLogEntry(
@@ -741,8 +743,8 @@ class _Runtime:
         dt = self.dt
         end = min(self.n_steps,
                   first_tick(self.controller.next_due_s(), 1e-9, dt, i))
-        if self.heap:
-            end = min(end, self.heap[0][0])
+        if self.in_flight:
+            end = min(end, self.in_flight[0][0])
         for lane in self.lanes:
             if end == i:
                 break
@@ -1005,16 +1007,11 @@ def summarize(trace: TraceSet) -> Summary:
 CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
-_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
-
-
 def _format_each(column: array, spec: str) -> List[str]:
     """format(value, spec) for each value of a finite float column,
-    worked out once per distinct value.  -0.0 and 0.0 are one dict key
-    but format apart, so a column holding -0.0 is formatted value by
-    value."""
-    if _NEGATIVE_ZERO in column.tobytes():
-        return [format(value, spec) for value in column]
+    worked out once per distinct value.  -0.0 and 0.0 would share a key
+    but format apart; the lanes store no -0.0 light, so no column holds
+    one."""
     text = {value: format(value, spec) for value in set(column)}
     return list(map(text.__getitem__, column))
 

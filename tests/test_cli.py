@@ -263,6 +263,18 @@ def test_frame_encode_needs_one_direction(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--command", "2", "--pv-level", "300", "--sensor", "-5"], "--pv-level"),
+    (["--sender", "2", "--param", "99999999"], "--param"),
+])
+def test_frame_encode_rejects_the_other_directions_options(capsys, argv,
+                                                           option):
+    assert main(["frame", "encode", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {option} is not an option of ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["frame", "encode", "--sender", "16"], "sender_id must be 1..15, got 16"),
     (["frame", "encode", "--command", "2", "--param", "65536"],

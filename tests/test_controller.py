@@ -108,9 +108,11 @@ def test_assign_n_reference_and_bright():
 
 
 def test_assign_n_floors_at_minimum():
-    timing = TimingParams(t_int=1000.0, t_energy_net_rec=400.0)
-    config = ControllerConfig(t_data_req=500.0, timing=timing, n_min=2)
-    assert assign_n(psn_entry(), config, 1000.0) == 2
+    # the budget fits 6 sessions at the reference light; n_min lifts that
+    assert assign_n(psn_entry(), ControllerConfig(t_data_req=500.0, n_min=0),
+                    1000.0) == 6
+    config = ControllerConfig(t_data_req=500.0, n_min=8)
+    assert assign_n(psn_entry(), config, 1000.0) == 8
 
 
 def test_config_validation():

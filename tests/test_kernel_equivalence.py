@@ -189,7 +189,7 @@ def test_every_full_tick_has_something_due(monkeypatch, scenario):
 
     def checked(rt, i):
         now = i * rt.dt
-        assert ((rt.heap and rt.heap[0][0] <= i)
+        assert ((rt.in_flight and rt.in_flight[0][0] <= i)
                 or rt.controller.next_due_s() <= now + 1e-9
                 or any(next_due_s(lane.record) <= now + rt.dt
                        for lane in rt.lanes)), i

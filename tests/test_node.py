@@ -16,6 +16,7 @@ from luxnet.energy import (
     storage_step,
 )
 from luxnet.node import (
+    DEFAULT_TIMING,
     NodeMode,
     NodeRecord,
     NodeState,
@@ -105,7 +106,7 @@ def test_etx_session_frozen_durations():
     node_hi = make_node(voltage=4.5, v_min=3.8, led=True)
     duration2 = etx_session(node_hi, harvest_power_w=harvest)
     assert duration2 == pytest.approx(1.162 / 50e-3, rel=1e-6)
-    assert duration2 < node_hi.timing.t_energy_net
+    assert duration2 < DEFAULT_TIMING.t_energy_net
 
 
 def test_etx_session_empty_at_floor():
@@ -177,8 +178,7 @@ def test_data_request_sense_reply_cycle():
 
 
 def test_ssn_timer_report_and_periodicity():
-    timing = TimingParams(t_int=100.0, t_sense=0.5)
-    node = make_node(node_id=2, timing=timing)
+    node = make_node(node_id=2, t_int=100.0)
     t = 0.0
     tx_times = []
     while t < 350.0:
@@ -194,9 +194,8 @@ def test_ssn_timer_report_and_periodicity():
 
 
 def test_ssn_guard_skip_defers_one_interval():
-    timing = TimingParams(t_int=50.0, t_sense=0.5)
     # storage sits just above the guard floor: wake is unaffordable
-    node = make_node(node_id=2, voltage=3.401, v_min=3.4, timing=timing)
+    node = make_node(node_id=2, voltage=3.401, v_min=3.4, t_int=50.0)
     node.mode = NodeMode.SSN
     node.state = NodeState.SLEEP
     node.next_report_s = 50.0
@@ -365,7 +364,7 @@ def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
             (DIM, False, ["standby idle", "timer wake", "report sent"]),
             (FULL, True, ["etx end (floor)", "etx end (floor)"])):
         node = make_node(node_id=2, led=led, etx_autonomous=led,
-                         timing=TimingParams(t_int=100.0))
+                         t_int=100.0)
         if dt == 0.05:
             role = select_role(pv_open_voltage(max(lux)))
             fires = [f"role {role.value}"] + fires
@@ -442,7 +441,7 @@ def test_a_sensing_cycle_books_its_phase_power_at_any_step(dt):
     profile = node.profile
     booked = sum(extra * dt for _, _, _, extra in steps)
     assert booked == pytest.approx(
-        (profile.sense - profile.sleep) * node.timing.t_sense, rel=1e-12)
+        (profile.sense - profile.sleep) * DEFAULT_TIMING.t_sense, rel=1e-12)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3])
@@ -589,7 +588,7 @@ def test_init_config_updates_interval():
     frame = Frame44(dest_address=0xFFFF,
                     payload=OapToNode(command=Command.INIT_CONFIG, param=1800))
     res = tick(node, t, DIM, frames=[frame])
-    assert node.timing.t_int == 1800.0
+    assert node.t_int == 1800.0
     assert any(e.startswith("config") for e in res.events)
 
 

@@ -4,7 +4,7 @@ determinism, and the conservation audit."""
 import hashlib
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,7 +12,12 @@ from luxnet import simkernel
 from luxnet.channel import InterferenceModel, illuminance_at
 from luxnet.cli import main, parse_scenario_file, shipped_scenario_path
 from luxnet.controller import Controller, ControllerConfig
-from luxnet.energy import V_STORAGE_MAX, StorageCapacitor, storage_step
+from luxnet.energy import (
+    V_STORAGE_MAX,
+    PowerProfile,
+    StorageCapacitor,
+    storage_step,
+)
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
@@ -120,6 +125,29 @@ def test_node_spec_validation(spec_kw, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(**spec_kw),))
     with pytest.raises(ScenarioError, match=fragment):
         validate_scenario(sc)
+
+
+# each dataclass a scenario file fills, with its table of key rows
+KEY_TABLES = (
+    (Scenario, simkernel.SCENARIO_KEYS),
+    (OapSpec, simkernel.OAP_KEYS),
+    (ControllerConfig, simkernel.CONTROLLER_KEYS),
+    (NodeSpec, simkernel.NODE_KEYS),
+    (FaceSpec, simkernel.FACE_KEYS),
+    (InterferenceModel, simkernel.INTERFERENCE_KEYS),
+    (PowerProfile, simkernel.CALIBRATION_KEYS),
+)
+# the fields filled from a section, a section name or a face group
+SECTION_FIELDS = {"nodes", "oap", "config", "interference", "profile",
+                  "node_id", "faces"}
+
+
+@pytest.mark.parametrize("cls, keys", KEY_TABLES,
+                         ids=[cls.__name__ for cls, _ in KEY_TABLES])
+def test_every_setting_is_a_scenario_key(cls, keys):
+    # a field that is neither is a setting no scenario can set
+    rows = {name for _, name, _ in keys}
+    assert {f.name for f in fields(cls)} - SECTION_FIELDS == rows
 
 
 def test_led_power_error_names_the_key():
@@ -789,7 +817,7 @@ def row_by_row_csv(trace):
 def clamped_and_signed_zero_scenario():
     """A row every tick: node 1 harvests more than even its sensing
     draws, so the closed form holds its voltage at the clamp, and nodes
-    2 and 3 are dark, one under -0.0 lx, which formats apart from 0.0."""
+    2 and 3 are dark, one under -0.0 lx, which the run stores as 0.0."""
     return Scenario(
         name="t", duration_s=30.0, trace_interval_s=0.1,
         nodes=(lone_node(1, ambient=20000.0),
@@ -812,7 +840,7 @@ def test_csv_renders_as_row_by_row(build):
         # most of node 1's rows come from quiet stretches
         assert sum(row.v_cap == V_STORAGE_MAX
                    for row in samples_for(trace, 1)) > 200
-        assert ",-0.000," in format_trace_csv(trace)
+        assert ",-0.000" not in format_trace_csv(trace)
         assert ",0.000," in format_trace_csv(trace)
 
 
