@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .calibration import calibrate, render_report
 from .channel import InterferenceModel
@@ -296,10 +296,12 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name) or "scenario"
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, write: Callable[[TextIO], object]) -> None:
+    """Open path for text and hand the stream to write; any OSError on
+    the way, the last flush among them, is a ValueError naming path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -328,9 +330,10 @@ def cmd_run(args) -> int:
     for stem, (_, scenario) in runs.items():
         trace = run_scenario(scenario)
         csv_path = os.path.join(out_dir, stem + ".csv")
-        _write_output(csv_path, format_trace_csv(trace))
+        _write_output(csv_path, lambda fh: format_trace_csv(trace, fh))
         summary_path = os.path.join(out_dir, stem + ".summary.txt")
-        _write_output(summary_path, render_summary(summarize(trace)))
+        text = render_summary(summarize(trace))
+        _write_output(summary_path, lambda fh: fh.write(text))
         print(f"{scenario.name}: wrote {csv_path}")
         print(f"{scenario.name}: wrote {summary_path}")
     return 0

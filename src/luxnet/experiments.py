@@ -103,11 +103,10 @@ def time_to_harvest(trace: TraceSet, node_id: int, target_j: float) -> float:
     harvest checkpoints; raises if the run ended short of the target.
     """
     prev_t, prev_e = 0.0, 0.0
-    cols = trace.columns
-    for nid, t, e, event in zip(cols.node_id, cols.time_s, cols.harvested_j,
-                                cols.event):
-        if nid != node_id or event:
+    for row in trace.rows:
+        if row.node_id != node_id or row.event:
             continue
+        t, e = row.time_s, row.harvested_j
         if e >= target_j:
             if e == prev_e:
                 return t

@@ -100,6 +100,8 @@ class Frame44(NamedTuple):
     payload: Payload
 
 
+_new = tuple.__new__
+
 # decode44's command field: the Command for a known id, the int otherwise
 _COMMANDS = tuple(Command) + tuple(range(len(Command), 16))
 
@@ -142,18 +144,20 @@ def decode44(word: int) -> Frame44:
     """Unpack a 44-bit word.  Total: every word decodes to some frame,
     and re-encoding the frame reproduces the word bit-exactly.
 
-    A zero sender id marks a downlink word.
+    A zero sender id marks a downlink word.  The tuples are built with
+    tuple.__new__, which skips the generated constructors: every field
+    comes from a masked bit field, so none needs a check.
     """
     if not 0 <= word <= WORD_MASK:
         raise ValueError(f"word out of 44-bit range: {word:#x}")
     sender = (word >> 24) & 0xF
     if sender == OAP_SENDER_ID:
-        payload: Payload = OapToNode(_COMMANDS[(word >> 20) & 0xF],
-                                     (word >> 4) & 0xFFFF, word & 0xF)
+        payload: Payload = _new(OapToNode, (
+            _COMMANDS[(word >> 20) & 0xF], (word >> 4) & 0xFFFF, word & 0xF))
     else:
-        payload = NodeToOap(sender, (word >> 16) & 0xFF, (word >> 8) & 0xFF,
-                            word & 0xFF)
-    return Frame44(word >> 28, payload)
+        payload = _new(NodeToOap, (sender, (word >> 16) & 0xFF,
+                                   (word >> 8) & 0xFF, word & 0xFF))
+    return _new(Frame44, (word >> 28, payload))
 
 
 def format_word(word: int) -> str:

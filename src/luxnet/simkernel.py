@@ -44,11 +44,20 @@ nodes.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from typing import (
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    TextIO,
+    Tuple,
+)
 
 from .channel import (
     InterferenceModel,
@@ -222,44 +231,64 @@ class TraceRow(NamedTuple):
     event: str = ""
 
 
-def _column(typecode: str):
-    return field(default_factory=lambda: array(typecode))
-
-
-@dataclass
-class TraceColumns:
-    """The trace rows as one column per TraceRow field, in row order.
-
-    Numbers sit in stdlib arrays, mode, state and event in lists of
-    strings; a sample row's event is "".  The kernel appends a row at a
-    time, or extends every column at once for a quiet stretch.
+class SegmentLane(NamedTuple):
+    """One node's constants over a trace segment, read before the
+    stretch's storage step: its fixed row fields, then what the closed
+    form needs for its storage energy (e0 plus net per tick, clamped to
+    0..energy_full) and its harvest tally (h0 plus harvest_dt per tick).
     """
 
-    time_s: array = _column("d")
-    node_id: array = _column("B")
-    v_cap: array = _column("d")
-    v_pv: array = _column("d")
-    mode: List[str] = field(default_factory=list)
-    state: List[str] = field(default_factory=list)
-    lux: array = _column("d")
-    harvested_j: array = _column("d")
-    event: List[str] = field(default_factory=list)
+    node_id: int
+    v_pv: float
+    mode: str
+    state: str
+    lux: float
+    e0: float
+    energy_full: float
+    net: float
+    capacitance: float
+    h0: float
+    harvest_dt: float
 
-    def __len__(self) -> int:
-        return len(self.node_id)
 
-    def append(self, time_s: float, node_id: int, v_cap: float, v_pv: float,
-               mode: str, state: str, lux: float, harvested_j: float,
-               event: str = "") -> None:
-        self.time_s.append(time_s)
-        self.node_id.append(node_id)
-        self.v_cap.append(v_cap)
-        self.v_pv.append(v_pv)
-        self.mode.append(mode)
-        self.state.append(state)
-        self.lux.append(lux)
-        self.harvested_j.append(harvested_j)
-        self.event.append(event)
+class TraceSegment(NamedTuple):
+    """The sample rows of one quiet stretch, run-end encoded.
+
+    Its rows sit after the first `at` discrete rows of the trace, one per
+    lane, in lane order, at each tick i + n for n in instants.
+    segment_values expands them.
+    """
+
+    at: int
+    i: int
+    instants: range
+    dt: float
+    lanes: Tuple[SegmentLane, ...]
+
+
+def segment_values(segment: TraceSegment,
+                   instants: Optional[range] = None,
+                   harvest: bool = False):
+    """A segment's values at `instants` (all of its own by default):
+    the time of each instant, and per lane a list of the storage voltage
+    at each, or with harvest set a pair of that list and one of the
+    harvest tally at each.
+
+    These are storage_step's closed form and the tally's harvest in the
+    float order the kernel books them.
+    """
+    if instants is None:
+        instants = segment.instants
+    i, dt = segment.i, segment.dt
+    sqrt = math.sqrt
+    lanes = []
+    for *_, e0, full, net, capacitance, h0, harvest_dt in segment.lanes:
+        v_caps = [sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
+                       / capacitance)
+                  for n in instants for e in [e0 + n * net]]
+        lanes.append((v_caps, [h0 + n * harvest_dt for n in instants])
+                     if harvest else v_caps)
+    return [(i + n) * dt for n in instants], lanes
 
 
 @dataclass
@@ -295,28 +324,64 @@ class NodeAggregate:
 class TraceSet:
     """Everything one run recorded.
 
-    columns holds the trace rows; rows reads them back one TraceRow at a
-    time.  frame_log is the only record of frames: each is logged once as sent,
-    then once per node it was addressed to as delivered or failed (an
-    uplink, once as delivered).  The frame counts are read from it.
+    The trace rows are the discrete rows, written one at a time (the
+    event rows and the samples between stretches), and the segments,
+    each the samples inside one quiet stretch; runs() walks both in row
+    order, and rows expands them into one list.  frame_log is the only
+    record of frames: each is logged once as sent, then once per node it
+    was addressed to as delivered or failed (an uplink, once as
+    delivered).  The frame counts are read from it.
     """
 
     scenario_name: str
     duration_s: float
     step_s: float
     seed: int
-    columns: TraceColumns
+    discrete: List[TraceRow]
+    segments: List[TraceSegment]
     frame_log: List[FrameLogEntry]
     controller_log: List[str]
     aggregates: Dict[int, NodeAggregate]
 
+    def runs(self, since: float = -math.inf
+             ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
+        """The rows at or after time `since`, in row order: (discrete
+        rows, the segment after them) pairs, the last with no segment.
+
+        The rows are in time order, so those rows are a tail: it starts
+        in the first segment that ends at or after since, trimmed to its
+        instants from since on, or in the discrete rows before it.
+        """
+        segments = self.segments[bisect_left(
+            self.segments, since,
+            key=lambda s: (s.i + s.instants[-1]) * s.dt):]
+        if segments:
+            _, i, instants, dt, _ = head = segments[0]
+            segments[0] = head._replace(instants=instants[bisect_left(
+                instants, since, key=lambda n: (i + n) * dt):])
+        done = bisect_left(self.discrete, since, key=lambda row: row.time_s)
+        for segment in segments:
+            yield self.discrete[done:segment.at], segment
+            done = segment.at
+        yield self.discrete[done:], None
+
     @property
     def rows(self) -> List[TraceRow]:
-        """A fresh list of the rows, for readers that want one at a time;
-        the run's own outputs read the columns."""
-        c = self.columns
-        return list(map(TraceRow, c.time_s, c.node_id, c.v_cap, c.v_pv,
-                        c.mode, c.state, c.lux, c.harvested_j, c.event))
+        """A fresh list of every row, segments expanded, for readers that
+        want one at a time; the run's own outputs read the segments."""
+        rows: List[TraceRow] = []
+        for discrete, segment in self.runs():
+            rows += discrete
+            if segment is None:
+                continue
+            times, values = segment_values(segment, harvest=True)
+            fixed = [lane[:5] for lane in segment.lanes]
+            for k, time_s in enumerate(times):
+                rows += [TraceRow(time_s, nid, v_caps[k], v_pv, mode, state,
+                                  lux, harvests[k])
+                         for (nid, v_pv, mode, state, lux), (v_caps, harvests)
+                         in zip(fixed, values)]
+        return rows
 
     def _outcomes(self, *outcomes: str) -> int:
         return sum(1 for entry in self.frame_log if entry.outcome in outcomes)
@@ -606,7 +671,8 @@ class _Runtime:
         self.airtime_ticks = max(
             1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
-        self.columns = TraceColumns()
+        self.discrete: List[TraceRow] = []
+        self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = max(
             1, int(round(scenario.trace_interval_s / self.dt)))
@@ -825,54 +891,26 @@ class _Runtime:
 
     def _sample(self, lane: _Lane, time_s: float, event: str = "") -> None:
         record = lane.record
-        self.columns.append(time_s, record.node_id, record.storage.voltage,
-                            record.v_pv, record.mode.value,
-                            record.state.value, lane.lux[0],
-                            lane.agg.harvested_j, event)
+        self.discrete.append(TraceRow(
+            time_s, record.node_id, record.storage.voltage, record.v_pv,
+            record.mode.value, record.state.value, lane.lux[0],
+            lane.agg.harvested_j, event))
 
     def _sample_stretch(self, i: int, instants: range, nodes) -> None:
         """The sample rows `instants` ticks into a quiet stretch from i,
-        before its storage step.
-
-        Every node field but the storage voltage holds still in a quiet
-        stretch, so the other columns extend once, from a one-instant
-        pattern in node-id order.  The storage voltage and the harvest
-        tally read storage_step's closed form and the tally's harvest,
-        one node at a time, interleaved time-major by strided
-        assignment; a row every tick makes this hot.
-        """
-        cols = self.columns
+        kept as one segment read before its storage step: every node
+        field but the storage voltage and the harvest tally holds still
+        in a quiet stretch, and those two are linear in the tick."""
         dt = self.dt
-        width = len(nodes)
-        count = len(instants)
-        records = [lane.record for lane, _, _, _ in nodes]
-        cols.node_id.extend(array("B", [r.node_id for r in records]) * count)
-        cols.v_pv.extend(array("d", [r.v_pv for r in records]) * count)
-        cols.mode.extend([r.mode.value for r in records] * count)
-        cols.state.extend([r.state.value for r in records] * count)
-        cols.lux.extend(
-            array("d", [lane.lux[0] for lane, _, _, _ in nodes]) * count)
-        cols.event.extend([""] * (width * count))
-        times = array("d", [(i + n) * dt for n in instants])
-        time_s = array("d", [0.0]) * (width * count)
-        v_cap = array("d", time_s)
-        harvested_j = array("d", time_s)
-        sqrt = math.sqrt
-        for j, (lane, cap, harvest_w, p_out) in enumerate(nodes):
-            e0, full = cap.energy, cap.energy_full
-            net = (harvest_w - p_out - cap.leak_power) * dt
-            energy = [e0 + n * net for n in instants]
-            capacitance = cap.capacitance
-            h0, harvest_dt = lane.agg.harvested_j, harvest_w * dt
-            time_s[j::width] = times
-            v_cap[j::width] = array("d", [
-                sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
-                     / capacitance) for e in energy])
-            harvested_j[j::width] = array(
-                "d", [h0 + n * harvest_dt for n in instants])
-        cols.time_s.extend(time_s)
-        cols.v_cap.extend(v_cap)
-        cols.harvested_j.extend(harvested_j)
+        self.segments.append(TraceSegment(
+            len(self.discrete), i, instants, dt, tuple(
+                SegmentLane(
+                    lane.record.node_id, lane.record.v_pv,
+                    lane.record.mode.value, lane.record.state.value,
+                    lane.lux[0], cap.energy, cap.energy_full,
+                    (harvest_w - p_out - cap.leak_power) * dt,
+                    cap.capacitance, lane.agg.harvested_j, harvest_w * dt)
+                for lane, cap, harvest_w, p_out in nodes)))
 
     def trace(self) -> TraceSet:
         """Book each node's final energy and return the run's TraceSet."""
@@ -887,7 +925,8 @@ class _Runtime:
             duration_s=self.n_steps * self.dt,
             step_s=self.dt,
             seed=self.scenario.seed,
-            columns=self.columns,
+            discrete=self.discrete,
+            segments=self.segments,
             frame_log=self.frame_log,
             controller_log=list(self.controller.events),
             aggregates=aggregates,
@@ -957,19 +996,21 @@ def summarize(trace: TraceSet) -> Summary:
     steady-voltage band is measured over the sampled rows in the final
     quarter of the run.
     """
-    cols = trace.columns
-    if not len(cols):
+    if not (trace.discrete or trace.segments):
         raise ValueError("empty trace")
     nodes = {}
-    # the rows are in time order, so the final quarter is a tail of them,
-    # read once with each node's samples kept in row order
-    first = bisect_left(cols.time_s, 0.75 * trace.duration_s)
+    # the final quarter is a tail of the rows, read once with each
+    # node's samples kept in row order
     steady_by_node: Dict[int, List[float]] = {
         nid: [] for nid in trace.aggregates}
-    for nid, v_cap, event in zip(cols.node_id[first:], cols.v_cap[first:],
-                                 cols.event[first:]):
-        if not event:
-            steady_by_node[nid].append(v_cap)
+    for discrete, segment in trace.runs(since=0.75 * trace.duration_s):
+        for row in discrete:
+            if not row.event:
+                steady_by_node[row.node_id].append(row.v_cap)
+        if segment is not None:
+            _, values = segment_values(segment)
+            for lane, v_caps in zip(segment.lanes, values):
+                steady_by_node[lane.node_id] += v_caps
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
@@ -1007,28 +1048,52 @@ def summarize(trace: TraceSet) -> Summary:
 CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
-def _format_each(column: array, spec: str) -> List[str]:
-    """format(value, spec) for each value of a finite float column,
-    worked out once per distinct value.  -0.0 and 0.0 would share a key
-    but format apart; the lanes store no -0.0 light, so no column holds
-    one."""
-    text = {value: format(value, spec) for value in set(column)}
-    return list(map(text.__getitem__, column))
+# rows per write of format_trace_csv
+CSV_BLOCK_ROWS = 8192
 
 
-def format_trace_csv(trace: TraceSet) -> str:
-    """Render the trace rows as CSV (LF endings, fixed precision).
+def _csv_lines(trace: TraceSet) -> Iterator[List[str]]:
+    """The CSV lines of the trace rows, in row order, in runs of at most
+    CSV_BLOCK_ROWS.
 
-    It works column-wise: time, node id, v_pv and lux repeat from row to
-    row, so each of their distinct values is formatted once.
+    A discrete row is one f-string.  A segment formats each lane's fixed
+    fields once into a format string, and per row formats only v_cap
+    into it, with each instant's time formatted once.
     """
-    cols = trace.columns
-    names = {nid: str(nid) for nid in set(cols.node_id)}
-    lines = map(",".join, zip(
-        _format_each(cols.time_s, ".2f"), map(names.__getitem__, cols.node_id),
-        map("{:.6f}".format, cols.v_cap), _format_each(cols.v_pv, ".6f"),
-        cols.mode, cols.state, _format_each(cols.lux, ".3f"), cols.event))
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    for discrete, segment in trace.runs():
+        for start in range(0, len(discrete), CSV_BLOCK_ROWS):
+            yield [f"{r.time_s:.2f},{r.node_id},{r.v_cap:.6f},{r.v_pv:.6f},"
+                   f"{r.mode},{r.state},{r.lux:.3f},{r.event}\n"
+                   for r in discrete[start:start + CSV_BLOCK_ROWS]]
+        if segment is None:
+            continue
+        # "{time},{nid},{v_cap},<the fixed fields>"; a mode or state
+        # name holds no brace
+        formats = [
+            f"{{}},{nid},{{:.6f}},{v_pv:.6f},{mode},{state},{lux:.3f},\n"
+            for nid, v_pv, mode, state, lux, *_ in segment.lanes]
+        instants = segment.instants
+        per_block = CSV_BLOCK_ROWS // len(formats)
+        for start in range(0, len(instants), per_block):
+            times, values = segment_values(
+                segment, instants[start:start + per_block])
+            times = [format(t, ".2f") for t in times]
+            yield list(chain.from_iterable(zip(*[
+                map(fmt.format, times, v_caps)
+                for fmt, v_caps in zip(formats, values)])))
+
+
+def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
+    """Write the trace rows to out as CSV (LF endings, fixed precision),
+    in blocks of at most CSV_BLOCK_ROWS rows."""
+    out.write(CSV_HEADER + "\n")
+    block: List[str] = []
+    for lines in _csv_lines(trace):
+        if len(block) + len(lines) > CSV_BLOCK_ROWS:
+            out.write("".join(block))
+            block = []
+        block += lines
+    out.write("".join(block))
 
 
 def render_summary(summary: Summary) -> str:

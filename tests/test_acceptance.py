@@ -38,9 +38,9 @@ from luxnet.protocol import (
 )
 from luxnet.simkernel import (
     audit_conservation,
-    format_trace_csv,
     run_scenario,
 )
+from test_simkernel import csv_text as trace_csv
 
 HOUR = 3600.0
 
@@ -266,8 +266,8 @@ def test_c9_physics_calculators():
 def test_c10_determinism_and_numerics(trace_b):
     scenario = parse_scenario_file(shipped_scenario_path("paper_a"))
     short = dataclasses.replace(scenario, duration_s=1200.0)
-    first = format_trace_csv(run_scenario(short))
-    second = format_trace_csv(run_scenario(short))
+    first = trace_csv(run_scenario(short))
+    second = trace_csv(run_scenario(short))
     assert first == second, "C10 FAIL: identical runs differ byte-wise"
 
     plan_b = parse_scenario_file(shipped_scenario_path("paper_b"))

@@ -1,6 +1,7 @@
 """Golden-file and contract tests for the command-line front end."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -490,6 +491,36 @@ def test_run_rejects_an_unusable_out_dir(tmp_path, capsys):
                  "--duration-s", "1", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_run_reports_a_write_that_fails_midway(tmp_path, capsys,
+                                               monkeypatch):
+    # the CSV streams out in blocks: its second write finds the disk full
+    writes = []
+
+    def filling_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        write = fh.write
+
+        def counted(text):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        fh.write = counted
+        return fh
+
+    monkeypatch.setattr(luxnet.cli, "open", filling_open, raising=False)
+    code = main(["run", shipped_scenario_path("paper_a"),
+                 "--duration-s", "3600", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    csv_path = os.path.join(str(tmp_path), "paper-a.csv")
+    assert writes == [csv_path, csv_path]
+    assert code == 2
+    assert f"error: cannot write {csv_path}: " in err
+    assert os.strerror(errno.ENOSPC) in err
+    assert "Traceback" not in err
 
 
 def test_seed_affects_only_interfered_runs(tmp_path, capsys):

@@ -11,24 +11,34 @@ from luxnet.experiments import (
     render_sweep_table,
     time_to_harvest,
 )
-from luxnet.simkernel import TraceColumns, TraceSet
+from kernel_oracle import run_scenario as oracle_run
+from luxnet.simkernel import (
+    Scenario,
+    TraceRow,
+    TraceSet,
+    run_scenario,
+    segment_values,
+)
+from test_simkernel import lone_node
 
 
 def synthetic_trace(samples):
     """Node 1's sample rows at the given (time, harvest) checkpoints; an
     event row and another node's rows in between must not count."""
-    columns = TraceColumns()
+    discrete = []
     for t, e in samples:
-        columns.append(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e)
-        columns.append(t, 2, 4.0, 0.0, "SSN", "Sleep", 0.0, 100.0)
-        columns.append(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
-                       event="timer wake")
+        discrete += [
+            TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e),
+            TraceRow(t, 2, 4.0, 0.0, "SSN", "Sleep", 0.0, 100.0),
+            TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
+                     event="timer wake")]
     return TraceSet(
         scenario_name="synthetic",
         duration_s=3.0,
         step_s=0.1,
         seed=0,
-        columns=columns,
+        discrete=discrete,
+        segments=[],
         frame_log=[],
         controller_log=[],
         aggregates={},
@@ -45,6 +55,25 @@ def test_time_to_harvest_raises_when_run_ends_short():
     trace = synthetic_trace([(1.0, 0.4), (2.0, 0.8)])
     with pytest.raises(InfeasibleError):
         time_to_harvest(trace, 1, 5.0)
+
+
+def test_time_to_harvest_finds_a_crossing_inside_a_segment():
+    # a lit node sampled every second: its long quiet stretches keep
+    # their sample rows as segments
+    scenario = Scenario(name="t", duration_s=600.0, trace_interval_s=1.0,
+                        nodes=(lone_node(ambient=400.0),))
+    trace = run_scenario(scenario)
+    segment = max(trace.segments, key=lambda s: len(s.instants))
+    times, [(_, harvests)] = segment_values(segment, harvest=True)
+    k = len(times) // 2
+    target = 0.5 * (harvests[k] + harvests[k + 1])
+    crossing = time_to_harvest(trace, 1, target)
+    assert times[k] < crossing < times[k + 1]
+    # the per-tick loop writes every sample as a discrete row
+    reference = oracle_run(scenario)
+    assert not reference.segments
+    assert crossing == pytest.approx(
+        time_to_harvest(reference, 1, target), rel=1e-9)
 
 
 def test_recharge_baseline_matches_flat_harvest_rate():

@@ -11,6 +11,7 @@ other (the step-halving property).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, replace
 
 import pytest
@@ -33,9 +34,15 @@ from luxnet.simkernel import (
     _Runtime,
     audit_conservation,
     run_scenario,
+    summarize,
     tick_count,
 )
-from test_simkernel import events_for, guard_scenario
+from test_simkernel import (
+    csv_text,
+    events_for,
+    guard_scenario,
+    row_by_row_csv,
+)
 
 
 def shipped(stem, **changes):
@@ -302,6 +309,36 @@ def test_the_sharing_pairs_start_a_session():
 @example(SHARING_PAIRS[1])
 def test_generated_networks_match_the_reference(scenario):
     assert_same_trace(scenario)
+
+
+def row_based_steady(trace):
+    """Each node's steady voltage mean and band as summarize read them
+    when the trace was a list of rows: the sample rows from the first row
+    at 0.75 of the run on."""
+    rows = trace.rows
+    first = bisect_left([row.time_s for row in rows], 0.75 * trace.duration_s)
+    steady = {nid: [] for nid in trace.aggregates}
+    for row in rows[first:]:
+        if not row.event:
+            steady[row.node_id].append(row.v_cap)
+    figures = {}
+    for nid, volts in steady.items():
+        if volts:
+            mean = sum(volts) / len(volts)
+            figures[nid] = (mean, max(abs(v - mean) for v in volts))
+        else:
+            figures[nid] = (trace.aggregates[nid].final_voltage, 0.0)
+    return figures
+
+
+@given(networks().map(lambda sc: replace(sc, trace_interval_s=sc.step_s)))
+def test_segments_render_and_summarize_as_their_rows(scenario):
+    # a row every tick puts every quiet stretch's rows in a segment
+    trace = run_scenario(scenario)
+    assert csv_text(trace) == row_by_row_csv(trace)
+    summary = summarize(trace)
+    assert {nid: (s.steady_mean_v, s.steady_band_v)
+            for nid, s in summary.nodes.items()} == row_based_steady(trace)
 
 
 def halving_domain(scenario):

@@ -2,6 +2,7 @@
 determinism, and the conservation audit."""
 
 import hashlib
+import io
 import math
 import re
 from dataclasses import fields, replace
@@ -21,6 +22,7 @@ from luxnet.energy import (
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     MAX_TICKS,
     FaceSpec,
@@ -65,6 +67,13 @@ def triangle_nodes(ssn_ambient=150.0, ssn_v_min=3.4, led_power_w=27.8e-3):
                     v_min=3.8, led_power_w=led_power_w,
                     led_aim=(-0.075, -0.1299, 0.0))
     return (psn1, ssn, psn3)
+
+
+def csv_text(trace):
+    """format_trace_csv's output as one string."""
+    out = io.StringIO()
+    format_trace_csv(trace, out)
+    return out.getvalue()
 
 
 def samples_for(trace, node_id):
@@ -530,16 +539,16 @@ def test_identical_runs_are_byte_identical():
     sc = Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
                   etx_policy="oap", seed=7,
                   interference=InterferenceModel())
-    a = format_trace_csv(run_scenario(sc))
-    b = format_trace_csv(run_scenario(sc))
+    a = csv_text(run_scenario(sc))
+    b = csv_text(run_scenario(sc))
     assert a == b
 
 
 def test_seed_is_inert_without_stochastic_inputs():
     sc = Scenario(name="t", duration_s=300.0, nodes=triangle_nodes(),
                   etx_policy="oap")
-    a = format_trace_csv(run_scenario(sc))
-    b = format_trace_csv(run_scenario(replace(sc, seed=99)))
+    a = csv_text(run_scenario(sc))
+    b = csv_text(run_scenario(replace(sc, seed=99)))
     assert a == b
 
 
@@ -654,7 +663,7 @@ def test_shared_light_with_interference_digests():
     sc = guard_scenario()
     trace = run_scenario(sc)
     assert any(e.cause == "interference" for e in trace.frame_log)
-    assert sha256_hex(format_trace_csv(trace).encode()) == (
+    assert sha256_hex(csv_text(trace).encode()) == (
         "8ac156b97aaf15ae1d302eaa17e76abd59dd412c5a53cc00ea91a792701e0fbc")
     assert sha256_hex(render_summary(summarize(trace)).encode()) == (
         "14b7f3b152cb610a5fb5d2688a1373f5b88dabbb8af348d32b8ae38038cf8f1f")
@@ -786,7 +795,7 @@ def test_undepleted_lifetime_is_run_length():
 
 def test_csv_shape_and_precision():
     sc = Scenario(name="t", duration_s=30.0, nodes=(lone_node(ambient=1000.0),))
-    text = format_trace_csv(run_scenario(sc))
+    text = csv_text(run_scenario(sc))
     lines = text.split("\n")
     assert lines[0] == CSV_HEADER
     assert text.endswith("\n")
@@ -825,8 +834,17 @@ def clamped_and_signed_zero_scenario():
                lone_node(3, ambient=0.0, start_voltage=4.0)))
 
 
+def sharing_every_tick_scenario():
+    """A row every tick through the access point's sharing sessions:
+    most rows sit in segments, and the longest quiet stretch holds more
+    rows than one block of the CSV."""
+    return Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
+                    etx_policy="oap", trace_interval_s=0.1)
+
+
 @pytest.mark.parametrize("build", [guard_scenario,
-                                   clamped_and_signed_zero_scenario])
+                                   clamped_and_signed_zero_scenario,
+                                   sharing_every_tick_scenario])
 def test_csv_renders_as_row_by_row(build):
     trace = run_scenario(build())
     rows = trace.rows
@@ -835,13 +853,19 @@ def test_csv_renders_as_row_by_row(build):
     assert TraceRow._field_defaults == {"event": ""}
     assert all(type(row) is TraceRow for row in rows)
     assert any(row.event for row in rows)
-    assert format_trace_csv(trace) == row_by_row_csv(trace)
+    assert csv_text(trace) == row_by_row_csv(trace)
     if build is clamped_and_signed_zero_scenario:
         # most of node 1's rows come from quiet stretches
         assert sum(row.v_cap == V_STORAGE_MAX
                    for row in samples_for(trace, 1)) > 200
-        assert ",-0.000" not in format_trace_csv(trace)
-        assert ",0.000," in format_trace_csv(trace)
+        assert ",-0.000" not in csv_text(trace)
+        assert ",0.000," in csv_text(trace)
+    if build is sharing_every_tick_scenario:
+        assert "etx start" in [row.event for row in rows]
+        assert trace.segments
+        assert len(trace.discrete) < len(rows) / 10
+        assert max(len(segment.instants) * len(segment.lanes)
+                   for segment in trace.segments) > CSV_BLOCK_ROWS
 
 
 def test_rows_are_time_sorted():
