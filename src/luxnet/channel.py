@@ -31,13 +31,16 @@ the cell, every node's downlink decoding degrades as its own ambient
 light falls.  The burst's gain onto the receiving node does not enter.
 The failure ratio is modelled as a logistic curve in ambient
 illuminance; with no burst in progress frames are assumed clean.
+Whether a frame is lost is drawn from each node's own uniform stream,
+interference_draws, which is numpy's default_rng((seed, node_id)) in
+pure Python.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -241,3 +244,90 @@ def frame_failure_probability(ambient_lux: float,
     else:
         logistic = 1.0 / (1.0 + math.exp(z))
     return model.floor + (1.0 - model.floor) * logistic
+
+
+# numpy.random.SeedSequence's hash constants, its 4-word pool and the
+# PCG64 multiplier (O'Neill, "PCG: a family of simple fast
+# space-efficient statistically good algorithms for random number
+# generation", HMC-CS-2014-0905)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> List[int]:
+    """A non-negative integer as little-endian 32-bit words, [0] for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(hash_const: int, mult: int) -> Callable[[int], int]:
+    """SeedSequence's hashmix: each call hashes one 32-bit word and steps
+    the hash constant it shares with the calls before it."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_pool(entropy: List[int]) -> List[int]:
+    """SeedSequence's entropy pool: every word hashed into 4 mixed words."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    padded = entropy + [0] * (_POOL_WORDS - len(entropy))
+    pool = [hashmix(word) for word in padded[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def interference_draws(seed: int, node_id: int) -> Iterator[float]:
+    """Uniform doubles in [0, 1), the values of successive
+    numpy.random.default_rng((seed, node_id)).random() calls.
+
+    SeedSequence hashes the two integers' 32-bit words into its pool and
+    expands that to four 64-bit words, which seed PCG64 (a 128-bit LCG
+    with XSL-RR output) as numpy's srandom_r does; each double is the top
+    53 bits of one output.  Both integers must be non-negative.
+    """
+    pool = _seed_pool(_uint32_words(seed) + _uint32_words(node_id))
+    # generate_state(4, uint64): the pool hashed twice over, in 32-bit
+    # halves, low half first
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[k % _POOL_WORDS]) for k in range(2 * _POOL_WORDS)]
+    w0, w1, w2, w3 = (lo | hi << 32 for lo, hi in zip(halves[::2],
+                                                       halves[1::2]))
+    # srandom_r: from state 0, step, add the initial state, step
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    mult, mask64, mask128, unit = _PCG64_MULT, _MASK64, _MASK128, 2.0 ** -53
+    while True:
+        state = (state * mult + inc) & mask128
+        word = (state >> 64 ^ state) & mask64
+        rot = state >> 122
+        yield (((word >> rot | word << (64 - rot)) & mask64) >> 11) * unit

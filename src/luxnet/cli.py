@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import math
 import os
@@ -298,11 +299,17 @@ def _safe_name(name: str) -> str:
 
 def _write_output(path: str, write: Callable[[TextIO], object]) -> None:
     """Open path for text and hand the stream to write; any OSError on
-    the way, the last flush among them, is a ValueError naming path."""
+    the way, the last flush among them, is a ValueError naming path.  A
+    file it opened is removed then, so no partial output is left."""
+    opened = False
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
+            opened = True
             write(fh)
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 

@@ -66,6 +66,7 @@ from .channel import (
     Vec3,
     frame_failure_probability,
     illuminance_at,
+    interference_draws,
     norm,
 )
 from .controller import Controller, ControllerConfig
@@ -283,9 +284,9 @@ def segment_values(segment: TraceSegment,
     sqrt = math.sqrt
     lanes = []
     for *_, e0, full, net, capacitance, h0, harvest_dt in segment.lanes:
-        v_caps = [sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
-                       / capacitance)
-                  for n in instants for e in [e0 + n * net]]
+        v_caps = [sqrt(2.0 * (0.0 if (e := e0 + n * net) < 0.0
+                              else full if e > full else e) / capacitance)
+                  for n in instants]
         lanes.append((v_caps, [h0 + n * harvest_dt for n in instants])
                      if harvest else v_caps)
     return [(i + n) * dt for n in instants], lanes
@@ -581,10 +582,11 @@ class _Lane:
     """One node's run state: its record, its light and its tallies.
 
     incoming holds each emitter's illuminance on this node's faces at
-    full drive, keyed by the emitter's id; rng is the node's interference
-    generator, None in a run without interference.  lux and harvest_w,
-    the light on each face and the watts it makes, change only with the
-    on-air set; _Runtime._refresh_lux sets them, first before tick 0.
+    full drive, keyed by the emitter's id; rng is the node's stream of
+    interference draws (channel.interference_draws), None in a run
+    without interference.  lux and harvest_w, the light on each face and
+    the watts it makes, change only with the on-air set;
+    _Runtime._refresh_lux sets them, first before tick 0.
     """
 
     __slots__ = ("record", "harvester", "ambient", "incoming", "lux",
@@ -641,13 +643,12 @@ class _Runtime:
             etx_enabled=(scenario.etx_policy == "oap"),
         )
 
-        # one generator per node; only the interference draw uses it, so
-        # numpy is imported only for a run that has one
+        # one uniform stream per node, numpy's default_rng((seed, id)) in
+        # pure Python; only the interference draw reads it
         if scenario.interference is not None:
-            import numpy as np
             for lane in self.lanes:
-                lane.rng = np.random.default_rng(
-                    (scenario.seed, lane.record.node_id))
+                lane.rng = interference_draws(scenario.seed,
+                                              lane.record.node_id)
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air share at use.  A node never lights itself.
@@ -727,7 +728,7 @@ class _Runtime:
         p = frame_failure_probability(max(lane.ambient), model)
         if p <= 0.0:
             return False
-        return bool(lane.rng.random() < p)
+        return next(lane.rng) < p
 
     def deliver_due(self, tick: int) -> List[List[Frame44]]:
         """Pop due frames and route them by direction, not by address;
@@ -1052,47 +1053,54 @@ CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 CSV_BLOCK_ROWS = 8192
 
 
-def _csv_lines(trace: TraceSet) -> Iterator[List[str]]:
-    """The CSV lines of the trace rows, in row order, in runs of at most
-    CSV_BLOCK_ROWS.
+def _csv_blocks(trace: TraceSet) -> Iterator[Tuple[int, str]]:
+    """The CSV text of the trace rows, in row order, as (rows, text)
+    pieces of at most CSV_BLOCK_ROWS rows each.
 
-    A discrete row is one f-string.  A segment formats each lane's fixed
-    fields once into a format string, and per row formats only v_cap
-    into it, with each instant's time formatted once.
+    A discrete row is one f-string.  A segment builds one %-template for
+    an instant, each lane's fixed fields formatted into it once, and
+    renders each block of instants with one % over the instants' times
+    (each formatted once) and the lanes' voltages, interleaved.
     """
     for discrete, segment in trace.runs():
         for start in range(0, len(discrete), CSV_BLOCK_ROWS):
-            yield [f"{r.time_s:.2f},{r.node_id},{r.v_cap:.6f},{r.v_pv:.6f},"
-                   f"{r.mode},{r.state},{r.lux:.3f},{r.event}\n"
-                   for r in discrete[start:start + CSV_BLOCK_ROWS]]
+            rows = discrete[start:start + CSV_BLOCK_ROWS]
+            yield len(rows), "".join([
+                f"{r.time_s:.2f},{r.node_id},{r.v_cap:.6f},{r.v_pv:.6f},"
+                f"{r.mode},{r.state},{r.lux:.3f},{r.event}\n" for r in rows])
         if segment is None:
             continue
-        # "{time},{nid},{v_cap},<the fixed fields>"; a mode or state
-        # name holds no brace
-        formats = [
-            f"{{}},{nid},{{:.6f}},{v_pv:.6f},{mode},{state},{lux:.3f},\n"
-            for nid, v_pv, mode, state, lux, *_ in segment.lanes]
+        # "<time>,<nid>,<v_cap>,<the fixed fields>" per lane; a mode or
+        # state name holds no %
+        template = "".join(
+            f"%s,{nid},%.6f,{v_pv:.6f},{mode},{state},{lux:.3f},\n"
+            for nid, v_pv, mode, state, lux, *_ in segment.lanes)
+        lanes = len(segment.lanes)
         instants = segment.instants
-        per_block = CSV_BLOCK_ROWS // len(formats)
+        per_block = max(1, CSV_BLOCK_ROWS // lanes)
         for start in range(0, len(instants), per_block):
             times, values = segment_values(
                 segment, instants[start:start + per_block])
-            times = [format(t, ".2f") for t in times]
-            yield list(chain.from_iterable(zip(*[
-                map(fmt.format, times, v_caps)
-                for fmt, v_caps in zip(formats, values)])))
+            times = ["%.2f" % t for t in times]
+            yield len(times) * lanes, template * len(times) % tuple(
+                chain.from_iterable(zip(*chain.from_iterable(
+                    (times, v_caps) for v_caps in values))))
 
 
 def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
     """Write the trace rows to out as CSV (LF endings, fixed precision),
-    in blocks of at most CSV_BLOCK_ROWS rows."""
+    the header, then the rows in writes of at most CSV_BLOCK_ROWS rows:
+    consecutive pieces of _csv_blocks are joined up to that size, so a
+    run of short segments costs one write, not one each."""
     out.write(CSV_HEADER + "\n")
     block: List[str] = []
-    for lines in _csv_lines(trace):
-        if len(block) + len(lines) > CSV_BLOCK_ROWS:
+    rows = 0
+    for count, text in _csv_blocks(trace):
+        if rows + count > CSV_BLOCK_ROWS:
             out.write("".join(block))
-            block = []
-        block += lines
+            block, rows = [], 0
+        block.append(text)
+        rows += count
     out.write("".join(block))
 
 

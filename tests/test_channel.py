@@ -1,6 +1,7 @@
 """Optical channel tests: Lambertian gain, photometry, interference."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from luxnet.channel import (
     OpticalTransmitter,
     frame_failure_probability,
     illuminance_at,
+    interference_draws,
     lambertian_order,
     link_between,
     path_loss,
@@ -199,3 +201,16 @@ def test_validation_errors():
         pv_input_power(-1.0)
     with pytest.raises(ValueError):
         photon_energy(0.0)
+
+
+# seeds of one 32-bit word, then ones that SeedSequence splits into two
+# and three words
+DRAW_SEEDS = list(range(32)) + [2 ** 32, 2 ** 64 + 1]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_interference_draws_are_numpys_default_rng(seed):
+    for node_id in range(1, 16):
+        ours = list(islice(interference_draws(seed, node_id), 1000))
+        theirs = np.random.default_rng((seed, node_id)).random(1000)
+        assert ours == theirs.tolist(), (seed, node_id)

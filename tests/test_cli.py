@@ -387,8 +387,8 @@ def test_run_checks_node_limits_before_the_first_run(tmp_path, capsys, old,
 
 
 def test_run_without_interference_never_imports_numpy(tmp_path):
-    # numpy serves only the interference draw, so a plain run, started in a
-    # fresh interpreter, must not pay for importing it
+    # a run reads no numpy, so a plain run, started in a fresh
+    # interpreter, must not pay for importing it
     src = os.path.dirname(os.path.dirname(luxnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -404,6 +404,32 @@ def test_run_without_interference_never_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "paper-a.csv").exists()
+
+
+def test_interfered_run_never_imports_numpy(tmp_path):
+    # the interference draws are numpy's default_rng streams computed in
+    # pure Python, so a run with an [interference] section does not
+    # import numpy either; two seeds give two traces, so it drew
+    scn = tmp_path / "seeded.scn"
+    scn.write_text(INTERFERED_SCENARIO)
+    src = os.path.dirname(os.path.dirname(luxnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from luxnet.cli import main\n"
+        "codes = [main(['run', sys.argv[1], '--seed', seed,\n"
+        "               '--out-dir', sys.argv[2] + seed])\n"
+        "         for seed in ('1', '2')]\n"
+        "print(codes, 'numpy' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(scn), str(tmp_path / "seed")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+    assert (read(tmp_path / "seed1" / "seeded.csv")
+            != read(tmp_path / "seed2" / "seeded.csv"))
 
 
 def test_run_honours_out_dir_env(tmp_path, capsys, monkeypatch):
@@ -521,6 +547,8 @@ def test_run_reports_a_write_that_fails_midway(tmp_path, capsys,
     assert f"error: cannot write {csv_path}: " in err
     assert os.strerror(errno.ENOSPC) in err
     assert "Traceback" not in err
+    # the truncated file is removed, so no partial output remains
+    assert not os.path.exists(csv_path)
 
 
 def test_seed_affects_only_interfered_runs(tmp_path, capsys):

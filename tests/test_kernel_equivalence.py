@@ -10,6 +10,7 @@ The same generated networks also run at two step sizes against each
 other (the step-halving property).
 """
 
+import io
 import math
 from bisect import bisect_left
 from dataclasses import asdict, replace
@@ -31,9 +32,13 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    SegmentLane,
+    TraceSegment,
     _Runtime,
     audit_conservation,
+    format_trace_csv,
     run_scenario,
+    segment_values,
     summarize,
     tick_count,
 )
@@ -339,6 +344,96 @@ def test_segments_render_and_summarize_as_their_rows(scenario):
     summary = summarize(trace)
     assert {nid: (s.steady_mean_v, s.steady_band_v)
             for nid, s in summary.nodes.items()} == row_based_steady(trace)
+
+
+def one_instant_segments(trace):
+    """The same trace with every segment cut into one per instant."""
+    return replace(trace, segments=[
+        segment._replace(instants=segment.instants[k:k + 1])
+        for segment in trace.segments
+        for k in range(len(segment.instants))])
+
+
+class CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@given(networks(), st.sampled_from([1, 2, 7, 50, simkernel.CSV_BLOCK_ROWS]))
+def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
+    # at a small block size a segment of more than one instant spans
+    # several blocks; cut into one-instant segments, every segment is
+    # one instant and the renderer joins them into shared writes: any
+    # two writes in a row hold more than one block
+    trace = run_scenario(scenario)
+    expected = row_by_row_csv(trace)
+    rows = expected.count("\n") - 1
+    out = CountedWrites()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        assert csv_text(trace) == expected
+        format_trace_csv(one_instant_segments(trace), out)
+    assert out.getvalue() == expected
+    assert out.writes <= 2 + 2 * rows // block_rows
+
+
+def clamped_voltages(lane, instants):
+    """A lane's storage voltage at each instant through the clamp to
+    0..energy_full, in the kernel's float order, one list element per
+    instant's energy."""
+    *_, e0, full, net, capacitance, _, _ = lane
+    return [math.sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
+                      / capacitance)
+            for n in instants for e in [e0 + n * net]]
+
+
+@st.composite
+def segments(draw):
+    """A segment whose lanes start inside, at the edges of or outside
+    0..energy_full, some with a net that reaches 0 or energy_full at one
+    of its instants, some with a net of +-0."""
+    start = draw(st.integers(0, 10_000))
+    step = draw(st.integers(1, 3))
+    instants = range(start, start + step * draw(st.integers(1, 300)), step)
+    lanes = []
+    for nid in range(1, draw(st.integers(1, 4)) + 1):
+        full = draw(st.floats(1e-3, 2.0))
+        e0 = draw(st.sampled_from([-0.0, 0.0, full])
+                  | st.floats(-full, 2.0 * full))
+        n = draw(st.sampled_from(instants)) or 1
+        edge = draw(st.sampled_from([0.0, full]))
+        net = draw(st.sampled_from([0.0, -0.0, (edge - e0) / n])
+                   | st.floats(-full / 100, full / 100))
+        lanes.append(SegmentLane(nid, 0.0, "SSN", "sleep", 0.0, e0, full,
+                                 net, draw(st.floats(0.05, 1.0)), 0.0, 0.0))
+    return TraceSegment(0, draw(st.integers(0, 100)), instants, 0.1,
+                        tuple(lanes))
+
+
+# lanes that reach 0 and energy_full partway, one that starts at -0.0 J
+# and one with no net flow
+EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
+    SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 0.5, 1.0, -0.1, 0.5, 0.0, 0.0),
+    SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 0.5, 1.0, 0.1, 0.5, 0.0, 0.0),
+    SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 1.0, 0.0, 0.5, 0.0, 0.0),
+    SegmentLane(4, 0.0, "SSN", "sleep", 0.0, 0.3, 1.0, -0.0, 0.5, 0.0, 0.0),
+))
+
+
+@given(segments(), st.integers(0, 10 ** 6))
+@example(EDGE_SEGMENT, 4)
+def test_segment_values_are_the_clamped_closed_form(segment, pick):
+    # bit for bit, for the whole segment, one instant and a tail of it
+    every = segment.instants
+    k = pick % len(every)
+    for instants in (every, every[k:k + 1], every[k:]):
+        _, values = segment_values(segment, instants)
+        for lane, v_caps in zip(segment.lanes, values):
+            assert ([v.hex() for v in v_caps]
+                    == [v.hex() for v in clamped_voltages(lane, instants)])
 
 
 def halving_domain(scenario):
