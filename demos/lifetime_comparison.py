@@ -6,8 +6,6 @@ harvest; the second lets the access point request light bursts from
 the bright pair each data round.  The dim node's fate is the story.
 """
 
-import dataclasses
-
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.simkernel import render_summary, run_scenario, summarize
 
@@ -16,7 +14,7 @@ HOUR = 3600.0
 
 def run(stem, hours):
     scenario = parse_scenario_file(shipped_scenario_path(stem))
-    scenario = dataclasses.replace(scenario, duration_s=hours * HOUR)
+    scenario = scenario._replace(duration_s=hours * HOUR)
     return scenario.name, run_scenario(scenario)
 
 

@@ -27,7 +27,7 @@ as a failed check rather than a stale comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order, pv_input_power
 from .energy import (
@@ -166,8 +166,7 @@ def mean_uplift_fraction(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     return gain * on_air / (REQUEST_ROUND_S * SSN_AMBIENT_LUX)
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     optical_power_w: float
     burst_gain_lux: float
     peak_lux: float

@@ -39,8 +39,7 @@ pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -73,58 +72,73 @@ def photon_energy(wavelength_m: float) -> float:
     return PLANCK_J_S * LIGHT_SPEED_M_S / wavelength_m
 
 
-@dataclass(frozen=True)
-class OpticalTransmitter:
-    """A Lambertian source: radiated power, beam width, pose."""
-
+class _Transmitter(NamedTuple):
     optical_power_w: float
     half_angle_deg: float = 60.0
     position: Vec3 = (0.0, 0.0, 0.0)
     boresight: Vec3 = (0.0, 0.0, -1.0)
 
-    def __post_init__(self):
+
+class OpticalTransmitter(_Transmitter):
+    """A Lambertian source: radiated power, beam width, pose."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.optical_power_w < 0.0:
             raise ValueError("optical power must be non-negative")
         if not 0.0 < self.half_angle_deg < 90.0:
             raise ValueError("half angle must be in (0, 90) deg")
+        return self
 
     @property
     def order(self) -> float:
         return lambertian_order(self.half_angle_deg)
 
 
-@dataclass(frozen=True)
-class OpticalReceiver:
-    """A flat detector or photovoltaic face: area, field of view, pose."""
-
+class _Receiver(NamedTuple):
     area_m2: float
     field_of_view_half_angle_deg: float = 90.0
     position: Vec3 = (0.0, 0.0, 0.0)
     normal: Vec3 = (0.0, 0.0, 1.0)
 
-    def __post_init__(self):
+
+class OpticalReceiver(_Receiver):
+    """A flat detector or photovoltaic face: area, field of view, pose."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.area_m2 <= 0.0:
             raise ValueError("receiver area must be positive")
         if not 0.0 < self.field_of_view_half_angle_deg <= 90.0:
             raise ValueError("field of view half angle must be in (0, 90] deg")
+        return self
 
 
-@dataclass(frozen=True)
-class OpticalLink:
-    """Resolved geometry of one transmitter-receiver pair."""
-
+class _Link(NamedTuple):
     distance_m: float
     irradiance_angle_deg: float   # alpha, off transmitter boresight
     incidence_angle_deg: float    # beta, off receiver normal
     order: float = 1.0            # Lambertian mode number of the source
 
-    def __post_init__(self):
+
+class OpticalLink(_Link):
+    """Resolved geometry of one transmitter-receiver pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.distance_m <= 0.0:
             raise ValueError("link distance must be positive")
         for name, angle in (("irradiance", self.irradiance_angle_deg),
                             ("incidence", self.incidence_angle_deg)):
             if not 0.0 <= angle <= 90.0:
                 raise ValueError(f"{name} angle must be in [0, 90] deg, got {angle}")
+        return self
 
 
 def norm(v: Vec3) -> float:
@@ -208,8 +222,13 @@ def pv_input_power(illuminance_lux: float) -> float:
     return CELL_REFERENCE_W * illuminance_lux / CELL_REFERENCE_LUX
 
 
-@dataclass(frozen=True)
-class InterferenceModel:
+class _Interference(NamedTuple):
+    midpoint_lux: float = 300.0
+    steepness_per_lux: float = 0.02
+    floor: float = 0.0
+
+
+class InterferenceModel(_Interference):
     """Logistic frame-failure curve against ambient illuminance.
 
     failure = floor + (1 - floor) / (1 + exp(steepness * (lux - midpoint)))
@@ -219,15 +238,15 @@ class InterferenceModel:
     any energy burst is on the air, wherever its emitter points.
     """
 
-    midpoint_lux: float = 300.0
-    steepness_per_lux: float = 0.02
-    floor: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.steepness_per_lux <= 0.0:
             raise ValueError("steepness must be positive")
         if not 0.0 <= self.floor < 1.0:
             raise ValueError("floor must be in [0, 1)")
+        return self
 
 
 def frame_failure_probability(ambient_lux: float,

@@ -24,14 +24,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import dataclasses
 import math
 import os
 import re
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
-from .calibration import calibrate, render_report
 from .channel import InterferenceModel
 from .controller import ControllerConfig, duty_cycle, standby_time
 from .energy import (
@@ -123,16 +121,17 @@ class _Section:
              prefix: str = "", **given):
         """An instance of cls from the given fields plus one per table row.
 
-        An absent key takes its default, the dataclass field default
-        unless defaults are passed; a key without one is required.
+        An absent key takes its default, the field default of the named
+        tuple cls unless defaults are passed; a key without one is
+        required.
         """
         if defaults is None:
-            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            defaults = cls._field_defaults
         for key, name, reader in table:
             key = prefix + key
             if key in self.raw:
                 given[name] = getattr(self, reader)(key)
-            elif defaults[name] is dataclasses.MISSING:
+            elif name not in defaults:
                 raise ScenarioError(
                     f"{self.name}: missing required key '{key}'")
             else:
@@ -226,7 +225,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     profile = DEFAULT_PROFILE
     if "calibration" in sections:
         profile = sections["calibration"].read(
-            PowerProfile, CALIBRATION_KEYS, dataclasses.asdict(DEFAULT_PROFILE))
+            PowerProfile, CALIBRATION_KEYS, DEFAULT_PROFILE._asdict())
     return sections["scenario"].read(
         Scenario, SCENARIO_KEYS,
         nodes=tuple(_parse_node(sec, nid) for nid, sec in node_sections),
@@ -326,7 +325,7 @@ def cmd_run(args) -> int:
     # read and check every file first: a bad or clashing one writes nothing
     runs: Dict[str, Tuple[str, Scenario]] = {}
     for path in args.scenario:
-        scenario = dataclasses.replace(parse_scenario_file(path), **overrides)
+        scenario = parse_scenario_file(path)._replace(**overrides)
         validate_scenario(scenario)
         stem = _safe_name(scenario.name)
         if stem in runs:
@@ -444,6 +443,9 @@ def cmd_frame(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # imported here, so no other command compiles the calibration module
+    from .calibration import calibrate, render_report
+
     sys.stdout.write(render_report(calibrate()))
     return 0
 

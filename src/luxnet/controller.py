@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .energy import illuminance_for_open_voltage
 from .node import DEFAULT_TIMING, PSN_PV_THRESHOLD_V, NodeMode, TimingParams
@@ -28,8 +27,7 @@ from .protocol import (
 REFERENCE_ILLUMINANCE_LUX = 1000.0
 
 
-@dataclass(frozen=True)
-class DutyCycle:
+class DutyCycle(NamedTuple):
     """Fraction of the reporting interval a node spends powered down."""
 
     ratio: float
@@ -91,19 +89,22 @@ def select_t_data_req(timings: Sequence[TimingParams],
     return float(math.floor((lower + upper) / 2.0))
 
 
-@dataclass
 class RegistryEntry:
     """Last known telemetry for one node, as decoded from its reports."""
 
-    node_id: int
-    last_pv: float = 0.0
-    role: NodeMode = NodeMode.SSN
-    assigned_n: int = 0
-    last_seen: float = float("-inf")
+    __slots__ = ("node_id", "last_pv", "role", "assigned_n", "last_seen")
+
+    def __init__(self, node_id: int, last_pv: float = 0.0,
+                 role: NodeMode = NodeMode.SSN, assigned_n: int = 0,
+                 last_seen: float = float("-inf")):
+        self.node_id = node_id
+        self.last_pv = last_pv
+        self.role = role
+        self.assigned_n = assigned_n
+        self.last_seen = last_seen
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class _Config(NamedTuple):
     t_data_req: float = 600.0
     t_int: float = DEFAULT_TIMING.t_int
     n_min: int = 1
@@ -114,7 +115,14 @@ class ControllerConfig:
     etx_bursts_per_request: int = 1
     stale_after_rounds: float = 3.0
 
-    def __post_init__(self):
+
+class ControllerConfig(_Config):
+    """The access point's settings, the [oap] rows of a scenario file."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.t_data_req <= 0.0 or self.t_int <= 0.0:
             raise ValueError("periods must be positive")
         if self.n_min < 0:
@@ -127,6 +135,7 @@ class ControllerConfig:
                 f"{DEFAULT_TIMING.t_standby:.2f}]")
         if self.slot_spacing_s <= 0.0 or self.etx_spacing_s <= 0.0:
             raise ValueError("slot spacings must be positive")
+        return self
 
 
 def assign_n(entry: RegistryEntry, config: ControllerConfig,
@@ -154,7 +163,6 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
     return max(n, config.n_min)
 
 
-@dataclass
 class Controller:
     """The access point's scheduling core.
 
@@ -167,27 +175,28 @@ class Controller:
     when step next acts, as an instant it turns into a tick.
     """
 
-    config: ControllerConfig
-    node_ids: Sequence[int]
-    etx_enabled: bool = True
-    registry: Dict[int, RegistryEntry] = field(default_factory=dict)
-    events: List[str] = field(default_factory=list)
-    _pending: List[Tuple[float, int, Frame44]] = field(default_factory=list)
-    _seq: int = 0
-    _next_round: float = 0.0
+    __slots__ = ("config", "node_ids", "etx_enabled", "registry", "events",
+                 "_pending", "_seq", "_next_round")
 
-    def __post_init__(self):
-        self.node_ids = sorted(set(self.node_ids))
+    def __init__(self, config: ControllerConfig, node_ids: Sequence[int],
+                 etx_enabled: bool = True):
+        self.config = config
+        self.node_ids: List[int] = sorted(set(node_ids))
         if not self.node_ids:
             raise ValueError("controller needs at least one node id")
-        self._next_round = self.config.t_data_req
+        self.etx_enabled = etx_enabled
+        self.registry: Dict[int, RegistryEntry] = {}
+        self.events: List[str] = []
+        self._pending: List[Tuple[float, int, Frame44]] = []
+        self._seq = 0
+        self._next_round = config.t_data_req
         # the run starts at t = 0 with the config broadcast and the polls
         self._queue(0.0, Frame44(
             dest_address=BROADCAST_ADDRESS,
             payload=OapToNode(command=Command.INIT_CONFIG,
-                              param=int(self.config.t_int))))
+                              param=int(config.t_int))))
         for rank, node_id in enumerate(self.node_ids):
-            due = 1.0 + rank * self.config.slot_spacing_s
+            due = 1.0 + rank * config.slot_spacing_s
             self._queue(due, Frame44(
                 dest_address=node_id,
                 payload=OapToNode(command=Command.DATA_REQUEST, param=0)))

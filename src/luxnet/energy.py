@@ -26,8 +26,7 @@ module, which re-derives the numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 
@@ -67,7 +66,6 @@ def illuminance_for_open_voltage(volts: float) -> float:
     return PV_OPEN_VOLTAGE_KNEE_LUX * volts / (PV_OPEN_VOLTAGE_MAX - volts)
 
 
-@dataclass
 class StorageCapacitor:
     """Ideal supercapacitor state plus the node's guard floor v_min.
 
@@ -77,20 +75,23 @@ class StorageCapacitor:
     quiet stretch of many in one closed-form step.
     """
 
-    capacitance: float = STORAGE_CAPACITANCE_F
-    voltage: float = 0.0
-    v_min: float = V_OVERDISCHARGE + 0.1
-    leak_power: float = LEAK_POWER_W
+    __slots__ = ("capacitance", "voltage", "v_min", "leak_power")
 
-    def __post_init__(self):
-        if self.capacitance <= 0.0:
+    def __init__(self, capacitance: float = STORAGE_CAPACITANCE_F,
+                 voltage: float = 0.0, v_min: float = V_OVERDISCHARGE + 0.1,
+                 leak_power: float = LEAK_POWER_W):
+        if capacitance <= 0.0:
             raise ValueError("capacitance must be positive")
-        if not 0.0 <= self.voltage <= V_STORAGE_MAX + 1e-9:
-            raise ValueError(f"voltage {self.voltage} outside [0, v_max]")
-        if self.v_min < V_OVERDISCHARGE:
+        if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
+            raise ValueError(f"voltage {voltage} outside [0, v_max]")
+        if v_min < V_OVERDISCHARGE:
             raise ValueError("v_min must not sit below v_ovdis")
-        if self.leak_power < 0.0:
+        if leak_power < 0.0:
             raise ValueError("leak power must be non-negative")
+        self.capacitance = capacitance
+        self.voltage = voltage
+        self.v_min = v_min
+        self.leak_power = leak_power
 
     @property
     def energy(self) -> float:
@@ -105,15 +106,7 @@ class StorageCapacitor:
         return 0.5 * self.capacitance * voltage ** 2
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Electrical draw of each node activity, watts.
-
-    Sleep and standby must both stay under what a single cell produces
-    at full room light (CELL_REFERENCE_W), otherwise idle life is not
-    sustainable.
-    """
-
+class _Profile(NamedTuple):
     sleep: float
     standby: float
     sense: float
@@ -121,15 +114,26 @@ class PowerProfile:
     etx: float
     decode: float
 
-    def __post_init__(self):
-        draws = (self.sleep, self.standby, self.sense, self.data_tx,
-                 self.etx, self.decode)
-        if any(p < 0.0 for p in draws):
+
+class PowerProfile(_Profile):
+    """Electrical draw of each node activity, watts.
+
+    Sleep and standby must both stay under what a single cell produces
+    at full room light (CELL_REFERENCE_W), otherwise idle life is not
+    sustainable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if any(p < 0.0 for p in self):
             raise ValueError("power draws must be non-negative")
         if not self.sleep < self.standby:
             raise ValueError("sleep draw must sit below standby draw")
         if self.standby >= CELL_REFERENCE_W:
             raise ValueError("standby draw must stay below single-cell generation")
+        return self
 
 
 # Fit by the calibration module; see its docstring for the three targets.
@@ -143,15 +147,20 @@ DEFAULT_PROFILE = PowerProfile(
 )
 
 
-@dataclass(frozen=True)
-class HarvesterArray:
-    """The full set of cells on one node, one receiver face per cell."""
-
+class _Harvester(NamedTuple):
     cells: Tuple[OpticalReceiver, ...]
 
-    def __post_init__(self):
+
+class HarvesterArray(_Harvester):
+    """The full set of cells on one node, one receiver face per cell."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.cells) == 0:
             raise ValueError("harvester needs at least one cell")
+        return self
 
     def harvest_power(self, illuminance_per_cell: Sequence[float]) -> float:
         """Total electrical watts given per-face illuminance."""

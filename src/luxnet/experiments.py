@@ -11,8 +11,7 @@ failure ratio while a share burst is on the air.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ RELAY_IDS = (1, 3)
 TARGET_NODE_ID = 2
 
 
-@dataclass(frozen=True)
-class RechargePoint:
+class RechargePoint(NamedTuple):
     """One ambient level of the recharge study."""
 
     ambient_lux: float
@@ -38,8 +36,7 @@ class RechargePoint:
     improvement: float
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One ambient level of the interference study."""
 
     ambient_lux: float

@@ -36,9 +36,8 @@ fire as soon as it fills.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .channel import OpticalTransmitter
 from .energy import (
@@ -90,8 +89,16 @@ class NodeState(Enum):
     DEPLETED = "Depleted"
 
 
-@dataclass(frozen=True)
-class TimingParams:
+class _Timing(NamedTuple):
+    t_int: float = 3600.0
+    t_sense: float = 9.53
+    t_energy_net: float = 40.0
+    t_energy_net_rec: float = 450.0
+    t_data_net_rec: float = 40.0
+    t_standby: float = 600.94
+
+
+class TimingParams(_Timing):
     """Protocol durations, the input of the duty planners.
 
     duty_cycle, standby_time, select_t_data_req and `luxnet duty-table`
@@ -100,18 +107,14 @@ class TimingParams:
     is set by the access point's INIT_CONFIG and lives on each node.
     """
 
-    t_int: float = 3600.0
-    t_sense: float = 9.53
-    t_energy_net: float = 40.0
-    t_energy_net_rec: float = 450.0
-    t_data_net_rec: float = 40.0
-    t_standby: float = 600.94
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("t_int", "t_sense", "t_energy_net", "t_energy_net_rec",
-                     "t_data_net_rec", "t_standby"):
-            if getattr(self, name) <= 0.0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        return self
 
 
 DEFAULT_TIMING = TimingParams()
@@ -122,42 +125,53 @@ def select_role(v_pv: float) -> NodeMode:
     return NodeMode.PSN if v_pv > PSN_PV_THRESHOLD_V else NodeMode.SSN
 
 
-@dataclass
 class NodeRecord:
     """Full state of one node, owned and advanced by the simulation kernel."""
 
-    node_id: int
-    storage: StorageCapacitor
-    profile: PowerProfile = DEFAULT_PROFILE
-    t_int: float = DEFAULT_TIMING.t_int   # set by INIT_CONFIG
-    mode: NodeMode = NodeMode.SSN
-    state: NodeState = NodeState.INIT
-    v_pv: float = 0.0
-    pending_n: int = 0
+    __slots__ = ("node_id", "storage", "profile", "t_int", "mode", "state",
+                 "v_pv", "pending_n", "led", "etx_autonomous",
+                 "sensing_enabled", "sensor_base_c", "state_since",
+                 "next_report_s", "phase_lit", "phase_start_s", "phase_end_s")
 
-    # geometry and policy
-    led: Optional[OpticalTransmitter] = None   # energy-burst emitter, if fitted
-    etx_autonomous: bool = False
-    sensing_enabled: bool = True
-    sensor_base_c: float = 25.0
-
-    # bookkeeping, managed by step_node; state_since is the instant the
-    # state's clock starts: the end of the step that entered the state,
-    # or a stray frame's arrival, which restarts Standby's
-    state_since: float = 0.0
-    next_report_s: float = 0.0
-    # the last metered phase, [phase_start_s, phase_end_s): a sensing
-    # cycle, or a burst session if phase_lit; it draws its power on top
-    # of sleep for the share of each step it covers (phase_share)
-    phase_lit: bool = False
-    phase_start_s: float = 0.0
-    phase_end_s: float = 0.0
-
-    def __post_init__(self):
-        if not 1 <= self.node_id <= 15:
+    def __init__(self, node_id: int, storage: StorageCapacitor,
+                 profile: PowerProfile = DEFAULT_PROFILE,
+                 t_int: float = DEFAULT_TIMING.t_int,
+                 mode: NodeMode = NodeMode.SSN,
+                 state: NodeState = NodeState.INIT,
+                 v_pv: float = 0.0, pending_n: int = 0,
+                 led: Optional[OpticalTransmitter] = None,
+                 etx_autonomous: bool = False, sensing_enabled: bool = True,
+                 sensor_base_c: float = 25.0, state_since: float = 0.0,
+                 next_report_s: float = 0.0, phase_lit: bool = False,
+                 phase_start_s: float = 0.0, phase_end_s: float = 0.0):
+        if not 1 <= node_id <= 15:
             raise ValueError("node id must be 1..15 (0 is the access point)")
-        if self.pending_n < 0:
+        if pending_n < 0:
             raise ValueError("pending burst count must be non-negative")
+        self.node_id = node_id
+        self.storage = storage
+        self.profile = profile
+        self.t_int = t_int      # set by INIT_CONFIG
+        self.mode = mode
+        self.state = state
+        self.v_pv = v_pv
+        self.pending_n = pending_n
+        # geometry and policy
+        self.led = led          # energy-burst emitter, if fitted
+        self.etx_autonomous = etx_autonomous
+        self.sensing_enabled = sensing_enabled
+        self.sensor_base_c = sensor_base_c
+        # bookkeeping, managed by step_node; state_since is the instant
+        # the state's clock starts: the end of the step that entered the
+        # state, or a stray frame's arrival, which restarts Standby's
+        self.state_since = state_since
+        self.next_report_s = next_report_s
+        # the last metered phase, [phase_start_s, phase_end_s): a sensing
+        # cycle, or a burst session if phase_lit; it draws its power on
+        # top of sleep for the share of each step it covers (phase_share)
+        self.phase_lit = phase_lit
+        self.phase_start_s = phase_start_s
+        self.phase_end_s = phase_end_s
 
     # -- energy helpers ------------------------------------------------
 
@@ -195,16 +209,21 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
     return min(DEFAULT_TIMING.t_energy_net, available / net_drain)
 
 
-@dataclass
 class NodeStepResult:
-    emitted: List[Frame44] = field(default_factory=list)
-    events: List[str] = field(default_factory=list)
-    # one per frame handed in, in order: why the receiver never took it,
-    # or "" when it did
-    causes: List[str] = field(default_factory=list)
-    # joules of the step's frames (decodes and the report), on top of
-    # state_draw_w
-    cost_j: float = 0.0
+    """What one step_node call produced: the frames it emitted, its event
+    texts, one cause per frame handed in (why the receiver never took
+    it, or "" when it did) and cost_j, the joules of the step's frames
+    (decodes and the report) on top of state_draw_w."""
+
+    __slots__ = ("emitted", "events", "causes", "cost_j")
+
+    def __init__(self, emitted: Optional[List[Frame44]] = None,
+                 events: Optional[List[str]] = None,
+                 causes: Optional[List[str]] = None, cost_j: float = 0.0):
+        self.emitted = [] if emitted is None else emitted
+        self.events = [] if events is None else events
+        self.causes = [] if causes is None else causes
+        self.cost_j = cost_j
 
 
 # Sensing and burst sessions are metered against their phase interval,

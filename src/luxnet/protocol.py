@@ -30,7 +30,6 @@ address bytes followed by the data bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple, Union
 
@@ -263,18 +262,23 @@ class FrameError(ValueError):
     """Raised when a byte buffer fails to parse as a frame."""
 
 
-@dataclass(frozen=True)
-class GenericFrame:
-    """Byte-level frame: a 16-bit address plus up to 255 data bytes."""
-
+class _Frame(NamedTuple):
     address: int
     data: bytes = b""
 
-    def __post_init__(self):
+
+class GenericFrame(_Frame):
+    """Byte-level frame: a 16-bit address plus up to 255 data bytes."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.address <= 0xFFFF:
             raise ValueError(f"address must be 16 bit, got {self.address}")
         if len(self.data) > MAX_DATA_BYTES:
             raise ValueError(f"data exceeds {MAX_DATA_BYTES} bytes")
+        return self
 
     @property
     def checksum(self) -> int:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
     Deque,
@@ -107,16 +106,14 @@ ETX_POLICIES = ("disabled", "oap", "autonomous")
 MAX_TICKS = 10 ** 8
 
 
-@dataclass(frozen=True)
-class FaceSpec:
+class FaceSpec(NamedTuple):
     """One harvesting face: outward normal and its static ambient light."""
 
     normal: Vec3
     ambient_lux: float
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """Scenario-level initializer for one node."""
 
     node_id: int
@@ -131,20 +128,18 @@ class NodeSpec:
     sensor_base_c: float = 25.0
 
 
-@dataclass(frozen=True)
-class OapSpec:
+class OapSpec(NamedTuple):
     """Access point: controller settings plus its mounting position."""
 
-    config: ControllerConfig = field(default_factory=ControllerConfig)
+    config: ControllerConfig = ControllerConfig()
     position: Vec3 = (0.0, 0.0866, 0.4)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     duration_s: float
     nodes: Tuple[NodeSpec, ...]
-    oap: OapSpec = field(default_factory=OapSpec)
+    oap: OapSpec = OapSpec()
     step_s: float = 0.1
     seed: int = 0
     trace_interval_s: float = 10.0
@@ -153,10 +148,10 @@ class Scenario:
     profile: PowerProfile = DEFAULT_PROFILE
 
 
-# The scenario file format: one table per dataclass, each row
-# (file key, dataclass field, reader), in file order.  The reader is one
-# of text, number, integer, flag or vector.  A field without a dataclass
-# default is a required key, and a None default makes the key optional.
+# The scenario file format: one table per spec type, each row
+# (file key, field, reader), in file order.  The reader is one of text,
+# number, integer, flag or vector.  A field without a default is a
+# required key, and a None default makes the key optional.
 # cli parses and writes files through these tables, and validate_scenario
 # checks every number row for finiteness.
 SCENARIO_KEYS = (
@@ -185,7 +180,7 @@ INTERFERENCE_KEYS = (
     ("steepness_per_lux", "steepness_per_lux", "number"),
     ("floor", "floor", "number"),
 )
-# [calibration] defaults to DEFAULT_PROFILE, not to dataclass defaults
+# [calibration] defaults to DEFAULT_PROFILE, not to field defaults
 CALIBRATION_KEYS = (
     ("sleep_w", "sleep", "number"),
     ("standby_w", "standby", "number"),
@@ -292,8 +287,7 @@ def segment_values(segment: TraceSegment,
     return [(i + n) * dt for n in instants], lanes
 
 
-@dataclass
-class FrameLogEntry:
+class FrameLogEntry(NamedTuple):
     time_s: float
     outcome: str          # sent | delivered | failed
     origin: str
@@ -301,27 +295,38 @@ class FrameLogEntry:
     cause: str = ""
 
 
-@dataclass
 class NodeAggregate:
     """Per-node tallies, booked once per stretch; a full tick is a one-tick
     stretch."""
 
-    node_id: int
-    lux_integral: float = 0.0
-    lux_min: float = float("inf")
-    lux_max: float = 0.0
-    time_by_state: Dict[str, float] = field(default_factory=dict)
-    depleted_at: Optional[float] = None
-    harvested_j: float = 0.0
-    consumed_j: float = 0.0
-    leaked_j: float = 0.0
-    clamp_loss_j: float = 0.0
-    start_energy_j: float = 0.0
-    final_energy_j: float = 0.0
-    final_voltage: float = 0.0
+    __slots__ = ("node_id", "lux_integral", "lux_min", "lux_max",
+                 "time_by_state", "depleted_at", "harvested_j", "consumed_j",
+                 "leaked_j", "clamp_loss_j", "start_energy_j",
+                 "final_energy_j", "final_voltage")
+
+    def __init__(self, node_id: int, lux_integral: float = 0.0,
+                 lux_min: float = math.inf, lux_max: float = 0.0,
+                 time_by_state: Optional[Dict[str, float]] = None,
+                 depleted_at: Optional[float] = None,
+                 harvested_j: float = 0.0, consumed_j: float = 0.0,
+                 leaked_j: float = 0.0, clamp_loss_j: float = 0.0,
+                 start_energy_j: float = 0.0, final_energy_j: float = 0.0,
+                 final_voltage: float = 0.0):
+        self.node_id = node_id
+        self.lux_integral = lux_integral
+        self.lux_min = lux_min
+        self.lux_max = lux_max
+        self.time_by_state = {} if time_by_state is None else time_by_state
+        self.depleted_at = depleted_at
+        self.harvested_j = harvested_j
+        self.consumed_j = consumed_j
+        self.leaked_j = leaked_j
+        self.clamp_loss_j = clamp_loss_j
+        self.start_energy_j = start_energy_j
+        self.final_energy_j = final_energy_j
+        self.final_voltage = final_voltage
 
 
-@dataclass
 class TraceSet:
     """Everything one run recorded.
 
@@ -334,15 +339,23 @@ class TraceSet:
     delivered).  The frame counts are read from it.
     """
 
-    scenario_name: str
-    duration_s: float
-    step_s: float
-    seed: int
-    discrete: List[TraceRow]
-    segments: List[TraceSegment]
-    frame_log: List[FrameLogEntry]
-    controller_log: List[str]
-    aggregates: Dict[int, NodeAggregate]
+    __slots__ = ("scenario_name", "duration_s", "step_s", "seed", "discrete",
+                 "segments", "frame_log", "controller_log", "aggregates")
+
+    def __init__(self, scenario_name: str, duration_s: float, step_s: float,
+                 seed: int, discrete: List[TraceRow],
+                 segments: List[TraceSegment],
+                 frame_log: List[FrameLogEntry], controller_log: List[str],
+                 aggregates: Dict[int, NodeAggregate]):
+        self.scenario_name = scenario_name
+        self.duration_s = duration_s
+        self.step_s = step_s
+        self.seed = seed
+        self.discrete = discrete
+        self.segments = segments
+        self.frame_log = frame_log
+        self.controller_log = controller_log
+        self.aggregates = aggregates
 
     def runs(self, since: float = -math.inf
              ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
@@ -468,6 +481,17 @@ def validate_scenario(scenario: Scenario) -> None:
         _require_finite("interference: ", scenario.interference,
                         INTERFERENCE_KEYS)
     _require_finite("calibration: ", scenario.profile, CALIBRATION_KEYS)
+    # _replace builds a value without its constructor's checks, so each
+    # checked value is built again: a zero t_data_req would never end
+    for label, value in (("oap", scenario.oap.config),
+                         ("interference", scenario.interference),
+                         ("calibration", scenario.profile)):
+        if value is None:
+            continue
+        try:
+            type(value)(*value)
+        except ValueError as exc:
+            raise ScenarioError(f"{label}: {exc}") from exc
     if scenario.duration_s <= 0.0:
         raise ScenarioError("duration_s must be positive")
     if scenario.step_s <= 0.0:
@@ -966,8 +990,7 @@ def audit_conservation(trace: TraceSet) -> Dict[int, float]:
     return residuals
 
 
-@dataclass
-class NodeSummary:
+class NodeSummary(NamedTuple):
     node_id: int
     lifetime_s: float
     lux_mean: float
@@ -979,8 +1002,7 @@ class NodeSummary:
     final_v: float
 
 
-@dataclass
-class Summary:
+class Summary(NamedTuple):
     scenario_name: str
     duration_s: float
     nodes: Dict[int, NodeSummary]

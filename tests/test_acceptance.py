@@ -7,7 +7,6 @@ through module-scoped fixtures so the whole gate stays inside the
 stated runtime budgets.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -265,15 +264,14 @@ def test_c9_physics_calculators():
 
 def test_c10_determinism_and_numerics(trace_b):
     scenario = parse_scenario_file(shipped_scenario_path("paper_a"))
-    short = dataclasses.replace(scenario, duration_s=1200.0)
+    short = scenario._replace(duration_s=1200.0)
     first = trace_csv(run_scenario(short))
     second = trace_csv(run_scenario(short))
     assert first == second, "C10 FAIL: identical runs differ byte-wise"
 
     plan_b = parse_scenario_file(shipped_scenario_path("paper_b"))
-    coarse = run_scenario(dataclasses.replace(plan_b, duration_s=800.0))
-    fine = run_scenario(dataclasses.replace(plan_b, duration_s=800.0,
-                                            step_s=0.05))
+    coarse = run_scenario(plan_b._replace(duration_s=800.0))
+    fine = run_scenario(plan_b._replace(duration_s=800.0, step_s=0.05))
     worst = max(abs(coarse.aggregates[n].final_voltage
                     - fine.aggregates[n].final_voltage)
                 for n in coarse.aggregates)

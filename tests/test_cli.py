@@ -406,6 +406,34 @@ def test_run_without_interference_never_imports_numpy(tmp_path):
     assert (tmp_path / "paper-a.csv").exists()
 
 
+def test_setup_and_run_import_no_unused_modules(tmp_path):
+    # every luxnet command starts by importing the package; reading and
+    # checking a scenario, then running it, needs neither numpy, nor the
+    # dataclasses machinery (with the inspect module it pulls in), nor
+    # the calibration module, which only `luxnet calibrate` reads
+    src = os.path.dirname(os.path.dirname(luxnet.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from luxnet.cli import main, parse_scenario_file,"
+        " shipped_scenario_path\n"
+        "from luxnet.simkernel import validate_scenario\n"
+        "path = shipped_scenario_path('paper_a')\n"
+        "validate_scenario(parse_scenario_file(path))\n"
+        "rc = main(['run', path, '--duration-s', '60',\n"
+        f"          '--out-dir', {str(tmp_path)!r}])\n"
+        "print(rc, [name for name in ('numpy', 'dataclasses', 'inspect',\n"
+        "                             'luxnet.calibration')\n"
+        "           if name in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "paper-a.csv").exists()
+
+
 def test_interfered_run_never_imports_numpy(tmp_path):
     # the interference draws are numpy's default_rng streams computed in
     # pure Python, so a run with an [interference] section does not
@@ -662,7 +690,7 @@ def test_nodeless_file_is_rejected():
 #
 # Round-trip domain: every number is a finite float, every integer is
 # non-negative and below 2**64, the name is one line with no surrounding
-# whitespace, and each dataclass is built through its own constructor, so
+# whitespace, and each spec is built through its own constructor, so
 # its checks hold.
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

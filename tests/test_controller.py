@@ -220,26 +220,26 @@ def test_controller_skips_stale_nodes():
     assert set(etx_late) == {1}
 
 
-def test_the_controller_acts_exactly_when_it_is_due():
+def test_the_controller_acts_exactly_when_it_is_due(monkeypatch):
     # the kernel skips every tick before next_due_s, so step must change
     # nothing before it and act on the first tick that reaches it: pop a
     # frame, or open a round, which may find no fresh primary to poll
     controller = Controller(config=ControllerConfig(), node_ids=[1, 3])
     replies = [(11.0, report(1, 163)), (21.0, report(3, 163))]
     replies += [(600.0 * k + 15.0, report(1, 163)) for k in range(1, 6)]
-    step = controller.step
+    step = Controller.step
     acted = []
 
-    def checked(now):
+    def checked(controller, now):
         due = controller.next_due_s() <= now + 1e-9
         before = (controller._next_round, list(controller._pending))
-        frames = step(now)
+        frames = step(controller, now)
         after = (controller._next_round, list(controller._pending))
         assert bool(frames or after != before) is due, now
         acted.append((due, bool(frames)))
         return frames
 
-    controller.step = checked
+    monkeypatch.setattr(Controller, "step", checked)
     drive(controller, 6000.0, replies)
     # rounds at 5400 s and 6000 s poll nobody, yet are due
     assert (True, False) in acted and (True, True) in acted

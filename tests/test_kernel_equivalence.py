@@ -13,7 +13,6 @@ other (the step-halving property).
 import io
 import math
 from bisect import bisect_left
-from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -34,6 +33,7 @@ from luxnet.simkernel import (
     Scenario,
     SegmentLane,
     TraceSegment,
+    TraceSet,
     _Runtime,
     audit_conservation,
     format_trace_csv,
@@ -42,6 +42,7 @@ from luxnet.simkernel import (
     summarize,
     tick_count,
 )
+from test_node import slot_values
 from test_simkernel import (
     csv_text,
     events_for,
@@ -51,8 +52,8 @@ from test_simkernel import (
 
 
 def shipped(stem, **changes):
-    return replace(parse_scenario_file(shipped_scenario_path(stem)),
-                   **changes)
+    return parse_scenario_file(shipped_scenario_path(stem))._replace(
+        **changes)
 
 
 # what one closed-form step may differ by from the per-tick sums
@@ -62,11 +63,19 @@ ENERGY_TALLIES = ("harvested_j", "consumed_j", "leaked_j", "clamp_loss_j",
                   "start_energy_j", "final_energy_j")
 
 
+def trace_values(trace):
+    """Everything a TraceSet holds, its aggregates as field dicts."""
+    values = slot_values(trace)
+    values["aggregates"] = {nid: slot_values(agg)
+                            for nid, agg in trace.aggregates.items()}
+    return values
+
+
 def assert_same_trace(scenario):
     """The kernel's trace is the reference's, up to the rounding of
     closed-form stretches, and a rerun repeats it exactly."""
     trace = run_scenario(scenario)
-    assert asdict(trace) == asdict(run_scenario(scenario))
+    assert trace_values(trace) == trace_values(run_scenario(scenario))
     reference = oracle_run(scenario)
     assert len(trace.rows) == len(reference.rows)
     for got, want in zip(trace.rows, reference.rows):
@@ -121,7 +130,7 @@ def test_lone_node_depletes_and_recovers():
                            FaceSpec((0.0, 0.0, 1.0), 0.0),
                            FaceSpec((0.0, 0.0, -1.0), 0.0)),
                     start_voltage=3.3)
-    profile = replace(DEFAULT_PROFILE, sleep=0.4e-3, standby=0.5e-3)
+    profile = DEFAULT_PROFILE._replace(sleep=0.4e-3, standby=0.5e-3)
     trace = assert_same_trace(Scenario(
         name="relapse", duration_s=5000.0, nodes=(node,), profile=profile))
     events = [r.event for r in trace.rows if r.event]
@@ -165,8 +174,8 @@ def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     # node into or out of the lockout; that holds for a full tick's
     # one-tick stretch too, after its step_node calls
     def snapshot(record):
-        fields = dict(vars(record))
-        storage = dict(vars(fields.pop("storage")))
+        fields = slot_values(record)
+        storage = slot_values(fields.pop("storage"))
         del storage["voltage"]
         return fields, storage
 
@@ -336,7 +345,7 @@ def row_based_steady(trace):
     return figures
 
 
-@given(networks().map(lambda sc: replace(sc, trace_interval_s=sc.step_s)))
+@given(networks().map(lambda sc: sc._replace(trace_interval_s=sc.step_s)))
 def test_segments_render_and_summarize_as_their_rows(scenario):
     # a row every tick puts every quiet stretch's rows in a segment
     trace = run_scenario(scenario)
@@ -348,10 +357,10 @@ def test_segments_render_and_summarize_as_their_rows(scenario):
 
 def one_instant_segments(trace):
     """The same trace with every segment cut into one per instant."""
-    return replace(trace, segments=[
+    return TraceSet(**{**slot_values(trace), "segments": [
         segment._replace(instants=segment.instants[k:k + 1])
         for segment in trace.segments
-        for k in range(len(segment.instants))])
+        for k in range(len(segment.instants))]})
 
 
 class CountedWrites(io.StringIO):
@@ -459,8 +468,8 @@ def halving_domain(scenario):
         v_min = spec.v_min
         if spec.led_power_w > 0.0 and v_min == V_OVERDISCHARGE:
             v_min = 3.3
-        nodes.append(replace(spec, start_voltage=start, v_min=v_min))
-    return replace(scenario, nodes=tuple(nodes), interference=None,
+        nodes.append(spec._replace(start_voltage=start, v_min=v_min))
+    return scenario._replace(nodes=tuple(nodes), interference=None,
                    step_s=0.1,
                    duration_s=tick_count(scenario.duration_s, 0.1) * 0.1,
                    trace_interval_s=max(scenario.trace_interval_s, 0.1))
@@ -498,7 +507,7 @@ def test_step_halving_keeps_events_and_final_voltages(scenario):
     # that started one fine step later ends one fine step less into its
     # drain (1.4 mV at 4.5 V).  Such a node's voltage is not compared
     coarse, coarse_noted = run_noting_sessions(scenario)
-    fine, fine_noted = run_noting_sessions(replace(scenario, step_s=0.05))
+    fine, fine_noted = run_noting_sessions(scenario._replace(step_s=0.05))
     for spec in scenario.nodes:
         nid = spec.node_id
         assert ([r.event for r in events_for(coarse, nid)]

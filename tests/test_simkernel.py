@@ -5,7 +5,6 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -115,7 +114,24 @@ def test_trivial_scenario_one_step():
 def test_scenario_field_validation(mutate, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
     with pytest.raises(ScenarioError, match=fragment):
-        validate_scenario(replace(sc, **mutate))
+        validate_scenario(sc._replace(**mutate))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda sc: sc._replace(oap=OapSpec(
+        config=sc.oap.config._replace(t_data_req=0.0))),
+     "oap: periods must be positive"),
+    (lambda sc: sc._replace(interference=InterferenceModel()._replace(
+        floor=1.0)), "interference: floor must be in [0, 1)"),
+    (lambda sc: sc._replace(profile=sc.profile._replace(sleep=1e-3)),
+     "calibration: sleep draw must sit below standby draw"),
+])
+def test_replaced_values_are_checked_again(build, message):
+    # _replace skips a value's constructor checks; validate_scenario runs
+    # them, so a zero request period cannot start a run that never ends
+    sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        validate_scenario(build(sc))
 
 
 @pytest.mark.parametrize("spec_kw, fragment", [
@@ -136,7 +152,7 @@ def test_node_spec_validation(spec_kw, fragment):
         validate_scenario(sc)
 
 
-# each dataclass a scenario file fills, with its table of key rows
+# each named tuple a scenario file fills, with its table of key rows
 KEY_TABLES = (
     (Scenario, simkernel.SCENARIO_KEYS),
     (OapSpec, simkernel.OAP_KEYS),
@@ -156,7 +172,7 @@ SECTION_FIELDS = {"nodes", "oap", "config", "interference", "profile",
 def test_every_setting_is_a_scenario_key(cls, keys):
     # a field that is neither is a setting no scenario can set
     rows = {name for _, name, _ in keys}
-    assert {f.name for f in fields(cls)} - SECTION_FIELDS == rows
+    assert set(cls._fields) - SECTION_FIELDS == rows
 
 
 def test_led_power_error_names_the_key():
@@ -253,29 +269,29 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("bad", [NAN, INF])
 @pytest.mark.parametrize("build, key", [
-    (lambda sc, x: replace(sc, duration_s=x), "duration_s"),
-    (lambda sc, x: replace(sc, step_s=x), "step_s"),
-    (lambda sc, x: replace(sc, trace_interval_s=x), "trace_interval_s"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(ambient=x),)),
+    (lambda sc, x: sc._replace(duration_s=x), "duration_s"),
+    (lambda sc, x: sc._replace(step_s=x), "step_s"),
+    (lambda sc, x: sc._replace(trace_interval_s=x), "trace_interval_s"),
+    (lambda sc, x: sc._replace(nodes=(lone_node(ambient=x),)),
      "face_a_ambient_lux"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(start_voltage=x),)),
+    (lambda sc, x: sc._replace(nodes=(lone_node(start_voltage=x),)),
      "start_voltage_v"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(v_min=x),)), "v_min_v"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(led_power_w=x),)),
+    (lambda sc, x: sc._replace(nodes=(lone_node(v_min=x),)), "v_min_v"),
+    (lambda sc, x: sc._replace(nodes=(lone_node(led_power_w=x),)),
      "led_power_w"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(led_half_angle_deg=x),)),
+    (lambda sc, x: sc._replace(nodes=(lone_node(led_half_angle_deg=x),)),
      "led_half_angle_deg"),
-    (lambda sc, x: replace(sc, nodes=(lone_node(sensor_base_c=x),)),
+    (lambda sc, x: sc._replace(nodes=(lone_node(sensor_base_c=x),)),
      "sensor_base_c"),
-    (lambda sc, x: replace(sc, profile=replace(sc.profile, sense=x)),
+    (lambda sc, x: sc._replace(profile=sc.profile._replace(sense=x)),
      "sense_w"),
-    (lambda sc, x: replace(sc, profile=replace(sc.profile, etx=x)),
+    (lambda sc, x: sc._replace(profile=sc.profile._replace(etx=x)),
      "etx_w"),
-    (lambda sc, x: replace(sc, oap=OapSpec(config=replace(
-        sc.oap.config, etx_offset_s=x))), "etx_offset_s"),
-    (lambda sc, x: replace(sc, interference=InterferenceModel(
+    (lambda sc, x: sc._replace(oap=OapSpec(
+        config=sc.oap.config._replace(etx_offset_s=x))), "etx_offset_s"),
+    (lambda sc, x: sc._replace(interference=InterferenceModel(
         midpoint_lux=x)), "midpoint_lux"),
-    (lambda sc, x: replace(sc, interference=InterferenceModel(
+    (lambda sc, x: sc._replace(interference=InterferenceModel(
         steepness_per_lux=x)), "steepness_per_lux"),
 ])
 def test_non_finite_numbers_rejected(build, key, bad):
@@ -286,12 +302,12 @@ def test_non_finite_numbers_rejected(build, key, bad):
 
 def with_face_a_normal(sc, normal):
     node = lone_node()
-    faces = (replace(node.faces[0], normal=normal),) + node.faces[1:]
-    return replace(sc, nodes=(replace(node, faces=faces),))
+    faces = (node.faces[0]._replace(normal=normal),) + node.faces[1:]
+    return sc._replace(nodes=(node._replace(faces=faces),))
 
 
 def with_led_aim(sc, aim):
-    return replace(sc, nodes=(lone_node(led_power_w=5e-3, led_aim=aim),))
+    return sc._replace(nodes=(lone_node(led_power_w=5e-3, led_aim=aim),))
 
 
 @pytest.mark.parametrize("bad", [
@@ -299,11 +315,11 @@ def with_led_aim(sc, aim):
     (0.0, 1.0), (0.0, 1.0, 0.0, 0.0),
 ])
 @pytest.mark.parametrize("build, what", [
-    (lambda sc, v: replace(sc, nodes=(replace(lone_node(), position=v),)),
+    (lambda sc, v: sc._replace(nodes=(lone_node()._replace(position=v),)),
      "node.1 position"),
     (with_face_a_normal, "node.1 face normal"),
     (with_led_aim, "node.1 led_aim"),
-    (lambda sc, v: replace(sc, oap=replace(sc.oap, position=v)),
+    (lambda sc, v: sc._replace(oap=sc.oap._replace(position=v)),
      "oap position"),
 ])
 def test_non_finite_or_misshapen_vectors_rejected(build, what, bad):
@@ -318,7 +334,7 @@ def test_vectors_that_are_not_three_floats_rejected(bad):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
     with pytest.raises(ScenarioError,
                        match="oap position must be a finite 3-vector"):
-        validate_scenario(replace(sc, oap=replace(sc.oap, position=bad)))
+        validate_scenario(sc._replace(oap=sc.oap._replace(position=bad)))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -362,7 +378,7 @@ def test_sharing_needs_an_emitter():
     with pytest.raises(InfeasibleError, match="emitter"):
         run_scenario(sc)
     with pytest.raises(InfeasibleError, match="emitter"):
-        run_scenario(replace(sc, etx_policy="autonomous"))
+        run_scenario(sc._replace(etx_policy="autonomous"))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +564,7 @@ def test_seed_is_inert_without_stochastic_inputs():
     sc = Scenario(name="t", duration_s=300.0, nodes=triangle_nodes(),
                   etx_policy="oap")
     a = csv_text(run_scenario(sc))
-    b = csv_text(run_scenario(replace(sc, seed=99)))
+    b = csv_text(run_scenario(sc._replace(seed=99)))
     assert a == b
 
 
@@ -558,7 +574,7 @@ def test_step_halving_converges_below_millivolt():
     sc = Scenario(name="t", duration_s=800.0, nodes=triangle_nodes(),
                   etx_policy="oap")
     coarse = run_scenario(sc)
-    fine = run_scenario(replace(sc, step_s=0.05))
+    fine = run_scenario(sc._replace(step_s=0.05))
     for nid in (1, 2, 3):
         va = coarse.aggregates[nid].final_voltage
         vb = fine.aggregates[nid].final_voltage
@@ -573,7 +589,7 @@ def test_step_halving_keeps_events_once_config_matters():
                   oap=OapSpec(config=ControllerConfig(t_int=600.0)),
                   etx_policy="oap")
     coarse = run_scenario(sc)
-    fine = run_scenario(replace(sc, step_s=0.05))
+    fine = run_scenario(sc._replace(step_s=0.05))
     assert "timer wake" in [r.event for r in events_for(coarse, 2)]
     for nid in (1, 2, 3):
         assert ([r.event for r in events_for(coarse, nid)]
@@ -594,7 +610,7 @@ def test_step_halving_keeps_events_below_the_lockout():
                     start_voltage=3.1)
     sc = Scenario(name="t", duration_s=900.0, nodes=(node,))
     coarse = run_scenario(sc)
-    fine = run_scenario(replace(sc, step_s=0.05))
+    fine = run_scenario(sc._replace(step_s=0.05))
     events = [r.event for r in events_for(coarse, 1)]
     assert events[:2] == ["depleted", "recovered from depletion"]
     assert events == [r.event for r in events_for(fine, 1)]
@@ -677,7 +693,7 @@ def traffic_scenarios():
     paper_b = parse_scenario_file(shipped_scenario_path("paper_b"))
     return {
         # emitter sessions under the access point's sharing schedule
-        "paper-b-2h": replace(paper_b, duration_s=7200.0),
+        "paper-b-2h": paper_b._replace(duration_s=7200.0),
         # frames lost to interference while an emitter is on the air
         "guard": guard_scenario(),
         # in the dark, node 1 is locked out from the start and node 2
