@@ -95,7 +95,7 @@ class RegistryEntry:
     __slots__ = ("node_id", "last_pv", "role", "assigned_n", "last_seen")
 
     def __init__(self, node_id: int, last_pv: float = 0.0,
-                 role: NodeMode = NodeMode.SSN, assigned_n: int = 0,
+                 role: str = NodeMode.SSN, assigned_n: int = 0,
                  last_seen: float = float("-inf")):
         self.node_id = node_id
         self.last_pv = last_pv
@@ -148,7 +148,7 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
     standby budget of at least one request period, floored at the
     configured minimum.  Nodes without surplus light get zero.
     """
-    if entry.role is not NodeMode.PSN:
+    if entry.role != NodeMode.PSN:
         return 0
     timing = DEFAULT_TIMING
     recovery = timing.t_energy_net_rec
@@ -212,7 +212,7 @@ class Controller:
         out = []
         for node_id in self.node_ids:
             entry = self.registry.get(node_id)
-            if entry is None or entry.role is not NodeMode.PSN:
+            if entry is None or entry.role != NodeMode.PSN:
                 continue
             if now - entry.last_seen <= limit:
                 out.append(node_id)
@@ -269,10 +269,10 @@ class Controller:
         entry.last_seen = now
         role = (NodeMode.PSN if entry.last_pv > self.config.psn_pv_threshold
                 else NodeMode.SSN)
-        if role is not entry.role:
+        if role != entry.role:
             entry.role = role
-            self.events.append(f"{now:.1f}s node {node_id} is {role.value}")
-        if role is NodeMode.PSN:
+            self.events.append(f"{now:.1f}s node {node_id} is {role}")
+        if role == NodeMode.PSN:
             lux = illuminance_for_open_voltage(entry.last_pv)
             n = assign_n(entry, self.config, lux)
             if n != entry.assigned_n:

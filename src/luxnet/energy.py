@@ -166,7 +166,11 @@ class HarvesterArray(_Harvester):
         """Total electrical watts given per-face illuminance."""
         if len(illuminance_per_cell) != len(self.cells):
             raise ValueError("one illuminance value per cell required")
-        return sum(pv_input_power(lux) for lux in illuminance_per_cell)
+        # left to right: Python 3.12's sum() of floats rounds otherwise
+        total = 0.0
+        for lux in illuminance_per_cell:
+            total += pv_input_power(lux)
+        return total
 
 
 def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,

@@ -36,7 +36,6 @@ fire as soon as it fills.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .channel import OpticalTransmitter
@@ -75,12 +74,14 @@ ROLE_SAMPLE_WINDOW_S = 0.09
 STANDBY_IDLE_TIMEOUT_S = 30.0
 
 
-class NodeMode(Enum):
+# a node's role and state are plain strings, the text the trace writes;
+# these classes only name them
+class NodeMode:
     PSN = "PSN"
     SSN = "SSN"
 
 
-class NodeState(Enum):
+class NodeState:
     INIT = "Init"
     STANDBY = "Standby"
     SENSING = "Sensing"
@@ -120,7 +121,7 @@ class TimingParams(_Timing):
 DEFAULT_TIMING = TimingParams()
 
 
-def select_role(v_pv: float) -> NodeMode:
+def select_role(v_pv: float) -> str:
     """Role from the PV terminal reading: primary iff it exceeds 3.0 V."""
     return NodeMode.PSN if v_pv > PSN_PV_THRESHOLD_V else NodeMode.SSN
 
@@ -136,8 +137,8 @@ class NodeRecord:
     def __init__(self, node_id: int, storage: StorageCapacitor,
                  profile: PowerProfile = DEFAULT_PROFILE,
                  t_int: float = DEFAULT_TIMING.t_int,
-                 mode: NodeMode = NodeMode.SSN,
-                 state: NodeState = NodeState.INIT,
+                 mode: str = NodeMode.SSN,
+                 state: str = NodeState.INIT,
                  v_pv: float = 0.0, pending_n: int = 0,
                  led: Optional[OpticalTransmitter] = None,
                  etx_autonomous: bool = False, sensing_enabled: bool = True,
@@ -255,7 +256,7 @@ def phase_share(node: NodeRecord, now: float, dt: float) -> float:
 def state_draw_w(node: NodeRecord, now: float, dt: float) -> float:
     """Draw over the step from now to now + dt: the state's baseline plus
     the phase's power above sleep for its share (Depleted draws nothing)."""
-    if node.state is NodeState.DEPLETED:
+    if node.state == NodeState.DEPLETED:
         return 0.0
     profile = node.profile
     phase_w = profile.etx if node.phase_lit else profile.sense
@@ -268,7 +269,7 @@ def _read_pv(lux_per_face: Sequence[float]) -> float:
     return pv_open_voltage(max(lux_per_face))
 
 
-def _enter(node: NodeRecord, state: NodeState, since: float) -> None:
+def _enter(node: NodeRecord, state: str, since: float) -> None:
     node.state = state
     node.state_since = since
 
@@ -307,10 +308,10 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
     listening clock restarts from the frame's arrival at now.  A frame
     addressed to this node, or broadcast, switches state by command.
     """
-    if node.state is NodeState.DEPLETED:
+    if node.state == NodeState.DEPLETED:
         result.causes.append("depleted receiver")
         return
-    if node.state is not NodeState.STANDBY:
+    if node.state != NodeState.STANDBY:
         result.causes.append("receiver not listening")
         return
     result.causes.append("")
@@ -336,11 +337,11 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
         else:
             # not enough margin: sleep it off rather than brown out
             result.events.append("data request refused (guard)")
-            if node.mode is NodeMode.SSN:
+            if node.mode == NodeMode.SSN:
                 _schedule_next_report(node, now)
             _enter(node, NodeState.SLEEP, now + dt)
     elif command == Command.ETX_REQUEST:
-        if node.mode is NodeMode.PSN and node.led is not None:
+        if node.mode == NodeMode.PSN and node.led is not None:
             node.pending_n = payload.param
             result.events.append(f"etx request pending_n={payload.param}")
         else:
@@ -358,9 +359,9 @@ def _full_trigger_v(node: NodeRecord) -> float:
     Standby with an emitter and a pending or autonomous session starts
     that session once full.
     """
-    if node.mode is NodeMode.PSN and (
-            node.state is NodeState.SLEEP
-            or (node.state is NodeState.STANDBY and node.led is not None
+    if node.mode == NodeMode.PSN and (
+            node.state == NodeState.SLEEP
+            or (node.state == NodeState.STANDBY and node.led is not None
                 and (node.pending_n > 0 or node.etx_autonomous))):
         return V_STORAGE_MAX - 1e-9
     return math.inf
@@ -373,16 +374,16 @@ def timer_due_s(node: NodeRecord) -> float:
     hands it to the kernel.
     """
     state = node.state
-    if state is NodeState.INIT:
+    if state == NodeState.INIT:
         return node.state_since + ROLE_SAMPLE_WINDOW_S
-    if state is NodeState.SENSING:
+    if state == NodeState.SENSING:
         return node.phase_end_s
-    if state is NodeState.ENERGY_RELAY:
+    if state == NodeState.ENERGY_RELAY:
         return node.phase_end_s - 1e-9
-    if node.mode is NodeMode.SSN:
-        if state is NodeState.STANDBY:
+    if node.mode == NodeMode.SSN:
+        if state == NodeState.STANDBY:
             return node.state_since + STANDBY_IDLE_TIMEOUT_S
-        if state is NodeState.SLEEP and node.sensing_enabled:
+        if state == NodeState.SLEEP and node.sensing_enabled:
             return node.next_report_s - 1e-9
     return math.inf
 
@@ -437,7 +438,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
     result = NodeStepResult()
     end = now + dt
 
-    if node.state is NodeState.INIT:
+    if node.state == NodeState.INIT:
         # the load is off below v_ovdis, so the role waits for the lockout
         if (end >= timer_due_s(node)
                 and node.storage.voltage >= V_OVERDISCHARGE):
@@ -446,7 +447,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
             node.v_pv = _read_pv(lux_per_face)
             node.mode = select_role(node.v_pv)
             _enter(node, NodeState.STANDBY, end)
-            result.events.append(f"role {node.mode.value}")
+            result.events.append(f"role {node.mode}")
         for frame in frames:
             handle_frame(node, frame, result, now, dt)
         return result
@@ -454,13 +455,13 @@ def step_node(node: NodeRecord, dt: float, now: float,
     entry_state = node.state
     for frame in frames:
         handle_frame(node, frame, result, now, dt)
-    if node.state is not entry_state:
+    if node.state != entry_state:
         # decoding and switching consumed this step; the new state's
         # clock starts on the next one
         return result
 
     state = node.state
-    if state is NodeState.SENSING:
+    if state == NodeState.SENSING:
         if end >= timer_due_s(node):
             node.v_pv = _read_pv(lux_per_face)
             tx_cost = node.profile.data_tx * FRAME_AIRTIME_S
@@ -472,17 +473,17 @@ def step_node(node: NodeRecord, dt: float, now: float,
                 result.events.append("report suppressed (guard)")
             # end-of-cycle self-assessment
             new_mode = select_role(node.v_pv)
-            if new_mode is not node.mode:
+            if new_mode != node.mode:
                 node.mode = new_mode
-                result.events.append(f"role {node.mode.value}")
-            if node.mode is NodeMode.SSN:
+                result.events.append(f"role {node.mode}")
+            if node.mode == NodeMode.SSN:
                 _schedule_next_report(node, now)
                 _enter(node, NodeState.SLEEP, end)
             else:
                 _enter(node, NodeState.STANDBY, end)
         return result
 
-    if state is NodeState.ENERGY_RELAY:
+    if state == NodeState.ENERGY_RELAY:
         if node.storage.voltage <= node.storage.v_min + 1e-12:
             # the light budget moved under us; cut the session short
             node.phase_end_s = now
@@ -492,7 +493,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
             _end_session_if_due(node, end, result)
         return result
 
-    if state is NodeState.SLEEP:
+    if state == NodeState.SLEEP:
         if end >= timer_due_s(node):
             # a secondary's report wake
             cost = sense_cycle_cost_j(node.profile)
@@ -507,9 +508,9 @@ def step_node(node: NodeRecord, dt: float, now: float,
             result.events.append("recovered")
         return result
 
-    if state is NodeState.STANDBY:
+    if state == NodeState.STANDBY:
         _maybe_start_etx(node, harvest_w, now, dt, result)
-        if node.state is NodeState.STANDBY and end >= timer_due_s(node):
+        if node.state == NodeState.STANDBY and end >= timer_due_s(node):
             # a secondary idle for STANDBY_IDLE_TIMEOUT_S
             _schedule_next_report(node, now)
             _enter(node, NodeState.SLEEP, end)
@@ -522,7 +523,8 @@ def step_node(node: NodeRecord, dt: float, now: float,
 # With no frame, step_node leaves a node alone until its timer
 # (timer_due_s) fires or its storage voltage leaves a band.  A phase's
 # power is constant between its first and closing steps, so the kernel
-# advances such quiet stretches without calling step_node; the two
+# advances such quiet stretches without calling step_node, and on a full
+# tick steps only the nodes that hold a frame or are due; the two
 # functions below say when they end.
 def next_due_s(node: NodeRecord) -> float:
     """The instant from which step_node may act on a node that hears no
@@ -547,9 +549,9 @@ def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
     Standby with a session to run, acts on the next one, as does a
     session that sags to v_min + 1e-12, which step_node cuts.
     """
-    if node.state is NodeState.DEPLETED:
+    if node.state == NodeState.DEPLETED:
         return -math.inf, V_CHARGE_READY
-    if node.state is NodeState.ENERGY_RELAY:
+    if node.state == NodeState.ENERGY_RELAY:
         return math.nextafter(node.storage.v_min + 1e-12, math.inf), math.inf
     return V_OVERDISCHARGE, _full_trigger_v(node)
 
@@ -562,7 +564,7 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
     starts.
     """
     v = node.storage.voltage
-    if node.state is NodeState.DEPLETED:
+    if node.state == NodeState.DEPLETED:
         if v >= V_CHARGE_READY:
             node.pending_n = 0
             _enter(node, NodeState.INIT, end)

@@ -14,8 +14,9 @@ for Sensing and EnergyRelay is the end of its metered phase, or at once
 while its storage is outside its quiet band.  first_tick is the one
 conversion from an instant to a tick; it tests the float expression the
 instant's consumer tests, so no full tick is spent on which nothing is
-due.  The tick so found runs its discrete half in full: frame
-delivery, the controller and step_node for every node.  Storage is then
+due.  The tick so found runs its discrete half: frame delivery, the
+controller, and step_node for every node that holds a frame or is due by
+the same test (any other, step_node would leave alone).  Storage is then
 integrated in one place for every tick.  Between full ticks every phase
 covers whole steps, so every node draws constant power, its stored
 energy is linear in time, and a stretch of ticks advances in one
@@ -46,7 +47,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import (
     Deque,
     Dict,
@@ -104,6 +107,10 @@ ETX_POLICIES = ("disabled", "oap", "autonomous")
 # longest run accepted, in ticks; the shipped paper-b scenario (60 h at
 # 0.1 s) takes 2.16 M
 MAX_TICKS = 10 ** 8
+# most sample rows a run may write, about 4.8 GB of CSV at 48 bytes a
+# row; 15 nodes sampled every 100th of MAX_TICKS ticks write 15 M, and
+# the shipped scenarios and crowd-dense at most 270,015
+MAX_TRACE_ROWS = 10 ** 8
 
 
 class FaceSpec(NamedTuple):
@@ -447,6 +454,11 @@ def tick_count(duration_s: float, step_s: float) -> int:
     return max(1, int(round(ratio)))
 
 
+def sample_every(scenario: Scenario) -> int:
+    """Ticks from one trace instant to the next, at least one."""
+    return max(1, int(round(scenario.trace_interval_s / scenario.step_s)))
+
+
 def first_tick(instant: float, offset: float, dt: float, start: int) -> float:
     """The first tick j >= start with instant <= j * dt + offset.
 
@@ -473,7 +485,8 @@ def validate_scenario(scenario: Scenario) -> None:
 
     Every number must be finite: a NaN compares false against every
     bound below, and an infinity overflows the tick count.  A run of
-    more than MAX_TICKS ticks is infeasible rather than malformed.
+    more than MAX_TICKS ticks, or of more than MAX_TRACE_ROWS sample
+    rows, is infeasible rather than malformed.
     """
     _require_finite("", scenario, SCENARIO_KEYS)
     _require_finite("oap: ", scenario.oap.config, CONTROLLER_KEYS)
@@ -570,7 +583,13 @@ def validate_scenario(scenario: Scenario) -> None:
         if reader == "integer" and not 0 <= value <= 65535:
             raise ScenarioError(f"oap: {key} must be 0..65535, got {value}")
     _as_vec(scenario.oap.position, "oap position")
-    tick_count(scenario.duration_s, scenario.step_s)
+    ticks = tick_count(scenario.duration_s, scenario.step_s)
+    # every node at tick 0, at each trace instant after it and at the end
+    rows = len(scenario.nodes) * (-(-ticks // sample_every(scenario)) + 1)
+    if rows > MAX_TRACE_ROWS:
+        raise InfeasibleError(
+            f"the trace asks for {rows:.3g} sample rows, "
+            f"more than the {MAX_TRACE_ROWS} a run may write")
 
 
 def _harvester(spec: NodeSpec) -> HarvesterArray:
@@ -636,9 +655,9 @@ class _Lane:
         agg.harvested_j += ticks * (p_in * dt)
         agg.consumed_j += ticks * (p_out * dt)
         agg.leaked_j += ticks * (record.storage.leak_power * dt)
-        state_name = record.state.value
-        agg.time_by_state[state_name] = (
-            agg.time_by_state.get(state_name, 0.0) + ticks * dt)
+        state = record.state
+        agg.time_by_state[state] = (
+            agg.time_by_state.get(state, 0.0) + ticks * dt)
         face_a = self.lux[0]
         agg.lux_integral += ticks * (face_a * dt)
         agg.lux_min = min(agg.lux_min, face_a)
@@ -699,8 +718,7 @@ class _Runtime:
         self.discrete: List[TraceRow] = []
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
-        self.sample_every = max(
-            1, int(round(scenario.trace_interval_s / self.dt)))
+        self.sample_every = sample_every(scenario)
 
     # -- light field -----------------------------------------------------
 
@@ -802,10 +820,18 @@ class _Runtime:
     # -- ticks -------------------------------------------------------------
 
     def full_tick(self, i: int) -> int:
-        """Tick i in full: frames, the controller and every node's logic,
-        then the storage as a one-tick stretch; return the next tick."""
+        """Tick i in full: frames, the controller and the logic of every
+        node that can act, then the storage as a one-tick stretch; return
+        the next tick.
+
+        A node can act if it holds a frame or is due by the test
+        quiet_run applies (node.next_due_s); step_node would leave any
+        other alone, so it gets an empty result, fresh because the
+        hysteresis appends to it.
+        """
         dt = self.dt
         now = i * dt
+        end = now + dt
         inboxes = self.deliver_due(i)
 
         for frame in self.controller.step(now):
@@ -813,8 +839,12 @@ class _Runtime:
 
         results = []
         for lane, inbox in zip(self.lanes, inboxes):
-            nid = lane.record.node_id
-            result = step_node(lane.record, dt, now, lane.lux,
+            record = lane.record
+            if not inbox and next_due_s(record) > end:
+                results.append(NodeStepResult())
+                continue
+            nid = record.node_id
+            result = step_node(record, dt, now, lane.lux,
                                lane.harvest_w, inbox)
             for frame in result.emitted:
                 self.send(frame, f"node {nid}", i)
@@ -882,11 +912,10 @@ class _Runtime:
             instants = range(every - i % every, ticks, every)
             if instants:
                 self._sample_stretch(i, instants, nodes)
-        for lane, cap, harvest_w, p_out in nodes:
+        last = i + ticks - 1
+        for (lane, cap, harvest_w, p_out), result in zip(nodes, results):
             lane.tally(dt, harvest_w, p_out,
                        storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
-        last = i + ticks - 1
-        for lane, result in zip(self.lanes, results):
             self._hysteresis(lane, last * dt, result)
         return last + 1
 
@@ -895,9 +924,9 @@ class _Runtime:
         """Depletion lockout after the storage step, then the event rows."""
         record = lane.record
         agg = lane.agg
-        was_depleted = record.state is NodeState.DEPLETED
+        was_depleted = record.state == NodeState.DEPLETED
         apply_hysteresis(record, result, now + self.dt)
-        if (record.state is NodeState.DEPLETED and not was_depleted
+        if (record.state == NodeState.DEPLETED and not was_depleted
                 and agg.depleted_at is None):
             agg.depleted_at = now
         if result.events:
@@ -918,7 +947,7 @@ class _Runtime:
         record = lane.record
         self.discrete.append(TraceRow(
             time_s, record.node_id, record.storage.voltage, record.v_pv,
-            record.mode.value, record.state.value, lane.lux[0],
+            record.mode, record.state, lane.lux[0],
             lane.agg.harvested_j, event))
 
     def _sample_stretch(self, i: int, instants: range, nodes) -> None:
@@ -931,7 +960,7 @@ class _Runtime:
             len(self.discrete), i, instants, dt, tuple(
                 SegmentLane(
                     lane.record.node_id, lane.record.v_pv,
-                    lane.record.mode.value, lane.record.state.value,
+                    lane.record.mode, lane.record.state,
                     lane.lux[0], cap.energy, cap.energy_full,
                     (harvest_w - p_out - cap.leak_power) * dt,
                     cap.capacitance, lane.agg.harvested_j, harvest_w * dt)
@@ -1022,27 +1051,48 @@ def summarize(trace: TraceSet) -> Summary:
     if not (trace.discrete or trace.segments):
         raise ValueError("empty trace")
     nodes = {}
-    # the final quarter is a tail of the rows, read once with each
-    # node's samples kept in row order
-    steady_by_node: Dict[int, List[float]] = {
-        nid: [] for nid in trace.aggregates}
+    # the final quarter is a tail of the rows, read once: per node the
+    # sum of its samples, added left to right in row order, their count,
+    # minimum and maximum.  Subtracting a fixed mean is monotone, so the
+    # band max(vmax - mean, mean - vmin) is max(abs(v - mean)) exactly
+    steady = {nid: [0.0, 0, math.inf, -math.inf] for nid in trace.aggregates}
     for discrete, segment in trace.runs(since=0.75 * trace.duration_s):
         for row in discrete:
             if not row.event:
-                steady_by_node[row.node_id].append(row.v_cap)
-        if segment is not None:
-            _, values = segment_values(segment)
-            for lane, v_caps in zip(segment.lanes, values):
-                steady_by_node[lane.node_id] += v_caps
+                acc = steady[row.node_id]
+                v = row.v_cap
+                acc[0] += v
+                acc[1] += 1
+                if v < acc[2]:
+                    acc[2] = v
+                if v > acc[3]:
+                    acc[3] = v
+        if segment is None:
+            continue
+        _, values = segment_values(segment)
+        samples = len(segment.instants)
+        for lane, v_caps in zip(segment.lanes, values):
+            acc = steady[lane.node_id]
+            acc[0] = reduce(add, v_caps, acc[0])
+            acc[1] += samples
+            # each float step of segment_values' closed form is monotone
+            # in the tick, so a lane's extremes are its first and last
+            low, high = v_caps[0], v_caps[-1]
+            if low > high:
+                low, high = high, low
+            if low < acc[2]:
+                acc[2] = low
+            if high > acc[3]:
+                acc[3] = high
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
-        idle = (agg.time_by_state.get(NodeState.SLEEP.value, 0.0)
-                + agg.time_by_state.get(NodeState.STANDBY.value, 0.0))
-        steady = steady_by_node[nid]
-        if steady:
-            mean_v = sum(steady) / len(steady)
-            band = max(abs(v - mean_v) for v in steady)
+        idle = (agg.time_by_state.get(NodeState.SLEEP, 0.0)
+                + agg.time_by_state.get(NodeState.STANDBY, 0.0))
+        total, count, v_low, v_high = steady[nid]
+        if count:
+            mean_v = total / count
+            band = max(v_high - mean_v, mean_v - v_low)
         else:
             mean_v = agg.final_voltage
             band = 0.0

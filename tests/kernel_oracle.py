@@ -66,7 +66,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt
             agg.leaked_j += storage.leak_power * dt
-            state_name = record.state.value
+            state_name = record.state
             agg.time_by_state[state_name] = (
                 agg.time_by_state.get(state_name, 0.0) + dt)
             face_a = lux_faces[0]

@@ -47,3 +47,63 @@ def test_tracer_targets_exist():
                for span, owner, attr in tracer.layer_targets()
                if not callable(vars(owner).get(attr))]
     assert missing == []
+
+
+# builtin sum() calls on the run path that add integers, as (module,
+# enclosing function); since Python 3.12 sum() adds floats with
+# compensation, so a float sum() there would round otherwise than 3.10
+# and 3.11 do
+INTEGER_SUMS = {("simkernel", "_outcomes")}
+
+
+def run_path_modules():
+    """The package modules a `luxnet run` imports: cli and every module
+    it reaches through module-level imports (the calibrate command
+    imports its module inside the command)."""
+    package = ROOT / "src" / "luxnet"
+    todo, seen = ["cli"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        todo += [node.module for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1]
+    return sorted(seen)
+
+
+def sum_calls(tree):
+    """(line, enclosing function) of each call of the name sum."""
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            calls.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return calls
+
+
+def test_no_float_sum_on_the_run_path():
+    assert sum_calls(ast.parse("def f(xs):\n    return sum(xs)\n")) == [
+        (2, "f")]
+    modules = run_path_modules()
+    assert {"cli", "energy", "node", "simkernel"} <= set(modules)
+    assert "calibration" not in modules
+    found, allowed = [], set()
+    for name in modules:
+        path = ROOT / "src" / "luxnet" / f"{name}.py"
+        for line, where in sum_calls(ast.parse(path.read_text("utf-8"))):
+            if (name, where) in INTEGER_SUMS:
+                allowed.add((name, where))
+            else:
+                found.append(f"{name}.py:{line}: sum() in {where}")
+    assert found == []
+    # an allow-list entry whose call went away is dropped with it
+    assert allowed == INTEGER_SUMS

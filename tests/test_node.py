@@ -372,7 +372,7 @@ def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
                          t_int=100.0)
         if dt == 0.05:
             role = select_role(pv_open_voltage(max(lux)))
-            fires = [f"role {role.value}"] + fires
+            fires = [f"role {role}"] + fires
         harvest = HARVESTER.harvest_power(lux)
         fired = []
         i = 0

@@ -1,16 +1,25 @@
 """Scenario engine tests: validation, delivery timing, light superposition,
 determinism, and the conservation audit."""
 
+import functools
 import hashlib
+import importlib.util
 import io
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from luxnet import simkernel
 from luxnet.channel import InterferenceModel, illuminance_at
-from luxnet.cli import main, parse_scenario_file, shipped_scenario_path
+from luxnet.cli import (
+    main,
+    parse_scenario_file,
+    serialize_scenario,
+    shipped_scenario_path,
+)
 from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
     V_STORAGE_MAX,
@@ -24,6 +33,7 @@ from luxnet.simkernel import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
     MAX_TICKS,
+    MAX_TRACE_ROWS,
     FaceSpec,
     NodeSpec,
     OapSpec,
@@ -201,6 +211,54 @@ def test_tick_cap_admits_a_run_at_the_cap():
     validate_scenario(sc)
 
 
+@functools.lru_cache(maxsize=None)
+def benchmark_workloads():
+    """perfbench/workloads.py, which builds the crowd-dense network."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def stretched_crowd_dense():
+    # 15 nodes sampled every tick for 99.9 M ticks: about 1.5e9 rows, a
+    # CSV of some 72 GB
+    return benchmark_workloads().crowd_dense_scenario(1)._replace(
+        duration_s=9.99e6)
+
+
+def test_trace_row_cap_is_infeasible():
+    # validation only: the run is never started
+    with pytest.raises(InfeasibleError,
+                       match=r"asks for 1\.5e\+09 sample rows"):
+        validate_scenario(stretched_crowd_dense())
+
+
+@pytest.mark.parametrize("ticks, rows_ok", [(MAX_TRACE_ROWS - 1, True),
+                                            (MAX_TRACE_ROWS, False)])
+def test_trace_row_cap_edge(ticks, rows_ok):
+    # one node sampled every tick writes a row at tick 0 and one per tick
+    sc = Scenario(name="t", duration_s=float(ticks), step_s=1.0,
+                  trace_interval_s=1.0, nodes=(lone_node(),))
+    assert ticks <= MAX_TICKS
+    if rows_ok:
+        validate_scenario(sc)
+    else:
+        with pytest.raises(InfeasibleError, match="sample rows"):
+            validate_scenario(sc)
+
+
+def test_trace_row_cap_admits_the_shipped_and_benchmark_runs():
+    for stem in ("paper_a", "paper_b"):
+        validate_scenario(parse_scenario_file(shipped_scenario_path(stem)))
+    workloads = benchmark_workloads()
+    for seed in range(16):
+        validate_scenario(workloads.crowd_dense_scenario(seed))
+
+
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.3])
 @pytest.mark.parametrize("offset", [1e-9, "dt"])
 def test_first_tick_is_the_first_tick_that_reaches_the_instant(dt, offset):
@@ -241,6 +299,15 @@ def test_cli_tick_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
     assert code == 3
     assert "ticks" in err
     assert not (tmp_path / "paper-a.csv").exists()
+
+
+def test_cli_trace_row_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
+    scn = tmp_path / "crowd.scn"
+    scn.write_text(serialize_scenario(stretched_crowd_dense()))
+    code = main(["run", str(scn), "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "sample rows" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("key, value", [
