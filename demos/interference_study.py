@@ -6,16 +6,23 @@ light anchors the input stage.  Sweeps the ambient level and draws a
 thousand frames per point.
 """
 
-from scipy.stats import spearmanr
+from statistics import correlation
 
 from luxnet.experiments import interference_sweep, render_sweep_table
+
+
+def ranks(values):
+    """Each value's rank from 1, tied values sharing their mean rank."""
+    ordered = sorted(values)
+    return [ordered.index(v) + (ordered.count(v) + 1) / 2 for v in values]
 
 
 def main():
     points = interference_sweep()
     print(render_sweep_table(points), end="")
-    rho, _ = spearmanr([p.ambient_lux for p in points],
-                       [p.failure_ratio for p in points])
+    # Spearman's rho: the correlation of the two rankings
+    rho = correlation(ranks([p.ambient_lux for p in points]),
+                      ranks([p.failure_ratio for p in points]))
     print()
     print(f"failure ratio vs ambient light: Spearman {rho:.3f} "
           f"(brighter rooms shrug the burst off)")

@@ -32,8 +32,8 @@ light falls.  The burst's gain onto the receiving node does not enter.
 The failure ratio is modelled as a logistic curve in ambient
 illuminance; with no burst in progress frames are assumed clean.
 Whether a frame is lost is drawn from each node's own uniform stream,
-interference_draws, which is numpy's default_rng((seed, node_id)) in
-pure Python.
+uniform_draws(seed, node_id), which is numpy's
+default_rng((seed, node_id)) in pure Python.
 """
 
 from __future__ import annotations
@@ -282,15 +282,6 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
-def _uint32_words(n: int) -> List[int]:
-    """A non-negative integer as little-endian 32-bit words, [0] for 0."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
 def _hasher(hash_const: int, mult: int) -> Callable[[int], int]:
     """SeedSequence's hashmix: each call hashes one 32-bit word and steps
     the hash constant it shares with the calls before it."""
@@ -325,16 +316,22 @@ def _seed_pool(entropy: List[int]) -> List[int]:
     return pool
 
 
-def interference_draws(seed: int, node_id: int) -> Iterator[float]:
+def uniform_draws(*entropy: int) -> Iterator[float]:
     """Uniform doubles in [0, 1), the values of successive
-    numpy.random.default_rng((seed, node_id)).random() calls.
+    numpy.random.default_rng(entropy).random() calls; one integer's are
+    default_rng(seed)'s.
 
-    SeedSequence hashes the two integers' 32-bit words into its pool and
+    SeedSequence hashes the integers' 32-bit words into its pool and
     expands that to four 64-bit words, which seed PCG64 (a 128-bit LCG
     with XSL-RR output) as numpy's srandom_r does; each double is the top
-    53 bits of one output.  Both integers must be non-negative.
+    53 bits of one output.  A negative integer raises ValueError, as
+    numpy's does.
     """
-    pool = _seed_pool(_uint32_words(seed) + _uint32_words(node_id))
+    if min(entropy) < 0:
+        raise ValueError("expected non-negative integer")
+    # each integer as little-endian 32-bit words, [0] for 0
+    pool = _seed_pool([n >> shift & _MASK32 for n in entropy
+                       for shift in range(0, max(n.bit_length(), 1), 32)])
     # generate_state(4, uint64): the pool hashed twice over, in 32-bit
     # halves, low half first
     hashmix = _hasher(_INIT_B, _MULT_B)
@@ -344,6 +341,11 @@ def interference_draws(seed: int, node_id: int) -> Iterator[float]:
     # srandom_r: from state 0, step, add the initial state, step
     inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
     state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return _pcg64_doubles(state, inc)
+
+
+def _pcg64_doubles(state: int, inc: int) -> Iterator[float]:
+    """PCG64's doubles from a seeded state and increment."""
     mult, mask64, mask128, unit = _PCG64_MULT, _MASK64, _MASK128, 2.0 ** -53
     while True:
         state = (state * mult + inc) & mask128

@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .calibration import burst_power_for_peak
-from .channel import InterferenceModel, frame_failure_probability, pv_input_power
+from .channel import (
+    InterferenceModel,
+    frame_failure_probability,
+    pv_input_power,
+    uniform_draws,
+)
 from .energy import PV_CELLS_PER_NODE
 from .errors import InfeasibleError
 from .simkernel import FaceSpec, NodeSpec, Scenario, TraceSet, run_scenario
@@ -159,24 +162,22 @@ def interference_sweep(
     """Frame failure ratio versus ambient light during a share burst.
 
     Each point draws `frames_per_point` independent frame outcomes at
-    the model's failure probability for that ambient level.
+    the model's failure probability for that ambient level.  The draws
+    are numpy's default_rng(seed) stream, taken in order, and the
+    default points are 50 to 450 lx in steps of 50.
     """
     if frames_per_point < 1:
         raise ValueError("frames_per_point must be at least 1")
     if model is None:
         model = InterferenceModel()
     if lux_points is None:
-        lux_points = np.linspace(50.0, 450.0, 9)
-    rng = np.random.default_rng(seed)
+        lux_points = [50.0 + 50.0 * k for k in range(9)]
+    draws = uniform_draws(seed)
     points = []
     for lux in lux_points:
         p = frame_failure_probability(float(lux), model)
-        failures = rng.random(frames_per_point) < p
-        points.append(SweepPoint(
-            ambient_lux=float(lux),
-            failure_probability=p,
-            failure_ratio=float(np.mean(failures)),
-        ))
+        failures = sum(next(draws) < p for _ in range(frames_per_point))
+        points.append(SweepPoint(float(lux), p, failures / frames_per_point))
     return points
 
 

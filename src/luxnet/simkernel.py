@@ -68,8 +68,8 @@ from .channel import (
     Vec3,
     frame_failure_probability,
     illuminance_at,
-    interference_draws,
     norm,
+    uniform_draws,
 )
 from .controller import Controller, ControllerConfig
 from .energy import (
@@ -626,7 +626,7 @@ class _Lane:
 
     incoming holds each emitter's illuminance on this node's faces at
     full drive, keyed by the emitter's id; rng is the node's stream of
-    interference draws (channel.interference_draws), None in a run
+    interference draws (channel.uniform_draws), None in a run
     without interference.  lux and harvest_w, the light on each face and
     the watts it makes, change only with the on-air set;
     _Runtime._refresh_lux sets them, first before tick 0.
@@ -690,8 +690,7 @@ class _Runtime:
         # pure Python; only the interference draw reads it
         if scenario.interference is not None:
             for lane in self.lanes:
-                lane.rng = interference_draws(scenario.seed,
-                                              lane.record.node_id)
+                lane.rng = uniform_draws(scenario.seed, lane.record.node_id)
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air share at use.  A node never lights itself.
@@ -719,6 +718,8 @@ class _Runtime:
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
+        # each lane's next_due_s, as the last quiet_run found it
+        self.due_s: List[float] = []
 
     # -- light field -----------------------------------------------------
 
@@ -825,9 +826,10 @@ class _Runtime:
         the next tick.
 
         A node can act if it holds a frame or is due by the test
-        quiet_run applies (node.next_due_s); step_node would leave any
-        other alone, so it gets an empty result, fresh because the
-        hysteresis appends to it.
+        quiet_run applies, to the instant quiet_run just read (due_s):
+        neither frame delivery nor the controller changes a node record.
+        step_node would leave any other node alone, so it gets an empty
+        result, fresh because the hysteresis appends to it.
         """
         dt = self.dt
         now = i * dt
@@ -838,9 +840,9 @@ class _Runtime:
             self.send(frame, "oap", i)
 
         results = []
-        for lane, inbox in zip(self.lanes, inboxes):
+        for lane, inbox, due in zip(self.lanes, inboxes, self.due_s):
             record = lane.record
-            if not inbox and next_due_s(record) > end:
+            if not inbox and due > end:
                 results.append(NodeStepResult())
                 continue
             nid = record.node_id
@@ -859,17 +861,19 @@ class _Runtime:
 
         A stretch ends before the first tick on which a frame lands, the
         controller is due (its step tests due <= now + 1e-9) or a node is
-        due (step_node tests due <= now + dt).
+        due (step_node tests due <= now + dt).  Each node's due instant is
+        read once, into due_s, which full_tick tests again.
         """
         dt = self.dt
         end = min(self.n_steps,
                   first_tick(self.controller.next_due_s(), 1e-9, dt, i))
         if self.in_flight:
             end = min(end, self.in_flight[0][0])
-        for lane in self.lanes:
+        self.due_s = [next_due_s(lane.record) for lane in self.lanes]
+        for due in self.due_s:
             if end == i:
                 break
-            end = min(end, first_tick(next_due_s(lane.record), dt, dt, i))
+            end = min(end, first_tick(due, dt, dt, i))
         return end - i
 
     def stretch(self, i: int, ticks: int,

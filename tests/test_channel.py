@@ -13,12 +13,12 @@ from luxnet.channel import (
     OpticalTransmitter,
     frame_failure_probability,
     illuminance_at,
-    interference_draws,
     lambertian_order,
     link_between,
     path_loss,
     photon_energy,
     pv_input_power,
+    uniform_draws,
 )
 
 
@@ -210,7 +210,11 @@ DRAW_SEEDS = list(range(32)) + [2 ** 32, 2 ** 64 + 1]
 
 @pytest.mark.parametrize("seed", DRAW_SEEDS)
 def test_interference_draws_are_numpys_default_rng(seed):
+    # a node's stream, entropy (seed, node_id), and the interference
+    # sweep's, entropy seed alone
     for node_id in range(1, 16):
-        ours = list(islice(interference_draws(seed, node_id), 1000))
+        ours = list(islice(uniform_draws(seed, node_id), 1000))
         theirs = np.random.default_rng((seed, node_id)).random(1000)
         assert ours == theirs.tolist(), (seed, node_id)
+    ours = list(islice(uniform_draws(seed), 9000))
+    assert ours == np.random.default_rng(seed).random(9000).tolist(), seed

@@ -410,7 +410,9 @@ def test_setup_and_run_import_no_unused_modules(tmp_path):
     # every luxnet command starts by importing the package; reading and
     # checking a scenario, then running it, needs neither numpy, nor the
     # dataclasses machinery (with the inspect module it pulls in), nor
-    # the calibration module, which only `luxnet calibrate` reads
+    # the calibration module, which only `luxnet calibrate` reads.  The
+    # experiments need the standard library alone too, so importing them
+    # and running the interference sweep loads no numpy
     src = os.path.dirname(os.path.dirname(luxnet.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -426,11 +428,13 @@ def test_setup_and_run_import_no_unused_modules(tmp_path):
         f"          '--out-dir', {str(tmp_path)!r}])\n"
         "print(rc, [name for name in ('numpy', 'dataclasses', 'inspect',\n"
         "                             'luxnet.calibration')\n"
-        "           if name in sys.modules])\n")
+        "           if name in sys.modules])\n"
+        "from luxnet.experiments import interference_sweep\n"
+        "print(len(interference_sweep()), 'numpy' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert result.stdout.splitlines()[-2:] == ["0 []", "9 False"]
     assert (tmp_path / "paper-a.csv").exists()
 
 

@@ -125,6 +125,13 @@ def test_sweep_rejects_empty_draw():
         interference_sweep(frames_per_point=0)
 
 
+def test_sweep_rejects_a_negative_seed():
+    # numpy's default_rng rejects it, and the seed's 32-bit words must not
+    # quietly wrap it to another stream
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        interference_sweep(seed=-1)
+
+
 def test_render_tables_are_csv_shaped():
     sweep = render_sweep_table(interference_sweep(frames_per_point=10))
     header, first = sweep.splitlines()[:2]

@@ -356,7 +356,12 @@ def row_based_steady(trace):
     figures = {}
     for nid, volts in steady.items():
         if volts:
-            mean = sum(volts) / len(volts)
+            # left to right, as summarize adds: from Python 3.12 on sum()
+            # adds floats with compensation
+            total = 0.0
+            for v in volts:
+                total += v
+            mean = total / len(volts)
             figures[nid] = (mean, max(abs(v - mean) for v in volts))
         else:
             figures[nid] = (trace.aggregates[nid].final_voltage, 0.0)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from float_figures import guard_scenario
 from luxnet import simkernel
 from luxnet.channel import InterferenceModel, illuminance_at
 from luxnet.cli import (
@@ -707,39 +708,6 @@ def test_paper_b_first_hour_digests(tmp_path):
         "b0befeba7029f014f1620b1a8d923b7057be603f75bac6236424619de4f24e21")
     assert sha256_hex((tmp_path / "paper-b.summary.txt").read_bytes()) == (
         "bb50943520bb31a42948b557774c32fff4fecf87b66dec280165b65e2bc24ef3")
-
-
-def guard_scenario():
-    """Four nodes, scheduled sharing, interference, a row every tick.
-
-    The first sharing round comes at t_data_req (480 s), so 600 s takes
-    in both emitter sessions, and with seed 1 one sharing request is lost
-    to interference while the other emitter is on the air.
-    """
-    def node(node_id, position, lux, **kw):
-        return NodeSpec(
-            node_id=node_id, position=position,
-            faces=(FaceSpec((0.0, 1.0, 0.0), lux[0]),
-                   FaceSpec((1.0, 0.0, 0.0), lux[1]),
-                   FaceSpec((0.0, 0.0, 1.0), lux[2])),
-            **kw)
-
-    bright = (1000.0, 1000.0, 1000.0)
-    return Scenario(
-        name="guard", duration_s=600.0, step_s=0.1, seed=1,
-        trace_interval_s=0.1, etx_policy="oap",
-        nodes=(node(1, (-0.075, 0.1299, 0.0), bright, v_min=3.8,
-                    led_power_w=27.8e-3, led_aim=(0.075, -0.1299, 0.0)),
-               node(2, (0.0, 0.0, 0.0), (150.0, 0.0, 0.0), v_min=3.4),
-               node(3, (0.075, 0.1299, 0.0), bright, v_min=3.8,
-                    led_power_w=27.8e-3, led_aim=(-0.075, -0.1299, 0.0)),
-               node(4, (0.0, -0.1, 0.0), (90.0, 40.0, 0.0), v_min=3.4,
-                    start_voltage=4.2)),
-        oap=OapSpec(config=ControllerConfig(
-            t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
-            etx_offset_s=20.0, etx_spacing_s=30.0)),
-        interference=InterferenceModel(midpoint_lux=1000.0,
-                                       steepness_per_lux=0.01, floor=0.05))
 
 
 def test_shared_light_with_interference_digests():
