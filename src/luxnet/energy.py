@@ -188,14 +188,15 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
 
 
-def _closed_form(cap: StorageCapacitor, net: float,
+def _closed_form(e0: float, full: float, capacitance: float, net: float,
                  ticks: int) -> Tuple[float, float]:
-    """Unclamped energy and voltage after `ticks` ticks of net joules each."""
-    e = 0.5 * cap.capacitance * cap.voltage ** 2 + ticks * net
-    full = cap.energy_full
+    """Unclamped energy and voltage after `ticks` ticks of net joules
+    each from e0 joules, in storage of capacitance farads that holds
+    full joules."""
+    e = e0 + ticks * net
     # min(max(e, 0), full), spelled out; a NaN passes through
     stored = 0.0 if e < 0.0 else full if e > full else e
-    return e, math.sqrt(2.0 * stored / cap.capacitance)
+    return e, math.sqrt(2.0 * stored / capacitance)
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
@@ -215,8 +216,8 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
         raise ValueError("dt must be positive")
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
-    e, voltage = _closed_form(cap, (p_in - p_out - cap.leak_power) * dt,
-                              ticks)
+    e, voltage = _closed_form(cap.energy, cap.energy_full, cap.capacitance,
+                              (p_in - p_out - cap.leak_power) * dt, ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
     if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
         raise ValueError(f"voltage {voltage} outside [0, v_max]")
@@ -234,9 +235,10 @@ def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     storage_step's own expression.
     """
     net = (p_in - p_out - cap.leak_power) * dt
+    e0, full, capacitance = cap.energy, cap.energy_full, cap.capacitance
 
     def inside(n: int) -> bool:
-        return v_low <= _closed_form(cap, net, n)[1] < v_high
+        return v_low <= _closed_form(e0, full, capacitance, net, n)[1] < v_high
 
     # a NaN voltage is outside, and storage_step then rejects it
     if not inside(1):
@@ -245,7 +247,7 @@ def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
         return ticks
     # the exit lies in (1, ticks], past a finite edge
     edge = v_high if net > 0.0 else v_low
-    n = min(max(math.ceil((cap.energy_at(edge) - cap.energy) / net), 2), ticks)
+    n = min(max(math.ceil((cap.energy_at(edge) - e0) / net), 2), ticks)
     while not inside(n - 1):
         n -= 1
     while inside(n):

@@ -48,7 +48,6 @@ import math
 from bisect import bisect_left
 from collections import deque
 from functools import reduce
-from itertools import chain
 from operator import add
 from typing import (
     Deque,
@@ -343,17 +342,22 @@ class TraceSet:
     order, and rows expands them into one list.  frame_log is the only
     record of frames: each is logged once as sent, then once per node it
     was addressed to as delivered or failed (an uplink, once as
-    delivered).  The frame counts are read from it.
+    delivered).  The frame counts are read from it.  steady_tally is
+    each node's final-quarter tally (see _tally_steady), which
+    format_trace_csv books as it renders the rows and summarize reads;
+    None until then.
     """
 
     __slots__ = ("scenario_name", "duration_s", "step_s", "seed", "discrete",
-                 "segments", "frame_log", "controller_log", "aggregates")
+                 "segments", "frame_log", "controller_log", "aggregates",
+                 "steady_tally")
 
     def __init__(self, scenario_name: str, duration_s: float, step_s: float,
                  seed: int, discrete: List[TraceRow],
                  segments: List[TraceSegment],
                  frame_log: List[FrameLogEntry], controller_log: List[str],
-                 aggregates: Dict[int, NodeAggregate]):
+                 aggregates: Dict[int, NodeAggregate],
+                 steady_tally: Optional[Dict[int, List]] = None):
         self.scenario_name = scenario_name
         self.duration_s = duration_s
         self.step_s = step_s
@@ -363,6 +367,7 @@ class TraceSet:
         self.frame_log = frame_log
         self.controller_log = controller_log
         self.aggregates = aggregates
+        self.steady_tally = steady_tally
 
     def runs(self, since: float = -math.inf
              ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
@@ -1043,6 +1048,52 @@ class Summary(NamedTuple):
     delivery_ratio: float
 
 
+def _steady_since(trace: TraceSet) -> float:
+    """The start of the final quarter, over which summarize measures
+    the steady voltage."""
+    return 0.75 * trace.duration_s
+
+
+def _tally_steady(steady: Dict[int, List], rows: List[TraceRow],
+                  lanes: Tuple[SegmentLane, ...] = (),
+                  values: List[List[float]] = ()) -> None:
+    """Book sample rows into each node's final-quarter tally, the list
+    [sum, count, minimum, maximum] of its storage voltages: the sample
+    rows among rows, then each lane's voltages (segment_values' lists,
+    none of them empty).
+
+    Called in row order, it adds every node's voltages left to right,
+    so the sum does not depend on how the rows are cut into calls.
+    """
+    for row in rows:
+        if not row.event:
+            acc = steady[row.node_id]
+            v = row.v_cap
+            acc[0] += v
+            acc[1] += 1
+            if v < acc[2]:
+                acc[2] = v
+            if v > acc[3]:
+                acc[3] = v
+    for lane, v_caps in zip(lanes, values):
+        acc = steady[lane.node_id]
+        acc[0] = reduce(add, v_caps, acc[0])
+        acc[1] += len(v_caps)
+        # each float step of segment_values' closed form is monotone in
+        # the tick, so a lane's extremes are its first and last
+        low, high = v_caps[0], v_caps[-1]
+        if low > high:
+            low, high = high, low
+        if low < acc[2]:
+            acc[2] = low
+        if high > acc[3]:
+            acc[3] = high
+
+
+def _new_steady_tally(trace: TraceSet) -> Dict[int, List]:
+    return {nid: [0.0, 0, math.inf, -math.inf] for nid in trace.aggregates}
+
+
 def summarize(trace: TraceSet) -> Summary:
     """Reduce a trace to the headline per-node figures.
 
@@ -1050,44 +1101,25 @@ def summarize(trace: TraceSet) -> Summary:
     the sampled rows: short bursts land between trace samples, and their
     time-weighted contribution is what uplift questions need.  The
     steady-voltage band is measured over the sampled rows in the final
-    quarter of the run.
+    quarter of the run: from the tally format_trace_csv booked on the
+    trace when it rendered it, or else from those rows, walked once
+    through trace.runs and expanded only there.
     """
     if not (trace.discrete or trace.segments):
         raise ValueError("empty trace")
     nodes = {}
-    # the final quarter is a tail of the rows, read once: per node the
-    # sum of its samples, added left to right in row order, their count,
-    # minimum and maximum.  Subtracting a fixed mean is monotone, so the
-    # band max(vmax - mean, mean - vmin) is max(abs(v - mean)) exactly
-    steady = {nid: [0.0, 0, math.inf, -math.inf] for nid in trace.aggregates}
-    for discrete, segment in trace.runs(since=0.75 * trace.duration_s):
-        for row in discrete:
-            if not row.event:
-                acc = steady[row.node_id]
-                v = row.v_cap
-                acc[0] += v
-                acc[1] += 1
-                if v < acc[2]:
-                    acc[2] = v
-                if v > acc[3]:
-                    acc[3] = v
-        if segment is None:
-            continue
-        _, values = segment_values(segment)
-        samples = len(segment.instants)
-        for lane, v_caps in zip(segment.lanes, values):
-            acc = steady[lane.node_id]
-            acc[0] = reduce(add, v_caps, acc[0])
-            acc[1] += samples
-            # each float step of segment_values' closed form is monotone
-            # in the tick, so a lane's extremes are its first and last
-            low, high = v_caps[0], v_caps[-1]
-            if low > high:
-                low, high = high, low
-            if low < acc[2]:
-                acc[2] = low
-            if high > acc[3]:
-                acc[3] = high
+    # per node the sum of its samples, added left to right in row order,
+    # their count, minimum and maximum.  Subtracting a fixed mean is
+    # monotone, so the band max(vmax - mean, mean - vmin) is
+    # max(abs(v - mean)) exactly
+    steady = trace.steady_tally
+    if steady is None:
+        steady = _new_steady_tally(trace)
+        for discrete, segment in trace.runs(since=_steady_since(trace)):
+            _tally_steady(steady, discrete)
+            if segment is not None:
+                _tally_steady(steady, (), segment.lanes,
+                              segment_values(segment)[1])
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
@@ -1129,21 +1161,27 @@ CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 CSV_BLOCK_ROWS = 8192
 
 
-def _csv_blocks(trace: TraceSet) -> Iterator[Tuple[int, str]]:
+def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
+                ) -> Iterator[Tuple[int, str]]:
     """The CSV text of the trace rows, in row order, as (rows, text)
-    pieces of at most CSV_BLOCK_ROWS rows each.
+    pieces of at most CSV_BLOCK_ROWS rows each, booking the rows of the
+    final quarter into steady as it expands them.
 
     A discrete row is one f-string.  A segment builds one %-template for
     an instant, each lane's fixed fields formatted into it once, and
     renders each block of instants with one % over the instants' times
     (each formatted once) and the lanes' voltages, interleaved.
     """
+    since = _steady_since(trace)
     for discrete, segment in trace.runs():
         for start in range(0, len(discrete), CSV_BLOCK_ROWS):
             rows = discrete[start:start + CSV_BLOCK_ROWS]
             yield len(rows), "".join([
                 f"{r.time_s:.2f},{r.node_id},{r.v_cap:.6f},{r.v_pv:.6f},"
                 f"{r.mode},{r.state},{r.lux:.3f},{r.event}\n" for r in rows])
+        # the rows are in time order, as for trace.runs(since)
+        _tally_steady(steady, discrete[bisect_left(
+            discrete, since, key=lambda row: row.time_s):])
         if segment is None:
             continue
         # "<time>,<nid>,<v_cap>,<the fixed fields>" per lane; a mode or
@@ -1155,29 +1193,56 @@ def _csv_blocks(trace: TraceSet) -> Iterator[Tuple[int, str]]:
         instants = segment.instants
         per_block = max(1, CSV_BLOCK_ROWS // lanes)
         for start in range(0, len(instants), per_block):
-            times, values = segment_values(
-                segment, instants[start:start + per_block])
-            times = ["%.2f" % t for t in times]
-            yield len(times) * lanes, template * len(times) % tuple(
-                chain.from_iterable(zip(*chain.from_iterable(
-                    (times, v_caps) for v_caps in values))))
+            block = instants[start:start + per_block]
+            yield len(block) * lanes, _segment_block(
+                segment, template, block, since, steady)
+
+
+def _segment_block(segment: TraceSegment, template: str, instants: range,
+                   since: float, steady: Dict[int, List]) -> str:
+    """The CSV text of a segment's rows at instants, template holding
+    one instant's rows, booking the rows at or after since into steady.
+
+    A function of its own because a generator's locals live across its
+    yield: returning frees the block's voltages and % arguments before
+    _csv_blocks hands the text on to be written."""
+    times, values = segment_values(segment, instants)
+    count = len(times)
+    tail = bisect_left(times, since)
+    if tail < count:
+        _tally_steady(steady, (), segment.lanes, [
+            v_caps[tail:] for v_caps in values] if tail else values)
+    # per instant, each lane's row: the time, then its voltage
+    width = 2 * len(values)
+    args = [None] * (count * width)
+    times = ["%.2f" % t for t in times]
+    for k, v_caps in enumerate(values):
+        args[2 * k::width] = times
+        args[2 * k + 1::width] = v_caps
+    return template * count % tuple(args)
 
 
 def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
     """Write the trace rows to out as CSV (LF endings, fixed precision),
     the header, then the rows in writes of at most CSV_BLOCK_ROWS rows:
     consecutive pieces of _csv_blocks are joined up to that size, so a
-    run of short segments costs one write, not one each."""
+    run of short segments costs one write, not one each.
+
+    The same pass books each node's final-quarter tally, which it keeps
+    on the trace (steady_tally) once every row is written, so summarize
+    need not expand those rows again."""
+    steady = _new_steady_tally(trace)
     out.write(CSV_HEADER + "\n")
     block: List[str] = []
     rows = 0
-    for count, text in _csv_blocks(trace):
+    for count, text in _csv_blocks(trace, steady):
         if rows + count > CSV_BLOCK_ROWS:
             out.write("".join(block))
             block, rows = [], 0
         block.append(text)
         rows += count
     out.write("".join(block))
+    trace.steady_tally = steady
 
 
 def render_summary(summary: Summary) -> str:

@@ -378,6 +378,65 @@ def test_segments_render_and_summarize_as_their_rows(scenario):
             for nid, s in summary.nodes.items()} == row_based_steady(trace)
 
 
+def quiet_pair():
+    """Two lit nodes networks() can draw, without emitters or sensing,
+    sampled every tick for 60 s: most of the run is one quiet stretch,
+    and so one segment."""
+    lit = 400.0
+    nodes = tuple(NodeSpec(
+        node_id=index + 1, position=ring_position(index, 2),
+        faces=(FaceSpec((0.0, 1.0, 0.0), lit), FaceSpec((1.0, 0.0, 0.0), lit),
+               FaceSpec((0.0, 0.0, 1.0), lit)),
+        start_voltage=3.9, v_min=3.4, sensing_enabled=False)
+        for index in range(2))
+    return Scenario(
+        name="generated", duration_s=60.0, nodes=nodes,
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
+            etx_offset_s=20.0, etx_spacing_s=30.0)),
+        step_s=0.1, seed=0, trace_interval_s=0.1)
+
+
+def steady_figures(summary):
+    return {nid: (s.steady_mean_v.hex(), s.steady_band_v.hex())
+            for nid, s in summary.nodes.items()}
+
+
+def test_the_final_quarter_of_the_quiet_pair_starts_inside_a_block():
+    # 0.75 of the run falls inside a segment's instants, and at 7 rows a
+    # block (3 instants of 2 lanes) inside one of its blocks
+    trace = run_scenario(quiet_pair())
+    since = 0.75 * trace.duration_s
+    [segment] = [s for s in trace.segments
+                 if (s.i + s.instants[0]) * s.dt < since
+                 <= (s.i + s.instants[-1]) * s.dt]
+    k = bisect_left(segment.instants, since,
+                    key=lambda n: (segment.i + n) * segment.dt)
+    assert k % (7 // len(segment.lanes)) != 0
+
+
+@given(networks(), st.sampled_from([1, 2, 7, 50, simkernel.CSV_BLOCK_ROWS]))
+@example(quiet_pair(), 7)
+def test_the_csv_pass_tallies_the_summary_as_summarize_does(scenario,
+                                                            block_rows):
+    # summarize reads the final-quarter tally that format_trace_csv
+    # booked, whatever the block size, or walks the rows itself; both
+    # agree bit for bit with each other and with the rows
+    trace = run_scenario(scenario)
+    fresh = summarize(trace)
+    assert trace.steady_tally is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        csv_text(trace)
+    assert trace.steady_tally is not None
+    rendered = summarize(trace)
+    assert rendered == fresh
+    assert steady_figures(rendered) == steady_figures(fresh)
+    assert steady_figures(rendered) == {
+        nid: (mean.hex(), band.hex())
+        for nid, (mean, band) in row_based_steady(trace).items()}
+
+
 def one_instant_segments(trace):
     """The same trace with every segment cut into one per instant."""
     return TraceSet(**{**slot_values(trace), "segments": [

@@ -45,6 +45,7 @@ from luxnet.simkernel import (
     format_trace_csv,
     render_summary,
     run_scenario,
+    segment_values,
     summarize,
     validate_scenario,
 )
@@ -718,6 +719,61 @@ def test_shared_light_with_interference_digests():
         "8ac156b97aaf15ae1d302eaa17e76abd59dd412c5a53cc00ea91a792701e0fbc")
     assert sha256_hex(render_summary(summarize(trace)).encode()) == (
         "14b7f3b152cb610a5fb5d2688a1373f5b88dabbb8af348d32b8ae38038cf8f1f")
+
+
+# CSV and summary of `luxnet run` on crowd-dense, recorded before the CSV
+# pass booked the summary's final quarter
+CROWD_DENSE_DIGESTS = {
+    1: ("a757bd7c3b46ee51bad731a1b966acb43a502a04d0a8b86f93898cc883f527ef",
+        "091b0b361c47660740dfa850bd2a6da08ee0b9b20ecf69ccc37688c1152e466f"),
+    3: ("6e1b2bd4c9bf459173397cf03645ea3ba41624e70f6ffdfd19f6a0f1a0b09fcb",
+        "6284d0ac4c26bd5f35275a9dcf990162462e8fadacb35225f7dbe4c74ce950a1"),
+}
+
+
+def run_crowd_dense(tmp_path, seed):
+    """`luxnet run` on crowd-dense at seed; the paths of its CSV and
+    summary."""
+    scn = tmp_path / "crowd.scn"
+    scn.write_text(serialize_scenario(
+        benchmark_workloads().crowd_dense_scenario(seed)))
+    assert main(["run", str(scn), "--out-dir", str(tmp_path)]) == 0
+    stem = tmp_path / f"crowd-dense-{seed}"
+    return stem.with_suffix(".csv"), stem.with_suffix(".summary.txt")
+
+
+@pytest.mark.parametrize("seed", sorted(CROWD_DENSE_DIGESTS))
+def test_crowd_dense_digests(tmp_path, capsys, seed):
+    # fifteen nodes sampled every tick: nearly every row sits in a
+    # segment, and the summary's final quarter in a few of them
+    csv_path, summary_path = run_crowd_dense(tmp_path, seed)
+    assert (sha256_hex(csv_path.read_bytes()),
+            sha256_hex(summary_path.read_bytes())) == (
+        CROWD_DENSE_DIGESTS[seed])
+
+
+def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
+    # the CSV pass books the summary's final quarter as it renders it,
+    # so summarize expands no voltage again
+    expanded = []
+    traces = []
+
+    def counting(segment, instants=None, harvest=False):
+        times, values = segment_values(segment, instants, harvest)
+        expanded.append(len(times) * len(values))
+        return times, values
+
+    def keeping(scenario):
+        traces.append(run_scenario(scenario))
+        return traces[-1]
+
+    monkeypatch.setattr(simkernel, "segment_values", counting)
+    monkeypatch.setattr("luxnet.cli.run_scenario", keeping)
+    run_crowd_dense(tmp_path, 1)
+    [trace] = traces
+    rows = sum(len(s.instants) * len(s.lanes) for s in trace.segments)
+    # summarize expanding the final quarter again made 329,310
+    assert sum(expanded) == rows == 263_280
 
 
 # ---------------------------------------------------------------------------
