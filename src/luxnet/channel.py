@@ -197,8 +197,7 @@ def path_loss(link: OpticalLink, area_m2: float,
 
 
 def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
-                   active_sources: Iterable[OpticalTransmitter] = (),
-                   efficacy_lm_w: float = LUMINOUS_EFFICACY_LM_W) -> float:
+                   active_sources: Iterable[OpticalTransmitter] = ()) -> float:
     """Total illuminance on a face: ambient plus every active source.
 
     Contributions superpose; ambient_lux stands in for the room light that
@@ -211,7 +210,8 @@ def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
         gain = path_loss(link_between(tx, rx), rx.area_m2,
                          rx.field_of_view_half_angle_deg)
         # irradiance on the face, W/m^2, times the efficacy
-        lux += efficacy_lm_w * (tx.optical_power_w * gain / rx.area_m2)
+        lux += LUMINOUS_EFFICACY_LM_W * (tx.optical_power_w * gain
+                                         / rx.area_m2)
     return lux
 
 

@@ -90,18 +90,18 @@ def select_t_data_req(timings: Sequence[TimingParams],
 
 
 class RegistryEntry:
-    """Last known telemetry for one node, as decoded from its reports."""
+    """Last known telemetry for one node, as decoded from its reports;
+    a node not yet heard from is an unseen secondary with no reading and
+    no sessions assigned."""
 
     __slots__ = ("node_id", "last_pv", "role", "assigned_n", "last_seen")
 
-    def __init__(self, node_id: int, last_pv: float = 0.0,
-                 role: str = NodeMode.SSN, assigned_n: int = 0,
-                 last_seen: float = float("-inf")):
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self.last_pv = last_pv
-        self.role = role
-        self.assigned_n = assigned_n
-        self.last_seen = last_seen
+        self.last_pv = 0.0
+        self.role = NodeMode.SSN
+        self.assigned_n = 0
+        self.last_seen = -math.inf
 
 
 class _Config(NamedTuple):

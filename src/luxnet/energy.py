@@ -34,6 +34,8 @@ from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 V_OVERDISCHARGE = 3.2
 V_CHARGE_READY = 3.8
 V_STORAGE_MAX = 4.5
+# the guard floor a node keeps unless its scenario sets another
+DEFAULT_V_MIN = 3.3
 STORAGE_CAPACITANCE_F = 0.4
 LEAK_POWER_W = 10e-6
 
@@ -78,7 +80,7 @@ class StorageCapacitor:
     __slots__ = ("capacitance", "voltage", "v_min", "leak_power")
 
     def __init__(self, capacitance: float = STORAGE_CAPACITANCE_F,
-                 voltage: float = 0.0, v_min: float = V_OVERDISCHARGE + 0.1,
+                 voltage: float = 0.0, v_min: float = DEFAULT_V_MIN,
                  leak_power: float = LEAK_POWER_W):
         if capacitance <= 0.0:
             raise ValueError("capacitance must be positive")

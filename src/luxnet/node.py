@@ -127,7 +127,13 @@ def select_role(v_pv: float) -> str:
 
 
 class NodeRecord:
-    """Full state of one node, owned and advanced by the simulation kernel."""
+    """Full state of one node, owned and advanced by the simulation kernel.
+
+    The constructor takes the node's configuration; every other field is
+    run state, and a node starts booting (Init) as a secondary with the
+    default reporting interval, no PV reading, no pending session and no
+    metered phase.
+    """
 
     __slots__ = ("node_id", "storage", "profile", "t_int", "mode", "state",
                  "v_pv", "pending_n", "led", "etx_autonomous",
@@ -136,43 +142,35 @@ class NodeRecord:
 
     def __init__(self, node_id: int, storage: StorageCapacitor,
                  profile: PowerProfile = DEFAULT_PROFILE,
-                 t_int: float = DEFAULT_TIMING.t_int,
-                 mode: str = NodeMode.SSN,
-                 state: str = NodeState.INIT,
-                 v_pv: float = 0.0, pending_n: int = 0,
                  led: Optional[OpticalTransmitter] = None,
                  etx_autonomous: bool = False, sensing_enabled: bool = True,
-                 sensor_base_c: float = 25.0, state_since: float = 0.0,
-                 next_report_s: float = 0.0, phase_lit: bool = False,
-                 phase_start_s: float = 0.0, phase_end_s: float = 0.0):
+                 sensor_base_c: float = 25.0):
         if not 1 <= node_id <= 15:
             raise ValueError("node id must be 1..15 (0 is the access point)")
-        if pending_n < 0:
-            raise ValueError("pending burst count must be non-negative")
         self.node_id = node_id
         self.storage = storage
         self.profile = profile
-        self.t_int = t_int      # set by INIT_CONFIG
-        self.mode = mode
-        self.state = state
-        self.v_pv = v_pv
-        self.pending_n = pending_n
         # geometry and policy
         self.led = led          # energy-burst emitter, if fitted
         self.etx_autonomous = etx_autonomous
         self.sensing_enabled = sensing_enabled
         self.sensor_base_c = sensor_base_c
+        self.t_int = DEFAULT_TIMING.t_int   # set by INIT_CONFIG
+        self.mode = NodeMode.SSN
+        self.state = NodeState.INIT
+        self.v_pv = 0.0
+        self.pending_n = 0
         # bookkeeping, managed by step_node; state_since is the instant
         # the state's clock starts: the end of the step that entered the
         # state, or a stray frame's arrival, which restarts Standby's
-        self.state_since = state_since
-        self.next_report_s = next_report_s
+        self.state_since = 0.0
+        self.next_report_s = 0.0
         # the last metered phase, [phase_start_s, phase_end_s): a sensing
         # cycle, or a burst session if phase_lit; it draws its power on
         # top of sleep for the share of each step it covers (phase_share)
-        self.phase_lit = phase_lit
-        self.phase_start_s = phase_start_s
-        self.phase_end_s = phase_end_s
+        self.phase_lit = False
+        self.phase_start_s = 0.0
+        self.phase_end_s = 0.0
 
     # -- energy helpers ------------------------------------------------
 
@@ -218,13 +216,11 @@ class NodeStepResult:
 
     __slots__ = ("emitted", "events", "causes", "cost_j")
 
-    def __init__(self, emitted: Optional[List[Frame44]] = None,
-                 events: Optional[List[str]] = None,
-                 causes: Optional[List[str]] = None, cost_j: float = 0.0):
-        self.emitted = [] if emitted is None else emitted
-        self.events = [] if events is None else events
-        self.causes = [] if causes is None else causes
-        self.cost_j = cost_j
+    def __init__(self):
+        self.emitted: List[Frame44] = []
+        self.events: List[str] = []
+        self.causes: List[str] = []
+        self.cost_j = 0.0
 
 
 # Sensing and burst sessions are metered against their phase interval,

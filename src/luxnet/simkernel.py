@@ -73,6 +73,7 @@ from .channel import (
 from .controller import Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
+    DEFAULT_V_MIN,
     PV_CELL_AREA_M2,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
@@ -126,7 +127,7 @@ class NodeSpec(NamedTuple):
     position: Vec3
     faces: Tuple[FaceSpec, ...]
     start_voltage: float = V_STORAGE_MAX
-    v_min: float = 3.3
+    v_min: float = DEFAULT_V_MIN
     led_power_w: float = 0.0
     led_half_angle_deg: float = 15.0
     led_aim: Optional[Vec3] = None
@@ -303,34 +304,28 @@ class FrameLogEntry(NamedTuple):
 
 class NodeAggregate:
     """Per-node tallies, booked once per stretch; a full tick is a one-tick
-    stretch."""
+    stretch.  They start at zero, the light's minimum at inf, with no
+    depletion; the run books the final energy and voltage at its end."""
 
     __slots__ = ("node_id", "lux_integral", "lux_min", "lux_max",
                  "time_by_state", "depleted_at", "harvested_j", "consumed_j",
                  "leaked_j", "clamp_loss_j", "start_energy_j",
                  "final_energy_j", "final_voltage")
 
-    def __init__(self, node_id: int, lux_integral: float = 0.0,
-                 lux_min: float = math.inf, lux_max: float = 0.0,
-                 time_by_state: Optional[Dict[str, float]] = None,
-                 depleted_at: Optional[float] = None,
-                 harvested_j: float = 0.0, consumed_j: float = 0.0,
-                 leaked_j: float = 0.0, clamp_loss_j: float = 0.0,
-                 start_energy_j: float = 0.0, final_energy_j: float = 0.0,
-                 final_voltage: float = 0.0):
+    def __init__(self, node_id: int, start_energy_j: float):
         self.node_id = node_id
-        self.lux_integral = lux_integral
-        self.lux_min = lux_min
-        self.lux_max = lux_max
-        self.time_by_state = {} if time_by_state is None else time_by_state
-        self.depleted_at = depleted_at
-        self.harvested_j = harvested_j
-        self.consumed_j = consumed_j
-        self.leaked_j = leaked_j
-        self.clamp_loss_j = clamp_loss_j
         self.start_energy_j = start_energy_j
-        self.final_energy_j = final_energy_j
-        self.final_voltage = final_voltage
+        self.lux_integral = 0.0
+        self.lux_min = math.inf
+        self.lux_max = 0.0
+        self.time_by_state: Dict[str, float] = {}
+        self.depleted_at: Optional[float] = None
+        self.harvested_j = 0.0
+        self.consumed_j = 0.0
+        self.leaked_j = 0.0
+        self.clamp_loss_j = 0.0
+        self.final_energy_j = 0.0
+        self.final_voltage = 0.0
 
 
 class TraceSet:
@@ -345,29 +340,26 @@ class TraceSet:
     delivered).  The frame counts are read from it.  steady_tally is
     each node's final-quarter tally (see _tally_steady), which
     format_trace_csv books as it renders the rows and summarize reads;
-    None until then.
+    a trace starts without one (None).
     """
 
-    __slots__ = ("scenario_name", "duration_s", "step_s", "seed", "discrete",
+    __slots__ = ("scenario_name", "duration_s", "step_s", "discrete",
                  "segments", "frame_log", "controller_log", "aggregates",
                  "steady_tally")
 
     def __init__(self, scenario_name: str, duration_s: float, step_s: float,
-                 seed: int, discrete: List[TraceRow],
-                 segments: List[TraceSegment],
+                 discrete: List[TraceRow], segments: List[TraceSegment],
                  frame_log: List[FrameLogEntry], controller_log: List[str],
-                 aggregates: Dict[int, NodeAggregate],
-                 steady_tally: Optional[Dict[int, List]] = None):
+                 aggregates: Dict[int, NodeAggregate]):
         self.scenario_name = scenario_name
         self.duration_s = duration_s
         self.step_s = step_s
-        self.seed = seed
         self.discrete = discrete
         self.segments = segments
         self.frame_log = frame_log
         self.controller_log = controller_log
         self.aggregates = aggregates
-        self.steady_tally = steady_tally
+        self.steady_tally: Optional[Dict[int, List]] = None
 
     def runs(self, since: float = -math.inf
              ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
@@ -606,7 +598,10 @@ def _harvester(spec: NodeSpec) -> HarvesterArray:
         for face in spec.faces))
 
 
-def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
+def _build_node(spec: NodeSpec, profile: PowerProfile,
+                autonomous: bool = False) -> NodeRecord:
+    """The node's record at the start of a run; autonomous (the
+    scenario's etx_policy) lets an emitter run sessions unasked."""
     led = None
     if spec.led_power_w > 0.0:
         led = OpticalTransmitter(
@@ -621,6 +616,7 @@ def _build_node(spec: NodeSpec, profile: PowerProfile) -> NodeRecord:
                                  v_min=spec.v_min),
         profile=profile,
         led=led,
+        etx_autonomous=autonomous and led is not None,
         sensing_enabled=spec.sensing_enabled,
         sensor_base_c=spec.sensor_base_c,
     )
@@ -631,24 +627,26 @@ class _Lane:
 
     incoming holds each emitter's illuminance on this node's faces at
     full drive, keyed by the emitter's id; rng is the node's stream of
-    interference draws (channel.uniform_draws), None in a run
-    without interference.  lux and harvest_w, the light on each face and
-    the watts it makes, change only with the on-air set;
-    _Runtime._refresh_lux sets them, first before tick 0.
+    interference draws, numpy's default_rng((seed, id)) in pure Python
+    (channel.uniform_draws), None in a run without interference.  lux
+    and harvest_w, the light on each face and the watts it makes, change
+    only with the on-air set; _Runtime._refresh_lux sets them, first
+    before tick 0.
     """
 
     __slots__ = ("record", "harvester", "ambient", "incoming", "lux",
                  "harvest_w", "agg", "rng")
 
-    def __init__(self, spec: NodeSpec, profile: PowerProfile):
-        self.record = _build_node(spec, profile)
+    def __init__(self, spec: NodeSpec, scenario: Scenario):
+        self.record = _build_node(spec, scenario.profile,
+                                  scenario.etx_policy == "autonomous")
         self.harvester = _harvester(spec)
         # abs turns a validated -0.0 into 0.0, so no trace column holds -0.0
         self.ambient = tuple(abs(float(f.ambient_lux)) for f in spec.faces)
         self.incoming: Dict[int, Tuple[float, ...]] = {}
-        self.agg = NodeAggregate(node_id=spec.node_id,
-                                 start_energy_j=self.record.storage.energy)
-        self.rng = None
+        self.agg = NodeAggregate(spec.node_id, self.record.storage.energy)
+        self.rng = (None if scenario.interference is None
+                    else uniform_draws(scenario.seed, spec.node_id))
 
     def tally(self, dt: float, p_in: float, p_out: float, clamp_loss: float,
               ticks: int) -> None:
@@ -677,25 +675,13 @@ class _Runtime:
         self.dt = scenario.step_s
         self.n_steps = tick_count(scenario.duration_s, scenario.step_s)
         # one lane per node, in node-id order
-        self.lanes = [_Lane(spec, scenario.profile) for spec in
+        self.lanes = [_Lane(spec, scenario) for spec in
                       sorted(scenario.nodes, key=lambda s: s.node_id)]
-
-        if scenario.etx_policy == "autonomous":
-            for lane in self.lanes:
-                if lane.record.led is not None:
-                    lane.record.etx_autonomous = True
-
         self.controller = Controller(
             config=scenario.oap.config,
             node_ids=[lane.record.node_id for lane in self.lanes],
             etx_enabled=(scenario.etx_policy == "oap"),
         )
-
-        # one uniform stream per node, numpy's default_rng((seed, id)) in
-        # pure Python; only the interference draw reads it
-        if scenario.interference is not None:
-            for lane in self.lanes:
-                lane.rng = uniform_draws(scenario.seed, lane.record.node_id)
 
         # emitter-to-face illuminance at full drive; scaled by the
         # on-air share at use.  A node never lights itself.
@@ -987,7 +973,6 @@ class _Runtime:
             scenario_name=self.scenario.name,
             duration_s=self.n_steps * self.dt,
             step_s=self.dt,
-            seed=self.scenario.seed,
             discrete=self.discrete,
             segments=self.segments,
             frame_log=self.frame_log,

@@ -76,9 +76,9 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             if face_a > agg.lux_max:
                 agg.lux_max = face_a
 
-            was_depleted = record.state is NodeState.DEPLETED
+            was_depleted = record.state == NodeState.DEPLETED
             apply_hysteresis(record, result, now + dt)
-            if (record.state is NodeState.DEPLETED and not was_depleted
+            if (record.state == NodeState.DEPLETED and not was_depleted
                     and agg.depleted_at is None):
                 agg.depleted_at = now
             if result.events:

@@ -1,5 +1,9 @@
 """Every value and run-state class checks its fields when it is built,
+a run-state class takes only configuration and starts in a fixed state,
 and the scenario values are immutable and hash by value."""
+
+import inspect
+import math
 
 import pytest
 
@@ -9,16 +13,29 @@ from luxnet.channel import (
     OpticalReceiver,
     OpticalTransmitter,
 )
-from luxnet.controller import Controller, ControllerConfig
+from luxnet.controller import Controller, ControllerConfig, RegistryEntry
 from luxnet.energy import (
     DEFAULT_PROFILE,
+    DEFAULT_V_MIN,
     HarvesterArray,
     PowerProfile,
     StorageCapacitor,
 )
-from luxnet.node import NodeRecord, TimingParams
+from luxnet.node import (
+    NodeMode,
+    NodeRecord,
+    NodeState,
+    NodeStepResult,
+    TimingParams,
+)
 from luxnet.protocol import GenericFrame
-from luxnet.simkernel import FaceSpec, NodeSpec, Scenario
+from luxnet.simkernel import (
+    FaceSpec,
+    NodeAggregate,
+    NodeSpec,
+    Scenario,
+    TraceSet,
+)
 
 
 def profile(**changes):
@@ -77,8 +94,6 @@ CHECKS = [
      "t_standby must be positive"),
     (lambda: NodeRecord(node_id=0, storage=StorageCapacitor()),
      "node id must be 1..15 (0 is the access point)"),
-    (lambda: NodeRecord(node_id=1, storage=StorageCapacitor(), pending_n=-1),
-     "pending burst count must be non-negative"),
     (lambda: GenericFrame(address=0x10000),
      "address must be 16 bit, got 65536"),
     (lambda: GenericFrame(address=1, data=bytes(256)),
@@ -108,3 +123,62 @@ def test_specs_are_immutable_values():
             setattr(value, field, 1)
     assert scenario() == scenario()
     assert hash(scenario()) == hash(scenario())
+
+
+# each run-state class and the configuration its constructor takes; the
+# rest of its fields are run state
+CONFIGURATION = {
+    NodeRecord: ("node_id", "storage", "profile", "led", "etx_autonomous",
+                 "sensing_enabled", "sensor_base_c"),
+    NodeAggregate: ("node_id", "start_energy_j"),
+    NodeStepResult: (),
+    RegistryEntry: ("node_id",),
+    TraceSet: ("scenario_name", "duration_s", "step_s", "discrete",
+               "segments", "frame_log", "controller_log", "aggregates"),
+}
+
+
+@pytest.mark.parametrize("cls", CONFIGURATION,
+                         ids=[cls.__name__ for cls in CONFIGURATION])
+def test_run_state_constructors_take_only_configuration(cls):
+    assert tuple(inspect.signature(cls).parameters) == CONFIGURATION[cls]
+
+
+def test_run_state_starts_fixed():
+    node = NodeRecord(node_id=3, storage=StorageCapacitor(voltage=4.0))
+    assert (node.state, node.mode, node.t_int) == (
+        NodeState.INIT, NodeMode.SSN, 3600.0)
+    assert (node.v_pv, node.pending_n, node.state_since,
+            node.next_report_s) == (0.0, 0, 0.0, 0.0)
+    assert (node.phase_lit, node.phase_start_s, node.phase_end_s) == (
+        False, 0.0, 0.0)
+
+    agg = NodeAggregate(node_id=3, start_energy_j=3.2)
+    assert agg.start_energy_j == 3.2
+    assert (agg.lux_integral, agg.lux_min, agg.lux_max) == (
+        0.0, math.inf, 0.0)
+    assert (agg.harvested_j, agg.consumed_j, agg.leaked_j, agg.clamp_loss_j,
+            agg.final_energy_j, agg.final_voltage) == (0.0,) * 6
+    assert agg.time_by_state == {} and agg.depleted_at is None
+
+    first, second = NodeStepResult(), NodeStepResult()
+    assert (first.emitted, first.events, first.causes, first.cost_j) == (
+        [], [], [], 0.0)
+    # each result owns its lists
+    first.events.append("etx start")
+    assert second.events == []
+
+    entry = RegistryEntry(node_id=3)
+    assert (entry.last_pv, entry.role, entry.assigned_n, entry.last_seen) == (
+        0.0, NodeMode.SSN, 0, -math.inf)
+
+    trace = TraceSet(scenario_name="t", duration_s=1.0, step_s=0.1,
+                     discrete=[], segments=[], frame_log=[],
+                     controller_log=[], aggregates={})
+    assert trace.steady_tally is None
+
+
+def test_one_default_guard_floor():
+    assert StorageCapacitor().v_min == DEFAULT_V_MIN
+    assert NodeSpec(node_id=1, position=(0.0, 0.0, 0.0),
+                    faces=()).v_min == DEFAULT_V_MIN

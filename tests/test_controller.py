@@ -94,8 +94,14 @@ def test_select_t_data_req_bounds_property():
         assert lower < picked <= upper
 
 
+def registry_entry(node_id, pv, role):
+    entry = RegistryEntry(node_id)
+    entry.last_pv, entry.role = pv, role
+    return entry
+
+
 def psn_entry(node_id=1, pv=3.26):
-    return RegistryEntry(node_id=node_id, last_pv=pv, role=NodeMode.PSN)
+    return registry_entry(node_id, pv, NodeMode.PSN)
 
 
 def test_assign_n_reference_and_bright():
@@ -103,7 +109,7 @@ def test_assign_n_reference_and_bright():
     assert assign_n(psn_entry(), config, 1000.0) == 6
     assert assign_n(psn_entry(), config, 999.0) == 6
     assert assign_n(psn_entry(), config, 2000.0) > 6
-    ssn = RegistryEntry(node_id=2, last_pv=1.3, role=NodeMode.SSN)
+    ssn = registry_entry(2, 1.3, NodeMode.SSN)
     assert assign_n(ssn, config, 5000.0) == 0
 
 

@@ -36,7 +36,6 @@ def synthetic_trace(samples):
         scenario_name="synthetic",
         duration_s=3.0,
         step_s=0.1,
-        seed=0,
         discrete=discrete,
         segments=[],
         frame_log=[],

@@ -438,8 +438,11 @@ def test_the_csv_pass_tallies_the_summary_as_summarize_does(scenario,
 
 
 def one_instant_segments(trace):
-    """The same trace with every segment cut into one per instant."""
-    return TraceSet(**{**slot_values(trace), "segments": [
+    """The same trace with every segment cut into one per instant, and
+    no final-quarter tally yet."""
+    fields = slot_values(trace)
+    del fields["steady_tally"]
+    return TraceSet(**{**fields, "segments": [
         segment._replace(instants=segment.instants[k:k + 1])
         for segment in trace.segments
         for k in range(len(segment.instants))]})

@@ -48,14 +48,19 @@ def slot_values(obj):
     return {name: getattr(obj, name) for name in type(obj).__slots__}
 
 
-def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False, **kw):
+def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False,
+              etx_autonomous=False, **state):
+    """A node built from its configuration, then put in the given run
+    state (mode, state, t_int, next_report_s, ...)."""
     rec = NodeRecord(
         node_id=node_id,
         storage=StorageCapacitor(voltage=voltage, v_min=v_min),
         led=OpticalTransmitter(optical_power_w=0.0278, half_angle_deg=15.0)
         if led else None,
-        **kw,
+        etx_autonomous=etx_autonomous,
     )
+    for name, value in state.items():
+        setattr(rec, name, value)
     return rec
 
 
