@@ -74,34 +74,25 @@ REQUEST_ROUND_S = 600.0
 EMITTERS_PER_ROUND = 2
 
 
-def burst_gain_lux(optical_power_w: float,
-                   distance_m: float = REFERENCE_DISTANCE_M,
-                   incidence_deg: float = REFERENCE_INCIDENCE_DEG,
-                   half_angle_deg: float = REFERENCE_HALF_ANGLE_DEG) -> float:
+def burst_gain_lux(optical_power_w: float) -> float:
     """Illuminance one burst adds on the reference face, lux."""
     if optical_power_w < 0.0:
         raise ValueError("optical power must be non-negative")
-    m = lambertian_order(half_angle_deg)
-    radial = (m + 1.0) / (2.0 * math.pi * distance_m ** 2)
-    geometry = radial * math.cos(math.radians(incidence_deg))
+    m = lambertian_order(REFERENCE_HALF_ANGLE_DEG)
+    radial = (m + 1.0) / (2.0 * math.pi * REFERENCE_DISTANCE_M ** 2)
+    geometry = radial * math.cos(math.radians(REFERENCE_INCIDENCE_DEG))
     return LUMINOUS_EFFICACY_LM_W * optical_power_w * geometry
 
 
-def burst_power_for_peak(peak_lux: float = REFERENCE_PEAK_LUX,
-                         ambient_lux: float = SSN_AMBIENT_LUX,
-                         distance_m: float = REFERENCE_DISTANCE_M,
-                         incidence_deg: float = REFERENCE_INCIDENCE_DEG,
-                         half_angle_deg: float = REFERENCE_HALF_ANGLE_DEG
-                         ) -> float:
-    """Optical watts that lift the reference face to the design peak.
+def burst_power_for_peak() -> float:
+    """Optical watts that lift the reference face from its ambient to
+    the design peak.
 
     Inverts the link budget; the result is rounded to 0.1 mW, the
     resolution the drive electronics can actually be set to.
     """
-    if peak_lux <= ambient_lux:
-        raise ValueError("peak must exceed ambient")
-    per_watt = burst_gain_lux(1.0, distance_m, incidence_deg, half_angle_deg)
-    return round((peak_lux - ambient_lux) / per_watt, 4)
+    per_watt = burst_gain_lux(1.0)
+    return round((REFERENCE_PEAK_LUX - SSN_AMBIENT_LUX) / per_watt, 4)
 
 
 def derive_power_profile() -> PowerProfile:
@@ -142,8 +133,7 @@ def recovery_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     return band / net
 
 
-def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE,
-                         ambient_lux: float = SSN_AMBIENT_LUX) -> float:
+def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Hours a dim node lasts from full to lockout, reporting hourly.
 
     Mean-drain estimate: the sleep baseline net of one-face harvest,
@@ -152,7 +142,7 @@ def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE,
     afford, so the estimate is conservative.
     """
     budget = _band_energy_j(SHARE_CEILING_V, V_OVERDISCHARGE)
-    idle = profile.sleep + LEAK_POWER_W - pv_input_power(ambient_lux)
+    idle = profile.sleep + LEAK_POWER_W - pv_input_power(SSN_AMBIENT_LUX)
     if idle <= 0.0:
         return math.inf
     return budget / (idle * DEFAULT_TIMING.t_int

@@ -11,8 +11,7 @@ line-of-sight channel gain onto a detector of area A at distance D is
     L = (m + 1) A / (2 pi D^2) * cos(alpha)^m * cos(beta)
 
 with alpha the angle off the transmitter boresight and beta the angle of
-incidence at the receiver.  Incidence beyond the receiver field of view
-contributes nothing.
+incidence at the receiver.
 
 Photometric and radiometric quantities are tied together by a single
 luminous efficacy constant (lm emitted per radiated watt).  That single
@@ -99,13 +98,12 @@ class OpticalTransmitter(_Transmitter):
 
 class _Receiver(NamedTuple):
     area_m2: float
-    field_of_view_half_angle_deg: float = 90.0
     position: Vec3 = (0.0, 0.0, 0.0)
     normal: Vec3 = (0.0, 0.0, 1.0)
 
 
 class OpticalReceiver(_Receiver):
-    """A flat detector or photovoltaic face: area, field of view, pose."""
+    """A flat detector or photovoltaic face: area and pose."""
 
     __slots__ = ()
 
@@ -113,8 +111,6 @@ class OpticalReceiver(_Receiver):
         self = super().__new__(cls, *args, **kwargs)
         if self.area_m2 <= 0.0:
             raise ValueError("receiver area must be positive")
-        if not 0.0 < self.field_of_view_half_angle_deg <= 90.0:
-            raise ValueError("field of view half angle must be in (0, 90] deg")
         return self
 
 
@@ -178,17 +174,13 @@ def link_between(tx: OpticalTransmitter, rx: OpticalReceiver) -> OpticalLink:
                        order=tx.order)
 
 
-def path_loss(link: OpticalLink, area_m2: float,
-              field_of_view_half_angle_deg: float = 90.0) -> float:
+def path_loss(link: OpticalLink, area_m2: float) -> float:
     """Line-of-sight channel gain (dimensionless power ratio).
 
-    Returns 0 when the incidence angle lies outside the receiver field of
-    view.  Raises for non-positive distance or area (enforced on the types).
+    Raises for non-positive distance or area (enforced on the types).
     """
     if area_m2 <= 0.0:
         raise ValueError("receiver area must be positive")
-    if link.incidence_angle_deg > field_of_view_half_angle_deg:
-        return 0.0
     m = link.order
     alpha = math.radians(link.irradiance_angle_deg)
     beta = math.radians(link.incidence_angle_deg)
@@ -207,8 +199,7 @@ def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
         raise ValueError("ambient illuminance must be non-negative")
     lux = ambient_lux
     for tx in active_sources:
-        gain = path_loss(link_between(tx, rx), rx.area_m2,
-                         rx.field_of_view_half_angle_deg)
+        gain = path_loss(link_between(tx, rx), rx.area_m2)
         # irradiance on the face, W/m^2, times the efficacy
         lux += LUMINOUS_EFFICACY_LM_W * (tx.optical_power_w * gain
                                          / rx.area_m2)

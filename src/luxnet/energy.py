@@ -1,11 +1,14 @@
 """Harvester, storage, and consumption models.
 
 Storage is an ideal supercapacitor, E = 1/2 C V^2, drained by a constant
-leak and clamped to [0, full].  The power-management hysteresis lives in
-two thresholds: below v_ovdis the load must disconnect (deep undervoltage),
-and it may only reconnect once the cell has climbed back past v_chrdy.
-v_min is the software guard floor a node keeps above the hard v_ovdis so
-that scheduled work never strands it in the dead band.
+leak and clamped to [0, STORAGE_FULL_J].  Every node has the same one:
+its capacitance and leak are the module constants STORAGE_CAPACITANCE_F
+and LEAK_POWER_W, and a node sets only its voltage and its guard floor
+v_min.  The power-management hysteresis lives in two thresholds: below
+v_ovdis the load must disconnect (deep undervoltage), and it may only
+reconnect once the cell has climbed back past v_chrdy.  v_min is the
+software guard floor a node keeps above the hard v_ovdis so that
+scheduled work never strands it in the dead band.
 
 Harvest is a set of photovoltaic cells, each with its own geometry (an
 OpticalReceiver face).  Every cell converts illuminance to electrical
@@ -38,6 +41,8 @@ V_STORAGE_MAX = 4.5
 DEFAULT_V_MIN = 3.3
 STORAGE_CAPACITANCE_F = 0.4
 LEAK_POWER_W = 10e-6
+# what the storage holds at V_STORAGE_MAX, 1/2 C V^2, joules
+STORAGE_FULL_J = 0.5 * STORAGE_CAPACITANCE_F * V_STORAGE_MAX ** 2
 
 PV_CELL_AREA_M2 = 2.5e-3
 PV_CELLS_PER_NODE = 3
@@ -71,41 +76,34 @@ def illuminance_for_open_voltage(volts: float) -> float:
 class StorageCapacitor:
     """Ideal supercapacitor state plus the node's guard floor v_min.
 
-    The hardware thresholds are the module constants V_STORAGE_MAX (full),
-    V_OVERDISCHARGE (v_ovdis) and V_CHARGE_READY (v_chrdy).  Mutable:
-    storage_step advances the voltage in place, over one tick or over a
-    quiet stretch of many in one closed-form step.
+    Every node stores in the same STORAGE_CAPACITANCE_F farads, drained
+    by the same LEAK_POWER_W; the class attributes capacitance and
+    leak_power name them.  The hardware thresholds are the module
+    constants V_STORAGE_MAX (full), V_OVERDISCHARGE (v_ovdis) and
+    V_CHARGE_READY (v_chrdy).  Mutable: storage_step advances the
+    voltage in place, over one tick or over a quiet stretch of many in
+    one closed-form step.
     """
 
-    __slots__ = ("capacitance", "voltage", "v_min", "leak_power")
+    __slots__ = ("voltage", "v_min")
+    capacitance = STORAGE_CAPACITANCE_F
+    leak_power = LEAK_POWER_W
 
-    def __init__(self, capacitance: float = STORAGE_CAPACITANCE_F,
-                 voltage: float = 0.0, v_min: float = DEFAULT_V_MIN,
-                 leak_power: float = LEAK_POWER_W):
-        if capacitance <= 0.0:
-            raise ValueError("capacitance must be positive")
+    def __init__(self, voltage: float = 0.0, v_min: float = DEFAULT_V_MIN):
         if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
             raise ValueError(f"voltage {voltage} outside [0, v_max]")
         if v_min < V_OVERDISCHARGE:
             raise ValueError("v_min must not sit below v_ovdis")
-        if leak_power < 0.0:
-            raise ValueError("leak power must be non-negative")
-        self.capacitance = capacitance
         self.voltage = voltage
         self.v_min = v_min
-        self.leak_power = leak_power
 
     @property
     def energy(self) -> float:
         """Stored energy, 1/2 C V^2, joules."""
-        return 0.5 * self.capacitance * self.voltage ** 2
-
-    @property
-    def energy_full(self) -> float:
-        return 0.5 * self.capacitance * V_STORAGE_MAX ** 2
+        return 0.5 * STORAGE_CAPACITANCE_F * self.voltage ** 2
 
     def energy_at(self, voltage: float) -> float:
-        return 0.5 * self.capacitance * voltage ** 2
+        return 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
 
 
 class _Profile(NamedTuple):
@@ -190,15 +188,13 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
 
 
-def _closed_form(e0: float, full: float, capacitance: float, net: float,
-                 ticks: int) -> Tuple[float, float]:
+def _closed_form(e0: float, net: float, ticks: int) -> Tuple[float, float]:
     """Unclamped energy and voltage after `ticks` ticks of net joules
-    each from e0 joules, in storage of capacitance farads that holds
-    full joules."""
+    each from e0 joules."""
     e = e0 + ticks * net
     # min(max(e, 0), full), spelled out; a NaN passes through
-    stored = 0.0 if e < 0.0 else full if e > full else e
-    return e, math.sqrt(2.0 * stored / capacitance)
+    stored = 0.0 if e < 0.0 else STORAGE_FULL_J if e > STORAGE_FULL_J else e
+    return e, math.sqrt(2.0 * stored / STORAGE_CAPACITANCE_F)
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
@@ -218,13 +214,13 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
         raise ValueError("dt must be positive")
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
-    e, voltage = _closed_form(cap.energy, cap.energy_full, cap.capacitance,
-                              (p_in - p_out - cap.leak_power) * dt, ticks)
+    e, voltage = _closed_form(cap.energy, (p_in - p_out - LEAK_POWER_W) * dt,
+                              ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
     if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
         raise ValueError(f"voltage {voltage} outside [0, v_max]")
     cap.voltage = voltage
-    return e - 0.5 * cap.capacitance * voltage ** 2
+    return e - 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
 
 
 def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
@@ -236,11 +232,11 @@ def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     from the energy of the edge it moves toward, then corrected against
     storage_step's own expression.
     """
-    net = (p_in - p_out - cap.leak_power) * dt
-    e0, full, capacitance = cap.energy, cap.energy_full, cap.capacitance
+    net = (p_in - p_out - LEAK_POWER_W) * dt
+    e0 = cap.energy
 
     def inside(n: int) -> bool:
-        return v_low <= _closed_form(e0, full, capacitance, net, n)[1] < v_high
+        return v_low <= _closed_form(e0, net, n)[1] < v_high
 
     # a NaN voltage is outside, and storage_step then rejects it
     if not inside(1):

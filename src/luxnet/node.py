@@ -41,6 +41,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .channel import OpticalTransmitter
 from .energy import (
     DEFAULT_PROFILE,
+    LEAK_POWER_W,
     V_CHARGE_READY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
@@ -202,7 +203,7 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
     available = node.storage.energy - node.guard_floor_j
     if available <= 0.0:
         return 0.0
-    net_drain = node.profile.etx + node.storage.leak_power - harvest_power_w
+    net_drain = node.profile.etx + LEAK_POWER_W - harvest_power_w
     if net_drain <= 0.0:
         return DEFAULT_TIMING.t_energy_net
     return min(DEFAULT_TIMING.t_energy_net, available / net_drain)

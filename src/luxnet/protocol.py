@@ -47,6 +47,8 @@ TEMP_MIN_C = -40.0
 TEMP_MAX_C = 87.5
 
 DEFAULT_BITRATE_BPS = 1000.0
+# every frame is one 44-bit word at the default bitrate
+FRAME_AIRTIME_S = WORD_BITS / DEFAULT_BITRATE_BPS
 
 PREAMBLE = 0xAA
 MAX_DATA_BYTES = 255
@@ -181,17 +183,6 @@ def parse_word(text: str) -> int:
     if len(s) != 11 or not _HEX_DIGITS.issuperset(s):
         raise ValueError(f"expected 11 hex digits, got {s!r}")
     return int(s, 16)
-
-
-def airtime_s(bits: int = WORD_BITS, bitrate_bps: float = DEFAULT_BITRATE_BPS) -> float:
-    """On-air duration of a transmission at the modulation bitrate."""
-    if bitrate_bps <= 0:
-        raise ValueError("bitrate must be positive")
-    return bits / bitrate_bps
-
-
-# every frame is one 44-bit word at the default bitrate
-FRAME_AIRTIME_S = airtime_s()
 
 
 # ---------------------------------------------------------------------------

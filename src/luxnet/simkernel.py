@@ -74,7 +74,11 @@ from .controller import Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
+    LEAK_POWER_W,
     PV_CELL_AREA_M2,
+    PV_CELLS_PER_NODE,
+    STORAGE_CAPACITANCE_F,
+    STORAGE_FULL_J,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
@@ -238,7 +242,8 @@ class SegmentLane(NamedTuple):
     """One node's constants over a trace segment, read before the
     stretch's storage step: its fixed row fields, then what the closed
     form needs for its storage energy (e0 plus net per tick, clamped to
-    0..energy_full) and its harvest tally (h0 plus harvest_dt per tick).
+    0..STORAGE_FULL_J) and its harvest tally (h0 plus harvest_dt per
+    tick).
     """
 
     node_id: int
@@ -247,9 +252,7 @@ class SegmentLane(NamedTuple):
     state: str
     lux: float
     e0: float
-    energy_full: float
     net: float
-    capacitance: float
     h0: float
     harvest_dt: float
 
@@ -284,8 +287,9 @@ def segment_values(segment: TraceSegment,
         instants = segment.instants
     i, dt = segment.i, segment.dt
     sqrt = math.sqrt
+    full, capacitance = STORAGE_FULL_J, STORAGE_CAPACITANCE_F
     lanes = []
-    for *_, e0, full, net, capacitance, h0, harvest_dt in segment.lanes:
+    for *_, e0, net, h0, harvest_dt in segment.lanes:
         v_caps = [sqrt(2.0 * (0.0 if (e := e0 + n * net) < 0.0
                               else full if e > full else e) / capacitance)
                   for n in instants]
@@ -526,7 +530,7 @@ def validate_scenario(scenario: Scenario) -> None:
         if spec.node_id in seen:
             raise ScenarioError(f"{label}: duplicate node id")
         seen.add(spec.node_id)
-        if len(spec.faces) != 3:
+        if len(spec.faces) != PV_CELLS_PER_NODE:
             raise ScenarioError(f"{label}: exactly three faces are required")
         for letter, face in zip(FACE_LETTERS, spec.faces):
             _require_finite(f"{label}: ", face, FACE_KEYS, f"face_{letter}_")
@@ -657,7 +661,7 @@ class _Lane:
         agg.clamp_loss_j += clamp_loss
         agg.harvested_j += ticks * (p_in * dt)
         agg.consumed_j += ticks * (p_out * dt)
-        agg.leaked_j += ticks * (record.storage.leak_power * dt)
+        agg.leaked_j += ticks * (LEAK_POWER_W * dt)
         state = record.state
         agg.time_by_state[state] = (
             agg.time_by_state.get(state, 0.0) + ticks * dt)
@@ -956,9 +960,9 @@ class _Runtime:
                 SegmentLane(
                     lane.record.node_id, lane.record.v_pv,
                     lane.record.mode, lane.record.state,
-                    lane.lux[0], cap.energy, cap.energy_full,
-                    (harvest_w - p_out - cap.leak_power) * dt,
-                    cap.capacitance, lane.agg.harvested_j, harvest_w * dt)
+                    lane.lux[0], cap.energy,
+                    (harvest_w - p_out - LEAK_POWER_W) * dt,
+                    lane.agg.harvested_j, harvest_w * dt)
                 for lane, cap, harvest_w, p_out in nodes)))
 
     def trace(self) -> TraceSet:

@@ -92,7 +92,10 @@ def test_endurance_inside_band():
 
 
 def test_bright_light_makes_idle_unbounded():
-    assert math.isinf(endurance_estimate_h(ambient_lux=1000.0))
+    # a 100 uW sleep draw sits under the 150 lx one-face harvest less
+    # leak, 135 uW - 10 uW, so idling never drains the storage
+    assert math.isinf(endurance_estimate_h(DEFAULT_PROFILE._replace(
+        sleep=100e-6)))
 
 
 def test_uplift_exceeds_target():
@@ -119,11 +122,6 @@ def test_report_text_carries_key_figures():
     assert "endurance: 6.60 h" in text
     assert "mean uplift: 46.2%" in text
     assert "targets met: yes" in text
-
-
-def test_peak_below_ambient_is_rejected():
-    with pytest.raises(ValueError):
-        burst_power_for_peak(peak_lux=100.0)
 
 
 def test_negative_drive_is_rejected():

@@ -67,13 +67,6 @@ def test_path_loss_monotone_in_distance_and_angles():
     assert all(a > b for a, b in zip(g_beta, g_beta[1:]))
 
 
-def test_path_loss_outside_field_of_view_is_zero():
-    link = OpticalLink(distance_m=0.5, irradiance_angle_deg=0.0,
-                       incidence_angle_deg=50.0, order=1.0)
-    assert path_loss(link, 1e-4, field_of_view_half_angle_deg=45.0) == 0.0
-    assert path_loss(link, 1e-4, field_of_view_half_angle_deg=60.0) > 0.0
-
-
 def test_received_power_scales_with_transmit_power():
     # received optical power is the source's part of the face illuminance,
     # converted back to watts through the efficacy and the receiver area
@@ -158,8 +151,7 @@ def test_illuminance_superposes_ambient_and_sources():
     base = illuminance_at(rx, 150.0)
     assert base == 150.0
     lit = illuminance_at(rx, 150.0, [tx])
-    gain = path_loss(link_between(tx, rx), rx.area_m2,
-                     rx.field_of_view_half_angle_deg)
+    gain = path_loss(link_between(tx, rx), rx.area_m2)
     expected = 150.0 + 250.0 * 0.0278 * gain / rx.area_m2
     assert lit == pytest.approx(expected, rel=1e-12)
     # two identical sources double the added part

@@ -8,7 +8,9 @@ import pytest
 from luxnet.channel import OpticalReceiver
 from luxnet.energy import (
     DEFAULT_PROFILE,
+    LEAK_POWER_W,
     PV_CELL_AREA_M2,
+    STORAGE_FULL_J,
     HarvesterArray,
     PowerProfile,
     StorageCapacitor,
@@ -19,20 +21,17 @@ from luxnet.energy import (
 )
 
 
-def make_cap(voltage=4.5, leak=10e-6, v_min=3.3):
-    return StorageCapacitor(capacitance=0.4, voltage=voltage, v_min=v_min,
-                            leak_power=leak)
+def make_cap(voltage=4.5, v_min=3.3):
+    return StorageCapacitor(voltage=voltage, v_min=v_min)
 
 
 def test_capacitor_energy_from_voltage():
     cap = make_cap(voltage=3.7)
     assert cap.energy == pytest.approx(0.5 * 0.4 * 3.7 ** 2)
-    assert cap.energy_full == pytest.approx(0.5 * 0.4 * 4.5 ** 2)
+    assert STORAGE_FULL_J == pytest.approx(0.5 * 0.4 * 4.5 ** 2)
 
 
 def test_capacitor_invariants():
-    with pytest.raises(ValueError):
-        StorageCapacitor(capacitance=0.0)
     with pytest.raises(ValueError):
         StorageCapacitor(voltage=4.6)
     with pytest.raises(ValueError):
@@ -58,30 +57,31 @@ def test_default_profile_idle_draws_below_single_cell_generation():
 
 
 def test_storage_step_equilibrium():
-    cap = make_cap(voltage=4.0, leak=0.0)
-    storage_step(cap, p_in=1e-3, p_out=1e-3, dt=10.0)
+    cap = make_cap(voltage=4.0)
+    storage_step(cap, p_in=1e-3 + LEAK_POWER_W, p_out=1e-3, dt=10.0)
     assert cap.voltage == pytest.approx(4.0, abs=1e-12)
 
 
 def test_storage_step_frozen_discharge():
-    # 2.0025 J net drain from full is exactly the 4.5 -> 3.2 V span
-    cap = make_cap(voltage=4.5, leak=0.0)
-    storage_step(cap, p_in=0.0, p_out=2.0025, dt=1.0)
+    # 2.0025 J net drain from full, leak included, is exactly the
+    # 4.5 -> 3.2 V span
+    cap = make_cap(voltage=4.5)
+    storage_step(cap, p_in=0.0, p_out=2.0025 - LEAK_POWER_W, dt=1.0)
     assert cap.voltage == pytest.approx(3.2, abs=1e-3)
 
 
 def test_storage_step_clamps_at_v_max_and_zero():
-    cap = make_cap(voltage=4.5, leak=0.0)
-    storage_step(cap, p_in=1.0, p_out=0.0, dt=100.0)
+    cap = make_cap(voltage=4.5)
+    storage_step(cap, p_in=1.0 + LEAK_POWER_W, p_out=0.0, dt=100.0)
     assert cap.voltage == pytest.approx(4.5)
-    cap_low = make_cap(voltage=0.5, leak=0.0)
-    storage_step(cap_low, p_in=0.0, p_out=1.0, dt=100.0)
+    cap_low = make_cap(voltage=0.5)
+    storage_step(cap_low, p_in=0.0, p_out=1.0 - LEAK_POWER_W, dt=100.0)
     assert cap_low.voltage == 0.0
 
 
 def test_storage_step_leak_only():
-    cap = make_cap(voltage=4.5, leak=10e-6)
-    expected_v = math.sqrt(2.0 * (cap.energy - 10e-6 * 3600.0) / 0.4)
+    cap = make_cap(voltage=4.5)
+    expected_v = math.sqrt(2.0 * (cap.energy - LEAK_POWER_W * 3600.0) / 0.4)
     storage_step(cap, p_in=0.0, p_out=0.0, dt=3600.0)
     assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
 
@@ -111,27 +111,27 @@ def test_storage_step_validation():
 
 
 def test_storage_step_advances_in_place():
-    cap = make_cap(voltage=4.0, leak=0.0)
+    cap = make_cap(voltage=4.0)
     expected_v = math.sqrt(2.0 * (cap.energy - 0.05) / 0.4)
-    storage_step(cap, p_in=0.0, p_out=5e-3, dt=10.0)
+    storage_step(cap, p_in=0.0, p_out=5e-3 - LEAK_POWER_W, dt=10.0)
     assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
-    storage_step(cap, p_in=5e-3, p_out=0.0, dt=10.0)
+    storage_step(cap, p_in=5e-3 + LEAK_POWER_W, p_out=0.0, dt=10.0)
     assert cap.voltage == pytest.approx(4.0, rel=1e-12)
 
 
 def test_storage_step_returns_clamp_loss():
     # top clamp: the spilled harvest
-    cap = make_cap(voltage=4.4, leak=10e-6)
-    unclamped = cap.energy + (1e-2 - 1e-3 - 10e-6) * 100.0
+    cap = make_cap(voltage=4.4)
+    unclamped = cap.energy + (1e-2 - 1e-3 - LEAK_POWER_W) * 100.0
     loss = storage_step(cap, p_in=1e-2, p_out=1e-3, dt=100.0)
     assert cap.voltage == pytest.approx(4.5)
     assert loss == unclamped - cap.energy
-    assert loss == pytest.approx(unclamped - cap.energy_full, rel=1e-12)
+    assert loss == pytest.approx(unclamped - STORAGE_FULL_J, rel=1e-12)
     assert loss > 0.0
 
     # floor: the draw the storage could not pay, a negative loss
-    cap = make_cap(voltage=0.5, leak=10e-6)
-    unclamped = cap.energy + (0.0 - 1.0 - 10e-6) * 100.0
+    cap = make_cap(voltage=0.5)
+    unclamped = cap.energy + (0.0 - 1.0 - LEAK_POWER_W) * 100.0
     loss = storage_step(cap, p_in=0.0, p_out=1.0, dt=100.0)
     assert cap.voltage == 0.0
     assert loss == unclamped - cap.energy == unclamped
@@ -139,8 +139,8 @@ def test_storage_step_returns_clamp_loss():
 
     # in between nothing is clamped; what remains is the rounding of
     # the square-root round trip, a few ulps of the stored energy
-    cap = make_cap(voltage=3.9, leak=10e-6)
-    unclamped = cap.energy + (2e-3 - 1e-3 - 10e-6) * 10.0
+    cap = make_cap(voltage=3.9)
+    unclamped = cap.energy + (2e-3 - 1e-3 - LEAK_POWER_W) * 10.0
     loss = storage_step(cap, p_in=2e-3, p_out=1e-3, dt=10.0)
     assert loss == unclamped - cap.energy
     assert abs(loss) <= 4.0 * math.ulp(unclamped)
@@ -229,15 +229,17 @@ def test_min_capacitance_edges():
 
 
 def test_min_capacitance_cross_check_by_integration():
-    # a capacitor of exactly C_min, drained by the peak plus leak,
-    # lands on v_min
+    # the band of exactly C_min, 1/2 C (v_max^2 - v_min^2), pays the
+    # peak through the PMIC plus the leak over the peak; drained by
+    # both tick by tick, its energy lands on v_min
     c_min = min_capacitance(2.0, 0.85, 10e-6, 40.0, 4.5, 3.2)
-    cap = StorageCapacitor(capacitance=c_min, voltage=4.5, v_min=3.2,
-                           leak_power=10e-6)
-    p_load = (2.0 / 0.85) / 40.0
+    band = 0.5 * c_min * (4.5 ** 2 - 3.2 ** 2)
+    assert band == pytest.approx(2.0 / 0.85 + 10e-6 * 40.0, rel=1e-12)
+    energy = 0.5 * c_min * 4.5 ** 2
+    p_drain = (2.0 / 0.85) / 40.0 + 10e-6
     for _ in range(4000):
-        storage_step(cap, p_in=0.0, p_out=p_load, dt=0.01)
-    assert cap.voltage == pytest.approx(3.2, abs=1e-6)
+        energy -= p_drain * 0.01
+    assert math.sqrt(2.0 * energy / c_min) == pytest.approx(3.2, abs=1e-6)
 
 
 def test_harvester_power_sums_cells():

@@ -23,7 +23,12 @@ from luxnet import simkernel
 from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import ControllerConfig
-from luxnet.energy import DEFAULT_PROFILE, V_OVERDISCHARGE
+from luxnet.energy import (
+    DEFAULT_PROFILE,
+    STORAGE_CAPACITANCE_F,
+    STORAGE_FULL_J,
+    V_OVERDISCHARGE,
+)
 from luxnet.node import NodeState, next_due_s, step_node
 from luxnet.protocol import Command, NodeToOap, OapToNode, decode44, encode44
 from luxnet.simkernel import (
@@ -476,44 +481,45 @@ def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
 
 def clamped_voltages(lane, instants):
     """A lane's storage voltage at each instant through the clamp to
-    0..energy_full, in the kernel's float order, one list element per
+    0..STORAGE_FULL_J, in the kernel's float order, one list element per
     instant's energy."""
-    *_, e0, full, net, capacitance, _, _ = lane
+    *_, e0, net, _, _ = lane
+    full = STORAGE_FULL_J
     return [math.sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
-                      / capacitance)
+                      / STORAGE_CAPACITANCE_F)
             for n in instants for e in [e0 + n * net]]
 
 
 @st.composite
 def segments(draw):
     """A segment whose lanes start inside, at the edges of or outside
-    0..energy_full, some with a net that reaches 0 or energy_full at one
-    of its instants, some with a net of +-0."""
+    0..STORAGE_FULL_J, some with a net that reaches 0 or STORAGE_FULL_J
+    at one of its instants, some with a net of +-0."""
     start = draw(st.integers(0, 10_000))
     step = draw(st.integers(1, 3))
     instants = range(start, start + step * draw(st.integers(1, 300)), step)
+    full = STORAGE_FULL_J
     lanes = []
     for nid in range(1, draw(st.integers(1, 4)) + 1):
-        full = draw(st.floats(1e-3, 2.0))
         e0 = draw(st.sampled_from([-0.0, 0.0, full])
                   | st.floats(-full, 2.0 * full))
         n = draw(st.sampled_from(instants)) or 1
         edge = draw(st.sampled_from([0.0, full]))
         net = draw(st.sampled_from([0.0, -0.0, (edge - e0) / n])
                    | st.floats(-full / 100, full / 100))
-        lanes.append(SegmentLane(nid, 0.0, "SSN", "sleep", 0.0, e0, full,
-                                 net, draw(st.floats(0.05, 1.0)), 0.0, 0.0))
+        lanes.append(SegmentLane(nid, 0.0, "SSN", "sleep", 0.0, e0, net,
+                                 0.0, 0.0))
     return TraceSegment(0, draw(st.integers(0, 100)), instants, 0.1,
                         tuple(lanes))
 
 
-# lanes that reach 0 and energy_full partway, one that starts at -0.0 J
-# and one with no net flow
+# lanes that reach 0 and STORAGE_FULL_J partway, one that starts at
+# -0.0 J and one with no net flow
 EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
-    SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 0.5, 1.0, -0.1, 0.5, 0.0, 0.0),
-    SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 0.5, 1.0, 0.1, 0.5, 0.0, 0.0),
-    SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 1.0, 0.0, 0.5, 0.0, 0.0),
-    SegmentLane(4, 0.0, "SSN", "sleep", 0.0, 0.3, 1.0, -0.0, 0.5, 0.0, 0.0),
+    SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 2.0, -0.4, 0.0, 0.0),
+    SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 2.05, 0.4, 0.0, 0.0),
+    SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 0.0, 0.0, 0.0),
+    SegmentLane(4, 0.0, "SSN", "sleep", 0.0, 0.3, -0.0, 0.0, 0.0),
 ))
 
 
@@ -566,7 +572,7 @@ def run_noting_sessions(scenario):
     noted = set()
 
     def noting(record, *args):
-        if (record.state is NodeState.ENERGY_RELAY
+        if (record.state == NodeState.ENERGY_RELAY
                 and record.storage.voltage <= record.storage.v_min + 1e-12):
             noted.add(record.node_id)
         return step_node(record, *args)

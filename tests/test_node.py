@@ -84,8 +84,8 @@ DIM = (150.0, 0.0, 0.0)
 
 
 def test_select_role_rule():
-    assert select_role(3.1) is NodeMode.PSN
-    assert select_role(3.0) is NodeMode.SSN  # strict inequality
+    assert select_role(3.1) == NodeMode.PSN
+    assert select_role(3.0) == NodeMode.SSN  # strict inequality
 
 
 def test_timing_params_validation_and_consistency():
@@ -128,14 +128,14 @@ def test_init_selects_role_from_light():
     bright = make_node(node_id=1)
     for k in range(3):
         tick(bright, k * 0.1, FULL)
-    assert bright.mode is NodeMode.PSN
-    assert bright.state is NodeState.STANDBY
+    assert bright.mode == NodeMode.PSN
+    assert bright.state == NodeState.STANDBY
     assert bright.v_pv == pytest.approx(4.4 * 1000.0 / 1350.0, rel=1e-9)
 
     dim = make_node(node_id=2)
     for k in range(3):
         tick(dim, k * 0.1, DIM)
-    assert dim.mode is NodeMode.SSN
+    assert dim.mode == NodeMode.SSN
     assert dim.v_pv == pytest.approx(4.4 * 150.0 / 500.0, rel=1e-9)
 
 
@@ -145,7 +145,7 @@ def booted(node_id=1, lux=FULL, **kw):
     for _ in range(4):
         tick(node, t, lux)
         t += 0.1
-    assert node.state is NodeState.STANDBY
+    assert node.state == NodeState.STANDBY
     return node, t
 
 
@@ -158,7 +158,7 @@ def test_false_wakeup_charges_decode_only():
                     payload=OapToNode(command=Command.DATA_REQUEST, param=0))
     res = tick(node, t, FULL, frames=[stray])
     assert "false wakeup" in res.events
-    assert node.state is NodeState.STANDBY
+    assert node.state == NodeState.STANDBY
     decode_cost = node.profile.decode * FRAME_AIRTIME_S
     harvest = HARVESTER.harvest_power(FULL)
     drawn = (e_before - node.storage.energy
@@ -171,12 +171,12 @@ def test_data_request_sense_reply_cycle():
     req = Frame44(dest_address=3,
                   payload=OapToNode(command=Command.DATA_REQUEST, param=0))
     res = tick(node, t, FULL, frames=[req])
-    assert node.state is NodeState.SENSING
+    assert node.state == NodeState.SENSING
     emitted = []
     for k in range(1, 98):
         res = tick(node, t + 0.1 * k, FULL)
         emitted.extend(res.emitted)
-        if node.state is not NodeState.SENSING:
+        if node.state != NodeState.SENSING:
             break
     assert len(emitted) == 1
     frame = emitted[0]
@@ -184,7 +184,7 @@ def test_data_request_sense_reply_cycle():
     assert isinstance(frame.payload, NodeToOap)
     assert frame.payload.sender_id == 3
     # a bright node keeps listening after the reply
-    assert node.state is NodeState.STANDBY
+    assert node.state == NodeState.STANDBY
 
 
 def test_ssn_timer_report_and_periodicity():
@@ -214,7 +214,7 @@ def test_ssn_guard_skip_defers_one_interval():
     for k in range(12):
         events += tick(node, t + 0.1 * k, DIM).events
     assert "sense skipped (guard)" in events
-    assert node.state is NodeState.SLEEP
+    assert node.state == NodeState.SLEEP
     assert node.next_report_s == pytest.approx(100.0)
 
 
@@ -225,7 +225,7 @@ def test_etx_request_starts_session_at_full_charge():
     # capacitor is full, so the session begins within the decode step
     res = tick(node, t, FULL, frames=[req])
     assert "etx start" in res.events
-    assert node.state is NodeState.ENERGY_RELAY
+    assert node.state == NodeState.ENERGY_RELAY
     assert phase_share(node, t, 0.1) == 1.0
     assert node.pending_n == 0
 
@@ -237,14 +237,14 @@ def test_etx_request_deferred_until_full():
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
     tick(node, t, FULL, frames=[req])
     res = tick(node, t + 0.1, FULL)
-    assert node.state is NodeState.STANDBY
+    assert node.state == NodeState.STANDBY
     assert node.pending_n == 1
     # charge back to full, then the pending session fires
     steps = 0
-    while node.state is NodeState.STANDBY and steps < 20000:
+    while node.state == NodeState.STANDBY and steps < 20000:
         res = tick(node, t + 0.2 + 0.1 * steps, FULL)
         steps += 1
-    assert node.state is NodeState.ENERGY_RELAY
+    assert node.state == NodeState.ENERGY_RELAY
 
 
 def test_etx_session_stops_at_guard_floor_then_recovers():
@@ -253,10 +253,10 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
     tick(node, t, FULL, frames=[req])
     tick(node, t + 0.1, FULL)
-    assert node.state is NodeState.ENERGY_RELAY
+    assert node.state == NodeState.ENERGY_RELAY
     t += 0.2
     session_ticks = 0
-    while node.state is NodeState.ENERGY_RELAY:
+    while node.state == NodeState.ENERGY_RELAY:
         tick(node, t, FULL)
         t += 0.1
         session_ticks += 1
@@ -265,16 +265,16 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
     # interval, and only the closing step's idle remainder recharges a hair
     assert node.storage.voltage >= node.storage.v_min - 1e-9
     assert node.storage.voltage <= node.storage.v_min + 3e-4
-    assert node.state is NodeState.SLEEP
+    assert node.state == NodeState.SLEEP
     assert phase_share(node, t, 0.1) == 0.0
     # duration close to the analytic 23.2 s figure
     assert session_ticks * 0.1 == pytest.approx(23.3, abs=0.3)
     # sleeps until full, then returns to listening
-    while node.state is NodeState.SLEEP:
+    while node.state == NodeState.SLEEP:
         tick(node, t, FULL)
         t += 0.1
         assert t < 600.0
-    assert node.state is NodeState.STANDBY
+    assert node.state == NodeState.STANDBY
     assert node.storage.voltage == pytest.approx(4.5, abs=1e-6)
 
 
@@ -285,9 +285,9 @@ def test_etx_session_window_cap():
     node, t = booted(node_id=1, led=True, v_min=3.2, profile=profile)
     node.etx_autonomous = True
     res = tick(node, t, FULL)
-    assert node.state is NodeState.ENERGY_RELAY
+    assert node.state == NodeState.ENERGY_RELAY
     ticks = 0
-    while node.state is NodeState.ENERGY_RELAY:
+    while node.state == NodeState.ENERGY_RELAY:
         res = tick(node, t + 0.1 * (1 + ticks), FULL)
         ticks += 1
         assert ticks < 450
@@ -299,22 +299,22 @@ def test_depletion_hysteresis():
     node, t = booted(node_id=2, lux=DIM)
     node.storage.voltage = 3.19
     res = tick(node, t, DIM)
-    assert node.state is NodeState.DEPLETED
+    assert node.state == NodeState.DEPLETED
     # frames are lost while depleted, at no cost
     e_before = node.storage.energy
     req = Frame44(dest_address=2,
                   payload=OapToNode(command=Command.DATA_REQUEST, param=0))
     res = tick(node, t + 0.1, DIM, frames=[req])
     assert res.causes == ["depleted receiver"]
-    assert node.state is NodeState.DEPLETED
+    assert node.state == NodeState.DEPLETED
     # no reconnect below v_chrdy
     node.storage.voltage = 3.7
     tick(node, t + 0.2, DIM)
-    assert node.state is NodeState.DEPLETED
+    assert node.state == NodeState.DEPLETED
     # reconnect at v_chrdy goes through a fresh boot
     node.storage.voltage = 3.81
     res = tick(node, t + 0.3, DIM)
-    assert node.state is NodeState.INIT
+    assert node.state == NodeState.INIT
     assert "recovered from depletion" in res.events
 
 
@@ -322,7 +322,7 @@ def test_depleted_node_draws_only_leak():
     node, t = booted(node_id=2, lux=DIM)
     node.storage.voltage = 3.0
     tick(node, t, DIM)
-    assert node.state is NodeState.DEPLETED
+    assert node.state == NodeState.DEPLETED
     e0 = node.storage.energy
     harvest = HARVESTER.harvest_power((0.0, 0.0, 0.0))
     tick(node, t + 0.1, (0.0, 0.0, 0.0))
@@ -334,11 +334,11 @@ def test_depleted_node_draws_only_leak():
 def test_standby_idle_ssn_sleeps():
     node, t = booted(node_id=2, lux=DIM)
     steps = 0
-    while node.state is NodeState.STANDBY:
+    while node.state == NodeState.STANDBY:
         tick(node, t + 0.1 * steps, DIM)
         steps += 1
         assert steps < 400
-    assert node.state is NodeState.SLEEP
+    assert node.state == NodeState.SLEEP
     assert steps * 0.1 == pytest.approx(30.0, abs=0.5)
 
 
@@ -358,7 +358,7 @@ def test_standby_idle_fires_on_the_step_ending_30_s_in(dt):
             break
     else:
         pytest.fail("no standby idle within 40 s")
-    assert node.state is NodeState.SLEEP
+    assert node.state == NodeState.SLEEP
     assert now + dt - clock_start == pytest.approx(30.0, abs=1e-9)
 
 
@@ -399,7 +399,7 @@ def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
 
 def baseline_w(node):
     """The draw of the node's state without its phase."""
-    if node.state is NodeState.DEPLETED:
+    if node.state == NodeState.DEPLETED:
         return 0.0
     if node.state in (NodeState.INIT, NodeState.STANDBY):
         return node.profile.standby
@@ -577,7 +577,7 @@ def test_the_quiet_band_of_a_session_starts_above_its_floor_cut():
 def test_the_lockout_darkens_a_running_session():
     node = session_node(3.2)
     tick(node, 0.0, FULL)
-    assert node.state is NodeState.ENERGY_RELAY
+    assert node.state == NodeState.ENERGY_RELAY
     # one step of the burst drains about 4 mV here, through v_ovdis
     node.storage.voltage = 3.202
     res = tick(node, 0.1, FULL)

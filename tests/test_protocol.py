@@ -11,7 +11,6 @@ from luxnet.protocol import (
     GenericFrame,
     NodeToOap,
     OapToNode,
-    airtime_s,
     crc8,
     decode44,
     decode_frame,
@@ -175,8 +174,8 @@ def test_word_out_of_range_rejected():
 
 
 def test_airtime_default_rate():
-    assert airtime_s() == pytest.approx(0.044)
-    assert airtime_s(bits=88, bitrate_bps=1000.0) == pytest.approx(0.088)
+    # one 44-bit word at 1 kbit/s
+    assert proto.FRAME_AIRTIME_S == 0.044
 
 
 def test_node_payload_validation():

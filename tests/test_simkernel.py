@@ -23,6 +23,7 @@ from luxnet.cli import (
 )
 from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
+    PV_CELLS_PER_NODE,
     V_STORAGE_MAX,
     PowerProfile,
     StorageCapacitor,
@@ -33,6 +34,7 @@ from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
+    FACE_LETTERS,
     MAX_TICKS,
     MAX_TRACE_ROWS,
     FaceSpec,
@@ -428,6 +430,8 @@ def test_duplicate_and_bad_shape_rejected():
     with pytest.raises(ScenarioError, match="three faces"):
         validate_scenario(Scenario(name="t", duration_s=10.0,
                                    nodes=(two_faces,)))
+    # the file format names one face per PV cell
+    assert len(FACE_LETTERS) == PV_CELLS_PER_NODE
 
     with pytest.raises(ScenarioError, match="16-bit"):
         validate_scenario(Scenario(
@@ -722,13 +726,29 @@ def test_shared_light_with_interference_digests():
 
 
 # CSV and summary of `luxnet run` on crowd-dense, recorded before the CSV
-# pass booked the summary's final quarter
+# pass booked the summary's final quarter, and its controller log, one
+# line per entry, recorded before the storage read its capacitance and
+# leak from module constants
 CROWD_DENSE_DIGESTS = {
     1: ("a757bd7c3b46ee51bad731a1b966acb43a502a04d0a8b86f93898cc883f527ef",
-        "091b0b361c47660740dfa850bd2a6da08ee0b9b20ecf69ccc37688c1152e466f"),
+        "091b0b361c47660740dfa850bd2a6da08ee0b9b20ecf69ccc37688c1152e466f",
+        "5bb8beedf3059b4ee31e76ec8adc9510612d021fb574bc3ee2a3d420a10e2a3a"),
     3: ("6e1b2bd4c9bf459173397cf03645ea3ba41624e70f6ffdfd19f6a0f1a0b09fcb",
-        "6284d0ac4c26bd5f35275a9dcf990162462e8fadacb35225f7dbe4c74ce950a1"),
+        "6284d0ac4c26bd5f35275a9dcf990162462e8fadacb35225f7dbe4c74ce950a1",
+        "f7d09c1e5a02e5b96b79ccba07d6629ab5ba9c76f5ea3f9e8047ccc1a65807ee"),
 }
+
+
+def keep_traces(monkeypatch):
+    """The traces `luxnet run` computes from here on, in run order."""
+    traces = []
+
+    def keeping(scenario):
+        traces.append(run_scenario(scenario))
+        return traces[-1]
+
+    monkeypatch.setattr("luxnet.cli.run_scenario", keeping)
+    return traces
 
 
 def run_crowd_dense(tmp_path, seed):
@@ -743,32 +763,30 @@ def run_crowd_dense(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", sorted(CROWD_DENSE_DIGESTS))
-def test_crowd_dense_digests(tmp_path, capsys, seed):
+def test_crowd_dense_digests(tmp_path, capsys, monkeypatch, seed):
     # fifteen nodes sampled every tick: nearly every row sits in a
     # segment, and the summary's final quarter in a few of them
+    traces = keep_traces(monkeypatch)
     csv_path, summary_path = run_crowd_dense(tmp_path, seed)
+    [trace] = traces
+    log = "".join(line + "\n" for line in trace.controller_log)
     assert (sha256_hex(csv_path.read_bytes()),
-            sha256_hex(summary_path.read_bytes())) == (
-        CROWD_DENSE_DIGESTS[seed])
+            sha256_hex(summary_path.read_bytes()),
+            sha256_hex(log.encode())) == CROWD_DENSE_DIGESTS[seed]
 
 
 def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     # the CSV pass books the summary's final quarter as it renders it,
     # so summarize expands no voltage again
     expanded = []
-    traces = []
 
     def counting(segment, instants=None, harvest=False):
         times, values = segment_values(segment, instants, harvest)
         expanded.append(len(times) * len(values))
         return times, values
 
-    def keeping(scenario):
-        traces.append(run_scenario(scenario))
-        return traces[-1]
-
     monkeypatch.setattr(simkernel, "segment_values", counting)
-    monkeypatch.setattr("luxnet.cli.run_scenario", keeping)
+    traces = keep_traces(monkeypatch)
     run_crowd_dense(tmp_path, 1)
     [trace] = traces
     rows = sum(len(s.instants) * len(s.lanes) for s in trace.segments)
