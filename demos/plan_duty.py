@@ -8,7 +8,7 @@ retention floor.
 """
 
 from luxnet.controller import duty_cycle, select_t_data_req, standby_time
-from luxnet.energy import min_capacitance
+from luxnet.energy import LEAK_POWER_W, PMIC_EFFICIENCY, min_capacitance
 from luxnet.node import DEFAULT_TIMING
 
 
@@ -31,11 +31,12 @@ def main():
           f"{select_t_data_req([DEFAULT_TIMING] * 3, preferred=600.0):.0f} s")
     print()
 
-    farads = min_capacitance(e_peak=2.0, eta_pmic_l=0.85, p_leak=10e-6,
-                             t_peak=40.0, v_max=4.5, v_min=3.2)
-    print(f"storage for a 2 J peak over 40 s at 85% converter "
-          f"efficiency: {farads:.4f} F (shipped nodes carry 0.4 F and a "
-          f"3.3 V guard floor instead)")
+    farads = min_capacitance(e_peak=2.0, eta_pmic_l=PMIC_EFFICIENCY,
+                             p_leak=LEAK_POWER_W, t_peak=40.0, v_max=4.5,
+                             v_min=3.2)
+    print(f"storage for a 2 J peak over 40 s at {PMIC_EFFICIENCY:.0%} "
+          f"converter efficiency: {farads:.4f} F (shipped nodes carry "
+          f"0.4 F and a 3.3 V guard floor instead)")
 
 
 if __name__ == "__main__":

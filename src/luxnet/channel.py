@@ -159,8 +159,11 @@ def link_between(tx: OpticalTransmitter, rx: OpticalReceiver) -> OpticalLink:
     """Compute the link geometry from the two poses.
 
     Angles beyond 90 degrees (source behind the face, or face turned away)
-    are clamped to 90 so the cosine terms zero the gain rather than going
-    negative for back-facing geometry.
+    are clamped to 90 so the cosine terms cannot go negative for
+    back-facing geometry.  They do not quite zero the gain:
+    math.cos(math.radians(90.0)) is 6.1e-17, so a clamped link keeps
+    about 6e-17 of its geometric gain (raised to the order, for the
+    irradiance angle), far below any printed digit.
     """
     sep = tuple(r - t for r, t in zip(rx.position, tx.position))
     distance = norm(sep)

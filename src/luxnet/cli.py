@@ -35,6 +35,7 @@ from .controller import ControllerConfig, duty_cycle, standby_time
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
+    PMIC_EFFICIENCY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     PowerProfile,
@@ -502,7 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_size = sub.add_parser("size-capacitor",
                             help="smallest capacitance for a peak load")
     p_size.add_argument("--e-peak-j", type=_finite_float, required=True)
-    p_size.add_argument("--eta-pmic", type=_finite_float, default=0.85)
+    p_size.add_argument("--eta-pmic", type=_finite_float,
+                        default=PMIC_EFFICIENCY)
     p_size.add_argument("--p-leak-w", type=_finite_float, default=LEAK_POWER_W)
     p_size.add_argument("--t-peak-s", type=_finite_float, required=True)
     p_size.add_argument("--v-max-v", type=_finite_float, default=V_STORAGE_MAX)

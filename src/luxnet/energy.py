@@ -41,6 +41,9 @@ V_STORAGE_MAX = 4.5
 DEFAULT_V_MIN = 3.3
 STORAGE_CAPACITANCE_F = 0.4
 LEAK_POWER_W = 10e-6
+# the power-management converter's efficiency under load, which sizes the
+# storage for a peak (min_capacitance)
+PMIC_EFFICIENCY = 0.85
 # what the storage holds at V_STORAGE_MAX, 1/2 C V^2, joules
 STORAGE_FULL_J = 0.5 * STORAGE_CAPACITANCE_F * V_STORAGE_MAX ** 2
 

@@ -272,27 +272,93 @@ class TraceSegment(NamedTuple):
     lanes: Tuple[SegmentLane, ...]
 
 
+def _lane_runs(segment: TraceSegment, instants: range
+               ) -> List[Tuple[int, int, float, float]]:
+    """Each lane's runs over instants, as (lo, hi, before, after).
+
+    The lane's closed-form energy e0 + n * net is live, inside
+    0..STORAGE_FULL_J, at instants[lo:hi]; at instants[:lo] and at
+    instants[hi:] a clamp holds it, and the storage voltage is before
+    and after there.  A lane held throughout has lo == len(instants).
+    The energy moves one way and each float step is monotone in n, so
+    the energies at the first and last instant settle a lane live
+    throughout; any other goes to _clamped_runs.
+    """
+    count = len(instants)
+    live = (0, count, 0.0, 0.0)
+    if not count:
+        return [live] * len(segment.lanes)
+    full = STORAGE_FULL_J
+    n0, n1 = instants[0], instants[-1]
+    return [live if 0.0 <= e0 + n0 * net <= full
+            and 0.0 <= e0 + n1 * net <= full
+            else _clamped_runs(e0, net, instants)
+            for _, _, _, _, _, e0, net, _, _ in segment.lanes]
+
+
+def _clamped_runs(e0: float, net: float, instants: range
+                  ) -> Tuple[int, int, float, float]:
+    """_lane_runs for one lane that a clamp may hold.
+
+    A clamp bites only from an end: a lane it holds at both ends, on
+    the same side, is held throughout, and otherwise a bisection finds
+    where the first instant's clamp stops biting and where the last
+    instant's starts.  A NaN energy is live, as the closed form passes
+    it through.
+    """
+    full = STORAGE_FULL_J
+    v_full = math.sqrt(2.0 * full / STORAGE_CAPACITANCE_F)
+    count = len(instants)
+    lo, hi, before, after = 0, count, 0.0, 0.0
+    first = e0 + instants[0] * net
+    last = e0 + instants[-1] * net
+    if first < 0.0:
+        if last < 0.0:
+            return count, count, before, before
+        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net < 0.0)
+    elif first > full:
+        before = v_full
+        if last > full:
+            return count, count, before, before
+        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net > full)
+    if last < 0.0:
+        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net < 0.0)
+    elif last > full:
+        after = v_full
+        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net > full)
+    return lo, hi, before, after
+
+
 def segment_values(segment: TraceSegment,
                    instants: Optional[range] = None,
-                   harvest: bool = False):
+                   harvest: bool = False,
+                   runs: Optional[List[Tuple[int, int, float, float]]] = None):
     """A segment's values at `instants` (all of its own by default):
     the time of each instant, and per lane a list of the storage voltage
     at each, or with harvest set a pair of that list and one of the
     harvest tally at each.
 
     These are storage_step's closed form and the tally's harvest in the
-    float order the kernel books them.
+    float order the kernel books them.  Each lane is built from its runs
+    over instants (_lane_runs, unless the caller hands them in): a held
+    run repeats its one voltage, and a live run takes the closed form,
+    whose clamp never bites there.
     """
     if instants is None:
         instants = segment.instants
+    if runs is None:
+        runs = _lane_runs(segment, instants)
     i, dt = segment.i, segment.dt
     sqrt = math.sqrt
-    full, capacitance = STORAGE_FULL_J, STORAGE_CAPACITANCE_F
+    capacitance = STORAGE_CAPACITANCE_F
+    count = len(instants)
     lanes = []
-    for *_, e0, net, h0, harvest_dt in segment.lanes:
-        v_caps = [sqrt(2.0 * (0.0 if (e := e0 + n * net) < 0.0
-                              else full if e > full else e) / capacitance)
-                  for n in instants]
+    for lane, (lo, hi, before, after) in zip(segment.lanes, runs):
+        _, _, _, _, _, e0, net, h0, harvest_dt = lane
+        v_caps = [sqrt(2.0 * (e0 + n * net) / capacitance)
+                  for n in instants[lo:hi]]
+        if lo or hi < count:
+            v_caps = [before] * lo + v_caps + [after] * (count - hi)
         lanes.append((v_caps, [h0 + n * harvest_dt for n in instants])
                      if harvest else v_caps)
     return [(i + n) * dt for n in instants], lanes
@@ -456,8 +522,16 @@ def tick_count(duration_s: float, step_s: float) -> int:
 
 
 def sample_every(scenario: Scenario) -> int:
-    """Ticks from one trace instant to the next, at least one."""
-    return max(1, int(round(scenario.trace_interval_s / scenario.step_s)))
+    """Ticks from one trace instant to the next: at least one, and at
+    most the run's tick count, since any longer interval samples only
+    tick 0 and the end, as that count does.  The ratio is compared
+    unrounded, as in tick_count, because an overflowed one is infinite.
+    """
+    ticks = tick_count(scenario.duration_s, scenario.step_s)
+    ratio = scenario.trace_interval_s / scenario.step_s
+    if ratio > ticks:
+        return ticks
+    return max(1, int(round(ratio)))
 
 
 def first_tick(instant: float, offset: float, dt: float, start: int) -> float:
@@ -1148,6 +1222,13 @@ CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 # rows per write of format_trace_csv
 CSV_BLOCK_ROWS = 8192
+# one discrete row, from its fields but harvested_j, which the CSV omits
+DISCRETE_ROW = "%.2f,%s,%.6f,%.6f,%s,%s,%.3f,%s\n"
+# a segment lane's row with its time and voltage left to fill in,
+# "%s,<nid>,%.6f,<v_pv>,<mode>,<state>,<lux>,", from the lane's fixed
+# fields (node_id, v_pv, mode, state, lux); a mode or state name holds
+# no %
+LANE_ROW = "%%s,%s,%%.6f,%.6f,%s,%s,%.3f,\n"
 
 
 def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
@@ -1156,59 +1237,80 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
     pieces of at most CSV_BLOCK_ROWS rows each, booking the rows of the
     final quarter into steady as it expands them.
 
-    A discrete row is one f-string.  A segment builds one %-template for
-    an instant, each lane's fixed fields formatted into it once, and
-    renders each block of instants with one % over the instants' times
-    (each formatted once) and the lanes' voltages, interleaved.
+    A chunk of discrete rows is one % over DISCRETE_ROW repeated, its
+    rows' fields flattened.  A segment renders each block of its
+    instants with one % over a template of one instant's rows (see
+    _segment_block), built from each lane's row template: its fixed
+    fields, formatted once per render pass, since they recur from
+    segment to segment.
     """
     since = _steady_since(trace)
+    # each lane's LANE_ROW by its fixed fields
+    row_templates: Dict[Tuple, str] = {}
     for discrete, segment in trace.runs():
         for start in range(0, len(discrete), CSV_BLOCK_ROWS):
             rows = discrete[start:start + CSV_BLOCK_ROWS]
-            yield len(rows), "".join([
-                f"{r.time_s:.2f},{r.node_id},{r.v_cap:.6f},{r.v_pv:.6f},"
-                f"{r.mode},{r.state},{r.lux:.3f},{r.event}\n" for r in rows])
+            yield len(rows), DISCRETE_ROW * len(rows) % tuple([
+                field for t, nid, v_cap, v_pv, mode, state, lux, _, event
+                in rows
+                for field in (t, nid, v_cap, v_pv, mode, state, lux, event)])
         # the rows are in time order, as for trace.runs(since)
-        _tally_steady(steady, discrete[bisect_left(
-            discrete, since, key=lambda row: row.time_s):])
+        if discrete and discrete[-1].time_s >= since:
+            _tally_steady(steady, discrete[bisect_left(
+                discrete, since, key=lambda row: row.time_s):])
         if segment is None:
             continue
-        # "<time>,<nid>,<v_cap>,<the fixed fields>" per lane; a mode or
-        # state name holds no %
-        template = "".join(
-            f"%s,{nid},%.6f,{v_pv:.6f},{mode},{state},{lux:.3f},\n"
-            for nid, v_pv, mode, state, lux, *_ in segment.lanes)
-        lanes = len(segment.lanes)
+        lane_rows = [row_templates.get(fixed := lane[:5])
+                     or row_templates.setdefault(fixed, LANE_ROW % fixed)
+                     for lane in segment.lanes]
         instants = segment.instants
-        per_block = max(1, CSV_BLOCK_ROWS // lanes)
+        per_block = max(1, CSV_BLOCK_ROWS // len(lane_rows))
         for start in range(0, len(instants), per_block):
             block = instants[start:start + per_block]
-            yield len(block) * lanes, _segment_block(
-                segment, template, block, since, steady)
+            yield len(block) * len(lane_rows), _segment_block(
+                segment, lane_rows, block, since, steady)
 
 
-def _segment_block(segment: TraceSegment, template: str, instants: range,
-                   since: float, steady: Dict[int, List]) -> str:
-    """The CSV text of a segment's rows at instants, template holding
-    one instant's rows, booking the rows at or after since into steady.
+def _segment_block(segment: TraceSegment, lane_rows: List[str],
+                   instants: range, since: float,
+                   steady: Dict[int, List]) -> str:
+    """The CSV text of a segment's rows at instants, lane_rows holding
+    each lane's row template, booking the rows at or after since into
+    steady.
+
+    The block's one template holds a row per lane for an instant: the
+    voltage of a lane held at a clamp over the whole block is formatted
+    into it once, by the % that formats a live one, and one % over the
+    instants' times (each formatted once) and the live lanes' voltages,
+    interleaved, renders the block.
 
     A function of its own because a generator's locals live across its
     yield: returning frees the block's voltages and % arguments before
     _csv_blocks hands the text on to be written."""
-    times, values = segment_values(segment, instants)
-    count = len(times)
+    count = len(instants)
+    runs = _lane_runs(segment, instants)
+    times, values = segment_values(segment, instants, runs=runs)
     tail = bisect_left(times, since)
     if tail < count:
         _tally_steady(steady, (), segment.lanes, [
             v_caps[tail:] for v_caps in values] if tail else values)
-    # per instant, each lane's row: the time, then its voltage
-    width = 2 * len(values)
-    args = [None] * (count * width)
+    # per instant, each lane's row: the time, then a live lane's voltage;
+    # a lane held throughout (lo == count) is held at before
+    template = []
+    columns = []
     times = ["%.2f" % t for t in times]
-    for k, v_caps in enumerate(values):
-        args[2 * k::width] = times
-        args[2 * k + 1::width] = v_caps
-    return template * count % tuple(args)
+    for row, v_caps, (lo, _, before, _) in zip(lane_rows, values, runs):
+        columns.append(times)
+        if lo == count:
+            template.append(row % ("%s", before))
+        else:
+            template.append(row)
+            columns.append(v_caps)
+    width = len(columns)
+    args = [None] * (count * width)
+    for k, column in enumerate(columns):
+        args[k::width] = column
+    return "".join(template) * count % tuple(args)
 
 
 def format_trace_csv(trace: TraceSet, out: TextIO) -> None:

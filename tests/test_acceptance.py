@@ -16,7 +16,13 @@ from scipy.stats import spearmanr
 from luxnet.channel import lambertian_order, photon_energy
 from luxnet.cli import main, parse_scenario_file, shipped_scenario_path
 from luxnet.controller import duty_cycle, select_t_data_req, standby_time
-from luxnet.energy import StorageCapacitor, min_capacitance, storage_step
+from luxnet.energy import (
+    LEAK_POWER_W,
+    PMIC_EFFICIENCY,
+    StorageCapacitor,
+    min_capacitance,
+    storage_step,
+)
 from luxnet.experiments import interference_sweep, recharge_improvement
 from luxnet.node import DEFAULT_TIMING
 from luxnet.protocol import (
@@ -243,8 +249,9 @@ def test_c9_physics_calculators():
     m = lambertian_order(15.0)
     assert m == pytest.approx(19.99, abs=0.01), \
         f"C9 FAIL: lambertian order {m:.4f}"
-    c = min_capacitance(e_peak=2.0, eta_pmic_l=0.85, p_leak=10e-6,
-                        t_peak=40.0, v_max=4.5, v_min=3.2)
+    c = min_capacitance(e_peak=2.0, eta_pmic_l=PMIC_EFFICIENCY,
+                        p_leak=LEAK_POWER_W, t_peak=40.0, v_max=4.5,
+                        v_min=3.2)
     assert c == pytest.approx(0.4702, rel=1e-3), \
         f"C9 FAIL: sized capacitance {c:.4f} F"
 

@@ -27,6 +27,7 @@ from luxnet.controller import ControllerConfig
 from luxnet.energy import PowerProfile
 from luxnet.errors import ScenarioError
 from luxnet.simkernel import (
+    CSV_HEADER,
     ETX_POLICIES,
     FaceSpec,
     NodeSpec,
@@ -514,6 +515,25 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     assert f"{key} must be finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "paper-a.csv").exists()
+
+
+def test_run_takes_a_trace_interval_longer_than_any_run(tmp_path, capsys):
+    # 1.7e308 s over a 0.1 s step overflows to an infinite tick ratio; it
+    # samples tick 0 and the end, as an interval of the whole run does
+    base = read(shipped_scenario_path("paper_a"))
+    csvs = []
+    for interval in ("1.7e308", "30.0"):
+        scn = tmp_path / interval / "in.scn"
+        scn.parent.mkdir()
+        scn.write_text(base.replace("trace_interval_s = 10.0",
+                                    f"trace_interval_s = {interval}"))
+        assert main(["run", str(scn), "--duration-s", "30",
+                     "--out-dir", str(scn.parent)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        csvs.append((scn.parent / "paper-a.csv").read_text())
+    assert csvs[0] == csvs[1]
+    assert csvs[0].startswith(CSV_HEADER + "\n0.00,1,")
+    assert "\n30.00,1," in csvs[0]
 
 
 @pytest.mark.parametrize("t_int, code", [

@@ -39,6 +39,7 @@ from luxnet.simkernel import (
     SegmentLane,
     TraceSegment,
     TraceSet,
+    _lane_runs,
     _Runtime,
     audit_conservation,
     format_trace_csv,
@@ -373,33 +374,56 @@ def row_based_steady(trace):
     return figures
 
 
-@given(networks().map(lambda sc: sc._replace(trace_interval_s=sc.step_s)))
-def test_segments_render_and_summarize_as_their_rows(scenario):
-    # a row every tick puts every quiet stretch's rows in a segment
-    trace = run_scenario(scenario)
-    assert csv_text(trace) == row_by_row_csv(trace)
-    summary = summarize(trace)
-    assert {nid: (s.steady_mean_v, s.steady_band_v)
-            for nid, s in summary.nodes.items()} == row_based_steady(trace)
-
-
-def quiet_pair():
+def quiet_pair(lit=(400.0, 400.0), start_voltage=(3.9, 3.9)):
     """Two lit nodes networks() can draw, without emitters or sensing,
     sampled every tick for 60 s: most of the run is one quiet stretch,
     and so one segment."""
-    lit = 400.0
     nodes = tuple(NodeSpec(
         node_id=index + 1, position=ring_position(index, 2),
-        faces=(FaceSpec((0.0, 1.0, 0.0), lit), FaceSpec((1.0, 0.0, 0.0), lit),
-               FaceSpec((0.0, 0.0, 1.0), lit)),
-        start_voltage=3.9, v_min=3.4, sensing_enabled=False)
-        for index in range(2))
+        faces=(FaceSpec((0.0, 1.0, 0.0), lux), FaceSpec((1.0, 0.0, 0.0), lux),
+               FaceSpec((0.0, 0.0, 1.0), lux)),
+        start_voltage=start, v_min=3.4, sensing_enabled=False)
+        for index, (lux, start) in enumerate(zip(lit, start_voltage)))
     return Scenario(
         name="generated", duration_s=60.0, nodes=nodes,
         oap=OapSpec(config=ControllerConfig(
             t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
             etx_offset_s=20.0, etx_spacing_s=30.0)),
         step_s=0.1, seed=0, trace_interval_s=0.1)
+
+
+def held_pair():
+    """The quiet pair with node 1 full under 1000 lx: the clamp holds its
+    storage at STORAGE_FULL_J through most of its segment rows."""
+    return quiet_pair(lit=(1000.0, 400.0), start_voltage=(4.5, 3.9))
+
+
+def test_a_block_of_the_held_pair_starts_inside_a_held_run():
+    # at 7 rows a block (3 instants of 2 lanes), blocks start where node
+    # 1's storage is held both before and after: in its first segment,
+    # and after it charges back to full in its last
+    trace = run_scenario(held_pair())
+    per_block = 7 // 2
+    starts = [start for segment in trace.segments
+              for (lo, hi, _, _) in _lane_runs(segment, segment.instants)[:1]
+              for start in range(per_block, len(segment.instants), per_block)
+              if start < lo or hi < start]
+    assert len(starts) > 30
+
+
+@given(networks().map(lambda sc: sc._replace(trace_interval_s=sc.step_s)),
+       st.sampled_from([7, simkernel.CSV_BLOCK_ROWS]))
+@example(held_pair(), 7)
+def test_segments_render_and_summarize_as_their_rows(scenario, block_rows):
+    # a row every tick puts every quiet stretch's rows in a segment; at 7
+    # rows a block, blocks start inside the runs a clamp holds
+    trace = run_scenario(scenario)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        assert csv_text(trace) == row_by_row_csv(trace)
+    summary = summarize(trace)
+    assert {nid: (s.steady_mean_v, s.steady_band_v)
+            for nid, s in summary.nodes.items()} == row_based_steady(trace)
 
 
 def steady_figures(summary):
@@ -523,17 +547,34 @@ EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
 ))
 
 
+def lane_segment(e0, net):
+    """One lane over instants 1..10 from e0 joules at net joules a tick."""
+    return TraceSegment(0, 0, range(1, 11), 0.1, (
+        SegmentLane(1, 0.0, "SSN", "sleep", 0.0, e0, net, 0.0, 0.0),))
+
+
 @given(segments(), st.integers(0, 10 ** 6))
 @example(EDGE_SEGMENT, 4)
+# held at STORAGE_FULL_J throughout
+@example(lane_segment(STORAGE_FULL_J, 0.01), 4)
+# above STORAGE_FULL_J and draining: held for two instants, then live
+@example(lane_segment(STORAGE_FULL_J + 0.05, -0.02), 1)
+# live, then held at 0 from the fourth instant on
+@example(lane_segment(0.1, -0.03), 2)
 def test_segment_values_are_the_clamped_closed_form(segment, pick):
-    # bit for bit, for the whole segment, one instant and a tail of it
+    # bit for bit, for the whole segment, one instant and a tail of it;
+    # each lane's runs hold exactly where the clamp bites
     every = segment.instants
     k = pick % len(every)
     for instants in (every, every[k:k + 1], every[k:]):
         _, values = segment_values(segment, instants)
-        for lane, v_caps in zip(segment.lanes, values):
+        for lane, v_caps, (lo, hi, _, _) in zip(
+                segment.lanes, values, _lane_runs(segment, instants)):
             assert ([v.hex() for v in v_caps]
                     == [v.hex() for v in clamped_voltages(lane, instants)])
+            assert [not 0.0 <= lane.e0 + n * lane.net <= STORAGE_FULL_J
+                    for n in instants] == [
+                        not lo <= index < hi for index in range(len(instants))]
 
 
 def halving_domain(scenario):

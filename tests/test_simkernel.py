@@ -779,10 +779,13 @@ def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     # the CSV pass books the summary's final quarter as it renders it,
     # so summarize expands no voltage again
     expanded = []
+    held = []
 
-    def counting(segment, instants=None, harvest=False):
-        times, values = segment_values(segment, instants, harvest)
+    def counting(segment, instants=None, harvest=False, runs=None):
+        times, values = segment_values(segment, instants, harvest, runs)
         expanded.append(len(times) * len(values))
+        if runs is not None:
+            held.append(sum(lo + len(times) - hi for lo, hi, _, _ in runs))
         return times, values
 
     monkeypatch.setattr(simkernel, "segment_values", counting)
@@ -792,6 +795,9 @@ def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     rows = sum(len(s.instants) * len(s.lanes) for s in trace.segments)
     # summarize expanding the final quarter again made 329,310
     assert sum(expanded) == rows == 263_280
+    # the CSV pass hands in each lane's runs: the rows of a storage held
+    # at a clamp print one voltage formatted once
+    assert sum(held) == 52_495
 
 
 # ---------------------------------------------------------------------------
