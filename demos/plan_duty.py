@@ -8,7 +8,15 @@ retention floor.
 """
 
 from luxnet.controller import duty_cycle, select_t_data_req, standby_time
-from luxnet.energy import LEAK_POWER_W, PMIC_EFFICIENCY, min_capacitance
+from luxnet.energy import (
+    DEFAULT_V_MIN,
+    LEAK_POWER_W,
+    PMIC_EFFICIENCY,
+    STORAGE_CAPACITANCE_F,
+    V_OVERDISCHARGE,
+    V_STORAGE_MAX,
+    min_capacitance,
+)
 from luxnet.node import DEFAULT_TIMING
 
 
@@ -32,11 +40,12 @@ def main():
     print()
 
     farads = min_capacitance(e_peak=2.0, eta_pmic_l=PMIC_EFFICIENCY,
-                             p_leak=LEAK_POWER_W, t_peak=40.0, v_max=4.5,
-                             v_min=3.2)
+                             p_leak=LEAK_POWER_W, t_peak=40.0,
+                             v_max=V_STORAGE_MAX, v_min=V_OVERDISCHARGE)
     print(f"storage for a 2 J peak over 40 s at {PMIC_EFFICIENCY:.0%} "
           f"converter efficiency: {farads:.4f} F (shipped nodes carry "
-          f"0.4 F and a 3.3 V guard floor instead)")
+          f"{STORAGE_CAPACITANCE_F} F and a {DEFAULT_V_MIN} V guard floor "
+          f"instead)")
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ from .simkernel import (
     format_trace_csv,
     render_summary,
     run_scenario,
+    scenario_sections,
     summarize,
     validate_scenario,
 )
@@ -94,7 +95,7 @@ _BOOL_WORDS = {"yes": True, "true": True, "on": True, "1": True,
 
 
 def _keys(table, prefix: str = "") -> List[str]:
-    return [prefix + key for key, _, _ in table]
+    return [prefix + row[0] for row in table]
 
 
 _SECTION_KEYS = {
@@ -124,11 +125,12 @@ class _Section:
 
         An absent key takes its default, the field default of the named
         tuple cls unless defaults are passed; a key without one is
-        required.
+        required.  The instance is built as _replace builds one, without
+        its constructor's checks: validate_scenario checks every row.
         """
         if defaults is None:
             defaults = cls._field_defaults
-        for key, name, reader in table:
+        for key, name, reader, _ in table:
             key = prefix + key
             if key in self.raw:
                 given[name] = getattr(self, reader)(key)
@@ -137,10 +139,7 @@ class _Section:
                     f"{self.name}: missing required key '{key}'")
             else:
                 given[name] = defaults[name]
-        try:
-            return cls(**given)
-        except ValueError as exc:
-            raise ScenarioError(f"{self.name}: {exc}") from exc
+        return cls._make(given[name] for name in cls._fields)
 
     def text(self, key: str) -> str:
         value = self.raw[key].strip()
@@ -260,7 +259,7 @@ def _write_section(title: str, parts) -> str:
     """One section: the rows of each (object, table, key prefix) part."""
     lines = [f"[{title}]"]
     for obj, table, prefix in parts:
-        for key, name, reader in table:
+        for key, name, reader, _ in table:
             value = getattr(obj, name)
             if value is not None:
                 lines.append(f"{prefix}{key} = {_fmt(value, reader)}")
@@ -269,24 +268,8 @@ def _write_section(title: str, parts) -> str:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a Scenario back to its file form (parse round-trips)."""
-    sections = [
-        ("scenario", [(scenario, SCENARIO_KEYS, "")]),
-        ("oap", [(scenario.oap, OAP_KEYS, ""),
-                 (scenario.oap.config, CONTROLLER_KEYS, "")]),
-    ]
-    if scenario.interference is not None:
-        sections.append(("interference",
-                         [(scenario.interference, INTERFERENCE_KEYS, "")]))
-    if scenario.profile != DEFAULT_PROFILE:
-        sections.append(("calibration",
-                         [(scenario.profile, CALIBRATION_KEYS, "")]))
-    for spec in scenario.nodes:
-        faces = [(face, FACE_KEYS, f"face_{letter}_")
-                 for letter, face in zip(FACE_LETTERS, spec.faces)]
-        sections.append((f"node.{spec.node_id}",
-                         [(spec, NODE_KEYS[:1], "")] + faces
-                         + [(spec, NODE_KEYS[1:], "")]))
-    return "\n".join(_write_section(title, parts) for title, parts in sections)
+    return "\n".join(_write_section(title, parts)
+                     for title, parts in scenario_sections(scenario))
 
 
 # ---------------------------------------------------------------------------

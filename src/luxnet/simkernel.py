@@ -45,6 +45,7 @@ nodes.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import deque
 from functools import reduce
@@ -61,6 +62,7 @@ from typing import (
 )
 
 from .channel import (
+    CELL_REFERENCE_W,
     InterferenceModel,
     OpticalReceiver,
     OpticalTransmitter,
@@ -89,6 +91,7 @@ from .energy import (
 )
 from .errors import InfeasibleError, ScenarioError
 from .node import (
+    DEFAULT_TIMING,
     NodeRecord,
     NodeState,
     NodeStepResult,
@@ -159,64 +162,114 @@ class Scenario(NamedTuple):
     profile: PowerProfile = DEFAULT_PROFILE
 
 
-# The scenario file format: one table per spec type, each row
-# (file key, field, reader), in file order.  The reader is one of text,
-# number, integer, flag or vector.  A field without a default is a
-# required key, and a None default makes the key optional.
-# cli parses and writes files through these tables, and validate_scenario
-# checks every number row for finiteness.
+class Interval(NamedTuple):
+    """lo to hi, each end closed or open as ends says ("[)" holds lo but
+    not hi); finite ends hold neither NaN nor an infinity."""
+
+    lo: float
+    hi: float
+    ends: str = "[]"
+
+    def __contains__(self, x) -> bool:
+        return ((self.lo <= x if self.ends[0] == "[" else self.lo < x)
+                and (x <= self.hi if self.ends[1] == "]" else x < self.hi))
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+
+
+FINITE = Interval(-sys.float_info.max, sys.float_info.max)
+POSITIVE = Interval(0.0, FINITE.hi, "(]")
+NON_NEGATIVE = Interval(0.0, FINITE.hi)
+COUNT16 = Interval(0, 65535)    # a 16-bit frame or config field
+
+# The scenario file format: one table per spec type, each row (file key,
+# field, reader, interval), in file order.  The reader is text, number,
+# integer, flag or vector; a number or integer row gives the interval
+# its value must lie in.  A field without a default is a required key,
+# and a None default makes the key optional.  cli parses and writes
+# files through these tables; validate_scenario checks every row.
 SCENARIO_KEYS = (
-    ("name", "name", "text"),
-    ("duration_s", "duration_s", "number"),
-    ("step_s", "step_s", "number"),
-    ("seed", "seed", "integer"),
-    ("trace_interval_s", "trace_interval_s", "number"),
-    ("etx_policy", "etx_policy", "text"),
+    ("name", "name", "text", None),
+    ("duration_s", "duration_s", "number", POSITIVE),
+    ("step_s", "step_s", "number", POSITIVE),
+    ("seed", "seed", "integer", Interval(0, math.inf, "[)")),
+    ("trace_interval_s", "trace_interval_s", "number", POSITIVE),
+    ("etx_policy", "etx_policy", "text", None),
 )
 # [oap] holds the OapSpec rows, then the ControllerConfig rows
-OAP_KEYS = (("position_m", "position", "vector"),)
+OAP_KEYS = (("position_m", "position", "vector", None),)
 CONTROLLER_KEYS = (
-    ("t_data_req_s", "t_data_req", "number"),
-    ("t_int_s", "t_int", "number"),
-    ("n_min", "n_min", "integer"),
-    ("psn_pv_threshold_v", "psn_pv_threshold", "number"),
-    ("slot_spacing_s", "slot_spacing_s", "number"),
-    ("etx_offset_s", "etx_offset_s", "number"),
-    ("etx_spacing_s", "etx_spacing_s", "number"),
-    ("etx_bursts_per_request", "etx_bursts_per_request", "integer"),
-    ("stale_after_rounds", "stale_after_rounds", "number"),
+    ("t_data_req_s", "t_data_req", "number", Interval(
+        DEFAULT_TIMING.t_energy_net_rec, DEFAULT_TIMING.t_standby, "(]")),
+    ("t_int_s", "t_int", "number", Interval(1, 65535)),
+    ("n_min", "n_min", "integer", COUNT16),
+    ("psn_pv_threshold_v", "psn_pv_threshold", "number", FINITE),
+    ("slot_spacing_s", "slot_spacing_s", "number", POSITIVE),
+    ("etx_offset_s", "etx_offset_s", "number", FINITE),
+    ("etx_spacing_s", "etx_spacing_s", "number", POSITIVE),
+    ("etx_bursts_per_request", "etx_bursts_per_request", "integer", COUNT16),
+    ("stale_after_rounds", "stale_after_rounds", "number", FINITE),
 )
 INTERFERENCE_KEYS = (
-    ("midpoint_lux", "midpoint_lux", "number"),
-    ("steepness_per_lux", "steepness_per_lux", "number"),
-    ("floor", "floor", "number"),
+    ("midpoint_lux", "midpoint_lux", "number", FINITE),
+    ("steepness_per_lux", "steepness_per_lux", "number", POSITIVE),
+    ("floor", "floor", "number", Interval(0.0, 1.0, "[)")),
 )
 # [calibration] defaults to DEFAULT_PROFILE, not to field defaults
+IDLE_DRAW = Interval(0.0, CELL_REFERENCE_W, "[)")
 CALIBRATION_KEYS = (
-    ("sleep_w", "sleep", "number"),
-    ("standby_w", "standby", "number"),
-    ("sense_w", "sense", "number"),
-    ("data_tx_w", "data_tx", "number"),
-    ("etx_w", "etx", "number"),
-    ("decode_w", "decode", "number"),
+    ("sleep_w", "sleep", "number", IDLE_DRAW),
+    ("standby_w", "standby", "number", IDLE_DRAW),
+    ("sense_w", "sense", "number", NON_NEGATIVE),
+    ("data_tx_w", "data_tx", "number", NON_NEGATIVE),
+    ("etx_w", "etx", "number", NON_NEGATIVE),
+    ("decode_w", "decode", "number", NON_NEGATIVE),
 )
 # in a [node.<id>] section the three face groups, each FACE_KEYS under
-# its face_<letter>_ prefix, sit between position_m and the other rows
+# its face_<letter>_ prefix, sit between position_m and the other rows;
+# under 6e-7 degrees a half angle's cosine rounds to 1 (lambertian_order)
 NODE_KEYS = (
-    ("position_m", "position", "vector"),
-    ("start_voltage_v", "start_voltage", "number"),
-    ("v_min_v", "v_min", "number"),
-    ("led_power_w", "led_power_w", "number"),
-    ("led_half_angle_deg", "led_half_angle_deg", "number"),
-    ("led_aim", "led_aim", "vector"),
-    ("sensing_enabled", "sensing_enabled", "flag"),
-    ("sensor_base_c", "sensor_base_c", "number"),
+    ("position_m", "position", "vector", None),
+    ("start_voltage_v", "start_voltage", "number",
+     Interval(0.0, V_STORAGE_MAX + 1e-9, "(]")),
+    ("v_min_v", "v_min", "number",
+     Interval(V_OVERDISCHARGE, V_STORAGE_MAX, "[)")),
+    ("led_power_w", "led_power_w", "number", NON_NEGATIVE),
+    ("led_half_angle_deg", "led_half_angle_deg", "number",
+     Interval(1.0, 90.0, "[)")),
+    ("led_aim", "led_aim", "vector", None),
+    ("sensing_enabled", "sensing_enabled", "flag", None),
+    ("sensor_base_c", "sensor_base_c", "number", FINITE),
 )
+# ambient light up to 1e6 lx, some eight times direct sunlight
 FACE_KEYS = (
-    ("normal", "normal", "vector"),
-    ("ambient_lux", "ambient_lux", "number"),
+    ("normal", "normal", "vector", None),
+    ("ambient_lux", "ambient_lux", "number", Interval(0.0, 1e6)),
 )
 FACE_LETTERS = "abc"
+
+
+def scenario_sections(scenario: Scenario) -> List[Tuple[str, List]]:
+    """The scenario's file sections in file order, each (title, parts)
+    with each part (object, key table, key prefix).  An absent
+    [interference] and a [calibration] at DEFAULT_PROFILE are left out."""
+    sections = [("scenario", [(scenario, SCENARIO_KEYS, "")]),
+                ("oap", [(scenario.oap, OAP_KEYS, ""),
+                         (scenario.oap.config, CONTROLLER_KEYS, "")])]
+    if scenario.interference is not None:
+        sections.append(("interference",
+                         [(scenario.interference, INTERFERENCE_KEYS, "")]))
+    if scenario.profile != DEFAULT_PROFILE:
+        sections.append(("calibration",
+                         [(scenario.profile, CALIBRATION_KEYS, "")]))
+    for spec in scenario.nodes:
+        faces = [(face, FACE_KEYS, f"face_{letter}_")
+                 for letter, face in zip(FACE_LETTERS, spec.faces)]
+        sections.append((f"node.{spec.node_id}",
+                         [(spec, NODE_KEYS[:1], "")] + faces
+                         + [(spec, NODE_KEYS[1:], "")]))
+    return sections
 
 
 class TraceRow(NamedTuple):
@@ -487,24 +540,12 @@ class TraceSet:
         return self._outcomes("delivered", "failed")
 
 
-def _as_vec(value, what: str) -> Vec3:
+def _is_vector(value) -> bool:
+    """Whether value is three finite numbers."""
     try:
-        vec = tuple(float(c) for c in value)
-    except (TypeError, ValueError, OverflowError):
-        vec = ()
-    if (isinstance(value, str) or len(vec) != 3
-            or not all(map(math.isfinite, vec))):
-        raise ScenarioError(f"{what} must be a finite 3-vector")
-    return vec
-
-
-def _require_finite(label: str, obj, table, prefix: str = "") -> None:
-    """Reject a non-finite value in any number row of a format table."""
-    for key, name, reader in table:
-        value = getattr(obj, name)
-        if reader == "number" and not math.isfinite(value):
-            raise ScenarioError(
-                f"{label}{prefix}{key} must be finite, got {value}")
+        return len(value) == 3 and all(map(math.isfinite, value))
+    except (TypeError, OverflowError):
+        return False
 
 
 def tick_count(duration_s: float, step_s: float) -> int:
@@ -556,88 +597,64 @@ def first_tick(instant: float, offset: float, dt: float, start: int) -> float:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Reject malformed scenarios before any work starts.
-
-    Every number must be finite: a NaN compares false against every
-    bound below, and an infinity overflows the tick count.  A run of
-    more than MAX_TICKS ticks, or of more than MAX_TRACE_ROWS sample
-    rows, is infeasible rather than malformed.
-    """
-    _require_finite("", scenario, SCENARIO_KEYS)
-    _require_finite("oap: ", scenario.oap.config, CONTROLLER_KEYS)
-    if scenario.interference is not None:
-        _require_finite("interference: ", scenario.interference,
-                        INTERFERENCE_KEYS)
-    _require_finite("calibration: ", scenario.profile, CALIBRATION_KEYS)
-    # _replace builds a value without its constructor's checks, so each
-    # checked value is built again: a zero t_data_req would never end
-    for label, value in (("oap", scenario.oap.config),
-                         ("interference", scenario.interference),
-                         ("calibration", scenario.profile)):
-        if value is None:
-            continue
-        try:
-            type(value)(*value)
-        except ValueError as exc:
-            raise ScenarioError(f"{label}: {exc}") from exc
-    if scenario.duration_s <= 0.0:
-        raise ScenarioError("duration_s must be positive")
-    if scenario.step_s <= 0.0:
-        raise ScenarioError("step_s must be positive")
+    """Reject malformed scenarios before any work starts: every key row
+    of scenario_sections, then the rules that tie keys together.  More
+    than MAX_TICKS ticks or MAX_TRACE_ROWS sample rows is infeasible."""
+    for title, parts in scenario_sections(scenario):
+        for obj, table, prefix in parts:
+            for key, name, reader, interval in table:
+                value = getattr(obj, name)
+                if reader == "vector":
+                    # None is a left-out optional key (a None default)
+                    optional = obj._field_defaults.get(name, ()) is None
+                    if _is_vector(value) or optional and value is None:
+                        continue
+                    wanted = "three finite numbers"
+                elif interval is None or value in interval:
+                    continue
+                else:
+                    wanted = f"in {interval}"
+                raise ScenarioError(
+                    f"{title}: {prefix}{key} must be {wanted}, got {value!r}")
     if scenario.duration_s < scenario.step_s - 1e-12:
         raise ScenarioError("duration_s must cover at least one step")
     if scenario.trace_interval_s < scenario.step_s - 1e-12:
         raise ScenarioError("trace_interval_s must be at least step_s")
-    if scenario.seed < 0:
-        raise ScenarioError(f"seed must be >= 0, got {scenario.seed}")
     if scenario.etx_policy not in ETX_POLICIES:
+        raise ScenarioError(f"etx_policy must be one of {ETX_POLICIES}, "
+                            f"got {scenario.etx_policy!r}")
+    if not scenario.profile.sleep < scenario.profile.standby:
+        raise ScenarioError("calibration: sleep_w must sit below standby_w")
+    t_int = scenario.oap.config.t_int
+    if t_int != int(t_int):
         raise ScenarioError(
-            f"etx_policy must be one of {ETX_POLICIES}, "
-            f"got {scenario.etx_policy!r}")
+            f"oap: t_int_s must be a whole number of seconds, got {t_int!r}")
     if not scenario.nodes:
         raise ScenarioError("at least one node is required")
-    seen = set()
+    ids = [spec.node_id for spec in scenario.nodes]
     for spec in scenario.nodes:
         label = f"node.{spec.node_id}"
         if not 1 <= spec.node_id <= 15:
             raise ScenarioError(f"{label}: node ids must be 1..15")
-        if spec.node_id in seen:
+        if ids.count(spec.node_id) > 1:
             raise ScenarioError(f"{label}: duplicate node id")
-        seen.add(spec.node_id)
         if len(spec.faces) != PV_CELLS_PER_NODE:
             raise ScenarioError(f"{label}: exactly three faces are required")
-        for letter, face in zip(FACE_LETTERS, spec.faces):
-            _require_finite(f"{label}: ", face, FACE_KEYS, f"face_{letter}_")
-            if norm(_as_vec(face.normal, f"{label} face normal")) <= 0.0:
-                raise ScenarioError(f"{label}: face normal must be nonzero")
-            if face.ambient_lux < 0.0:
-                raise ScenarioError(f"{label}: ambient_lux must be >= 0")
-        _as_vec(spec.position, f"{label} position")
-        _require_finite(f"{label}: ", spec, NODE_KEYS)
-        if not 0.0 < spec.start_voltage <= V_STORAGE_MAX + 1e-9:
-            raise ScenarioError(
-                f"{label}: start_voltage_v must be in (0, {V_STORAGE_MAX}]")
-        if spec.v_min < V_OVERDISCHARGE:
-            raise ScenarioError(f"{label}: v_min must not sit below v_ovdis")
-        if spec.led_power_w < 0.0:
-            raise ScenarioError(f"{label}: led_power_w must be >= 0")
+        if not all(norm(face.normal) > 0.0 for face in spec.faces):
+            raise ScenarioError(f"{label}: face normal must be nonzero")
         if spec.led_power_w > 0.0:
             if spec.led_aim is None:
                 raise ScenarioError(
                     f"{label}: led_aim is required when an emitter is fitted")
-            if norm(_as_vec(spec.led_aim, f"{label} led_aim")) <= 0.0:
+            if norm(spec.led_aim) <= 0.0:
                 raise ScenarioError(f"{label}: led_aim must be nonzero")
-            if not 0.0 < spec.led_half_angle_deg < 90.0:
-                raise ScenarioError(
-                    f"{label}: led_half_angle_deg must be in (0, 90)")
     # the burst gain (channel.link_between) needs a nonzero distance from
     # each emitter to every other node
     nodes = sorted(scenario.nodes, key=lambda spec: spec.node_id)
     emitters = [spec for spec in nodes if spec.led_power_w > 0.0]
     for src in emitters:
         for dst in nodes:
-            sep = tuple(float(r) - float(t)
-                        for r, t in zip(dst.position, src.position))
+            sep = tuple(r - t for r, t in zip(dst.position, src.position))
             if dst is not src and norm(sep) <= 0.0:
                 raise ScenarioError(
                     f"node.{src.node_id} to node.{dst.node_id} link: "
@@ -645,19 +662,6 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.etx_policy != "disabled" and not emitters:
         raise InfeasibleError(
             "energy sharing requested but no node has an emitter")
-    cfg = scenario.oap.config
-    if not (1 <= cfg.t_int <= 65535 and cfg.t_int == int(cfg.t_int)):
-        raise ScenarioError(
-            "oap: t_int_s must be a whole number of seconds in 1..65535 "
-            f"(a 16-bit config field), got {cfg.t_int}")
-    # the integer [oap] keys, n_min and etx_bursts_per_request, travel as
-    # 16-bit frame parameters; out of range, the run would stop at the
-    # first frame that carries one
-    for key, name, reader in CONTROLLER_KEYS:
-        value = getattr(cfg, name)
-        if reader == "integer" and not 0 <= value <= 65535:
-            raise ScenarioError(f"oap: {key} must be 0..65535, got {value}")
-    _as_vec(scenario.oap.position, "oap position")
     ticks = tick_count(scenario.duration_s, scenario.step_s)
     # every node at tick 0, at each trace instant after it and at the end
     rows = len(scenario.nodes) * (-(-ticks // sample_every(scenario)) + 1)
@@ -665,15 +669,6 @@ def validate_scenario(scenario: Scenario) -> None:
         raise InfeasibleError(
             f"the trace asks for {rows:.3g} sample rows, "
             f"more than the {MAX_TRACE_ROWS} a run may write")
-
-
-def _harvester(spec: NodeSpec) -> HarvesterArray:
-    """The node's PV cells: one receiver per face, at the node."""
-    position = tuple(float(x) for x in spec.position)
-    return HarvesterArray(cells=tuple(
-        OpticalReceiver(area_m2=PV_CELL_AREA_M2, position=position,
-                        normal=tuple(float(x) for x in face.normal))
-        for face in spec.faces))
 
 
 def _build_node(spec: NodeSpec, profile: PowerProfile,
@@ -718,7 +713,12 @@ class _Lane:
     def __init__(self, spec: NodeSpec, scenario: Scenario):
         self.record = _build_node(spec, scenario.profile,
                                   scenario.etx_policy == "autonomous")
-        self.harvester = _harvester(spec)
+        # the node's PV cells: one receiver per face, at the node
+        position = tuple(float(x) for x in spec.position)
+        self.harvester = HarvesterArray(cells=tuple(
+            OpticalReceiver(area_m2=PV_CELL_AREA_M2, position=position,
+                            normal=tuple(float(x) for x in face.normal))
+            for face in spec.faces))
         # abs turns a validated -0.0 into 0.0, so no trace column holds -0.0
         self.ambient = tuple(abs(float(f.ambient_lux)) for f in spec.faces)
         self.incoming: Dict[int, Tuple[float, ...]] = {}

@@ -19,6 +19,8 @@ from luxnet.controller import duty_cycle, select_t_data_req, standby_time
 from luxnet.energy import (
     LEAK_POWER_W,
     PMIC_EFFICIENCY,
+    V_OVERDISCHARGE,
+    V_STORAGE_MAX,
     StorageCapacitor,
     min_capacitance,
     storage_step,
@@ -250,8 +252,8 @@ def test_c9_physics_calculators():
     assert m == pytest.approx(19.99, abs=0.01), \
         f"C9 FAIL: lambertian order {m:.4f}"
     c = min_capacitance(e_peak=2.0, eta_pmic_l=PMIC_EFFICIENCY,
-                        p_leak=LEAK_POWER_W, t_peak=40.0, v_max=4.5,
-                        v_min=3.2)
+                        p_leak=LEAK_POWER_W, t_peak=40.0, v_max=V_STORAGE_MAX,
+                        v_min=V_OVERDISCHARGE)
     assert c == pytest.approx(0.4702, rel=1e-3), \
         f"C9 FAIL: sized capacitance {c:.4f} F"
 

@@ -24,11 +24,19 @@ from luxnet.cli import (
 )
 from luxnet.channel import InterferenceModel
 from luxnet.controller import ControllerConfig
-from luxnet.energy import PowerProfile
+from luxnet.energy import DEFAULT_PROFILE, PowerProfile
 from luxnet.errors import ScenarioError
 from luxnet.simkernel import (
+    CALIBRATION_KEYS,
+    CONTROLLER_KEYS,
     CSV_HEADER,
     ETX_POLICIES,
+    FACE_KEYS,
+    FACE_LETTERS,
+    INTERFERENCE_KEYS,
+    NODE_KEYS,
+    OAP_KEYS,
+    SCENARIO_KEYS,
     FaceSpec,
     NodeSpec,
     OapSpec,
@@ -367,13 +375,15 @@ def run_after_a_bad_paper_b(tmp_path, old, new):
 def test_run_checks_every_file_before_the_first_run(tmp_path, capsys):
     code = run_after_a_bad_paper_b(tmp_path, "step_s = 0.1", "step_s = -0.1")
     assert code == 2
-    assert "step_s must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: scenario: step_s must be in (0.0, " in err
+    assert err.endswith(", got -0.1\n")
     assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("old, new, code, message", [
     ("v_min_v = 3.4", "v_min_v = 3.0", 2,
-     "node.2: v_min must not sit below v_ovdis"),
+     "node.2: v_min_v must be in [3.2, 4.5), got 3.0"),
     # node 2 moved onto emitter node 3
     ("position_m = 0.0 0.0 0.0", "position_m = 0.075 0.1299 0.0", 2,
      "node.3 to node.2 link: transmitter and receiver are co-located"),
@@ -512,9 +522,97 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     code = main(["run", str(scn), "--out-dir", str(tmp_path)] + extra)
     err = capsys.readouterr().err
     assert code == 2
-    assert f"{key} must be finite" in err
+    assert f"{key} must be in " in err
+    # the option's value, or the nan a mangled file holds
+    assert err.endswith(f", got {extra[1] if extra else 'nan'}\n")
     assert "Traceback" not in err
     assert not (tmp_path / "paper-a.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("led_half_angle_deg", "1e-7"),    # its Lambertian order divided by 0
+    ("v_min_v", "1e300"),              # its guard energy overflowed
+    ("v_min_v", "10"),                 # a floor over the 4.5 V full charge
+    ("face_a_ambient_lux", "1.7e308"),   # inf in every v_pv and lux_mean
+])
+def test_run_rejects_a_value_outside_its_key_range(tmp_path, capsys, key,
+                                                   value):
+    scn = tmp_path / "in.scn"
+    scn.write_text(with_value(read(shipped_scenario_path("paper_a")),
+                              "node.1", key, value))
+    assert main(["run", str(scn), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: node.1: {key} must be in " in err
+    assert err.endswith(f", got {float(value)!r}\n")
+    assert not (tmp_path / "paper-a.csv").exists()
+
+
+def with_value(text, title, key, value):
+    """Scenario text with the key of section [title] set to value."""
+    head, section, rest = text.partition(f"[{title}]\n")
+    body, bracket, tail = rest.partition("\n[")
+    body, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", body,
+                          flags=re.M)
+    assert count == 1, (title, key)
+    return head + section + body + bracket + tail
+
+
+# the edge values each number row, and each element of a vector row, is
+# run at; shipped paper-b has neither optional section, so both are
+# added at their defaults
+EDGE_VALUES = ("5e-324", "1e-300", "1e-12", "1e-7", "0", "-1e-300", "65535",
+               "1e9", "1e300", "1.7e308")
+SWEPT_SECTIONS = (
+    [("scenario", SCENARIO_KEYS, ""), ("oap", OAP_KEYS + CONTROLLER_KEYS, ""),
+     ("interference", INTERFERENCE_KEYS, ""),
+     ("calibration", CALIBRATION_KEYS, ""), ("node.1", NODE_KEYS, "")]
+    + [("node.1", FACE_KEYS, f"face_{letter}_") for letter in FACE_LETTERS])
+NON_FINITE_TEXT = re.compile(r"\b(?:nan|inf)\b")
+
+
+def test_run_at_edge_values_exits_0_2_or_3_and_prints_only_numbers(
+        tmp_path, capsys):
+    # a value is rejected before the run (exit 2 or 3, no output) or run
+    # (exit 0) to a trace and summary with no nan or inf in them
+    base = read(shipped_scenario_path("paper_b")) + "".join(
+        f"\n[{title}]\n" + "".join(f"{key} = {getattr(obj, name)!r}\n"
+                                   for key, name, _, _ in table)
+        for title, obj, table in (
+            ("interference", InterferenceModel(), INTERFERENCE_KEYS),
+            ("calibration", DEFAULT_PROFILE, CALIBRATION_KEYS)))
+    escapes, cases = [], 0
+    for title, table, prefix in SWEPT_SECTIONS:
+        for key, _, reader, _ in table:
+            if reader not in ("number", "vector"):
+                continue
+            for value in EDGE_VALUES:
+                case = f"{title}: {prefix}{key} = {value}"
+                if reader == "vector":
+                    value = " ".join([value] * 3)
+                cases += 1
+                out = tmp_path / str(cases)
+                out.mkdir()
+                scn = out / "in.scn"
+                scn.write_text(with_value(base, title, prefix + key, value))
+                try:
+                    code = main(["run", str(scn), "--duration-s", "30",
+                                 "--out-dir", str(out)])
+                except Exception as exc:   # the escape this test looks for
+                    escapes.append(f"{case}: {exc!r}")
+                    continue
+                capsys.readouterr()
+                written = sorted(p.name for p in out.iterdir()
+                                 if p.name != "in.scn")
+                if code not in (0, 2, 3):
+                    escapes.append(f"{case}: exit {code}")
+                elif code and written:
+                    escapes.append(f"{case}: exit {code} wrote {written}")
+                elif any(NON_FINITE_TEXT.search((out / name).read_text())
+                         for name in written):
+                    escapes.append(f"{case}: nan or inf in {written}")
+    # 33 rows: 3 + 8 + 3 + 6 in the sections, 13 in node.1
+    assert cases == 33 * len(EDGE_VALUES)
+    assert escapes == []
 
 
 def test_run_takes_a_trace_interval_longer_than_any_run(tmp_path, capsys):
@@ -549,7 +647,9 @@ def test_run_takes_t_int_as_whole_seconds_of_the_config_field(
     err = capsys.readouterr().err
     assert (tmp_path / "paper-a.csv").exists() == (code == 0)
     if code:
-        assert "oap: t_int_s must be a whole number of seconds" in err
+        # 0.5 lies outside [1, 65535]; 600.7 is not a whole number
+        assert "error: oap: t_int_s must be " in err
+        assert err.endswith(f", got {t_int}\n")
     else:
         csv = (tmp_path / "paper-a.csv").read_text()
         assert f"config t_int={int(float(t_int))}\n" in csv

@@ -54,6 +54,7 @@ from test_simkernel import (
     events_for,
     guard_scenario,
     row_by_row_csv,
+    rows_outside,
 )
 
 
@@ -297,6 +298,12 @@ def networks(draw):
         trace_interval_s=step_s * draw(st.sampled_from([1, 7, 100])),
         etx_policy=draw(st.sampled_from(policies)),
         interference=interference)
+
+
+@given(networks())
+def test_every_drawn_value_lies_in_its_key_interval(scenario):
+    # the networks() domain stays inside the scenario file's key ranges
+    assert rows_outside(scenario) == []
 
 
 def sharing_pair(policy, duration_s):

@@ -23,6 +23,7 @@ from luxnet.cli import (
 )
 from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
+    DEFAULT_PROFILE,
     PV_CELLS_PER_NODE,
     V_STORAGE_MAX,
     PowerProfile,
@@ -47,6 +48,7 @@ from luxnet.simkernel import (
     format_trace_csv,
     render_summary,
     run_scenario,
+    scenario_sections,
     segment_values,
     summarize,
     validate_scenario,
@@ -116,6 +118,14 @@ def test_trivial_scenario_one_step():
                                                             abs=1e-12)
 
 
+def out_of_range(key, value):
+    """The message of a value outside its key row's interval, as a
+    pattern: key is the file key, with its section, such as
+    'node.1: v_min_v', or without it."""
+    return (rf"^([\w.]+: )?{re.escape(key)} must be in "
+            rf"[\[(][^,]+, [^,]+[\])], got {re.escape(repr(value))}$")
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (dict(duration_s=-1.0), "duration_s"),
     (dict(duration_s=0.0), "duration_s"),
@@ -123,26 +133,31 @@ def test_trivial_scenario_one_step():
     (dict(trace_interval_s=0.01), "trace_interval_s"),
     (dict(etx_policy="sometimes"), "etx_policy"),
     (dict(nodes=()), "at least one node"),
-    (dict(seed=-1), "seed must be >= 0"),
+    (dict(seed=-1), "seed"),
 ])
 def test_scenario_field_validation(mutate, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
-    with pytest.raises(ScenarioError, match=fragment):
+    with pytest.raises(ScenarioError, match=fragment) as err:
         validate_scenario(sc._replace(**mutate))
+    (key, value), = mutate.items()
+    if key in ("duration_s", "step_s", "seed"):    # outside its interval
+        assert re.match(out_of_range(f"scenario: {key}", value),
+                        str(err.value))
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda sc: sc._replace(oap=OapSpec(
         config=sc.oap.config._replace(t_data_req=0.0))),
-     "oap: periods must be positive"),
+     "oap: t_data_req_s must be in (450.0, 600.94], got 0.0"),
     (lambda sc: sc._replace(interference=InterferenceModel()._replace(
-        floor=1.0)), "interference: floor must be in [0, 1)"),
+        floor=1.0)), "interference: floor must be in [0.0, 1.0), got 1.0"),
     (lambda sc: sc._replace(profile=sc.profile._replace(sleep=1e-3)),
-     "calibration: sleep draw must sit below standby draw"),
+     "calibration: sleep_w must be in [0.0, 0.0009), got 0.001"),
 ])
 def test_replaced_values_are_checked_again(build, message):
-    # _replace skips a value's constructor checks; validate_scenario runs
-    # them, so a zero request period cannot start a run that never ends
+    # _replace skips a value's constructor checks; validate_scenario checks
+    # each row's interval, so a zero request period cannot start a run
+    # that never ends
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
     with pytest.raises(ScenarioError, match=re.escape(message)):
         validate_scenario(build(sc))
@@ -181,12 +196,48 @@ SECTION_FIELDS = {"nodes", "oap", "config", "interference", "profile",
                   "node_id", "faces"}
 
 
+def rows_outside(scenario, keys=None):
+    """'section: key = value' for each number or integer row of the
+    scenario's file sections, of table keys if given, that lies outside
+    its row's interval."""
+    return [f"{title}: {prefix}{key} = {getattr(obj, name)!r}"
+            for title, parts in scenario_sections(scenario)
+            for obj, table, prefix in parts if keys is None or table is keys
+            for key, name, _, interval in table
+            if interval is not None and getattr(obj, name) not in interval]
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_and_crowd_dense():
+    """Both shipped scenarios, then crowd-dense seeds 0-15."""
+    return tuple([parse_scenario_file(shipped_scenario_path(stem))
+                  for stem in ("paper_a", "paper_b")]
+                 + [benchmark_workloads().crowd_dense_scenario(seed)
+                    for seed in range(16)])
+
+
 @pytest.mark.parametrize("cls, keys", KEY_TABLES,
                          ids=[cls.__name__ for cls, _ in KEY_TABLES])
 def test_every_setting_is_a_scenario_key(cls, keys):
     # a field that is neither is a setting no scenario can set
-    rows = {name for _, name, _ in keys}
+    rows = {name for _, name, _, _ in keys}
     assert set(cls._fields) - SECTION_FIELDS == rows
+    # each number and integer row, and no other, has an interval; a
+    # number's is finite at both ends, so it holds no NaN and no infinity
+    for key, _, reader, interval in keys:
+        assert (interval is not None) == (reader in ("number", "integer"))
+        if reader == "number":
+            assert math.isfinite(interval.lo), key
+            assert math.isfinite(interval.hi), key
+    # each holds its field's default ([calibration]'s is DEFAULT_PROFILE),
+    # and the values of both shipped files and crowd-dense seeds 0-15
+    defaults = (DEFAULT_PROFILE._asdict() if cls is PowerProfile
+                else cls._field_defaults)
+    assert [key for key, name, _, interval in keys
+            if interval is not None and name in defaults
+            and defaults[name] not in interval] == []
+    for scenario in shipped_and_crowd_dense():
+        assert rows_outside(scenario, keys) == []
 
 
 def test_led_power_error_names_the_key():
@@ -331,7 +382,7 @@ def test_cli_16_bit_oap_params_exit_2_before_the_run(tmp_path, capsys, no_run,
                  "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"oap: {key} must be 0..65535, got {value}" in err
+    assert f"oap: {key} must be in [0, 65535], got {value}" in err
     assert not (tmp_path / "paper-b.csv").exists()
 
 
@@ -366,8 +417,9 @@ NAN, INF = float("nan"), float("inf")
         steepness_per_lux=x)), "steepness_per_lux"),
 ])
 def test_non_finite_numbers_rejected(build, key, bad):
+    # every number interval is finite at both ends, and NaN is in none
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
-    with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+    with pytest.raises(ScenarioError, match=out_of_range(key, bad)):
         validate_scenario(build(sc, bad))
 
 
@@ -379,6 +431,13 @@ def with_face_a_normal(sc, normal):
 
 def with_led_aim(sc, aim):
     return sc._replace(nodes=(lone_node(led_power_w=5e-3, led_aim=aim),))
+
+
+# each vector the cases below set, with its section and file key
+VECTOR_KEYS = {"node.1 position": "node.1: position_m",
+               "node.1 face normal": "node.1: face_a_normal",
+               "node.1 led_aim": "node.1: led_aim",
+               "oap position": "oap: position_m"}
 
 
 @pytest.mark.parametrize("bad", [
@@ -395,16 +454,16 @@ def with_led_aim(sc, aim):
 ])
 def test_non_finite_or_misshapen_vectors_rejected(build, what, bad):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
-    with pytest.raises(ScenarioError,
-                       match=re.escape(f"{what} must be a finite 3-vector")):
+    message = f"{VECTOR_KEYS[what]} must be three finite numbers, got {bad!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         validate_scenario(build(sc, bad))
 
 
 @pytest.mark.parametrize("bad", ["123", (0.0, 1.0, "x"), (10 ** 400, 0, 0)])
 def test_vectors_that_are_not_three_floats_rejected(bad):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(),))
-    with pytest.raises(ScenarioError,
-                       match="oap position must be a finite 3-vector"):
+    message = f"oap: position_m must be three finite numbers, got {bad!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         validate_scenario(sc._replace(oap=sc.oap._replace(position=bad)))
 
 
@@ -433,7 +492,8 @@ def test_duplicate_and_bad_shape_rejected():
     # the file format names one face per PV cell
     assert len(FACE_LETTERS) == PV_CELLS_PER_NODE
 
-    with pytest.raises(ScenarioError, match="16-bit"):
+    with pytest.raises(ScenarioError, match=out_of_range(
+            "oap: t_int_s", 70000.0)):
         validate_scenario(Scenario(
             name="t", duration_s=10.0, nodes=(lone_node(),),
             oap=OapSpec(config=ControllerConfig(t_int=70000.0))))
