@@ -15,17 +15,19 @@ from luxnet.channel import (
     photon_energy,
     pv_input_power,
 )
+from luxnet.energy import LED_HALF_ANGLE_DEG
 
 
 def main():
     power = burst_power_for_peak()
-    print(f"emitter: {power * 1e3:.1f} mW optical, 15 deg half angle "
-          f"(order {lambertian_order(15.0):.2f})")
+    print(f"emitter: {power * 1e3:.1f} mW optical, "
+          f"{LED_HALF_ANGLE_DEG:.0f} deg half angle "
+          f"(order {lambertian_order(LED_HALF_ANGLE_DEG):.2f})")
     print(f"{'distance_m':>10} {'head_on_lx':>10} {'tilted_lx':>10} "
           f"{'cell_mw':>8}")
     for d in (0.10, 0.15, 0.20, 0.30, 0.50):
         led = OpticalTransmitter(optical_power_w=power,
-                                 half_angle_deg=15.0,
+                                 half_angle_deg=LED_HALF_ANGLE_DEG,
                                  position=(0.0, d, 0.0),
                                  boresight=(0.0, -1.0, 0.0))
         head_on = OpticalReceiver(area_m2=2.5e-3, position=(0.0, 0.0, 0.0),

@@ -33,6 +33,7 @@ from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order, pv_input_power
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
+    LED_HALF_ANGLE_DEG,
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     V_OVERDISCHARGE,
@@ -42,10 +43,10 @@ from .energy import (
 from .node import DEFAULT_TIMING, sense_cycle_cost_j
 
 # reference deployment geometry: emitters one triangle side away from
-# the harvesting face, aimed straight at it
+# the harvesting face, aimed straight at it, with the beam every emitter
+# has (energy.LED_HALF_ANGLE_DEG)
 REFERENCE_DISTANCE_M = 0.15
 REFERENCE_INCIDENCE_DEG = 30.0
-REFERENCE_HALF_ANGLE_DEG = 15.0
 
 # reference light levels for the two node classes
 SSN_AMBIENT_LUX = 150.0
@@ -78,7 +79,7 @@ def burst_gain_lux(optical_power_w: float) -> float:
     """Illuminance one burst adds on the reference face, lux."""
     if optical_power_w < 0.0:
         raise ValueError("optical power must be non-negative")
-    m = lambertian_order(REFERENCE_HALF_ANGLE_DEG)
+    m = lambertian_order(LED_HALF_ANGLE_DEG)
     radial = (m + 1.0) / (2.0 * math.pi * REFERENCE_DISTANCE_M ** 2)
     geometry = radial * math.cos(math.radians(REFERENCE_INCIDENCE_DEG))
     return LUMINOUS_EFFICACY_LM_W * optical_power_w * geometry

@@ -9,9 +9,11 @@ Subcommands:
   calibrate       re-derive the default power profile and print it
 
 Scenario files are INI-style text with sections [scenario], [oap],
-[node.<id>], and optionally [interference] and [calibration]; keys
-carry their unit as a suffix (duration_s, ambient_lux, v_min_v).
-Unknown sections or keys are rejected, naming the offender.  Exit
+[node.<id>], and optionally [interference]; keys carry their unit as a
+suffix (duration_s, ambient_lux, v_min_v).  A file sets only what runs
+vary: every node draws the calibrated power profile and has the same
+LED beam, and the access point's role rule and session policies are
+fixed.  Unknown sections or keys are rejected, naming the offender.  Exit
 codes: 0 on success, 2 on validation errors, 3 when a requested run is
 infeasible.  Multiple scenario files are all read and validated before
 the first one runs, then run in argument order; two that would write
@@ -33,12 +35,10 @@ from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 from .channel import InterferenceModel
 from .controller import ControllerConfig, duty_cycle, standby_time
 from .energy import (
-    DEFAULT_PROFILE,
     LEAK_POWER_W,
     PMIC_EFFICIENCY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
-    PowerProfile,
     min_capacitance,
 )
 from .errors import InfeasibleError, ScenarioError
@@ -57,7 +57,6 @@ from .protocol import (
     voltage_from_code,
 )
 from .simkernel import (
-    CALIBRATION_KEYS,
     CONTROLLER_KEYS,
     FACE_KEYS,
     FACE_LETTERS,
@@ -102,7 +101,6 @@ _SECTION_KEYS = {
     "scenario": _keys(SCENARIO_KEYS),
     "oap": _keys(OAP_KEYS + CONTROLLER_KEYS),
     "interference": _keys(INTERFERENCE_KEYS),
-    "calibration": _keys(CALIBRATION_KEYS),
 }
 _NODE_SECTION_KEYS = _keys(NODE_KEYS) + [
     key for letter in FACE_LETTERS
@@ -119,17 +117,15 @@ class _Section:
             if key not in allowed:
                 raise ScenarioError(f"{name}: unknown key '{key}'")
 
-    def read(self, cls, table, defaults: Optional[Dict[str, object]] = None,
-             prefix: str = "", **given):
+    def read(self, cls, table, prefix: str = "", **given):
         """An instance of cls from the given fields plus one per table row.
 
-        An absent key takes its default, the field default of the named
-        tuple cls unless defaults are passed; a key without one is
-        required.  The instance is built as _replace builds one, without
-        its constructor's checks: validate_scenario checks every row.
+        An absent key takes the field default of the named tuple cls; a
+        key without one is required.  The instance is built as _replace
+        builds one, without its constructor's checks: validate_scenario
+        checks every row.
         """
-        if defaults is None:
-            defaults = cls._field_defaults
+        defaults = cls._field_defaults
         for key, name, reader, _ in table:
             key = prefix + key
             if key in self.raw:
@@ -222,14 +218,10 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if "interference" in sections:
         interference = sections["interference"].read(
             InterferenceModel, INTERFERENCE_KEYS)
-    profile = DEFAULT_PROFILE
-    if "calibration" in sections:
-        profile = sections["calibration"].read(
-            PowerProfile, CALIBRATION_KEYS, DEFAULT_PROFILE._asdict())
     return sections["scenario"].read(
         Scenario, SCENARIO_KEYS,
         nodes=tuple(_parse_node(sec, nid) for nid, sec in node_sections),
-        oap=oap, interference=interference, profile=profile)
+        oap=oap, interference=interference)
 
 
 def parse_scenario_file(path: str) -> Scenario:

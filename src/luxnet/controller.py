@@ -14,7 +14,7 @@ import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .energy import illuminance_for_open_voltage
-from .node import DEFAULT_TIMING, PSN_PV_THRESHOLD_V, NodeMode, TimingParams
+from .node import DEFAULT_TIMING, NodeMode, TimingParams, select_role
 from .protocol import (
     BROADCAST_ADDRESS,
     Command,
@@ -25,6 +25,12 @@ from .protocol import (
 )
 
 REFERENCE_ILLUMINANCE_LUX = 1000.0
+# the fewest sharing sessions per interval assign_n books for a primary
+N_MIN = 1
+# the bursts one sharing request asks of a primary (its ETX_REQUEST param)
+ETX_BURSTS_PER_REQUEST = 1
+# a primary unheard for this many request periods is left out of a round
+STALE_AFTER_ROUNDS = 3.0
 
 
 class DutyCycle(NamedTuple):
@@ -107,17 +113,19 @@ class RegistryEntry:
 class _Config(NamedTuple):
     t_data_req: float = 600.0
     t_int: float = DEFAULT_TIMING.t_int
-    n_min: int = 1
-    psn_pv_threshold: float = PSN_PV_THRESHOLD_V
     slot_spacing_s: float = 10.0
     etx_offset_s: float = 30.0
     etx_spacing_s: float = 60.0
-    etx_bursts_per_request: int = 1
-    stale_after_rounds: float = 3.0
 
 
 class ControllerConfig(_Config):
-    """The access point's settings, the [oap] rows of a scenario file."""
+    """The access point's settings, the [oap] rows of a scenario file.
+
+    The policies no run varies are not settings: a node is primary by
+    the rule it applies to itself (node.select_role), and the session
+    floor, the bursts per request and the stale limit are the module
+    constants N_MIN, ETX_BURSTS_PER_REQUEST and STALE_AFTER_ROUNDS.
+    """
 
     __slots__ = ()
 
@@ -125,8 +133,6 @@ class ControllerConfig(_Config):
         self = super().__new__(cls, *args, **kwargs)
         if self.t_data_req <= 0.0 or self.t_int <= 0.0:
             raise ValueError("periods must be positive")
-        if self.n_min < 0:
-            raise ValueError("n_min must be non-negative")
         if not (DEFAULT_TIMING.t_energy_net_rec < self.t_data_req
                 <= DEFAULT_TIMING.t_standby):
             raise ValueError(
@@ -145,8 +151,8 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
     Brighter nodes recover faster, so their recovery time shrinks in
     proportion to the light above the reference level and they can
     afford more sessions.  The count is the largest one that leaves a
-    standby budget of at least one request period, floored at the
-    configured minimum.  Nodes without surplus light get zero.
+    standby budget of at least one request period, floored at N_MIN.
+    Nodes without surplus light get zero.
     """
     if entry.role != NodeMode.PSN:
         return 0
@@ -160,7 +166,7 @@ def assign_n(entry: RegistryEntry, config: ControllerConfig,
               - config.t_data_req)
     per_session = recovery + timing.t_energy_net
     n = int(budget / per_session) if budget > 0.0 else 0
-    return max(n, config.n_min)
+    return max(n, N_MIN)
 
 
 class Controller:
@@ -208,7 +214,7 @@ class Controller:
         self._seq += 1
 
     def _fresh_psns(self, now: float) -> List[int]:
-        limit = self.config.stale_after_rounds * self.config.t_data_req
+        limit = STALE_AFTER_ROUNDS * self.config.t_data_req
         out = []
         for node_id in self.node_ids:
             entry = self.registry.get(node_id)
@@ -233,7 +239,7 @@ class Controller:
                     dest_address=node_id,
                     payload=OapToNode(
                         command=Command.ETX_REQUEST,
-                        param=self.config.etx_bursts_per_request)))
+                        param=ETX_BURSTS_PER_REQUEST)))
         if psns:
             self.events.append(
                 f"{boundary:.1f}s round: polling {psns}"
@@ -267,8 +273,8 @@ class Controller:
         entry = self.registry.setdefault(node_id, RegistryEntry(node_id=node_id))
         entry.last_pv = voltage_from_code(payload.pv_level)
         entry.last_seen = now
-        role = (NodeMode.PSN if entry.last_pv > self.config.psn_pv_threshold
-                else NodeMode.SSN)
+        # the rule the node applies to its own reading
+        role = select_role(entry.last_pv)
         if role != entry.role:
             entry.role = role
             self.events.append(f"{now:.1f}s node {node_id} is {role}")

@@ -49,6 +49,8 @@ STORAGE_FULL_J = 0.5 * STORAGE_CAPACITANCE_F * V_STORAGE_MAX ** 2
 
 PV_CELL_AREA_M2 = 2.5e-3
 PV_CELLS_PER_NODE = 3
+# every power LED's half-intensity angle, the emitter's beam width
+LED_HALF_ANGLE_DEG = 15.0
 
 # open-circuit voltage of one cell saturates with illuminance; used by the
 # role self-assessment sampling, not by the power integration

@@ -60,7 +60,6 @@ def _relay_spec(node_id: int, x: float, y: float) -> NodeSpec:
         start_voltage=4.5,
         v_min=3.8,
         led_power_w=burst_power_for_peak(),
-        led_half_angle_deg=15.0,
         led_aim=(-x, -y, 0.0),
     )
 

@@ -133,7 +133,8 @@ class NodeRecord:
     The constructor takes the node's configuration; every other field is
     run state, and a node starts booting (Init) as a secondary with the
     default reporting interval, no PV reading, no pending session and no
-    metered phase.
+    metered phase.  Every node draws DEFAULT_PROFILE, the profile the
+    calibration derives.
     """
 
     __slots__ = ("node_id", "storage", "profile", "t_int", "mode", "state",
@@ -142,7 +143,6 @@ class NodeRecord:
                  "next_report_s", "phase_lit", "phase_start_s", "phase_end_s")
 
     def __init__(self, node_id: int, storage: StorageCapacitor,
-                 profile: PowerProfile = DEFAULT_PROFILE,
                  led: Optional[OpticalTransmitter] = None,
                  etx_autonomous: bool = False, sensing_enabled: bool = True,
                  sensor_base_c: float = 25.0):
@@ -150,7 +150,7 @@ class NodeRecord:
             raise ValueError("node id must be 1..15 (0 is the access point)")
         self.node_id = node_id
         self.storage = storage
-        self.profile = profile
+        self.profile = DEFAULT_PROFILE
         # geometry and policy
         self.led = led          # energy-burst emitter, if fitted
         self.etx_autonomous = etx_autonomous

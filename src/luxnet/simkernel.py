@@ -62,7 +62,6 @@ from typing import (
 )
 
 from .channel import (
-    CELL_REFERENCE_W,
     InterferenceModel,
     OpticalReceiver,
     OpticalTransmitter,
@@ -77,6 +76,7 @@ from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
     LEAK_POWER_W,
+    LED_HALF_ANGLE_DEG,
     PV_CELL_AREA_M2,
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
@@ -84,7 +84,6 @@ from .energy import (
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
-    PowerProfile,
     StorageCapacitor,
     band_exit,
     storage_step,
@@ -118,6 +117,14 @@ MAX_TICKS = 10 ** 8
 # row; 15 nodes sampled every 100th of MAX_TICKS ticks write 15 M, and
 # the shipped scenarios and crowd-dense at most 270,015
 MAX_TRACE_ROWS = 10 ** 8
+# most request rounds a run may pass, duration_s / t_data_req_s: the
+# controller works through each, however few ticks hold them.  That is
+# about 19 years of 600 s rounds; paper-b takes 360, and a run of
+# MAX_TICKS one-second ticks at most 222,223
+MAX_ROUNDS = 10 ** 6
+# the closest an emitter may sit to any other node, well under the
+# 0.15 m spacing of the shipped triangle
+MIN_EMITTER_DISTANCE_M = 0.01
 
 
 class FaceSpec(NamedTuple):
@@ -136,7 +143,6 @@ class NodeSpec(NamedTuple):
     start_voltage: float = V_STORAGE_MAX
     v_min: float = DEFAULT_V_MIN
     led_power_w: float = 0.0
-    led_half_angle_deg: float = 15.0
     led_aim: Optional[Vec3] = None
     sensing_enabled: bool = True
     sensor_base_c: float = 25.0
@@ -159,7 +165,6 @@ class Scenario(NamedTuple):
     trace_interval_s: float = 10.0
     etx_policy: str = "disabled"
     interference: Optional[InterferenceModel] = None
-    profile: PowerProfile = DEFAULT_PROFILE
 
 
 class Interval(NamedTuple):
@@ -180,8 +185,6 @@ class Interval(NamedTuple):
 
 FINITE = Interval(-sys.float_info.max, sys.float_info.max)
 POSITIVE = Interval(0.0, FINITE.hi, "(]")
-NON_NEGATIVE = Interval(0.0, FINITE.hi)
-COUNT16 = Interval(0, 65535)    # a 16-bit frame or config field
 
 # The scenario file format: one table per spec type, each row (file key,
 # field, reader, interval), in file order.  The reader is text, number,
@@ -203,41 +206,27 @@ CONTROLLER_KEYS = (
     ("t_data_req_s", "t_data_req", "number", Interval(
         DEFAULT_TIMING.t_energy_net_rec, DEFAULT_TIMING.t_standby, "(]")),
     ("t_int_s", "t_int", "number", Interval(1, 65535)),
-    ("n_min", "n_min", "integer", COUNT16),
-    ("psn_pv_threshold_v", "psn_pv_threshold", "number", FINITE),
     ("slot_spacing_s", "slot_spacing_s", "number", POSITIVE),
     ("etx_offset_s", "etx_offset_s", "number", FINITE),
     ("etx_spacing_s", "etx_spacing_s", "number", POSITIVE),
-    ("etx_bursts_per_request", "etx_bursts_per_request", "integer", COUNT16),
-    ("stale_after_rounds", "stale_after_rounds", "number", FINITE),
 )
 INTERFERENCE_KEYS = (
     ("midpoint_lux", "midpoint_lux", "number", FINITE),
     ("steepness_per_lux", "steepness_per_lux", "number", POSITIVE),
     ("floor", "floor", "number", Interval(0.0, 1.0, "[)")),
 )
-# [calibration] defaults to DEFAULT_PROFILE, not to field defaults
-IDLE_DRAW = Interval(0.0, CELL_REFERENCE_W, "[)")
-CALIBRATION_KEYS = (
-    ("sleep_w", "sleep", "number", IDLE_DRAW),
-    ("standby_w", "standby", "number", IDLE_DRAW),
-    ("sense_w", "sense", "number", NON_NEGATIVE),
-    ("data_tx_w", "data_tx", "number", NON_NEGATIVE),
-    ("etx_w", "etx", "number", NON_NEGATIVE),
-    ("decode_w", "decode", "number", NON_NEGATIVE),
-)
 # in a [node.<id>] section the three face groups, each FACE_KEYS under
-# its face_<letter>_ prefix, sit between position_m and the other rows;
-# under 6e-7 degrees a half angle's cosine rounds to 1 (lambertian_order)
+# its face_<letter>_ prefix, sit between position_m and the other rows.
+# An emitter radiates at most the electrical power its session draws,
+# DEFAULT_PROFILE.etx, all of which would be light at full efficiency
 NODE_KEYS = (
     ("position_m", "position", "vector", None),
     ("start_voltage_v", "start_voltage", "number",
      Interval(0.0, V_STORAGE_MAX + 1e-9, "(]")),
     ("v_min_v", "v_min", "number",
      Interval(V_OVERDISCHARGE, V_STORAGE_MAX, "[)")),
-    ("led_power_w", "led_power_w", "number", NON_NEGATIVE),
-    ("led_half_angle_deg", "led_half_angle_deg", "number",
-     Interval(1.0, 90.0, "[)")),
+    ("led_power_w", "led_power_w", "number",
+     Interval(0.0, DEFAULT_PROFILE.etx)),
     ("led_aim", "led_aim", "vector", None),
     ("sensing_enabled", "sensing_enabled", "flag", None),
     ("sensor_base_c", "sensor_base_c", "number", FINITE),
@@ -253,16 +242,13 @@ FACE_LETTERS = "abc"
 def scenario_sections(scenario: Scenario) -> List[Tuple[str, List]]:
     """The scenario's file sections in file order, each (title, parts)
     with each part (object, key table, key prefix).  An absent
-    [interference] and a [calibration] at DEFAULT_PROFILE are left out."""
+    [interference] is left out."""
     sections = [("scenario", [(scenario, SCENARIO_KEYS, "")]),
                 ("oap", [(scenario.oap, OAP_KEYS, ""),
                          (scenario.oap.config, CONTROLLER_KEYS, "")])]
     if scenario.interference is not None:
         sections.append(("interference",
                          [(scenario.interference, INTERFERENCE_KEYS, "")]))
-    if scenario.profile != DEFAULT_PROFILE:
-        sections.append(("calibration",
-                         [(scenario.profile, CALIBRATION_KEYS, "")]))
     for spec in scenario.nodes:
         faces = [(face, FACE_KEYS, f"face_{letter}_")
                  for letter, face in zip(FACE_LETTERS, spec.faces)]
@@ -599,7 +585,16 @@ def first_tick(instant: float, offset: float, dt: float, start: int) -> float:
 def validate_scenario(scenario: Scenario) -> None:
     """Reject malformed scenarios before any work starts: every key row
     of scenario_sections, then the rules that tie keys together.  More
-    than MAX_TICKS ticks or MAX_TRACE_ROWS sample rows is infeasible."""
+    than MAX_TICKS ticks, MAX_ROUNDS request rounds or MAX_TRACE_ROWS
+    sample rows is infeasible.
+
+    The light on a face is bounded.  Every emitter has the same 15 degree
+    beam (Lambertian order m = 19.99), at most DEFAULT_PROFILE.etx
+    optical watts and at least MIN_EMITTER_DISTANCE_M to any node, so
+    one emitter lights a face with at most 250 lm/W * 0.0527 W * (m + 1)
+    / (2 pi (0.01 m)^2), about 4.4e5 lx, on top of at most 1e6 lx of
+    ambient light.
+    """
     for title, parts in scenario_sections(scenario):
         for obj, table, prefix in parts:
             for key, name, reader, interval in table:
@@ -623,8 +618,6 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.etx_policy not in ETX_POLICIES:
         raise ScenarioError(f"etx_policy must be one of {ETX_POLICIES}, "
                             f"got {scenario.etx_policy!r}")
-    if not scenario.profile.sleep < scenario.profile.standby:
-        raise ScenarioError("calibration: sleep_w must sit below standby_w")
     t_int = scenario.oap.config.t_int
     if t_int != int(t_int):
         raise ScenarioError(
@@ -648,21 +641,28 @@ def validate_scenario(scenario: Scenario) -> None:
                     f"{label}: led_aim is required when an emitter is fitted")
             if norm(spec.led_aim) <= 0.0:
                 raise ScenarioError(f"{label}: led_aim must be nonzero")
-    # the burst gain (channel.link_between) needs a nonzero distance from
-    # each emitter to every other node
+    # the burst gain (channel.link_between) grows as the inverse square
+    # of the distance from each emitter to every other node
     nodes = sorted(scenario.nodes, key=lambda spec: spec.node_id)
     emitters = [spec for spec in nodes if spec.led_power_w > 0.0]
     for src in emitters:
         for dst in nodes:
-            sep = tuple(r - t for r, t in zip(dst.position, src.position))
-            if dst is not src and norm(sep) <= 0.0:
+            sep = norm(tuple(r - t for r, t in zip(dst.position,
+                                                   src.position)))
+            if dst is not src and sep < MIN_EMITTER_DISTANCE_M:
                 raise ScenarioError(
                     f"node.{src.node_id} to node.{dst.node_id} link: "
-                    "transmitter and receiver are co-located")
+                    f"{sep:.3g} m apart, closer than the "
+                    f"{MIN_EMITTER_DISTANCE_M} m an emitter keeps")
     if scenario.etx_policy != "disabled" and not emitters:
         raise InfeasibleError(
             "energy sharing requested but no node has an emitter")
     ticks = tick_count(scenario.duration_s, scenario.step_s)
+    rounds = scenario.duration_s / scenario.oap.config.t_data_req
+    if rounds > MAX_ROUNDS:
+        raise InfeasibleError(
+            f"duration_s / t_data_req_s asks for {rounds:.3g} request "
+            f"rounds, more than the {MAX_ROUNDS} a run may take")
     # every node at tick 0, at each trace instant after it and at the end
     rows = len(scenario.nodes) * (-(-ticks // sample_every(scenario)) + 1)
     if rows > MAX_TRACE_ROWS:
@@ -671,15 +671,14 @@ def validate_scenario(scenario: Scenario) -> None:
             f"more than the {MAX_TRACE_ROWS} a run may write")
 
 
-def _build_node(spec: NodeSpec, profile: PowerProfile,
-                autonomous: bool = False) -> NodeRecord:
+def _build_node(spec: NodeSpec, autonomous: bool = False) -> NodeRecord:
     """The node's record at the start of a run; autonomous (the
     scenario's etx_policy) lets an emitter run sessions unasked."""
     led = None
     if spec.led_power_w > 0.0:
         led = OpticalTransmitter(
             optical_power_w=spec.led_power_w,
-            half_angle_deg=spec.led_half_angle_deg,
+            half_angle_deg=LED_HALF_ANGLE_DEG,
             position=tuple(float(x) for x in spec.position),
             boresight=tuple(float(x) for x in spec.led_aim),
         )
@@ -687,7 +686,6 @@ def _build_node(spec: NodeSpec, profile: PowerProfile,
         node_id=spec.node_id,
         storage=StorageCapacitor(voltage=spec.start_voltage,
                                  v_min=spec.v_min),
-        profile=profile,
         led=led,
         etx_autonomous=autonomous and led is not None,
         sensing_enabled=spec.sensing_enabled,
@@ -711,8 +709,7 @@ class _Lane:
                  "harvest_w", "agg", "rng")
 
     def __init__(self, spec: NodeSpec, scenario: Scenario):
-        self.record = _build_node(spec, scenario.profile,
-                                  scenario.etx_policy == "autonomous")
+        self.record = _build_node(spec, scenario.etx_policy == "autonomous")
         # the node's PV cells: one receiver per face, at the node
         position = tuple(float(x) for x in spec.position)
         self.harvester = HarvesterArray(cells=tuple(

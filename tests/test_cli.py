@@ -24,10 +24,8 @@ from luxnet.cli import (
 )
 from luxnet.channel import InterferenceModel
 from luxnet.controller import ControllerConfig
-from luxnet.energy import DEFAULT_PROFILE, PowerProfile
 from luxnet.errors import ScenarioError
 from luxnet.simkernel import (
-    CALIBRATION_KEYS,
     CONTROLLER_KEYS,
     CSV_HEADER,
     ETX_POLICIES,
@@ -41,6 +39,10 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    format_trace_csv,
+    render_summary,
+    run_scenario,
+    summarize,
     validate_scenario,
 )
 
@@ -386,7 +388,8 @@ def test_run_checks_every_file_before_the_first_run(tmp_path, capsys):
      "node.2: v_min_v must be in [3.2, 4.5), got 3.0"),
     # node 2 moved onto emitter node 3
     ("position_m = 0.0 0.0 0.0", "position_m = 0.075 0.1299 0.0", 2,
-     "node.3 to node.2 link: transmitter and receiver are co-located"),
+     "node.3 to node.2 link: 0 m apart, closer than the 0.01 m an emitter "
+     "keeps"),
     ("led_power_w = 0.0278", "led_power_w = 0.0", 3,
      "energy sharing requested but no node has an emitter"),
 ], ids=["v_min", "co-located", "no-emitter"])
@@ -512,8 +515,6 @@ def test_run_exit_codes(tmp_path, capsys):
     ([], lambda t: t.replace("face_a_ambient_lux = 150.0",
                              "face_a_ambient_lux = nan"),
      "node.2: face_a_ambient_lux"),
-    ([], lambda t: t + "\n[calibration]\nsense_w = nan\n",
-     "calibration: sense_w"),
 ])
 def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     scn = tmp_path / "in.scn"
@@ -530,7 +531,7 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("led_half_angle_deg", "1e-7"),    # its Lambertian order divided by 0
+    ("led_power_w", "1.7e308"),        # on paper-b, inf after its 630 s
     ("v_min_v", "1e300"),              # its guard energy overflowed
     ("v_min_v", "10"),                 # a floor over the 4.5 V full charge
     ("face_a_ambient_lux", "1.7e308"),   # inf in every v_pv and lux_mean
@@ -547,6 +548,25 @@ def test_run_rejects_a_value_outside_its_key_range(tmp_path, capsys, key,
     assert not (tmp_path / "paper-a.csv").exists()
 
 
+@pytest.mark.parametrize("height", ["1e-156", "1e-150"])
+def test_run_rejects_an_emitter_closer_than_its_minimum_distance(
+        tmp_path, capsys, height):
+    # node 1 straight above node 2's upward face b, aimed at it: 2 h of
+    # this once printed lux_mean=inf at 1e-156 m, and lux figures some
+    # 300 digits long at 1e-150 m
+    text = with_value(read(shipped_scenario_path("paper_b")), "node.1",
+                      "position_m", f"0.0 0.0 {height}")
+    scn = tmp_path / "in.scn"
+    scn.write_text(with_value(text, "node.1", "led_aim", "0.0 0.0 -1.0"))
+    code = main(["run", str(scn), "--duration-s", "7200",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: node.1 to node.2 link: {height} m apart, closer than the "
+        "0.01 m an emitter keeps\n")
+    assert not (tmp_path / "paper-b.csv").exists()
+
+
 def with_value(text, title, key, value):
     """Scenario text with the key of section [title] set to value."""
     head, section, rest = text.partition(f"[{title}]\n")
@@ -558,14 +578,13 @@ def with_value(text, title, key, value):
 
 
 # the edge values each number row, and each element of a vector row, is
-# run at; shipped paper-b has neither optional section, so both are
-# added at their defaults
+# run at; shipped paper-b has no [interference], so it is added at its
+# defaults
 EDGE_VALUES = ("5e-324", "1e-300", "1e-12", "1e-7", "0", "-1e-300", "65535",
                "1e9", "1e300", "1.7e308")
 SWEPT_SECTIONS = (
     [("scenario", SCENARIO_KEYS, ""), ("oap", OAP_KEYS + CONTROLLER_KEYS, ""),
-     ("interference", INTERFERENCE_KEYS, ""),
-     ("calibration", CALIBRATION_KEYS, ""), ("node.1", NODE_KEYS, "")]
+     ("interference", INTERFERENCE_KEYS, ""), ("node.1", NODE_KEYS, "")]
     + [("node.1", FACE_KEYS, f"face_{letter}_") for letter in FACE_LETTERS])
 NON_FINITE_TEXT = re.compile(r"\b(?:nan|inf)\b")
 
@@ -574,12 +593,9 @@ def test_run_at_edge_values_exits_0_2_or_3_and_prints_only_numbers(
         tmp_path, capsys):
     # a value is rejected before the run (exit 2 or 3, no output) or run
     # (exit 0) to a trace and summary with no nan or inf in them
-    base = read(shipped_scenario_path("paper_b")) + "".join(
-        f"\n[{title}]\n" + "".join(f"{key} = {getattr(obj, name)!r}\n"
-                                   for key, name, _, _ in table)
-        for title, obj, table in (
-            ("interference", InterferenceModel(), INTERFERENCE_KEYS),
-            ("calibration", DEFAULT_PROFILE, CALIBRATION_KEYS)))
+    base = read(shipped_scenario_path("paper_b")) + "\n[interference]\n"
+    base += "".join(f"{key} = {getattr(InterferenceModel(), name)!r}\n"
+                    for key, name, _, _ in INTERFERENCE_KEYS)
     escapes, cases = [], 0
     for title, table, prefix in SWEPT_SECTIONS:
         for key, _, reader, _ in table:
@@ -610,9 +626,96 @@ def test_run_at_edge_values_exits_0_2_or_3_and_prints_only_numbers(
                 elif any(NON_FINITE_TEXT.search((out / name).read_text())
                          for name in written):
                     escapes.append(f"{case}: nan or inf in {written}")
-    # 33 rows: 3 + 8 + 3 + 6 in the sections, 13 in node.1
-    assert cases == 33 * len(EDGE_VALUES)
+    # 24 rows: 3 + 6 + 3 in the sections, 12 in node.1
+    assert cases == 24 * len(EDGE_VALUES)
     assert escapes == []
+
+
+# each row of the format but two: the section it is moved in and a
+# second value inside its range
+SECOND_VALUES = [
+    ("scenario", "name", "paper-b-2"),
+    ("scenario", "duration_s", "3000.0"),
+    ("scenario", "step_s", "0.05"),
+    ("scenario", "seed", "1"),
+    ("scenario", "trace_interval_s", "20.0"),
+    ("scenario", "etx_policy", "autonomous"),
+    ("oap", "t_data_req_s", "500.0"),
+    ("oap", "t_int_s", "1800.0"),
+    ("oap", "slot_spacing_s", "5.0"),
+    ("oap", "etx_offset_s", "60.0"),
+    ("oap", "etx_spacing_s", "90.0"),
+    ("interference", "midpoint_lux", "500.0"),
+    ("interference", "steepness_per_lux", "0.05"),
+    ("interference", "floor", "0.5"),
+    ("node.1", "position_m", "-0.05 0.1299 0.0"),
+    ("node.2", "start_voltage_v", "4.4"),
+    ("node.1", "v_min_v", "3.9"),
+    ("node.1", "led_power_w", "0.02"),
+    ("node.1", "led_aim", "0.075 -0.1 0.0"),
+    ("node.2", "sensing_enabled", "no"),
+    ("node.2", "face_a_normal", "0.0 0.0 1.0"),
+    ("node.2", "face_a_ambient_lux", "200.0"),
+    ("node.2", "face_b_normal", "0.0 1.0 0.0"),
+    ("node.2", "face_b_ambient_lux", "50.0"),
+    ("node.2", "face_c_normal", "0.0 1.0 0.0"),
+    ("node.2", "face_c_ambient_lux", "50.0"),
+]
+# the two rows no run reads, with the reason; both stay in the format,
+# since perfbench/workloads.py sets them through OapSpec and NodeSpec
+UNREAD_ROWS = {
+    ("oap", "position_m", "0.0 0.0 1.0"):
+        "the kernel never reads OapSpec.position",
+    ("node.2", "sensor_base_c", "30.0"):
+        "it reaches only the uplink payload, which Controller.on_uplink "
+        "discards",
+}
+
+
+def run_outputs(text):
+    """The CSV, summary, controller log and frame log of a run of text."""
+    scenario = parse_scenario_text(text)
+    validate_scenario(scenario)
+    trace = run_scenario(scenario)
+    out = io.StringIO()
+    format_trace_csv(trace, out)
+    return (out.getvalue(), render_summary(summarize(trace)),
+            trace.controller_log, trace.frame_log)
+
+
+def test_every_key_a_run_reads_moves_its_outputs():
+    # 1 h of shipped paper-b with [interference] appended: each row moved
+    # to a second value changes the CSV, the summary, the controller log
+    # or the frame log, and an unread row changes none.  Node 3's sharing
+    # request comes 20 s after node 1's, inside node 1's session, which
+    # starts once node 1 has recharged its report; with the interference
+    # midpoint at 1100 lx, over the bright nodes' 1000 lx, the draws on
+    # that request can go either way
+    tables = [("scenario", SCENARIO_KEYS, ""), ("oap", OAP_KEYS, ""),
+              ("oap", CONTROLLER_KEYS, ""),
+              ("interference", INTERFERENCE_KEYS, ""), ("node", NODE_KEYS, "")]
+    tables += [("node", FACE_KEYS, f"face_{letter}_")
+               for letter in FACE_LETTERS]
+    rows = [(kind, prefix + key) for kind, table, prefix in tables
+            for key, _, _, _ in table]
+    moves = SECOND_VALUES + list(UNREAD_ROWS)
+    assert sorted(rows) == sorted((title.split(".")[0], key)
+                                  for title, key, _ in moves)
+    base = read(shipped_scenario_path("paper_b")).replace(
+        "duration_s = 216000.0", "duration_s = 3600.0").replace(
+        "etx_spacing_s = 60.0", "etx_spacing_s = 20.0")
+    model = InterferenceModel(midpoint_lux=1100.0)
+    base += "\n[interference]\n" + "".join(
+        f"{key} = {getattr(model, name)!r}\n"
+        for key, name, _, _ in INTERFERENCE_KEYS)
+    before = run_outputs(base)
+    unmoved = [key for title, key, value in SECOND_VALUES
+               if run_outputs(with_value(base, title, key, value)) == before]
+    assert unmoved == []
+    moved = [f"{key}: {reason}"
+             for (title, key, value), reason in UNREAD_ROWS.items()
+             if run_outputs(with_value(base, title, key, value)) != before]
+    assert moved == []
 
 
 def test_run_takes_a_trace_interval_longer_than_any_run(tmp_path, capsys):
@@ -748,10 +851,12 @@ def test_scenario_roundtrip_is_identity():
 
 
 def test_shipped_scenarios_serialize_to_fixed_bytes():
-    # recorded before the file format moved into the simkernel key tables
+    # recorded when the fixed settings left the format: the text before
+    # it less its n_min, psn_pv_threshold_v, etx_bursts_per_request,
+    # stale_after_rounds and three led_half_angle_deg lines
     digests = {
-        "paper_a": "5fe5cd4aea419c3edcf213f2cb20cbcbb3495242c1757653150103ed8be30712",
-        "paper_b": "3632ada9b3107e148542e89b96301e95ab57e61e4ce1a044ee435eb862811745",
+        "paper_a": "1f51bda34f2d30149743bce716dc5f34149f9f4f93c53e7bc524c5536b587d4b",
+        "paper_b": "11930778b2bbffa7a81ce7fad063cbd258e4dd04fc28a1e2eb463bbb45272f87",
     }
     for stem, digest in digests.items():
         text = serialize_scenario(parse_scenario_file(
@@ -759,11 +864,9 @@ def test_shipped_scenarios_serialize_to_fixed_bytes():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_roundtrip_keeps_interference_and_profile(tmp_path):
-    text = INTERFERED_SCENARIO + "\n[calibration]\nsleep_w = 0.0002\n"
-    scenario = parse_scenario_text(text)
-    assert scenario.interference is not None
-    assert scenario.profile.sleep == 0.0002
+def test_roundtrip_keeps_interference(tmp_path):
+    scenario = parse_scenario_text(INTERFERED_SCENARIO)
+    assert scenario.interference == InterferenceModel(midpoint_lux=300.0)
     assert parse_scenario_text(serialize_scenario(scenario)) == scenario
 
 
@@ -777,7 +880,7 @@ def test_roundtrip_keeps_interference_and_profile(tmp_path):
                          "sensing_enabled = maybe"), "yes/no"),
     (lambda t: t.replace("duration_s = 43200.0",
                          "duration_s = soon"), "expected a number"),
-    (lambda t: t.replace("n_min = 1", "n_min = 1.5"), "integer"),
+    (lambda t: t.replace("seed = 0", "seed = 1.5"), "integer"),
 ])
 def test_parse_diagnostics(mangle, needle):
     base = read(shipped_scenario_path("paper_a"))
@@ -818,23 +921,11 @@ def test_nodeless_file_is_rejected():
 # its checks hold.
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 COUNTS = st.integers(min_value=0, max_value=2 ** 64)
 VECTORS = st.tuples(FINITE, FINITE, FINITE)
 NAMES = st.text(min_size=1).filter(
     lambda s: s == s.strip() and s.splitlines() == [s])
-
-
-@st.composite
-def profiles(draw):
-    standby = draw(st.floats(min_value=0.0, max_value=0.9e-3,
-                             exclude_min=True, exclude_max=True))
-    return PowerProfile(
-        sleep=draw(st.floats(min_value=0.0, max_value=standby,
-                             exclude_max=True)),
-        standby=standby, sense=draw(NON_NEGATIVE), data_tx=draw(NON_NEGATIVE),
-        etx=draw(NON_NEGATIVE), decode=draw(NON_NEGATIVE))
 
 
 def node_specs(node_id):
@@ -843,7 +934,7 @@ def node_specs(node_id):
         faces=st.tuples(*[st.builds(FaceSpec, normal=VECTORS,
                                     ambient_lux=FINITE)] * 3),
         start_voltage=FINITE, v_min=FINITE, led_power_w=FINITE,
-        led_half_angle_deg=FINITE, led_aim=st.none() | VECTORS,
+        led_aim=st.none() | VECTORS,
         sensing_enabled=st.booleans(), sensor_base_c=FINITE)
 
 
@@ -856,15 +947,13 @@ scenarios = st.builds(
         ControllerConfig,
         t_data_req=st.floats(min_value=450.0, max_value=600.94,
                              exclude_min=True),
-        t_int=POSITIVE, n_min=COUNTS, psn_pv_threshold=FINITE,
-        slot_spacing_s=POSITIVE, etx_offset_s=FINITE, etx_spacing_s=POSITIVE,
-        etx_bursts_per_request=COUNTS, stale_after_rounds=FINITE)),
+        t_int=POSITIVE, slot_spacing_s=POSITIVE, etx_offset_s=FINITE,
+        etx_spacing_s=POSITIVE)),
     step_s=FINITE, seed=COUNTS, trace_interval_s=FINITE,
     etx_policy=st.sampled_from(ETX_POLICIES),
     interference=st.none() | st.builds(
         InterferenceModel, midpoint_lux=FINITE, steepness_per_lux=POSITIVE,
-        floor=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
-    profile=profiles())
+        floor=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
 
 
 @given(scenarios)

@@ -66,8 +66,6 @@ CHECKS = [
      "floor must be in [0, 1)"),
     (lambda: ControllerConfig(t_int=0.0),
      "periods must be positive"),
-    (lambda: ControllerConfig(n_min=-1),
-     "n_min must be non-negative"),
     (lambda: ControllerConfig(t_data_req=700.0),
      "t_data_req 700.00 s outside (450.00, 600.94]"),
     (lambda: ControllerConfig(etx_spacing_s=0.0),
@@ -124,7 +122,7 @@ def test_specs_are_immutable_values():
 # each run-state class and the configuration its constructor takes; the
 # rest of its fields are run state
 CONFIGURATION = {
-    NodeRecord: ("node_id", "storage", "profile", "led", "etx_autonomous",
+    NodeRecord: ("node_id", "storage", "led", "etx_autonomous",
                  "sensing_enabled", "sensor_base_c"),
     NodeAggregate: ("node_id", "start_energy_j"),
     NodeStepResult: (),

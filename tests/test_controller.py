@@ -9,6 +9,7 @@ from luxnet.controller import (
     Controller,
     ControllerConfig,
     DutyCycle,
+    N_MIN,
     RegistryEntry,
     assign_n,
     duty_cycle,
@@ -114,11 +115,13 @@ def test_assign_n_reference_and_bright():
 
 
 def test_assign_n_floors_at_minimum():
-    # the budget fits 6 sessions at the reference light; n_min lifts that
-    assert assign_n(psn_entry(), ControllerConfig(t_data_req=500.0, n_min=0),
+    # the budget fits 6 sessions at the reference light, over N_MIN
+    assert assign_n(psn_entry(), ControllerConfig(t_data_req=500.0),
                     1000.0) == 6
-    config = ControllerConfig(t_data_req=500.0, n_min=8)
-    assert assign_n(psn_entry(), config, 1000.0) == 8
+    # a request period past any the config accepts leaves a budget of
+    # 440.94 s, short of one 490 s session: N_MIN lifts that
+    config = ControllerConfig()._replace(t_data_req=3100.0)
+    assert assign_n(psn_entry(), config, 1000.0) == N_MIN == 1
 
 
 def test_config_validation():
@@ -126,8 +129,6 @@ def test_config_validation():
         ControllerConfig(t_data_req=450.0)   # not above the recovery bound
     with pytest.raises(ValueError):
         ControllerConfig(t_data_req=601.0)   # beyond the standby budget
-    with pytest.raises(ValueError):
-        ControllerConfig(n_min=-1)
 
 
 def report(sender, pv_code):

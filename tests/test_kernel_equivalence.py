@@ -24,7 +24,6 @@ from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import ControllerConfig
 from luxnet.energy import (
-    DEFAULT_PROFILE,
     STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
     V_OVERDISCHARGE,
@@ -130,16 +129,16 @@ def test_row_every_tick_at_a_finer_step():
 
 
 def test_lone_node_depletes_and_recovers():
-    # sleep outdraws the 300 uW harvest, so the node runs down into the
-    # lockout; locked out it draws nothing and charges back past v_chrdy
+    # sleep and the leak outdraw the 135 uW harvest of 150 lx, so the
+    # node runs down into the lockout; locked out it draws nothing and
+    # charges back past v_chrdy
     node = NodeSpec(node_id=1, position=(0.0, 0.0, 0.0),
-                    faces=(FaceSpec((0.0, 1.0, 0.0), 1000.0 / 3.0),
+                    faces=(FaceSpec((0.0, 1.0, 0.0), 150.0),
                            FaceSpec((0.0, 0.0, 1.0), 0.0),
                            FaceSpec((0.0, 0.0, -1.0), 0.0)),
                     start_voltage=3.3)
-    profile = DEFAULT_PROFILE._replace(sleep=0.4e-3, standby=0.5e-3)
     trace = assert_same_trace(Scenario(
-        name="relapse", duration_s=5000.0, nodes=(node,), profile=profile))
+        name="relapse", duration_s=10000.0, nodes=(node,)))
     events = [r.event for r in trace.rows if r.event]
     assert "depleted" in events
     assert "recovered from depletion" in events

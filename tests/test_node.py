@@ -7,9 +7,9 @@ import pytest
 
 from luxnet.channel import OpticalReceiver, OpticalTransmitter
 from luxnet.energy import (
+    LED_HALF_ANGLE_DEG,
     PV_CELL_AREA_M2,
     HarvesterArray,
-    PowerProfile,
     StorageCapacitor,
     band_exit,
     pv_open_voltage,
@@ -55,7 +55,8 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False,
     rec = NodeRecord(
         node_id=node_id,
         storage=StorageCapacitor(voltage=voltage, v_min=v_min),
-        led=OpticalTransmitter(optical_power_w=0.0278, half_angle_deg=15.0)
+        led=OpticalTransmitter(optical_power_w=0.0278,
+                               half_angle_deg=LED_HALF_ANGLE_DEG)
         if led else None,
         etx_autonomous=etx_autonomous,
     )
@@ -279,16 +280,16 @@ def test_etx_session_stops_at_guard_floor_then_recovers():
 
 
 def test_etx_session_window_cap():
-    # with a dimmer drive the floor is out of reach and the window rules
-    profile = PowerProfile(sleep=180e-6, standby=550e-6, sense=11e-3,
-                           data_tx=12e-3, etx=10e-3, decode=2e-3)
-    node, t = booted(node_id=1, led=True, v_min=3.2, profile=profile)
+    # at ten times full light the harvest pays half the drive, so the
+    # floor is out of reach and the window rules
+    bright = (10000.0,) * 3
+    node, t = booted(node_id=1, led=True, v_min=3.2)
     node.etx_autonomous = True
-    res = tick(node, t, FULL)
+    res = tick(node, t, bright)
     assert node.state == NodeState.ENERGY_RELAY
     ticks = 0
     while node.state == NodeState.ENERGY_RELAY:
-        res = tick(node, t + 0.1 * (1 + ticks), FULL)
+        res = tick(node, t + 0.1 * (1 + ticks), bright)
         ticks += 1
         assert ticks < 450
     assert ticks * 0.1 == pytest.approx(40.0, abs=0.2)

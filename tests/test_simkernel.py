@@ -8,13 +8,19 @@ import io
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from float_figures import guard_scenario
 from luxnet import simkernel
-from luxnet.channel import InterferenceModel, illuminance_at
+from luxnet.channel import (
+    InterferenceModel,
+    OpticalReceiver,
+    OpticalTransmitter,
+    illuminance_at,
+)
 from luxnet.cli import (
     main,
     parse_scenario_file,
@@ -24,9 +30,10 @@ from luxnet.cli import (
 from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
     DEFAULT_PROFILE,
+    LED_HALF_ANGLE_DEG,
+    PV_CELL_AREA_M2,
     PV_CELLS_PER_NODE,
     V_STORAGE_MAX,
-    PowerProfile,
     StorageCapacitor,
     storage_step,
 )
@@ -36,8 +43,10 @@ from luxnet.simkernel import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
     FACE_LETTERS,
+    MAX_ROUNDS,
     MAX_TICKS,
     MAX_TRACE_ROWS,
+    MIN_EMITTER_DISTANCE_M,
     FaceSpec,
     NodeSpec,
     OapSpec,
@@ -151,8 +160,6 @@ def test_scenario_field_validation(mutate, fragment):
      "oap: t_data_req_s must be in (450.0, 600.94], got 0.0"),
     (lambda sc: sc._replace(interference=InterferenceModel()._replace(
         floor=1.0)), "interference: floor must be in [0.0, 1.0), got 1.0"),
-    (lambda sc: sc._replace(profile=sc.profile._replace(sleep=1e-3)),
-     "calibration: sleep_w must be in [0.0, 0.0009), got 0.001"),
 ])
 def test_replaced_values_are_checked_again(build, message):
     # _replace skips a value's constructor checks; validate_scenario checks
@@ -171,14 +178,43 @@ def test_replaced_values_are_checked_again(build, message):
     (dict(led_power_w=-1e-3), "led_power"),
     (dict(led_power_w=5e-3), "led_aim"),
     (dict(led_power_w=5e-3, led_aim=(0.0, 0.0, 0.0)), "led_aim"),
-    (dict(led_power_w=5e-3, led_aim=(0.0, -1.0, 0.0),
-          led_half_angle_deg=90.0), "half_angle"),
+    # over the electrical power a session draws
+    (dict(led_power_w=0.06, led_aim=(0.0, -1.0, 0.0)), "led_power_w"),
     (dict(ambient=-5.0), "ambient_lux"),
 ])
 def test_node_spec_validation(spec_kw, fragment):
     sc = Scenario(name="t", duration_s=10.0, nodes=(lone_node(**spec_kw),))
     with pytest.raises(ScenarioError, match=fragment):
         validate_scenario(sc)
+
+
+@pytest.mark.parametrize("height, ok", [
+    (MIN_EMITTER_DISTANCE_M, True),
+    (math.nextafter(MIN_EMITTER_DISTANCE_M, 0.0), False),
+    (0.0, False),
+])
+def test_an_emitter_keeps_its_distance_from_every_node(height, ok):
+    # node 1 straight above node 2's upward face b, aimed at it at the
+    # power ceiling
+    emitter = NodeSpec(node_id=1, position=(0.0, 0.0, height),
+                       faces=lone_node().faces,
+                       led_power_w=DEFAULT_PROFILE.etx,
+                       led_aim=(0.0, 0.0, -1.0))
+    sc = Scenario(name="t", duration_s=10.0,
+                  nodes=(emitter, lone_node(node_id=2)))
+    if not ok:
+        with pytest.raises(ScenarioError, match=(
+                r"^node\.1 to node\.2 link: \S+ m apart, closer than the "
+                r"0\.01 m an emitter keeps$")):
+            validate_scenario(sc)
+        return
+    validate_scenario(sc)
+    # the brightest one emitter makes a face, as validate_scenario states
+    face_b = OpticalReceiver(area_m2=PV_CELL_AREA_M2, normal=(0.0, 0.0, 1.0))
+    led = OpticalTransmitter(DEFAULT_PROFILE.etx, LED_HALF_ANGLE_DEG,
+                             emitter.position, emitter.led_aim)
+    assert illuminance_at(face_b, 0.0, [led]) == pytest.approx(4.4e5,
+                                                               rel=1e-3)
 
 
 # each named tuple a scenario file fills, with its table of key rows
@@ -189,11 +225,10 @@ KEY_TABLES = (
     (NodeSpec, simkernel.NODE_KEYS),
     (FaceSpec, simkernel.FACE_KEYS),
     (InterferenceModel, simkernel.INTERFERENCE_KEYS),
-    (PowerProfile, simkernel.CALIBRATION_KEYS),
 )
 # the fields filled from a section, a section name or a face group
-SECTION_FIELDS = {"nodes", "oap", "config", "interference", "profile",
-                  "node_id", "faces"}
+SECTION_FIELDS = {"nodes", "oap", "config", "interference", "node_id",
+                  "faces"}
 
 
 def rows_outside(scenario, keys=None):
@@ -229,10 +264,9 @@ def test_every_setting_is_a_scenario_key(cls, keys):
         if reader == "number":
             assert math.isfinite(interval.lo), key
             assert math.isfinite(interval.hi), key
-    # each holds its field's default ([calibration]'s is DEFAULT_PROFILE),
-    # and the values of both shipped files and crowd-dense seeds 0-15
-    defaults = (DEFAULT_PROFILE._asdict() if cls is PowerProfile
-                else cls._field_defaults)
+    # each holds its field's default, and the values of both shipped
+    # files and crowd-dense seeds 0-15
+    defaults = cls._field_defaults
     assert [key for key, name, _, interval in keys
             if interval is not None and name in defaults
             and defaults[name] not in interval] == []
@@ -365,6 +399,16 @@ def test_cli_trace_row_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def paper_b_with(title, line):
+    """Shipped paper-b's text with line added to section [title], to a
+    new section if the file has none."""
+    text = open(shipped_scenario_path("paper_b"), encoding="utf-8").read()
+    header = f"[{title}]\n"
+    if header in text:
+        return text.replace(header, header + line + "\n", 1)
+    return text + f"\n{header}{line}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("etx_bursts_per_request", "70000"),
     ("etx_bursts_per_request", "-1"),
@@ -372,18 +416,76 @@ def test_cli_trace_row_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
 ])
 def test_cli_16_bit_oap_params_exit_2_before_the_run(tmp_path, capsys, no_run,
                                                      key, value):
-    # each travels as a 16-bit frame parameter; unchecked, a 3600 s run
-    # stopped at the first frame carrying it, with a message naming no key
-    text = open(shipped_scenario_path("paper_b"), encoding="utf-8").read()
+    # each travelled as a 16-bit frame parameter, and a value outside 16
+    # bits once stopped a run at the first frame carrying it.  Both are
+    # fixed now (controller.ETX_BURSTS_PER_REQUEST and N_MIN), so a file
+    # that sets one, at any value, exits 2 naming it
     scn = tmp_path / "in.scn"
-    scn.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
-                          flags=re.M))
+    scn.write_text(paper_b_with("oap", f"{key} = {value}"))
     code = main(["run", str(scn), "--duration-s", "3600",
                  "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
     assert code == 2
-    assert f"oap: {key} must be in [0, 65535], got {value}" in err
+    assert capsys.readouterr().err == f"error: oap: unknown key '{key}'\n"
     assert not (tmp_path / "paper-b.csv").exists()
+
+
+@pytest.mark.parametrize("title, line, message", [
+    # a node picks its own role with node.select_role; another threshold
+    # here once made the access point poll a secondary that sleeps
+    ("oap", "psn_pv_threshold_v = 1.0",
+     "oap: unknown key 'psn_pv_threshold_v'"),
+    ("oap", "stale_after_rounds = 3.0",
+     "oap: unknown key 'stale_after_rounds'"),
+    ("node.1", "led_half_angle_deg = 15.0",
+     "node.1: unknown key 'led_half_angle_deg'"),
+    ("calibration", "sleep_w = 0.0002", "unknown section 'calibration'"),
+], ids=["psn_pv_threshold_v", "stale_after_rounds", "led_half_angle_deg",
+        "calibration"])
+def test_cli_removed_settings_exit_2_before_the_run(tmp_path, capsys, no_run,
+                                                    title, line, message):
+    # every node draws DEFAULT_PROFILE and has the LED_HALF_ANGLE_DEG beam,
+    # and the access point's policies are controller constants; n_min and
+    # etx_bursts_per_request are the cases of the test above
+    scn = tmp_path / "in.scn"
+    scn.write_text(paper_b_with(title, line))
+    code = main(["run", str(scn), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "paper-b.csv").exists()
+
+
+def test_cli_round_cap_exits_3_before_the_run(tmp_path, capsys, no_run):
+    # ten ticks, but the controller would work through some 1.7e297
+    # request rounds, one at a time
+    text = open(shipped_scenario_path("paper_b"), encoding="utf-8").read()
+    for key in ("step_s = 0.1", "trace_interval_s = 10.0"):
+        text = text.replace(key, key.split(" = ")[0] + " = 1e299")
+    scn = tmp_path / "in.scn"
+    scn.write_text(text)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["run", str(scn), "--duration-s", "1e300",
+                 "--out-dir", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: duration_s / t_data_req_s asks for 1.67e+297 request rounds, "
+        "more than the 1000000 a run may take\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra_s, ok", [(0.0, True), (600.0, False)])
+def test_round_cap_edge(extra_s, ok):
+    # 600 s request rounds: MAX_ROUNDS of them fit, one more does not
+    sc = Scenario(name="t", duration_s=MAX_ROUNDS * 600.0 + extra_s,
+                  step_s=10.0, nodes=(lone_node(),))
+    assert sc.oap.config.t_data_req == 600.0
+    if ok:
+        validate_scenario(sc)
+    else:
+        with pytest.raises(InfeasibleError, match=r"asks for 1e\+06 request "
+                           r"rounds, more than the 1000000 "):
+            validate_scenario(sc)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -401,14 +503,8 @@ NAN, INF = float("nan"), float("inf")
     (lambda sc, x: sc._replace(nodes=(lone_node(v_min=x),)), "v_min_v"),
     (lambda sc, x: sc._replace(nodes=(lone_node(led_power_w=x),)),
      "led_power_w"),
-    (lambda sc, x: sc._replace(nodes=(lone_node(led_half_angle_deg=x),)),
-     "led_half_angle_deg"),
     (lambda sc, x: sc._replace(nodes=(lone_node(sensor_base_c=x),)),
      "sensor_base_c"),
-    (lambda sc, x: sc._replace(profile=sc.profile._replace(sense=x)),
-     "sense_w"),
-    (lambda sc, x: sc._replace(profile=sc.profile._replace(etx=x)),
-     "etx_w"),
     (lambda sc, x: sc._replace(oap=OapSpec(
         config=sc.oap.config._replace(etx_offset_s=x))), "etx_offset_s"),
     (lambda sc, x: sc._replace(interference=InterferenceModel(
@@ -575,7 +671,6 @@ def test_burst_lux_matches_link_budget():
     peak = max(r.lux for r in runtime_ssn)
 
     # link budget recomputed independent of the kernel plumbing
-    from luxnet.channel import OpticalReceiver, OpticalTransmitter
     led = OpticalTransmitter(optical_power_w=27.8e-3, half_angle_deg=15.0,
                              position=(-0.075, 0.1299, 0.0),
                              boresight=(0.075, -0.1299, 0.0))
