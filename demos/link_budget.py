@@ -8,34 +8,33 @@ it.  Ends with the two scalar calculators the layout work leans on.
 
 from luxnet.calibration import burst_power_for_peak
 from luxnet.channel import (
+    LED_HALF_ANGLE_DEG,
+    LED_ORDER,
     OpticalReceiver,
     OpticalTransmitter,
     illuminance_at,
-    lambertian_order,
     photon_energy,
     pv_input_power,
 )
-from luxnet.energy import LED_HALF_ANGLE_DEG
 
 
 def main():
     power = burst_power_for_peak()
     print(f"emitter: {power * 1e3:.1f} mW optical, "
           f"{LED_HALF_ANGLE_DEG:.0f} deg half angle "
-          f"(order {lambertian_order(LED_HALF_ANGLE_DEG):.2f})")
+          f"(order {LED_ORDER:.2f})")
     print(f"{'distance_m':>10} {'head_on_lx':>10} {'tilted_lx':>10} "
           f"{'cell_mw':>8}")
     for d in (0.10, 0.15, 0.20, 0.30, 0.50):
         led = OpticalTransmitter(optical_power_w=power,
-                                 half_angle_deg=LED_HALF_ANGLE_DEG,
                                  position=(0.0, d, 0.0),
                                  boresight=(0.0, -1.0, 0.0))
-        head_on = OpticalReceiver(area_m2=2.5e-3, position=(0.0, 0.0, 0.0),
+        head_on = OpticalReceiver(position=(0.0, 0.0, 0.0),
                                   normal=(0.0, 1.0, 0.0))
-        tilted = OpticalReceiver(area_m2=2.5e-3, position=(0.0, 0.0, 0.0),
+        tilted = OpticalReceiver(position=(0.0, 0.0, 0.0),
                                  normal=(0.0, 0.866, 0.5))
-        lux = illuminance_at(head_on, 0.0, [led])
-        lux_tilted = illuminance_at(tilted, 0.0, [led])
+        lux = illuminance_at(head_on, led)
+        lux_tilted = illuminance_at(tilted, led)
         print(f"{d:>10.2f} {lux:>10.1f} {lux_tilted:>10.1f} "
               f"{pv_input_power(lux) * 1e3:>8.4f}")
     print()

@@ -6,7 +6,8 @@ power falls out of inverting the link budget at the reference geometry
 arriving 30 degrees off the face normal) so that a single burst lifts
 the face from its 150 lx ambient to the 1043.8 lx design peak.  The
 electrical burst draw follows through the emitter's wall-plug
-efficiency.  The remaining draws are bench anchors.
+efficiency.  The other five draws are bench measurements, which
+DEFAULT_PROFILE holds.
 
 Together the profile must satisfy three scenario-level targets:
 
@@ -19,8 +20,8 @@ Together the profile must satisfy three scenario-level targets:
    the share window and, run twice per request round, lifts the dim
    node's mean illuminance at least 40 percent over ambient.
 
-`calibrate` re-derives everything from the anchors and evaluates the
-targets, so drift between the constants and their rationale shows up
+`calibrate` re-derives the burst drive from the link budget and evaluates
+the targets, so drift between the constants and their rationale shows up
 as a failed check rather than a stale comment.
 """
 
@@ -29,11 +30,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .channel import LUMINOUS_EFFICACY_LM_W, lambertian_order, pv_input_power
+from .channel import LED_ORDER, LUMINOUS_EFFICACY_LM_W, pv_input_power
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
-    LED_HALF_ANGLE_DEG,
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     V_OVERDISCHARGE,
@@ -44,7 +44,7 @@ from .node import DEFAULT_TIMING, sense_cycle_cost_j
 
 # reference deployment geometry: emitters one triangle side away from
 # the harvesting face, aimed straight at it, with the beam every emitter
-# has (energy.LED_HALF_ANGLE_DEG)
+# has (channel.LED_HALF_ANGLE_DEG)
 REFERENCE_DISTANCE_M = 0.15
 REFERENCE_INCIDENCE_DEG = 30.0
 
@@ -56,13 +56,6 @@ REFERENCE_PEAK_LUX = 1043.8
 # share session runs between these storage voltages
 SHARE_CEILING_V = V_STORAGE_MAX
 SHARE_FLOOR_V = 3.8
-
-# bench anchors: measured draws that are not fitted
-ANCHOR_SLEEP_W = 180e-6
-ANCHOR_STANDBY_W = 550e-6
-ANCHOR_SENSE_W = 11.0e-3
-ANCHOR_DATA_TX_W = 12.0e-3
-ANCHOR_DECODE_W = 2.0e-3
 
 # power-LED wall-plug efficiency at the chosen drive current
 LED_WALL_PLUG_EFFICIENCY = 0.5275
@@ -79,8 +72,7 @@ def burst_gain_lux(optical_power_w: float) -> float:
     """Illuminance one burst adds on the reference face, lux."""
     if optical_power_w < 0.0:
         raise ValueError("optical power must be non-negative")
-    m = lambertian_order(LED_HALF_ANGLE_DEG)
-    radial = (m + 1.0) / (2.0 * math.pi * REFERENCE_DISTANCE_M ** 2)
+    radial = (LED_ORDER + 1.0) / (2.0 * math.pi * REFERENCE_DISTANCE_M ** 2)
     geometry = radial * math.cos(math.radians(REFERENCE_INCIDENCE_DEG))
     return LUMINOUS_EFFICACY_LM_W * optical_power_w * geometry
 
@@ -97,17 +89,10 @@ def burst_power_for_peak() -> float:
 
 
 def derive_power_profile() -> PowerProfile:
-    """Rebuild the default profile from anchors and the burst drive."""
-    optical = burst_power_for_peak()
-    etx = round(optical / LED_WALL_PLUG_EFFICIENCY, 4)
-    return PowerProfile(
-        sleep=ANCHOR_SLEEP_W,
-        standby=ANCHOR_STANDBY_W,
-        sense=ANCHOR_SENSE_W,
-        data_tx=ANCHOR_DATA_TX_W,
-        etx=etx,
-        decode=ANCHOR_DECODE_W,
-    )
+    """The default profile with its burst draw re-derived from the
+    burst drive; the other five draws are bench measurements."""
+    etx = round(burst_power_for_peak() / LED_WALL_PLUG_EFFICIENCY, 4)
+    return DEFAULT_PROFILE._replace(etx=etx)
 
 
 def _band_energy_j(v_high: float, v_low: float) -> float:

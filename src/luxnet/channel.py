@@ -1,7 +1,8 @@
 """Line-of-sight optical channel: geometry, path loss, photometry.
 
-The propagation model is the generalised Lambertian emitter.  A source with
-half-intensity angle Phi_1/2 has mode number
+The propagation model is the generalised Lambertian emitter (Kahn and
+Barry, "Wireless Infrared Communications", Proc. IEEE 85(2), 1997).  A
+source with half-intensity angle Phi_1/2 has mode number
 
     m = -ln 2 / ln(cos Phi_1/2)
 
@@ -11,7 +12,10 @@ line-of-sight channel gain onto a detector of area A at distance D is
     L = (m + 1) A / (2 pi D^2) * cos(alpha)^m * cos(beta)
 
 with alpha the angle off the transmitter boresight and beta the angle of
-incidence at the receiver.
+incidence at the receiver.  Every power LED has the same beam,
+LED_HALF_ANGLE_DEG (so m is LED_ORDER), and every photovoltaic face the
+same area, PV_CELL_AREA_M2; illuminance_at(rx, tx) is the one question
+the channel answers: the lux one emitter at full drive adds on one face.
 
 Photometric and radiometric quantities are tied together by a single
 luminous efficacy constant (lm emitted per radiated watt).  That single
@@ -38,7 +42,7 @@ default_rng((seed, node_id)) in pure Python.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 2.99792458e8
@@ -50,6 +54,10 @@ LUMINOUS_EFFICACY_LM_W = 250.0
 # conversion and regulator losses folded in
 CELL_REFERENCE_W = 0.9e-3
 CELL_REFERENCE_LUX = 1000.0
+# every photovoltaic face's area, and every power LED's half-intensity
+# angle, the emitter's beam width
+PV_CELL_AREA_M2 = 2.5e-3
+LED_HALF_ANGLE_DEG = 15.0
 
 Vec3 = Tuple[float, float, float]
 
@@ -64,6 +72,9 @@ def lambertian_order(half_angle_deg: float) -> float:
     return -math.log(2.0) / math.log(math.cos(math.radians(half_angle_deg)))
 
 
+LED_ORDER = lambertian_order(LED_HALF_ANGLE_DEG)
+
+
 def photon_energy(wavelength_m: float) -> float:
     """Energy of one photon, h*c/lambda, in joules."""
     if wavelength_m <= 0.0:
@@ -73,13 +84,12 @@ def photon_energy(wavelength_m: float) -> float:
 
 class _Transmitter(NamedTuple):
     optical_power_w: float
-    half_angle_deg: float = 60.0
     position: Vec3 = (0.0, 0.0, 0.0)
     boresight: Vec3 = (0.0, 0.0, -1.0)
 
 
 class OpticalTransmitter(_Transmitter):
-    """A Lambertian source: radiated power, beam width, pose."""
+    """A power LED: radiated power and pose; its beam is LED_HALF_ANGLE_DEG."""
 
     __slots__ = ()
 
@@ -87,54 +97,14 @@ class OpticalTransmitter(_Transmitter):
         self = super().__new__(cls, *args, **kwargs)
         if self.optical_power_w < 0.0:
             raise ValueError("optical power must be non-negative")
-        if not 0.0 < self.half_angle_deg < 90.0:
-            raise ValueError("half angle must be in (0, 90) deg")
         return self
 
-    @property
-    def order(self) -> float:
-        return lambertian_order(self.half_angle_deg)
 
+class OpticalReceiver(NamedTuple):
+    """A photovoltaic face of PV_CELL_AREA_M2: its pose."""
 
-class _Receiver(NamedTuple):
-    area_m2: float
     position: Vec3 = (0.0, 0.0, 0.0)
     normal: Vec3 = (0.0, 0.0, 1.0)
-
-
-class OpticalReceiver(_Receiver):
-    """A flat detector or photovoltaic face: area and pose."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.area_m2 <= 0.0:
-            raise ValueError("receiver area must be positive")
-        return self
-
-
-class _Link(NamedTuple):
-    distance_m: float
-    irradiance_angle_deg: float   # alpha, off transmitter boresight
-    incidence_angle_deg: float    # beta, off receiver normal
-    order: float = 1.0            # Lambertian mode number of the source
-
-
-class OpticalLink(_Link):
-    """Resolved geometry of one transmitter-receiver pair."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.distance_m <= 0.0:
-            raise ValueError("link distance must be positive")
-        for name, angle in (("irradiance", self.irradiance_angle_deg),
-                            ("incidence", self.incidence_angle_deg)):
-            if not 0.0 <= angle <= 90.0:
-                raise ValueError(f"{name} angle must be in [0, 90] deg, got {angle}")
-        return self
 
 
 def norm(v: Vec3) -> float:
@@ -155,13 +125,13 @@ def _angle_deg(a: Vec3, b: Vec3) -> float:
     return math.degrees(math.acos(cosine))
 
 
-def link_between(tx: OpticalTransmitter, rx: OpticalReceiver) -> OpticalLink:
-    """Compute the link geometry from the two poses.
+def illuminance_at(rx: OpticalReceiver, tx: OpticalTransmitter) -> float:
+    """Lux that one emitter at full drive adds on one face.
 
     Angles beyond 90 degrees (source behind the face, or face turned away)
     are clamped to 90 so the cosine terms cannot go negative for
     back-facing geometry.  They do not quite zero the gain:
-    math.cos(math.radians(90.0)) is 6.1e-17, so a clamped link keeps
+    math.cos(math.radians(90.0)) is 6.1e-17, so a clamped face keeps
     about 6e-17 of its geometric gain (raised to the order, for the
     irradiance angle), far below any printed digit.
     """
@@ -169,44 +139,16 @@ def link_between(tx: OpticalTransmitter, rx: OpticalReceiver) -> OpticalLink:
     distance = norm(sep)
     if distance <= 0.0:
         raise ValueError("transmitter and receiver are co-located")
-    alpha = _angle_deg(tx.boresight, sep)
-    beta = _angle_deg(rx.normal, tuple(-x for x in sep))
-    return OpticalLink(distance_m=distance,
-                       irradiance_angle_deg=min(alpha, 90.0),
-                       incidence_angle_deg=min(beta, 90.0),
-                       order=tx.order)
-
-
-def path_loss(link: OpticalLink, area_m2: float) -> float:
-    """Line-of-sight channel gain (dimensionless power ratio).
-
-    Raises for non-positive distance or area (enforced on the types).
-    """
-    if area_m2 <= 0.0:
-        raise ValueError("receiver area must be positive")
-    m = link.order
-    alpha = math.radians(link.irradiance_angle_deg)
-    beta = math.radians(link.incidence_angle_deg)
-    geometric = (m + 1.0) * area_m2 / (2.0 * math.pi * link.distance_m ** 2)
-    return geometric * math.cos(alpha) ** m * math.cos(beta)
-
-
-def illuminance_at(rx: OpticalReceiver, ambient_lux: float,
-                   active_sources: Iterable[OpticalTransmitter] = ()) -> float:
-    """Total illuminance on a face: ambient plus every active source.
-
-    Contributions superpose; ambient_lux stands in for the room light that
-    the scenario does not trace ray by ray.
-    """
-    if ambient_lux < 0.0:
-        raise ValueError("ambient illuminance must be non-negative")
-    lux = ambient_lux
-    for tx in active_sources:
-        gain = path_loss(link_between(tx, rx), rx.area_m2)
-        # irradiance on the face, W/m^2, times the efficacy
-        lux += LUMINOUS_EFFICACY_LM_W * (tx.optical_power_w * gain
-                                         / rx.area_m2)
-    return lux
+    # alpha off the emitter's boresight, beta off the face normal
+    alpha = math.radians(min(_angle_deg(tx.boresight, sep), 90.0))
+    beta = math.radians(min(_angle_deg(rx.normal, tuple(-x for x in sep)),
+                            90.0))
+    geometric = ((LED_ORDER + 1.0) * PV_CELL_AREA_M2
+                 / (2.0 * math.pi * distance ** 2))
+    gain = geometric * math.cos(alpha) ** LED_ORDER * math.cos(beta)
+    # irradiance on the face, W/m^2, times the efficacy
+    return LUMINOUS_EFFICACY_LM_W * (tx.optical_power_w * gain
+                                     / PV_CELL_AREA_M2)
 
 
 def pv_input_power(illuminance_lux: float) -> float:

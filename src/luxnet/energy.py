@@ -47,10 +47,7 @@ PMIC_EFFICIENCY = 0.85
 # what the storage holds at V_STORAGE_MAX, 1/2 C V^2, joules
 STORAGE_FULL_J = 0.5 * STORAGE_CAPACITANCE_F * V_STORAGE_MAX ** 2
 
-PV_CELL_AREA_M2 = 2.5e-3
 PV_CELLS_PER_NODE = 3
-# every power LED's half-intensity angle, the emitter's beam width
-LED_HALF_ANGLE_DEG = 15.0
 
 # open-circuit voltage of one cell saturates with illuminance; used by the
 # role self-assessment sampling, not by the power integration
@@ -82,8 +79,7 @@ class StorageCapacitor:
     """Ideal supercapacitor state plus the node's guard floor v_min.
 
     Every node stores in the same STORAGE_CAPACITANCE_F farads, drained
-    by the same LEAK_POWER_W; the class attributes capacitance and
-    leak_power name them.  The hardware thresholds are the module
+    by the same LEAK_POWER_W.  The hardware thresholds are the module
     constants V_STORAGE_MAX (full), V_OVERDISCHARGE (v_ovdis) and
     V_CHARGE_READY (v_chrdy).  Mutable: storage_step advances the
     voltage in place, over one tick or over a quiet stretch of many in
@@ -91,8 +87,6 @@ class StorageCapacitor:
     """
 
     __slots__ = ("voltage", "v_min")
-    capacitance = STORAGE_CAPACITANCE_F
-    leak_power = LEAK_POWER_W
 
     def __init__(self, voltage: float = 0.0, v_min: float = DEFAULT_V_MIN):
         if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:

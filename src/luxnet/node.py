@@ -137,7 +137,7 @@ class NodeRecord:
     calibration derives.
     """
 
-    __slots__ = ("node_id", "storage", "profile", "t_int", "mode", "state",
+    __slots__ = ("node_id", "storage", "t_int", "mode", "state",
                  "v_pv", "pending_n", "led", "etx_autonomous",
                  "sensing_enabled", "sensor_base_c", "state_since",
                  "next_report_s", "phase_lit", "phase_start_s", "phase_end_s")
@@ -150,7 +150,6 @@ class NodeRecord:
             raise ValueError("node id must be 1..15 (0 is the access point)")
         self.node_id = node_id
         self.storage = storage
-        self.profile = DEFAULT_PROFILE
         # geometry and policy
         self.led = led          # energy-burst emitter, if fitted
         self.etx_autonomous = etx_autonomous
@@ -203,7 +202,7 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
     available = node.storage.energy - node.guard_floor_j
     if available <= 0.0:
         return 0.0
-    net_drain = node.profile.etx + LEAK_POWER_W - harvest_power_w
+    net_drain = DEFAULT_PROFILE.etx + LEAK_POWER_W - harvest_power_w
     if net_drain <= 0.0:
         return DEFAULT_TIMING.t_energy_net
     return min(DEFAULT_TIMING.t_energy_net, available / net_drain)
@@ -255,7 +254,7 @@ def state_draw_w(node: NodeRecord, now: float, dt: float) -> float:
     the phase's power above sleep for its share (Depleted draws nothing)."""
     if node.state == NodeState.DEPLETED:
         return 0.0
-    profile = node.profile
+    profile = DEFAULT_PROFILE
     phase_w = profile.etx if node.phase_lit else profile.sense
     return (getattr(profile, _STATE_DRAW_ATTR[node.state])
             + (phase_w - profile.sleep) * phase_share(node, now, dt))
@@ -313,7 +312,7 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
         return
     result.causes.append("")
 
-    result.cost_j += node.profile.decode * FRAME_AIRTIME_S
+    result.cost_j += DEFAULT_PROFILE.decode * FRAME_AIRTIME_S
 
     if frame.dest_address not in (node.node_id, BROADCAST_ADDRESS):
         result.events.append("false wakeup")
@@ -327,7 +326,7 @@ def handle_frame(node: NodeRecord, frame: Frame44, result: NodeStepResult,
             node.t_int = float(payload.param)
         result.events.append(f"config t_int={payload.param}")
     elif command == Command.DATA_REQUEST:
-        cost = sense_cycle_cost_j(node.profile)
+        cost = sense_cycle_cost_j(DEFAULT_PROFILE)
         if energy_guard(node, cost):
             _enter_sensing(node, now + dt)
             result.events.append("data request accepted")
@@ -461,7 +460,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
     if state == NodeState.SENSING:
         if end >= timer_due_s(node):
             node.v_pv = _read_pv(lux_per_face)
-            tx_cost = node.profile.data_tx * FRAME_AIRTIME_S
+            tx_cost = DEFAULT_PROFILE.data_tx * FRAME_AIRTIME_S
             if energy_guard(node, tx_cost):
                 result.cost_j += tx_cost
                 result.emitted.append(_build_report(node))
@@ -493,7 +492,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
     if state == NodeState.SLEEP:
         if end >= timer_due_s(node):
             # a secondary's report wake
-            cost = sense_cycle_cost_j(node.profile)
+            cost = sense_cycle_cost_j(DEFAULT_PROFILE)
             if energy_guard(node, cost):
                 _enter_sensing(node, end)
                 result.events.append("timer wake")

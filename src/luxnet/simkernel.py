@@ -76,8 +76,6 @@ from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
     LEAK_POWER_W,
-    LED_HALF_ANGLE_DEG,
-    PV_CELL_AREA_M2,
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
@@ -641,7 +639,7 @@ def validate_scenario(scenario: Scenario) -> None:
                     f"{label}: led_aim is required when an emitter is fitted")
             if norm(spec.led_aim) <= 0.0:
                 raise ScenarioError(f"{label}: led_aim must be nonzero")
-    # the burst gain (channel.link_between) grows as the inverse square
+    # the burst gain (channel.illuminance_at) grows as the inverse square
     # of the distance from each emitter to every other node
     nodes = sorted(scenario.nodes, key=lambda spec: spec.node_id)
     emitters = [spec for spec in nodes if spec.led_power_w > 0.0]
@@ -678,7 +676,6 @@ def _build_node(spec: NodeSpec, autonomous: bool = False) -> NodeRecord:
     if spec.led_power_w > 0.0:
         led = OpticalTransmitter(
             optical_power_w=spec.led_power_w,
-            half_angle_deg=LED_HALF_ANGLE_DEG,
             position=tuple(float(x) for x in spec.position),
             boresight=tuple(float(x) for x in spec.led_aim),
         )
@@ -713,7 +710,7 @@ class _Lane:
         # the node's PV cells: one receiver per face, at the node
         position = tuple(float(x) for x in spec.position)
         self.harvester = HarvesterArray(cells=tuple(
-            OpticalReceiver(area_m2=PV_CELL_AREA_M2, position=position,
+            OpticalReceiver(position=position,
                             normal=tuple(float(x) for x in face.normal))
             for face in spec.faces))
         # abs turns a validated -0.0 into 0.0, so no trace column holds -0.0
@@ -767,7 +764,7 @@ class _Runtime:
             for dst in self.lanes:
                 if dst is not src:
                     dst.incoming[src.record.node_id] = tuple(
-                        illuminance_at(face, 0.0, [led])
+                        illuminance_at(face, led)
                         for face in dst.harvester.cells)
 
         self._lux_signature: Optional[Tuple] = None

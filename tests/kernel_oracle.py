@@ -16,7 +16,7 @@ test_kernel_equivalence.py states how close the two TraceSets must be.
 
 from __future__ import annotations
 
-from luxnet.energy import storage_step
+from luxnet.energy import LEAK_POWER_W, storage_step
 from luxnet.node import (
     NodeState,
     apply_hysteresis,
@@ -65,7 +65,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt
-            agg.leaked_j += storage.leak_power * dt
+            agg.leaked_j += LEAK_POWER_W * dt
             state_name = record.state
             agg.time_by_state[state_name] = (
                 agg.time_by_state.get(state_name, 0.0) + dt)

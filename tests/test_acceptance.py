@@ -19,6 +19,7 @@ from luxnet.controller import duty_cycle, select_t_data_req, standby_time
 from luxnet.energy import (
     LEAK_POWER_W,
     PMIC_EFFICIENCY,
+    STORAGE_CAPACITANCE_F,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     StorageCapacitor,
@@ -262,8 +263,9 @@ def test_c9_physics_calculators():
     stepped = StorageCapacitor(voltage=4.5)
     for _ in range(1000):
         storage_step(stepped, 0.0, p_out, 0.01)
-    drained = (p_out + cap.leak_power) * 10.0
-    analytic = (cap.energy - drained) ** 0.5 / (0.5 * cap.capacitance) ** 0.5
+    drained = (p_out + LEAK_POWER_W) * 10.0
+    analytic = ((cap.energy - drained) ** 0.5
+                / (0.5 * STORAGE_CAPACITANCE_F) ** 0.5)
     assert abs(stepped.voltage - analytic) <= 1e-6, \
         (f"C9 FAIL: discharge gives {stepped.voltage:.8f} V, "
          f"oracle {analytic:.8f} V")

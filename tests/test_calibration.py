@@ -38,22 +38,17 @@ def test_burst_gain_matches_vector_channel():
     # same geometry expressed as positions and normals; the vector
     # link code must agree with the closed-form gain
     power = burst_power_for_peak()
-    rx = OpticalReceiver(
-        area_m2=2.5e-3,
-        position=(0.0, 0.0, 0.0),
-        normal=(0.0, 1.0, 0.0),
-    )
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 1.0, 0.0))
     d = 0.15
     tx_pos = (d * math.sin(math.radians(30.0)),
               d * math.cos(math.radians(30.0)),
               0.0)
     tx = OpticalTransmitter(
         optical_power_w=power,
-        half_angle_deg=15.0,
         position=tx_pos,
         boresight=(-tx_pos[0], -tx_pos[1], 0.0),
     )
-    vector_lux = illuminance_at(rx, 0.0, [tx])
+    vector_lux = illuminance_at(rx, tx)
     assert vector_lux == pytest.approx(burst_gain_lux(power), rel=1e-9)
 
 

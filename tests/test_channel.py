@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from luxnet.channel import (
+    LED_ORDER,
     InterferenceModel,
-    OpticalLink,
     OpticalReceiver,
     OpticalTransmitter,
     frame_failure_probability,
     illuminance_at,
     lambertian_order,
-    link_between,
-    path_loss,
     photon_energy,
     pv_input_power,
     uniform_draws,
@@ -41,82 +39,76 @@ def test_lambertian_order_domain():
             lambertian_order(bad)
 
 
-def test_path_loss_frozen_on_axis_values():
-    link = OpticalLink(distance_m=1.0, irradiance_angle_deg=0.0,
-                       incidence_angle_deg=0.0, order=1.0)
-    assert path_loss(link, 1e-4) == pytest.approx(3.1831e-5, rel=1e-4)
-
-    narrow = OpticalLink(distance_m=0.2, irradiance_angle_deg=0.0,
-                         incidence_angle_deg=0.0, order=20.0)
-    assert path_loss(narrow, 1e-4) == pytest.approx(8.3556e-3, rel=1e-4)
+def toward(rx, distance, boresight=(0.0, 0.0, -1.0), power=1.0):
+    """An emitter `distance` m above the face at rx, aimed along boresight."""
+    return OpticalTransmitter(optical_power_w=power,
+                              position=(rx.position[0], rx.position[1],
+                                        rx.position[2] + distance),
+                              boresight=boresight)
 
 
-def test_path_loss_monotone_in_distance_and_angles():
+def test_illuminance_frozen_on_axis_values():
+    # 250 lm/W * P * (m + 1) / (2 pi D^2) dead on axis; the face area
+    # cancels, and m is the 15 degree beam's 19.9937
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
+    assert LED_ORDER == lambertian_order(15.0)
+    assert illuminance_at(rx, toward(rx, 1.0)) == pytest.approx(
+        835.314, rel=1e-5)
+    # the reference geometry: 50 mW one triangle side away
+    side = OpticalReceiver(position=(0.15, 0.0, 0.0),
+                           normal=(-1.0, 0.0, 0.0))
+    tx = OpticalTransmitter(optical_power_w=0.05, position=(0.0, 0.0, 0.0),
+                            boresight=(1.0, 0.0, 0.0))
+    assert illuminance_at(side, tx) == pytest.approx(1856.25, rel=1e-5)
+
+
+def test_illuminance_monotone_in_distance_and_angles():
     rng = np.random.default_rng(21)
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
     for _ in range(50):
-        m = float(rng.uniform(1.0, 30.0))
-        area = float(rng.uniform(1e-5, 1e-2))
         dists = np.sort(rng.uniform(0.05, 3.0, size=6))
-        gains = [path_loss(OpticalLink(d, 0.0, 0.0, m), area) for d in dists]
-        assert all(a > b for a, b in zip(gains, gains[1:]))
+        lux = [illuminance_at(rx, toward(rx, float(d))) for d in dists]
+        assert all(a > b for a, b in zip(lux, lux[1:]))
 
-    alphas = np.linspace(0.0, 89.0, 12)
-    g_alpha = [path_loss(OpticalLink(1.0, a, 0.0, 5.0), 1e-3) for a in alphas]
-    assert all(a > b for a, b in zip(g_alpha, g_alpha[1:]))
-    g_beta = [path_loss(OpticalLink(1.0, 0.0, b, 5.0), 1e-3) for b in alphas]
-    assert all(a > b for a, b in zip(g_beta, g_beta[1:]))
+    angles = np.radians(np.linspace(0.0, 89.0, 12))
+    # the emitter's boresight turned off the face, then the face turned
+    # off the emitter
+    off_boresight = [illuminance_at(rx, toward(
+        rx, 1.0, (math.sin(a), 0.0, -math.cos(a)))) for a in angles]
+    assert all(a > b for a, b in zip(off_boresight, off_boresight[1:]))
+    off_normal = [illuminance_at(
+        OpticalReceiver(normal=(math.sin(a), 0.0, math.cos(a))),
+        toward(rx, 1.0)) for a in angles]
+    assert all(a > b for a, b in zip(off_normal, off_normal[1:]))
 
 
 def test_received_power_scales_with_transmit_power():
-    # received optical power is the source's part of the face illuminance,
-    # converted back to watts through the efficacy and the receiver area
-    rx = OpticalReceiver(area_m2=1e-4, position=(0.0, 0.0, 0.0),
-                         normal=(0.0, 0.0, 1.0))
-
-    def received_power(tx):
-        return illuminance_at(rx, 0.0, [tx]) * rx.area_m2 / 250.0
-
-    tx = OpticalTransmitter(optical_power_w=0.1, half_angle_deg=60.0,
-                            position=(0.0, 0.0, 1.0), boresight=(0.0, 0.0, -1.0))
-    p = received_power(tx)
-    assert p == pytest.approx(0.1 * 3.1831e-5, rel=1e-4)
-    tx2 = OpticalTransmitter(optical_power_w=0.2, half_angle_deg=60.0,
-                             position=(0.0, 0.0, 1.0), boresight=(0.0, 0.0, -1.0))
-    assert received_power(tx2) == pytest.approx(2.0 * p, rel=1e-12)
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
+    one = illuminance_at(rx, toward(rx, 1.0, power=0.1))
+    assert one == pytest.approx(83.5314, rel=1e-5)
+    assert illuminance_at(rx, toward(rx, 1.0, power=0.2)) == pytest.approx(
+        2.0 * one, rel=1e-12)
+    assert illuminance_at(rx, toward(rx, 1.0, power=0.0)) == 0.0
 
 
-def test_link_between_recovers_plain_geometry():
-    tx = OpticalTransmitter(optical_power_w=0.05, half_angle_deg=15.0,
-                            position=(0.0, 0.0, 0.0), boresight=(1.0, 0.0, 0.0))
-    rx = OpticalReceiver(area_m2=2.5e-3, position=(0.15, 0.0, 0.0),
-                         normal=(-1.0, 0.0, 0.0))
-    link = link_between(tx, rx)
-    assert link.distance_m == pytest.approx(0.15)
-    assert link.irradiance_angle_deg == pytest.approx(0.0, abs=1e-9)
-    assert link.incidence_angle_deg == pytest.approx(0.0, abs=1e-9)
-    assert link.order == pytest.approx(lambertian_order(15.0))
-
-
-def test_link_between_tilted_receiver():
-    # receiver normal turned 30 degrees away from the incoming ray
+def test_illuminance_follows_the_incidence_cosine():
+    # face normal turned 30 degrees away from the incoming ray
     c30, s30 = math.cos(math.radians(30.0)), math.sin(math.radians(30.0))
-    tx = OpticalTransmitter(optical_power_w=0.05, position=(0.0, 1.0, 0.0),
-                            boresight=(0.0, -1.0, 0.0))
-    rx = OpticalReceiver(area_m2=1e-3, position=(0.0, 0.0, 0.0),
-                         normal=(s30, c30, 0.0))
-    link = link_between(tx, rx)
-    assert link.incidence_angle_deg == pytest.approx(30.0, abs=1e-9)
-    assert link.irradiance_angle_deg == pytest.approx(0.0, abs=1e-9)
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
+    tilted = OpticalReceiver(position=(0.0, 0.0, 0.0),
+                             normal=(s30, 0.0, c30))
+    assert illuminance_at(tilted, toward(rx, 1.0)) == pytest.approx(
+        c30 * illuminance_at(rx, toward(rx, 1.0)), rel=1e-12)
 
 
-def test_link_between_back_facing_clamps_to_90():
-    tx = OpticalTransmitter(optical_power_w=0.05, position=(0.0, 0.0, 1.0),
-                            boresight=(0.0, 0.0, -1.0))
-    rx = OpticalReceiver(area_m2=1e-3, position=(0.0, 0.0, 0.0),
-                         normal=(0.0, 0.0, -1.0))
-    link = link_between(tx, rx)
-    assert link.incidence_angle_deg == 90.0
-    assert path_loss(link, rx.area_m2) == pytest.approx(0.0, abs=1e-15)
+def test_back_facing_face_gets_about_zero():
+    rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, -1.0))
+    lux = illuminance_at(rx, toward(rx, 1.0))
+    # the 90 degree clamp leaves cos(radians(90)) = 6.1e-17 of the gain
+    assert 0.0 <= lux < 1e-12
+    # an emitter aimed away lights the face about as little
+    up = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
+    assert 0.0 <= illuminance_at(up, toward(up, 1.0, (0.0, 0.0, 1.0))) < 1e-12
 
 
 def test_photon_energy_frozen_values():
@@ -143,22 +135,6 @@ def test_pv_input_power_linear_through_calibration_point():
             2.0 * pv_input_power(lux), rel=1e-12)
 
 
-def test_illuminance_superposes_ambient_and_sources():
-    rx = OpticalReceiver(area_m2=2.5e-3, position=(0.0, 0.0, 0.0),
-                         normal=(0.0, 1.0, 0.0))
-    tx = OpticalTransmitter(optical_power_w=0.0278, half_angle_deg=15.0,
-                            position=(0.0, 0.3, 0.0), boresight=(0.0, -1.0, 0.0))
-    base = illuminance_at(rx, 150.0)
-    assert base == 150.0
-    lit = illuminance_at(rx, 150.0, [tx])
-    gain = path_loss(link_between(tx, rx), rx.area_m2)
-    expected = 150.0 + 250.0 * 0.0278 * gain / rx.area_m2
-    assert lit == pytest.approx(expected, rel=1e-12)
-    # two identical sources double the added part
-    lit2 = illuminance_at(rx, 150.0, [tx, tx])
-    assert lit2 - 150.0 == pytest.approx(2.0 * (lit - 150.0), rel=1e-12)
-
-
 def test_frame_failure_logistic_shape():
     model = InterferenceModel(midpoint_lux=300.0, steepness_per_lux=0.02,
                               floor=0.0)
@@ -182,11 +158,8 @@ def test_frame_failure_floor_respected():
 def test_validation_errors():
     with pytest.raises(ValueError):
         OpticalTransmitter(optical_power_w=-1.0)
-    with pytest.raises(ValueError):
-        OpticalReceiver(area_m2=0.0)
-    with pytest.raises(ValueError):
-        OpticalLink(distance_m=0.0, irradiance_angle_deg=0.0,
-                    incidence_angle_deg=0.0)
+    with pytest.raises(ValueError, match="co-located"):
+        illuminance_at(OpticalReceiver(), OpticalTransmitter(1.0))
     with pytest.raises(ValueError):
         InterferenceModel(steepness_per_lux=0.0)
     with pytest.raises(ValueError):

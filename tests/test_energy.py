@@ -9,7 +9,6 @@ from luxnet.channel import OpticalReceiver
 from luxnet.energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
-    PV_CELL_AREA_M2,
     STORAGE_FULL_J,
     HarvesterArray,
     PowerProfile,
@@ -174,7 +173,7 @@ def test_a_many_tick_storage_step_returns_the_closed_form_clamp_loss():
     for p_in, p_out in ((2e-3, 1e-3), (0.0, 1.0), (1e-3, 1e-3)):
         cap = make_cap(voltage=4.0)
         e0 = cap.energy
-        net = (p_in - p_out - cap.leak_power) * 0.1
+        net = (p_in - p_out - LEAK_POWER_W) * 0.1
         loss = storage_step(cap, p_in, p_out, 0.1, 9000)
         assert loss == e0 + 9000 * net - cap.energy
 
@@ -243,8 +242,7 @@ def test_min_capacitance_cross_check_by_integration():
 
 
 def test_harvester_power_sums_cells():
-    harv = HarvesterArray(cells=tuple(
-        OpticalReceiver(area_m2=PV_CELL_AREA_M2) for _ in range(3)))
+    harv = HarvesterArray(cells=(OpticalReceiver(),) * 3)
     p = harv.harvest_power([1000.0, 1000.0, 1000.0])
     assert p == pytest.approx(3 * 0.9e-3, rel=1e-9)
     assert harv.harvest_power([150.0, 0.0, 0.0]) == pytest.approx(0.135e-3, rel=1e-9)

@@ -7,8 +7,8 @@ import pytest
 
 from luxnet.channel import OpticalReceiver, OpticalTransmitter
 from luxnet.energy import (
-    LED_HALF_ANGLE_DEG,
-    PV_CELL_AREA_M2,
+    DEFAULT_PROFILE,
+    LEAK_POWER_W,
     HarvesterArray,
     StorageCapacitor,
     band_exit,
@@ -55,9 +55,7 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False,
     rec = NodeRecord(
         node_id=node_id,
         storage=StorageCapacitor(voltage=voltage, v_min=v_min),
-        led=OpticalTransmitter(optical_power_w=0.0278,
-                               half_angle_deg=LED_HALF_ANGLE_DEG)
-        if led else None,
+        led=OpticalTransmitter(optical_power_w=0.0278) if led else None,
         etx_autonomous=etx_autonomous,
     )
     for name, value in state.items():
@@ -66,8 +64,7 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False,
 
 
 # three PV cells, as on every scenario node
-HARVESTER = HarvesterArray(
-    cells=(OpticalReceiver(area_m2=PV_CELL_AREA_M2),) * 3)
+HARVESTER = HarvesterArray(cells=(OpticalReceiver(),) * 3)
 
 
 def tick(node, now, lux, frames=(), dt=0.1):
@@ -109,7 +106,7 @@ def test_etx_session_frozen_durations():
     # net drain of exactly 50 mW against the full 4.5 -> 3.2 V span
     # would take 40.05 s, so the 40 s window caps the session
     node = make_node(voltage=4.5, v_min=3.2, led=True)
-    harvest = node.profile.etx + node.storage.leak_power - 50e-3
+    harvest = DEFAULT_PROFILE.etx + LEAK_POWER_W - 50e-3
     assert etx_session(node, harvest_power_w=harvest) == pytest.approx(40.0)
 
     # with the guard floor at 3.8 V the span is 1.162 J and the floor
@@ -160,10 +157,10 @@ def test_false_wakeup_charges_decode_only():
     res = tick(node, t, FULL, frames=[stray])
     assert "false wakeup" in res.events
     assert node.state == NodeState.STANDBY
-    decode_cost = node.profile.decode * FRAME_AIRTIME_S
+    decode_cost = DEFAULT_PROFILE.decode * FRAME_AIRTIME_S
     harvest = HARVESTER.harvest_power(FULL)
     drawn = (e_before - node.storage.energy
-             + (harvest - node.profile.standby - node.storage.leak_power) * 0.1)
+             + (harvest - DEFAULT_PROFILE.standby - LEAK_POWER_W) * 0.1)
     assert drawn == pytest.approx(decode_cost, rel=1e-6)
 
 
@@ -328,7 +325,7 @@ def test_depleted_node_draws_only_leak():
     harvest = HARVESTER.harvest_power((0.0, 0.0, 0.0))
     tick(node, t + 0.1, (0.0, 0.0, 0.0))
     de = node.storage.energy - e0
-    assert de == pytest.approx((harvest - node.storage.leak_power) * 0.1,
+    assert de == pytest.approx((harvest - LEAK_POWER_W) * 0.1,
                                rel=1e-9)
 
 
@@ -403,8 +400,8 @@ def baseline_w(node):
     if node.state == NodeState.DEPLETED:
         return 0.0
     if node.state in (NodeState.INIT, NodeState.STANDBY):
-        return node.profile.standby
-    return node.profile.sleep
+        return DEFAULT_PROFILE.standby
+    return DEFAULT_PROFILE.sleep
 
 
 def step_phase(node, dt, first_tick, lux=FULL):
@@ -449,10 +446,10 @@ def test_a_sensing_cycle_books_its_phase_power_at_any_step(dt):
     assert len(entering) == 1
     # the cycle starts at the end of the step that enters it
     assert entering[0][2] == 0.0
-    profile = node.profile
     booked = sum(extra * dt for _, _, _, extra in steps)
     assert booked == pytest.approx(
-        (profile.sense - profile.sleep) * DEFAULT_TIMING.t_sense, rel=1e-12)
+        (DEFAULT_PROFILE.sense - DEFAULT_PROFILE.sleep)
+        * DEFAULT_TIMING.t_sense, rel=1e-12)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.1, 0.3])
@@ -466,10 +463,9 @@ def test_a_session_books_its_phase_power_at_any_step(dt, v_min, cause):
     # on the air from the start of its first step
     assert node.phase_start_s == steps[0][0]
     assert len(steps) == math.ceil(duration / dt - 1e-6)
-    profile = node.profile
     booked = sum(extra * dt for _, _, _, extra in steps)
-    assert booked == pytest.approx((profile.etx - profile.sleep) * duration,
-                                   rel=1e-12)
+    assert booked == pytest.approx(
+        (DEFAULT_PROFILE.etx - DEFAULT_PROFILE.sleep) * duration, rel=1e-12)
 
 
 @pytest.mark.parametrize("start_s", [0.0, 13.37, 77.7, 1234.56, 9999.99])

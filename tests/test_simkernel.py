@@ -30,8 +30,6 @@ from luxnet.cli import (
 from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
     DEFAULT_PROFILE,
-    LED_HALF_ANGLE_DEG,
-    PV_CELL_AREA_M2,
     PV_CELLS_PER_NODE,
     V_STORAGE_MAX,
     StorageCapacitor,
@@ -210,11 +208,10 @@ def test_an_emitter_keeps_its_distance_from_every_node(height, ok):
         return
     validate_scenario(sc)
     # the brightest one emitter makes a face, as validate_scenario states
-    face_b = OpticalReceiver(area_m2=PV_CELL_AREA_M2, normal=(0.0, 0.0, 1.0))
-    led = OpticalTransmitter(DEFAULT_PROFILE.etx, LED_HALF_ANGLE_DEG,
-                             emitter.position, emitter.led_aim)
-    assert illuminance_at(face_b, 0.0, [led]) == pytest.approx(4.4e5,
-                                                               rel=1e-3)
+    face_b = OpticalReceiver(normal=(0.0, 0.0, 1.0))
+    led = OpticalTransmitter(DEFAULT_PROFILE.etx, emitter.position,
+                             emitter.led_aim)
+    assert illuminance_at(face_b, led) == pytest.approx(4.4e5, rel=1e-3)
 
 
 # each named tuple a scenario file fills, with its table of key rows
@@ -658,6 +655,57 @@ def test_report_reaches_controller_registry():
 # burst light superposition
 
 
+# SHA-256 of every emitter-to-face illuminance at full drive that a run
+# builds (_Lane.incoming), one "scenario emitter node face float.hex"
+# line each, over shipped_and_crowd_dense(): 6,744 floats
+GAIN_TABLE_DIGEST = (
+    "65a5b3d9796bfdfc3e8fac75ba97fb05f042123e37ce8bb2f717d9ca9daa439d")
+
+
+def lambertian_lux(face, led):
+    """The lux led adds on face by the generalised Lambertian gain, float
+    operation by float operation as the recorded table was computed: a
+    15 degree beam, 2.5e-3 m^2 faces, 250 lm/W, and each angle from its
+    unit vectors' dot product, clamped to 90 degrees."""
+    def norm(v):
+        return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+    def angle_deg(a, b):
+        na, nb = norm(a), norm(b)
+        (ax, ay, az), (bx, by, bz) = ([x / na for x in a],
+                                      [x / nb for x in b])
+        cosine = min(max(ax * bx + ay * by + az * bz, -1.0), 1.0)
+        return math.degrees(math.acos(cosine))
+
+    sep = [r - t for r, t in zip(face.position, led.position)]
+    m = -math.log(2.0) / math.log(math.cos(math.radians(15.0)))
+    alpha = math.radians(min(angle_deg(led.boresight, sep), 90.0))
+    beta = math.radians(min(angle_deg(face.normal, [-x for x in sep]), 90.0))
+    geometric = (m + 1.0) * 2.5e-3 / (2.0 * math.pi * norm(sep) ** 2)
+    gain = geometric * math.cos(alpha) ** m * math.cos(beta)
+    return 250.0 * (led.optical_power_w * gain / 2.5e-3)
+
+
+def test_gain_table_keeps_its_bits():
+    lines = []
+    for index, scenario in enumerate(shipped_and_crowd_dense()):
+        lanes = simkernel._Runtime(scenario).lanes
+        leds = {lane.record.node_id: lane.record.led for lane in lanes}
+        for lane in lanes:
+            node = lane.record.node_id
+            for emitter, row in sorted(lane.incoming.items()):
+                for face, lux in enumerate(row):
+                    expected = lambertian_lux(lane.harvester.cells[face],
+                                              leds[emitter])
+                    assert lux.hex() == expected.hex(), (
+                        f"{scenario.name}: emitter {emitter} on node {node} "
+                        f"face {FACE_LETTERS[face]}")
+                    lines.append(f"{index} {emitter} {node} {face} "
+                                 f"{lux.hex()}")
+    assert len(lines) == 6744
+    assert sha256_hex("\n".join(lines).encode()) == GAIN_TABLE_DIGEST
+
+
 def test_burst_lux_matches_link_budget():
     """During a session the dim node's face A sees ambient plus the gain
     computed straight from the channel module, and the time-weighted lux
@@ -671,12 +719,11 @@ def test_burst_lux_matches_link_budget():
     peak = max(r.lux for r in runtime_ssn)
 
     # link budget recomputed independent of the kernel plumbing
-    led = OpticalTransmitter(optical_power_w=27.8e-3, half_angle_deg=15.0,
+    led = OpticalTransmitter(optical_power_w=27.8e-3,
                              position=(-0.075, 0.1299, 0.0),
                              boresight=(0.075, -0.1299, 0.0))
-    face_a = OpticalReceiver(area_m2=2.5e-3, position=(0.0, 0.0, 0.0),
-                             normal=(0.0, 1.0, 0.0))
-    gain = illuminance_at(face_a, 0.0, [led])
+    face_a = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 1.0, 0.0))
+    gain = illuminance_at(face_a, led)
     assert peak == pytest.approx(150.0 + gain, rel=1e-9)
 
     # each emitter runs one floor-limited session: available energy over
