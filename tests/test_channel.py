@@ -47,19 +47,32 @@ def toward(rx, distance, boresight=(0.0, 0.0, -1.0), power=1.0):
                               boresight=boresight)
 
 
-def test_illuminance_frozen_on_axis_values():
-    # 250 lm/W * P * (m + 1) / (2 pi D^2) dead on axis; the face area
-    # cancels, and m is the 15 degree beam's 19.9937
+def on_axis_lux(power, distance):
+    """250 lm/W * P * (m + 1) / (2 pi D^2): the face area cancels."""
+    return 250.0 * power * (LED_ORDER + 1.0) / (2.0 * math.pi * distance ** 2)
+
+
+def test_path_loss_frozen_on_axis_values():
+    # dead on axis the path loss is (m + 1) A / (2 pi D^2), and m is the
+    # 15 degree beam's 19.9937
     rx = OpticalReceiver(position=(0.0, 0.0, 0.0), normal=(0.0, 0.0, 1.0))
     assert LED_ORDER == lambertian_order(15.0)
     assert illuminance_at(rx, toward(rx, 1.0)) == pytest.approx(
         835.314, rel=1e-5)
-    # the reference geometry: 50 mW one triangle side away
+    assert illuminance_at(rx, toward(rx, 0.2)) == pytest.approx(
+        on_axis_lux(1.0, 0.2), rel=1e-12)
+
+
+def test_link_between_recovers_plain_geometry():
+    # the reference geometry: 50 mW one triangle side away, emitter and
+    # face squarely facing each other, so both angles are zero
     side = OpticalReceiver(position=(0.15, 0.0, 0.0),
                            normal=(-1.0, 0.0, 0.0))
     tx = OpticalTransmitter(optical_power_w=0.05, position=(0.0, 0.0, 0.0),
                             boresight=(1.0, 0.0, 0.0))
     assert illuminance_at(side, tx) == pytest.approx(1856.25, rel=1e-5)
+    assert illuminance_at(side, tx) == pytest.approx(
+        on_axis_lux(0.05, 0.15), rel=1e-12)
 
 
 def test_illuminance_monotone_in_distance_and_angles():
