@@ -366,8 +366,8 @@ def _full_trigger_v(node: NodeRecord) -> float:
 def timer_due_s(node: NodeRecord) -> float:
     """The instant the current state's timer fires, inf for a state with none.
 
-    step_node fires it on the step whose end reaches it, and next_due_s
-    hands it to the kernel.
+    step_node fires it on the step whose end reaches it, and the kernel
+    reads it as next_due_s does.
     """
     state = node.state
     if state == NodeState.INIT:
@@ -525,7 +525,8 @@ def step_node(node: NodeRecord, dt: float, now: float,
 def next_due_s(node: NodeRecord) -> float:
     """The instant from which step_node may act on a node that hears no
     frame: -inf while its storage is outside its quiet band, else its
-    timer (timer_due_s), inf for none.
+    timer (timer_due_s), inf for none.  The kernel's quiet_run reads it
+    the same way, from the band it keeps for band_exit.
 
     step_node acts on the first step whose end reaches it.
     """

@@ -16,7 +16,8 @@ conversion from an instant to a tick; it tests the float expression the
 instant's consumer tests, so no full tick is spent on which nothing is
 due.  The tick so found runs its discrete half: frame delivery, the
 controller, and step_node for every node that holds a frame or is due by
-the same test (any other, step_node would leave alone).  Storage is then
+the same test (any other, step_node would leave alone, and it gets no
+step result).  Storage is then
 integrated in one place for every tick.  Between full ticks every phase
 covers whole steps, so every node draws constant power, its stored
 energy is linear in time, and a stretch of ticks advances in one
@@ -24,8 +25,10 @@ closed-form step (energy.storage_step) with its tallies booked by
 multiplication; a full tick is a one-tick stretch whose draw adds the
 step's frame costs.  A stretch refreshes the light field, steps the
 storage, books the tallies and runs the depletion hysteresis on its last
-tick.  A node's timers are instants, not clocks, so a quiet stretch
-leaves every node field but the storage voltage alone.  It ends on the
+tick, for a node without a step result only once its voltage leaves the
+range in which the hysteresis does nothing.  A node's timers are
+instants, not clocks, so a quiet stretch leaves every node field but the
+storage voltage alone.  It ends on the
 first tick on which some node's voltage leaves its quiet band
 (node.quiet_voltage_band, energy.band_exit).  Events, states and frames
 therefore match stepping every tick in full, which tests/kernel_oracle.py
@@ -79,6 +82,7 @@ from .energy import (
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
+    V_CHARGE_READY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
@@ -93,11 +97,11 @@ from .node import (
     NodeState,
     NodeStepResult,
     apply_hysteresis,
-    next_due_s,
     phase_share,
     quiet_voltage_band,
     state_draw_w,
     step_node,
+    timer_due_s,
 )
 from .protocol import (
     BROADCAST_ADDRESS,
@@ -387,16 +391,19 @@ def segment_values(segment: TraceSegment,
         runs = _lane_runs(segment, instants)
     i, dt = segment.i, segment.dt
     sqrt = math.sqrt
-    capacitance = STORAGE_CAPACITANCE_F
+    # e / (C / 2) rounds as 2 e / C does, both halving and doubling being
+    # exact, and a float n gives n * net the same bits: each is cheaper
+    half_capacitance = STORAGE_CAPACITANCE_F / 2.0
     count = len(instants)
+    floats = list(map(float, instants))
     lanes = []
     for lane, (lo, hi, before, after) in zip(segment.lanes, runs):
         _, _, _, _, _, e0, net, h0, harvest_dt = lane
-        v_caps = [sqrt(2.0 * (e0 + n * net) / capacitance)
-                  for n in instants[lo:hi]]
+        v_caps = [sqrt((e0 + n * net) / half_capacitance)
+                  for n in floats[lo:hi]]
         if lo or hi < count:
             v_caps = [before] * lo + v_caps + [after] * (count - hi)
-        lanes.append((v_caps, [h0 + n * harvest_dt for n in instants])
+        lanes.append((v_caps, [h0 + n * harvest_dt for n in floats])
                      if harvest else v_caps)
     return [(i + n) * dt for n in instants], lanes
 
@@ -410,9 +417,10 @@ class FrameLogEntry(NamedTuple):
 
 
 class NodeAggregate:
-    """Per-node tallies, booked once per stretch; a full tick is a one-tick
-    stretch.  They start at zero, the light's minimum at inf, with no
-    depletion; the run books the final energy and voltage at its end."""
+    """Per-node tallies, booked once per stretch (a full tick is a one-tick
+    stretch), the light's extremes where it changes.  They start at zero,
+    the light's minimum at inf, with no depletion; the run books the
+    final energy and voltage at its end."""
 
     __slots__ = ("node_id", "lux_integral", "lux_min", "lux_max",
                  "time_by_state", "depleted_at", "harvested_j", "consumed_j",
@@ -722,8 +730,9 @@ class _Lane:
 
     def tally(self, dt: float, p_in: float, p_out: float, clamp_loss: float,
               ticks: int) -> None:
-        """Book `ticks` ticks at this harvest, draw and light, with their
-        clamp loss."""
+        """Book `ticks` ticks at this harvest, draw, state and light, with
+        their clamp loss; _Runtime._refresh_lux books the light's
+        extremes."""
         agg = self.agg
         record = self.record
         agg.clamp_loss_j += clamp_loss
@@ -733,10 +742,7 @@ class _Lane:
         state = record.state
         agg.time_by_state[state] = (
             agg.time_by_state.get(state, 0.0) + ticks * dt)
-        face_a = self.lux[0]
-        agg.lux_integral += ticks * (face_a * dt)
-        agg.lux_min = min(agg.lux_min, face_a)
-        agg.lux_max = max(agg.lux_max, face_a)
+        agg.lux_integral += ticks * (self.lux[0] * dt)
 
 
 class _Runtime:
@@ -781,7 +787,8 @@ class _Runtime:
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
-        # each lane's next_due_s, as the last quiet_run found it
+        # each lane's quiet band and next_due_s, as quiet_run found them
+        self.bands: List[Tuple[float, float]] = []
         self.due_s: List[float] = []
 
     # -- light field -----------------------------------------------------
@@ -794,6 +801,9 @@ class _Runtime:
         return tuple((nid, share) for nid, share in lit if share)
 
     def _refresh_lux(self, signature: Tuple) -> None:
+        """Set each lane's light and harvest for a new on-air set and book
+        the light's extremes.  Each light set is held a tick at least: a
+        stretch tallies after it, and no node is on the air in tick 0."""
         if signature == self._lux_signature:
             return
         self._lux_signature = signature
@@ -810,6 +820,9 @@ class _Runtime:
                 total = tuple(a + e for a, e in zip(total, extra))
             lane.lux = total
             lane.harvest_w = lane.harvester.harvest_power(total)
+            agg = lane.agg
+            agg.lux_min = min(agg.lux_min, total[0])
+            agg.lux_max = max(agg.lux_max, total[0])
 
     # -- frame plumbing ----------------------------------------------------
 
@@ -891,8 +904,8 @@ class _Runtime:
         A node can act if it holds a frame or is due by the test
         quiet_run applies, to the instant quiet_run just read (due_s):
         neither frame delivery nor the controller changes a node record.
-        step_node would leave any other node alone, so it gets an empty
-        result, fresh because the hysteresis appends to it.
+        step_node would leave any other node alone, so it gets no result
+        (None), and stretch builds one only if the hysteresis acts on it.
         """
         dt = self.dt
         now = i * dt
@@ -906,7 +919,7 @@ class _Runtime:
         for lane, inbox, due in zip(self.lanes, inboxes, self.due_s):
             record = lane.record
             if not inbox and due > end:
-                results.append(NodeStepResult())
+                results.append(None)
                 continue
             nid = record.node_id
             result = step_node(record, dt, now, lane.lux,
@@ -924,15 +937,21 @@ class _Runtime:
 
         A stretch ends before the first tick on which a frame lands, the
         controller is due (its step tests due <= now + 1e-9) or a node is
-        due (step_node tests due <= now + dt).  Each node's due instant is
-        read once, into due_s, which full_tick tests again.
+        due (step_node tests due <= now + dt).  Each node's quiet band and
+        due instant are read once, into bands, which a quiet stretch's
+        band_exit reads, and due_s, which full_tick tests again.
         """
         dt = self.dt
         end = min(self.n_steps,
                   first_tick(self.controller.next_due_s(), 1e-9, dt, i))
         if self.in_flight:
             end = min(end, self.in_flight[0][0])
-        self.due_s = [next_due_s(lane.record) for lane in self.lanes]
+        # node.next_due_s, from the band a quiet stretch's band_exit reuses
+        self.bands = [quiet_voltage_band(lane.record) for lane in self.lanes]
+        self.due_s = [timer_due_s(lane.record)
+                      if low <= lane.record.storage.voltage < high
+                      else -math.inf
+                      for lane, (low, high) in zip(self.lanes, self.bands)]
         for due in self.due_s:
             if end == i:
                 break
@@ -950,13 +969,14 @@ class _Runtime:
         form.  The stretch ends early on the first tick on which some
         node's voltage leaves its quiet band; the hysteresis runs on its
         last tick.  A full tick is a one-tick stretch that hands in its
-        step results, whose frame costs join each node's draw; a quiet
-        stretch has none.
+        step results (None for a node that did not act), whose frame costs
+        join each node's draw; a quiet stretch has none.  A node without
+        one gets one only if the hysteresis acts on it.
         """
         dt = self.dt
         now = i * dt
         if results is None:
-            results = [NodeStepResult() for _ in self.lanes]
+            results = [None] * len(self.lanes)
         # the on-air set reflects the transitions a full tick just took,
         # and the last hysteresis, which may have darkened an emitter; a
         # phase's share may also have moved to 1.0 or to none
@@ -965,14 +985,14 @@ class _Runtime:
         # share is 1.0 from its second step on, so a quiet node draws on
         # every tick what it draws on the first
         nodes = [(lane, lane.record.storage, lane.harvest_w,
-                  state_draw_w(lane.record, now, dt) + result.cost_j / dt)
+                  state_draw_w(lane.record, now, dt)
+                  + (0.0 if result is None else result.cost_j / dt))
                  for lane, result in zip(self.lanes, results)]
         # a single tick, such as a full tick's, cannot end early and has
         # no trace instant before its last
         if ticks > 1:
-            for lane, cap, harvest_w, p_out in nodes:
-                ticks = band_exit(cap, harvest_w, p_out, dt, ticks,
-                                  *quiet_voltage_band(lane.record))
+            for (_, cap, harvest_w, p_out), band in zip(nodes, self.bands):
+                ticks = band_exit(cap, harvest_w, p_out, dt, ticks, *band)
             # trace instants n ticks in, before the last (the caller
             # samples it after the hysteresis)
             every = self.sample_every
@@ -980,24 +1000,26 @@ class _Runtime:
             if instants:
                 self._sample_stretch(i, instants, nodes)
         last = i + ticks - 1
+        t_last = last * dt
         for (lane, cap, harvest_w, p_out), result in zip(nodes, results):
             lane.tally(dt, harvest_w, p_out,
                        storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
-            self._hysteresis(lane, last * dt, result)
+            record = lane.record
+            depleted = record.state == NodeState.DEPLETED
+            # apply_hysteresis leaves a node alone from V_OVERDISCHARGE up,
+            # or below V_CHARGE_READY while Depleted
+            if result is None:
+                if (cap.voltage < V_CHARGE_READY if depleted
+                        else cap.voltage >= V_OVERDISCHARGE):
+                    continue
+                result = NodeStepResult()
+            apply_hysteresis(record, result, t_last + dt)
+            if (record.state == NodeState.DEPLETED and not depleted
+                    and lane.agg.depleted_at is None):
+                lane.agg.depleted_at = t_last
+            if result.events:
+                self.event_rows(lane, t_last, result.events)
         return last + 1
-
-    def _hysteresis(self, lane: _Lane, now: float,
-                    result: NodeStepResult) -> None:
-        """Depletion lockout after the storage step, then the event rows."""
-        record = lane.record
-        agg = lane.agg
-        was_depleted = record.state == NodeState.DEPLETED
-        apply_hysteresis(record, result, now + self.dt)
-        if (record.state == NodeState.DEPLETED and not was_depleted
-                and agg.depleted_at is None):
-            agg.depleted_at = now
-        if result.events:
-            self.event_rows(lane, now, result.events)
 
     # -- trace -------------------------------------------------------------
 
@@ -1225,44 +1247,68 @@ DISCRETE_ROW = "%.2f,%s,%.6f,%.6f,%s,%s,%.3f,%s\n"
 LANE_ROW = "%%s,%s,%%.6f,%.6f,%s,%s,%.3f,\n"
 
 
+class _RowTemplates(dict):
+    """Each lane's LANE_ROW by its fixed fields, formatted on first use."""
+
+    def __missing__(self, fixed: Tuple) -> str:
+        row = self[fixed] = LANE_ROW % fixed
+        return row
+
+
 def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
                 ) -> Iterator[Tuple[int, str]]:
     """The CSV text of the trace rows, in row order, as (rows, text)
     pieces of at most CSV_BLOCK_ROWS rows each, booking the rows of the
     final quarter into steady as it expands them.
 
-    A chunk of discrete rows is one % over DISCRETE_ROW repeated, its
-    rows' fields flattened.  A segment renders each block of its
-    instants with one % over a template of one instant's rows (see
-    _segment_block), built from each lane's row template: its fixed
-    fields, formatted once per render pass, since they recur from
-    segment to segment.
+    Each lane's row template holds its fixed fields, formatted once per
+    render pass, since they recur from segment to segment and among the
+    sample rows.  A chunk of discrete rows is one % (see
+    _discrete_block), and a segment renders each block of its instants
+    with one % over a template of one instant's rows (see
+    _segment_block).
     """
     since = _steady_since(trace)
-    # each lane's LANE_ROW by its fixed fields
-    row_templates: Dict[Tuple, str] = {}
+    row_templates = _RowTemplates()
     for discrete, segment in trace.runs():
         for start in range(0, len(discrete), CSV_BLOCK_ROWS):
             rows = discrete[start:start + CSV_BLOCK_ROWS]
-            yield len(rows), DISCRETE_ROW * len(rows) % tuple([
-                field for t, nid, v_cap, v_pv, mode, state, lux, _, event
-                in rows
-                for field in (t, nid, v_cap, v_pv, mode, state, lux, event)])
+            yield len(rows), _discrete_block(rows, row_templates)
         # the rows are in time order, as for trace.runs(since)
         if discrete and discrete[-1].time_s >= since:
             _tally_steady(steady, discrete[bisect_left(
                 discrete, since, key=lambda row: row.time_s):])
         if segment is None:
             continue
-        lane_rows = [row_templates.get(fixed := lane[:5])
-                     or row_templates.setdefault(fixed, LANE_ROW % fixed)
-                     for lane in segment.lanes]
+        lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
         instants = segment.instants
         per_block = max(1, CSV_BLOCK_ROWS // len(lane_rows))
         for start in range(0, len(instants), per_block):
             block = instants[start:start + per_block]
             yield len(block) * len(lane_rows), _segment_block(
                 segment, lane_rows, block, since, steady)
+
+
+def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
+                    ) -> str:
+    """The CSV text of discrete rows, one % over their formats joined:
+    an event row's DISCRETE_ROW, and a sample row's lane row template,
+    which leaves its time, formatted once per instant, and its voltage
+    to fill in.  A function of its own for the reason _segment_block
+    gives."""
+    template = []
+    args = []
+    time_s = text = None
+    for t, nid, v_cap, v_pv, mode, state, lux, _, event in rows:
+        if event:
+            template.append(DISCRETE_ROW)
+            args += (t, nid, v_cap, v_pv, mode, state, lux, event)
+            continue
+        if t != time_s:
+            time_s, text = t, "%.2f" % t
+        template.append(row_templates[nid, v_pv, mode, state, lux])
+        args += (text, v_cap)
+    return "".join(template) % tuple(args)
 
 
 def _segment_block(segment: TraceSegment, lane_rows: List[str],
@@ -1292,7 +1338,7 @@ def _segment_block(segment: TraceSegment, lane_rows: List[str],
     # a lane held throughout (lo == count) is held at before
     template = []
     columns = []
-    times = ["%.2f" % t for t in times]
+    times = ("%.2f " * count % tuple(times)).split()
     for row, v_caps, (lo, _, before, _) in zip(lane_rows, values, runs):
         columns.append(times)
         if lo == count:

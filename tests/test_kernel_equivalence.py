@@ -28,7 +28,13 @@ from luxnet.energy import (
     STORAGE_FULL_J,
     V_OVERDISCHARGE,
 )
-from luxnet.node import NodeState, next_due_s, step_node
+from luxnet.node import (
+    NodeState,
+    NodeStepResult,
+    apply_hysteresis,
+    next_due_s,
+    step_node,
+)
 from luxnet.protocol import Command, NodeToOap, OapToNode, decode44, encode44
 from luxnet.simkernel import (
     FaceSpec,
@@ -54,6 +60,7 @@ from test_simkernel import (
     guard_scenario,
     row_by_row_csv,
     rows_outside,
+    sharing_every_tick_scenario,
 )
 
 
@@ -244,6 +251,44 @@ def test_a_full_tick_steps_only_the_nodes_that_can_act(monkeypatch):
     run_scenario(shipped("paper_b", duration_s=10800.0))
     # stepping every node on every full tick made 942 calls
     assert len(calls) == 352
+
+
+@pytest.mark.parametrize("scenario", [
+    shipped("paper_b", duration_s=3600.0), sharing_every_tick_scenario(),
+    shipped("paper_a", duration_s=27000.0)],
+    ids=["paper_b", "sharing_every_tick", "paper_a"])
+def test_only_a_node_that_acts_gets_a_step_result(monkeypatch, scenario):
+    # step_node builds one result per call, and the kernel builds one
+    # more only for a node without one whose depletion hysteresis acts;
+    # a node that did nothing in a stretch gets none (paper-a's 7.5 h
+    # hold a lockout, which a quiet stretch ends)
+    built, stepped, acted = [], [], []
+
+    class Counted(NodeStepResult):
+        __slots__ = ()
+
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    def stepping(*args):
+        stepped.append(step_node(*args))
+        return stepped[-1]
+
+    def hysteresis(record, result, end):
+        state = record.state
+        apply_hysteresis(record, result, end)
+        if record.state != state and all(r is not result for r in stepped):
+            acted.append((record.node_id, end))
+
+    monkeypatch.setattr("luxnet.node.NodeStepResult", Counted)
+    monkeypatch.setattr(simkernel, "NodeStepResult", Counted)
+    monkeypatch.setattr(simkernel, "step_node", stepping)
+    monkeypatch.setattr(simkernel, "apply_hysteresis", hysteresis)
+    run_scenario(scenario)
+    assert stepped
+    assert len(built) == len(stepped) + len(acted)
+    assert bool(acted) is (scenario.name == "paper-a")
 
 
 # ---------------------------------------------------------------------------

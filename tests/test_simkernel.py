@@ -977,6 +977,26 @@ def test_crowd_dense_digests(tmp_path, capsys, monkeypatch, seed):
             sha256_hex(log.encode())) == CROWD_DENSE_DIGESTS[seed]
 
 
+@pytest.mark.parametrize("name", [
+    "frame_failure_probability", "storage_step", "state_draw_w",
+    "apply_hysteresis", "step_node"])
+def test_the_kernel_looks_its_layers_up_at_call_time(monkeypatch, name):
+    # the benchmark worker swaps simkernel.frame_failure_probability for
+    # a counter, which crowd-dense's liveness check reads, and its tracer
+    # wraps the others in simkernel's globals; a kernel that kept any of
+    # them in a local would read as idle there
+    real = getattr(simkernel, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simkernel, name, counting)
+    run_scenario(benchmark_workloads().crowd_dense_scenario(1))
+    assert calls
+
+
 def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     # the CSV pass books the summary's final quarter as it renders it,
     # so summarize expands no voltage again
@@ -1199,6 +1219,43 @@ def test_csv_renders_as_row_by_row(build):
         assert len(trace.discrete) < len(rows) / 10
         assert max(len(segment.instants) * len(segment.lanes)
                    for segment in trace.segments) > CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
+def test_sample_rows_share_the_segment_row_templates(monkeypatch,
+                                                     block_rows):
+    # a sample row renders through its node's row template, the one its
+    # segment rows use, and an event row through its own format
+    trace = run_scenario(sharing_every_tick_scenario())
+    samples = {}
+    for row in trace.discrete:
+        if not row.event:
+            samples.setdefault(row.node_id, []).append(
+                (row.node_id, row.v_pv, row.mode, row.state, row.lux))
+    # some node's v_pv, mode or state changes between two of its sample
+    # rows, and a template serves sample rows and segment rows alike
+    assert any(a[:4] != b[:4] for keys in samples.values()
+               for a, b in zip(keys, keys[1:]))
+    assert {key for keys in samples.values() for key in keys} & {
+        lane[:5] for segment in trace.segments for lane in segment.lanes}
+    # event rows between the sample rows of tick 0, which the first
+    # segment's rows follow
+    first, second, third = trace.discrete[:3]
+    assert first.time_s == second.time_s == third.time_s == 0.0
+    assert not first.event and not second.event
+    assert trace.segments[0].at >= 3
+    trace.discrete[1:1] = [second._replace(event="depleted"),
+                           third._replace(event="role PSN")]
+    trace.segments = [segment._replace(at=segment.at + 2)
+                      for segment in trace.segments]
+    monkeypatch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+    text = csv_text(trace)
+    assert text.splitlines()[1:5] == [
+        "0.00,1,4.500000,0.000000,SSN,Init,1000.000,",
+        "0.00,2,4.500000,0.000000,SSN,Init,150.000,depleted",
+        "0.00,3,4.500000,0.000000,SSN,Init,1000.000,role PSN",
+        "0.00,2,4.500000,0.000000,SSN,Init,150.000,"]
+    assert text == row_by_row_csv(trace)
 
 
 def test_rows_are_time_sorted():
