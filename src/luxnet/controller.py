@@ -31,6 +31,9 @@ N_MIN = 1
 ETX_BURSTS_PER_REQUEST = 1
 # a primary unheard for this many request periods is left out of a round
 STALE_AFTER_ROUNDS = 3.0
+# step acts on what is due up to this long after `now`; the kernel's
+# quiet stretches end by the same test, so no action is skipped
+DUE_TOLERANCE_S = 1e-9
 
 
 class DutyCycle(NamedTuple):
@@ -248,17 +251,18 @@ class Controller:
     def step(self, now: float) -> List[Frame44]:
         """Frames the access point puts on the air at this instant, in the
         order they were queued when due together."""
-        while self._next_round <= now + 1e-9:
+        while self._next_round <= now + DUE_TOLERANCE_S:
             self._schedule_round(self._next_round)
             self._next_round += self.config.t_data_req
         frames = []
-        while self._pending and self._pending[0][0] <= now + 1e-9:
+        while self._pending and self._pending[0][0] <= now + DUE_TOLERANCE_S:
             frames.append(heapq.heappop(self._pending)[2])
         return frames
 
     def next_due_s(self) -> float:
         """The next round or queued frame: the earliest instant `due` at
-        which step may act, on the first `now` with due <= now + 1e-9.
+        which step may act, on the first `now` with
+        due <= now + DUE_TOLERANCE_S.
 
         For any earlier `now`, step(now) returns no frame and changes
         nothing.

@@ -74,6 +74,10 @@ ROLE_SAMPLE_WINDOW_S = 0.09
 # sleep; primaries never do (their job is to listen)
 STANDBY_IDLE_TIMEOUT_S = 30.0
 
+# a burst session is cut once its storage sits this close to v_min;
+# quiet_band's session band starts just above the cut
+SESSION_FLOOR_TOL_V = 1e-12
+
 
 # a node's role and state are plain strings, the text the trace writes;
 # these classes only name them
@@ -367,7 +371,7 @@ def timer_due_s(node: NodeRecord) -> float:
     """The instant the current state's timer fires, inf for a state with none.
 
     step_node fires it on the step whose end reaches it, and the kernel
-    reads it as next_due_s does.
+    reads it through quiet_band.
     """
     state = node.state
     if state == NodeState.INIT:
@@ -480,7 +484,7 @@ def step_node(node: NodeRecord, dt: float, now: float,
         return result
 
     if state == NodeState.ENERGY_RELAY:
-        if node.storage.voltage <= node.storage.v_min + 1e-12:
+        if node.storage.voltage <= node.storage.v_min + SESSION_FLOOR_TOL_V:
             # the light budget moved under us; cut the session short
             node.phase_end_s = now
             _enter(node, NodeState.SLEEP, end)
@@ -520,42 +524,40 @@ def step_node(node: NodeRecord, dt: float, now: float,
 # (timer_due_s) fires or its storage voltage leaves a band.  A phase's
 # power is constant between its first and closing steps, so the kernel
 # advances such quiet stretches without calling step_node, and on a full
-# tick steps only the nodes that hold a frame or are due; the two
-# functions below say when they end.
-def next_due_s(node: NodeRecord) -> float:
-    """The instant from which step_node may act on a node that hears no
-    frame: -inf while its storage is outside its quiet band, else its
-    timer (timer_due_s), inf for none.  The kernel's quiet_run reads it
-    the same way, from the band it keeps for band_exit.
+# tick steps only the nodes that hold a frame or are due; quiet_band says
+# when they end.  The band lies inside the range in which
+# apply_hysteresis does nothing (a session's v_min is at least v_ovdis),
+# so the kernel skips that call too while a node stays inside it.
+def quiet_band(node: NodeRecord) -> Tuple[float, float, float]:
+    """(low, high, due) for a node that hears no frame.
 
-    step_node acts on the first step whose end reaches it.
-    """
-    low, high = quiet_voltage_band(node)
-    if not low <= node.storage.voltage < high:
-        return -math.inf
-    return timer_due_s(node)
+    [low, high) holds the storage voltages at which the node's state
+    acts on nothing.  A tick whose storage step leaves it ends the quiet
+    stretch: below v_ovdis (or from v_chrdy up, while Depleted)
+    apply_hysteresis acts on that tick; a primary that reaches full in
+    Sleep, or in Standby with a session to run, acts on the next one, as
+    does a session that sags to v_min + SESSION_FLOOR_TOL_V, which
+    step_node cuts.
 
-
-def quiet_voltage_band(node: NodeRecord) -> Tuple[float, float]:
-    """[low, high): the storage voltages at which a node's state acts on
-    nothing.
-
-    A tick whose storage step leaves the band ends the quiet stretch:
-    below v_ovdis (or from v_chrdy up, while Depleted) apply_hysteresis
-    acts on that tick; a primary that reaches full in Sleep, or in
-    Standby with a session to run, acts on the next one, as does a
-    session that sags to v_min + 1e-12, which step_node cuts.
+    due is the instant from which step_node may act: -inf while the
+    storage is outside [low, high), else the state's timer
+    (timer_due_s), inf for none.  step_node acts on the first step whose
+    end reaches it.
     """
     if node.state == NodeState.DEPLETED:
-        return -math.inf, V_CHARGE_READY
-    if node.state == NodeState.ENERGY_RELAY:
-        return math.nextafter(node.storage.v_min + 1e-12, math.inf), math.inf
-    return V_OVERDISCHARGE, _full_trigger_v(node)
+        low, high = -math.inf, V_CHARGE_READY
+    elif node.state == NodeState.ENERGY_RELAY:
+        low, high = math.nextafter(
+            node.storage.v_min + SESSION_FLOOR_TOL_V, math.inf), math.inf
+    else:
+        low, high = V_OVERDISCHARGE, _full_trigger_v(node)
+    inside = low <= node.storage.voltage < high
+    return low, high, timer_due_s(node) if inside else -math.inf
 
 
-def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
-                     end: float) -> None:
-    """Depletion lockout, applied by the kernel after integration.
+def apply_hysteresis(node: NodeRecord, end: float) -> str:
+    """Depletion lockout, applied by the kernel after integration; the
+    event text, or "" when it does not act.
 
     end is the end of the integrated step, where a new state's clock
     starts.
@@ -565,10 +567,11 @@ def apply_hysteresis(node: NodeRecord, result: NodeStepResult,
         if v >= V_CHARGE_READY:
             node.pending_n = 0
             _enter(node, NodeState.INIT, end)
-            result.events.append("recovered from depletion")
+            return "recovered from depletion"
     elif v < V_OVERDISCHARGE:
         # the load is cut: a running phase ends with this step
         node.phase_end_s = min(node.phase_end_s, end)
         node.pending_n = 0
         _enter(node, NodeState.DEPLETED, end)
-        result.events.append("depleted")
+        return "depleted"
+    return ""

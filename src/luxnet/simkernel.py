@@ -8,9 +8,9 @@ scenarios with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
 head of the in-flight queue, or the first tick that reaches the instant the
-controller or a node is next due (Controller.next_due_s,
-node.next_due_s).  A node is due at its timer (node.timer_due_s), which
-for Sensing and EnergyRelay is the end of its metered phase, or at once
+controller or a node is next due (Controller.next_due_s, and the due
+instant of node.quiet_band).  A node is due at its timer, which for
+Sensing and EnergyRelay is the end of its metered phase, or at once
 while its storage is outside its quiet band.  first_tick is the one
 conversion from an instant to a tick; it tests the float expression the
 instant's consumer tests, so no full tick is spent on which nothing is
@@ -25,15 +25,14 @@ closed-form step (energy.storage_step) with its tallies booked by
 multiplication; a full tick is a one-tick stretch whose draw adds the
 step's frame costs.  A stretch refreshes the light field, steps the
 storage, books the tallies and runs the depletion hysteresis on its last
-tick, for a node without a step result only once its voltage leaves the
-range in which the hysteresis does nothing.  A node's timers are
-instants, not clocks, so a quiet stretch leaves every node field but the
-storage voltage alone.  It ends on the
+tick, for a node without a step result only once its voltage leaves its
+quiet band, which lies inside the range in which the hysteresis does
+nothing.  A node's timers are instants, not clocks, so a quiet stretch
+leaves every node field but the storage voltage alone.  It ends on the
 first tick on which some node's voltage leaves its quiet band
-(node.quiet_voltage_band, energy.band_exit).  Events, states and frames
-therefore match stepping every tick in full, which tests/kernel_oracle.py
-still does; voltages and float tallies differ only by the rounding of
-one step against many.
+(energy.band_exit).  Events, states and frames therefore match stepping
+every tick in full, which tests/kernel_oracle.py still does; voltages
+and float tallies differ only by the rounding of one step against many.
 
 Each node's run state is one lane (_Lane): its record, faces, light,
 harvest, tallies and interference generator, kept in node-id order.
@@ -74,7 +73,7 @@ from .channel import (
     norm,
     uniform_draws,
 )
-from .controller import Controller, ControllerConfig
+from .controller import DUE_TOLERANCE_S, Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
@@ -82,7 +81,6 @@ from .energy import (
     PV_CELLS_PER_NODE,
     STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
-    V_CHARGE_READY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
@@ -98,10 +96,9 @@ from .node import (
     NodeStepResult,
     apply_hysteresis,
     phase_share,
-    quiet_voltage_band,
+    quiet_band,
     state_draw_w,
     step_node,
-    timer_due_s,
 )
 from .protocol import (
     BROADCAST_ADDRESS,
@@ -787,9 +784,8 @@ class _Runtime:
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
-        # each lane's quiet band and next_due_s, as quiet_run found them
-        self.bands: List[Tuple[float, float]] = []
-        self.due_s: List[float] = []
+        # each lane's node.quiet_band, as quiet_run found it
+        self.bands: List[Tuple[float, float, float]] = []
 
     # -- light field -----------------------------------------------------
 
@@ -902,10 +898,10 @@ class _Runtime:
         the next tick.
 
         A node can act if it holds a frame or is due by the test
-        quiet_run applies, to the instant quiet_run just read (due_s):
-        neither frame delivery nor the controller changes a node record.
-        step_node would leave any other node alone, so it gets no result
-        (None), and stretch builds one only if the hysteresis acts on it.
+        quiet_run applies, to the due instant of the quiet band quiet_run
+        just read (bands): neither frame delivery nor the controller
+        changes a node record.  step_node would leave any other node
+        alone, so it gets no result (None).
         """
         dt = self.dt
         now = i * dt
@@ -916,7 +912,7 @@ class _Runtime:
             self.send(frame, "oap", i)
 
         results = []
-        for lane, inbox, due in zip(self.lanes, inboxes, self.due_s):
+        for lane, inbox, (_, _, due) in zip(self.lanes, inboxes, self.bands):
             record = lane.record
             if not inbox and due > end:
                 results.append(None)
@@ -936,23 +932,19 @@ class _Runtime:
         itself may need the full path.
 
         A stretch ends before the first tick on which a frame lands, the
-        controller is due (its step tests due <= now + 1e-9) or a node is
-        due (step_node tests due <= now + dt).  Each node's quiet band and
-        due instant are read once, into bands, which a quiet stretch's
-        band_exit reads, and due_s, which full_tick tests again.
+        controller is due (its step tests due <= now + DUE_TOLERANCE_S) or
+        a node is due (step_node tests due <= now + dt).  Each node's
+        quiet band (node.quiet_band) is read once, into bands: full_tick
+        tests its due instant again, and stretch reads its voltage range
+        for band_exit and to skip the hysteresis.
         """
         dt = self.dt
-        end = min(self.n_steps,
-                  first_tick(self.controller.next_due_s(), 1e-9, dt, i))
+        end = min(self.n_steps, first_tick(self.controller.next_due_s(),
+                                           DUE_TOLERANCE_S, dt, i))
         if self.in_flight:
             end = min(end, self.in_flight[0][0])
-        # node.next_due_s, from the band a quiet stretch's band_exit reuses
-        self.bands = [quiet_voltage_band(lane.record) for lane in self.lanes]
-        self.due_s = [timer_due_s(lane.record)
-                      if low <= lane.record.storage.voltage < high
-                      else -math.inf
-                      for lane, (low, high) in zip(self.lanes, self.bands)]
-        for due in self.due_s:
+        self.bands = [quiet_band(lane.record) for lane in self.lanes]
+        for _, _, due in self.bands:
             if end == i:
                 break
             end = min(end, first_tick(due, dt, dt, i))
@@ -971,7 +963,9 @@ class _Runtime:
         last tick.  A full tick is a one-tick stretch that hands in its
         step results (None for a node that did not act), whose frame costs
         join each node's draw; a quiet stretch has none.  A node without
-        one gets one only if the hysteresis acts on it.
+        one is still in the state its band was read for, and the band
+        lies inside the hysteresis' no-action range, so the hysteresis
+        runs on it only once its voltage leaves the band.
         """
         dt = self.dt
         now = i * dt
@@ -991,8 +985,9 @@ class _Runtime:
         # a single tick, such as a full tick's, cannot end early and has
         # no trace instant before its last
         if ticks > 1:
-            for (_, cap, harvest_w, p_out), band in zip(nodes, self.bands):
-                ticks = band_exit(cap, harvest_w, p_out, dt, ticks, *band)
+            for (_, cap, harvest_w, p_out), (low, high, _) in zip(
+                    nodes, self.bands):
+                ticks = band_exit(cap, harvest_w, p_out, dt, ticks, low, high)
             # trace instants n ticks in, before the last (the caller
             # samples it after the hysteresis)
             every = self.sample_every
@@ -1001,24 +996,19 @@ class _Runtime:
                 self._sample_stretch(i, instants, nodes)
         last = i + ticks - 1
         t_last = last * dt
-        for (lane, cap, harvest_w, p_out), result in zip(nodes, results):
+        for (lane, cap, harvest_w, p_out), result, (low, high, _) in zip(
+                nodes, results, self.bands):
             lane.tally(dt, harvest_w, p_out,
                        storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
-            record = lane.record
-            depleted = record.state == NodeState.DEPLETED
-            # apply_hysteresis leaves a node alone from V_OVERDISCHARGE up,
-            # or below V_CHARGE_READY while Depleted
-            if result is None:
-                if (cap.voltage < V_CHARGE_READY if depleted
-                        else cap.voltage >= V_OVERDISCHARGE):
-                    continue
-                result = NodeStepResult()
-            apply_hysteresis(record, result, t_last + dt)
-            if (record.state == NodeState.DEPLETED and not depleted
-                    and lane.agg.depleted_at is None):
-                lane.agg.depleted_at = t_last
-            if result.events:
-                self.event_rows(lane, t_last, result.events)
+            events = () if result is None else result.events
+            if result is not None or not low <= cap.voltage < high:
+                event = apply_hysteresis(lane.record, t_last + dt)
+                if event:
+                    events = [*events, event]
+                    if event == "depleted" and lane.agg.depleted_at is None:
+                        lane.agg.depleted_at = t_last
+            if events:
+                self.event_rows(lane, t_last, events)
         return last + 1
 
     # -- trace -------------------------------------------------------------

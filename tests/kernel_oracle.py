@@ -77,7 +77,9 @@ def run_scenario(scenario: Scenario) -> TraceSet:
                 agg.lux_max = face_a
 
             was_depleted = record.state == NodeState.DEPLETED
-            apply_hysteresis(record, result, now + dt)
+            event = apply_hysteresis(record, now + dt)
+            if event:
+                result.events.append(event)
             if (record.state == NodeState.DEPLETED and not was_depleted
                     and agg.depleted_at is None):
                 agg.depleted_at = now

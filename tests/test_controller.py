@@ -8,6 +8,7 @@ import pytest
 from luxnet.controller import (
     Controller,
     ControllerConfig,
+    DUE_TOLERANCE_S,
     DutyCycle,
     N_MIN,
     RegistryEntry,
@@ -238,7 +239,7 @@ def test_the_controller_acts_exactly_when_it_is_due(monkeypatch):
     acted = []
 
     def checked(controller, now):
-        due = controller.next_due_s() <= now + 1e-9
+        due = controller.next_due_s() <= now + DUE_TOLERANCE_S
         before = (controller._next_round, list(controller._pending))
         frames = step(controller, now)
         after = (controller._next_round, list(controller._pending))

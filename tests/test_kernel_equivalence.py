@@ -22,17 +22,18 @@ from kernel_oracle import run_scenario as oracle_run
 from luxnet import simkernel
 from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
-from luxnet.controller import ControllerConfig
+from luxnet.controller import DUE_TOLERANCE_S, ControllerConfig
 from luxnet.energy import (
     STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
     V_OVERDISCHARGE,
 )
 from luxnet.node import (
+    SESSION_FLOOR_TOL_V,
     NodeState,
     NodeStepResult,
     apply_hysteresis,
-    next_due_s,
+    quiet_band,
     step_node,
 )
 from luxnet.protocol import Command, NodeToOap, OapToNode, decode44, encode44
@@ -216,16 +217,16 @@ def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     ids=["paper_b", "guard"])
 def test_every_full_tick_has_something_due(monkeypatch, scenario):
     # a full tick is spent only where a frame lands, the controller's
-    # step acts (due <= now + 1e-9) or a node's step_node may (due <=
-    # now + dt); any other tick belongs to a quiet stretch
+    # step acts (due <= now + DUE_TOLERANCE_S) or a node's step_node may
+    # (due <= now + dt); any other tick belongs to a quiet stretch
     full_tick = _Runtime.full_tick
     ticks = []
 
     def checked(rt, i):
         now = i * rt.dt
         assert ((rt.in_flight and rt.in_flight[0][0] <= i)
-                or rt.controller.next_due_s() <= now + 1e-9
-                or any(next_due_s(lane.record) <= now + rt.dt
+                or rt.controller.next_due_s() <= now + DUE_TOLERANCE_S
+                or any(quiet_band(lane.record)[2] <= now + rt.dt
                        for lane in rt.lanes)), i
         ticks.append(i)
         return full_tick(rt, i)
@@ -243,7 +244,8 @@ def test_a_full_tick_steps_only_the_nodes_that_can_act(monkeypatch):
     calls = []
 
     def counting(record, dt, now, lux_per_face, harvest_w, frames=()):
-        assert frames or next_due_s(record) <= now + dt, (record.node_id, now)
+        assert frames or quiet_band(record)[2] <= now + dt, (
+            record.node_id, now)
         calls.append(record.node_id)
         return step_node(record, dt, now, lux_per_face, harvest_w, frames)
 
@@ -258,10 +260,10 @@ def test_a_full_tick_steps_only_the_nodes_that_can_act(monkeypatch):
     shipped("paper_a", duration_s=27000.0)],
     ids=["paper_b", "sharing_every_tick", "paper_a"])
 def test_only_a_node_that_acts_gets_a_step_result(monkeypatch, scenario):
-    # step_node builds one result per call, and the kernel builds one
-    # more only for a node without one whose depletion hysteresis acts;
-    # a node that did nothing in a stretch gets none (paper-a's 7.5 h
-    # hold a lockout, which a quiet stretch ends)
+    # step_node builds the only results, one per call: the kernel builds
+    # none, for a node that did nothing in a stretch or on whose last
+    # tick the depletion hysteresis acts (paper-a's 7.5 h hold a lockout,
+    # which a quiet stretch ends; the others hold none)
     built, stepped, acted = [], [], []
 
     class Counted(NodeStepResult):
@@ -275,11 +277,11 @@ def test_only_a_node_that_acts_gets_a_step_result(monkeypatch, scenario):
         stepped.append(step_node(*args))
         return stepped[-1]
 
-    def hysteresis(record, result, end):
-        state = record.state
-        apply_hysteresis(record, result, end)
-        if record.state != state and all(r is not result for r in stepped):
-            acted.append((record.node_id, end))
+    def hysteresis(record, end):
+        event = apply_hysteresis(record, end)
+        if event:
+            acted.append((record.node_id, end, event))
+        return event
 
     monkeypatch.setattr("luxnet.node.NodeStepResult", Counted)
     monkeypatch.setattr(simkernel, "NodeStepResult", Counted)
@@ -287,7 +289,7 @@ def test_only_a_node_that_acts_gets_a_step_result(monkeypatch, scenario):
     monkeypatch.setattr(simkernel, "apply_hysteresis", hysteresis)
     run_scenario(scenario)
     assert stepped
-    assert len(built) == len(stepped) + len(acted)
+    assert len(built) == len(stepped)
     assert bool(acted) is (scenario.name == "paper-a")
 
 
@@ -665,7 +667,8 @@ def run_noting_sessions(scenario):
 
     def noting(record, *args):
         if (record.state == NodeState.ENERGY_RELAY
-                and record.storage.voltage <= record.storage.v_min + 1e-12):
+                and record.storage.voltage
+                <= record.storage.v_min + SESSION_FLOOR_TOL_V):
             noted.add(record.node_id)
         return step_node(record, *args)
 

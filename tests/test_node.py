@@ -9,6 +9,9 @@ from luxnet.channel import OpticalReceiver, OpticalTransmitter
 from luxnet.energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
+    V_CHARGE_READY,
+    V_OVERDISCHARGE,
+    V_STORAGE_MAX,
     HarvesterArray,
     StorageCapacitor,
     band_exit,
@@ -17,20 +20,20 @@ from luxnet.energy import (
 )
 from luxnet.node import (
     DEFAULT_TIMING,
+    SESSION_FLOOR_TOL_V,
     NodeMode,
     NodeRecord,
     NodeState,
-    NodeStepResult,
     TimingParams,
     apply_hysteresis,
     energy_guard,
     etx_session,
-    next_due_s,
     phase_share,
-    quiet_voltage_band,
+    quiet_band,
     select_role,
     state_draw_w,
     step_node,
+    timer_due_s,
 )
 from luxnet.protocol import (
     FRAME_AIRTIME_S,
@@ -73,7 +76,9 @@ def tick(node, now, lux, frames=(), dt=0.1):
     res = step_node(node, dt, now, lux, harvest, frames)
     p_out = state_draw_w(node, now, dt) + res.cost_j / dt
     storage_step(node.storage, harvest, p_out, dt)
-    apply_hysteresis(node, res, now + dt)
+    event = apply_hysteresis(node, now + dt)
+    if event:
+        res.events.append(event)
     return res
 
 
@@ -362,8 +367,8 @@ def test_standby_idle_fires_on_the_step_ending_30_s_in(dt):
 
 @pytest.mark.parametrize("dt", [0.05, 0.1, 0.2, 0.3])
 def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
-    # the tick first_tick finds for next_due_s must be exactly the step
-    # on which each timer fires:
+    # the tick first_tick finds for quiet_band's due instant must be
+    # exactly the step on which each timer fires:
     # Init's role window (it spans two steps at 0.05 s), a secondary's
     # standby idle, report wake and sensing cycle, and a primary's burst
     # sessions (without integration its storage stays full, so each
@@ -380,7 +385,7 @@ def test_quiet_ticks_end_before_the_step_that_fires_a_timer(dt):
         fired = []
         i = 0
         while len(fired) < len(fires):
-            quiet = first_tick(next_due_s(node), dt, dt, i) - i
+            quiet = first_tick(quiet_band(node)[2], dt, dt, i) - i
             for _ in range(quiet):
                 before = slot_values(node)
                 assert step_node(node, dt, i * dt, lux, harvest).events == []
@@ -530,20 +535,20 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
             harvest = HARVESTER.harvest_power(lux)
             ticks = 0
             if quiet:
-                ticks = min(first_tick(next_due_s(node), dt, dt, i),
+                low, high, due = quiet_band(node)
+                ticks = min(first_tick(due, dt, dt, i),
                             drop if i < drop else 400) - i
             if ticks:
                 p_out = state_draw_w(node, i * dt, dt)
                 ticks = band_exit(node.storage, harvest, p_out, dt, ticks,
-                                  *quiet_voltage_band(node))
+                                  low, high)
                 storage_step(node.storage, harvest, p_out, dt, ticks)
-                res = NodeStepResult()
-                apply_hysteresis(node, res, (i + ticks) * dt)
+                events = [apply_hysteresis(node, (i + ticks) * dt)]
                 i += ticks
             else:
-                res = tick(node, i * dt, lux, dt=dt)
+                events = tick(node, i * dt, lux, dt=dt).events
                 i += 1
-            log += [(i, event) for event in res.events]
+            log += [(i, event) for event in events if event]
         return log
 
     log = run(quiet=True)
@@ -557,18 +562,74 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
 
 
 def test_the_quiet_band_of_a_session_starts_above_its_floor_cut():
-    # step_node cuts a session whose storage sits at v_min + 1e-12, so a
-    # quiet stretch must stop there, and not one voltage step above
+    # step_node cuts a session whose storage sits at v_min +
+    # SESSION_FLOOR_TOL_V, so a quiet stretch must stop there, and not one
+    # voltage step above
     harvest = HARVESTER.harvest_power(FULL)
     node = session_node(3.8)
     assert step_node(node, 0.1, 0.0, FULL, harvest).events == ["etx start"]
-    edge = node.storage.v_min + 1e-12
+    edge = node.storage.v_min + SESSION_FLOOR_TOL_V
     for voltage, cut in ((edge, True), (math.nextafter(edge, math.inf), False)):
         session = copy.deepcopy(node)
         session.storage.voltage = voltage
-        assert (next_due_s(session) == -math.inf) is cut
+        assert (quiet_band(session)[2] == -math.inf) is cut
         events = step_node(session, 0.1, 0.1, FULL, harvest).events
         assert (events == ["etx end (floor)"]) is cut
+
+
+# every state in both roles; a listening primary with and without an
+# emitter and a pending or autonomous session, which set its full
+# trigger; and a session on the air, at the default v_min and at the
+# lowest a scenario takes
+SESSION = dict(led=True, phase_lit=True, phase_end_s=40.0)
+QUIET_CASES = [(state, mode, {}) for state in (
+    NodeState.INIT, NodeState.STANDBY, NodeState.SENSING, NodeState.SLEEP,
+    NodeState.DEPLETED) for mode in (NodeMode.PSN, NodeMode.SSN)] + [
+    (NodeState.STANDBY, NodeMode.PSN, dict(led=True)),
+    (NodeState.STANDBY, NodeMode.PSN, dict(led=True, pending_n=2)),
+    (NodeState.STANDBY, NodeMode.PSN, dict(led=True, etx_autonomous=True)),
+    (NodeState.STANDBY, NodeMode.PSN, dict(pending_n=2)),
+    (NodeState.ENERGY_RELAY, NodeMode.PSN, SESSION),
+    (NodeState.ENERGY_RELAY, NodeMode.PSN,
+     dict(SESSION, v_min=V_OVERDISCHARGE)),
+]
+
+
+@pytest.mark.parametrize("state, mode, fitted", QUIET_CASES, ids=[
+    "-".join([state, mode, *fitted]) for state, mode, fitted in QUIET_CASES])
+def test_the_hysteresis_does_nothing_inside_the_quiet_band(state, mode,
+                                                           fitted):
+    # the kernel skips apply_hysteresis for a node that did not act while
+    # its voltage stays inside the band quiet_band gave, so the band must
+    # lie inside the hysteresis' no-action range; its ends are probed
+    # within the storage's 0..V_STORAGE_MAX
+    node = make_node(mode=mode, state=state, **fitted)
+    low, high, _ = quiet_band(node)
+    lowest = max(low, 0.0)
+    highest = (math.nextafter(high, -math.inf) if high < math.inf
+               else V_STORAGE_MAX)
+    for voltage in (lowest, (lowest + highest) / 2.0, highest):
+        probe = copy.deepcopy(node)
+        probe.storage.voltage = voltage
+        assert quiet_band(probe)[2] == timer_due_s(probe), voltage
+        before = slot_values(probe)
+        assert apply_hysteresis(probe, 10.0) == "", voltage
+        assert slot_values(probe) == before, voltage
+    for voltage in filter(math.isfinite,
+                          (math.nextafter(low, -math.inf), high)):
+        probe = copy.deepcopy(node)
+        probe.storage.voltage = voltage
+        assert quiet_band(probe)[2] == -math.inf, voltage
+    # and the hysteresis acts where its range ends
+    if state == NodeState.DEPLETED:
+        node.storage.voltage = V_CHARGE_READY
+        assert apply_hysteresis(node, 10.0) == "recovered from depletion"
+        assert node.state == NodeState.INIT
+    else:
+        node.storage.voltage = math.nextafter(V_OVERDISCHARGE, -math.inf)
+        assert apply_hysteresis(node, 10.0) == "depleted"
+        assert node.state == NodeState.DEPLETED
+        assert node.phase_end_s <= 10.0
 
 
 def test_the_lockout_darkens_a_running_session():
