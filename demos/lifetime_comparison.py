@@ -7,7 +7,8 @@ the bright pair each data round.  The dim node's fate is the story.
 """
 
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
-from luxnet.simkernel import render_summary, run_scenario, summarize
+from luxnet.simkernel import run_scenario
+from luxnet.trace import render_summary, summarize
 
 HOUR = 3600.0
 

@@ -30,7 +30,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .channel import LED_ORDER, LUMINOUS_EFFICACY_LM_W, pv_input_power
+from .channel import (
+    OpticalReceiver,
+    OpticalTransmitter,
+    illuminance_at,
+    pv_input_power,
+)
 from .energy import (
     DEFAULT_PROFILE,
     LEAK_POWER_W,
@@ -69,12 +74,13 @@ EMITTERS_PER_ROUND = 2
 
 
 def burst_gain_lux(optical_power_w: float) -> float:
-    """Illuminance one burst adds on the reference face, lux."""
-    if optical_power_w < 0.0:
-        raise ValueError("optical power must be non-negative")
-    radial = (LED_ORDER + 1.0) / (2.0 * math.pi * REFERENCE_DISTANCE_M ** 2)
-    geometry = radial * math.cos(math.radians(REFERENCE_INCIDENCE_DEG))
-    return LUMINOUS_EFFICACY_LM_W * optical_power_w * geometry
+    """Illuminance one burst adds on the reference face, lux: the
+    emitter REFERENCE_DISTANCE_M down its boresight from the face, whose
+    normal is REFERENCE_INCIDENCE_DEG off the path back to the emitter."""
+    tilt = math.radians(REFERENCE_INCIDENCE_DEG)
+    face = OpticalReceiver(normal=(math.sin(tilt), 0.0, math.cos(tilt)))
+    return illuminance_at(face, OpticalTransmitter(
+        optical_power_w, position=(0.0, 0.0, REFERENCE_DISTANCE_M)))
 
 
 def burst_power_for_peak() -> float:

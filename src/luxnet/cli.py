@@ -32,7 +32,7 @@ import re
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
-from .channel import InterferenceModel
+from .channel import InterferenceModel, Vec3
 from .controller import ControllerConfig, duty_cycle, standby_time
 from .energy import (
     LEAK_POWER_W,
@@ -68,14 +68,11 @@ from .simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
-    Vec3,
-    format_trace_csv,
-    render_summary,
     run_scenario,
     scenario_sections,
-    summarize,
     validate_scenario,
 )
+from .trace import format_trace_csv, render_summary, summarize
 
 OUT_DIR_ENV = "LUXNET_OUT_DIR"
 

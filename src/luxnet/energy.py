@@ -37,6 +37,11 @@ from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 V_OVERDISCHARGE = 3.2
 V_CHARGE_READY = 3.8
 V_STORAGE_MAX = 4.5
+# a storage voltage this close to V_STORAGE_MAX counts as full: the
+# storage holds up to V_STORAGE_MAX + FULL_TOLERANCE_V, since the closed
+# form's square root may round past the clamp, and a primary that waits
+# for full acts from V_STORAGE_MAX - FULL_TOLERANCE_V
+FULL_TOLERANCE_V = 1e-9
 # the guard floor a node keeps unless its scenario sets another
 DEFAULT_V_MIN = 3.3
 STORAGE_CAPACITANCE_F = 0.4
@@ -89,7 +94,7 @@ class StorageCapacitor:
     __slots__ = ("voltage", "v_min")
 
     def __init__(self, voltage: float = 0.0, v_min: float = DEFAULT_V_MIN):
-        if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
+        if not 0.0 <= voltage <= V_STORAGE_MAX + FULL_TOLERANCE_V:
             raise ValueError(f"voltage {voltage} outside [0, v_max]")
         if v_min < V_OVERDISCHARGE:
             raise ValueError("v_min must not sit below v_ovdis")
@@ -216,7 +221,7 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     e, voltage = _closed_form(cap.energy, (p_in - p_out - LEAK_POWER_W) * dt,
                               ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
-    if not 0.0 <= voltage <= V_STORAGE_MAX + 1e-9:
+    if not 0.0 <= voltage <= V_STORAGE_MAX + FULL_TOLERANCE_V:
         raise ValueError(f"voltage {voltage} outside [0, v_max]")
     cap.voltage = voltage
     return e - 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2

@@ -11,7 +11,7 @@ failure ratio while a share burst is on the air.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 from .calibration import burst_power_for_peak
 from .channel import (
@@ -22,12 +22,20 @@ from .channel import (
 )
 from .energy import PV_CELLS_PER_NODE
 from .errors import InfeasibleError
-from .simkernel import FaceSpec, NodeSpec, Scenario, TraceSet, run_scenario
+from .simkernel import FaceSpec, NodeSpec, Scenario, run_scenario
+from .trace import TraceSet
 
 TRIANGLE_SIDE_M = 0.2
 RELAY_AMBIENT_LUX = 1000.0
 RELAY_IDS = (1, 3)
 TARGET_NODE_ID = 2
+# the dim node's harvest target, and the step its runs take
+RECHARGE_TARGET_J = 1.0
+RECHARGE_STEP_S = 0.1
+# the ambient levels of the interference study, 50 to 450 lx in steps of
+# 50, and its failure curve
+SWEEP_LUX = tuple(50.0 + 50.0 * k for k in range(9))
+SWEEP_MODEL = InterferenceModel()
 
 
 class RechargePoint(NamedTuple):
@@ -65,7 +73,7 @@ def _relay_spec(node_id: int, x: float, y: float) -> NodeSpec:
 
 
 def _triangle_scenario(name: str, ambient_lux: float, policy: str,
-                       duration_s: float, step_s: float) -> Scenario:
+                       duration_s: float) -> Scenario:
     """Dim node at the origin, two bright relays one side length away."""
     x = TRIANGLE_SIDE_M * math.sin(math.radians(30.0))
     y = TRIANGLE_SIDE_M * math.cos(math.radians(30.0))
@@ -89,7 +97,7 @@ def _triangle_scenario(name: str, ambient_lux: float, policy: str,
         name=name,
         duration_s=duration_s,
         nodes=nodes,
-        step_s=step_s,
+        step_s=RECHARGE_STEP_S,
         trace_interval_s=1.0,
         etx_policy=policy,
     )
@@ -121,10 +129,9 @@ def _baseline_power_w(ambient_lux: float) -> float:
 
 
 def recharge_improvement(
-        ambient_levels: Sequence[float] = (150.0, 250.0, 400.0),
-        target_j: float = 1.0,
-        step_s: float = 0.1) -> List[RechargePoint]:
-    """Time saved harvesting a fixed energy with scheduled sharing on.
+        ambient_levels: Sequence[float] = (150.0, 250.0, 400.0)
+) -> List[RechargePoint]:
+    """Time saved harvesting RECHARGE_TARGET_J with scheduled sharing on.
 
     For each ambient level the same triangle runs twice, once with the
     relays dark and once with autonomous share sessions, and the dim
@@ -135,15 +142,13 @@ def recharge_improvement(
         if lux <= 0.0:
             raise ValueError("ambient must be positive")
         # generous run length: sharing only shortens the baseline time
-        duration = 1.25 * target_j / _baseline_power_w(lux) + 300.0
+        duration = 1.25 * RECHARGE_TARGET_J / _baseline_power_w(lux) + 300.0
         bare = run_scenario(_triangle_scenario(
-            f"recharge-{lux:.0f}lx-ambient", lux, "disabled",
-            duration, step_s))
+            f"recharge-{lux:.0f}lx-ambient", lux, "disabled", duration))
         shared = run_scenario(_triangle_scenario(
-            f"recharge-{lux:.0f}lx-shared", lux, "autonomous",
-            duration, step_s))
-        t_bare = time_to_harvest(bare, TARGET_NODE_ID, target_j)
-        t_shared = time_to_harvest(shared, TARGET_NODE_ID, target_j)
+            f"recharge-{lux:.0f}lx-shared", lux, "autonomous", duration))
+        t_bare = time_to_harvest(bare, TARGET_NODE_ID, RECHARGE_TARGET_J)
+        t_shared = time_to_harvest(shared, TARGET_NODE_ID, RECHARGE_TARGET_J)
         points.append(RechargePoint(
             ambient_lux=lux,
             time_without_s=t_bare,
@@ -153,30 +158,23 @@ def recharge_improvement(
     return points
 
 
-def interference_sweep(
-        lux_points: Optional[Sequence[float]] = None,
-        frames_per_point: int = 1000,
-        seed: int = 1,
-        model: Optional[InterferenceModel] = None) -> List[SweepPoint]:
+def interference_sweep(frames_per_point: int = 1000,
+                       seed: int = 1) -> List[SweepPoint]:
     """Frame failure ratio versus ambient light during a share burst.
 
-    Each point draws `frames_per_point` independent frame outcomes at
-    the model's failure probability for that ambient level.  The draws
-    are numpy's default_rng(seed) stream, taken in order, and the
-    default points are 50 to 450 lx in steps of 50.
+    Each point of SWEEP_LUX draws `frames_per_point` independent frame
+    outcomes at SWEEP_MODEL's failure probability for that ambient
+    level.  The draws are numpy's default_rng(seed) stream, taken in
+    order.
     """
     if frames_per_point < 1:
         raise ValueError("frames_per_point must be at least 1")
-    if model is None:
-        model = InterferenceModel()
-    if lux_points is None:
-        lux_points = [50.0 + 50.0 * k for k in range(9)]
     draws = uniform_draws(seed)
     points = []
-    for lux in lux_points:
-        p = frame_failure_probability(float(lux), model)
+    for lux in SWEEP_LUX:
+        p = frame_failure_probability(lux, SWEEP_MODEL)
         failures = sum(next(draws) < p for _ in range(frames_per_point))
-        points.append(SweepPoint(float(lux), p, failures / frames_per_point))
+        points.append(SweepPoint(lux, p, failures / frames_per_point))
     return points
 
 

@@ -41,6 +41,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .channel import OpticalTransmitter
 from .energy import (
     DEFAULT_PROFILE,
+    FULL_TOLERANCE_V,
     LEAK_POWER_W,
     V_CHARGE_READY,
     V_OVERDISCHARGE,
@@ -363,7 +364,7 @@ def _full_trigger_v(node: NodeRecord) -> float:
             node.state == NodeState.SLEEP
             or (node.state == NodeState.STANDBY and node.led is not None
                 and (node.pending_n > 0 or node.etx_autonomous))):
-        return V_STORAGE_MAX - 1e-9
+        return V_STORAGE_MAX - FULL_TOLERANCE_V
     return math.inf
 
 

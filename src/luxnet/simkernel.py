@@ -42,26 +42,17 @@ matrix precomputed from the scenario geometry, scaled per step by each
 emitter's on-air share (node.phase_share), so the radiated and
 harvested energies agree exactly with the session accounting inside the
 nodes.
+
+run_scenario returns the run's record, a trace.TraceSet, built from the
+data classes of luxnet.trace, which writes every output read from it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from collections import deque
-from functools import reduce
-from operator import add
-from typing import (
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    TextIO,
-    Tuple,
-)
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .channel import (
     InterferenceModel,
@@ -77,10 +68,9 @@ from .controller import DUE_TOLERANCE_S, Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
+    FULL_TOLERANCE_V,
     LEAK_POWER_W,
     PV_CELLS_PER_NODE,
-    STORAGE_CAPACITANCE_F,
-    STORAGE_FULL_J,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     HarvesterArray,
@@ -92,7 +82,6 @@ from .errors import InfeasibleError, ScenarioError
 from .node import (
     DEFAULT_TIMING,
     NodeRecord,
-    NodeState,
     NodeStepResult,
     apply_hysteresis,
     phase_share,
@@ -105,6 +94,14 @@ from .protocol import (
     FRAME_AIRTIME_S,
     Frame44,
     NodeToOap,
+)
+from .trace import (
+    FrameLogEntry,
+    NodeAggregate,
+    SegmentLane,
+    TraceRow,
+    TraceSegment,
+    TraceSet,
 )
 
 ETX_POLICIES = ("disabled", "oap", "autonomous")
@@ -221,7 +218,7 @@ INTERFERENCE_KEYS = (
 NODE_KEYS = (
     ("position_m", "position", "vector", None),
     ("start_voltage_v", "start_voltage", "number",
-     Interval(0.0, V_STORAGE_MAX + 1e-9, "(]")),
+     Interval(0.0, V_STORAGE_MAX + FULL_TOLERANCE_V, "(]")),
     ("v_min_v", "v_min", "number",
      Interval(V_OVERDISCHARGE, V_STORAGE_MAX, "[)")),
     ("led_power_w", "led_power_w", "number",
@@ -255,278 +252,6 @@ def scenario_sections(scenario: Scenario) -> List[Tuple[str, List]]:
                          [(spec, NODE_KEYS[:1], "")] + faces
                          + [(spec, NODE_KEYS[1:], "")]))
     return sections
-
-
-class TraceRow(NamedTuple):
-    """One node at one instant: a sample row, or an event row if event is set.
-
-    harvested_j is the node's cumulative harvest at time_s.  The sample
-    rows, written at the trace instants, are the harvest checkpoints that
-    recharge-time questions interpolate between; the CSV omits it.
-    """
-
-    time_s: float
-    node_id: int
-    v_cap: float
-    v_pv: float
-    mode: str
-    state: str
-    lux: float
-    harvested_j: float
-    event: str = ""
-
-
-class SegmentLane(NamedTuple):
-    """One node's constants over a trace segment, read before the
-    stretch's storage step: its fixed row fields, then what the closed
-    form needs for its storage energy (e0 plus net per tick, clamped to
-    0..STORAGE_FULL_J) and its harvest tally (h0 plus harvest_dt per
-    tick).
-    """
-
-    node_id: int
-    v_pv: float
-    mode: str
-    state: str
-    lux: float
-    e0: float
-    net: float
-    h0: float
-    harvest_dt: float
-
-
-class TraceSegment(NamedTuple):
-    """The sample rows of one quiet stretch, run-end encoded.
-
-    Its rows sit after the first `at` discrete rows of the trace, one per
-    lane, in lane order, at each tick i + n for n in instants.
-    segment_values expands them.
-    """
-
-    at: int
-    i: int
-    instants: range
-    dt: float
-    lanes: Tuple[SegmentLane, ...]
-
-
-def _lane_runs(segment: TraceSegment, instants: range
-               ) -> List[Tuple[int, int, float, float]]:
-    """Each lane's runs over instants, as (lo, hi, before, after).
-
-    The lane's closed-form energy e0 + n * net is live, inside
-    0..STORAGE_FULL_J, at instants[lo:hi]; at instants[:lo] and at
-    instants[hi:] a clamp holds it, and the storage voltage is before
-    and after there.  A lane held throughout has lo == len(instants).
-    The energy moves one way and each float step is monotone in n, so
-    the energies at the first and last instant settle a lane live
-    throughout; any other goes to _clamped_runs.
-    """
-    count = len(instants)
-    live = (0, count, 0.0, 0.0)
-    if not count:
-        return [live] * len(segment.lanes)
-    full = STORAGE_FULL_J
-    n0, n1 = instants[0], instants[-1]
-    return [live if 0.0 <= e0 + n0 * net <= full
-            and 0.0 <= e0 + n1 * net <= full
-            else _clamped_runs(e0, net, instants)
-            for _, _, _, _, _, e0, net, _, _ in segment.lanes]
-
-
-def _clamped_runs(e0: float, net: float, instants: range
-                  ) -> Tuple[int, int, float, float]:
-    """_lane_runs for one lane that a clamp may hold.
-
-    A clamp bites only from an end: a lane it holds at both ends, on
-    the same side, is held throughout, and otherwise a bisection finds
-    where the first instant's clamp stops biting and where the last
-    instant's starts.  A NaN energy is live, as the closed form passes
-    it through.
-    """
-    full = STORAGE_FULL_J
-    v_full = math.sqrt(2.0 * full / STORAGE_CAPACITANCE_F)
-    count = len(instants)
-    lo, hi, before, after = 0, count, 0.0, 0.0
-    first = e0 + instants[0] * net
-    last = e0 + instants[-1] * net
-    if first < 0.0:
-        if last < 0.0:
-            return count, count, before, before
-        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net < 0.0)
-    elif first > full:
-        before = v_full
-        if last > full:
-            return count, count, before, before
-        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net > full)
-    if last < 0.0:
-        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net < 0.0)
-    elif last > full:
-        after = v_full
-        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net > full)
-    return lo, hi, before, after
-
-
-def segment_values(segment: TraceSegment,
-                   instants: Optional[range] = None,
-                   harvest: bool = False,
-                   runs: Optional[List[Tuple[int, int, float, float]]] = None):
-    """A segment's values at `instants` (all of its own by default):
-    the time of each instant, and per lane a list of the storage voltage
-    at each, or with harvest set a pair of that list and one of the
-    harvest tally at each.
-
-    These are storage_step's closed form and the tally's harvest in the
-    float order the kernel books them.  Each lane is built from its runs
-    over instants (_lane_runs, unless the caller hands them in): a held
-    run repeats its one voltage, and a live run takes the closed form,
-    whose clamp never bites there.
-    """
-    if instants is None:
-        instants = segment.instants
-    if runs is None:
-        runs = _lane_runs(segment, instants)
-    i, dt = segment.i, segment.dt
-    sqrt = math.sqrt
-    # e / (C / 2) rounds as 2 e / C does, both halving and doubling being
-    # exact, and a float n gives n * net the same bits: each is cheaper
-    half_capacitance = STORAGE_CAPACITANCE_F / 2.0
-    count = len(instants)
-    floats = list(map(float, instants))
-    lanes = []
-    for lane, (lo, hi, before, after) in zip(segment.lanes, runs):
-        _, _, _, _, _, e0, net, h0, harvest_dt = lane
-        v_caps = [sqrt((e0 + n * net) / half_capacitance)
-                  for n in floats[lo:hi]]
-        if lo or hi < count:
-            v_caps = [before] * lo + v_caps + [after] * (count - hi)
-        lanes.append((v_caps, [h0 + n * harvest_dt for n in floats])
-                     if harvest else v_caps)
-    return [(i + n) * dt for n in instants], lanes
-
-
-class FrameLogEntry(NamedTuple):
-    time_s: float
-    outcome: str          # sent | delivered | failed
-    origin: str
-    dest: int
-    cause: str = ""
-
-
-class NodeAggregate:
-    """Per-node tallies, booked once per stretch (a full tick is a one-tick
-    stretch), the light's extremes where it changes.  They start at zero,
-    the light's minimum at inf, with no depletion; the run books the
-    final energy and voltage at its end."""
-
-    __slots__ = ("node_id", "lux_integral", "lux_min", "lux_max",
-                 "time_by_state", "depleted_at", "harvested_j", "consumed_j",
-                 "leaked_j", "clamp_loss_j", "start_energy_j",
-                 "final_energy_j", "final_voltage")
-
-    def __init__(self, node_id: int, start_energy_j: float):
-        self.node_id = node_id
-        self.start_energy_j = start_energy_j
-        self.lux_integral = 0.0
-        self.lux_min = math.inf
-        self.lux_max = 0.0
-        self.time_by_state: Dict[str, float] = {}
-        self.depleted_at: Optional[float] = None
-        self.harvested_j = 0.0
-        self.consumed_j = 0.0
-        self.leaked_j = 0.0
-        self.clamp_loss_j = 0.0
-        self.final_energy_j = 0.0
-        self.final_voltage = 0.0
-
-
-class TraceSet:
-    """Everything one run recorded.
-
-    The trace rows are the discrete rows, written one at a time (the
-    event rows and the samples between stretches), and the segments,
-    each the samples inside one quiet stretch; runs() walks both in row
-    order, and rows expands them into one list.  frame_log is the only
-    record of frames: each is logged once as sent, then once per node it
-    was addressed to as delivered or failed (an uplink, once as
-    delivered).  The frame counts are read from it.  steady_tally is
-    each node's final-quarter tally (see _tally_steady), which
-    format_trace_csv books as it renders the rows and summarize reads;
-    a trace starts without one (None).
-    """
-
-    __slots__ = ("scenario_name", "duration_s", "step_s", "discrete",
-                 "segments", "frame_log", "controller_log", "aggregates",
-                 "steady_tally")
-
-    def __init__(self, scenario_name: str, duration_s: float, step_s: float,
-                 discrete: List[TraceRow], segments: List[TraceSegment],
-                 frame_log: List[FrameLogEntry], controller_log: List[str],
-                 aggregates: Dict[int, NodeAggregate]):
-        self.scenario_name = scenario_name
-        self.duration_s = duration_s
-        self.step_s = step_s
-        self.discrete = discrete
-        self.segments = segments
-        self.frame_log = frame_log
-        self.controller_log = controller_log
-        self.aggregates = aggregates
-        self.steady_tally: Optional[Dict[int, List]] = None
-
-    def runs(self, since: float = -math.inf
-             ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
-        """The rows at or after time `since`, in row order: (discrete
-        rows, the segment after them) pairs, the last with no segment.
-
-        The rows are in time order, so those rows are a tail: it starts
-        in the first segment that ends at or after since, trimmed to its
-        instants from since on, or in the discrete rows before it.
-        """
-        segments = self.segments[bisect_left(
-            self.segments, since,
-            key=lambda s: (s.i + s.instants[-1]) * s.dt):]
-        if segments:
-            _, i, instants, dt, _ = head = segments[0]
-            segments[0] = head._replace(instants=instants[bisect_left(
-                instants, since, key=lambda n: (i + n) * dt):])
-        done = bisect_left(self.discrete, since, key=lambda row: row.time_s)
-        for segment in segments:
-            yield self.discrete[done:segment.at], segment
-            done = segment.at
-        yield self.discrete[done:], None
-
-    @property
-    def rows(self) -> List[TraceRow]:
-        """A fresh list of every row, segments expanded, for readers that
-        want one at a time; the run's own outputs read the segments."""
-        rows: List[TraceRow] = []
-        for discrete, segment in self.runs():
-            rows += discrete
-            if segment is None:
-                continue
-            times, values = segment_values(segment, harvest=True)
-            fixed = [lane[:5] for lane in segment.lanes]
-            for k, time_s in enumerate(times):
-                rows += [TraceRow(time_s, nid, v_caps[k], v_pv, mode, state,
-                                  lux, harvests[k])
-                         for (nid, v_pv, mode, state, lux), (v_caps, harvests)
-                         in zip(fixed, values)]
-        return rows
-
-    def _outcomes(self, *outcomes: str) -> int:
-        return sum(1 for entry in self.frame_log if entry.outcome in outcomes)
-
-    @property
-    def frames_sent(self) -> int:
-        return self._outcomes("sent")
-
-    @property
-    def deliveries_made(self) -> int:
-        return self._outcomes("delivered")
-
-    @property
-    def deliveries_intended(self) -> int:
-        return self._outcomes("delivered", "failed")
 
 
 def _is_vector(value) -> bool:
@@ -1095,291 +820,3 @@ def audit_conservation(trace: TraceSet) -> Dict[int, float]:
                     + abs(agg.clamp_loss_j), 1e-12)
         residuals[nid] = abs(balance - delta) / moved
     return residuals
-
-
-class NodeSummary(NamedTuple):
-    node_id: int
-    lifetime_s: float
-    lux_mean: float
-    lux_min: float
-    lux_max: float
-    idle_fraction: float
-    steady_mean_v: float
-    steady_band_v: float
-    final_v: float
-
-
-class Summary(NamedTuple):
-    scenario_name: str
-    duration_s: float
-    nodes: Dict[int, NodeSummary]
-    frames_sent: int
-    delivery_ratio: float
-
-
-def _steady_since(trace: TraceSet) -> float:
-    """The start of the final quarter, over which summarize measures
-    the steady voltage."""
-    return 0.75 * trace.duration_s
-
-
-def _tally_steady(steady: Dict[int, List], rows: List[TraceRow],
-                  lanes: Tuple[SegmentLane, ...] = (),
-                  values: List[List[float]] = ()) -> None:
-    """Book sample rows into each node's final-quarter tally, the list
-    [sum, count, minimum, maximum] of its storage voltages: the sample
-    rows among rows, then each lane's voltages (segment_values' lists,
-    none of them empty).
-
-    Called in row order, it adds every node's voltages left to right,
-    so the sum does not depend on how the rows are cut into calls.
-    """
-    for row in rows:
-        if not row.event:
-            acc = steady[row.node_id]
-            v = row.v_cap
-            acc[0] += v
-            acc[1] += 1
-            if v < acc[2]:
-                acc[2] = v
-            if v > acc[3]:
-                acc[3] = v
-    for lane, v_caps in zip(lanes, values):
-        acc = steady[lane.node_id]
-        acc[0] = reduce(add, v_caps, acc[0])
-        acc[1] += len(v_caps)
-        # each float step of segment_values' closed form is monotone in
-        # the tick, so a lane's extremes are its first and last
-        low, high = v_caps[0], v_caps[-1]
-        if low > high:
-            low, high = high, low
-        if low < acc[2]:
-            acc[2] = low
-        if high > acc[3]:
-            acc[3] = high
-
-
-def _new_steady_tally(trace: TraceSet) -> Dict[int, List]:
-    return {nid: [0.0, 0, math.inf, -math.inf] for nid in trace.aggregates}
-
-
-def summarize(trace: TraceSet) -> Summary:
-    """Reduce a trace to the headline per-node figures.
-
-    Illuminance statistics come from the exact per-step aggregates, not
-    the sampled rows: short bursts land between trace samples, and their
-    time-weighted contribution is what uplift questions need.  The
-    steady-voltage band is measured over the sampled rows in the final
-    quarter of the run: from the tally format_trace_csv booked on the
-    trace when it rendered it, or else from those rows, walked once
-    through trace.runs and expanded only there.
-    """
-    if not (trace.discrete or trace.segments):
-        raise ValueError("empty trace")
-    nodes = {}
-    # per node the sum of its samples, added left to right in row order,
-    # their count, minimum and maximum.  Subtracting a fixed mean is
-    # monotone, so the band max(vmax - mean, mean - vmin) is
-    # max(abs(v - mean)) exactly
-    steady = trace.steady_tally
-    if steady is None:
-        steady = _new_steady_tally(trace)
-        for discrete, segment in trace.runs(since=_steady_since(trace)):
-            _tally_steady(steady, discrete)
-            if segment is not None:
-                _tally_steady(steady, (), segment.lanes,
-                              segment_values(segment)[1])
-    for nid, agg in trace.aggregates.items():
-        duration = trace.duration_s
-        lifetime = agg.depleted_at if agg.depleted_at is not None else duration
-        idle = (agg.time_by_state.get(NodeState.SLEEP, 0.0)
-                + agg.time_by_state.get(NodeState.STANDBY, 0.0))
-        total, count, v_low, v_high = steady[nid]
-        if count:
-            mean_v = total / count
-            band = max(v_high - mean_v, mean_v - v_low)
-        else:
-            mean_v = agg.final_voltage
-            band = 0.0
-        nodes[nid] = NodeSummary(
-            node_id=nid,
-            lifetime_s=lifetime,
-            lux_mean=agg.lux_integral / duration,
-            lux_min=agg.lux_min,
-            lux_max=agg.lux_max,
-            idle_fraction=idle / duration,
-            steady_mean_v=mean_v,
-            steady_band_v=band,
-            final_v=agg.final_voltage,
-        )
-    intended = trace.deliveries_intended
-    ratio = trace.deliveries_made / intended if intended else 1.0
-    return Summary(
-        scenario_name=trace.scenario_name,
-        duration_s=trace.duration_s,
-        nodes=nodes,
-        frames_sent=trace.frames_sent,
-        delivery_ratio=ratio,
-    )
-
-
-CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
-
-
-# rows per write of format_trace_csv
-CSV_BLOCK_ROWS = 8192
-# one discrete row, from its fields but harvested_j, which the CSV omits
-DISCRETE_ROW = "%.2f,%s,%.6f,%.6f,%s,%s,%.3f,%s\n"
-# a segment lane's row with its time and voltage left to fill in,
-# "%s,<nid>,%.6f,<v_pv>,<mode>,<state>,<lux>,", from the lane's fixed
-# fields (node_id, v_pv, mode, state, lux); a mode or state name holds
-# no %
-LANE_ROW = "%%s,%s,%%.6f,%.6f,%s,%s,%.3f,\n"
-
-
-class _RowTemplates(dict):
-    """Each lane's LANE_ROW by its fixed fields, formatted on first use."""
-
-    def __missing__(self, fixed: Tuple) -> str:
-        row = self[fixed] = LANE_ROW % fixed
-        return row
-
-
-def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
-                ) -> Iterator[Tuple[int, str]]:
-    """The CSV text of the trace rows, in row order, as (rows, text)
-    pieces of at most CSV_BLOCK_ROWS rows each, booking the rows of the
-    final quarter into steady as it expands them.
-
-    Each lane's row template holds its fixed fields, formatted once per
-    render pass, since they recur from segment to segment and among the
-    sample rows.  A chunk of discrete rows is one % (see
-    _discrete_block), and a segment renders each block of its instants
-    with one % over a template of one instant's rows (see
-    _segment_block).
-    """
-    since = _steady_since(trace)
-    row_templates = _RowTemplates()
-    for discrete, segment in trace.runs():
-        for start in range(0, len(discrete), CSV_BLOCK_ROWS):
-            rows = discrete[start:start + CSV_BLOCK_ROWS]
-            yield len(rows), _discrete_block(rows, row_templates)
-        # the rows are in time order, as for trace.runs(since)
-        if discrete and discrete[-1].time_s >= since:
-            _tally_steady(steady, discrete[bisect_left(
-                discrete, since, key=lambda row: row.time_s):])
-        if segment is None:
-            continue
-        lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
-        instants = segment.instants
-        per_block = max(1, CSV_BLOCK_ROWS // len(lane_rows))
-        for start in range(0, len(instants), per_block):
-            block = instants[start:start + per_block]
-            yield len(block) * len(lane_rows), _segment_block(
-                segment, lane_rows, block, since, steady)
-
-
-def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
-                    ) -> str:
-    """The CSV text of discrete rows, one % over their formats joined:
-    an event row's DISCRETE_ROW, and a sample row's lane row template,
-    which leaves its time, formatted once per instant, and its voltage
-    to fill in.  A function of its own for the reason _segment_block
-    gives."""
-    template = []
-    args = []
-    time_s = text = None
-    for t, nid, v_cap, v_pv, mode, state, lux, _, event in rows:
-        if event:
-            template.append(DISCRETE_ROW)
-            args += (t, nid, v_cap, v_pv, mode, state, lux, event)
-            continue
-        if t != time_s:
-            time_s, text = t, "%.2f" % t
-        template.append(row_templates[nid, v_pv, mode, state, lux])
-        args += (text, v_cap)
-    return "".join(template) % tuple(args)
-
-
-def _segment_block(segment: TraceSegment, lane_rows: List[str],
-                   instants: range, since: float,
-                   steady: Dict[int, List]) -> str:
-    """The CSV text of a segment's rows at instants, lane_rows holding
-    each lane's row template, booking the rows at or after since into
-    steady.
-
-    The block's one template holds a row per lane for an instant: the
-    voltage of a lane held at a clamp over the whole block is formatted
-    into it once, by the % that formats a live one, and one % over the
-    instants' times (each formatted once) and the live lanes' voltages,
-    interleaved, renders the block.
-
-    A function of its own because a generator's locals live across its
-    yield: returning frees the block's voltages and % arguments before
-    _csv_blocks hands the text on to be written."""
-    count = len(instants)
-    runs = _lane_runs(segment, instants)
-    times, values = segment_values(segment, instants, runs=runs)
-    tail = bisect_left(times, since)
-    if tail < count:
-        _tally_steady(steady, (), segment.lanes, [
-            v_caps[tail:] for v_caps in values] if tail else values)
-    # per instant, each lane's row: the time, then a live lane's voltage;
-    # a lane held throughout (lo == count) is held at before
-    template = []
-    columns = []
-    times = ("%.2f " * count % tuple(times)).split()
-    for row, v_caps, (lo, _, before, _) in zip(lane_rows, values, runs):
-        columns.append(times)
-        if lo == count:
-            template.append(row % ("%s", before))
-        else:
-            template.append(row)
-            columns.append(v_caps)
-    width = len(columns)
-    args = [None] * (count * width)
-    for k, column in enumerate(columns):
-        args[k::width] = column
-    return "".join(template) * count % tuple(args)
-
-
-def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
-    """Write the trace rows to out as CSV (LF endings, fixed precision),
-    the header, then the rows in writes of at most CSV_BLOCK_ROWS rows:
-    consecutive pieces of _csv_blocks are joined up to that size, so a
-    run of short segments costs one write, not one each.
-
-    The same pass books each node's final-quarter tally, which it keeps
-    on the trace (steady_tally) once every row is written, so summarize
-    need not expand those rows again."""
-    steady = _new_steady_tally(trace)
-    out.write(CSV_HEADER + "\n")
-    block: List[str] = []
-    rows = 0
-    for count, text in _csv_blocks(trace, steady):
-        if rows + count > CSV_BLOCK_ROWS:
-            out.write("".join(block))
-            block, rows = [], 0
-        block.append(text)
-        rows += count
-    out.write("".join(block))
-    trace.steady_tally = steady
-
-
-def render_summary(summary: Summary) -> str:
-    """Human-readable summary block, stable across runs."""
-    lines = [
-        f"scenario: {summary.scenario_name}",
-        f"duration_s: {summary.duration_s:.1f}",
-        f"frames_sent: {summary.frames_sent}",
-        f"delivery_ratio: {summary.delivery_ratio:.4f}",
-    ]
-    for nid in sorted(summary.nodes):
-        s = summary.nodes[nid]
-        lines.append(
-            f"node {nid}: lifetime_s={s.lifetime_s:.1f}"
-            f" lux_mean={s.lux_mean:.3f} lux_min={s.lux_min:.3f}"
-            f" lux_max={s.lux_max:.3f} idle={s.idle_fraction:.4f}"
-            f" steady_v={s.steady_mean_v:.6f} band_v={s.steady_band_v:.6f}"
-            f" final_v={s.final_v:.6f}")
-    return "\n".join(lines) + "\n"

@@ -24,8 +24,8 @@ from luxnet.simkernel import (
     OapSpec,
     Scenario,
     run_scenario,
-    summarize,
 )
+from luxnet.trace import summarize
 
 
 def guard_scenario():

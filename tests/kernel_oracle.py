@@ -23,7 +23,8 @@ from luxnet.node import (
     state_draw_w,
     step_node,
 )
-from luxnet.simkernel import Scenario, TraceSet, _Runtime, validate_scenario
+from luxnet.simkernel import Scenario, _Runtime, validate_scenario
+from luxnet.trace import TraceSet
 
 
 def run_scenario(scenario: Scenario) -> TraceSet:

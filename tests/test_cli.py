@@ -27,7 +27,6 @@ from luxnet.controller import ControllerConfig
 from luxnet.errors import ScenarioError
 from luxnet.simkernel import (
     CONTROLLER_KEYS,
-    CSV_HEADER,
     ETX_POLICIES,
     FACE_KEYS,
     FACE_LETTERS,
@@ -39,11 +38,14 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    run_scenario,
+    validate_scenario,
+)
+from luxnet.trace import (
+    CSV_HEADER,
     format_trace_csv,
     render_summary,
-    run_scenario,
     summarize,
-    validate_scenario,
 )
 
 DUTY_TABLE_GOLDEN = """\

@@ -26,13 +26,8 @@ from luxnet.node import (
     TimingParams,
 )
 from luxnet.protocol import GenericFrame
-from luxnet.simkernel import (
-    FaceSpec,
-    NodeAggregate,
-    NodeSpec,
-    Scenario,
-    TraceSet,
-)
+from luxnet.simkernel import FaceSpec, NodeSpec, Scenario
+from luxnet.trace import NodeAggregate, TraceSet
 
 
 def profile(**changes):

@@ -12,13 +12,8 @@ from luxnet.experiments import (
     time_to_harvest,
 )
 from kernel_oracle import run_scenario as oracle_run
-from luxnet.simkernel import (
-    Scenario,
-    TraceRow,
-    TraceSet,
-    run_scenario,
-    segment_values,
-)
+from luxnet.simkernel import Scenario, run_scenario
+from luxnet.trace import TraceRow, TraceSet, segment_values
 from test_simkernel import lone_node
 
 
@@ -63,7 +58,10 @@ def test_time_to_harvest_finds_a_crossing_inside_a_segment():
                         nodes=(lone_node(ambient=400.0),))
     trace = run_scenario(scenario)
     segment = max(trace.segments, key=lambda s: len(s.instants))
-    times, [(_, harvests)] = segment_values(segment, harvest=True)
+    times, _ = segment_values(segment)
+    [lane] = segment.lanes
+    harvests = [lane.h0 + n * lane.harvest_dt
+                for n in map(float, segment.instants)]
     k = len(times) // 2
     target = 0.5 * (harvests[k] + harvests[k + 1])
     crossing = time_to_harvest(trace, 1, target)

@@ -53,7 +53,7 @@ def test_tracer_targets_exist():
 # enclosing function); since Python 3.12 sum() adds floats with
 # compensation, so a float sum() there would round otherwise than 3.10
 # and 3.11 do
-INTEGER_SUMS = {("simkernel", "_outcomes")}
+INTEGER_SUMS = {("trace", "_outcomes")}
 
 
 def run_path_modules():
@@ -94,7 +94,7 @@ def test_no_float_sum_on_the_run_path():
     assert sum_calls(ast.parse("def f(xs):\n    return sum(xs)\n")) == [
         (2, "f")]
     modules = run_path_modules()
-    assert {"cli", "energy", "node", "simkernel"} <= set(modules)
+    assert {"cli", "energy", "node", "simkernel", "trace"} <= set(modules)
     assert "calibration" not in modules
     found, allowed = [], set()
     for name in modules:
@@ -107,3 +107,26 @@ def test_no_float_sum_on_the_run_path():
     assert found == []
     # an allow-list entry whose call went away is dropped with it
     assert allowed == INTEGER_SUMS
+
+
+def package_imports(name):
+    """(module, names) of each `from .module import names` in a package
+    module, at module level or inside a function."""
+    tree = ast.parse((ROOT / "src" / "luxnet" / f"{name}.py").read_text(
+        encoding="utf-8"))
+    return [(node.module, {alias.name for alias in node.names})
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1]
+
+
+def test_the_outputs_import_neither_the_kernel_nor_the_cli():
+    # the trace format and its renderers sit below the kernel: simkernel
+    # builds trace's data classes, and cli reads both
+    assert {module for module, _ in package_imports("trace")} <= {
+        "energy", "node"}
+
+
+def test_cli_imports_vec3_from_where_it_is_defined():
+    sources = [module for module, names in package_imports("cli")
+               if "Vec3" in names]
+    assert sources == ["channel"]

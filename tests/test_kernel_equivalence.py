@@ -42,17 +42,20 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
+    _Runtime,
+    audit_conservation,
+    run_scenario,
+    tick_count,
+)
+from luxnet.trace import (
+    CSV_BLOCK_ROWS,
     SegmentLane,
     TraceSegment,
     TraceSet,
     _lane_runs,
-    _Runtime,
-    audit_conservation,
     format_trace_csv,
-    run_scenario,
     segment_values,
     summarize,
-    tick_count,
 )
 from test_node import slot_values
 from test_simkernel import (
@@ -465,14 +468,14 @@ def test_a_block_of_the_held_pair_starts_inside_a_held_run():
 
 
 @given(networks().map(lambda sc: sc._replace(trace_interval_s=sc.step_s)),
-       st.sampled_from([7, simkernel.CSV_BLOCK_ROWS]))
+       st.sampled_from([7, CSV_BLOCK_ROWS]))
 @example(held_pair(), 7)
 def test_segments_render_and_summarize_as_their_rows(scenario, block_rows):
     # a row every tick puts every quiet stretch's rows in a segment; at 7
     # rows a block, blocks start inside the runs a clamp holds
     trace = run_scenario(scenario)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        patch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
         assert csv_text(trace) == row_by_row_csv(trace)
     summary = summarize(trace)
     assert {nid: (s.steady_mean_v, s.steady_band_v)
@@ -497,7 +500,7 @@ def test_the_final_quarter_of_the_quiet_pair_starts_inside_a_block():
     assert k % (7 // len(segment.lanes)) != 0
 
 
-@given(networks(), st.sampled_from([1, 2, 7, 50, simkernel.CSV_BLOCK_ROWS]))
+@given(networks(), st.sampled_from([1, 2, 7, 50, CSV_BLOCK_ROWS]))
 @example(quiet_pair(), 7)
 def test_the_csv_pass_tallies_the_summary_as_summarize_does(scenario,
                                                             block_rows):
@@ -508,7 +511,7 @@ def test_the_csv_pass_tallies_the_summary_as_summarize_does(scenario,
     fresh = summarize(trace)
     assert trace.steady_tally is None
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        patch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
         csv_text(trace)
     assert trace.steady_tally is not None
     rendered = summarize(trace)
@@ -538,7 +541,7 @@ class CountedWrites(io.StringIO):
         return super().write(text)
 
 
-@given(networks(), st.sampled_from([1, 2, 7, 50, simkernel.CSV_BLOCK_ROWS]))
+@given(networks(), st.sampled_from([1, 2, 7, 50, CSV_BLOCK_ROWS]))
 def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
     # at a small block size a segment of more than one instant spans
     # several blocks; cut into one-instant segments, every segment is
@@ -549,7 +552,7 @@ def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
     rows = expected.count("\n") - 1
     out = CountedWrites()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+        patch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
         assert csv_text(trace) == expected
         format_trace_csv(one_instant_segments(trace), out)
     assert out.getvalue() == expected

@@ -38,8 +38,6 @@ from luxnet.energy import (
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
-    CSV_BLOCK_ROWS,
-    CSV_HEADER,
     FACE_LETTERS,
     MAX_ROUNDS,
     MAX_TICKS,
@@ -49,16 +47,20 @@ from luxnet.simkernel import (
     NodeSpec,
     OapSpec,
     Scenario,
-    TraceRow,
     audit_conservation,
     first_tick,
-    format_trace_csv,
-    render_summary,
     run_scenario,
     scenario_sections,
+    validate_scenario,
+)
+from luxnet.trace import (
+    CSV_BLOCK_ROWS,
+    CSV_HEADER,
+    TraceRow,
+    format_trace_csv,
+    render_summary,
     segment_values,
     summarize,
-    validate_scenario,
 )
 
 
@@ -269,6 +271,57 @@ def test_every_setting_is_a_scenario_key(cls, keys):
             and defaults[name] not in interval] == []
     for scenario in shipped_and_crowd_dense():
         assert rows_outside(scenario, keys) == []
+
+
+def interval_ends(interval):
+    """A number row's closed ends, and the float just inside each open
+    one."""
+    lo, hi, ends = interval
+    return [lo if ends[0] == "[" else math.nextafter(lo, hi),
+            hi if ends[1] == "]" else math.nextafter(hi, lo)]
+
+
+def with_row(scenario, cls, name, value):
+    """The scenario with field name of its cls part set to value; a node
+    or face row goes on the first node, an emitter, and its face a."""
+    def put(obj):
+        return obj._replace(**{name: value})
+
+    oap = scenario.oap
+    if cls is Scenario:
+        return put(scenario)
+    if cls is OapSpec:
+        return scenario._replace(oap=put(oap))
+    if cls is ControllerConfig:
+        return scenario._replace(oap=oap._replace(config=put(oap.config)))
+    if cls is InterferenceModel:
+        return scenario._replace(interference=put(scenario.interference))
+    node, *others = scenario.nodes
+    node = (put(node) if cls is NodeSpec else
+            node._replace(faces=(put(node.faces[0]), *node.faces[1:])))
+    return scenario._replace(nodes=(node, *others))
+
+
+NUMBER_ENDS = [(cls, name, value) for cls, keys in KEY_TABLES
+               for _, name, reader, interval in keys if reader == "number"
+               for value in interval_ends(interval)]
+
+
+@pytest.mark.parametrize("cls, name, value", NUMBER_ENDS, ids=[
+    f"{cls.__name__}.{name}={value!r}" for cls, name, value in NUMBER_ENDS])
+def test_each_end_of_a_number_range_is_rejected_or_builds(cls, name, value):
+    # a value that validates must build its run: a key row whose end
+    # lies past what a constructor accepts lets a valid scenario raise a
+    # traceback in _build_node
+    scenario = with_row(
+        Scenario(name="t", duration_s=600.0, nodes=triangle_nodes(),
+                 etx_policy="oap", interference=InterferenceModel()),
+        cls, name, value)
+    try:
+        validate_scenario(scenario)
+    except (ScenarioError, InfeasibleError):
+        return
+    simkernel._Runtime(scenario)
 
 
 def test_led_power_error_names_the_key():
@@ -1003,14 +1056,14 @@ def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     expanded = []
     held = []
 
-    def counting(segment, instants=None, harvest=False, runs=None):
-        times, values = segment_values(segment, instants, harvest, runs)
+    def counting(segment, instants=None, runs=None):
+        times, values = segment_values(segment, instants, runs)
         expanded.append(len(times) * len(values))
         if runs is not None:
             held.append(sum(lo + len(times) - hi for lo, hi, _, _ in runs))
         return times, values
 
-    monkeypatch.setattr(simkernel, "segment_values", counting)
+    monkeypatch.setattr("luxnet.trace.segment_values", counting)
     traces = keep_traces(monkeypatch)
     run_crowd_dense(tmp_path, 1)
     [trace] = traces
@@ -1248,7 +1301,7 @@ def test_sample_rows_share_the_segment_row_templates(monkeypatch,
                            third._replace(event="role PSN")]
     trace.segments = [segment._replace(at=segment.at + 2)
                       for segment in trace.segments]
-    monkeypatch.setattr(simkernel, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
     text = csv_text(trace)
     assert text.splitlines()[1:5] == [
         "0.00,1,4.500000,0.000000,SSN,Init,1000.000,",
