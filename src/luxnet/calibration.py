@@ -44,6 +44,7 @@ from .energy import (
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     PowerProfile,
+    net_per_tick,
 )
 from .node import DEFAULT_TIMING, sense_cycle_cost_j
 
@@ -118,8 +119,9 @@ def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
 def recovery_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Sleep recovery from the share floor back to full, seconds."""
     band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
-    net = (PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX)
-           - profile.sleep - LEAK_POWER_W)
+    # the net joules of one second are the net watts
+    net = net_per_tick(PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX),
+                       profile.sleep, 1.0)
     if net <= 0.0:
         raise ValueError("bright-node sleep budget does not recover")
     return band / net

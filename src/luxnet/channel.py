@@ -186,7 +186,7 @@ class InterferenceModel(_Interference):
 
 
 def frame_failure_probability(ambient_lux: float,
-                              model: InterferenceModel = InterferenceModel()) -> float:
+                              model: InterferenceModel) -> float:
     """Probability that a downlink frame is lost while a burst is on the air."""
     if ambient_lux < 0.0:
         raise ValueError("ambient illuminance must be non-negative")

@@ -10,6 +10,14 @@ reconnect once the cell has climbed back past v_chrdy.  v_min is the
 software guard floor a node keeps above the hard v_ovdis so that
 scheduled work never strands it in the dead band.
 
+This module is the one place the storage law is evaluated: from e0
+joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick),
+the energy n ticks on is clamp(e0 + n * net) and the voltage
+sqrt(2 E / C).  storage_step steps a capacitor by it, band_exit finds
+the tick on which a stretch leaves a voltage band, and clamp_runs and
+run_voltages expand a trace segment's instants bit for bit as
+storage_step steps them; stored_j is 1/2 C V^2 at a given voltage.
+
 Harvest is a set of photovoltaic cells, each with its own geometry (an
 OpticalReceiver face).  Every cell converts illuminance to electrical
 watts through the one shared calibration point in the channel module,
@@ -29,7 +37,8 @@ module, which re-derives the numbers.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from bisect import bisect_left
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 
@@ -106,8 +115,10 @@ class StorageCapacitor:
         """Stored energy, 1/2 C V^2, joules."""
         return 0.5 * STORAGE_CAPACITANCE_F * self.voltage ** 2
 
-    def energy_at(self, voltage: float) -> float:
-        return 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
+
+def stored_j(voltage: float) -> float:
+    """What the storage holds at `voltage`, 1/2 C V^2, joules."""
+    return 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
 
 
 class _Profile(NamedTuple):
@@ -192,6 +203,16 @@ def min_capacitance(e_peak: float, eta_pmic_l: float, p_leak: float,
     return 2.0 * (e_peak / eta_pmic_l + p_leak * t_peak) / (v_max ** 2 - v_min ** 2)
 
 
+def net_per_tick(p_in: float, p_out: float, dt: float) -> float:
+    """Joules one tick of dt seconds adds to the storage at p_in watts
+    harvested and p_out drawn, net of the leak (negative for a drain)."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if p_in < 0.0 or p_out < 0.0:
+        raise ValueError("powers must be non-negative")
+    return (p_in - p_out - LEAK_POWER_W) * dt
+
+
 def _closed_form(e0: float, net: float, ticks: int) -> Tuple[float, float]:
     """Unclamped energy and voltage after `ticks` ticks of net joules
     each from e0 joules."""
@@ -214,11 +235,7 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     could not pay, and within a few ulps of zero otherwise (the square
     root and its square do not round-trip exactly).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if p_in < 0.0 or p_out < 0.0:
-        raise ValueError("powers must be non-negative")
-    e, voltage = _closed_form(cap.energy, (p_in - p_out - LEAK_POWER_W) * dt,
+    e, voltage = _closed_form(cap.energy, net_per_tick(p_in, p_out, dt),
                               ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
     if not 0.0 <= voltage <= V_STORAGE_MAX + FULL_TOLERANCE_V:
@@ -227,18 +244,16 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     return e - 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
 
 
-def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
-              ticks: int, v_low: float, v_high: float) -> int:
-    """The first of `ticks` ticks whose storage_step voltage leaves
-    [v_low, v_high), or ticks if none does; 1 when ticks is 1.
+def band_exit(e0: float, net: float, ticks: int, v_low: float,
+              v_high: float) -> int:
+    """The first of `ticks` ticks whose storage_step voltage, from e0
+    joules at net joules a tick, leaves [v_low, v_high), or ticks if
+    none does; 1 when ticks is 1.
 
     At constant power the voltage moves one way, so the exit is guessed
     from the energy of the edge it moves toward, then corrected against
     storage_step's own expression.
     """
-    net = (p_in - p_out - LEAK_POWER_W) * dt
-    e0 = cap.energy
-
     def inside(n: int) -> bool:
         return v_low <= _closed_form(e0, net, n)[1] < v_high
 
@@ -249,10 +264,92 @@ def band_exit(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
         return ticks
     # the exit lies in (1, ticks], past a finite edge
     edge = v_high if net > 0.0 else v_low
-    n = min(max(math.ceil((cap.energy_at(edge) - e0) / net), 2), ticks)
+    n = min(max(math.ceil((stored_j(edge) - e0) / net), 2), ticks)
     while not inside(n - 1):
         n -= 1
     while inside(n):
         n += 1
     return n
 
+
+# the voltage of a storage held at STORAGE_FULL_J
+_V_FULL = _closed_form(STORAGE_FULL_J, 0.0, 0)[1]
+# one (e0, net) pair's runs over some instants: (lo, hi, before, after)
+Runs = Tuple[int, int, float, float]
+
+
+def clamp_runs(pairs: Sequence[Tuple[float, float]], instants: range
+               ) -> List[Runs]:
+    """Each (e0, net) pair's runs over instants, as (lo, hi, before,
+    after), the instants a non-empty range.
+
+    The closed-form energy e0 + n * net is live, inside
+    0..STORAGE_FULL_J, at instants[lo:hi]; at instants[:lo] and at
+    instants[hi:] a clamp holds it, and the storage voltage is before
+    and after there.  A pair held throughout has lo == len(instants).
+    The energy moves one way and each float step is monotone in n, so
+    the energies at the first and last instant settle a pair live
+    throughout; any other goes to _clamped_runs.
+    """
+    live = (0, len(instants), 0.0, 0.0)
+    full = STORAGE_FULL_J
+    n0, n1 = instants[0], instants[-1]
+    return [live if 0.0 <= e0 + n0 * net <= full
+            and 0.0 <= e0 + n1 * net <= full
+            else _clamped_runs(e0, net, instants)
+            for e0, net in pairs]
+
+
+def _clamped_runs(e0: float, net: float, instants: range) -> Runs:
+    """clamp_runs for one pair that a clamp may hold.
+
+    A clamp bites only from an end: a pair it holds at both ends, on
+    the same side, is held throughout, and otherwise a bisection finds
+    where the first instant's clamp stops biting and where the last
+    instant's starts.  A NaN energy is live, as the closed form passes
+    it through.
+    """
+    full = STORAGE_FULL_J
+    count = len(instants)
+    lo, hi, before, after = 0, count, 0.0, 0.0
+    first, last = e0 + instants[0] * net, e0 + instants[-1] * net
+    if first < 0.0:
+        if last < 0.0:
+            return count, count, before, before
+        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net < 0.0)
+    elif first > full:
+        before = _V_FULL
+        if last > full:
+            return count, count, before, before
+        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net > full)
+    if last < 0.0:
+        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net < 0.0)
+    elif last > full:
+        after = _V_FULL
+        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net > full)
+    return lo, hi, before, after
+
+
+def run_voltages(pairs: Sequence[Tuple[float, float]], instants: range,
+                 runs: Sequence[Runs]) -> List[List[float]]:
+    """Per (e0, net) pair, with its runs over instants (clamp_runs), the
+    storage voltage at each instant: _closed_form's, bit for bit.
+
+    A held run repeats its one voltage, and a live run takes the closed
+    form, whose clamp never bites there, in the float order storage_step
+    books it.
+    """
+    sqrt = math.sqrt
+    # e / (C / 2) rounds as 2 e / C does, both halving and doubling being
+    # exact, and a float n gives n * net the same bits: each is cheaper
+    half_capacitance = STORAGE_CAPACITANCE_F / 2.0
+    count = len(instants)
+    floats = list(map(float, instants))
+    lanes = []
+    for (e0, net), (lo, hi, before, after) in zip(pairs, runs):
+        v_caps = [sqrt((e0 + n * net) / half_capacitance)
+                  for n in floats[lo:hi]]
+        if lo or hi < count:
+            v_caps = [before] * lo + v_caps + [after] * (count - hi)
+        lanes.append(v_caps)
+    return lanes

@@ -49,6 +49,7 @@ from .energy import (
     PowerProfile,
     StorageCapacitor,
     pv_open_voltage,
+    stored_j,
 )
 from .protocol import (
     TEMP_MAX_C,
@@ -181,7 +182,7 @@ class NodeRecord:
 
     @property
     def guard_floor_j(self) -> float:
-        return self.storage.energy_at(self.storage.v_min)
+        return stored_j(self.storage.v_min)
 
 
 def sense_cycle_cost_j(profile: PowerProfile) -> float:
@@ -439,26 +440,21 @@ def step_node(node: NodeRecord, dt: float, now: float,
     result = NodeStepResult()
     end = now + dt
 
-    if node.state == NodeState.INIT:
-        # the load is off below v_ovdis, so the role waits for the lockout
-        if (end >= timer_due_s(node)
-                and node.storage.voltage >= V_OVERDISCHARGE):
-            # pick the role before this step's frames, so the node that
-            # closes its window here is already listening for them
-            node.v_pv = _read_pv(lux_per_face)
-            node.mode = select_role(node.v_pv)
-            _enter(node, NodeState.STANDBY, end)
-            result.events.append(f"role {node.mode}")
-        for frame in frames:
-            handle_frame(node, frame, result, now, dt)
-        return result
-
     entry_state = node.state
+    # the load is off below v_ovdis, so the role waits for the lockout
+    if (entry_state == NodeState.INIT and end >= timer_due_s(node)
+            and node.storage.voltage >= V_OVERDISCHARGE):
+        # pick the role before this step's frames, so the node that
+        # closes its window here is already listening for them
+        node.v_pv = _read_pv(lux_per_face)
+        node.mode = select_role(node.v_pv)
+        _enter(node, NodeState.STANDBY, end)
+        result.events.append(f"role {node.mode}")
     for frame in frames:
         handle_frame(node, frame, result, now, dt)
     if node.state != entry_state:
-        # decoding and switching consumed this step; the new state's
-        # clock starts on the next one
+        # picking the role, or decoding and switching, consumed this
+        # step; the new state's clock starts on the next one
         return result
 
     state = node.state

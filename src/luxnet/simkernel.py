@@ -33,6 +33,10 @@ first tick on which some node's voltage leaves its quiet band
 (energy.band_exit).  Events, states and frames therefore match stepping
 every tick in full, which tests/kernel_oracle.py still does; voltages
 and float tallies differ only by the rounding of one step against many.
+The kernel evaluates no storage law of its own: a stretch of more than
+one tick reads each node's stored energy and net joules a tick
+(energy.net_per_tick) once, and hands that pair to band_exit and to
+the stretch's trace segment.
 
 Each node's run state is one lane (_Lane): its record, faces, light,
 harvest, tallies and interference generator, kept in node-id order.
@@ -76,6 +80,7 @@ from .energy import (
     HarvesterArray,
     StorageCapacitor,
     band_exit,
+    net_per_tick,
     storage_step,
 )
 from .errors import InfeasibleError, ScenarioError
@@ -710,15 +715,18 @@ class _Runtime:
         # a single tick, such as a full tick's, cannot end early and has
         # no trace instant before its last
         if ticks > 1:
-            for (_, cap, harvest_w, p_out), (low, high, _) in zip(
-                    nodes, self.bands):
-                ticks = band_exit(cap, harvest_w, p_out, dt, ticks, low, high)
+            # each lane's storage energy and net joules a tick, the
+            # closed form its storage_step takes
+            closed = [(cap.energy, net_per_tick(harvest_w, p_out, dt))
+                      for _, cap, harvest_w, p_out in nodes]
+            for (e0, net), (low, high, _) in zip(closed, self.bands):
+                ticks = band_exit(e0, net, ticks, low, high)
             # trace instants n ticks in, before the last (the caller
             # samples it after the hysteresis)
             every = self.sample_every
             instants = range(every - i % every, ticks, every)
             if instants:
-                self._sample_stretch(i, instants, nodes)
+                self._sample_stretch(i, instants, nodes, closed)
         last = i + ticks - 1
         t_last = last * dt
         for (lane, cap, harvest_w, p_out), result, (low, high, _) in zip(
@@ -754,21 +762,20 @@ class _Runtime:
             record.mode, record.state, lane.lux[0],
             lane.agg.harvested_j, event))
 
-    def _sample_stretch(self, i: int, instants: range, nodes) -> None:
+    def _sample_stretch(self, i: int, instants: range, nodes, closed) -> None:
         """The sample rows `instants` ticks into a quiet stretch from i,
         kept as one segment read before its storage step: every node
         field but the storage voltage and the harvest tally holds still
-        in a quiet stretch, and those two are linear in the tick."""
+        in a quiet stretch, and those two are linear in the tick, the
+        voltage from each lane's closed form (e0, net)."""
         dt = self.dt
         self.segments.append(TraceSegment(
             len(self.discrete), i, instants, dt, tuple(
                 SegmentLane(
                     lane.record.node_id, lane.record.v_pv,
                     lane.record.mode, lane.record.state,
-                    lane.lux[0], cap.energy,
-                    (harvest_w - p_out - LEAK_POWER_W) * dt,
-                    lane.agg.harvested_j, harvest_w * dt)
-                for lane, cap, harvest_w, p_out in nodes)))
+                    lane.lux[0], e0, net, lane.agg.harvested_j, harvest_w * dt)
+                for (lane, _, harvest_w, _), (e0, net) in zip(nodes, closed))))
 
     def trace(self) -> TraceSet:
         """Book each node's final energy and return the run's TraceSet."""

@@ -4,10 +4,12 @@ A run's trace (TraceSet) holds its rows, its frame log, the controller
 log and each node's tallies (NodeAggregate).  The rows are kept as the
 discrete rows, written one at a time, and the segments, each the sample
 rows of one quiet stretch, run-end encoded as the closed form the kernel
-stepped them by; segment_values expands them.  summarize reduces a trace
-to the headline per-node figures and render_summary prints them;
-format_trace_csv writes the rows as CSV, rendering each segment straight
-from its closed form rather than expanding it into rows first.
+stepped them by: per node its (e0, net), which segment_values expands
+through energy's clamp_runs and run_voltages, so this module evaluates
+no storage law of its own.  summarize reduces a trace to the headline
+per-node figures and render_summary prints them; format_trace_csv writes
+the rows as CSV, rendering each segment straight from its closed form
+rather than expanding it into rows first.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import reduce
 from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple
 
-from .energy import STORAGE_CAPACITANCE_F, STORAGE_FULL_J
+from .energy import Runs, clamp_runs, run_voltages
 from .node import NodeState
 
 
@@ -75,96 +77,25 @@ class TraceSegment(NamedTuple):
     lanes: Tuple[SegmentLane, ...]
 
 
-def _lane_runs(segment: TraceSegment, instants: range
-               ) -> List[Tuple[int, int, float, float]]:
-    """Each lane's runs over instants, as (lo, hi, before, after).
-
-    The lane's closed-form energy e0 + n * net is live, inside
-    0..STORAGE_FULL_J, at instants[lo:hi]; at instants[:lo] and at
-    instants[hi:] a clamp holds it, and the storage voltage is before
-    and after there.  A lane held throughout has lo == len(instants).
-    The energy moves one way and each float step is monotone in n, so
-    the energies at the first and last instant settle a lane live
-    throughout; any other goes to _clamped_runs.
-    """
-    count = len(instants)
-    live = (0, count, 0.0, 0.0)
-    if not count:
-        return [live] * len(segment.lanes)
-    full = STORAGE_FULL_J
-    n0, n1 = instants[0], instants[-1]
-    return [live if 0.0 <= e0 + n0 * net <= full
-            and 0.0 <= e0 + n1 * net <= full
-            else _clamped_runs(e0, net, instants)
-            for _, _, _, _, _, e0, net, _, _ in segment.lanes]
-
-
-def _clamped_runs(e0: float, net: float, instants: range
-                  ) -> Tuple[int, int, float, float]:
-    """_lane_runs for one lane that a clamp may hold.
-
-    A clamp bites only from an end: a lane it holds at both ends, on
-    the same side, is held throughout, and otherwise a bisection finds
-    where the first instant's clamp stops biting and where the last
-    instant's starts.  A NaN energy is live, as the closed form passes
-    it through.
-    """
-    full = STORAGE_FULL_J
-    v_full = math.sqrt(2.0 * full / STORAGE_CAPACITANCE_F)
-    count = len(instants)
-    lo, hi, before, after = 0, count, 0.0, 0.0
-    first = e0 + instants[0] * net
-    last = e0 + instants[-1] * net
-    if first < 0.0:
-        if last < 0.0:
-            return count, count, before, before
-        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net < 0.0)
-    elif first > full:
-        before = v_full
-        if last > full:
-            return count, count, before, before
-        lo = bisect_left(instants, True, key=lambda n: not e0 + n * net > full)
-    if last < 0.0:
-        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net < 0.0)
-    elif last > full:
-        after = v_full
-        hi = bisect_left(instants, True, lo, key=lambda n: e0 + n * net > full)
-    return lo, hi, before, after
-
-
-def segment_values(segment: TraceSegment,
-                   instants: Optional[range] = None,
-                   runs: Optional[List[Tuple[int, int, float, float]]] = None):
+def segment_values(segment: TraceSegment, instants: Optional[range] = None,
+                   runs: Optional[List[Runs]] = None):
     """A segment's values at `instants` (all of its own by default):
     the time of each instant, and per lane a list of the storage voltage
     at each.
 
-    This is storage_step's closed form in the float order the kernel
-    books it.  Each lane is built from its runs over instants
-    (_lane_runs, unless the caller hands them in): a held run repeats its
-    one voltage, and a live run takes the closed form, whose clamp never
-    bites there.
+    The voltages are storage_step's closed form from each lane's (e0,
+    net), in the float order the kernel books it (energy.run_voltages),
+    built from the lane's runs over instants (energy.clamp_runs, unless
+    the caller hands them in).
     """
     if instants is None:
         instants = segment.instants
+    pairs = [(lane.e0, lane.net) for lane in segment.lanes]
     if runs is None:
-        runs = _lane_runs(segment, instants)
+        runs = clamp_runs(pairs, instants)
     i, dt = segment.i, segment.dt
-    sqrt = math.sqrt
-    # e / (C / 2) rounds as 2 e / C does, both halving and doubling being
-    # exact, and a float n gives n * net the same bits: each is cheaper
-    half_capacitance = STORAGE_CAPACITANCE_F / 2.0
-    count = len(instants)
-    floats = list(map(float, instants))
-    lanes = []
-    for lane, (lo, hi, before, after) in zip(segment.lanes, runs):
-        _, _, _, _, _, e0, net, _, _ = lane
-        v_caps = [sqrt((e0 + n * net) / half_capacitance)
-                  for n in floats[lo:hi]]
-        if lo or hi < count:
-            v_caps = [before] * lo + v_caps + [after] * (count - hi)
-        lanes.append(v_caps)
-    return [(i + n) * dt for n in instants], lanes
+    return ([(i + n) * dt for n in instants],
+            run_voltages(pairs, instants, runs))
 
 
 class FrameLogEntry(NamedTuple):
@@ -517,7 +448,8 @@ def _segment_block(segment: TraceSegment, lane_rows: List[str],
     yield: returning frees the block's voltages and % arguments before
     _csv_blocks hands the text on to be written."""
     count = len(instants)
-    runs = _lane_runs(segment, instants)
+    runs = clamp_runs([(lane.e0, lane.net) for lane in segment.lanes],
+                      instants)
     times, values = segment_values(segment, instants, runs=runs)
     tail = bisect_left(times, since)
     if tail < count:

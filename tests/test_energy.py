@@ -15,8 +15,10 @@ from luxnet.energy import (
     StorageCapacitor,
     band_exit,
     min_capacitance,
+    net_per_tick,
     pv_open_voltage,
     storage_step,
+    stored_j,
 )
 
 
@@ -27,6 +29,7 @@ def make_cap(voltage=4.5, v_min=3.3):
 def test_capacitor_energy_from_voltage():
     cap = make_cap(voltage=3.7)
     assert cap.energy == pytest.approx(0.5 * 0.4 * 3.7 ** 2)
+    assert stored_j(3.7) == cap.energy
     assert STORAGE_FULL_J == pytest.approx(0.5 * 0.4 * 4.5 ** 2)
 
 
@@ -190,21 +193,19 @@ def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
         return cap.voltage
 
     low, high = band
-    exit_tick = band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 10 ** 6,
-                          low, high)
+    e0 = make_cap(voltage=3.9).energy
+    net = net_per_tick(p_in, p_out, 0.1)
+    exit_tick = band_exit(e0, net, 10 ** 6, low, high)
     assert 1 < exit_tick < 10 ** 6
     assert not low <= voltage_after(exit_tick) < high
     assert low <= voltage_after(exit_tick - 1) < high
     # a shorter run ends before the exit, and one already outside at once
-    assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, exit_tick - 1,
-                     low, high) == exit_tick - 1
-    assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 10 ** 6,
-                     3.95, 4.0) == 1
+    assert band_exit(e0, net, exit_tick - 1, low, high) == exit_tick - 1
+    assert band_exit(e0, net, 10 ** 6, 3.95, 4.0) == 1
     # a one-tick stretch, which is how the kernel integrates a full tick,
     # ends on that tick whatever the band
     for edges in (band, (3.95, 4.0)):
-        assert band_exit(make_cap(voltage=3.9), p_in, p_out, 0.1, 1,
-                         *edges) == 1
+        assert band_exit(e0, net, 1, *edges) == 1
 
 
 def test_min_capacitance_frozen_value():

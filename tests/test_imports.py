@@ -130,3 +130,29 @@ def test_cli_imports_vec3_from_where_it_is_defined():
     sources = [module for module, names in package_imports("cli")
                if "Vec3" in names]
     assert sources == ["channel"]
+
+
+def test_only_energy_evaluates_the_storage_law():
+    # the clamp, the capacitance and the square root of the closed form
+    # live in energy, whose functions the kernel and the trace call
+    for name in ("simkernel", "trace"):
+        imported = set().union(*(names for _, names in package_imports(name)))
+        assert not imported & {"STORAGE_CAPACITANCE_F", "STORAGE_FULL_J"}
+        tree = ast.parse((ROOT / "src" / "luxnet" / f"{name}.py").read_text(
+            encoding="utf-8"))
+        assert [node.lineno for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and "sqrt" in (getattr(node, "id", None),
+                               getattr(node, "attr", None))] == []
+    # and the net joules a tick are written once, in energy.net_per_tick
+    found = []
+    for path in sorted((ROOT / "src" / "luxnet").glob("*.py")):
+        if path.stem == "energy":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Sub)
+                  and isinstance(node.right, ast.Name)
+                  and node.right.id == "LEAK_POWER_W"]
+    assert found == []

@@ -24,9 +24,10 @@ from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import DUE_TOLERANCE_S, ControllerConfig
 from luxnet.energy import (
-    STORAGE_CAPACITANCE_F,
     STORAGE_FULL_J,
     V_OVERDISCHARGE,
+    _closed_form,
+    clamp_runs,
 )
 from luxnet.node import (
     SESSION_FLOOR_TOL_V,
@@ -52,7 +53,6 @@ from luxnet.trace import (
     SegmentLane,
     TraceSegment,
     TraceSet,
-    _lane_runs,
     format_trace_csv,
     segment_values,
     summarize,
@@ -461,7 +461,9 @@ def test_a_block_of_the_held_pair_starts_inside_a_held_run():
     trace = run_scenario(held_pair())
     per_block = 7 // 2
     starts = [start for segment in trace.segments
-              for (lo, hi, _, _) in _lane_runs(segment, segment.instants)[:1]
+              for (lo, hi, _, _) in clamp_runs(
+                  [(segment.lanes[0].e0, segment.lanes[0].net)],
+                  segment.instants)
               for start in range(per_block, len(segment.instants), per_block)
               if start < lo or hi < start]
     assert len(starts) > 30
@@ -560,14 +562,11 @@ def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
 
 
 def clamped_voltages(lane, instants):
-    """A lane's storage voltage at each instant through the clamp to
-    0..STORAGE_FULL_J, in the kernel's float order, one list element per
-    instant's energy."""
+    """A lane's storage voltage at each instant: the voltage storage_step
+    steps to from the lane's e0, n ticks of its net on
+    (energy._closed_form)."""
     *_, e0, net, _, _ = lane
-    full = STORAGE_FULL_J
-    return [math.sqrt(2.0 * (0.0 if e < 0.0 else full if e > full else e)
-                      / STORAGE_CAPACITANCE_F)
-            for n in instants for e in [e0 + n * net]]
+    return [_closed_form(e0, net, n)[1] for n in instants]
 
 
 @st.composite
@@ -618,14 +617,16 @@ def lane_segment(e0, net):
 # live, then held at 0 from the fourth instant on
 @example(lane_segment(0.1, -0.03), 2)
 def test_segment_values_are_the_clamped_closed_form(segment, pick):
-    # bit for bit, for the whole segment, one instant and a tail of it;
-    # each lane's runs hold exactly where the clamp bites
+    # each voltage is bit for bit the one storage_step steps to, for the
+    # whole segment, one instant and a tail of it; each lane's runs hold
+    # exactly where the clamp bites
     every = segment.instants
     k = pick % len(every)
+    pairs = [(lane.e0, lane.net) for lane in segment.lanes]
     for instants in (every, every[k:k + 1], every[k:]):
         _, values = segment_values(segment, instants)
         for lane, v_caps, (lo, hi, _, _) in zip(
-                segment.lanes, values, _lane_runs(segment, instants)):
+                segment.lanes, values, clamp_runs(pairs, instants)):
             assert ([v.hex() for v in v_caps]
                     == [v.hex() for v in clamped_voltages(lane, instants)])
             assert [not 0.0 <= lane.e0 + n * lane.net <= STORAGE_FULL_J

@@ -15,6 +15,7 @@ from luxnet.energy import (
     HarvesterArray,
     StorageCapacitor,
     band_exit,
+    net_per_tick,
     pv_open_voltage,
     storage_step,
 )
@@ -540,7 +541,8 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
                             drop if i < drop else 400) - i
             if ticks:
                 p_out = state_draw_w(node, i * dt, dt)
-                ticks = band_exit(node.storage, harvest, p_out, dt, ticks,
+                ticks = band_exit(node.storage.energy,
+                                  net_per_tick(harvest, p_out, dt), ticks,
                                   low, high)
                 storage_step(node.storage, harvest, p_out, dt, ticks)
                 events = [apply_hysteresis(node, (i + ticks) * dt)]
