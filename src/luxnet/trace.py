@@ -9,7 +9,9 @@ through energy's clamp_runs and run_voltages, so this module evaluates
 no storage law of its own.  summarize reduces a trace to the headline
 per-node figures and render_summary prints them; format_trace_csv writes
 the rows as CSV, rendering each segment straight from its closed form
-rather than expanding it into rows first.
+rather than expanding it into rows first: each block of rows is one
+bytes % whose template holds every time and fixed field, so it formats
+only the voltages that change from row to row.
 """
 
 from __future__ import annotations
@@ -357,36 +359,38 @@ CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
 # rows per write of format_trace_csv
-CSV_BLOCK_ROWS = 8192
-# one discrete row, from its fields but harvested_j, which the CSV omits
-DISCRETE_ROW = "%.2f,%s,%.6f,%.6f,%s,%s,%.3f,%s\n"
-# a segment lane's row with its time and voltage left to fill in,
-# "%s,<nid>,%.6f,<v_pv>,<mode>,<state>,<lux>,", from the lane's fixed
+CSV_BLOCK_ROWS = 2048
+# one event row, from its fields but harvested_j, which the CSV omits
+DISCRETE_ROW = b"%.2f,%d,%.6f,%.6f,%b,%b,%.3f,%b\n"
+# a lane's row after its time, with its voltage left to fill in,
+# ",<nid>,%.6f,<v_pv>,<mode>,<state>,<lux>,\n", from the lane's fixed
 # fields (node_id, v_pv, mode, state, lux); a mode or state name holds
 # no %
-LANE_ROW = "%%s,%s,%%.6f,%.6f,%s,%s,%.3f,\n"
+LANE_ROW = ",%s,%%.6f,%.6f,%s,%s,%.3f,\n"
 
 
 class _RowTemplates(dict):
     """Each lane's LANE_ROW by its fixed fields, formatted on first use."""
 
-    def __missing__(self, fixed: Tuple) -> str:
-        row = self[fixed] = LANE_ROW % fixed
+    def __missing__(self, fixed: Tuple) -> bytes:
+        row = self[fixed] = (LANE_ROW % fixed).encode()
         return row
 
 
 def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
-                ) -> Iterator[Tuple[int, str]]:
+                ) -> Iterator[Tuple[int, bytes]]:
     """The CSV text of the trace rows, in row order, as (rows, text)
-    pieces of at most CSV_BLOCK_ROWS rows each, booking the rows of the
-    final quarter into steady as it expands them.
+    pieces of at most CSV_BLOCK_ROWS rows each, the text UTF-8 bytes,
+    booking the rows of the final quarter into steady as it expands
+    them.
 
-    Each lane's row template holds its fixed fields, formatted once per
-    render pass, since they recur from segment to segment and among the
-    sample rows.  A chunk of discrete rows is one % (see
-    _discrete_block), and a segment renders each block of its instants
-    with one % over a template of one instant's rows (see
-    _segment_block).
+    A piece is one bytes % over a template that holds every row but the
+    voltages it fills in: bytes % finds each % with memchr, where str %
+    reads its template one character at a time.  Each lane's row
+    template holds its fixed fields, formatted once per render pass,
+    since they recur from segment to segment and among the sample rows,
+    and each instant's time is formatted once, into the template in
+    front of each of its rows (see _discrete_block and _segment_block).
     """
     since = _steady_since(trace)
     row_templates = _RowTemplates()
@@ -410,11 +414,11 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
 
 
 def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
-                    ) -> str:
+                    ) -> bytes:
     """The CSV text of discrete rows, one % over their formats joined:
-    an event row's DISCRETE_ROW, and a sample row's lane row template,
-    which leaves its time, formatted once per instant, and its voltage
-    to fill in.  A function of its own for the reason _segment_block
+    an event row's DISCRETE_ROW, and a sample row's time text, formatted
+    once per instant, and lane row template, which leaves its voltage to
+    fill in.  A function of its own for the reason _segment_block
     gives."""
     template = []
     args = []
@@ -422,27 +426,28 @@ def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
     for t, nid, v_cap, v_pv, mode, state, lux, _, event in rows:
         if event:
             template.append(DISCRETE_ROW)
-            args += (t, nid, v_cap, v_pv, mode, state, lux, event)
+            args += (t, nid, v_cap, v_pv, mode.encode(), state.encode(), lux,
+                     event.encode())
             continue
         if t != time_s:
-            time_s, text = t, "%.2f" % t
-        template.append(row_templates[nid, v_pv, mode, state, lux])
-        args += (text, v_cap)
-    return "".join(template) % tuple(args)
+            time_s, text = t, b"%.2f" % t
+        template += (text, row_templates[nid, v_pv, mode, state, lux])
+        args.append(v_cap)
+    return b"".join(template) % tuple(args)
 
 
-def _segment_block(segment: TraceSegment, lane_rows: List[str],
+def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
                    instants: range, since: float,
-                   steady: Dict[int, List]) -> str:
+                   steady: Dict[int, List]) -> bytes:
     """The CSV text of a segment's rows at instants, lane_rows holding
     each lane's row template, booking the rows at or after since into
     steady.
 
-    The block's one template holds a row per lane for an instant: the
-    voltage of a lane held at a clamp over the whole block is formatted
-    into it once, by the % that formats a live one, and one % over the
-    instants' times (each formatted once) and the live lanes' voltages,
-    interleaved, renders the block.
+    Each lane's piece is its row template, but a lane held at a clamp
+    over the whole block has its voltage formatted into it once.  An
+    instant's rows are its pieces joined on its time text, and one %
+    over those instants' templates and the live lanes' voltages, per
+    instant in lane order, renders the block.
 
     A function of its own because a generator's locals live across its
     yield: returning frees the block's voltages and % arguments before
@@ -455,23 +460,21 @@ def _segment_block(segment: TraceSegment, lane_rows: List[str],
     if tail < count:
         _tally_steady(steady, (), segment.lanes, [
             v_caps[tail:] for v_caps in values] if tail else values)
-    # per instant, each lane's row: the time, then a live lane's voltage;
     # a lane held throughout (lo == count) is held at before
-    template = []
+    pieces = [b""]
     columns = []
-    times = ("%.2f " * count % tuple(times)).split()
     for row, v_caps, (lo, _, before, _) in zip(lane_rows, values, runs):
-        columns.append(times)
         if lo == count:
-            template.append(row % ("%s", before))
+            pieces.append(row % before)
         else:
-            template.append(row)
+            pieces.append(row)
             columns.append(v_caps)
     width = len(columns)
     args = [None] * (count * width)
     for k, column in enumerate(columns):
         args[k::width] = column
-    return "".join(template) * count % tuple(args)
+    texts = (b"%.2f " * count % tuple(times)).split()
+    return b"".join([text.join(pieces) for text in texts]) % tuple(args)
 
 
 def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
@@ -485,15 +488,15 @@ def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
     need not expand those rows again."""
     steady = _new_steady_tally(trace)
     out.write(CSV_HEADER + "\n")
-    block: List[str] = []
+    block: List[bytes] = []
     rows = 0
     for count, text in _csv_blocks(trace, steady):
         if rows + count > CSV_BLOCK_ROWS:
-            out.write("".join(block))
+            out.write(b"".join(block).decode())
             block, rows = [], 0
         block.append(text)
         rows += count
-    out.write("".join(block))
+    out.write(b"".join(block).decode())
     trace.steady_tally = steady
 
 

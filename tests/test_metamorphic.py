@@ -6,6 +6,13 @@ Prefix: a run of duration T is the run of duration 2T cut at T.  Every
 CSV row before the shorter run's end is the same row of the longer run,
 and the shorter run adds only its final sample rows.
 
+Rotation and mirror: a quarter turn about z, (x, y, z) -> (-y, x, z), or
+a mirror, x -> -x, of every node position, face normal and emitter aim
+and of the access point's position leaves the CSV, every node aggregate
+and the controller log bit-identical.  Both maps are exact in floating
+point, and every gain reads the geometry only through differences,
+norms and dot products, whose terms they permute or negate in pairs.
+
 Adding a node is not such a relation: every downlink floods every node,
 so a far node's frames cost the others decode energy and wake-ups.
 """
@@ -16,10 +23,10 @@ import pytest
 from hypothesis import given
 
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
-from luxnet.simkernel import run_scenario
+from luxnet.simkernel import Scenario, run_scenario
 from luxnet.trace import format_trace_csv
 from test_kernel_equivalence import networks
-from test_simkernel import benchmark_workloads
+from test_simkernel import benchmark_workloads, csv_text
 
 
 def csv_rows(scenario):
@@ -56,3 +63,65 @@ def test_crowd_dense_is_a_prefix_of_its_longer_run(seed):
 @given(networks())
 def test_a_drawn_network_is_a_prefix_of_its_longer_run(scenario):
     assert_prefix(scenario, scenario.duration_s / 2.0)
+
+
+def quarter_turn(v):
+    x, y, z = v
+    return (-y, x, z)
+
+
+def mirror(v):
+    x, y, z = v
+    return (-x, y, z)
+
+
+def moved(scenario: Scenario, move) -> Scenario:
+    """scenario with every position, face normal and aim mapped by move."""
+    nodes = tuple(node._replace(
+        position=move(node.position),
+        faces=tuple(face._replace(normal=move(face.normal))
+                    for face in node.faces),
+        led_aim=None if node.led_aim is None else move(node.led_aim))
+        for node in scenario.nodes)
+    return scenario._replace(nodes=nodes, oap=scenario.oap._replace(
+        position=move(scenario.oap.position)))
+
+
+def bits(value):
+    """value with every float, also inside a dict, as its hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    return value
+
+
+def outputs(scenario):
+    """A run's CSV, each node aggregate's fields, bit for bit, and its
+    controller log."""
+    trace = run_scenario(scenario)
+    aggregates = {nid: {name: bits(getattr(agg, name))
+                        for name in agg.__slots__}
+                  for nid, agg in trace.aggregates.items()}
+    return csv_text(trace), aggregates, trace.controller_log
+
+
+def shipped(stem, duration_s=None):
+    scenario = parse_scenario_file(shipped_scenario_path(stem))
+    return scenario._replace(duration_s=duration_s or scenario.duration_s)
+
+
+ROTATION_RUNS = {
+    "paper-a": lambda: shipped("paper_a"),
+    "paper-b-10h": lambda: shipped("paper_b", 36_000.0),
+    **{f"crowd-dense-{seed}": lambda seed=seed:
+       benchmark_workloads().crowd_dense_scenario(seed) for seed in (0, 1, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_RUNS))
+def test_a_turned_or_mirrored_network_runs_bit_for_bit_alike(name):
+    scenario = ROTATION_RUNS[name]()
+    base = outputs(scenario)
+    for move in (quarter_turn, mirror):
+        assert outputs(moved(scenario, move)) == base, move.__name__

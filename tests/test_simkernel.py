@@ -31,11 +31,15 @@ from luxnet.controller import Controller, ControllerConfig
 from luxnet.energy import (
     DEFAULT_PROFILE,
     PV_CELLS_PER_NODE,
+    STORAGE_FULL_J,
     V_STORAGE_MAX,
     StorageCapacitor,
+    clamp_runs,
     storage_step,
+    stored_j,
 )
 from luxnet.errors import InfeasibleError, ScenarioError
+from luxnet.node import NodeState
 from luxnet.protocol import NodeToOap, OapToNode
 from luxnet.simkernel import (
     FACE_LETTERS,
@@ -56,7 +60,11 @@ from luxnet.simkernel import (
 from luxnet.trace import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
+    NodeAggregate,
+    SegmentLane,
     TraceRow,
+    TraceSegment,
+    TraceSet,
     format_trace_csv,
     render_summary,
     segment_values,
@@ -970,6 +978,28 @@ def test_paper_b_first_hour_digests(tmp_path):
         "bb50943520bb31a42948b557774c32fff4fecf87b66dec280165b65e2bc24ef3")
 
 
+# CSV and summary of `luxnet run` on each shipped file as shipped:
+# paper-a for 12 h, paper-b for 60 h
+SHIPPED_DIGESTS = {
+    "paper_a": (
+        "d61b83cc3db8dca09b031cea34043e42cdebf74df739c15063663a8729da685f",
+        "5aca1b15e6be20332b105b00fba5935d6aebe791efaf94397ad3be366454a914"),
+    "paper_b": (
+        "a22b10d92a8fdcd502fe108b3fb0f5eac30b1c805849b13e86aa7c7fd3a533c7",
+        "9caa6269f65d91e8d6dac3a97d2e2741c954d0b12b46049f83016b9f255afebe"),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_DIGESTS))
+def test_shipped_run_digests(tmp_path, capsys, stem):
+    assert main(["run", shipped_scenario_path(stem),
+                 "--out-dir", str(tmp_path)]) == 0
+    name = stem.replace("_", "-")
+    assert (sha256_hex((tmp_path / f"{name}.csv").read_bytes()),
+            sha256_hex((tmp_path / f"{name}.summary.txt").read_bytes())
+            ) == SHIPPED_DIGESTS[stem]
+
+
 def test_shared_light_with_interference_digests():
     sc = guard_scenario()
     trace = run_scenario(sc)
@@ -1308,6 +1338,55 @@ def test_sample_rows_share_the_segment_row_templates(monkeypatch,
         "0.00,2,4.500000,0.000000,SSN,Init,150.000,depleted",
         "0.00,3,4.500000,0.000000,SSN,Init,1000.000,role PSN",
         "0.00,2,4.500000,0.000000,SSN,Init,150.000,"]
+    assert text == row_by_row_csv(trace)
+
+
+def one_segment_trace(lanes, ticks):
+    """A trace of nothing but one segment at ticks, 0.1 s apart, its
+    lanes given as (node_id, e0, net)."""
+    return TraceSet(
+        "t", ticks[-1] * 0.1, 0.1, [],
+        [TraceSegment(0, 0, ticks, 0.1, tuple(
+            SegmentLane(nid, 0.5, "SSN", NodeState.SLEEP, 150.0, e0, net,
+                        0.0, 1e-4)
+            for nid, e0, net in lanes))],
+        [], [], {nid: NodeAggregate(nid, e0) for nid, e0, _ in lanes})
+
+
+# from tick 1 on, a clamp holds the first full and the second empty
+HELD = [(1, STORAGE_FULL_J, 1e-3), (3, 0.0, -1e-3)]
+
+
+@pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("lanes, ticks, live", [
+    # the time text widens inside a block, from 9.90 to 10.00 s and from
+    # 99.90 to 100.00 s: at 7 rows, blocks of 3 instants start at ticks
+    # 98 and 998
+    ([(1, stored_j(4.0), -1e-6), (2, stored_j(3.5), 2e-6)],
+     range(95, 1003), 2),
+    # every lane held: the block's % has no voltage to fill in
+    (HELD, range(1, 40), 0),
+    ([HELD[0], (2, stored_j(3.5), 2e-6), HELD[1]], range(1, 40), 1),
+])
+def test_segment_blocks_render_as_row_by_row(monkeypatch, block_rows,
+                                             lanes, ticks, live):
+    runs = clamp_runs([(e0, net) for _, e0, net in lanes], ticks)
+    assert sum(lo < len(ticks) for lo, *_ in runs) == live
+    trace = one_segment_trace(lanes, ticks)
+    monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
+    assert csv_text(trace) == row_by_row_csv(trace)
+
+
+@pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
+def test_a_one_node_network_renders_as_row_by_row(monkeypatch, block_rows):
+    # a row every tick, past 10 s and 100 s, of segments with one lane
+    trace = run_scenario(Scenario(name="t", duration_s=120.0,
+                                  nodes=(lone_node(),), trace_interval_s=0.1))
+    assert trace.segments
+    assert {len(segment.lanes) for segment in trace.segments} == {1}
+    monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
+    text = csv_text(trace)
+    assert "\n99.90,1," in text and "\n100.00,1," in text
     assert text == row_by_row_csv(trace)
 
 
