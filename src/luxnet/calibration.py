@@ -38,12 +38,12 @@ from .channel import (
 )
 from .energy import (
     DEFAULT_PROFILE,
-    LEAK_POWER_W,
     PV_CELLS_PER_NODE,
-    STORAGE_CAPACITANCE_F,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     PowerProfile,
+    band_energy_j,
+    drain_w,
     net_per_tick,
 )
 from .node import DEFAULT_TIMING, sense_cycle_cost_j
@@ -102,15 +102,11 @@ def derive_power_profile() -> PowerProfile:
     return DEFAULT_PROFILE._replace(etx=etx)
 
 
-def _band_energy_j(v_high: float, v_low: float) -> float:
-    return 0.5 * STORAGE_CAPACITANCE_F * (v_high ** 2 - v_low ** 2)
-
-
 def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Full-to-floor burst session length at the bright reference light."""
-    band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
+    band = band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
     harvest = PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX)
-    net = profile.etx + LEAK_POWER_W - harvest
+    net = drain_w(harvest, profile.etx)
     if net <= 0.0:
         return DEFAULT_TIMING.t_energy_net
     return min(DEFAULT_TIMING.t_energy_net, band / net)
@@ -118,7 +114,7 @@ def session_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
 
 def recovery_duration_s(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     """Sleep recovery from the share floor back to full, seconds."""
-    band = _band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
+    band = band_energy_j(SHARE_CEILING_V, SHARE_FLOOR_V)
     # the net joules of one second are the net watts
     net = net_per_tick(PV_CELLS_PER_NODE * pv_input_power(PSN_AMBIENT_LUX),
                        profile.sleep, 1.0)
@@ -135,8 +131,8 @@ def endurance_estimate_h(profile: PowerProfile = DEFAULT_PROFILE) -> float:
     this a little at the end by skipping cycles it can no longer
     afford, so the estimate is conservative.
     """
-    budget = _band_energy_j(SHARE_CEILING_V, V_OVERDISCHARGE)
-    idle = profile.sleep + LEAK_POWER_W - pv_input_power(SSN_AMBIENT_LUX)
+    budget = band_energy_j(SHARE_CEILING_V, V_OVERDISCHARGE)
+    idle = drain_w(pv_input_power(SSN_AMBIENT_LUX), profile.sleep)
     if idle <= 0.0:
         return math.inf
     return budget / (idle * DEFAULT_TIMING.t_int

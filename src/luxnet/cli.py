@@ -30,7 +30,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .channel import InterferenceModel, Vec3
 from .controller import ControllerConfig, duty_cycle, standby_time
@@ -269,13 +269,13 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", name) or "scenario"
 
 
-def _write_output(path: str, write: Callable[[TextIO], object]) -> None:
-    """Open path for text and hand the stream to write; any OSError on
+def _write_output(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Open path for bytes and hand the stream to write; any OSError on
     the way, the last flush among them, is a ValueError naming path.  A
     file it opened is removed then, so no partial output is left."""
     opened = False
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "wb") as fh:
             opened = True
             write(fh)
     except OSError as exc:
@@ -311,7 +311,7 @@ def cmd_run(args) -> int:
         csv_path = os.path.join(out_dir, stem + ".csv")
         _write_output(csv_path, lambda fh: format_trace_csv(trace, fh))
         summary_path = os.path.join(out_dir, stem + ".summary.txt")
-        text = render_summary(summarize(trace))
+        text = render_summary(summarize(trace)).encode()
         _write_output(summary_path, lambda fh: fh.write(text))
         print(f"{scenario.name}: wrote {csv_path}")
         print(f"{scenario.name}: wrote {summary_path}")

@@ -16,7 +16,9 @@ the energy n ticks on is clamp(e0 + n * net) and the voltage
 sqrt(2 E / C).  storage_step steps a capacitor by it, band_exit finds
 the tick on which a stretch leaves a voltage band, and clamp_runs and
 run_voltages expand a trace segment's instants bit for bit as
-storage_step steps them; stored_j is 1/2 C V^2 at a given voltage.
+storage_step steps them; stored_j is 1/2 C V^2 at a given voltage,
+band_energy_j the joules between two voltages, and drain_w the watts a
+storage loses, leak included, which the session planners divide into.
 
 Harvest is a set of photovoltaic cells, each with its own geometry (an
 OpticalReceiver face).  Every cell converts illuminance to electrical
@@ -211,6 +213,17 @@ def net_per_tick(p_in: float, p_out: float, dt: float) -> float:
     if p_in < 0.0 or p_out < 0.0:
         raise ValueError("powers must be non-negative")
     return (p_in - p_out - LEAK_POWER_W) * dt
+
+
+def drain_w(p_in: float, p_out: float) -> float:
+    """Watts the storage loses at p_in watts harvested and p_out drawn,
+    the leak included (negative for a gain)."""
+    return p_out + LEAK_POWER_W - p_in
+
+
+def band_energy_j(v_high: float, v_low: float) -> float:
+    """Joules the storage gives up from v_high down to v_low."""
+    return 0.5 * STORAGE_CAPACITANCE_F * (v_high ** 2 - v_low ** 2)
 
 
 def _closed_form(e0: float, net: float, ticks: int) -> Tuple[float, float]:

@@ -42,12 +42,12 @@ from .channel import OpticalTransmitter
 from .energy import (
     DEFAULT_PROFILE,
     FULL_TOLERANCE_V,
-    LEAK_POWER_W,
     V_CHARGE_READY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
     PowerProfile,
     StorageCapacitor,
+    drain_w,
     pv_open_voltage,
     stored_j,
 )
@@ -208,7 +208,7 @@ def etx_session(node: NodeRecord, harvest_power_w: float = 0.0) -> float:
     available = node.storage.energy - node.guard_floor_j
     if available <= 0.0:
         return 0.0
-    net_drain = DEFAULT_PROFILE.etx + LEAK_POWER_W - harvest_power_w
+    net_drain = drain_w(harvest_power_w, DEFAULT_PROFILE.etx)
     if net_drain <= 0.0:
         return DEFAULT_TIMING.t_energy_net
     return min(DEFAULT_TIMING.t_energy_net, available / net_drain)

@@ -8,10 +8,11 @@ stepped them by: per node its (e0, net), which segment_values expands
 through energy's clamp_runs and run_voltages, so this module evaluates
 no storage law of its own.  summarize reduces a trace to the headline
 per-node figures and render_summary prints them; format_trace_csv writes
-the rows as CSV, rendering each segment straight from its closed form
-rather than expanding it into rows first: each block of rows is one
-bytes % whose template holds every time and fixed field, so it formats
-only the voltages that change from row to row.
+the rows as CSV to a binary stream, rendering each segment straight from
+its closed form rather than expanding it into rows first: each block of
+rows is one bytes % whose template holds every time and fixed field, so
+it formats only the voltages that change from row to row.  The CSV's
+encoding (UTF-8) and line ending (LF) are known here alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from bisect import bisect_left
 from functools import reduce
 from operator import add
-from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Tuple
+from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .energy import Runs, clamp_runs, run_voltages
 from .node import NodeState
@@ -358,7 +359,7 @@ def summarize(trace: TraceSet) -> Summary:
 CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
-# rows per write of format_trace_csv
+# rows per block _csv_blocks renders, which bounds each block's memory
 CSV_BLOCK_ROWS = 2048
 # one event row, from its fields but harvested_j, which the CSV omits
 DISCRETE_ROW = b"%.2f,%d,%.6f,%.6f,%b,%b,%.3f,%b\n"
@@ -378,13 +379,12 @@ class _RowTemplates(dict):
 
 
 def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
-                ) -> Iterator[Tuple[int, bytes]]:
-    """The CSV text of the trace rows, in row order, as (rows, text)
-    pieces of at most CSV_BLOCK_ROWS rows each, the text UTF-8 bytes,
-    booking the rows of the final quarter into steady as it expands
-    them.
+                ) -> Iterator[bytes]:
+    """The CSV rows of the trace, in row order, as UTF-8 blocks of at
+    most CSV_BLOCK_ROWS rows each, booking the rows of the final quarter
+    into steady as it expands them.
 
-    A piece is one bytes % over a template that holds every row but the
+    A block is one bytes % over a template that holds every row but the
     voltages it fills in: bytes % finds each % with memchr, where str %
     reads its template one character at a time.  Each lane's row
     template holds its fixed fields, formatted once per render pass,
@@ -396,8 +396,8 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
     row_templates = _RowTemplates()
     for discrete, segment in trace.runs():
         for start in range(0, len(discrete), CSV_BLOCK_ROWS):
-            rows = discrete[start:start + CSV_BLOCK_ROWS]
-            yield len(rows), _discrete_block(rows, row_templates)
+            yield _discrete_block(discrete[start:start + CSV_BLOCK_ROWS],
+                                  row_templates)
         # the rows are in time order, as for trace.runs(since)
         if discrete and discrete[-1].time_s >= since:
             _tally_steady(steady, discrete[bisect_left(
@@ -408,14 +408,14 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
         instants = segment.instants
         per_block = max(1, CSV_BLOCK_ROWS // len(lane_rows))
         for start in range(0, len(instants), per_block):
-            block = instants[start:start + per_block]
-            yield len(block) * len(lane_rows), _segment_block(
-                segment, lane_rows, block, since, steady)
+            yield _segment_block(segment, lane_rows,
+                                 instants[start:start + per_block], since,
+                                 steady)
 
 
 def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
                     ) -> bytes:
-    """The CSV text of discrete rows, one % over their formats joined:
+    """The CSV bytes of discrete rows, one % over their formats joined:
     an event row's DISCRETE_ROW, and a sample row's time text, formatted
     once per instant, and lane row template, which leaves its voltage to
     fill in.  A function of its own for the reason _segment_block
@@ -439,7 +439,7 @@ def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
 def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
                    instants: range, since: float,
                    steady: Dict[int, List]) -> bytes:
-    """The CSV text of a segment's rows at instants, lane_rows holding
+    """The CSV bytes of a segment's rows at instants, lane_rows holding
     each lane's row template, booking the rows at or after since into
     steady.
 
@@ -451,7 +451,7 @@ def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
 
     A function of its own because a generator's locals live across its
     yield: returning frees the block's voltages and % arguments before
-    _csv_blocks hands the text on to be written."""
+    _csv_blocks hands the block on to be written."""
     count = len(instants)
     runs = clamp_runs([(lane.e0, lane.net) for lane in segment.lanes],
                       instants)
@@ -477,26 +477,18 @@ def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
     return b"".join([text.join(pieces) for text in texts]) % tuple(args)
 
 
-def format_trace_csv(trace: TraceSet, out: TextIO) -> None:
-    """Write the trace rows to out as CSV (LF endings, fixed precision),
-    the header, then the rows in writes of at most CSV_BLOCK_ROWS rows:
-    consecutive pieces of _csv_blocks are joined up to that size, so a
-    run of short segments costs one write, not one each.
+def format_trace_csv(trace: TraceSet, out: BinaryIO) -> None:
+    """Write the trace rows to the binary stream out as UTF-8 CSV (LF
+    endings, fixed precision): the header, then each block _csv_blocks
+    renders.  A buffered stream batches runs of short blocks, such as
+    one-instant segments, into its own writes.
 
     The same pass books each node's final-quarter tally, which it keeps
     on the trace (steady_tally) once every row is written, so summarize
     need not expand those rows again."""
     steady = _new_steady_tally(trace)
-    out.write(CSV_HEADER + "\n")
-    block: List[bytes] = []
-    rows = 0
-    for count, text in _csv_blocks(trace, steady):
-        if rows + count > CSV_BLOCK_ROWS:
-            out.write(b"".join(block).decode())
-            block, rows = [], 0
-        block.append(text)
-        rows += count
-    out.write(b"".join(block).decode())
+    out.write((CSV_HEADER + "\n").encode())
+    out.writelines(_csv_blocks(trace, steady))
     trace.steady_tally = steady
 
 

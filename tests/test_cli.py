@@ -334,6 +334,23 @@ def test_run_golden_files(tmp_path, capsys):
     assert read(tmp_path / "paper-a.summary.txt") == RUN_SUMMARY_GOLDEN
 
 
+def test_run_writes_the_trace_csv_bytes_and_a_utf8_summary(tmp_path, capsys):
+    # the CLI writes format_trace_csv's bytes as they are, and encodes
+    # the summary itself, so a name outside ASCII survives in it verbatim
+    scn = tmp_path / "kitchen.scn"
+    scn.write_text(read(shipped_scenario_path("paper_a")).replace(
+        "name = paper-a", "name = Küche Ost"), encoding="utf-8")
+    assert main(["run", str(scn), "--duration-s", "600",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    scenario = parse_scenario_file(str(scn))._replace(duration_s=600.0)
+    out = io.BytesIO()
+    format_trace_csv(run_scenario(scenario), out)
+    assert (tmp_path / "K-che-Ost.csv").read_bytes() == out.getvalue()
+    summary = (tmp_path / "K-che-Ost.summary.txt").read_bytes()
+    assert summary.decode("utf-8").split("\n", 1)[0] == "scenario: Küche Ost"
+
+
 def test_run_many_scenarios_in_order(tmp_path, capsys):
     rc = main(["run", shipped_scenario_path("paper_a"),
                shipped_scenario_path("paper_b"),
@@ -679,7 +696,7 @@ def run_outputs(text):
     scenario = parse_scenario_text(text)
     validate_scenario(scenario)
     trace = run_scenario(scenario)
-    out = io.StringIO()
+    out = io.BytesIO()
     format_trace_csv(trace, out)
     return (out.getvalue(), render_summary(summarize(trace)),
             trace.controller_log, trace.frame_log)

@@ -132,27 +132,45 @@ def test_cli_imports_vec3_from_where_it_is_defined():
     assert sources == ["channel"]
 
 
+def storage_law_uses(tree):
+    """(line, what) of each storage-law term outside energy: an import of
+    the capacitance or the clamp's ceiling, and the leak added or
+    subtracted."""
+    found = [(node.lineno, f"imports {alias.name}")
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names
+             if alias.name in ("STORAGE_CAPACITANCE_F", "STORAGE_FULL_J")]
+    found += [(node.lineno, "adds or subtracts LEAK_POWER_W")
+              for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+              and isinstance(node.op, (ast.Add, ast.Sub))
+              and any(isinstance(side, ast.Name) and side.id == "LEAK_POWER_W"
+                      for side in (node.left, node.right))]
+    return sorted(found)
+
+
 def test_only_energy_evaluates_the_storage_law():
-    # the clamp, the capacitance and the square root of the closed form
-    # live in energy, whose functions the kernel and the trace call
-    for name in ("simkernel", "trace"):
-        imported = set().union(*(names for _, names in package_imports(name)))
-        assert not imported & {"STORAGE_CAPACITANCE_F", "STORAGE_FULL_J"}
-        tree = ast.parse((ROOT / "src" / "luxnet" / f"{name}.py").read_text(
-            encoding="utf-8"))
-        assert [node.lineno for node in ast.walk(tree)
-                if isinstance(node, (ast.Name, ast.Attribute))
-                and "sqrt" in (getattr(node, "id", None),
-                               getattr(node, "attr", None))] == []
-    # and the net joules a tick are written once, in energy.net_per_tick
+    # the clamp, the capacitance, the net and drain of the leak and the
+    # energy of a voltage band are written in energy alone, whose
+    # functions the kernel, the nodes, the trace and the calibration call
+    assert storage_law_uses(ast.parse(
+        "from .energy import STORAGE_FULL_J\n"
+        "drain = p + LEAK_POWER_W - h\nnet = h - p - LEAK_POWER_W\n"
+        "leaked = ticks * (LEAK_POWER_W * dt)\n")) == [
+        (1, "imports STORAGE_FULL_J"), (2, "adds or subtracts LEAK_POWER_W"),
+        (3, "adds or subtracts LEAK_POWER_W")]
     found = []
-    for path in sorted((ROOT / "src" / "luxnet").glob("*.py")):
-        if path.stem == "energy":
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "energy.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.BinOp)
-                  and isinstance(node.op, ast.Sub)
-                  and isinstance(node.right, ast.Name)
-                  and node.right.id == "LEAK_POWER_W"]
+        found += [f"{path.relative_to(ROOT)}:{line}: {what}"
+                  for line, what in storage_law_uses(tree)]
+    # and neither the kernel nor the trace takes the closed form's root
+    for name in ("simkernel", "trace"):
+        tree = ast.parse((ROOT / "src" / "luxnet" / f"{name}.py").read_text(
+            encoding="utf-8"))
+        found += [f"{name}.py:{node.lineno}: sqrt" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))
+                  and "sqrt" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None))]
     assert found == []

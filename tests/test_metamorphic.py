@@ -13,26 +13,26 @@ and the controller log bit-identical.  Both maps are exact in floating
 point, and every gain reads the geometry only through differences,
 norms and dot products, whose terms they permute or negate in pairs.
 
+More light never shortens a life: with everything else fixed, raising
+a node's ambient light never moves its lockout (depleted_at) earlier.
+
 Adding a node is not such a relation: every downlink floods every node,
 so a far node's frames cost the others decode energy and wake-ups.
 """
 
-import io
+import math
 
 import pytest
 from hypothesis import given
 
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.simkernel import Scenario, run_scenario
-from luxnet.trace import format_trace_csv
 from test_kernel_equivalence import networks
 from test_simkernel import benchmark_workloads, csv_text
 
 
 def csv_rows(scenario):
-    out = io.StringIO()
-    format_trace_csv(run_scenario(scenario), out)
-    return out.getvalue().splitlines()[1:]
+    return csv_text(run_scenario(scenario)).splitlines()[1:]
 
 
 def assert_prefix(scenario, duration_s):
@@ -125,3 +125,26 @@ def test_a_turned_or_mirrored_network_runs_bit_for_bit_alike(name):
     base = outputs(scenario)
     for move in (quarter_turn, mirror):
         assert outputs(moved(scenario, move)) == base, move.__name__
+
+
+def with_face_a_ambient(scenario: Scenario, node_id, lux) -> Scenario:
+    """scenario with node node_id's face a under lux of ambient light."""
+    nodes = tuple(node._replace(faces=(node.faces[0]._replace(
+        ambient_lux=lux), *node.faces[1:])) if node.node_id == node_id
+        else node for node in scenario.nodes)
+    return scenario._replace(nodes=nodes)
+
+
+def test_more_light_never_shortens_a_life():
+    # paper-a's dim node under 100 to 400 lx on its lit face, in 20 lx
+    # steps: each step never moves its lockout earlier, and once it
+    # lasts the run (depleted_at None) it keeps lasting it
+    scenario = shipped("paper_a")
+    lifetimes = []
+    for lux in range(100, 401, 20):
+        trace = run_scenario(with_face_a_ambient(scenario, 2, float(lux)))
+        depleted_at = trace.aggregates[2].depleted_at
+        lifetimes.append(math.inf if depleted_at is None else depleted_at)
+    assert lifetimes == sorted(lifetimes), lifetimes
+    # the sweep crosses from a lockout inside the run to none
+    assert lifetimes[0] < scenario.duration_s and lifetimes[-1] == math.inf

@@ -103,9 +103,9 @@ def triangle_nodes(ssn_ambient=150.0, ssn_v_min=3.4, led_power_w=27.8e-3):
 
 def csv_text(trace):
     """format_trace_csv's output as one string."""
-    out = io.StringIO()
+    out = io.BytesIO()
     format_trace_csv(trace, out)
-    return out.getvalue()
+    return out.getvalue().decode()
 
 
 def samples_for(trace, node_id):
