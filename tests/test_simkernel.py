@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from float_figures import guard_scenario
-from luxnet import simkernel
+from luxnet import energy, simkernel, trace as trace_module
 from luxnet.channel import (
     InterferenceModel,
     OpticalReceiver,
@@ -990,14 +990,66 @@ SHIPPED_DIGESTS = {
 }
 
 
+# the work a run and its CSV do, counted by wrapping the names the kernel
+# and the renderer look up at call time: a full tick is a one-tick
+# stretch, a lane-step is one storage_step, and both the kernel and
+# storage_step call net_per_tick
+WORK_TARGETS = {
+    "stretches": [(simkernel._Runtime, "stretch")],
+    "full ticks": [(simkernel._Runtime, "full_tick")],
+    "lane-steps": [(simkernel, "storage_step")],
+    "step_node": [(simkernel, "step_node")],
+    "apply_hysteresis": [(simkernel, "apply_hysteresis")],
+    "_closed_form": [(energy, "_closed_form")],
+    "net_per_tick": [(simkernel, "net_per_tick"), (energy, "net_per_tick")],
+    "_segment_block": [(trace_module, "_segment_block")],
+    "_discrete_block": [(trace_module, "_discrete_block")],
+}
+
+
+def work(stretches, full_ticks, lane_steps, step_nodes, hystereses,
+         closed_forms, nets, segment_blocks, discrete_blocks):
+    return dict(zip(WORK_TARGETS, (
+        stretches, full_ticks, lane_steps, step_nodes, hystereses,
+        closed_forms, nets, segment_blocks, discrete_blocks)))
+
+
+# the work of each run below: deterministic, so pinned exactly like a
+# digest; a change that moves a count re-records it and says why
+SHIPPED_WORK = {
+    "paper_a": work(908, 611, 2_724, 610, 613, 4_068, 3_393, 79, 80),
+    "paper_b": work(10_199, 6_241, 30_597, 6_935, 8_012, 54_327, 41_385,
+                    2_876, 2_877),
+}
+CROWD_DENSE_WORK = {
+    1: work(448, 284, 6_720, 1_414, 1_435, 10_638, 8_655, 208, 130),
+    3: work(454, 287, 6_810, 1_390, 1_412, 10_788, 8_775, 211, 132),
+}
+
+
+def count_work(monkeypatch):
+    """The calls of each WORK_TARGETS count from here on."""
+    counts = dict.fromkeys(WORK_TARGETS, 0)
+    for name, targets in WORK_TARGETS.items():
+        for owner, attr in targets:
+            def counting(*args, real=getattr(owner, attr), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, attr, counting)
+    return counts
+
+
 @pytest.mark.parametrize("stem", sorted(SHIPPED_DIGESTS))
-def test_shipped_run_digests(tmp_path, capsys, stem):
+def test_shipped_run_digests(tmp_path, capsys, monkeypatch, stem):
+    counts = count_work(monkeypatch)
     assert main(["run", shipped_scenario_path(stem),
                  "--out-dir", str(tmp_path)]) == 0
     name = stem.replace("_", "-")
     assert (sha256_hex((tmp_path / f"{name}.csv").read_bytes()),
             sha256_hex((tmp_path / f"{name}.summary.txt").read_bytes())
             ) == SHIPPED_DIGESTS[stem]
+    assert counts == SHIPPED_WORK[stem]
 
 
 def test_shared_light_with_interference_digests():
@@ -1051,6 +1103,7 @@ def run_crowd_dense(tmp_path, seed):
 def test_crowd_dense_digests(tmp_path, capsys, monkeypatch, seed):
     # fifteen nodes sampled every tick: nearly every row sits in a
     # segment, and the summary's final quarter in a few of them
+    counts = count_work(monkeypatch)
     traces = keep_traces(monkeypatch)
     csv_path, summary_path = run_crowd_dense(tmp_path, seed)
     [trace] = traces
@@ -1058,6 +1111,7 @@ def test_crowd_dense_digests(tmp_path, capsys, monkeypatch, seed):
     assert (sha256_hex(csv_path.read_bytes()),
             sha256_hex(summary_path.read_bytes()),
             sha256_hex(log.encode())) == CROWD_DENSE_DIGESTS[seed]
+    assert counts == CROWD_DENSE_WORK[seed]
 
 
 @pytest.mark.parametrize("name", [
