@@ -3,12 +3,13 @@
 Storage is an ideal supercapacitor, E = 1/2 C V^2, drained by a constant
 leak and clamped to [0, STORAGE_FULL_J].  Every node has the same one:
 its capacitance and leak are the module constants STORAGE_CAPACITANCE_F
-and LEAK_POWER_W, and a node sets only its voltage and its guard floor
-v_min.  The power-management hysteresis lives in two thresholds: below
-v_ovdis the load must disconnect (deep undervoltage), and it may only
-reconnect once the cell has climbed back past v_chrdy.  v_min is the
-software guard floor a node keeps above the hard v_ovdis so that
-scheduled work never strands it in the dead band.
+and LEAK_POWER_W, and a node sets only its start voltage and its guard
+floor v_min.  The storage holds its energy; its voltage follows from it.
+The power-management hysteresis lives in two thresholds: below v_ovdis
+the load must disconnect (deep undervoltage), and it may only reconnect
+once the cell has climbed back past v_chrdy.  v_min is the software
+guard floor a node keeps above the hard v_ovdis so that scheduled work
+never strands it in the dead band.
 
 This module is the one place the storage law is evaluated: from e0
 joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick),
@@ -48,10 +49,8 @@ from .channel import CELL_REFERENCE_W, OpticalReceiver, pv_input_power
 V_OVERDISCHARGE = 3.2
 V_CHARGE_READY = 3.8
 V_STORAGE_MAX = 4.5
-# a storage voltage this close to V_STORAGE_MAX counts as full: the
-# storage holds up to V_STORAGE_MAX + FULL_TOLERANCE_V, since the closed
-# form's square root may round past the clamp, and a primary that waits
-# for full acts from V_STORAGE_MAX - FULL_TOLERANCE_V
+# a storage voltage this close to V_STORAGE_MAX counts as full: a primary
+# that waits for full acts from V_STORAGE_MAX - FULL_TOLERANCE_V
 FULL_TOLERANCE_V = 1e-9
 # the guard floor a node keeps unless its scenario sets another
 DEFAULT_V_MIN = 3.3
@@ -91,36 +90,34 @@ def illuminance_for_open_voltage(volts: float) -> float:
     return PV_OPEN_VOLTAGE_KNEE_LUX * volts / (PV_OPEN_VOLTAGE_MAX - volts)
 
 
+def stored_j(voltage: float) -> float:
+    """What the storage holds at `voltage`, 1/2 C V^2, joules."""
+    return 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
+
+
 class StorageCapacitor:
     """Ideal supercapacitor state plus the node's guard floor v_min.
 
     Every node stores in the same STORAGE_CAPACITANCE_F farads, drained
     by the same LEAK_POWER_W.  The hardware thresholds are the module
     constants V_STORAGE_MAX (full), V_OVERDISCHARGE (v_ovdis) and
-    V_CHARGE_READY (v_chrdy).  Mutable: storage_step advances the
-    voltage in place, over one tick or over a quiet stretch of many in
-    one closed-form step.
+    V_CHARGE_READY (v_chrdy).  The state is the stored energy, joules.
+    voltage is kept beside it, since the node logic reads it on every
+    step: the start voltage as given, then the voltage storage_step
+    steps to.  Mutable: only storage_step writes the two, in place, over
+    one tick or over a quiet stretch of many in one closed-form step.
     """
 
-    __slots__ = ("voltage", "v_min")
+    __slots__ = ("energy", "voltage", "v_min")
 
     def __init__(self, voltage: float = 0.0, v_min: float = DEFAULT_V_MIN):
-        if not 0.0 <= voltage <= V_STORAGE_MAX + FULL_TOLERANCE_V:
+        if not 0.0 <= voltage <= V_STORAGE_MAX:
             raise ValueError(f"voltage {voltage} outside [0, v_max]")
         if v_min < V_OVERDISCHARGE:
             raise ValueError("v_min must not sit below v_ovdis")
+        self.energy = stored_j(voltage)
         self.voltage = voltage
         self.v_min = v_min
-
-    @property
-    def energy(self) -> float:
-        """Stored energy, 1/2 C V^2, joules."""
-        return 0.5 * STORAGE_CAPACITANCE_F * self.voltage ** 2
-
-
-def stored_j(voltage: float) -> float:
-    """What the storage holds at `voltage`, 1/2 C V^2, joules."""
-    return 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
 
 
 class _Profile(NamedTuple):
@@ -226,18 +223,20 @@ def band_energy_j(v_high: float, v_low: float) -> float:
     return 0.5 * STORAGE_CAPACITANCE_F * (v_high ** 2 - v_low ** 2)
 
 
-def _closed_form(e0: float, net: float, ticks: int) -> Tuple[float, float]:
-    """Unclamped energy and voltage after `ticks` ticks of net joules
-    each from e0 joules."""
+def _closed_form(e0: float, net: float, ticks: int
+                 ) -> Tuple[float, float, float]:
+    """Unclamped energy, clamped energy and voltage after `ticks` ticks
+    of net joules each from e0 joules."""
     e = e0 + ticks * net
     # min(max(e, 0), full), spelled out; a NaN passes through
     stored = 0.0 if e < 0.0 else STORAGE_FULL_J if e > STORAGE_FULL_J else e
-    return e, math.sqrt(2.0 * stored / STORAGE_CAPACITANCE_F)
+    return e, stored, math.sqrt(2.0 * stored / STORAGE_CAPACITANCE_F)
 
 
 def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
                  ticks: int = 1) -> float:
-    """Advance cap.voltage in place by `ticks` ticks at constant power.
+    """Advance cap's energy and voltage in place by `ticks` ticks at
+    constant power.
 
     Between events the stored energy is linear in time, so any number of
     ticks is one step: E = clamp(E0 + ticks * net), net = (p_in - p_out -
@@ -245,16 +244,16 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     * net minus the energy now stored, joules, which is the sum of the
     losses of clamping tick by tick.  It is positive when the top clamp
     spilled harvest, negative when the floor refused a draw the storage
-    could not pay, and within a few ulps of zero otherwise (the square
-    root and its square do not round-trip exactly).
+    could not pay, and 0.0 when no clamp bites.
     """
-    e, voltage = _closed_form(cap.energy, net_per_tick(p_in, p_out, dt),
-                              ticks)
+    e, stored, voltage = _closed_form(
+        cap.energy, net_per_tick(p_in, p_out, dt), ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
-    if not 0.0 <= voltage <= V_STORAGE_MAX + FULL_TOLERANCE_V:
+    if not 0.0 <= voltage <= V_STORAGE_MAX:
         raise ValueError(f"voltage {voltage} outside [0, v_max]")
+    cap.energy = stored
     cap.voltage = voltage
-    return e - 0.5 * STORAGE_CAPACITANCE_F * voltage ** 2
+    return e - stored
 
 
 def band_exit(e0: float, net: float, ticks: int, v_low: float,
@@ -268,7 +267,7 @@ def band_exit(e0: float, net: float, ticks: int, v_low: float,
     storage_step's own expression.
     """
     def inside(n: int) -> bool:
-        return v_low <= _closed_form(e0, net, n)[1] < v_high
+        return v_low <= _closed_form(e0, net, n)[2] < v_high
 
     # a NaN voltage is outside, and storage_step then rejects it
     if not inside(1):
@@ -286,7 +285,7 @@ def band_exit(e0: float, net: float, ticks: int, v_low: float,
 
 
 # the voltage of a storage held at STORAGE_FULL_J
-_V_FULL = _closed_form(STORAGE_FULL_J, 0.0, 0)[1]
+_V_FULL = _closed_form(STORAGE_FULL_J, 0.0, 0)[2]
 # one (e0, net) pair's runs over some instants: (lo, hi, before, after)
 Runs = Tuple[int, int, float, float]
 

@@ -289,11 +289,11 @@ def _schedule_next_report(node: NodeRecord, now: float) -> None:
 
 def _build_report(node: NodeRecord) -> Frame44:
     """The node's telemetry report, addressed to the access point."""
-    cap_v = min(node.storage.voltage, V_STORAGE_MAX)
     payload = NodeToOap(
         sender_id=node.node_id,
         pv_level=quantize_voltage(min(max(node.v_pv, 0.0), VOLTAGE_MAX_V)),
-        cap_level=quantize_voltage(min(max(cap_v, 0.0), VOLTAGE_MAX_V)),
+        # the storage holds 0..V_STORAGE_MAX, inside the code's range
+        cap_level=quantize_voltage(node.storage.voltage),
         sensor=quantize_temperature(
             min(max(node.sensor_base_c, TEMP_MIN_C), TEMP_MAX_C)),
     )

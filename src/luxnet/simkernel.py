@@ -28,11 +28,12 @@ storage, books the tallies and runs the depletion hysteresis on its last
 tick, for a node without a step result only once its voltage leaves its
 quiet band, which lies inside the range in which the hysteresis does
 nothing.  A node's timers are instants, not clocks, so a quiet stretch
-leaves every node field but the storage voltage alone.  It ends on the
-first tick on which some node's voltage leaves its quiet band
-(energy.band_exit).  Events, states and frames therefore match stepping
-every tick in full, which tests/kernel_oracle.py still does; voltages
-and float tallies differ only by the rounding of one step against many.
+leaves every node field but the storage's energy and voltage alone.  It
+ends on the first tick on which some node's voltage leaves its quiet
+band (energy.band_exit).  Events, states and frames therefore match
+stepping every tick in full, which tests/kernel_oracle.py still does;
+voltages and float tallies differ only by the rounding of one step
+against many.
 The kernel evaluates no storage law of its own: a stretch of more than
 one tick reads each node's stored energy and net joules a tick
 (energy.net_per_tick) once, and hands that pair to band_exit and to
@@ -72,7 +73,6 @@ from .controller import DUE_TOLERANCE_S, Controller, ControllerConfig
 from .energy import (
     DEFAULT_PROFILE,
     DEFAULT_V_MIN,
-    FULL_TOLERANCE_V,
     LEAK_POWER_W,
     PV_CELLS_PER_NODE,
     V_OVERDISCHARGE,
@@ -223,7 +223,7 @@ INTERFERENCE_KEYS = (
 NODE_KEYS = (
     ("position_m", "position", "vector", None),
     ("start_voltage_v", "start_voltage", "number",
-     Interval(0.0, V_STORAGE_MAX + FULL_TOLERANCE_V, "(]")),
+     Interval(0.0, V_STORAGE_MAX, "(]")),
     ("v_min_v", "v_min", "number",
      Interval(V_OVERDISCHARGE, V_STORAGE_MAX, "[)")),
     ("led_power_w", "led_power_w", "number",

@@ -553,6 +553,7 @@ def test_run_rejects_non_finite_input(tmp_path, capsys, extra, mangle, key):
     ("led_power_w", "1.7e308"),        # on paper-b, inf after its 630 s
     ("v_min_v", "1e300"),              # its guard energy overflowed
     ("v_min_v", "10"),                 # a floor over the 4.5 V full charge
+    ("start_voltage_v", "4.500000001"),  # a start just over the full charge
     ("face_a_ambient_lux", "1.7e308"),   # inf in every v_pv and lux_mean
 ])
 def test_run_rejects_a_value_outside_its_key_range(tmp_path, capsys, key,

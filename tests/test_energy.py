@@ -37,6 +37,8 @@ def test_capacitor_invariants():
     with pytest.raises(ValueError):
         StorageCapacitor(voltage=4.6)
     with pytest.raises(ValueError):
+        StorageCapacitor(voltage=math.nextafter(4.5, math.inf))
+    with pytest.raises(ValueError):
         StorageCapacitor(voltage=-0.1)
     with pytest.raises(ValueError):
         StorageCapacitor(v_min=3.0)  # below the hard undervoltage floor

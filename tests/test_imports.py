@@ -134,8 +134,8 @@ def test_cli_imports_vec3_from_where_it_is_defined():
 
 def storage_law_uses(tree):
     """(line, what) of each storage-law term outside energy: an import of
-    the capacitance or the clamp's ceiling, and the leak added or
-    subtracted."""
+    the capacitance or the clamp's ceiling, the leak added or
+    subtracted, and a write to a storage's energy or voltage."""
     found = [(node.lineno, f"imports {alias.name}")
              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names
@@ -145,19 +145,26 @@ def storage_law_uses(tree):
               and isinstance(node.op, (ast.Add, ast.Sub))
               and any(isinstance(side, ast.Name) and side.id == "LEAK_POWER_W"
                       for side in (node.left, node.right))]
+    found += [(node.lineno, f"writes .{node.attr}")
+              for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and node.attr in ("energy", "voltage")]
     return sorted(found)
 
 
 def test_only_energy_evaluates_the_storage_law():
     # the clamp, the capacitance, the net and drain of the leak and the
     # energy of a voltage band are written in energy alone, whose
-    # functions the kernel, the nodes, the trace and the calibration call
+    # functions the kernel, the nodes, the trace and the calibration
+    # call, and only energy's storage_step moves a storage's state
     assert storage_law_uses(ast.parse(
         "from .energy import STORAGE_FULL_J\n"
         "drain = p + LEAK_POWER_W - h\nnet = h - p - LEAK_POWER_W\n"
-        "leaked = ticks * (LEAK_POWER_W * dt)\n")) == [
+        "leaked = ticks * (LEAK_POWER_W * dt)\n"
+        "node.storage.voltage = v\ncap.energy, agg.energy_j = e, e\n")) == [
         (1, "imports STORAGE_FULL_J"), (2, "adds or subtracts LEAK_POWER_W"),
-        (3, "adds or subtracts LEAK_POWER_W")]
+        (3, "adds or subtracts LEAK_POWER_W"), (5, "writes .voltage"),
+        (6, "writes .energy")]
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         if path.name == "energy.py":

@@ -27,6 +27,8 @@ from luxnet.energy import (
     V_OVERDISCHARGE,
     _closed_form,
     clamp_runs,
+    net_per_tick,
+    storage_step,
 )
 from luxnet.node import (
     SESSION_FLOOR_TOL_V,
@@ -185,13 +187,13 @@ def test_a_session_cut_at_its_floor_when_a_neighbour_goes_dark():
 
 def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     # node timers are instants, so a stretch writes nothing on a node but
-    # its storage voltage, unless the last tick's hysteresis moves the
+    # its storage's energy and voltage, unless the last tick's hysteresis moves the
     # node into or out of the lockout; that holds for a full tick's
     # one-tick stretch too, after its step_node calls
     def snapshot(record):
         fields = slot_values(record)
         storage = slot_values(fields.pop("storage"))
-        del storage["voltage"]
+        del storage["energy"], storage["voltage"]
         return fields, storage
 
     stretch = _Runtime.stretch
@@ -403,6 +405,26 @@ def test_generated_networks_match_the_reference(scenario):
     assert_same_trace(scenario)
 
 
+@given(networks())
+def test_a_clamp_loss_is_booked_only_where_a_clamp_bites(scenario):
+    # storage_step returns e0 + ticks * net minus the energy it stores,
+    # which is 0.0 unless that sum lies outside 0..STORAGE_FULL_J
+    steps = []
+
+    def noting(cap, p_in, p_out, dt, ticks):
+        e0 = cap.energy
+        loss = storage_step(cap, p_in, p_out, dt, ticks)
+        steps.append((e0 + ticks * net_per_tick(p_in, p_out, dt), loss))
+        return loss
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "storage_step", noting)
+        run_scenario(scenario)
+    assert steps
+    assert [(e, loss) for e, loss in steps
+            if loss and 0.0 <= e <= STORAGE_FULL_J] == []
+
+
 def row_based_steady(trace):
     """Each node's steady voltage mean and band as summarize read them
     when the trace was a list of rows: the sample rows from the first row
@@ -551,7 +573,7 @@ def clamped_voltages(lane, instants):
     steps to from the lane's e0, n ticks of its net on
     (energy._closed_form)."""
     *_, e0, net, _, _ = lane
-    return [_closed_form(e0, net, n)[1] for n in instants]
+    return [_closed_form(e0, net, n)[2] for n in instants]
 
 
 @st.composite

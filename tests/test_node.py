@@ -67,6 +67,11 @@ def make_node(node_id=1, voltage=4.5, v_min=3.3, led=False,
     return rec
 
 
+def set_voltage(node, voltage):
+    """Put the node's storage at voltage, with its guard floor kept."""
+    node.storage = StorageCapacitor(voltage, node.storage.v_min)
+
+
 # three PV cells, as on every scenario node
 HARVESTER = HarvesterArray(cells=(OpticalReceiver(),) * 3)
 
@@ -156,7 +161,7 @@ def booted(node_id=1, lux=FULL, **kw):
 def test_false_wakeup_charges_decode_only():
     node, t = booted()
     # drop off the ceiling so the top clamp cannot hide the cost
-    node.storage.voltage = 4.2
+    set_voltage(node, 4.2)
     e_before = node.storage.energy
     stray = Frame44(dest_address=0x000A,
                     payload=OapToNode(command=Command.DATA_REQUEST, param=0))
@@ -236,7 +241,7 @@ def test_etx_request_starts_session_at_full_charge():
 
 def test_etx_request_deferred_until_full():
     node, t = booted(node_id=1, led=True, v_min=3.8)
-    node.storage.voltage = 4.4
+    set_voltage(node, 4.4)
     req = Frame44(dest_address=1,
                   payload=OapToNode(command=Command.ETX_REQUEST, param=1))
     tick(node, t, FULL, frames=[req])
@@ -301,7 +306,7 @@ def test_etx_session_window_cap():
 
 def test_depletion_hysteresis():
     node, t = booted(node_id=2, lux=DIM)
-    node.storage.voltage = 3.19
+    set_voltage(node, 3.19)
     res = tick(node, t, DIM)
     assert node.state == NodeState.DEPLETED
     # frames are lost while depleted, at no cost
@@ -312,11 +317,11 @@ def test_depletion_hysteresis():
     assert res.causes == ["depleted receiver"]
     assert node.state == NodeState.DEPLETED
     # no reconnect below v_chrdy
-    node.storage.voltage = 3.7
+    set_voltage(node, 3.7)
     tick(node, t + 0.2, DIM)
     assert node.state == NodeState.DEPLETED
     # reconnect at v_chrdy goes through a fresh boot
-    node.storage.voltage = 3.81
+    set_voltage(node, 3.81)
     res = tick(node, t + 0.3, DIM)
     assert node.state == NodeState.INIT
     assert "recovered from depletion" in res.events
@@ -324,7 +329,7 @@ def test_depletion_hysteresis():
 
 def test_depleted_node_draws_only_leak():
     node, t = booted(node_id=2, lux=DIM)
-    node.storage.voltage = 3.0
+    set_voltage(node, 3.0)
     tick(node, t, DIM)
     assert node.state == NodeState.DEPLETED
     e0 = node.storage.energy
@@ -573,7 +578,7 @@ def test_the_quiet_band_of_a_session_starts_above_its_floor_cut():
     edge = node.storage.v_min + SESSION_FLOOR_TOL_V
     for voltage, cut in ((edge, True), (math.nextafter(edge, math.inf), False)):
         session = copy.deepcopy(node)
-        session.storage.voltage = voltage
+        set_voltage(session, voltage)
         assert (quiet_band(session)[2] == -math.inf) is cut
         events = step_node(session, 0.1, 0.1, FULL, harvest).events
         assert (events == ["etx end (floor)"]) is cut
@@ -612,7 +617,7 @@ def test_the_hysteresis_does_nothing_inside_the_quiet_band(state, mode,
                else V_STORAGE_MAX)
     for voltage in (lowest, (lowest + highest) / 2.0, highest):
         probe = copy.deepcopy(node)
-        probe.storage.voltage = voltage
+        set_voltage(probe, voltage)
         assert quiet_band(probe)[2] == timer_due_s(probe), voltage
         before = slot_values(probe)
         assert apply_hysteresis(probe, 10.0) == "", voltage
@@ -620,15 +625,15 @@ def test_the_hysteresis_does_nothing_inside_the_quiet_band(state, mode,
     for voltage in filter(math.isfinite,
                           (math.nextafter(low, -math.inf), high)):
         probe = copy.deepcopy(node)
-        probe.storage.voltage = voltage
+        set_voltage(probe, voltage)
         assert quiet_band(probe)[2] == -math.inf, voltage
     # and the hysteresis acts where its range ends
     if state == NodeState.DEPLETED:
-        node.storage.voltage = V_CHARGE_READY
+        set_voltage(node, V_CHARGE_READY)
         assert apply_hysteresis(node, 10.0) == "recovered from depletion"
         assert node.state == NodeState.INIT
     else:
-        node.storage.voltage = math.nextafter(V_OVERDISCHARGE, -math.inf)
+        set_voltage(node, math.nextafter(V_OVERDISCHARGE, -math.inf))
         assert apply_hysteresis(node, 10.0) == "depleted"
         assert node.state == NodeState.DEPLETED
         assert node.phase_end_s <= 10.0
@@ -639,7 +644,7 @@ def test_the_lockout_darkens_a_running_session():
     tick(node, 0.0, FULL)
     assert node.state == NodeState.ENERGY_RELAY
     # one step of the burst drains about 4 mV here, through v_ovdis
-    node.storage.voltage = 3.202
+    set_voltage(node, 3.202)
     res = tick(node, 0.1, FULL)
     assert res.events == ["depleted"]
     assert phase_share(node, 0.2, 0.1) == 0.0

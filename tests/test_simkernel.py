@@ -990,6 +990,18 @@ SHIPPED_DIGESTS = {
 }
 
 
+def keep_traces(monkeypatch):
+    """The traces `luxnet run` computes from here on, in run order."""
+    traces = []
+
+    def keeping(scenario):
+        traces.append(run_scenario(scenario))
+        return traces[-1]
+
+    monkeypatch.setattr("luxnet.cli.run_scenario", keeping)
+    return traces
+
+
 # the work a run and its CSV do, counted by wrapping the names the kernel
 # and the renderer look up at call time: a full tick is a one-tick
 # stretch, a lane-step is one storage_step, and both the kernel and
@@ -1040,9 +1052,15 @@ def count_work(monkeypatch):
     return counts
 
 
+# the nodes of each shipped run whose storage never reaches full or
+# empty: they book no clamp loss, not even a rounding residue
+UNCLAMPED = {"paper_a": [2], "paper_b": [2]}
+
+
 @pytest.mark.parametrize("stem", sorted(SHIPPED_DIGESTS))
 def test_shipped_run_digests(tmp_path, capsys, monkeypatch, stem):
     counts = count_work(monkeypatch)
+    traces = keep_traces(monkeypatch)
     assert main(["run", shipped_scenario_path(stem),
                  "--out-dir", str(tmp_path)]) == 0
     name = stem.replace("_", "-")
@@ -1050,6 +1068,9 @@ def test_shipped_run_digests(tmp_path, capsys, monkeypatch, stem):
             sha256_hex((tmp_path / f"{name}.summary.txt").read_bytes())
             ) == SHIPPED_DIGESTS[stem]
     assert counts == SHIPPED_WORK[stem]
+    [trace] = traces
+    assert [nid for nid, agg in trace.aggregates.items()
+            if agg.clamp_loss_j == 0.0] == UNCLAMPED[stem]
 
 
 def test_shared_light_with_interference_digests():
@@ -1074,18 +1095,6 @@ CROWD_DENSE_DIGESTS = {
         "6284d0ac4c26bd5f35275a9dcf990162462e8fadacb35225f7dbe4c74ce950a1",
         "f7d09c1e5a02e5b96b79ccba07d6629ab5ba9c76f5ea3f9e8047ccc1a65807ee"),
 }
-
-
-def keep_traces(monkeypatch):
-    """The traces `luxnet run` computes from here on, in run order."""
-    traces = []
-
-    def keeping(scenario):
-        traces.append(run_scenario(scenario))
-        return traces[-1]
-
-    monkeypatch.setattr("luxnet.cli.run_scenario", keeping)
-    return traces
 
 
 def run_crowd_dense(tmp_path, seed):
