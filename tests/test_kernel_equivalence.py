@@ -187,9 +187,9 @@ def test_a_session_cut_at_its_floor_when_a_neighbour_goes_dark():
 
 def test_quiet_stretches_move_only_storage_voltage(monkeypatch):
     # node timers are instants, so a stretch writes nothing on a node but
-    # its storage's energy and voltage, unless the last tick's hysteresis moves the
-    # node into or out of the lockout; that holds for a full tick's
-    # one-tick stretch too, after its step_node calls
+    # its storage's energy and voltage, unless the last tick's hysteresis
+    # moves the node into or out of the lockout; that holds for a full
+    # tick's one-tick stretch too, after its step_node calls
     def snapshot(record):
         fields = slot_values(record)
         storage = slot_values(fields.pop("storage"))

@@ -1019,11 +1019,9 @@ WORK_TARGETS = {
 }
 
 
-def work(stretches, full_ticks, lane_steps, step_nodes, hystereses,
-         closed_forms, nets, segment_blocks, discrete_blocks):
-    return dict(zip(WORK_TARGETS, (
-        stretches, full_ticks, lane_steps, step_nodes, hystereses,
-        closed_forms, nets, segment_blocks, discrete_blocks)))
+def work(*counts):
+    """The counts, in WORK_TARGETS order, by name."""
+    return dict(zip(WORK_TARGETS, counts, strict=True))
 
 
 # the work of each run below: deterministic, so pinned exactly like a
