@@ -15,9 +15,10 @@ This module is the one place the storage law is evaluated: from e0
 joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick),
 the energy n ticks on is clamp(e0 + n * net) and the voltage
 sqrt(2 E / C).  storage_step steps a capacitor by it, band_exit finds
-the tick on which a stretch leaves a voltage band, and clamp_runs and
-run_voltages expand a trace segment's instants bit for bit as
-storage_step steps them; stored_j is 1/2 C V^2 at a given voltage,
+the tick on which a storage leaves a voltage band, voltage_after reads
+the voltage n ticks on, and clamp_runs and run_voltages expand a trace
+segment's instants bit for bit as storage_step steps them, each lane n
+ticks from its anchor; stored_j is 1/2 C V^2 at a given voltage,
 band_energy_j the joules between two voltages, and drain_w the watts a
 storage loses, leak included, which the session planners divide into.
 
@@ -256,6 +257,12 @@ def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
     return e - stored
 
 
+def voltage_after(e0: float, net: float, ticks: int) -> float:
+    """The voltage storage_step steps to over `ticks` ticks of net joules
+    each from e0 joules."""
+    return _closed_form(e0, net, ticks)[2]
+
+
 def band_exit(e0: float, net: float, ticks: int, v_low: float,
               v_high: float) -> int:
     """The first of `ticks` ticks whose storage_step voltage, from e0
@@ -286,36 +293,46 @@ def band_exit(e0: float, net: float, ticks: int, v_low: float,
 
 # the voltage of a storage held at STORAGE_FULL_J
 _V_FULL = _closed_form(STORAGE_FULL_J, 0.0, 0)[2]
-# one (e0, net) pair's runs over some instants: (lo, hi, before, after)
+# a lane's closed form over some instants: (e0, net, offset), e0 joules
+# at its anchor, net joules a tick, the instants counted from offset
+# ticks after the anchor
+Anchor = Tuple[float, float, int]
+# one anchor's runs over some instants: (lo, hi, before, after)
 Runs = Tuple[int, int, float, float]
 
 
-def clamp_runs(pairs: Sequence[Tuple[float, float]], instants: range
-               ) -> List[Runs]:
-    """Each (e0, net) pair's runs over instants, as (lo, hi, before,
-    after), the instants a non-empty range.
+def _shifted(instants: range, offset: int) -> range:
+    """instants counted from the anchor, offset ticks before their origin."""
+    return range(instants.start + offset, instants.stop + offset,
+                 instants.step)
 
-    The closed-form energy e0 + n * net is live, inside
+
+def clamp_runs(anchors: Sequence[Anchor], instants: range) -> List[Runs]:
+    """Each anchor's runs over instants, as (lo, hi, before, after), the
+    instants a non-empty range.
+
+    The closed-form energy e0 + (offset + n) * net is live, inside
     0..STORAGE_FULL_J, at instants[lo:hi]; at instants[:lo] and at
     instants[hi:] a clamp holds it, and the storage voltage is before
-    and after there.  A pair held throughout has lo == len(instants).
+    and after there.  An anchor held throughout has lo == len(instants).
     The energy moves one way and each float step is monotone in n, so
-    the energies at the first and last instant settle a pair live
+    the energies at the first and last instant settle an anchor live
     throughout; any other goes to _clamped_runs.
     """
     live = (0, len(instants), 0.0, 0.0)
     full = STORAGE_FULL_J
     n0, n1 = instants[0], instants[-1]
-    return [live if 0.0 <= e0 + n0 * net <= full
-            and 0.0 <= e0 + n1 * net <= full
-            else _clamped_runs(e0, net, instants)
-            for e0, net in pairs]
+    return [live if 0.0 <= e0 + (n0 + offset) * net <= full
+            and 0.0 <= e0 + (n1 + offset) * net <= full
+            else _clamped_runs(e0, net, _shifted(instants, offset))
+            for e0, net, offset in anchors]
 
 
 def _clamped_runs(e0: float, net: float, instants: range) -> Runs:
-    """clamp_runs for one pair that a clamp may hold.
+    """clamp_runs for one anchor that a clamp may hold, its instants
+    counted from the anchor.
 
-    A clamp bites only from an end: a pair it holds at both ends, on
+    A clamp bites only from an end: an anchor it holds at both ends, on
     the same side, is held throughout, and otherwise a bisection finds
     where the first instant's clamp stops biting and where the last
     instant's starts.  A NaN energy is live, as the closed form passes
@@ -342,10 +359,10 @@ def _clamped_runs(e0: float, net: float, instants: range) -> Runs:
     return lo, hi, before, after
 
 
-def run_voltages(pairs: Sequence[Tuple[float, float]], instants: range,
+def run_voltages(anchors: Sequence[Anchor], instants: range,
                  runs: Sequence[Runs]) -> List[List[float]]:
-    """Per (e0, net) pair, with its runs over instants (clamp_runs), the
-    storage voltage at each instant: _closed_form's, bit for bit.
+    """Per anchor, with its runs over instants (clamp_runs), the storage
+    voltage at each instant: _closed_form's, bit for bit.
 
     A held run repeats its one voltage, and a live run takes the closed
     form, whose clamp never bites there, in the float order storage_step
@@ -353,13 +370,15 @@ def run_voltages(pairs: Sequence[Tuple[float, float]], instants: range,
     """
     sqrt = math.sqrt
     # e / (C / 2) rounds as 2 e / C does, both halving and doubling being
-    # exact, and a float n gives n * net the same bits: each is cheaper
+    # exact, and a float n gives n * net the same bits, as does n plus a
+    # float offset, both whole numbers below 2 ** 53: each is cheaper
     half_capacitance = STORAGE_CAPACITANCE_F / 2.0
     count = len(instants)
     floats = list(map(float, instants))
     lanes = []
-    for (e0, net), (lo, hi, before, after) in zip(pairs, runs):
-        v_caps = [sqrt((e0 + n * net) / half_capacitance)
+    for (e0, net, offset), (lo, hi, before, after) in zip(anchors, runs):
+        offset = float(offset)
+        v_caps = [sqrt((e0 + (n + offset) * net) / half_capacitance)
                   for n in floats[lo:hi]]
         if lo or hi < count:
             v_caps = [before] * lo + v_caps + [after] * (count - hi)

@@ -54,7 +54,6 @@ from .energy import (
 from .protocol import (
     TEMP_MAX_C,
     TEMP_MIN_C,
-    VOLTAGE_MAX_V,
     Command,
     Frame44,
     NodeToOap,
@@ -291,8 +290,10 @@ def _build_report(node: NodeRecord) -> Frame44:
     """The node's telemetry report, addressed to the access point."""
     payload = NodeToOap(
         sender_id=node.node_id,
-        pv_level=quantize_voltage(min(max(node.v_pv, 0.0), VOLTAGE_MAX_V)),
-        # the storage holds 0..V_STORAGE_MAX, inside the code's range
+        # v_pv is 0.0 or a cell's open voltage, at most its 4.4 V
+        # saturation, and the storage holds 0..V_STORAGE_MAX: both lie
+        # inside the code's range
+        pv_level=quantize_voltage(node.v_pv),
         cap_level=quantize_voltage(node.storage.voltage),
         sensor=quantize_temperature(
             min(max(node.sensor_base_c, TEMP_MIN_C), TEMP_MAX_C)),

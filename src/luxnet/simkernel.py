@@ -2,8 +2,8 @@
 
 Control traffic is event-driven over a fixed integration grid: frames
 land on the first grid tick after their airtime, nodes advance in
-ascending id order, and storage is integrated once per tick from each
-node's draw (node.state_draw_w) plus the step's frame costs.  Identical
+ascending id order, and each node's storage integrates its draw
+(node.state_draw_w) plus its steps' frame costs over the grid.  Identical
 scenarios with identical seeds reproduce byte-identical traces.
 
 Time advances to the next tick on which anything discrete can act: the
@@ -17,30 +17,34 @@ instant's consumer tests, so no full tick is spent on which nothing is
 due.  The tick so found runs its discrete half: frame delivery, the
 controller, and step_node for every node that holds a frame or is due by
 the same test (any other, step_node would leave alone, and it gets no
-step result).  Storage is then
-integrated in one place for every tick.  Between full ticks every phase
-covers whole steps, so every node draws constant power, its stored
-energy is linear in time, and a stretch of ticks advances in one
-closed-form step (energy.storage_step) with its tallies booked by
-multiplication; a full tick is a one-tick stretch whose draw adds the
-step's frame costs.  A stretch refreshes the light field, steps the
-storage, books the tallies and runs the depletion hysteresis on its last
-tick, for a node without a step result only once its voltage leaves its
-quiet band, which lies inside the range in which the hysteresis does
-nothing.  A node's timers are instants, not clocks, so a quiet stretch
-leaves every node field but the storage's energy and voltage alone.  It
-ends on the first tick on which some node's voltage leaves its quiet
-band (energy.band_exit).  Events, states and frames therefore match
-stepping every tick in full, which tests/kernel_oracle.py still does;
-voltages and float tallies differ only by the rounding of one step
-against many.
-The kernel evaluates no storage law of its own: a stretch of more than
-one tick reads each node's stored energy and net joules a tick
-(energy.net_per_tick) once, and hands that pair to band_exit and to
-the stretch's trace segment.
+step result).
 
-Each node's run state is one lane (_Lane): its record, faces, light,
-harvest, tallies and interference generator, kept in node-id order.
+Each node's run state is one lane (_Lane), kept in node-id order: its
+record, faces, light, harvest, tallies and interference generator, and
+its own clock.  Between its own events a node draws constant power, so
+its stored energy is linear in time.  A lane therefore keeps an anchor:
+the tick its storage was last stepped to, its draw and harvest from
+there, and its quiet band, with its next event, the sooner of its timer
+and the tick its voltage leaves the band (energy.band_exit).  It is
+stepped (energy.storage_step, its tallies booked by multiplication) and
+anchored anew only where it acts, where its light changes bit for bit,
+or where its event falls, and once more at the end of the run; any other
+tick, quiet or full, leaves it alone.  A stretch ends on the first lane
+event; a full tick is a one-tick stretch in which a node that acted
+draws its state's power plus the step's frame costs.  The depletion
+hysteresis runs only on a stepped lane that acted for one tick or left
+its band, which lies inside the range in which the hysteresis does
+nothing.  A node's timers are instants, not clocks, so an anchor leaves
+every node field but the storage's energy and voltage alone.  Events,
+states and frames therefore match stepping every tick in full, which
+tests/kernel_oracle.py still does; voltages and float tallies differ
+only by the rounding of one step against many, and a node's no longer
+depend on where other nodes' events cut time.
+The kernel evaluates no storage law of its own: an anchor reads its
+node's stored energy and net joules a tick (energy.net_per_tick) once,
+hands that pair to band_exit, and the trace rows and segments read the
+storage voltage at later ticks from it (energy.voltage_after, and
+energy.run_voltages through the segment).
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
@@ -82,6 +86,7 @@ from .energy import (
     band_exit,
     net_per_tick,
     storage_step,
+    voltage_after,
 )
 from .errors import InfeasibleError, ScenarioError
 from .node import (
@@ -426,7 +431,8 @@ def _build_node(spec: NodeSpec, autonomous: bool = False) -> NodeRecord:
 
 
 class _Lane:
-    """One node's run state: its record, its light and its tallies.
+    """One node's run state: its record, its light, its tallies and its
+    anchor.
 
     incoming holds each emitter's illuminance on this node's faces at
     full drive, keyed by the emitter's id; rng is the node's stream of
@@ -435,10 +441,19 @@ class _Lane:
     and harvest_w, the light on each face and the watts it makes, change
     only with the on-air set; _Runtime._refresh_lux sets them, first
     before tick 0.
+
+    The anchor is the tick `at` to which the storage was last stepped,
+    the draw p_out held from there and its net joules a tick
+    (energy.net_per_tick) at harvest_w, and the quiet band [low, high)
+    with timer, the first tick on which step_node may act.  event is the
+    tick by which the lane is next stepped, the sooner of its timer and
+    the tick its storage leaves the band on (energy.band_exit), or None
+    while it is stepped to the present tick but not anchored there.
     """
 
     __slots__ = ("record", "harvester", "ambient", "incoming", "lux",
-                 "harvest_w", "agg", "rng")
+                 "harvest_w", "agg", "rng", "at", "p_out", "net", "low",
+                 "high", "timer", "event")
 
     def __init__(self, spec: NodeSpec, scenario: Scenario):
         self.record = _build_node(spec, scenario.etx_policy == "autonomous")
@@ -451,22 +466,30 @@ class _Lane:
         # abs turns a validated -0.0 into 0.0, so no trace column holds -0.0
         self.ambient = tuple(abs(float(f.ambient_lux)) for f in spec.faces)
         self.incoming: Dict[int, Tuple[float, ...]] = {}
+        self.lux: Optional[Tuple[float, ...]] = None
         self.agg = NodeAggregate(spec.node_id, self.record.storage.energy)
         self.rng = (None if scenario.interference is None
                     else uniform_draws(scenario.seed, spec.node_id))
+        self.at = 0
+        self.event: Optional[int] = None
 
-    def tally(self, dt: float, p_in: float, p_out: float, clamp_loss: float,
-              ticks: int) -> None:
-        """Book `ticks` ticks at this harvest, draw, state and light, with
-        their clamp loss; _Runtime._refresh_lux books the light's
-        extremes."""
+    def step_to(self, tick: int, dt: float) -> None:
+        """Step the storage from the anchor to tick in one closed-form
+        step (energy.storage_step) and book the ticks between, at the
+        anchor's harvest, draw, state and light, with their clamp loss;
+        _Runtime._refresh_lux books the light's extremes."""
+        ticks = tick - self.at
+        if not ticks:
+            return
+        self.at = tick
         agg = self.agg
-        record = self.record
-        agg.clamp_loss_j += clamp_loss
+        p_in, p_out = self.harvest_w, self.p_out
+        agg.clamp_loss_j += storage_step(self.record.storage, p_in, p_out,
+                                         dt, ticks)
         agg.harvested_j += ticks * (p_in * dt)
         agg.consumed_j += ticks * (p_out * dt)
         agg.leaked_j += ticks * (LEAK_POWER_W * dt)
-        state = record.state
+        state = self.record.state
         agg.time_by_state[state] = (
             agg.time_by_state.get(state, 0.0) + ticks * dt)
         agg.lux_integral += ticks * (self.lux[0] * dt)
@@ -501,7 +524,7 @@ class _Runtime:
                         for face in dst.harvester.cells)
 
         self._lux_signature: Optional[Tuple] = None
-        self._refresh_lux(())
+        self._refresh_lux((), 0)
 
         # (due tick, frame): every frame takes airtime_ticks and send is
         # never called at an earlier tick than the last, so due order is
@@ -514,8 +537,6 @@ class _Runtime:
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
-        # each lane's node.quiet_band, as quiet_run found it
-        self.bands: List[Tuple[float, float, float]] = []
 
     # -- light field -----------------------------------------------------
 
@@ -526,10 +547,13 @@ class _Runtime:
                for lane in self.lanes if lane.record.phase_lit]
         return tuple((nid, share) for nid, share in lit if share)
 
-    def _refresh_lux(self, signature: Tuple) -> None:
-        """Set each lane's light and harvest for a new on-air set and book
-        the light's extremes.  Each light set is held a tick at least: a
-        stretch tallies after it, and no node is on the air in tick 0."""
+    def _refresh_lux(self, signature: Tuple, i: int) -> None:
+        """Set each lane's light and harvest for a new on-air set from
+        tick i on, and book the light's extremes.  A lane whose light
+        changes is stepped to i at its old light and left to be anchored
+        again; any other keeps its anchor.  Each light set is held a tick
+        at least: a stretch tallies after it, and no node is on the air
+        in tick 0."""
         if signature == self._lux_signature:
             return
         self._lux_signature = signature
@@ -544,6 +568,12 @@ class _Runtime:
                              else tuple(e + c for e, c in zip(extra, scaled)))
             if extra is not None:
                 total = tuple(a + e for a, e in zip(total, extra))
+            # the harvest is a function of the light, so equal light
+            # (no face holds -0.0) leaves it bit for bit as it is
+            if total == lane.lux:
+                continue
+            lane.step_to(i, self.dt)
+            lane.event = None
             lane.lux = total
             lane.harvest_w = lane.harvester.harvest_power(total)
             agg = lane.agg
@@ -624,29 +654,29 @@ class _Runtime:
 
     def full_tick(self, i: int) -> int:
         """Tick i in full: frames, the controller and the logic of every
-        node that can act, then the storage as a one-tick stretch; return
-        the next tick.
+        node that can act, then a one-tick stretch; return the next
+        tick.
 
-        A node can act if it holds a frame or is due by the test
-        quiet_run applies, to the due instant of the quiet band quiet_run
-        just read (bands): neither frame delivery nor the controller
-        changes a node record.  step_node would leave any other node
-        alone, so it gets no result (None).
+        A node can act if it holds a frame or its timer falls on i:
+        neither frame delivery nor the controller changes a node record.
+        Its lane is stepped to i first, since step_node reads the
+        storage.  step_node would leave any other node alone, so it gets
+        no result (None).
         """
         dt = self.dt
         now = i * dt
-        end = now + dt
         inboxes = self.deliver_due(i)
 
         for frame in self.controller.step(now):
             self.send(frame, "oap", i)
 
         results = []
-        for lane, inbox, (_, _, due) in zip(self.lanes, inboxes, self.bands):
+        for lane, inbox in zip(self.lanes, inboxes):
             record = lane.record
-            if not inbox and due > end:
+            if not inbox and lane.timer > i:
                 results.append(None)
                 continue
+            lane.step_to(i, dt)
             nid = record.node_id
             result = step_node(record, dt, now, lane.lux,
                                lane.harvest_w, inbox)
@@ -663,39 +693,58 @@ class _Runtime:
 
         A stretch ends before the first tick on which a frame lands, the
         controller is due (its step tests due <= now + DUE_TOLERANCE_S) or
-        a node is due (step_node tests due <= now + dt).  Each node's
-        quiet band (node.quiet_band) is read once, into bands: full_tick
-        tests its due instant again, and stretch reads its voltage range
-        for band_exit and to skip the hysteresis.
+        a lane's event falls.  A lane stepped to i and not yet anchored
+        reads its quiet band (node.quiet_band) here, and its timer is the
+        first tick on which step_node may act (it tests due <= now + dt);
+        any other lane's event is stored.
         """
         dt = self.dt
         end = min(self.n_steps, first_tick(self.controller.next_due_s(),
                                            DUE_TOLERANCE_S, dt, i))
         if self.in_flight:
             end = min(end, self.in_flight[0][0])
-        self.bands = [quiet_band(lane.record) for lane in self.lanes]
-        for _, _, due in self.bands:
-            if end == i:
-                break
-            end = min(end, first_tick(due, dt, dt, i))
+        for lane in self.lanes:
+            event = lane.event
+            if event is None:
+                lane.low, lane.high, due = quiet_band(lane.record)
+                event = lane.timer = first_tick(due, dt, dt, i)
+            if event < end:
+                end = event
         return end - i
+
+    def _anchor(self, lane: _Lane, i: int, p_out: float) -> int:
+        """Anchor the lane, stepped to i, at i with draw p_out from there
+        on: its net joules a tick and its event, which it returns."""
+        lane.p_out = p_out
+        lane.net = net_per_tick(lane.harvest_w, p_out, self.dt)
+        lane.event = min(lane.timer, i + band_exit(
+            lane.record.storage.energy, lane.net, self.n_steps - i,
+            lane.low, lane.high))
+        return lane.event
 
     def stretch(self, i: int, ticks: int,
                 results: Optional[List[NodeStepResult]] = None) -> int:
         """Integrate up to `ticks` ticks from i at constant power; return
         the next tick.
 
-        Each node's storage moves in one closed-form step
-        (energy.storage_step), the tallies are booked by multiplication,
-        and the trace instants before the last tick read the same closed
-        form.  The stretch ends early on the first tick on which some
-        node's voltage leaves its quiet band; the hysteresis runs on its
-        last tick.  A full tick is a one-tick stretch that hands in its
-        step results (None for a node that did not act), whose frame costs
-        join each node's draw; a quiet stretch has none.  A node without
-        one is still in the state its band was read for, and the band
-        lies inside the hysteresis' no-action range, so the hysteresis
-        runs on it only once its voltage leaves the band.
+        The light is set for i first, and each lane that is not anchored
+        (stepped to i, or whose light just changed) is anchored at i; the
+        stretch ends early on the first lane event.  A stretch ends before
+        any phase's closing step, the timer of the node's state, so a lane
+        draws on every tick of its anchor what it draws on the first, a
+        phase's first step included (a share a few ulps off 1.0 at most,
+        held until the phase closes).  The trace instants before the last
+        tick read each lane's closed form from its anchor.
+
+        A full tick is a one-tick stretch that hands in its step results
+        (None for a node that did not act).  A lane that acted draws its
+        state's power plus the step's frame costs on tick i; where that
+        is what it draws from the next tick on, it is anchored at i with
+        its band read anew, and otherwise it is stepped for the one tick.
+        At the end, only the lanes whose event falls there are stepped,
+        in one closed-form step each from the anchor, and the hysteresis
+        runs on a lane stepped for its one tick or whose voltage left its
+        band, which lies inside the hysteresis' no-action range.
         """
         dt = self.dt
         now = i * dt
@@ -704,81 +753,92 @@ class _Runtime:
         # the on-air set reflects the transitions a full tick just took,
         # and the last hysteresis, which may have darkened an emitter; a
         # phase's share may also have moved to 1.0 or to none
-        self._refresh_lux(self._emitter_signature(now))
-        # a stretch ends before any phase's closing step, and a phase's
-        # share is 1.0 from its second step on, so a quiet node draws on
-        # every tick what it draws on the first
-        nodes = [(lane, lane.record.storage, lane.harvest_w,
-                  state_draw_w(lane.record, now, dt)
-                  + (0.0 if result is None else result.cost_j / dt))
-                 for lane, result in zip(self.lanes, results)]
-        # a single tick, such as a full tick's, cannot end early and has
-        # no trace instant before its last
-        if ticks > 1:
-            # each lane's storage energy and net joules a tick, the
-            # closed form its storage_step takes
-            closed = [(cap.energy, net_per_tick(harvest_w, p_out, dt))
-                      for _, cap, harvest_w, p_out in nodes]
-            for (e0, net), (low, high, _) in zip(closed, self.bands):
-                ticks = band_exit(e0, net, ticks, low, high)
-            # trace instants n ticks in, before the last (the caller
-            # samples it after the hysteresis)
-            every = self.sample_every
-            instants = range(every - i % every, ticks, every)
-            if instants:
-                self._sample_stretch(i, instants, nodes, closed)
-        last = i + ticks - 1
-        t_last = last * dt
-        for (lane, cap, harvest_w, p_out), result, (low, high, _) in zip(
-                nodes, results, self.bands):
-            lane.tally(dt, harvest_w, p_out,
-                       storage_step(cap, harvest_w, p_out, dt, ticks), ticks)
+        self._refresh_lux(self._emitter_signature(now), i)
+        end = i + ticks
+        for lane, result in zip(self.lanes, results):
+            record = lane.record
+            if result is not None:
+                # the band of the state it acted into
+                lane.low, lane.high, due = quiet_band(record)
+                p_out = state_draw_w(record, now, dt) + result.cost_j / dt
+                if p_out == state_draw_w(record, (i + 1) * dt, dt):
+                    lane.timer = first_tick(due, dt, dt, i + 1)
+                    self._anchor(lane, i, p_out)
+                else:
+                    lane.p_out, lane.event = p_out, i + 1
+            elif lane.event is None:
+                end = min(end, self._anchor(
+                    lane, i, state_draw_w(record, now, dt)))
+        # trace instants n ticks in, before the last (the caller samples
+        # it after the hysteresis); a single tick has none
+        every = self.sample_every
+        instants = range(every - i % every, end - i, every)
+        if instants:
+            self._sample_stretch(i, instants)
+        t_last = (end - 1) * dt
+        for lane, result in zip(self.lanes, results):
             events = () if result is None else result.events
-            if result is not None or not low <= cap.voltage < high:
-                event = apply_hysteresis(lane.record, t_last + dt)
-                if event:
-                    events = [*events, event]
-                    if event == "depleted" and lane.agg.depleted_at is None:
-                        lane.agg.depleted_at = t_last
+            if lane.event == end:
+                lane.step_to(end, dt)
+                lane.event = None
+                if not lane.low <= lane.record.storage.voltage < lane.high:
+                    event = apply_hysteresis(lane.record, t_last + dt)
+                    if event:
+                        events = [*events, event]
+                        if (event == "depleted"
+                                and lane.agg.depleted_at is None):
+                            lane.agg.depleted_at = t_last
             if events:
-                self.event_rows(lane, t_last, events)
-        return last + 1
+                self.event_rows(lane, end, events)
+        return end
 
     # -- trace -------------------------------------------------------------
 
-    def sample_rows(self, time_s: float) -> None:
+    def sample_rows(self, i: int) -> None:
+        """Every lane's sample row at tick i."""
+        time_s = i * self.dt
         for lane in self.lanes:
-            self._sample(lane, time_s)
+            self._sample(lane, time_s, i - lane.at)
 
-    def event_rows(self, lane: _Lane, time_s: float,
-                   events: List[str]) -> None:
+    def event_rows(self, lane: _Lane, tick: int, events: List[str]) -> None:
+        """The lane's event rows for the tick that ends at `tick`: timed
+        at that tick's start, its storage as it stands at `tick`."""
+        time_s = (tick - 1) * self.dt
         for text in events:
-            self._sample(lane, time_s, text)
+            self._sample(lane, time_s, tick - lane.at, text)
 
-    def _sample(self, lane: _Lane, time_s: float, event: str = "") -> None:
+    def _sample(self, lane: _Lane, time_s: float, ticks: int,
+                event: str = "") -> None:
+        """The lane's row, `ticks` ticks after its anchor: its storage
+        voltage and harvest tally there read from the anchor."""
         record = lane.record
+        storage = record.storage
+        v_cap, harvested = storage.voltage, lane.agg.harvested_j
+        if ticks:
+            v_cap = voltage_after(storage.energy, lane.net, ticks)
+            harvested += ticks * (lane.harvest_w * self.dt)
         self.discrete.append(TraceRow(
-            time_s, record.node_id, record.storage.voltage, record.v_pv,
-            record.mode, record.state, lane.lux[0],
-            lane.agg.harvested_j, event))
+            time_s, record.node_id, v_cap, record.v_pv, record.mode,
+            record.state, lane.lux[0], harvested, event))
 
-    def _sample_stretch(self, i: int, instants: range, nodes, closed) -> None:
+    def _sample_stretch(self, i: int, instants: range) -> None:
         """The sample rows `instants` ticks into a quiet stretch from i,
-        kept as one segment read before its storage step: every node
-        field but the storage voltage and the harvest tally holds still
-        in a quiet stretch, and those two are linear in the tick, the
-        voltage from each lane's closed form (e0, net)."""
+        kept as one segment: every node field but the storage voltage
+        and the harvest tally holds still in a quiet stretch, and those
+        two are linear in the tick, read from each lane's anchor."""
         dt = self.dt
         self.segments.append(TraceSegment(
             len(self.discrete), i, instants, dt, tuple(
                 SegmentLane(
                     lane.record.node_id, lane.record.v_pv,
-                    lane.record.mode, lane.record.state,
-                    lane.lux[0], e0, net, lane.agg.harvested_j, harvest_w * dt)
-                for (lane, _, harvest_w, _), (e0, net) in zip(nodes, closed))))
+                    lane.record.mode, lane.record.state, lane.lux[0],
+                    lane.record.storage.energy, lane.net, i - lane.at,
+                    lane.agg.harvested_j, lane.harvest_w * dt)
+                for lane in self.lanes)))
 
     def trace(self) -> TraceSet:
-        """Book each node's final energy and return the run's TraceSet."""
+        """Book each node's final energy and return the run's TraceSet;
+        the last stretch has stepped every lane to the end."""
         aggregates = {}
         for lane in self.lanes:
             storage = lane.record.storage
@@ -801,13 +861,13 @@ def run_scenario(scenario: Scenario) -> TraceSet:
     """Execute one scenario to completion and return its trace."""
     validate_scenario(scenario)
     rt = _Runtime(scenario)
-    rt.sample_rows(0.0)
+    rt.sample_rows(0)
     i = 0
     while i < rt.n_steps:
         ticks = rt.quiet_run(i)
         i = rt.stretch(i, ticks) if ticks else rt.full_tick(i)
         if i % rt.sample_every == 0 or i == rt.n_steps:
-            rt.sample_rows(i * rt.dt)
+            rt.sample_rows(i)
     return rt.trace()
 
 

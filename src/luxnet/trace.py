@@ -4,14 +4,15 @@ A run's trace (TraceSet) holds its rows, its frame log, the controller
 log and each node's tallies (NodeAggregate).  The rows are kept as the
 discrete rows, written one at a time, and the segments, each the sample
 rows of one quiet stretch, run-end encoded as the closed form the kernel
-stepped them by: per node its (e0, net), which segment_values expands
-through energy's clamp_runs and run_voltages, so this module evaluates
-no storage law of its own.  summarize reduces a trace to the headline
-per-node figures and render_summary prints them; format_trace_csv writes
-the rows as CSV to a binary stream, rendering each segment straight from
-its closed form rather than expanding it into rows first: each block of
-rows is one bytes % whose template holds every time and fixed field, so
-it formats only the voltages that change from row to row.  The CSV's
+steps them by: per node its anchor (e0, net, offset), which
+segment_values expands through energy's clamp_runs and run_voltages, so
+this module evaluates no storage law of its own.  summarize reduces a
+trace to the headline per-node figures and render_summary prints them;
+format_trace_csv writes the rows as CSV to a binary stream, rendering
+each segment straight from its closed form rather than expanding it into
+rows first: each block of rows is one bytes % whose template holds every
+time and fixed field, so it formats only the voltages that change from
+row to row.  The CSV's
 encoding (UTF-8) and line ending (LF) are known here alone.
 """
 
@@ -23,7 +24,7 @@ from functools import reduce
 from operator import add
 from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .energy import Runs, clamp_runs, run_voltages
+from .energy import Anchor, Runs, clamp_runs, run_voltages
 from .node import NodeState
 
 
@@ -47,11 +48,11 @@ class TraceRow(NamedTuple):
 
 
 class SegmentLane(NamedTuple):
-    """One node's constants over a trace segment, read before the
-    stretch's storage step: its fixed row fields, then what the closed
-    form needs for its storage energy (e0 plus net per tick, clamped to
-    0..STORAGE_FULL_J) and its harvest tally (h0 plus harvest_dt per
-    tick).
+    """One node's constants over a trace segment, read at its anchor,
+    offset ticks before the segment's tick i: its fixed row fields, then
+    what the closed form needs for its storage energy (e0 plus net per
+    tick since the anchor, clamped to 0..STORAGE_FULL_J) and its harvest
+    tally (h0 plus harvest_dt per tick since the anchor).
     """
 
     node_id: int
@@ -61,6 +62,7 @@ class SegmentLane(NamedTuple):
     lux: float
     e0: float
     net: float
+    offset: int
     h0: float
     harvest_dt: float
 
@@ -86,19 +88,23 @@ def segment_values(segment: TraceSegment, instants: Optional[range] = None,
     the time of each instant, and per lane a list of the storage voltage
     at each.
 
-    The voltages are storage_step's closed form from each lane's (e0,
-    net), in the float order the kernel books it (energy.run_voltages),
-    built from the lane's runs over instants (energy.clamp_runs, unless
-    the caller hands them in).
+    The voltages are storage_step's closed form from each lane's anchor
+    (e0, net, offset), in the float order the kernel books it
+    (energy.run_voltages), built from the lane's runs over instants
+    (energy.clamp_runs, unless the caller hands them in).
     """
     if instants is None:
         instants = segment.instants
-    pairs = [(lane.e0, lane.net) for lane in segment.lanes]
+    anchors = _anchors(segment)
     if runs is None:
-        runs = clamp_runs(pairs, instants)
+        runs = clamp_runs(anchors, instants)
     i, dt = segment.i, segment.dt
     return ([(i + n) * dt for n in instants],
-            run_voltages(pairs, instants, runs))
+            run_voltages(anchors, instants, runs))
+
+
+def _anchors(segment: TraceSegment) -> List[Anchor]:
+    return [(lane.e0, lane.net, lane.offset) for lane in segment.lanes]
 
 
 class FrameLogEntry(NamedTuple):
@@ -202,10 +208,9 @@ class TraceSet:
                 continue
             times, values = segment_values(segment)
             # the tally's harvest in the float order the kernel books it
-            floats = list(map(float, segment.instants))
-            harvests = [[h0 + n * harvest_dt for n in floats]
-                        for _, _, _, _, _, _, _, h0, harvest_dt
-                        in segment.lanes]
+            harvests = [[h0 + (n + offset) * harvest_dt
+                         for n in segment.instants]
+                        for *_, offset, h0, harvest_dt in segment.lanes]
             fixed = [lane[:5] for lane in segment.lanes]
             for k, time_s in enumerate(times):
                 rows += [TraceRow(time_s, nid, v_caps[k], v_pv, mode, state,
@@ -453,8 +458,7 @@ def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
     yield: returning frees the block's voltages and % arguments before
     _csv_blocks hands the block on to be written."""
     count = len(instants)
-    runs = clamp_runs([(lane.e0, lane.net) for lane in segment.lanes],
-                      instants)
+    runs = clamp_runs(_anchors(segment), instants)
     times, values = segment_values(segment, instants, runs=runs)
     tail = bisect_left(times, since)
     if tail < count:

@@ -8,9 +8,11 @@ node's state from its lane: every tick delivers frames, steps the
 controller and every node, integrates the storage and applies the
 hysteresis, node by node.  It shares the _Runtime machinery with the
 kernel, so the two differ only in which ticks take the full path and how
-a stretch adds up: the kernel integrates a full tick as a one-tick
-stretch and a quiet stretch in a single closed-form step, this loop tick
-by tick in its own body.
+a stretch adds up: the kernel steps each lane only at its own events, in
+a single closed-form step from its anchor, this loop every lane tick by
+tick in its own body.  It moves each lane's anchor tick (`at`) with the
+storage, so the shared light and row machinery reads the storage as it
+stands.
 test_kernel_equivalence.py states how close the two TraceSets must be.
 """
 
@@ -33,7 +35,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
     rt = _Runtime(scenario)
     dt = rt.dt
 
-    rt.sample_rows(0.0)
+    rt.sample_rows(0)
 
     for i in range(rt.n_steps):
         now = i * dt
@@ -54,7 +56,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             results.append(result)
 
         # the on-air set for this step reflects the transitions just taken
-        rt._refresh_lux(rt._emitter_signature(now))
+        rt._refresh_lux(rt._emitter_signature(now), i)
 
         for lane, result in zip(rt.lanes, results):
             record = lane.record
@@ -64,6 +66,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             p_out = state_draw_w(record, now, dt) + result.cost_j / dt
             storage = record.storage
             agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
+            lane.at = i + 1
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt
             agg.leaked_j += LEAK_POWER_W * dt
@@ -85,9 +88,9 @@ def run_scenario(scenario: Scenario) -> TraceSet:
                     and agg.depleted_at is None):
                 agg.depleted_at = now
             if result.events:
-                rt.event_rows(lane, now, result.events)
+                rt.event_rows(lane, i + 1, result.events)
 
         if (i + 1) % rt.sample_every == 0 or (i + 1) == rt.n_steps:
-            rt.sample_rows((i + 1) * dt)
+            rt.sample_rows(i + 1)
 
     return rt.trace()

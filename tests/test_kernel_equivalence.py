@@ -29,6 +29,7 @@ from luxnet.energy import (
     clamp_runs,
     net_per_tick,
     storage_step,
+    voltage_after,
 )
 from luxnet.node import (
     SESSION_FLOOR_TOL_V,
@@ -59,6 +60,7 @@ from luxnet.trace import (
 )
 from test_node import slot_values
 from test_simkernel import (
+    count_work,
     csv_text,
     events_for,
     guard_scenario,
@@ -425,6 +427,106 @@ def test_a_clamp_loss_is_booked_only_where_a_clamp_bites(scenario):
             if loss and 0.0 <= e <= STORAGE_FULL_J] == []
 
 
+# ---------------------------------------------------------------------------
+# each node on its own clock
+
+
+def anchor_trio():
+    """Three nodes on networks()'s ring, reporting every 20 s: node 1
+    wakes to sense at each report, node 3's burst lights node 2 until it
+    ends at its floor at 23.3 s, and node 2, which senses only when
+    asked, is asked once, at 6.1 s.  From then on node 2 neither acts nor
+    sees its light change, while node 1's cycles take a full tick every
+    few seconds."""
+    def node(nid, lux, start, v_min=3.4, target=None):
+        here = ring_position(nid - 1, 3)
+        aim = None if target is None else tuple(
+            b - a for a, b in zip(here, ring_position(target - 1, 3)))
+        return NodeSpec(
+            node_id=nid, position=here,
+            faces=(FaceSpec((0.0, 1.0, 0.0), lux[0]),
+                   FaceSpec((1.0, 0.0, 0.0), lux[1]),
+                   FaceSpec((0.0, 0.0, 1.0), lux[2])),
+            start_voltage=start, v_min=v_min,
+            led_power_w=0.0 if target is None else 27.8e-3, led_aim=aim,
+            sensing_enabled=nid != 2)
+
+    dim = (150.0, 0.0, 0.0)
+    return Scenario(
+        name="anchor", duration_s=300.0,
+        nodes=(node(1, dim, 4.0), node(2, dim, 3.9),
+               node(3, (1000.0,) * 3, 4.5, 3.8, target=2)),
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=480.0, t_int=20.0, slot_spacing_s=5.0,
+            etx_offset_s=20.0, etx_spacing_s=30.0)),
+        step_s=0.1, seed=0, trace_interval_s=1.0, etx_policy="autonomous")
+
+
+def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
+    # a lane is stepped only where it acts, its light changes or its
+    # event falls, each time in one closed-form step from its anchor;
+    # node 2's last anchor is set where node 3's burst leaves it, at
+    # tick 234, and holds through 28 full ticks of node 1 to the end.
+    # Its rows there read the anchor's closed form
+    counts = count_work(monkeypatch)
+    spans, anchors, lit, full = [], {}, [], []
+    step_to = simkernel._Lane.step_to
+    anchor = _Runtime._anchor
+    refresh = _Runtime._refresh_lux
+    full_tick = _Runtime.full_tick
+
+    def stepping(lane, tick, dt):
+        if tick != lane.at:
+            spans.append((lane.record.node_id, lane.at, tick))
+        step_to(lane, tick, dt)
+
+    def anchoring(rt, lane, i, p_out):
+        event = anchor(rt, lane, i, p_out)
+        anchors[lane.record.node_id, i] = (lane.record.storage.energy,
+                                           lane.net)
+        return event
+
+    def refreshing(rt, signature, i):
+        before = [lane.lux for lane in rt.lanes]
+        refresh(rt, signature, i)
+        lit.extend((lane.record.node_id, i) for lane, was
+                   in zip(rt.lanes, before) if lane.lux != was and i)
+
+    def counting(rt, i):
+        full.append(i)
+        return full_tick(rt, i)
+
+    monkeypatch.setattr(simkernel._Lane, "step_to", stepping)
+    monkeypatch.setattr(_Runtime, "_anchor", anchoring)
+    monkeypatch.setattr(_Runtime, "_refresh_lux", refreshing)
+    monkeypatch.setattr(_Runtime, "full_tick", counting)
+    trace = run_scenario(anchor_trio())
+    # every lane-step is one lane's step from its anchor
+    assert counts["lane-steps"] == len(spans)
+    node_2 = [(start, end) for nid, start, end in spans if nid == 2]
+    # each change of node 2's light ends its anchor there
+    assert [i for nid, i in lit if nid == 2] == [1, 233, 234]
+    assert {1, 233, 234} <= {end for _, end in node_2}
+    assert node_2[-1] == (234, 3000)
+    assert len([i for i in full if 234 < i < 3000]) == 28
+    e0, net = anchors[2, 234]
+    rows = [row for row in trace.rows
+            if row.node_id == 2 and 23.4 < row.time_s and not row.event]
+    assert len(rows) == 277
+    for row in rows:
+        v_cap = voltage_after(e0, net, round(row.time_s / 0.1) - 234)
+        assert row.v_cap.hex() == v_cap.hex(), row
+    csv_rows = [line for line in csv_text(trace).splitlines()[1:]
+                if line.split(",")[1] == "2" and 23.4 < float(
+                    line.split(",")[0])]
+    assert [line.split(",")[2] for line in csv_rows] == [
+        f"{row.v_cap:.6f}" for row in rows]
+
+
+def test_the_anchor_trio_matches_the_reference():
+    assert_same_trace(anchor_trio())
+
+
 def row_based_steady(trace):
     """Each node's steady voltage mean and band as summarize read them
     when the trace was a list of rows: the sample rows from the first row
@@ -482,8 +584,7 @@ def test_a_block_of_the_held_pair_starts_inside_a_held_run():
     per_block = 7 // 2
     starts = [start for segment in trace.segments
               for (lo, hi, _, _) in clamp_runs(
-                  [(segment.lanes[0].e0, segment.lanes[0].net)],
-                  segment.instants)
+                  [segment.lanes[0][5:8]], segment.instants)
               for start in range(per_block, len(segment.instants), per_block)
               if start < lo or hi < start]
     assert len(starts) > 30
@@ -570,17 +671,18 @@ def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
 
 def clamped_voltages(lane, instants):
     """A lane's storage voltage at each instant: the voltage storage_step
-    steps to from the lane's e0, n ticks of its net on
+    steps to from the lane's e0, offset + n ticks of its net on
     (energy._closed_form)."""
-    *_, e0, net, _, _ = lane
-    return [_closed_form(e0, net, n)[2] for n in instants]
+    *_, e0, net, offset, _, _ = lane
+    return [_closed_form(e0, net, offset + n)[2] for n in instants]
 
 
 @st.composite
 def segments(draw):
     """A segment whose lanes start inside, at the edges of or outside
     0..STORAGE_FULL_J, some with a net that reaches 0 or STORAGE_FULL_J
-    at one of its instants, some with a net of +-0."""
+    at one of its instants, some with a net of +-0, each anchored up to
+    10,000 ticks before the segment's tick."""
     start = draw(st.integers(0, 10_000))
     step = draw(st.integers(1, 3))
     instants = range(start, start + step * draw(st.integers(1, 300)), step)
@@ -589,30 +691,35 @@ def segments(draw):
     for nid in range(1, draw(st.integers(1, 4)) + 1):
         e0 = draw(st.sampled_from([-0.0, 0.0, full])
                   | st.floats(-full, 2.0 * full))
-        n = draw(st.sampled_from(instants)) or 1
+        offset = draw(st.sampled_from([0]) | st.integers(0, 10_000))
+        n = offset + draw(st.sampled_from(instants)) or 1
         edge = draw(st.sampled_from([0.0, full]))
         net = draw(st.sampled_from([0.0, -0.0, (edge - e0) / n])
                    | st.floats(-full / 100, full / 100))
         lanes.append(SegmentLane(nid, 0.0, "SSN", "sleep", 0.0, e0, net,
-                                 0.0, 0.0))
+                                 offset, 0.0, 0.0))
     return TraceSegment(0, draw(st.integers(0, 100)), instants, 0.1,
                         tuple(lanes))
 
 
 # lanes that reach 0 and STORAGE_FULL_J partway, one that starts at
-# -0.0 J and one with no net flow
+# -0.0 J, one with no net flow, and one anchored 3 ticks before the
+# segment that reaches 0 partway
 EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
-    SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 2.0, -0.4, 0.0, 0.0),
-    SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 2.05, 0.4, 0.0, 0.0),
-    SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 0.0, 0.0, 0.0),
-    SegmentLane(4, 0.0, "SSN", "sleep", 0.0, 0.3, -0.0, 0.0, 0.0),
+    SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 2.0, -0.4, 0, 0.0, 0.0),
+    SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 2.05, 0.4, 0, 0.0, 0.0),
+    SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 0.0, 0, 0.0, 0.0),
+    SegmentLane(4, 0.0, "SSN", "sleep", 0.0, 0.3, -0.0, 0, 0.0, 0.0),
+    SegmentLane(5, 0.0, "SSN", "sleep", 0.0, 2.0, -0.2, 3, 0.0, 0.0),
 ))
 
 
-def lane_segment(e0, net):
-    """One lane over instants 1..10 from e0 joules at net joules a tick."""
+def lane_segment(e0, net, offset=0):
+    """One lane over instants 1..10 from e0 joules at net joules a tick,
+    anchored offset ticks before the segment."""
     return TraceSegment(0, 0, range(1, 11), 0.1, (
-        SegmentLane(1, 0.0, "SSN", "sleep", 0.0, e0, net, 0.0, 0.0),))
+        SegmentLane(1, 0.0, "SSN", "sleep", 0.0, e0, net, offset, 0.0,
+                    0.0),))
 
 
 @given(segments(), st.integers(0, 10 ** 6))
@@ -623,21 +730,23 @@ def lane_segment(e0, net):
 @example(lane_segment(STORAGE_FULL_J + 0.05, -0.02), 1)
 # live, then held at 0 from the fourth instant on
 @example(lane_segment(0.1, -0.03), 2)
+# anchored 5 ticks back: live, then held at 0 from the second instant on
+@example(lane_segment(0.2, -0.03, 5), 3)
 def test_segment_values_are_the_clamped_closed_form(segment, pick):
     # each voltage is bit for bit the one storage_step steps to, for the
     # whole segment, one instant and a tail of it; each lane's runs hold
     # exactly where the clamp bites
     every = segment.instants
     k = pick % len(every)
-    pairs = [(lane.e0, lane.net) for lane in segment.lanes]
+    anchors = [lane[5:8] for lane in segment.lanes]
     for instants in (every, every[k:k + 1], every[k:]):
         _, values = segment_values(segment, instants)
         for lane, v_caps, (lo, hi, _, _) in zip(
-                segment.lanes, values, clamp_runs(pairs, instants)):
+                segment.lanes, values, clamp_runs(anchors, instants)):
             assert ([v.hex() for v in v_caps]
                     == [v.hex() for v in clamped_voltages(lane, instants)])
-            assert [not 0.0 <= lane.e0 + n * lane.net <= STORAGE_FULL_J
-                    for n in instants] == [
+            assert [not 0.0 <= lane.e0 + (lane.offset + n) * lane.net
+                    <= STORAGE_FULL_J for n in instants] == [
                         not lo <= index < hi for index in range(len(instants))]
 
 

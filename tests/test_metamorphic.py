@@ -127,6 +127,13 @@ def test_a_turned_or_mirrored_network_runs_bit_for_bit_alike(name):
         assert outputs(moved(scenario, move)) == base, move.__name__
 
 
+@given(networks())
+def test_a_drawn_network_turned_or_mirrored_runs_bit_for_bit_alike(scenario):
+    base = outputs(scenario)
+    for move in (quarter_turn, mirror):
+        assert outputs(moved(scenario, move)) == base, move.__name__
+
+
 def with_face_a_ambient(scenario: Scenario, node_id, lux) -> Scenario:
     """scenario with node node_id's face a under lux of ambient light."""
     nodes = tuple(node._replace(faces=(node.faces[0]._replace(
@@ -148,3 +155,28 @@ def test_more_light_never_shortens_a_life():
     assert lifetimes == sorted(lifetimes), lifetimes
     # the sweep crosses from a lockout inside the run to none
     assert lifetimes[0] < scenario.duration_s and lifetimes[-1] == math.inf
+
+
+def lit_by(scenario: Scenario, node_id, factor) -> Scenario:
+    """scenario with node node_id's ambient light scaled by factor on
+    each face."""
+    nodes = tuple(node._replace(faces=tuple(
+        face._replace(ambient_lux=face.ambient_lux * factor)
+        for face in node.faces)) if node.node_id == node_id else node
+        for node in scenario.nodes)
+    return scenario._replace(nodes=nodes)
+
+
+@given(networks())
+def test_more_light_never_shortens_a_drawn_life(scenario):
+    # node 1 starts 5 mV above the lockout, so a dim one locks out within
+    # the run; from dark to its drawn light, every face lit alike, its
+    # lockout never moves earlier
+    first = scenario.nodes[0]._replace(start_voltage=3.205)
+    scenario = scenario._replace(nodes=(first, *scenario.nodes[1:]))
+    lifetimes = []
+    for factor in (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+        trace = run_scenario(lit_by(scenario, 1, factor))
+        depleted_at = trace.aggregates[1].depleted_at
+        lifetimes.append(math.inf if depleted_at is None else depleted_at)
+    assert lifetimes == sorted(lifetimes), lifetimes

@@ -12,6 +12,7 @@ from luxnet.energy import (
     V_CHARGE_READY,
     V_OVERDISCHARGE,
     V_STORAGE_MAX,
+    PV_OPEN_VOLTAGE_MAX,
     HarvesterArray,
     StorageCapacitor,
     band_exit,
@@ -21,6 +22,7 @@ from luxnet.energy import (
 )
 from luxnet.node import (
     DEFAULT_TIMING,
+    _build_report,
     SESSION_FLOOR_TOL_V,
     NodeMode,
     NodeRecord,
@@ -43,6 +45,8 @@ from luxnet.protocol import (
     NodeToOap,
     OapToNode,
     OAP_ADDRESS,
+    VOLTAGE_MAX_V,
+    quantize_voltage,
 )
 from luxnet.simkernel import first_tick
 
@@ -194,6 +198,19 @@ def test_data_request_sense_reply_cycle():
     assert frame.payload.sender_id == 3
     # a bright node keeps listening after the reply
     assert node.state == NodeState.STANDBY
+
+
+@pytest.mark.parametrize("v_pv, code", [
+    # no reading yet, a dark read, and the open voltage's saturation and
+    # the brightest light a scenario allows just under it
+    (0.0, 0), (pv_open_voltage(0.0), 0), (PV_OPEN_VOLTAGE_MAX, 220),
+    (pv_open_voltage(1.44e6), 220)])
+def test_a_report_codes_the_pv_reading_unclamped(v_pv, code):
+    # a PV reading lies inside the code's range, so the report codes it as
+    # the 0..VOLTAGE_MAX_V clamp it no longer takes would have
+    node = make_node(v_pv=v_pv)
+    assert _build_report(node).payload.pv_level == code == quantize_voltage(
+        min(max(v_pv, 0.0), VOLTAGE_MAX_V))
 
 
 def test_ssn_timer_report_and_periodicity():

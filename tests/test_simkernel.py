@@ -1027,13 +1027,13 @@ def work(*counts):
 # the work of each run below: deterministic, so pinned exactly like a
 # digest; a change that moves a count re-records it and says why
 SHIPPED_WORK = {
-    "paper_a": work(908, 611, 2_724, 610, 613, 4_068, 3_393, 79, 80),
-    "paper_b": work(10_199, 6_241, 30_597, 6_935, 8_012, 54_327, 41_385,
+    "paper_a": work(908, 611, 1_070, 610, 3, 3_316, 1_682, 79, 80),
+    "paper_b": work(10_199, 6_241, 13_475, 6_935, 1_077, 48_640, 22_923,
                     2_876, 2_877),
 }
 CROWD_DENSE_WORK = {
-    1: work(448, 284, 6_720, 1_414, 1_435, 10_638, 8_655, 208, 130),
-    3: work(454, 287, 6_810, 1_390, 1_412, 10_788, 8_775, 211, 132),
+    1: work(449, 284, 2_422, 1_414, 22, 13_324, 4_228, 208, 130),
+    3: work(454, 287, 2_402, 1_390, 22, 13_248, 4_170, 211, 132),
 }
 
 
@@ -1160,10 +1160,10 @@ def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     [trace] = traces
     rows = sum(len(s.instants) * len(s.lanes) for s in trace.segments)
     # summarize expanding the final quarter again made 329,310
-    assert sum(expanded) == rows == 263_280
+    assert sum(expanded) == rows == 263_265
     # the CSV pass hands in each lane's runs: the rows of a storage held
     # at a clamp print one voltage formatted once
-    assert sum(held) == 52_495
+    assert sum(held) == 52_492
 
 
 # ---------------------------------------------------------------------------
@@ -1408,7 +1408,7 @@ def one_segment_trace(lanes, ticks):
     return TraceSet(
         "t", ticks[-1] * 0.1, 0.1, [],
         [TraceSegment(0, 0, ticks, 0.1, tuple(
-            SegmentLane(nid, 0.5, "SSN", NodeState.SLEEP, 150.0, e0, net,
+            SegmentLane(nid, 0.5, "SSN", NodeState.SLEEP, 150.0, e0, net, 0,
                         0.0, 1e-4)
             for nid, e0, net in lanes))],
         [], [], {nid: NodeAggregate(nid, e0) for nid, e0, _ in lanes})
@@ -1431,7 +1431,7 @@ HELD = [(1, STORAGE_FULL_J, 1e-3), (3, 0.0, -1e-3)]
 ])
 def test_segment_blocks_render_as_row_by_row(monkeypatch, block_rows,
                                              lanes, ticks, live):
-    runs = clamp_runs([(e0, net) for _, e0, net in lanes], ticks)
+    runs = clamp_runs([(e0, net, 0) for _, e0, net in lanes], ticks)
     assert sum(lo < len(ticks) for lo, *_ in runs) == live
     trace = one_segment_trace(lanes, ticks)
     monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
