@@ -108,6 +108,8 @@ from .protocol import (
 from .trace import (
     FrameLogEntry,
     NodeAggregate,
+    Record,
+    SampleInstant,
     SegmentLane,
     TraceRow,
     TraceSegment,
@@ -494,6 +496,16 @@ class _Lane:
             agg.time_by_state.get(state, 0.0) + ticks * dt)
         agg.lux_integral += ticks * (self.lux[0] * dt)
 
+    def read(self, tick: int, dt: float) -> Tuple[float, float]:
+        """The storage voltage and harvest tally at tick, read from the
+        anchor."""
+        storage = self.record.storage
+        ticks = tick - self.at
+        if not ticks:
+            return storage.voltage, self.agg.harvested_j
+        return (voltage_after(storage.energy, self.net, ticks),
+                self.agg.harvested_j + ticks * (self.harvest_w * dt))
+
 
 class _Runtime:
     """Mutable per-run machinery, internal to run_scenario."""
@@ -533,7 +545,7 @@ class _Runtime:
         self.airtime_ticks = max(
             1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
-        self.discrete: List[TraceRow] = []
+        self.discrete: List[Record] = []
         self.segments: List[TraceSegment] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
@@ -795,31 +807,31 @@ class _Runtime:
     # -- trace -------------------------------------------------------------
 
     def sample_rows(self, i: int) -> None:
-        """Every lane's sample row at tick i."""
-        time_s = i * self.dt
+        """Every lane's sample row at tick i, booked as one
+        SampleInstant: each lane's fixed row fields, and its storage
+        voltage and harvest tally read from its anchor."""
+        dt = self.dt
+        fixed, v_caps, harvests = [], [], []
         for lane in self.lanes:
-            self._sample(lane, time_s, i - lane.at)
+            record = lane.record
+            fixed.append((record.node_id, record.v_pv, record.mode,
+                          record.state, lane.lux[0]))
+            v_cap, harvested = lane.read(i, dt)
+            v_caps.append(v_cap)
+            harvests.append(harvested)
+        self.discrete.append(SampleInstant(i * dt, fixed, v_caps, harvests))
 
     def event_rows(self, lane: _Lane, tick: int, events: List[str]) -> None:
         """The lane's event rows for the tick that ends at `tick`: timed
-        at that tick's start, its storage as it stands at `tick`."""
-        time_s = (tick - 1) * self.dt
-        for text in events:
-            self._sample(lane, time_s, tick - lane.at, text)
-
-    def _sample(self, lane: _Lane, time_s: float, ticks: int,
-                event: str = "") -> None:
-        """The lane's row, `ticks` ticks after its anchor: its storage
-        voltage and harvest tally there read from the anchor."""
+        at that tick's start, its storage as it stands at `tick`,
+        read from its anchor."""
         record = lane.record
-        storage = record.storage
-        v_cap, harvested = storage.voltage, lane.agg.harvested_j
-        if ticks:
-            v_cap = voltage_after(storage.energy, lane.net, ticks)
-            harvested += ticks * (lane.harvest_w * self.dt)
-        self.discrete.append(TraceRow(
-            time_s, record.node_id, v_cap, record.v_pv, record.mode,
-            record.state, lane.lux[0], harvested, event))
+        time_s = (tick - 1) * self.dt
+        v_cap, harvested = lane.read(tick, self.dt)
+        for text in events:
+            self.discrete.append(TraceRow(
+                time_s, record.node_id, v_cap, record.v_pv, record.mode,
+                record.state, lane.lux[0], harvested, text))
 
     def _sample_stretch(self, i: int, instants: range) -> None:
         """The sample rows `instants` ticks into a quiet stretch from i,

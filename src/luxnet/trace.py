@@ -2,18 +2,23 @@
 
 A run's trace (TraceSet) holds its rows, its frame log, the controller
 log and each node's tallies (NodeAggregate).  The rows are kept as the
-discrete rows, written one at a time, and the segments, each the sample
-rows of one quiet stretch, run-end encoded as the closed form the kernel
+discrete records, written one at a time: the event rows, and the sample
+instants between stretches, each every node's sample row at one instant
+held column by column.  The rest are the segments, each the sample rows
+of one quiet stretch, run-end encoded as the closed form the kernel
 steps them by: per node its anchor (e0, net, offset), which
 segment_values expands through energy's clamp_runs and run_voltages, so
 this module evaluates no storage law of its own.  summarize reduces a
 trace to the headline per-node figures and render_summary prints them;
 format_trace_csv writes the rows as CSV to a binary stream, rendering
-each segment straight from its closed form rather than expanding it into
-rows first: each block of rows is one bytes % whose template holds every
-time and fixed field, so it formats only the voltages that change from
-row to row.  The CSV's
-encoding (UTF-8) and line ending (LF) are known here alone.
+each sample instant and segment straight from its columns or closed
+form rather than expanding it into rows first: each block of rows is one
+bytes % whose template holds every time and fixed field, so it formats
+only the voltages that change from row to row.  Each voltage's spec is
+a bare %f, which bytes % writes straight into its output, where a spec
+with a precision, even %.6f, which prints the same digits, builds a
+temporary object per float.  The CSV's encoding (UTF-8) and line ending
+(LF) are known here alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import math
 from bisect import bisect_left
 from functools import reduce
 from operator import add
-from typing import BinaryIO, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (BinaryIO, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .energy import Anchor, Runs, clamp_runs, run_voltages
 from .node import NodeState
@@ -45,6 +51,28 @@ class TraceRow(NamedTuple):
     lux: float
     harvested_j: float
     event: str = ""
+
+
+class SampleInstant(NamedTuple):
+    """Every node's sample row at one trace instant, column by column:
+    per lane, in lane order, its fixed row fields (node_id, v_pv, mode,
+    state, lux), its storage voltage and its harvest tally."""
+
+    time_s: float
+    fixed: List[Tuple[int, float, str, str, float]]
+    v_caps: Sequence[float]
+    harvested: Sequence[float]
+
+    def rows(self) -> List[TraceRow]:
+        """Its rows, one per lane, in lane order."""
+        return [TraceRow(self.time_s, nid, v_cap, v_pv, mode, state, lux, h)
+                for (nid, v_pv, mode, state, lux), v_cap, h
+                in zip(self.fixed, self.v_caps, self.harvested)]
+
+
+# a discrete record: an event row, or every node's sample row at one
+# instant
+Record = Union[TraceRow, SampleInstant]
 
 
 class SegmentLane(NamedTuple):
@@ -70,8 +98,8 @@ class SegmentLane(NamedTuple):
 class TraceSegment(NamedTuple):
     """The sample rows of one quiet stretch, run-end encoded.
 
-    Its rows sit after the first `at` discrete rows of the trace, one per
-    lane, in lane order, at each tick i + n for n in instants.
+    Its rows sit after the first `at` discrete records of the trace, one
+    per lane, in lane order, at each tick i + n for n in instants.
     segment_values expands them.
     """
 
@@ -145,10 +173,11 @@ class NodeAggregate:
 class TraceSet:
     """Everything one run recorded.
 
-    The trace rows are the discrete rows, written one at a time (the
-    event rows and the samples between stretches), and the segments,
-    each the samples inside one quiet stretch; runs() walks both in row
-    order, and rows expands them into one list.  frame_log is the only
+    The trace rows are the discrete records, written one at a time (the
+    event rows, and the sample instants between stretches, each every
+    node's sample row at one instant), and the segments, each the
+    samples inside one quiet stretch; runs() walks both in row order,
+    and rows expands them into one list.  frame_log is the only
     record of frames: each is logged once as sent, then once per node it
     was addressed to as delivered or failed (an uplink, once as
     delivered).  The frame counts are read from it.  steady_tally is
@@ -162,7 +191,7 @@ class TraceSet:
                  "steady_tally")
 
     def __init__(self, scenario_name: str, duration_s: float, step_s: float,
-                 discrete: List[TraceRow], segments: List[TraceSegment],
+                 discrete: List[Record], segments: List[TraceSegment],
                  frame_log: List[FrameLogEntry], controller_log: List[str],
                  aggregates: Dict[int, NodeAggregate]):
         self.scenario_name = scenario_name
@@ -176,13 +205,13 @@ class TraceSet:
         self.steady_tally: Optional[Dict[int, List]] = None
 
     def runs(self, since: float = -math.inf
-             ) -> Iterator[Tuple[List[TraceRow], Optional[TraceSegment]]]:
+             ) -> Iterator[Tuple[List[Record], Optional[TraceSegment]]]:
         """The rows at or after time `since`, in row order: (discrete
-        rows, the segment after them) pairs, the last with no segment.
+        records, the segment after them) pairs, the last with no segment.
 
         The rows are in time order, so those rows are a tail: it starts
         in the first segment that ends at or after since, trimmed to its
-        instants from since on, or in the discrete rows before it.
+        instants from since on, or in the discrete records before it.
         """
         segments = self.segments[bisect_left(
             self.segments, since,
@@ -203,7 +232,8 @@ class TraceSet:
         want one at a time; the run's own outputs read the segments."""
         rows: List[TraceRow] = []
         for discrete, segment in self.runs():
-            rows += discrete
+            for record in discrete:
+                rows += [record] if type(record) is TraceRow else record.rows()
             if segment is None:
                 continue
             times, values = segment_values(segment)
@@ -212,11 +242,9 @@ class TraceSet:
                          for n in segment.instants]
                         for *_, offset, h0, harvest_dt in segment.lanes]
             fixed = [lane[:5] for lane in segment.lanes]
-            for k, time_s in enumerate(times):
-                rows += [TraceRow(time_s, nid, v_caps[k], v_pv, mode, state,
-                                  lux, tally[k])
-                         for (nid, v_pv, mode, state, lux), v_caps, tally
-                         in zip(fixed, values, harvests)]
+            for time_s, v_caps, tally in zip(times, zip(*values),
+                                             zip(*harvests)):
+                rows += SampleInstant(time_s, fixed, v_caps, tally).rows()
         return rows
 
     def _outcomes(self, *outcomes: str) -> int:
@@ -261,21 +289,22 @@ def _steady_since(trace: TraceSet) -> float:
     return 0.75 * trace.duration_s
 
 
-def _tally_steady(steady: Dict[int, List], rows: List[TraceRow],
+def _tally_steady(steady: Dict[int, List], records: List[Record],
                   lanes: Tuple[SegmentLane, ...] = (),
                   values: List[List[float]] = ()) -> None:
     """Book sample rows into each node's final-quarter tally, the list
     [sum, count, minimum, maximum] of its storage voltages: the sample
-    rows among rows, then each lane's voltages (segment_values' lists,
-    none of them empty).
+    instants among records, then each lane's voltages (segment_values'
+    lists, none of them empty).
 
     Called in row order, it adds every node's voltages left to right,
     so the sum does not depend on how the rows are cut into calls.
     """
-    for row in rows:
-        if not row.event:
-            acc = steady[row.node_id]
-            v = row.v_cap
+    for record in records:
+        if type(record) is TraceRow:
+            continue
+        for fixed, v in zip(record.fixed, record.v_caps):
+            acc = steady[fixed[0]]
             acc[0] += v
             acc[1] += 1
             if v < acc[2]:
@@ -364,23 +393,39 @@ def summarize(trace: TraceSet) -> Summary:
 CSV_HEADER = "time_s,node_id,v_cap,v_pv,mode,state,lux,event"
 
 
-# rows per block _csv_blocks renders, which bounds each block's memory
+# rows per block _csv_blocks renders, which bounds each block's memory;
+# a block holds one instant at least
 CSV_BLOCK_ROWS = 2048
-# one event row, from its fields but harvested_j, which the CSV omits
-DISCRETE_ROW = b"%.2f,%d,%.6f,%.6f,%b,%b,%.3f,%b\n"
+# one event row, from its fields but harvested_j, which the CSV omits.
+# Each voltage is a bare %f: bytes % writes a float with no width or
+# precision straight into its output, where any other spec builds a
+# temporary object first, and %f's precision is 6 by definition
+DISCRETE_ROW = b"%.2f,%d,%f,%f,%b,%b,%.3f,%b\n"
 # a lane's row after its time, with its voltage left to fill in,
-# ",<nid>,%.6f,<v_pv>,<mode>,<state>,<lux>,\n", from the lane's fixed
-# fields (node_id, v_pv, mode, state, lux); a mode or state name holds
-# no %
-LANE_ROW = ",%s,%%.6f,%.6f,%s,%s,%.3f,\n"
+# ",<nid>,%f,<v_pv>,<mode>,<state>,<lux>,\n", from the lane's fixed
+# fields (node_id, v_pv, mode, state, lux); the voltage's spec is a
+# bare %f, as in DISCRETE_ROW, and a mode or state name holds no %
+LANE_ROW = ",%s,%%f,%f,%s,%s,%.3f,\n"
 
 
 class _RowTemplates(dict):
     """Each lane's LANE_ROW by its fixed fields, formatted on first use."""
 
+    fixed = pieces = None
+
     def __missing__(self, fixed: Tuple) -> bytes:
         row = self[fixed] = (LANE_ROW % fixed).encode()
         return row
+
+    def instant(self, fixed: List[Tuple]) -> List[bytes]:
+        """A sample instant's row templates, from its lanes' fixed
+        fields, after an empty piece that its time text joins onto: the
+        last instant's again where its fields are equal, which a compare
+        tells without hashing a key."""
+        if fixed != self.fixed:
+            self.fixed = fixed
+            self.pieces = [b"", *map(self.__getitem__, fixed)]
+        return self.pieces
 
 
 def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
@@ -393,20 +438,23 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
     voltages it fills in: bytes % finds each % with memchr, where str %
     reads its template one character at a time.  Each lane's row
     template holds its fixed fields, formatted once per render pass,
-    since they recur from segment to segment and among the sample rows,
-    and each instant's time is formatted once, into the template in
-    front of each of its rows (see _discrete_block and _segment_block).
+    since they recur from segment to segment and among the sample
+    instants, and each instant's time is formatted once, into the
+    template in front of each of its rows (see _discrete_block and
+    _segment_block).
     """
     since = _steady_since(trace)
     row_templates = _RowTemplates()
+    # a sample instant holds a row per node
+    records = max(1, CSV_BLOCK_ROWS // max(1, len(trace.aggregates)))
     for discrete, segment in trace.runs():
-        for start in range(0, len(discrete), CSV_BLOCK_ROWS):
-            yield _discrete_block(discrete[start:start + CSV_BLOCK_ROWS],
+        for start in range(0, len(discrete), records):
+            yield _discrete_block(discrete[start:start + records],
                                   row_templates)
         # the rows are in time order, as for trace.runs(since)
         if discrete and discrete[-1].time_s >= since:
             _tally_steady(steady, discrete[bisect_left(
-                discrete, since, key=lambda row: row.time_s):])
+                discrete, since, key=lambda record: record.time_s):])
         if segment is None:
             continue
         lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
@@ -418,26 +466,25 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
                                  steady)
 
 
-def _discrete_block(rows: List[TraceRow], row_templates: _RowTemplates
+def _discrete_block(records: List[Record], row_templates: _RowTemplates
                     ) -> bytes:
-    """The CSV bytes of discrete rows, one % over their formats joined:
-    an event row's DISCRETE_ROW, and a sample row's time text, formatted
-    once per instant, and lane row template, which leaves its voltage to
-    fill in.  A function of its own for the reason _segment_block
-    gives."""
+    """The CSV bytes of discrete records, one % over their formats
+    joined: an event row's DISCRETE_ROW, and a sample instant's rows,
+    its time text, formatted once, joined onto its lanes' row templates,
+    each of which leaves its voltage to fill in.  A function of its own
+    for the reason _segment_block gives."""
     template = []
     args = []
-    time_s = text = None
-    for t, nid, v_cap, v_pv, mode, state, lux, _, event in rows:
-        if event:
+    for record in records:
+        if type(record) is TraceRow:
+            t, nid, v_cap, v_pv, mode, state, lux, _, event = record
             template.append(DISCRETE_ROW)
             args += (t, nid, v_cap, v_pv, mode.encode(), state.encode(), lux,
                      event.encode())
             continue
-        if t != time_s:
-            time_s, text = t, b"%.2f" % t
-        template += (text, row_templates[nid, v_pv, mode, state, lux])
-        args.append(v_cap)
+        time_s, fixed, v_caps, _ = record
+        template.append((b"%.2f" % time_s).join(row_templates.instant(fixed)))
+        args += v_caps
     return b"".join(template) % tuple(args)
 
 

@@ -79,7 +79,7 @@ def encode(value):
 
 
 def figures():
-    """Each run's lane aggregates, segment constants, discrete rows and
+    """Each run's lane aggregates, segment constants, discrete records and
     summary, for paper-a's and paper-b's first two hours and
     guard_scenario, and the points of interference_sweep()."""
     scenarios = {

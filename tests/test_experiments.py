@@ -13,7 +13,7 @@ from luxnet.experiments import (
 )
 from kernel_oracle import run_scenario as oracle_run
 from luxnet.simkernel import Scenario, run_scenario
-from luxnet.trace import TraceRow, TraceSet, segment_values
+from luxnet.trace import SampleInstant, TraceRow, TraceSet, segment_values
 from test_simkernel import lone_node
 
 
@@ -23,8 +23,9 @@ def synthetic_trace(samples):
     discrete = []
     for t, e in samples:
         discrete += [
-            TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e),
-            TraceRow(t, 2, 4.0, 0.0, "SSN", "Sleep", 0.0, 100.0),
+            SampleInstant(t, [(1, 0.0, "SSN", "Sleep", 0.0),
+                              (2, 0.0, "SSN", "Sleep", 0.0)],
+                          [4.0, 4.0], [e, 100.0]),
             TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
                      event="timer wake")]
     return TraceSet(

@@ -590,12 +590,81 @@ def test_a_block_of_the_held_pair_starts_inside_a_held_run():
     assert len(starts) > 30
 
 
-@given(networks().map(lambda sc: sc._replace(trace_interval_s=sc.step_s)),
-       st.sampled_from([7, CSV_BLOCK_ROWS]))
+def every_tick(scenario):
+    """The scenario with a trace row every tick."""
+    return scenario._replace(trace_interval_s=scenario.step_s)
+
+
+def dark_node():
+    """A lone node networks() can draw, in the dark and under its guard
+    floor from the start: it depletes at about 150 s."""
+    return Scenario(
+        name="generated", duration_s=300.0,
+        nodes=(NodeSpec(node_id=1, position=ring_position(0, 1),
+                        faces=(FaceSpec((0.0, 1.0, 0.0), 0.0),
+                               FaceSpec((1.0, 0.0, 0.0), 0.0),
+                               FaceSpec((0.0, 0.0, 1.0), 0.0)),
+                        start_voltage=3.22, v_min=3.3),),
+        oap=OapSpec(config=ControllerConfig(
+            t_data_req=480.0, t_int=600.0, slot_spacing_s=5.0,
+            etx_offset_s=20.0, etx_spacing_s=30.0)),
+        step_s=0.1, seed=0, trace_interval_s=0.1)
+
+
+LIGHT_CHANGE = "a light change at a quiet stretch's start"
+STATE_CHANGE = "a state change on a full tick"
+DEPLETION = "a depletion"
+# a session's light, and a depletion, sampled every tick
+DENSE_EXAMPLES = (every_tick(SHARING_PAIRS[0]), dark_node())
+
+
+def dense_situations(scenario):
+    """Which of LIGHT_CHANGE, STATE_CHANGE and DEPLETION a run of the
+    scenario holds: the light is set at a stretch's start alone, and
+    step_node runs on full ticks alone."""
+    seen = set()
+    stretch = _Runtime.stretch
+
+    def stretching(rt, i, ticks, results=None):
+        lit = [lane.lux for lane in rt.lanes]
+        end = stretch(rt, i, ticks, results)
+        if results is None and lit != [lane.lux for lane in rt.lanes]:
+            seen.add(LIGHT_CHANGE)
+        return end
+
+    def stepping(record, *args):
+        state = record.state
+        result = step_node(record, *args)
+        if record.state != state:
+            seen.add(STATE_CHANGE)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Runtime, "stretch", stretching)
+        patch.setattr(simkernel, "step_node", stepping)
+        trace = run_scenario(scenario)
+    if "depleted" in {row.event for row in trace.rows}:
+        seen.add(DEPLETION)
+    return seen
+
+
+def test_the_dense_examples_hold_each_situation():
+    sharing, dark = map(dense_situations, DENSE_EXAMPLES)
+    assert sharing >= {LIGHT_CHANGE, STATE_CHANGE}
+    assert dark >= {STATE_CHANGE, DEPLETION}
+
+
+BLOCK_SIZES = st.sampled_from([1, 2, 7, 50, CSV_BLOCK_ROWS])
+
+
+@given(networks().map(every_tick), BLOCK_SIZES)
 @example(held_pair(), 7)
+@example(DENSE_EXAMPLES[0], 7)
+@example(DENSE_EXAMPLES[1], CSV_BLOCK_ROWS)
 def test_segments_render_and_summarize_as_their_rows(scenario, block_rows):
-    # a row every tick puts every quiet stretch's rows in a segment; at 7
-    # rows a block, blocks start inside the runs a clamp holds
+    # a row every tick puts every quiet stretch's rows in a segment and
+    # every other instant's in a sample instant; at 7 rows a block,
+    # blocks start inside the runs a clamp holds
     trace = run_scenario(scenario)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
@@ -623,7 +692,7 @@ def test_the_final_quarter_of_the_quiet_pair_starts_inside_a_block():
     assert k % (7 // len(segment.lanes)) != 0
 
 
-@given(networks(), st.sampled_from([1, 2, 7, 50, CSV_BLOCK_ROWS]))
+@given(networks(), BLOCK_SIZES)
 @example(quiet_pair(), 7)
 def test_the_csv_pass_tallies_the_summary_as_summarize_does(scenario,
                                                             block_rows):
@@ -656,7 +725,9 @@ def one_instant_segments(trace):
         for k in range(len(segment.instants))]})
 
 
-@given(networks(), st.sampled_from([1, 2, 7, 50, CSV_BLOCK_ROWS]))
+@given(networks(), BLOCK_SIZES)
+@example(DENSE_EXAMPLES[0], 2)
+@example(DENSE_EXAMPLES[1], 1)
 def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
     # at a small block size a segment of more than one instant spans
     # several blocks; cut into one-instant segments, every segment is

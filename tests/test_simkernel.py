@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from float_figures import guard_scenario
 from luxnet import energy, simkernel, trace as trace_module
@@ -60,7 +61,10 @@ from luxnet.simkernel import (
 from luxnet.trace import (
     CSV_BLOCK_ROWS,
     CSV_HEADER,
+    DISCRETE_ROW,
+    LANE_ROW,
     NodeAggregate,
+    SampleInstant,
     SegmentLane,
     TraceRow,
     TraceSegment,
@@ -1005,7 +1009,9 @@ def keep_traces(monkeypatch):
 # the work a run and its CSV do, counted by wrapping the names the kernel
 # and the renderer look up at call time: a full tick is a one-tick
 # stretch, a lane-step is one storage_step, and both the kernel and
-# storage_step call net_per_tick
+# storage_step call net_per_tick.  The kernel's discrete records are its
+# event rows and its sample instants, one per trace instant however
+# many nodes it samples
 WORK_TARGETS = {
     "stretches": [(simkernel._Runtime, "stretch")],
     "full ticks": [(simkernel._Runtime, "full_tick")],
@@ -1016,6 +1022,8 @@ WORK_TARGETS = {
     "net_per_tick": [(simkernel, "net_per_tick"), (energy, "net_per_tick")],
     "_segment_block": [(trace_module, "_segment_block")],
     "_discrete_block": [(trace_module, "_discrete_block")],
+    "discrete records": [(simkernel, "TraceRow"),
+                         (simkernel, "SampleInstant")],
 }
 
 
@@ -1027,13 +1035,16 @@ def work(*counts):
 # the work of each run below: deterministic, so pinned exactly like a
 # digest; a change that moves a count re-records it and says why
 SHIPPED_WORK = {
-    "paper_a": work(908, 611, 1_070, 610, 3, 3_316, 1_682, 79, 80),
+    "paper_a": work(908, 611, 1_070, 610, 3, 3_316, 1_682, 79, 80,
+                    612),
     "paper_b": work(10_199, 6_241, 13_475, 6_935, 1_077, 48_640, 22_923,
-                    2_876, 2_877),
+                    2_876, 2_877, 6_934),
 }
 CROWD_DENSE_WORK = {
-    1: work(449, 284, 2_422, 1_414, 22, 13_324, 4_228, 208, 130),
-    3: work(454, 287, 2_402, 1_390, 22, 13_248, 4_170, 211, 132),
+    1: work(449, 284, 2_422, 1_414, 22, 13_324, 4_228, 208, 130,
+            1_145),
+    3: work(454, 287, 2_402, 1_390, 22, 13_248, 4_170, 211, 132,
+            1_165),
 }
 
 
@@ -1368,14 +1379,14 @@ def test_csv_renders_as_row_by_row(build):
 @pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
 def test_sample_rows_share_the_segment_row_templates(monkeypatch,
                                                      block_rows):
-    # a sample row renders through its node's row template, the one its
-    # segment rows use, and an event row through its own format
+    # a sample instant's rows render through their nodes' row templates,
+    # the ones segment rows use, and an event row through its own format
     trace = run_scenario(sharing_every_tick_scenario())
     samples = {}
-    for row in trace.discrete:
-        if not row.event:
-            samples.setdefault(row.node_id, []).append(
-                (row.node_id, row.v_pv, row.mode, row.state, row.lux))
+    for record in trace.discrete:
+        if type(record) is SampleInstant:
+            for key in record.fixed:
+                samples.setdefault(key[0], []).append(key)
     # some node's v_pv, mode or state changes between two of its sample
     # rows, and a template serves sample rows and segment rows alike
     assert any(a[:4] != b[:4] for keys in samples.values()
@@ -1383,23 +1394,49 @@ def test_sample_rows_share_the_segment_row_templates(monkeypatch,
     assert {key for keys in samples.values() for key in keys} & {
         lane[:5] for segment in trace.segments for lane in segment.lanes}
     # event rows between the sample rows of tick 0, which the first
-    # segment's rows follow
-    first, second, third = trace.discrete[:3]
-    assert first.time_s == second.time_s == third.time_s == 0.0
-    assert not first.event and not second.event
-    assert trace.segments[0].at >= 3
-    trace.discrete[1:1] = [second._replace(event="depleted"),
-                           third._replace(event="role PSN")]
-    trace.segments = [segment._replace(at=segment.at + 2)
+    # segment's rows follow: its instant cut in two around them, so the
+    # instants on either side hold different lanes
+    first = trace.discrete[0]
+    assert type(first) is SampleInstant and first.time_s == 0.0
+    assert len(first.fixed) == 3 and trace.segments[0].at >= 1
+    head, tail = (SampleInstant(0.0, *(column[cut] for column in first[1:]))
+                  for cut in (slice(1), slice(1, None)))
+    second, third = tail.rows()
+    trace.discrete[:1] = [head, second._replace(event="depleted"),
+                          third._replace(event="role PSN"), tail]
+    trace.segments = [segment._replace(at=segment.at + 3)
                       for segment in trace.segments]
     monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
     text = csv_text(trace)
-    assert text.splitlines()[1:5] == [
+    assert text.splitlines()[1:6] == [
         "0.00,1,4.500000,0.000000,SSN,Init,1000.000,",
         "0.00,2,4.500000,0.000000,SSN,Init,150.000,depleted",
         "0.00,3,4.500000,0.000000,SSN,Init,1000.000,role PSN",
-        "0.00,2,4.500000,0.000000,SSN,Init,150.000,"]
+        "0.00,2,4.500000,0.000000,SSN,Init,150.000,",
+        "0.00,3,4.500000,0.000000,SSN,Init,1000.000,"]
     assert text == row_by_row_csv(trace)
+
+
+# the voltages the CSV prints lie in 0..V_STORAGE_MAX
+@given(st.floats(0.0, V_STORAGE_MAX))
+@example(0.0)
+@example(5e-324)
+@example(V_STORAGE_MAX)
+@example(math.nextafter(V_STORAGE_MAX, 0.0))
+# an exact tie at the sixth decimal, which rounds half to even
+@example(0.0078125)
+def test_a_bare_f_prints_each_voltage_as_six_decimals_do(v):
+    # the CSV's voltage specs are a bare %f, the one bytes % writes
+    # straight into its output; its precision is 6 by definition
+    assert b"%f" % v == b"%.6f" % v == f"{v:.6f}".encode()
+    assert b".6f" not in DISCRETE_ROW and ".6f" not in LANE_ROW
+    # as v_cap and v_pv, in a sample row and an event row
+    fixed = (1, v, "SSN", NodeState.SLEEP, 150.0)
+    trace = TraceSet("t", 0.1, 0.1, [
+        SampleInstant(0.0, [fixed], [v], [0.0]),
+        TraceRow(0.0, 1, v, *fixed[1:], 0.0, "depleted")],
+        [], [], [], {1: NodeAggregate(1, 0.0)})
+    assert csv_text(trace) == row_by_row_csv(trace)
 
 
 def one_segment_trace(lanes, ticks):
