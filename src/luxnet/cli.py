@@ -86,6 +86,15 @@ _BOOL_WORDS = {"yes": True, "true": True, "on": True, "1": True,
                "no": False, "false": False, "off": False, "0": False}
 
 
+def _decimal(text: str) -> str:
+    """text, for int or float to read: ASCII with no underscore, since
+    both also read digit-group underscores and non-ASCII digits, which
+    no number in a scenario file or an option is; ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII decimal text: {text!r}")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # scenario file parsing
 
@@ -143,7 +152,7 @@ class _Section:
     def number(self, key: str) -> float:
         text = self.text(key)
         try:
-            return float(text)
+            return float(_decimal(text))
         except ValueError:
             raise ScenarioError(
                 f"{self.name}: {key}: expected a number, got '{text}'") from None
@@ -151,7 +160,7 @@ class _Section:
     def integer(self, key: str) -> int:
         text = self.text(key)
         try:
-            return int(text)
+            return int(_decimal(text))
         except ValueError:
             raise ScenarioError(
                 f"{self.name}: {key}: expected an integer, got '{text}'") from None
@@ -165,7 +174,7 @@ class _Section:
 
     def vector(self, key: str) -> Vec3:
         try:    # a count other than three fails the unpacking
-            x, y, z = (float(p) for p in self.text(key).split())
+            x, y, z = (float(p) for p in _decimal(self.text(key)).split())
         except ValueError:
             raise ScenarioError(
                 f"{self.name}: {key}: expected three numbers") from None
@@ -194,7 +203,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             sections[name] = _Section(name, raw, _SECTION_KEYS[name])
         elif name.startswith("node."):
             suffix = name[len("node."):]
-            if not suffix.isdigit():
+            if not (suffix.isascii() and suffix.isdigit()):
                 raise ScenarioError(
                     f"{name}: node sections are named node.<id>")
             node_sections.append(
@@ -427,10 +436,20 @@ def cmd_calibrate(args) -> int:
 # argument wiring
 
 
+def _ascii(kind: Callable[[str], object]) -> Callable[[str], object]:
+    """argparse type of an option that kind (int or float) reads from
+    ASCII decimal text; argparse names kind in its error."""
+    def read(text: str):
+        return kind(_decimal(text))
+
+    read.__name__ = kind.__name__
+    return read
+
+
 def _finite_float(text: str) -> float:
     """argparse type of the planning options: a finite number."""
     try:
-        value = float(text)
+        value = float(_decimal(text))
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -449,17 +468,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", nargs="+", help="scenario file paths")
     p_run.add_argument("--out-dir", default=None,
                        help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_ascii(int), default=None,
                        help="override the scenario seed")
-    p_run.add_argument("--step-s", type=float, default=None,
+    p_run.add_argument("--step-s", type=_ascii(float), default=None,
                        help="override the integration step")
-    p_run.add_argument("--duration-s", type=float, default=None,
+    p_run.add_argument("--duration-s", type=_ascii(float), default=None,
                        help="override the simulated duration")
     p_run.set_defaults(func=cmd_run)
 
     p_duty = sub.add_parser("duty-table",
                             help="duty ratio and standby budget per n")
-    p_duty.add_argument("--n-max", type=int, default=10)
+    p_duty.add_argument("--n-max", type=_ascii(int), default=10)
     p_duty.add_argument("--t-int-s", type=_finite_float,
                         default=DEFAULT_TIMING.t_int)
     p_duty.add_argument("--t-sense-s", type=_finite_float,
@@ -487,16 +506,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_frame = sub.add_parser("frame", help="encode or decode 44-bit words")
     frame_sub = p_frame.add_subparsers(dest="frame_op", required=True)
     p_enc = frame_sub.add_parser("encode")
-    p_enc.add_argument("--dest", type=int, default=None,
+    p_enc.add_argument("--dest", type=_ascii(int), default=None,
                        help="destination address (defaults per direction)")
-    p_enc.add_argument("--sender", type=int, default=None,
+    p_enc.add_argument("--sender", type=_ascii(int), default=None,
                        help="uplink sender id 1..15")
-    p_enc.add_argument("--pv-level", type=int, default=None)
-    p_enc.add_argument("--cap-level", type=int, default=None)
-    p_enc.add_argument("--sensor", type=int, default=None)
-    p_enc.add_argument("--command", type=int, default=None,
+    p_enc.add_argument("--pv-level", type=_ascii(int), default=None)
+    p_enc.add_argument("--cap-level", type=_ascii(int), default=None)
+    p_enc.add_argument("--sensor", type=_ascii(int), default=None)
+    p_enc.add_argument("--command", type=_ascii(int), default=None,
                        help="downlink command 0..15")
-    p_enc.add_argument("--param", type=int, default=None)
+    p_enc.add_argument("--param", type=_ascii(int), default=None)
     p_enc.set_defaults(func=cmd_frame)
     p_dec = frame_sub.add_parser("decode")
     p_dec.add_argument("word", help="11 hex digits")

@@ -12,15 +12,16 @@ guard floor a node keeps above the hard v_ovdis so that scheduled work
 never strands it in the dead band.
 
 This module is the one place the storage law is evaluated: from e0
-joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick),
-the energy n ticks on is clamp(e0 + n * net) and the voltage
-sqrt(2 E / C).  storage_step steps a capacitor by it, band_exit finds
-the tick on which a storage leaves a voltage band, voltage_after reads
-the voltage n ticks on, and clamp_runs and run_voltages expand a trace
-segment's instants bit for bit as storage_step steps them, each lane n
-ticks from its anchor; stored_j is 1/2 C V^2 at a given voltage,
-band_energy_j the joules between two voltages, and drain_w the watts a
-storage loses, leak included, which the session planners divide into.
+joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick,
+the one conversion from watts), the energy n ticks on is
+clamp(e0 + n * net) and the voltage sqrt(2 E / C).  storage_step steps
+a capacitor by a net, band_exit finds the tick on which a storage leaves
+a voltage band, voltage_after reads the voltage n ticks on, and
+clamp_runs and run_voltages expand a trace segment's instants bit for
+bit as storage_step steps them, each lane n ticks from its anchor;
+stored_j is 1/2 C V^2 at a given voltage, band_energy_j the joules
+between two voltages, and drain_w the watts a storage loses, leak
+included, which the session planners divide into.
 
 Harvest is a set of photovoltaic cells, each with its own geometry (an
 OpticalReceiver face).  Every cell converts illuminance to electrical
@@ -234,21 +235,19 @@ def _closed_form(e0: float, net: float, ticks: int
     return e, stored, math.sqrt(2.0 * stored / STORAGE_CAPACITANCE_F)
 
 
-def storage_step(cap: StorageCapacitor, p_in: float, p_out: float, dt: float,
-                 ticks: int = 1) -> float:
-    """Advance cap's energy and voltage in place by `ticks` ticks at
-    constant power.
+def storage_step(cap: StorageCapacitor, net: float, ticks: int = 1) -> float:
+    """Advance cap's energy and voltage in place by `ticks` ticks of net
+    joules each (net_per_tick).
 
     Between events the stored energy is linear in time, so any number of
-    ticks is one step: E = clamp(E0 + ticks * net), net = (p_in - p_out -
-    leak) * dt, clamped to [0, full].  Returns the clamp loss: E0 + ticks
-    * net minus the energy now stored, joules, which is the sum of the
-    losses of clamping tick by tick.  It is positive when the top clamp
-    spilled harvest, negative when the floor refused a draw the storage
-    could not pay, and 0.0 when no clamp bites.
+    ticks is one step: E = clamp(E0 + ticks * net), clamped to [0, full].
+    Returns the clamp loss: E0 + ticks * net minus the energy now stored,
+    joules, which is the sum of the losses of clamping tick by tick.  It
+    is positive when the top clamp spilled harvest, negative when the
+    floor refused a draw the storage could not pay, and 0.0 when no clamp
+    bites.
     """
-    e, stored, voltage = _closed_form(
-        cap.energy, net_per_tick(p_in, p_out, dt), ticks)
+    e, stored, voltage = _closed_form(cap.energy, net, ticks)
     # the clamp bounds every finite result, so this rejects a NaN input
     if not 0.0 <= voltage <= V_STORAGE_MAX:
         raise ValueError(f"voltage {voltage} outside [0, v_max]")
@@ -277,7 +276,7 @@ def band_exit(e0: float, net: float, ticks: int, v_low: float,
         return v_low <= _closed_form(e0, net, n)[2] < v_high
 
     # a NaN voltage is outside, and storage_step then rejects it
-    if not inside(1):
+    if ticks == 1 or not inside(1):
         return 1
     if inside(ticks):
         return ticks

@@ -24,26 +24,29 @@ record, faces, light, harvest, tallies and interference generator, and
 its own clock.  Between its own events a node draws constant power, so
 its stored energy is linear in time.  A lane therefore keeps an anchor:
 the tick its storage was last stepped to, its draw and harvest from
-there, and its quiet band, with its next event, the sooner of its timer
-and the tick its voltage leaves the band (energy.band_exit).  It is
+there, and its quiet band, with its next event, the tick its voltage
+leaves the band (energy.band_exit) or its timer, if sooner.  It is
 stepped (energy.storage_step, its tallies booked by multiplication) and
 anchored anew only where it acts, where its light changes bit for bit,
 or where its event falls, and once more at the end of the run; any other
-tick, quiet or full, leaves it alone.  A stretch ends on the first lane
-event; a full tick is a one-tick stretch in which a node that acted
-draws its state's power plus the step's frame costs.  The depletion
-hysteresis runs only on a stepped lane that acted for one tick or left
-its band, which lies inside the range in which the hysteresis does
-nothing.  A node's timers are instants, not clocks, so an anchor leaves
-every node field but the storage's energy and voltage alone.  Events,
-states and frames therefore match stepping every tick in full, which
-tests/kernel_oracle.py still does; voltages and float tallies differ
-only by the rounding of one step against many, and a node's no longer
-depend on where other nodes' events cut time.
+tick, quiet or full, leaves it alone.  Every lane between its events is
+an anchor, and each anchor ends in one step.  A stretch ends on the
+first lane event; a full tick is a one-tick stretch in which a node that
+acted draws its state's power plus the step's frame costs, anchored with
+its timer on the next tick where its draw changes there.  The depletion
+hysteresis runs only on a stepped lane that left its band, which lies
+inside the range in which the hysteresis does nothing.  A node's timers
+are instants, not clocks, so an anchor leaves every node field but the
+storage's energy and voltage alone.  Events, states and frames therefore
+match stepping every tick in full, which tests/kernel_oracle.py still
+does; voltages and float tallies differ only by the rounding of one step
+against many, and a node's no longer depend on where other nodes' events
+cut time.
 The kernel evaluates no storage law of its own: an anchor reads its
 node's stored energy and net joules a tick (energy.net_per_tick) once,
-hands that pair to band_exit, and the trace rows and segments read the
-storage voltage at later ticks from it (energy.voltage_after, and
+hands that pair to band_exit, steps the storage by that net
+(energy.storage_step), and the trace rows and segments read the storage
+voltage at later ticks from it (energy.voltage_after, and
 energy.run_voltages through the segment).
 
 Burst light superposes onto the static ambient field through a gain
@@ -447,10 +450,12 @@ class _Lane:
     The anchor is the tick `at` to which the storage was last stepped,
     the draw p_out held from there and its net joules a tick
     (energy.net_per_tick) at harvest_w, and the quiet band [low, high)
-    with timer, the first tick on which step_node may act.  event is the
-    tick by which the lane is next stepped, the sooner of its timer and
-    the tick its storage leaves the band on (energy.band_exit), or None
-    while it is stepped to the present tick but not anchored there.
+    with timer, the first tick on which step_node may act or the draw
+    changes.  event is the tick on which the lane is next stepped: the
+    tick its storage leaves the band on (energy.band_exit), searched no
+    further than its timer and the run's end.  It is None while the lane
+    is stepped to the present tick but not anchored there, and a lane is
+    never stepped but from an anchor.
     """
 
     __slots__ = ("record", "harvester", "ambient", "incoming", "lux",
@@ -477,17 +482,17 @@ class _Lane:
 
     def step_to(self, tick: int, dt: float) -> None:
         """Step the storage from the anchor to tick in one closed-form
-        step (energy.storage_step) and book the ticks between, at the
-        anchor's harvest, draw, state and light, with their clamp loss;
-        _Runtime._refresh_lux books the light's extremes."""
+        step by the anchor's net (energy.storage_step) and book the
+        ticks between, at the anchor's harvest, draw, state and light,
+        with their clamp loss; _Runtime._refresh_lux books the light's
+        extremes."""
         ticks = tick - self.at
         if not ticks:
             return
         self.at = tick
         agg = self.agg
         p_in, p_out = self.harvest_w, self.p_out
-        agg.clamp_loss_j += storage_step(self.record.storage, p_in, p_out,
-                                         dt, ticks)
+        agg.clamp_loss_j += storage_step(self.record.storage, self.net, ticks)
         agg.harvested_j += ticks * (p_in * dt)
         agg.consumed_j += ticks * (p_out * dt)
         agg.leaked_j += ticks * (LEAK_POWER_W * dt)
@@ -724,39 +729,30 @@ class _Runtime:
                 end = event
         return end - i
 
-    def _anchor(self, lane: _Lane, i: int, p_out: float) -> int:
-        """Anchor the lane, stepped to i, at i with draw p_out from there
-        on: its net joules a tick and its event, which it returns."""
-        lane.p_out = p_out
-        lane.net = net_per_tick(lane.harvest_w, p_out, self.dt)
-        lane.event = min(lane.timer, i + band_exit(
-            lane.record.storage.energy, lane.net, self.n_steps - i,
-            lane.low, lane.high))
-        return lane.event
-
     def stretch(self, i: int, ticks: int,
                 results: Optional[List[NodeStepResult]] = None) -> int:
         """Integrate up to `ticks` ticks from i at constant power; return
         the next tick.
 
         The light is set for i first, and each lane that is not anchored
-        (stepped to i, or whose light just changed) is anchored at i; the
-        stretch ends early on the first lane event.  A stretch ends before
-        any phase's closing step, the timer of the node's state, so a lane
-        draws on every tick of its anchor what it draws on the first, a
-        phase's first step included (a share a few ulps off 1.0 at most,
-        held until the phase closes).  The trace instants before the last
-        tick read each lane's closed form from its anchor.
+        (stepped to i, or whose light just changed) or that acted is
+        anchored at i, in this one place; the stretch ends early on the
+        first lane event.  A stretch ends before any phase's closing
+        step, the timer of the node's state, so a lane draws on every
+        tick of its anchor what it draws on the first, a phase's first
+        step included (a share a few ulps off 1.0 at most, held until the
+        phase closes).  The trace instants before the last tick read each
+        lane's closed form from its anchor.
 
         A full tick is a one-tick stretch that hands in its step results
         (None for a node that did not act).  A lane that acted draws its
-        state's power plus the step's frame costs on tick i; where that
-        is what it draws from the next tick on, it is anchored at i with
-        its band read anew, and otherwise it is stepped for the one tick.
-        At the end, only the lanes whose event falls there are stepped,
-        in one closed-form step each from the anchor, and the hysteresis
-        runs on a lane stepped for its one tick or whose voltage left its
-        band, which lies inside the hysteresis' no-action range.
+        state's power plus the step's frame costs on tick i, and it is
+        anchored at i with its band read anew; where that is not what it
+        draws from the next tick on, its timer is the next tick, so its
+        anchor spans the one tick.  At the end, only the lanes whose
+        event falls there are stepped, in one closed-form step each from
+        the anchor, and the hysteresis runs on a lane whose voltage left
+        its band, which lies inside the hysteresis' no-action range.
         """
         dt = self.dt
         now = i * dt
@@ -770,17 +766,23 @@ class _Runtime:
         for lane, result in zip(self.lanes, results):
             record = lane.record
             if result is not None:
-                # the band of the state it acted into
+                # the band of the state it acted into; a draw that
+                # changes on the next tick ends the anchor there
                 lane.low, lane.high, due = quiet_band(record)
                 p_out = state_draw_w(record, now, dt) + result.cost_j / dt
-                if p_out == state_draw_w(record, (i + 1) * dt, dt):
-                    lane.timer = first_tick(due, dt, dt, i + 1)
-                    self._anchor(lane, i, p_out)
-                else:
-                    lane.p_out, lane.event = p_out, i + 1
+                lane.timer = (first_tick(due, dt, dt, i + 1) if p_out
+                              == state_draw_w(record, (i + 1) * dt, dt)
+                              else i + 1)
             elif lane.event is None:
-                end = min(end, self._anchor(
-                    lane, i, state_draw_w(record, now, dt)))
+                p_out = state_draw_w(record, now, dt)
+            else:
+                continue
+            lane.p_out = p_out
+            lane.net = net_per_tick(lane.harvest_w, p_out, dt)
+            lane.event = i + band_exit(
+                record.storage.energy, lane.net,
+                min(lane.timer, self.n_steps) - i, lane.low, lane.high)
+            end = min(end, lane.event)
         # trace instants n ticks in, before the last (the caller samples
         # it after the hysteresis); a single tick has none
         every = self.sample_every

@@ -18,7 +18,7 @@ test_kernel_equivalence.py states how close the two TraceSets must be.
 
 from __future__ import annotations
 
-from luxnet.energy import LEAK_POWER_W, storage_step
+from luxnet.energy import LEAK_POWER_W, net_per_tick, storage_step
 from luxnet.node import (
     NodeState,
     apply_hysteresis,
@@ -65,7 +65,8 @@ def run_scenario(scenario: Scenario) -> TraceSet:
             harvest = lane.harvest_w
             p_out = state_draw_w(record, now, dt) + result.cost_j / dt
             storage = record.storage
-            agg.clamp_loss_j += storage_step(storage, harvest, p_out, dt)
+            agg.clamp_loss_j += storage_step(
+                storage, net_per_tick(harvest, p_out, dt))
             lane.at = i + 1
             agg.harvested_j += harvest * dt
             agg.consumed_j += p_out * dt

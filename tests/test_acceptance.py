@@ -24,6 +24,7 @@ from luxnet.energy import (
     V_STORAGE_MAX,
     StorageCapacitor,
     min_capacitance,
+    net_per_tick,
     storage_step,
 )
 from luxnet.experiments import interference_sweep, recharge_improvement
@@ -262,7 +263,7 @@ def test_c9_physics_calculators():
     p_out = 10e-3
     stepped = StorageCapacitor(voltage=4.5)
     for _ in range(1000):
-        storage_step(stepped, 0.0, p_out, 0.01)
+        storage_step(stepped, net_per_tick(0.0, p_out, 0.01))
     drained = (p_out + LEAK_POWER_W) * 10.0
     analytic = ((cap.energy - drained) ** 0.5
                 / (0.5 * STORAGE_CAPACITANCE_F) ** 0.5)

@@ -1,5 +1,6 @@
 """Golden-file and contract tests for the command-line front end."""
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import luxnet
 from luxnet.cli import (
+    _build_parser,
     main,
     parse_scenario_file,
     parse_scenario_text,
@@ -1115,3 +1117,80 @@ def test_every_run_argv_exits_0_2_or_3(argv):
             ["run", scenario, "--out-dir", out_dir] + argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+# numbers are ASCII decimal text: int and float would also read a digit
+# group underscore and non-ASCII digits (Arabic-Indic, full-width), and
+# int fails on a superscript with a message that names nothing
+NOT_NUMBERS = JUNK + ["٢", "３", "²"]
+
+
+def number_options():
+    """(subcommand argv, option) for every option that reads a number."""
+    found = []
+
+    def walk(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, command + [name])
+            elif action.type is not None:
+                found.append((command, action.option_strings[0]))
+
+    walk(_build_parser(), [])
+    return found
+
+
+# each command's other required arguments, all plain
+REQUIRED_ARGV = {"run": ["small.scn"],
+                 "size-capacitor": ["--e-peak-j", "2", "--t-peak-s", "40"]}
+
+
+NUMBER_OPTIONS = number_options()
+
+
+def test_every_number_option_is_found():
+    assert len(NUMBER_OPTIONS) == 22
+
+
+@pytest.mark.parametrize("command, option", NUMBER_OPTIONS, ids=[
+    " ".join(command + [option]) for command, option in NUMBER_OPTIONS])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_a_number_option_takes_only_ascii_decimal_text(command, option,
+                                                       value):
+    argv = command + REQUIRED_ARGV.get(command[0], []) + [option, value]
+    code, out, err = exit_code_and_output(argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: " in err
+
+
+@pytest.mark.parametrize("title, key", [
+    ("scenario", "step_s"), ("scenario", "seed"), ("oap", "position_m")])
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_a_number_key_takes_only_ascii_decimal_text(tmp_path, title, key,
+                                                    value):
+    if key == "position_m":
+        value = f"0.0 {value} 0.4"
+    path = tmp_path / "bad.scn"
+    path.write_text(with_value(read(shipped_scenario_path("paper_a")),
+                               title, key, value), encoding="utf-8")
+    code, out, err = exit_code_and_output(
+        ["run", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {title}: {key}: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_a_node_section_name_takes_only_ascii_decimal_text(tmp_path, value):
+    path = tmp_path / "bad.scn"
+    path.write_text(read(shipped_scenario_path("paper_a")).replace(
+        "[node.2]", f"[node.{value}]"), encoding="utf-8")
+    code, out, err = exit_code_and_output(
+        ["run", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: node.{value}: node sections are named "
+                   "node.<id>\n")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from luxnet import energy
 from luxnet.channel import OpticalReceiver
 from luxnet.energy import (
     DEFAULT_PROFILE,
@@ -62,7 +65,7 @@ def test_default_profile_idle_draws_below_single_cell_generation():
 
 def test_storage_step_equilibrium():
     cap = make_cap(voltage=4.0)
-    storage_step(cap, p_in=1e-3 + LEAK_POWER_W, p_out=1e-3, dt=10.0)
+    storage_step(cap, net_per_tick(1e-3 + LEAK_POWER_W, 1e-3, 10.0))
     assert cap.voltage == pytest.approx(4.0, abs=1e-12)
 
 
@@ -70,23 +73,23 @@ def test_storage_step_frozen_discharge():
     # 2.0025 J net drain from full, leak included, is exactly the
     # 4.5 -> 3.2 V span
     cap = make_cap(voltage=4.5)
-    storage_step(cap, p_in=0.0, p_out=2.0025 - LEAK_POWER_W, dt=1.0)
+    storage_step(cap, net_per_tick(0.0, 2.0025 - LEAK_POWER_W, 1.0))
     assert cap.voltage == pytest.approx(3.2, abs=1e-3)
 
 
 def test_storage_step_clamps_at_v_max_and_zero():
     cap = make_cap(voltage=4.5)
-    storage_step(cap, p_in=1.0 + LEAK_POWER_W, p_out=0.0, dt=100.0)
+    storage_step(cap, net_per_tick(1.0 + LEAK_POWER_W, 0.0, 100.0))
     assert cap.voltage == pytest.approx(4.5)
     cap_low = make_cap(voltage=0.5)
-    storage_step(cap_low, p_in=0.0, p_out=1.0 - LEAK_POWER_W, dt=100.0)
+    storage_step(cap_low, net_per_tick(0.0, 1.0 - LEAK_POWER_W, 100.0))
     assert cap_low.voltage == 0.0
 
 
 def test_storage_step_leak_only():
     cap = make_cap(voltage=4.5)
     expected_v = math.sqrt(2.0 * (cap.energy - LEAK_POWER_W * 3600.0) / 0.4)
-    storage_step(cap, p_in=0.0, p_out=0.0, dt=3600.0)
+    storage_step(cap, net_per_tick(0.0, 0.0, 3600.0))
     assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
 
 
@@ -99,27 +102,28 @@ def test_storage_step_matches_fine_integration_without_clamp():
         p_in = float(rng.uniform(0.0, 3e-3))
         p_out = float(rng.uniform(0.0, 3e-3))
         coarse = make_cap(voltage=v0)
-        storage_step(coarse, p_in, p_out, dt=10.0)
+        storage_step(coarse, net_per_tick(p_in, p_out, 10.0))
         fine = make_cap(voltage=v0)
         for _ in range(100):
-            storage_step(fine, p_in, p_out, dt=0.1)
+            storage_step(fine, net_per_tick(p_in, p_out, 0.1))
         assert fine.voltage == pytest.approx(coarse.voltage, abs=1e-9)
 
 
-def test_storage_step_validation():
-    cap = make_cap()
-    with pytest.raises(ValueError):
-        storage_step(cap, p_in=0.0, p_out=0.0, dt=0.0)
-    with pytest.raises(ValueError):
-        storage_step(cap, p_in=-1.0, p_out=0.0, dt=1.0)
+def test_net_per_tick_validation():
+    with pytest.raises(ValueError, match="dt"):
+        net_per_tick(p_in=0.0, p_out=0.0, dt=0.0)
+    with pytest.raises(ValueError, match="powers"):
+        net_per_tick(p_in=-1.0, p_out=0.0, dt=1.0)
+    with pytest.raises(ValueError, match="powers"):
+        net_per_tick(p_in=0.0, p_out=-1.0, dt=1.0)
 
 
 def test_storage_step_advances_in_place():
     cap = make_cap(voltage=4.0)
     expected_v = math.sqrt(2.0 * (cap.energy - 0.05) / 0.4)
-    storage_step(cap, p_in=0.0, p_out=5e-3 - LEAK_POWER_W, dt=10.0)
+    storage_step(cap, net_per_tick(0.0, 5e-3 - LEAK_POWER_W, 10.0))
     assert cap.voltage == pytest.approx(expected_v, rel=1e-12)
-    storage_step(cap, p_in=5e-3 + LEAK_POWER_W, p_out=0.0, dt=10.0)
+    storage_step(cap, net_per_tick(5e-3 + LEAK_POWER_W, 0.0, 10.0))
     assert cap.voltage == pytest.approx(4.0, rel=1e-12)
 
 
@@ -127,7 +131,7 @@ def test_storage_step_returns_clamp_loss():
     # top clamp: the spilled harvest
     cap = make_cap(voltage=4.4)
     unclamped = cap.energy + (1e-2 - 1e-3 - LEAK_POWER_W) * 100.0
-    loss = storage_step(cap, p_in=1e-2, p_out=1e-3, dt=100.0)
+    loss = storage_step(cap, net_per_tick(1e-2, 1e-3, 100.0))
     assert cap.voltage == pytest.approx(4.5)
     assert loss == unclamped - cap.energy
     assert loss == pytest.approx(unclamped - STORAGE_FULL_J, rel=1e-12)
@@ -136,7 +140,7 @@ def test_storage_step_returns_clamp_loss():
     # floor: the draw the storage could not pay, a negative loss
     cap = make_cap(voltage=0.5)
     unclamped = cap.energy + (0.0 - 1.0 - LEAK_POWER_W) * 100.0
-    loss = storage_step(cap, p_in=0.0, p_out=1.0, dt=100.0)
+    loss = storage_step(cap, net_per_tick(0.0, 1.0, 100.0))
     assert cap.voltage == 0.0
     assert loss == unclamped - cap.energy == unclamped
     assert loss < 0.0
@@ -145,7 +149,7 @@ def test_storage_step_returns_clamp_loss():
     # the square-root round trip, a few ulps of the stored energy
     cap = make_cap(voltage=3.9)
     unclamped = cap.energy + (2e-3 - 1e-3 - LEAK_POWER_W) * 10.0
-    loss = storage_step(cap, p_in=2e-3, p_out=1e-3, dt=10.0)
+    loss = storage_step(cap, net_per_tick(2e-3, 1e-3, 10.0))
     assert loss == unclamped - cap.energy
     assert abs(loss) <= 4.0 * math.ulp(unclamped)
 
@@ -157,7 +161,7 @@ def test_storage_step_returns_clamp_loss():
 def test_storage_step_rejects_nan_power(p_in, p_out):
     cap = make_cap(voltage=4.0)
     with pytest.raises(ValueError, match="voltage nan"):
-        storage_step(cap, p_in=p_in, p_out=p_out, dt=0.1)
+        storage_step(cap, net_per_tick(p_in, p_out, 0.1))
     assert cap.voltage == 4.0
 
 
@@ -165,10 +169,10 @@ def test_a_many_tick_storage_step_matches_repeated_single_ticks():
     # filling into the top clamp, so clamped and unclamped ticks both run
     for ticks in (1, 50, 200):
         stepped = make_cap(voltage=4.49)
-        stepped_loss = sum(storage_step(stepped, 2e-3, 1e-3, 0.1)
+        stepped_loss = sum(storage_step(stepped, net_per_tick(2e-3, 1e-3, 0.1))
                            for _ in range(ticks))
         run = make_cap(voltage=4.49)
-        loss = storage_step(run, 2e-3, 1e-3, 0.1, ticks)
+        loss = storage_step(run, net_per_tick(2e-3, 1e-3, 0.1), ticks)
         assert abs(run.voltage - stepped.voltage) <= 1e-12
         assert loss == pytest.approx(stepped_loss, abs=1e-12)
     assert run.voltage == 4.5
@@ -179,7 +183,7 @@ def test_a_many_tick_storage_step_returns_the_closed_form_clamp_loss():
         cap = make_cap(voltage=4.0)
         e0 = cap.energy
         net = (p_in - p_out - LEAK_POWER_W) * 0.1
-        loss = storage_step(cap, p_in, p_out, 0.1, 9000)
+        loss = storage_step(cap, net_per_tick(p_in, p_out, 0.1), 9000)
         assert loss == e0 + 9000 * net - cap.energy
 
 
@@ -191,7 +195,7 @@ def test_a_many_tick_storage_step_returns_the_closed_form_clamp_loss():
 def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
     def voltage_after(ticks):
         cap = make_cap(voltage=3.9)
-        storage_step(cap, p_in, p_out, 0.1, ticks)
+        storage_step(cap, net_per_tick(p_in, p_out, 0.1), ticks)
         return cap.voltage
 
     low, high = band
@@ -208,6 +212,46 @@ def test_band_exit_is_the_first_tick_outside_the_band(p_in, p_out, band):
     # ends on that tick whatever the band
     for edges in (band, (3.95, 4.0)):
         assert band_exit(e0, net, 1, *edges) == 1
+
+
+# band edges as quiet_band sets them: a voltage, or no edge at all
+EDGES = st.one_of(st.floats(0.0, 5.0),
+                  st.sampled_from([-math.inf, math.inf]))
+
+
+@given(e0=st.floats(0.0, STORAGE_FULL_J),
+       net=st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2)),
+       edges=st.tuples(EDGES, EDGES), ticks=st.integers(1, 3000),
+       more=st.integers(0, 3000))
+@example(e0=stored_j(3.9), net=-1e-3, edges=(3.95, 4.0), ticks=5, more=9)
+@example(e0=stored_j(3.9), net=0.0, edges=(3.2, 4.0), ticks=5, more=9)
+@example(e0=stored_j(3.9), net=1e-3, edges=(3.2, 4.0), ticks=50, more=900)
+def test_band_exit_searched_to_a_timer_is_the_longer_search_cut_there(
+        e0, net, edges, ticks, more):
+    # the kernel searches a lane's band only up to its timer, which gives
+    # the exit of a search to the run's end, or the timer if sooner; a
+    # start outside the band or a net of 0 included
+    low, high = sorted(edges)
+    assert band_exit(e0, net, ticks, low, high) == min(
+        ticks, band_exit(e0, net, ticks + more, low, high))
+
+
+def test_a_one_tick_band_exit_evaluates_no_closed_form(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = energy._closed_form
+    monkeypatch.setattr(energy, "_closed_form", counting)
+    e0 = stored_j(3.9)
+    for band in ((3.2, 4.0), (3.95, 4.0), (-math.inf, math.inf)):
+        for net in (-1e-3, 0.0, 1e-3):
+            assert band_exit(e0, net, 1, *band) == 1
+    assert calls == []
+    assert band_exit(e0, 1e-3, 2, 3.2, 4.0) == 2
+    assert calls
 
 
 def test_min_capacitance_frozen_value():

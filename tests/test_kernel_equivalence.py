@@ -27,7 +27,6 @@ from luxnet.energy import (
     V_OVERDISCHARGE,
     _closed_form,
     clamp_runs,
-    net_per_tick,
     storage_step,
     voltage_after,
 )
@@ -413,10 +412,10 @@ def test_a_clamp_loss_is_booked_only_where_a_clamp_bites(scenario):
     # which is 0.0 unless that sum lies outside 0..STORAGE_FULL_J
     steps = []
 
-    def noting(cap, p_in, p_out, dt, ticks):
+    def noting(cap, net, ticks):
         e0 = cap.energy
-        loss = storage_step(cap, p_in, p_out, dt, ticks)
-        steps.append((e0 + ticks * net_per_tick(p_in, p_out, dt), loss))
+        loss = storage_step(cap, net, ticks)
+        steps.append((e0 + ticks * net, loss))
         return loss
 
     with pytest.MonkeyPatch.context() as patch:
@@ -425,6 +424,19 @@ def test_a_clamp_loss_is_booked_only_where_a_clamp_bites(scenario):
     assert steps
     assert [(e, loss) for e, loss in steps
             if loss and 0.0 <= e <= STORAGE_FULL_J] == []
+
+
+@given(networks())
+def test_every_lane_step_ends_one_anchor(scenario):
+    # every lane between its events is an anchor, a lane that acted for
+    # one tick included: each anchor sets its net once and ends in one
+    # storage step, and no lane is stepped but from an anchor
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_work(patch)
+        run_scenario(scenario)
+    assert counts["lane-steps"]
+    assert (counts["anchors"] == counts["lane-steps"]
+            == counts["net_per_tick"])
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +481,8 @@ def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
     # tick 234, and holds through 28 full ticks of node 1 to the end.
     # Its rows there read the anchor's closed form
     counts = count_work(monkeypatch)
-    spans, anchors, lit, full = [], {}, [], []
+    spans, lit, full = [], [], []
     step_to = simkernel._Lane.step_to
-    anchor = _Runtime._anchor
     refresh = _Runtime._refresh_lux
     full_tick = _Runtime.full_tick
 
@@ -479,12 +490,6 @@ def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
         if tick != lane.at:
             spans.append((lane.record.node_id, lane.at, tick))
         step_to(lane, tick, dt)
-
-    def anchoring(rt, lane, i, p_out):
-        event = anchor(rt, lane, i, p_out)
-        anchors[lane.record.node_id, i] = (lane.record.storage.energy,
-                                           lane.net)
-        return event
 
     def refreshing(rt, signature, i):
         before = [lane.lux for lane in rt.lanes]
@@ -497,7 +502,6 @@ def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
         return full_tick(rt, i)
 
     monkeypatch.setattr(simkernel._Lane, "step_to", stepping)
-    monkeypatch.setattr(_Runtime, "_anchor", anchoring)
     monkeypatch.setattr(_Runtime, "_refresh_lux", refreshing)
     monkeypatch.setattr(_Runtime, "full_tick", counting)
     trace = run_scenario(anchor_trio())
@@ -509,7 +513,12 @@ def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
     assert {1, 233, 234} <= {end for _, end in node_2}
     assert node_2[-1] == (234, 3000)
     assert len([i for i in full if 234 < i < 3000]) == 28
-    e0, net = anchors[2, 234]
+    # the last segment reads node 2's anchor: its energy and net there,
+    # and its offset from it
+    last = trace.segments[-1]
+    [lane] = [lane for lane in last.lanes if lane.node_id == 2]
+    assert last.i - lane.offset == 234
+    e0, net = lane.e0, lane.net
     rows = [row for row in trace.rows
             if row.node_id == 2 and 23.4 < row.time_s and not row.event]
     assert len(rows) == 277

@@ -85,7 +85,7 @@ def tick(node, now, lux, frames=(), dt=0.1):
     harvest = HARVESTER.harvest_power(lux)
     res = step_node(node, dt, now, lux, harvest, frames)
     p_out = state_draw_w(node, now, dt) + res.cost_j / dt
-    storage_step(node.storage, harvest, p_out, dt)
+    storage_step(node.storage, net_per_tick(harvest, p_out, dt))
     event = apply_hysteresis(node, now + dt)
     if event:
         res.events.append(event)
@@ -562,11 +562,10 @@ def test_a_floor_cut_ends_the_quiet_stretch_where_step_node_cuts():
                 ticks = min(first_tick(due, dt, dt, i),
                             drop if i < drop else 400) - i
             if ticks:
-                p_out = state_draw_w(node, i * dt, dt)
-                ticks = band_exit(node.storage.energy,
-                                  net_per_tick(harvest, p_out, dt), ticks,
-                                  low, high)
-                storage_step(node.storage, harvest, p_out, dt, ticks)
+                net = net_per_tick(harvest, state_draw_w(node, i * dt, dt),
+                                   dt)
+                ticks = band_exit(node.storage.energy, net, ticks, low, high)
+                storage_step(node.storage, net, ticks)
                 events = [apply_hysteresis(node, (i + ticks) * dt)]
                 i += ticks
             else:

@@ -36,6 +36,7 @@ from luxnet.energy import (
     V_STORAGE_MAX,
     StorageCapacitor,
     clamp_runs,
+    net_per_tick,
     storage_step,
     stored_j,
 )
@@ -134,7 +135,7 @@ def test_trivial_scenario_one_step():
     # startup state (standby-class draw) while face A harvests 150 lx
     cap = StorageCapacitor(voltage=4.5, v_min=3.3)
     harvest = 0.9e-3 * 150.0 / 1000.0
-    storage_step(cap, harvest, 550e-6, 0.1)
+    storage_step(cap, net_per_tick(harvest, 550e-6, 0.1))
     assert samples_for(trace, 1)[-1].v_cap == pytest.approx(cap.voltage,
                                                             abs=1e-12)
 
@@ -1008,13 +1009,14 @@ def keep_traces(monkeypatch):
 
 # the work a run and its CSV do, counted by wrapping the names the kernel
 # and the renderer look up at call time: a full tick is a one-tick
-# stretch, a lane-step is one storage_step, and both the kernel and
-# storage_step call net_per_tick.  The kernel's discrete records are its
-# event rows and its sample instants, one per trace instant however
-# many nodes it samples
+# stretch, an anchor is one band_exit, a lane-step is one storage_step,
+# and only the kernel calls net_per_tick, once per anchor.  The kernel's
+# discrete records are its event rows and its sample instants, one per
+# trace instant however many nodes it samples
 WORK_TARGETS = {
     "stretches": [(simkernel._Runtime, "stretch")],
     "full ticks": [(simkernel._Runtime, "full_tick")],
+    "anchors": [(simkernel, "band_exit")],
     "lane-steps": [(simkernel, "storage_step")],
     "step_node": [(simkernel, "step_node")],
     "apply_hysteresis": [(simkernel, "apply_hysteresis")],
@@ -1033,17 +1035,18 @@ def work(*counts):
 
 
 # the work of each run below: deterministic, so pinned exactly like a
-# digest; a change that moves a count re-records it and says why
+# digest; a change that moves a count re-records it and says why.  Each
+# anchor ends in one lane-step, and one net_per_tick sets its net
 SHIPPED_WORK = {
-    "paper_a": work(908, 611, 1_070, 610, 3, 3_316, 1_682, 79, 80,
+    "paper_a": work(908, 611, 1_070, 1_070, 610, 3, 2_818, 1_070, 79, 80,
                     612),
-    "paper_b": work(10_199, 6_241, 13_475, 6_935, 1_077, 48_640, 22_923,
-                    2_876, 2_877, 6_934),
+    "paper_b": work(10_199, 6_241, 13_475, 13_475, 6_935, 1_077, 42_064,
+                    13_475, 2_876, 2_877, 6_934),
 }
 CROWD_DENSE_WORK = {
-    1: work(449, 284, 2_422, 1_414, 22, 13_324, 4_228, 208, 130,
+    1: work(449, 284, 2_422, 2_422, 1_414, 22, 13_088, 2_422, 208, 130,
             1_145),
-    3: work(454, 287, 2_402, 1_390, 22, 13_248, 4_170, 211, 132,
+    3: work(454, 287, 2_402, 2_402, 1_390, 22, 12_990, 2_402, 211, 132,
             1_165),
 }
 
