@@ -26,11 +26,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import io
 import math
 import os
 import re
 import sys
-from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (BinaryIO, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .channel import InterferenceModel, Vec3
 from .controller import ControllerConfig, duty_cycle, standby_time
@@ -113,12 +115,54 @@ _NODE_SECTION_KEYS = _keys(NODE_KEYS) + [
     for key in _keys(FACE_KEYS, f"face_{letter}_")]
 
 
-class _Section:
-    """One INI section with typed readers and unknown-key rejection."""
+class _Parser(configparser.ConfigParser):
+    """The scenario file's INI parser.  noting(text, spaced) hands it the
+    lines of text and adds to spaced each (section, key) whose value
+    holds non-ASCII whitespace, which the parser's str.strip drops
+    unseen.
 
-    def __init__(self, name: str, raw: Dict[str, str], allowed: Sequence[str]):
+    The parser takes each line in full before it asks for the next: a
+    line that added a section was a header, one whose option name the
+    parser read (optionxform) starts that option's value after its "=",
+    and any other that is neither blank nor a comment continues the last
+    option's value.
+    """
+
+    def optionxform(self, optionstr: str) -> str:
+        self.key = optionstr.lower()
+        return self.key
+
+    def noting(self, text: str, spaced: Set[Tuple[str, str]]
+               ) -> Iterator[str]:
+        section = key = None
+        # split as read_string splits, at "\n" alone
+        for line in io.StringIO(text):
+            sections, self.key = len(self.sections()), None
+            yield line
+            value = line
+            if len(self.sections()) > sections:
+                section, key = self.sections()[-1], None
+            elif self.key is not None:
+                key, value = self.key, line.partition("=")[2]
+            elif line.strip()[:1] in ("", "#", ";"):
+                continue
+            if key and not value.isascii() and any(
+                    c.isspace() and not c.isascii() for c in value):
+                spaced.add((section, key))
+
+
+class _Section:
+    """One INI section with typed readers and unknown-key rejection.
+
+    Each reader reads a value as the parser stripped it; read refuses a
+    value noted in spaced (_Parser), which held non-ASCII whitespace, for
+    any reader but text, since the rest read ASCII text alone."""
+
+    def __init__(self, name: str, raw: Dict[str, str], allowed: Sequence[str],
+                 spaced: Set[Tuple[str, str]]):
         self.name = name
         self.raw = dict(raw)
+        self.spaced = spaced
         for key in self.raw:
             if key not in allowed:
                 raise ScenarioError(f"{name}: unknown key '{key}'")
@@ -134,6 +178,9 @@ class _Section:
         defaults = cls._field_defaults
         for key, name, reader, _ in table:
             key = prefix + key
+            if reader != "text" and (self.name, key) in self.spaced:
+                raise ScenarioError(
+                    f"{self.name}: {key}: non-ASCII whitespace in the value")
             if key in self.raw:
                 given[name] = getattr(self, reader)(key)
             elif name not in defaults:
@@ -189,9 +236,10 @@ def _parse_node(section: _Section, node_id: int) -> NodeSpec:
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     """Parse one scenario document; raises ScenarioError with diagnostics."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser = _Parser(interpolation=None, delimiters=("=",))
+    spaced: Set[Tuple[str, str]] = set()
     try:
-        parser.read_string(text, source=source)
+        parser.read_file(parser.noting(text, spaced), source)
     except configparser.Error as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 
@@ -200,14 +248,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     for name in parser.sections():
         raw = dict(parser.items(name))
         if name in _SECTION_KEYS:
-            sections[name] = _Section(name, raw, _SECTION_KEYS[name])
+            sections[name] = _Section(name, raw, _SECTION_KEYS[name],
+                                      spaced)
         elif name.startswith("node."):
             suffix = name[len("node."):]
             if not (suffix.isascii() and suffix.isdigit()):
                 raise ScenarioError(
                     f"{name}: node sections are named node.<id>")
-            node_sections.append(
-                (int(suffix), _Section(name, raw, _NODE_SECTION_KEYS)))
+            node_sections.append((int(suffix), _Section(
+                name, raw, _NODE_SECTION_KEYS, spaced)))
         else:
             raise ScenarioError(f"unknown section '{name}'")
     if "scenario" not in sections:

@@ -16,9 +16,10 @@ joules at net = (p_in - p_out - leak) * dt joules a tick (net_per_tick,
 the one conversion from watts), the energy n ticks on is
 clamp(e0 + n * net) and the voltage sqrt(2 E / C).  storage_step steps
 a capacitor by a net, band_exit finds the tick on which a storage leaves
-a voltage band, voltage_after reads the voltage n ticks on, and
-clamp_runs and run_voltages expand a trace segment's instants bit for
-bit as storage_step steps them, each lane n ticks from its anchor;
+a voltage band, voltage_after reads the voltage n ticks on (and
+voltages_after at many anchors in one pass), and clamp_runs and
+run_voltages expand a trace segment's instants bit for bit as
+storage_step steps them, each lane n ticks from its anchor;
 stored_j is 1/2 C V^2 at a given voltage, band_energy_j the joules
 between two voltages, and drain_w the watts a storage loses, leak
 included, which the session planners divide into.
@@ -383,3 +384,13 @@ def run_voltages(anchors: Sequence[Anchor], instants: range,
             v_caps = [before] * lo + v_caps + [after] * (count - hi)
         lanes.append(v_caps)
     return lanes
+
+
+def voltages_after(anchors: Sequence[Anchor]) -> List[float]:
+    """voltage_after at each anchor (e0, net, ticks), bit for bit, in one
+    pass: the clamped closed form in storage_step's float order, its
+    e / (C / 2) rounding as 2 e / C does (see run_voltages)."""
+    full, half_capacitance = STORAGE_FULL_J, STORAGE_CAPACITANCE_F / 2.0
+    return [math.sqrt((0.0 if e < 0.0 else full if e > full else e)
+                      / half_capacitance)
+            for e in [e0 + ticks * net for e0, net, ticks in anchors]]

@@ -31,23 +31,26 @@ anchored anew only where it acts, where its light changes bit for bit,
 or where its event falls, and once more at the end of the run; any other
 tick, quiet or full, leaves it alone.  Every lane between its events is
 an anchor, and each anchor ends in one step.  A stretch ends on the
-first lane event; a full tick is a one-tick stretch in which a node that
-acted draws its state's power plus the step's frame costs, anchored with
-its timer on the next tick where its draw changes there.  The depletion
-hysteresis runs only on a stepped lane that left its band, which lies
-inside the range in which the hysteresis does nothing.  A node's timers
-are instants, not clocks, so an anchor leaves every node field but the
-storage's energy and voltage alone.  Events, states and frames therefore
-match stepping every tick in full, which tests/kernel_oracle.py still
-does; voltages and float tallies differ only by the rounding of one step
-against many, and a node's no longer depend on where other nodes' events
-cut time.
+first lane event, read after the lanes whose light its first tick
+changes are anchored anew; a full tick is a one-tick stretch in which a
+node that acted draws its state's power plus the step's frame costs,
+anchored with its timer on the next tick where its draw changes there.
+The depletion hysteresis runs only on a stepped lane that left its band,
+which lies inside the range in which the hysteresis does nothing.  A
+node's timers are instants, not clocks, so an anchor leaves every node
+field but the storage's energy and voltage alone.  Events, states and
+frames therefore match stepping every tick in full, which
+tests/kernel_oracle.py still does; voltages and float tallies differ
+only by the rounding of one step against many, and a node's no longer
+depend on where other nodes' events cut time.
 The kernel evaluates no storage law of its own: an anchor reads its
 node's stored energy and net joules a tick (energy.net_per_tick) once,
 hands that pair to band_exit, steps the storage by that net
-(energy.storage_step), and the trace rows and segments read the storage
-voltage at later ticks from it (energy.voltage_after, and
-energy.run_voltages through the segment).
+(energy.storage_step), and the trace reads the storage voltage at later
+ticks from it: an event row through energy.voltage_after, and every
+sample row through a segment, which holds each lane's anchor and the
+ticks since it (a sample at a stretch's end is a segment of one
+instant, 0 ticks from the anchor of a lane stepped there).
 
 Burst light superposes onto the static ambient field through a gain
 matrix precomputed from the scenario geometry, scaled per step by each
@@ -112,7 +115,6 @@ from .trace import (
     FrameLogEntry,
     NodeAggregate,
     Record,
-    SampleInstant,
     SegmentLane,
     TraceRow,
     TraceSegment,
@@ -477,7 +479,9 @@ class _Lane:
         self.agg = NodeAggregate(spec.node_id, self.record.storage.energy)
         self.rng = (None if scenario.interference is None
                     else uniform_draws(scenario.seed, spec.node_id))
+        # anchored at tick 0 with no net: a sample reads it there
         self.at = 0
+        self.net = 0.0
         self.event: Optional[int] = None
 
     def step_to(self, tick: int, dt: float) -> None:
@@ -500,16 +504,6 @@ class _Lane:
         agg.time_by_state[state] = (
             agg.time_by_state.get(state, 0.0) + ticks * dt)
         agg.lux_integral += ticks * (self.lux[0] * dt)
-
-    def read(self, tick: int, dt: float) -> Tuple[float, float]:
-        """The storage voltage and harvest tally at tick, read from the
-        anchor."""
-        storage = self.record.storage
-        ticks = tick - self.at
-        if not ticks:
-            return storage.voltage, self.agg.harvested_j
-        return (voltage_after(storage.energy, self.net, ticks),
-                self.agg.harvested_j + ticks * (self.harvest_w * dt))
 
 
 class _Runtime:
@@ -550,8 +544,7 @@ class _Runtime:
         self.airtime_ticks = max(
             1, int(math.ceil(FRAME_AIRTIME_S / self.dt - 1e-9)))
 
-        self.discrete: List[Record] = []
-        self.segments: List[TraceSegment] = []
+        self.records: List[Record] = []
         self.frame_log: List[FrameLogEntry] = []
         self.sample_every = sample_every(scenario)
 
@@ -705,29 +698,33 @@ class _Runtime:
         return self.stretch(i, 1, results)
 
     def quiet_run(self, i: int) -> int:
-        """Ticks from i on in which nothing discrete can happen, 0 if i
-        itself may need the full path.
+        """Ticks from i to the bound of a quiet stretch, 0 if i itself may
+        need the full path.
 
-        A stretch ends before the first tick on which a frame lands, the
-        controller is due (its step tests due <= now + DUE_TOLERANCE_S) or
-        a lane's event falls.  A lane stepped to i and not yet anchored
+        The bound is the first tick on which a frame lands, the
+        controller is due (its step tests due <= now + DUE_TOLERANCE_S)
+        or the run ends; i needs the full path if the bound or a lane's
+        event falls on it.  A lane stepped to i and not yet anchored
         reads its quiet band (node.quiet_band) here, and its timer is the
         first tick on which step_node may act (it tests due <= now + dt);
-        any other lane's event is stored.
+        any other lane's event is stored.  The stretch itself ends on the
+        first lane event, read once stretch has anchored anew the lanes
+        whose light changes at i.
         """
         dt = self.dt
-        end = min(self.n_steps, first_tick(self.controller.next_due_s(),
-                                           DUE_TOLERANCE_S, dt, i))
+        bound = min(self.n_steps, first_tick(self.controller.next_due_s(),
+                                             DUE_TOLERANCE_S, dt, i))
         if self.in_flight:
-            end = min(end, self.in_flight[0][0])
+            bound = min(bound, self.in_flight[0][0])
+        ticks = bound - i
         for lane in self.lanes:
             event = lane.event
             if event is None:
                 lane.low, lane.high, due = quiet_band(lane.record)
                 event = lane.timer = first_tick(due, dt, dt, i)
-            if event < end:
-                end = event
-        return end - i
+            if event == i:
+                ticks = 0
+        return ticks
 
     def stretch(self, i: int, ticks: int,
                 results: Optional[List[NodeStepResult]] = None) -> int:
@@ -737,12 +734,14 @@ class _Runtime:
         The light is set for i first, and each lane that is not anchored
         (stepped to i, or whose light just changed) or that acted is
         anchored at i, in this one place; the stretch ends early on the
-        first lane event.  A stretch ends before any phase's closing
-        step, the timer of the node's state, so a lane draws on every
-        tick of its anchor what it draws on the first, a phase's first
-        step included (a share a few ulps off 1.0 at most, held until the
-        phase closes).  The trace instants before the last tick read each
-        lane's closed form from its anchor.
+        first lane event, every lane's read after that anchoring, so a
+        stale event, of a lane whose light changes at i, never ends it.
+        A stretch ends before any phase's closing step, the timer of the
+        node's state, so a lane draws on every tick of its anchor what it
+        draws on the first, a phase's first step included (a share a few
+        ulps off 1.0 at most, held until the phase closes).  The trace
+        instants before the last tick read each lane's closed form from
+        its anchor.
 
         A full tick is a one-tick stretch that hands in its step results
         (None for a node that did not act).  A lane that acted draws its
@@ -762,7 +761,6 @@ class _Runtime:
         # and the last hysteresis, which may have darkened an emitter; a
         # phase's share may also have moved to 1.0 or to none
         self._refresh_lux(self._emitter_signature(now), i)
-        end = i + ticks
         for lane, result in zip(self.lanes, results):
             record = lane.record
             if result is not None:
@@ -782,7 +780,7 @@ class _Runtime:
             lane.event = i + band_exit(
                 record.storage.energy, lane.net,
                 min(lane.timer, self.n_steps) - i, lane.low, lane.high)
-            end = min(end, lane.event)
+        end = min(i + ticks, *[lane.event for lane in self.lanes])
         # trace instants n ticks in, before the last (the caller samples
         # it after the hysteresis); a single tick has none
         every = self.sample_every
@@ -808,30 +806,18 @@ class _Runtime:
 
     # -- trace -------------------------------------------------------------
 
-    def sample_rows(self, i: int) -> None:
-        """Every lane's sample row at tick i, booked as one
-        SampleInstant: each lane's fixed row fields, and its storage
-        voltage and harvest tally read from its anchor."""
-        dt = self.dt
-        fixed, v_caps, harvests = [], [], []
-        for lane in self.lanes:
-            record = lane.record
-            fixed.append((record.node_id, record.v_pv, record.mode,
-                          record.state, lane.lux[0]))
-            v_cap, harvested = lane.read(i, dt)
-            v_caps.append(v_cap)
-            harvests.append(harvested)
-        self.discrete.append(SampleInstant(i * dt, fixed, v_caps, harvests))
-
     def event_rows(self, lane: _Lane, tick: int, events: List[str]) -> None:
         """The lane's event rows for the tick that ends at `tick`: timed
-        at that tick's start, its storage as it stands at `tick`,
-        read from its anchor."""
+        at that tick's start, its storage voltage and harvest tally as
+        they stand at `tick`, read from its anchor as a sample reads them
+        (at 0 ticks, those the last step booked)."""
         record = lane.record
+        ticks = tick - lane.at
+        v_cap = voltage_after(record.storage.energy, lane.net, ticks)
+        harvested = lane.agg.harvested_j + ticks * (lane.harvest_w * self.dt)
         time_s = (tick - 1) * self.dt
-        v_cap, harvested = lane.read(tick, self.dt)
         for text in events:
-            self.discrete.append(TraceRow(
+            self.records.append(TraceRow(
                 time_s, record.node_id, v_cap, record.v_pv, record.mode,
                 record.state, lane.lux[0], harvested, text))
 
@@ -839,16 +825,21 @@ class _Runtime:
         """The sample rows `instants` ticks into a quiet stretch from i,
         kept as one segment: every node field but the storage voltage
         and the harvest tally holds still in a quiet stretch, and those
-        two are linear in the tick, read from each lane's anchor."""
+        two are linear in the tick, read from each lane's anchor.  The
+        sample at a stretch's end is the segment of its one instant
+        (range(1)), on which a lane stepped there is 0 ticks from its
+        anchor.  Each SegmentLane is built as tuple.__new__ builds it,
+        without the call its generated constructor adds."""
         dt = self.dt
-        self.segments.append(TraceSegment(
-            len(self.discrete), i, instants, dt, tuple(
-                SegmentLane(
-                    lane.record.node_id, lane.record.v_pv,
-                    lane.record.mode, lane.record.state, lane.lux[0],
-                    lane.record.storage.energy, lane.net, i - lane.at,
-                    lane.agg.harvested_j, lane.harvest_w * dt)
-                for lane in self.lanes)))
+        new = tuple.__new__
+        lanes = tuple([
+            new(SegmentLane, (
+                lane.record.node_id, lane.record.v_pv, lane.record.mode,
+                lane.record.state, lane.lux[0], lane.record.storage.energy,
+                lane.net, i - lane.at, lane.agg.harvested_j,
+                lane.harvest_w * dt))
+            for lane in self.lanes])
+        self.records.append(TraceSegment(i, instants, dt, lanes))
 
     def trace(self) -> TraceSet:
         """Book each node's final energy and return the run's TraceSet;
@@ -863,8 +854,7 @@ class _Runtime:
             scenario_name=self.scenario.name,
             duration_s=self.n_steps * self.dt,
             step_s=self.dt,
-            discrete=self.discrete,
-            segments=self.segments,
+            records=self.records,
             frame_log=self.frame_log,
             controller_log=list(self.controller.events),
             aggregates=aggregates,
@@ -875,13 +865,13 @@ def run_scenario(scenario: Scenario) -> TraceSet:
     """Execute one scenario to completion and return its trace."""
     validate_scenario(scenario)
     rt = _Runtime(scenario)
-    rt.sample_rows(0)
+    rt._sample_stretch(0, range(1))
     i = 0
     while i < rt.n_steps:
         ticks = rt.quiet_run(i)
         i = rt.stretch(i, ticks) if ticks else rt.full_tick(i)
         if i % rt.sample_every == 0 or i == rt.n_steps:
-            rt.sample_rows(i)
+            rt._sample_stretch(i, range(1))
     return rt.trace()
 
 

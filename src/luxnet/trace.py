@@ -1,24 +1,24 @@
 """What one run recorded, and the outputs read from it.
 
 A run's trace (TraceSet) holds its rows, its frame log, the controller
-log and each node's tallies (NodeAggregate).  The rows are kept as the
-discrete records, written one at a time: the event rows, and the sample
-instants between stretches, each every node's sample row at one instant
-held column by column.  The rest are the segments, each the sample rows
-of one quiet stretch, run-end encoded as the closed form the kernel
-steps them by: per node its anchor (e0, net, offset), which
-segment_values expands through energy's clamp_runs and run_voltages, so
-this module evaluates no storage law of its own.  summarize reduces a
-trace to the headline per-node figures and render_summary prints them;
+log and each node's tallies (NodeAggregate).  The rows are kept as one
+list of records in row order: the event rows, one TraceRow each, and
+the segments, each every node's sample rows at some instants of one
+quiet stretch, run-end encoded as the closed form the kernel steps them
+by: per node its anchor (e0, net, offset), which energy's clamp_runs and
+run_voltages expand, and a sample at a stretch's end is a segment of one
+instant, whose voltages energy's voltages_after reads; this module
+evaluates no storage law of its own.  summarize reduces a trace to the
+headline per-node figures and render_summary prints them;
 format_trace_csv writes the rows as CSV to a binary stream, rendering
-each sample instant and segment straight from its columns or closed
-form rather than expanding it into rows first: each block of rows is one
-bytes % whose template holds every time and fixed field, so it formats
-only the voltages that change from row to row.  Each voltage's spec is
-a bare %f, which bytes % writes straight into its output, where a spec
-with a precision, even %.6f, which prints the same digits, builds a
-temporary object per float.  The CSV's encoding (UTF-8) and line ending
-(LF) are known here alone.
+each record straight from its fields or closed form rather than
+expanding it into rows first: each block of rows is one bytes % whose
+template holds every time and fixed field, so it formats only the
+voltages that change from row to row.  Each voltage's spec is a bare %f,
+which bytes % writes straight into its output, where a spec with a
+precision, even %.6f, which prints the same digits, builds a temporary
+object per float.  The CSV's encoding (UTF-8) and line ending (LF) are
+known here alone.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import reduce
+from itertools import groupby
 from operator import add
 from typing import (BinaryIO, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+                    Tuple, Union)
 
-from .energy import Anchor, Runs, clamp_runs, run_voltages
+from .energy import Anchor, Runs, clamp_runs, run_voltages, voltages_after
 from .node import NodeState
 
 
@@ -51,28 +52,6 @@ class TraceRow(NamedTuple):
     lux: float
     harvested_j: float
     event: str = ""
-
-
-class SampleInstant(NamedTuple):
-    """Every node's sample row at one trace instant, column by column:
-    per lane, in lane order, its fixed row fields (node_id, v_pv, mode,
-    state, lux), its storage voltage and its harvest tally."""
-
-    time_s: float
-    fixed: List[Tuple[int, float, str, str, float]]
-    v_caps: Sequence[float]
-    harvested: Sequence[float]
-
-    def rows(self) -> List[TraceRow]:
-        """Its rows, one per lane, in lane order."""
-        return [TraceRow(self.time_s, nid, v_cap, v_pv, mode, state, lux, h)
-                for (nid, v_pv, mode, state, lux), v_cap, h
-                in zip(self.fixed, self.v_caps, self.harvested)]
-
-
-# a discrete record: an event row, or every node's sample row at one
-# instant
-Record = Union[TraceRow, SampleInstant]
 
 
 class SegmentLane(NamedTuple):
@@ -96,14 +75,12 @@ class SegmentLane(NamedTuple):
 
 
 class TraceSegment(NamedTuple):
-    """The sample rows of one quiet stretch, run-end encoded.
-
-    Its rows sit after the first `at` discrete records of the trace, one
-    per lane, in lane order, at each tick i + n for n in instants.
-    segment_values expands them.
+    """The sample rows inside one quiet stretch, or at the instant
+    (range(1)) that ends a stretch, run-end encoded: one per lane, in
+    lane order, at each tick i + n for n in instants.  segment_values
+    expands them.
     """
 
-    at: int
     i: int
     instants: range
     dt: float
@@ -133,6 +110,10 @@ def segment_values(segment: TraceSegment, instants: Optional[range] = None,
 
 def _anchors(segment: TraceSegment) -> List[Anchor]:
     return [(lane.e0, lane.net, lane.offset) for lane in segment.lanes]
+
+
+# a record of the trace: an event row, or a segment of sample rows
+Record = Union[TraceRow, TraceSegment]
 
 
 class FrameLogEntry(NamedTuple):
@@ -173,78 +154,54 @@ class NodeAggregate:
 class TraceSet:
     """Everything one run recorded.
 
-    The trace rows are the discrete records, written one at a time (the
-    event rows, and the sample instants between stretches, each every
-    node's sample row at one instant), and the segments, each the
-    samples inside one quiet stretch; runs() walks both in row order,
-    and rows expands them into one list.  frame_log is the only
-    record of frames: each is logged once as sent, then once per node it
-    was addressed to as delivered or failed (an uplink, once as
-    delivered).  The frame counts are read from it.  steady_tally is
-    each node's final-quarter tally (see _tally_steady), which
-    format_trace_csv books as it renders the rows and summarize reads;
-    a trace starts without one (None).
+    records holds the trace rows in row order: the event rows and the
+    segments, each the sample rows at some instants of a quiet stretch
+    (a sample at a stretch's end is a segment of one instant); rows
+    expands them into one list.
+    frame_log is the only record of frames: each is logged once as
+    sent, then once per node it was addressed to as delivered or failed
+    (an uplink, once as delivered).  The frame counts are read from it.
+    steady_tally is each node's final-quarter tally (see _tally_steady),
+    which format_trace_csv books as it renders the rows and summarize
+    reads; a trace starts without one (None).
     """
 
-    __slots__ = ("scenario_name", "duration_s", "step_s", "discrete",
-                 "segments", "frame_log", "controller_log", "aggregates",
-                 "steady_tally")
+    __slots__ = ("scenario_name", "duration_s", "step_s", "records",
+                 "frame_log", "controller_log", "aggregates", "steady_tally")
 
     def __init__(self, scenario_name: str, duration_s: float, step_s: float,
-                 discrete: List[Record], segments: List[TraceSegment],
-                 frame_log: List[FrameLogEntry], controller_log: List[str],
+                 records: List[Record], frame_log: List[FrameLogEntry],
+                 controller_log: List[str],
                  aggregates: Dict[int, NodeAggregate]):
         self.scenario_name = scenario_name
         self.duration_s = duration_s
         self.step_s = step_s
-        self.discrete = discrete
-        self.segments = segments
+        self.records = records
         self.frame_log = frame_log
         self.controller_log = controller_log
         self.aggregates = aggregates
         self.steady_tally: Optional[Dict[int, List]] = None
-
-    def runs(self, since: float = -math.inf
-             ) -> Iterator[Tuple[List[Record], Optional[TraceSegment]]]:
-        """The rows at or after time `since`, in row order: (discrete
-        records, the segment after them) pairs, the last with no segment.
-
-        The rows are in time order, so those rows are a tail: it starts
-        in the first segment that ends at or after since, trimmed to its
-        instants from since on, or in the discrete records before it.
-        """
-        segments = self.segments[bisect_left(
-            self.segments, since,
-            key=lambda s: (s.i + s.instants[-1]) * s.dt):]
-        if segments:
-            _, i, instants, dt, _ = head = segments[0]
-            segments[0] = head._replace(instants=instants[bisect_left(
-                instants, since, key=lambda n: (i + n) * dt):])
-        done = bisect_left(self.discrete, since, key=lambda row: row.time_s)
-        for segment in segments:
-            yield self.discrete[done:segment.at], segment
-            done = segment.at
-        yield self.discrete[done:], None
 
     @property
     def rows(self) -> List[TraceRow]:
         """A fresh list of every row, segments expanded, for readers that
         want one at a time; the run's own outputs read the segments."""
         rows: List[TraceRow] = []
-        for discrete, segment in self.runs():
-            for record in discrete:
-                rows += [record] if type(record) is TraceRow else record.rows()
-            if segment is None:
+        for record in self.records:
+            if type(record) is TraceRow:
+                rows.append(record)
                 continue
-            times, values = segment_values(segment)
+            times, values = segment_values(record)
             # the tally's harvest in the float order the kernel books it
             harvests = [[h0 + (n + offset) * harvest_dt
-                         for n in segment.instants]
-                        for *_, offset, h0, harvest_dt in segment.lanes]
-            fixed = [lane[:5] for lane in segment.lanes]
+                         for n in record.instants]
+                        for *_, offset, h0, harvest_dt in record.lanes]
             for time_s, v_caps, tally in zip(times, zip(*values),
                                              zip(*harvests)):
-                rows += SampleInstant(time_s, fixed, v_caps, tally).rows()
+                rows += [TraceRow(time_s, nid, v_cap, v_pv, mode, state, lux,
+                                  harvested)
+                         for (nid, v_pv, mode, state, lux, *_), v_cap,
+                         harvested in zip(record.lanes, v_caps, tally)]
         return rows
 
     def _outcomes(self, *outcomes: str) -> int:
@@ -289,28 +246,15 @@ def _steady_since(trace: TraceSet) -> float:
     return 0.75 * trace.duration_s
 
 
-def _tally_steady(steady: Dict[int, List], records: List[Record],
-                  lanes: Tuple[SegmentLane, ...] = (),
-                  values: List[List[float]] = ()) -> None:
+def _tally_steady(steady: Dict[int, List], lanes: Tuple[SegmentLane, ...],
+                  values: List[List[float]]) -> None:
     """Book sample rows into each node's final-quarter tally, the list
-    [sum, count, minimum, maximum] of its storage voltages: the sample
-    instants among records, then each lane's voltages (segment_values'
-    lists, none of them empty).
+    [sum, count, minimum, maximum] of its storage voltages: each lane's
+    voltages (segment_values' lists, none of them empty).
 
     Called in row order, it adds every node's voltages left to right,
     so the sum does not depend on how the rows are cut into calls.
     """
-    for record in records:
-        if type(record) is TraceRow:
-            continue
-        for fixed, v in zip(record.fixed, record.v_caps):
-            acc = steady[fixed[0]]
-            acc[0] += v
-            acc[1] += 1
-            if v < acc[2]:
-                acc[2] = v
-            if v > acc[3]:
-                acc[3] = v
     for lane, v_caps in zip(lanes, values):
         acc = steady[lane.node_id]
         acc[0] = reduce(add, v_caps, acc[0])
@@ -338,10 +282,12 @@ def summarize(trace: TraceSet) -> Summary:
     time-weighted contribution is what uplift questions need.  The
     steady-voltage band is measured over the sampled rows in the final
     quarter of the run: from the tally format_trace_csv booked on the
-    trace when it rendered it, or else from those rows, walked once
-    through trace.runs and expanded only there.
+    trace when it rendered it, or else from those rows, expanded only
+    there: the rows are in time order, so they are a tail of the
+    records, from the first whose last row is at or after the quarter's
+    start, a segment trimmed to its instants from there.
     """
-    if not (trace.discrete or trace.segments):
+    if not trace.records:
         raise ValueError("empty trace")
     nodes = {}
     # per node the sum of its samples, added left to right in row order,
@@ -351,11 +297,18 @@ def summarize(trace: TraceSet) -> Summary:
     steady = trace.steady_tally
     if steady is None:
         steady = _new_steady_tally(trace)
-        for discrete, segment in trace.runs(since=_steady_since(trace)):
-            _tally_steady(steady, discrete)
-            if segment is not None:
-                _tally_steady(steady, (), segment.lanes,
-                              segment_values(segment)[1])
+        since = _steady_since(trace)
+        records = trace.records[bisect_left(
+            trace.records, since, key=lambda record: record.time_s
+            if type(record) is TraceRow
+            else (record.i + record.instants[-1]) * record.dt):]
+        for record in records:
+            if type(record) is TraceSegment:
+                instants = record.instants[bisect_left(
+                    record.instants, since,
+                    key=lambda n: (record.i + n) * record.dt):]
+                _tally_steady(steady, record.lanes,
+                              segment_values(record, instants)[1])
     for nid, agg in trace.aggregates.items():
         duration = trace.duration_s
         lifetime = agg.depleted_at if agg.depleted_at is not None else duration
@@ -418,9 +371,9 @@ class _RowTemplates(dict):
         return row
 
     def instant(self, fixed: List[Tuple]) -> List[bytes]:
-        """A sample instant's row templates, from its lanes' fixed
-        fields, after an empty piece that its time text joins onto: the
-        last instant's again where its fields are equal, which a compare
+        """An instant's row templates, from its lanes' fixed fields,
+        after an empty piece that its time text joins onto: the last
+        instant's again where its fields are equal, which a compare
         tells without hashing a key."""
         if fixed != self.fixed:
             self.fixed = fixed
@@ -438,41 +391,48 @@ def _csv_blocks(trace: TraceSet, steady: Dict[int, List]
     voltages it fills in: bytes % finds each % with memchr, where str %
     reads its template one character at a time.  Each lane's row
     template holds its fixed fields, formatted once per render pass,
-    since they recur from segment to segment and among the sample
-    instants, and each instant's time is formatted once, into the
-    template in front of each of its rows (see _discrete_block and
-    _segment_block).
+    since they recur from segment to segment, and each instant's time is
+    formatted once, into the template in front of each of its rows.  A
+    run of records of one instant each renders as one block
+    (_discrete_block), and a longer segment as blocks of its own
+    (_segment_block).
     """
     since = _steady_since(trace)
     row_templates = _RowTemplates()
-    # a sample instant holds a row per node
-    records = max(1, CSV_BLOCK_ROWS // max(1, len(trace.aggregates)))
-    for discrete, segment in trace.runs():
-        for start in range(0, len(discrete), records):
-            yield _discrete_block(discrete[start:start + records],
-                                  row_templates)
-        # the rows are in time order, as for trace.runs(since)
-        if discrete and discrete[-1].time_s >= since:
-            _tally_steady(steady, discrete[bisect_left(
-                discrete, since, key=lambda record: record.time_s):])
-        if segment is None:
+    # a one-instant segment holds a row per node
+    per_block = max(1, CSV_BLOCK_ROWS // max(1, len(trace.aggregates)))
+    # runs of event rows and one-instant segments, and longer segments
+    for single, records in groupby(trace.records, key=lambda record: (
+            type(record) is TraceRow or len(record.instants) == 1)):
+        if single:
+            records = list(records)
+            for start in range(0, len(records), per_block):
+                yield _discrete_block(records[start:start + per_block],
+                                      row_templates, since, steady)
             continue
-        lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
-        instants = segment.instants
-        per_block = max(1, CSV_BLOCK_ROWS // len(lane_rows))
-        for start in range(0, len(instants), per_block):
-            yield _segment_block(segment, lane_rows,
-                                 instants[start:start + per_block], since,
-                                 steady)
+        for segment in records:
+            lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
+            instants = segment.instants
+            per_instants = max(1, CSV_BLOCK_ROWS // len(lane_rows))
+            for start in range(0, len(instants), per_instants):
+                yield _segment_block(segment, lane_rows,
+                                     instants[start:start + per_instants],
+                                     since, steady)
 
 
-def _discrete_block(records: List[Record], row_templates: _RowTemplates
-                    ) -> bytes:
-    """The CSV bytes of discrete records, one % over their formats
-    joined: an event row's DISCRETE_ROW, and a sample instant's rows,
-    its time text, formatted once, joined onto its lanes' row templates,
-    each of which leaves its voltage to fill in.  A function of its own
-    for the reason _segment_block gives."""
+def _discrete_block(records: List[Record], row_templates: _RowTemplates,
+                    since: float, steady: Dict[int, List]) -> bytes:
+    """The CSV bytes of records of one instant each, one % over their
+    formats joined, booking the sample rows at or after since into
+    steady: an event row's DISCRETE_ROW, and a one-instant segment's
+    rows, its time text, formatted once, joined onto its lanes' row
+    templates, each of which leaves its voltage to fill in.  The
+    segments' voltages are read in one pass (energy.voltages_after).  A
+    function of its own for the reason _segment_block gives."""
+    voltages = iter(voltages_after([
+        (e0, net, offset + record.instants[0])
+        for record in records if type(record) is TraceSegment
+        for _, _, _, _, _, e0, net, offset, _, _ in record.lanes]))
     template = []
     args = []
     for record in records:
@@ -482,9 +442,14 @@ def _discrete_block(records: List[Record], row_templates: _RowTemplates
             args += (t, nid, v_cap, v_pv, mode.encode(), state.encode(), lux,
                      event.encode())
             continue
-        time_s, fixed, v_caps, _ = record
-        template.append((b"%.2f" % time_s).join(row_templates.instant(fixed)))
+        i, (n,), dt, lanes = record
+        time_s = (i + n) * dt
+        v_caps = [next(voltages) for _ in lanes]
+        template.append((b"%.2f" % time_s).join(
+            row_templates.instant([lane[:5] for lane in lanes])))
         args += v_caps
+        if time_s >= since:
+            _tally_steady(steady, lanes, [[v] for v in v_caps])
     return b"".join(template) % tuple(args)
 
 
@@ -509,7 +474,7 @@ def _segment_block(segment: TraceSegment, lane_rows: List[bytes],
     times, values = segment_values(segment, instants, runs=runs)
     tail = bisect_left(times, since)
     if tail < count:
-        _tally_steady(steady, (), segment.lanes, [
+        _tally_steady(steady, segment.lanes, [
             v_caps[tail:] for v_caps in values] if tail else values)
     # a lane held throughout (lo == count) is held at before
     pieces = [b""]

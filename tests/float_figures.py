@@ -79,8 +79,8 @@ def encode(value):
 
 
 def figures():
-    """Each run's lane aggregates, segment constants, discrete records and
-    summary, for paper-a's and paper-b's first two hours and
+    """Each run's lane aggregates, records (event rows and segment
+    constants) and summary, for paper-a's and paper-b's first two hours and
     guard_scenario, and the points of interference_sweep()."""
     scenarios = {
         stem: parse_scenario_file(shipped_scenario_path(stem))._replace(
@@ -92,8 +92,7 @@ def figures():
         trace = run_scenario(scenario)
         result[name] = encode({
             "aggregates": trace.aggregates,
-            "segments": trace.segments,
-            "discrete": trace.discrete,
+            "records": trace.records,
             "summary": summarize(trace),
         })
     result["sweep"] = encode(interference_sweep())

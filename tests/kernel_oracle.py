@@ -35,7 +35,7 @@ def run_scenario(scenario: Scenario) -> TraceSet:
     rt = _Runtime(scenario)
     dt = rt.dt
 
-    rt.sample_rows(0)
+    rt._sample_stretch(0, range(1))
 
     for i in range(rt.n_steps):
         now = i * dt
@@ -92,6 +92,6 @@ def run_scenario(scenario: Scenario) -> TraceSet:
                 rt.event_rows(lane, i + 1, result.events)
 
         if (i + 1) % rt.sample_every == 0 or (i + 1) == rt.n_steps:
-            rt.sample_rows(i + 1)
+            rt._sample_stretch(i + 1, range(1))
 
     return rt.trace()

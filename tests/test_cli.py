@@ -1194,3 +1194,53 @@ def test_a_node_section_name_takes_only_ascii_decimal_text(tmp_path, value):
     assert out == ""
     assert err == (f"error: node.{value}: node sections are named "
                    "node.<id>\n")
+
+
+# configparser strips each value with str.strip, which drops Unicode
+# whitespace as well: a value read as ASCII text (a number, an integer,
+# a flag or a vector) that holds any is refused, wherever it stands
+SPACES = {"U+3000": "\u3000", "U+00A0": "\u00a0", "U+2003": "\u2003"}
+SPACED_VALUES = [
+    ("scenario", "step_s", "{} 0.1"),
+    ("scenario", "seed", "0{}"),
+    ("oap", "position_m", "{}0.0 0.0866 0.4"),
+    ("oap", "t_int_s", "3600.0 {}"),
+    ("node.2", "start_voltage_v", "{}4.5"),
+    ("node.2", "sensing_enabled", "yes{}"),
+    # a continuation line of the value
+    ("node.2", "led_aim", "0.0 1.0\n  {}0.0"),
+]
+
+
+@pytest.mark.parametrize("title, key, value", SPACED_VALUES,
+                         ids=[key for _, key, _ in SPACED_VALUES])
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_a_value_read_as_ascii_text_refuses_unicode_whitespace(
+        tmp_path, title, key, value, space):
+    text = read(shipped_scenario_path("paper_a"))
+    if key == "led_aim":
+        text = text.replace("led_power_w = 0.0\n",
+                            "led_power_w = 0.0\nled_aim = 0 0 1\n", 1)
+    path = tmp_path / "bad.scn"
+    path.write_text(with_value(text, title, key, value.format(space)),
+                    encoding="utf-8")
+    code, out, err = exit_code_and_output(
+        ["run", str(path), "--out-dir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {title}: {key}: non-ASCII whitespace in the value\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_text_values_keys_and_comments_keep_the_parsers_strip():
+    # a text value is stripped as the parser strips it, Unicode
+    # whitespace and all, and so is a key; a comment or a blank line
+    # that holds some belongs to no value
+    text = read(shipped_scenario_path("paper_a"))
+    for old, new in [("name = paper-a", "name = \u3000paper-a\u00a0"),
+                     ("step_s = 0.1", "step_s\u2003= 0.1"),
+                     ("seed = 0", "seed = 0\n# \u3000\n  \u00a0")]:
+        text = text.replace(old, new, 1)
+    scenario = parse_scenario_text(text)
+    assert (scenario.name, scenario.step_s, scenario.seed) == (
+        "paper-a", 0.1, 0)
+    assert scenario == parse_scenario_file(shipped_scenario_path("paper_a"))

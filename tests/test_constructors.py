@@ -108,8 +108,8 @@ CONFIGURATION = {
     NodeStepResult: (),
     RegistryEntry: ("node_id",),
     StorageCapacitor: ("voltage", "v_min"),
-    TraceSet: ("scenario_name", "duration_s", "step_s", "discrete",
-               "segments", "frame_log", "controller_log", "aggregates"),
+    TraceSet: ("scenario_name", "duration_s", "step_s", "records",
+               "frame_log", "controller_log", "aggregates"),
 }
 
 
@@ -150,7 +150,7 @@ def test_run_state_starts_fixed():
         0.0, NodeMode.SSN, 0, -math.inf)
 
     trace = TraceSet(scenario_name="t", duration_s=1.0, step_s=0.1,
-                     discrete=[], segments=[], frame_log=[],
+                     records=[], frame_log=[],
                      controller_log=[], aggregates={})
     assert trace.steady_tally is None
 

@@ -13,27 +13,30 @@ from luxnet.experiments import (
 )
 from kernel_oracle import run_scenario as oracle_run
 from luxnet.simkernel import Scenario, run_scenario
-from luxnet.trace import SampleInstant, TraceRow, TraceSet, segment_values
+from luxnet.trace import (SegmentLane, TraceRow, TraceSegment, TraceSet,
+                          segment_values)
 from test_simkernel import lone_node
 
 
 def synthetic_trace(samples):
-    """Node 1's sample rows at the given (time, harvest) checkpoints; an
-    event row and another node's rows in between must not count."""
-    discrete = []
+    """Node 1's sample rows at the given (time, harvest) checkpoints, each
+    time a whole count of 0.1 s ticks; an event row and another node's
+    rows in between must not count."""
+    records = []
     for t, e in samples:
-        discrete += [
-            SampleInstant(t, [(1, 0.0, "SSN", "Sleep", 0.0),
-                              (2, 0.0, "SSN", "Sleep", 0.0)],
-                          [4.0, 4.0], [e, 100.0]),
-            TraceRow(t, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
+        tick = round(t / 0.1)
+        records += [
+            TraceSegment(tick, range(1), 0.1, (
+                SegmentLane(1, 0.0, "SSN", "Sleep", 0.0, 3.2, 0.0, 0, e, 0.0),
+                SegmentLane(2, 0.0, "SSN", "Sleep", 0.0, 3.2, 0.0, 0, 100.0,
+                            0.0))),
+            TraceRow(tick * 0.1, 1, 4.0, 0.0, "SSN", "Sleep", 0.0, e + 50.0,
                      event="timer wake")]
     return TraceSet(
         scenario_name="synthetic",
         duration_s=3.0,
         step_s=0.1,
-        discrete=discrete,
-        segments=[],
+        records=records,
         frame_log=[],
         controller_log=[],
         aggregates={},
@@ -58,7 +61,8 @@ def test_time_to_harvest_finds_a_crossing_inside_a_segment():
     scenario = Scenario(name="t", duration_s=600.0, trace_interval_s=1.0,
                         nodes=(lone_node(ambient=400.0),))
     trace = run_scenario(scenario)
-    segment = max(trace.segments, key=lambda s: len(s.instants))
+    segment = max((s for s in trace.records if type(s) is TraceSegment),
+                  key=lambda s: len(s.instants))
     times, _ = segment_values(segment)
     [lane] = segment.lanes
     harvests = [lane.h0 + n * lane.harvest_dt
@@ -67,9 +71,10 @@ def test_time_to_harvest_finds_a_crossing_inside_a_segment():
     target = 0.5 * (harvests[k] + harvests[k + 1])
     crossing = time_to_harvest(trace, 1, target)
     assert times[k] < crossing < times[k + 1]
-    # the per-tick loop writes every sample as a discrete row
+    # the per-tick loop writes every sample as a segment of one instant
     reference = oracle_run(scenario)
-    assert not reference.segments
+    assert {len(s.instants) for s in reference.records
+            if type(s) is TraceSegment} == {1}
     assert crossing == pytest.approx(
         time_to_harvest(reference, 1, target), rel=1e-9)
 

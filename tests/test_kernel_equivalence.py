@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from kernel_oracle import run_scenario as oracle_run
 from luxnet import simkernel
+from luxnet import trace as trace_module
 from luxnet.channel import InterferenceModel
 from luxnet.cli import parse_scenario_file, shipped_scenario_path
 from luxnet.controller import DUE_TOLERANCE_S, ControllerConfig
@@ -52,6 +53,7 @@ from luxnet.simkernel import (
 from luxnet.trace import (
     CSV_BLOCK_ROWS,
     SegmentLane,
+    TraceRow,
     TraceSegment,
     TraceSet,
     segment_values,
@@ -513,9 +515,11 @@ def test_an_idle_lane_is_stepped_once_per_anchor(monkeypatch):
     assert {1, 233, 234} <= {end for _, end in node_2}
     assert node_2[-1] == (234, 3000)
     assert len([i for i in full if 234 < i < 3000]) == 28
-    # the last segment reads node 2's anchor: its energy and net there,
-    # and its offset from it
-    last = trace.segments[-1]
+    # the last quiet stretch's segment (not a sample at a stretch's end,
+    # at instant 0) reads node 2's anchor: its energy and net there, and
+    # its offset from it
+    last = [record for record in trace.records
+            if type(record) is TraceSegment and record.instants[0]][-1]
     [lane] = [lane for lane in last.lanes if lane.node_id == 2]
     assert last.i - lane.offset == 234
     e0, net = lane.e0, lane.net
@@ -591,7 +595,8 @@ def test_a_block_of_the_held_pair_starts_inside_a_held_run():
     # and after it charges back to full in its last
     trace = run_scenario(held_pair())
     per_block = 7 // 2
-    starts = [start for segment in trace.segments
+    starts = [start for segment in trace.records
+              if type(segment) is TraceSegment
               for (lo, hi, _, _) in clamp_runs(
                   [segment.lanes[0][5:8]], segment.instants)
               for start in range(per_block, len(segment.instants), per_block)
@@ -693,8 +698,8 @@ def test_the_final_quarter_of_the_quiet_pair_starts_inside_a_block():
     # block (3 instants of 2 lanes) inside one of its blocks
     trace = run_scenario(quiet_pair())
     since = 0.75 * trace.duration_s
-    [segment] = [s for s in trace.segments
-                 if (s.i + s.instants[0]) * s.dt < since
+    [segment] = [s for s in trace.records if type(s) is TraceSegment
+                 and (s.i + s.instants[0]) * s.dt < since
                  <= (s.i + s.instants[-1]) * s.dt]
     k = bisect_left(segment.instants, since,
                     key=lambda n: (segment.i + n) * segment.dt)
@@ -728,10 +733,11 @@ def one_instant_segments(trace):
     no final-quarter tally yet."""
     fields = slot_values(trace)
     del fields["steady_tally"]
-    return TraceSet(**{**fields, "segments": [
-        segment._replace(instants=segment.instants[k:k + 1])
-        for segment in trace.segments
-        for k in range(len(segment.instants))]})
+    return TraceSet(**{**fields, "records": [
+        piece for record in trace.records
+        for piece in ([record] if type(record) is TraceRow else [
+            record._replace(instants=record.instants[k:k + 1])
+            for k in range(len(record.instants))])]})
 
 
 @given(networks(), BLOCK_SIZES)
@@ -747,6 +753,35 @@ def test_csv_blocks_render_as_row_by_row(scenario, block_rows):
         patch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
         assert csv_text(trace) == expected
         assert csv_text(one_instant_segments(trace)) == expected
+
+
+@given(networks())
+def test_a_one_instant_segment_renders_alike_through_either_block(scenario):
+    # the CSV renders a segment of one instant among the event rows
+    # (_discrete_block) and a longer one on its own (_segment_block): for
+    # a one-instant segment both give the same bytes and book the same
+    # final-quarter tally.  The records' rows are in time order
+    trace = run_scenario(scenario)
+    times = [time for record in trace.records for time in (
+        (record.time_s,) if type(record) is TraceRow else
+        ((record.i + record.instants[0]) * record.dt,
+         (record.i + record.instants[-1]) * record.dt))]
+    assert times == sorted(times)
+    since = 0.75 * trace.duration_s
+    row_templates = trace_module._RowTemplates()
+    singles = [record for record in trace.records
+               if type(record) is TraceSegment and len(record.instants) == 1]
+    # the samples at tick 0 and at the run's end at least
+    assert len(singles) >= 2
+    for segment in singles:
+        tallies = [{lane.node_id: [0.0, 0, math.inf, -math.inf]
+                    for lane in segment.lanes} for _ in range(2)]
+        lane_rows = [row_templates[lane[:5]] for lane in segment.lanes]
+        assert trace_module._segment_block(
+            segment, lane_rows, segment.instants, since, tallies[0]
+        ) == trace_module._discrete_block(
+            [segment], row_templates, since, tallies[1])
+        assert tallies[0] == tallies[1]
 
 
 def clamped_voltages(lane, instants):
@@ -778,14 +813,14 @@ def segments(draw):
                    | st.floats(-full / 100, full / 100))
         lanes.append(SegmentLane(nid, 0.0, "SSN", "sleep", 0.0, e0, net,
                                  offset, 0.0, 0.0))
-    return TraceSegment(0, draw(st.integers(0, 100)), instants, 0.1,
+    return TraceSegment(draw(st.integers(0, 100)), instants, 0.1,
                         tuple(lanes))
 
 
 # lanes that reach 0 and STORAGE_FULL_J partway, one that starts at
 # -0.0 J, one with no net flow, and one anchored 3 ticks before the
 # segment that reaches 0 partway
-EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
+EDGE_SEGMENT = TraceSegment(0, range(1, 11), 0.1, (
     SegmentLane(1, 0.0, "SSN", "sleep", 0.0, 2.0, -0.4, 0, 0.0, 0.0),
     SegmentLane(2, 0.0, "SSN", "sleep", 0.0, 2.05, 0.4, 0, 0.0, 0.0),
     SegmentLane(3, 0.0, "SSN", "sleep", 0.0, -0.0, 0.0, 0, 0.0, 0.0),
@@ -797,7 +832,7 @@ EDGE_SEGMENT = TraceSegment(0, 0, range(1, 11), 0.1, (
 def lane_segment(e0, net, offset=0):
     """One lane over instants 1..10 from e0 joules at net joules a tick,
     anchored offset ticks before the segment."""
-    return TraceSegment(0, 0, range(1, 11), 0.1, (
+    return TraceSegment(0, range(1, 11), 0.1, (
         SegmentLane(1, 0.0, "SSN", "sleep", 0.0, e0, net, offset, 0.0,
                     0.0),))
 

@@ -6,12 +6,13 @@ import re
 
 import pytest
 
-from mutants import MUTANTS, ROOT
+from mutants import MUTANTS, RETIRED, ROOT
 
 
 def test_mutant_names_are_unique():
     names = [mutant.name for mutant in MUTANTS]
     assert len(set(names)) == len(names)
+    assert not set(names) & set(RETIRED)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

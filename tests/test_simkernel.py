@@ -39,6 +39,7 @@ from luxnet.energy import (
     net_per_tick,
     storage_step,
     stored_j,
+    voltages_after,
 )
 from luxnet.errors import InfeasibleError, ScenarioError
 from luxnet.node import NodeState
@@ -57,6 +58,7 @@ from luxnet.simkernel import (
     first_tick,
     run_scenario,
     scenario_sections,
+    tick_count,
     validate_scenario,
 )
 from luxnet.trace import (
@@ -65,7 +67,6 @@ from luxnet.trace import (
     DISCRETE_ROW,
     LANE_ROW,
     NodeAggregate,
-    SampleInstant,
     SegmentLane,
     TraceRow,
     TraceSegment,
@@ -1011,8 +1012,9 @@ def keep_traces(monkeypatch):
 # and the renderer look up at call time: a full tick is a one-tick
 # stretch, an anchor is one band_exit, a lane-step is one storage_step,
 # and only the kernel calls net_per_tick, once per anchor.  The kernel's
-# discrete records are its event rows and its sample instants, one per
-# trace instant however many nodes it samples
+# records are its event rows and its segments, one per quiet stretch
+# that holds trace instants and one per sample at a stretch's end,
+# however many nodes it samples
 WORK_TARGETS = {
     "stretches": [(simkernel._Runtime, "stretch")],
     "full ticks": [(simkernel._Runtime, "full_tick")],
@@ -1024,8 +1026,7 @@ WORK_TARGETS = {
     "net_per_tick": [(simkernel, "net_per_tick"), (energy, "net_per_tick")],
     "_segment_block": [(trace_module, "_segment_block")],
     "_discrete_block": [(trace_module, "_discrete_block")],
-    "discrete records": [(simkernel, "TraceRow"),
-                         (simkernel, "SampleInstant")],
+    "records": [(simkernel, "TraceRow"), (simkernel, "TraceSegment")],
 }
 
 
@@ -1038,16 +1039,16 @@ def work(*counts):
 # digest; a change that moves a count re-records it and says why.  Each
 # anchor ends in one lane-step, and one net_per_tick sets its net
 SHIPPED_WORK = {
-    "paper_a": work(908, 611, 1_070, 1_070, 610, 3, 2_818, 1_070, 79, 80,
-                    612),
-    "paper_b": work(10_199, 6_241, 13_475, 13_475, 6_935, 1_077, 42_064,
-                    13_475, 2_876, 2_877, 6_934),
+    "paper_a": work(908, 611, 1_070, 1_070, 610, 3, 2_860, 1_070, 76, 77,
+                    691),
+    "paper_b": work(10_199, 6_241, 13_475, 13_475, 6_935, 1_077, 41_814,
+                    13_475, 1_796, 1_797, 9_810),
 }
 CROWD_DENSE_WORK = {
-    1: work(449, 284, 2_422, 2_422, 1_414, 22, 13_088, 2_422, 208, 130,
-            1_145),
-    3: work(454, 287, 2_402, 2_402, 1_390, 22, 12_990, 2_402, 211, 132,
-            1_165),
+    1: work(448, 284, 2_422, 2_422, 1_414, 22, 7_696, 2_422, 208, 130,
+            1_273),
+    3: work(454, 287, 2_402, 2_402, 1_390, 22, 7_559, 2_402, 211, 132,
+            1_296),
 }
 
 
@@ -1135,6 +1136,44 @@ def test_crowd_dense_digests(tmp_path, capsys, monkeypatch, seed):
     assert counts == CROWD_DENSE_WORK[seed]
 
 
+def test_crowd_dense_cuts_no_quiet_stretch_where_nothing_acts(monkeypatch):
+    # a quiet stretch ends where a lane's event falls, so that lane is
+    # stepped there, or on a tick that takes the full path, or at the
+    # run's end; never at the stale event of a lane whose light the
+    # stretch's own first tick changed, which crowd-dense seed 1 once cut
+    # at tick 17,566
+    runtime = simkernel._Runtime
+    stretch, full_tick = runtime.stretch, runtime.full_tick
+    step_to = simkernel._Lane.step_to
+    stepped, full, quiet = set(), set(), []
+
+    def stepping(lane, tick, dt):
+        if tick != lane.at:
+            stepped.add(tick)
+        step_to(lane, tick, dt)
+
+    def stretching(rt, i, ticks, results=None):
+        end = stretch(rt, i, ticks, results)
+        if results is None:
+            quiet.append(end)
+        return end
+
+    def counting(rt, i):
+        full.add(i)
+        return full_tick(rt, i)
+
+    monkeypatch.setattr(simkernel._Lane, "step_to", stepping)
+    monkeypatch.setattr(runtime, "stretch", stretching)
+    monkeypatch.setattr(runtime, "full_tick", counting)
+    scenario = benchmark_workloads().crowd_dense_scenario(1)
+    run_scenario(scenario)
+    n_steps = tick_count(scenario.duration_s, scenario.step_s)
+    assert [end for end in quiet
+            if end not in stepped and end not in full and end != n_steps
+            ] == []
+    assert len(quiet) == 448 - 284
+
+
 @pytest.mark.parametrize("name", [
     "frame_failure_probability", "storage_step", "state_draw_w",
     "apply_hysteresis", "step_node"])
@@ -1155,11 +1194,21 @@ def test_the_kernel_looks_its_layers_up_at_call_time(monkeypatch, name):
     assert calls
 
 
+# the sample rows of crowd-dense seed 1, all of them in segments
+ROWS_IN_SEGMENTS = 270_015
+
+
 def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
     # the CSV pass books the summary's final quarter as it renders it,
-    # so summarize expands no voltage again
+    # so summarize expands no voltage again; a segment of one instant is
+    # read through voltages_after, a longer one through segment_values
     expanded = []
     held = []
+    read = []
+
+    def reading(anchors):
+        read.append(len(anchors))
+        return voltages_after(anchors)
 
     def counting(segment, instants=None, runs=None):
         times, values = segment_values(segment, instants, runs)
@@ -1169,15 +1218,18 @@ def test_a_run_expands_each_segment_once(tmp_path, capsys, monkeypatch):
         return times, values
 
     monkeypatch.setattr("luxnet.trace.segment_values", counting)
+    monkeypatch.setattr("luxnet.trace.voltages_after", reading)
     traces = keep_traces(monkeypatch)
     run_crowd_dense(tmp_path, 1)
     [trace] = traces
-    rows = sum(len(s.instants) * len(s.lanes) for s in trace.segments)
+    segments = [s for s in trace.records if type(s) is TraceSegment]
+    rows = sum(len(s.instants) * len(s.lanes) for s in segments)
     # summarize expanding the final quarter again made 329,310
-    assert sum(expanded) == rows == 263_265
+    assert sum(expanded) + sum(read) == rows == ROWS_IN_SEGMENTS
+    assert sum(read) == 15 * sum(len(s.instants) == 1 for s in segments)
     # the CSV pass hands in each lane's runs: the rows of a storage held
     # at a clamp print one voltage formatted once
-    assert sum(held) == 52_492
+    assert sum(held) == 52_495
 
 
 # ---------------------------------------------------------------------------
@@ -1373,42 +1425,43 @@ def test_csv_renders_as_row_by_row(build):
         assert ",0.000," in csv_text(trace)
     if build is sharing_every_tick_scenario:
         assert "etx start" in [row.event for row in rows]
-        assert trace.segments
-        assert len(trace.discrete) < len(rows) / 10
-        assert max(len(segment.instants) * len(segment.lanes)
-                   for segment in trace.segments) > CSV_BLOCK_ROWS
+        assert len(trace.records) < len(rows) / 10
+        assert max(len(record.instants) * len(record.lanes)
+                   for record in trace.records
+                   if type(record) is TraceSegment) > CSV_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("block_rows", [7, CSV_BLOCK_ROWS])
 def test_sample_rows_share_the_segment_row_templates(monkeypatch,
                                                      block_rows):
-    # a sample instant's rows render through their nodes' row templates,
-    # the ones segment rows use, and an event row through its own format
+    # a one-instant segment's rows render through their nodes' row
+    # templates, the ones longer segments use, and an event row through
+    # its own format
     trace = run_scenario(sharing_every_tick_scenario())
+    segments = [s for s in trace.records if type(s) is TraceSegment]
     samples = {}
-    for record in trace.discrete:
-        if type(record) is SampleInstant:
-            for key in record.fixed:
-                samples.setdefault(key[0], []).append(key)
+    for segment in segments:
+        if len(segment.instants) == 1:
+            for lane in segment.lanes:
+                samples.setdefault(lane.node_id, []).append(lane[:5])
     # some node's v_pv, mode or state changes between two of its sample
     # rows, and a template serves sample rows and segment rows alike
     assert any(a[:4] != b[:4] for keys in samples.values()
                for a, b in zip(keys, keys[1:]))
     assert {key for keys in samples.values() for key in keys} & {
-        lane[:5] for segment in trace.segments for lane in segment.lanes}
-    # event rows between the sample rows of tick 0, which the first
+        lane[:5] for segment in segments if len(segment.instants) > 1
+        for lane in segment.lanes}
+    # event rows between the sample rows of tick 0, which a longer
     # segment's rows follow: its instant cut in two around them, so the
     # instants on either side hold different lanes
-    first = trace.discrete[0]
-    assert type(first) is SampleInstant and first.time_s == 0.0
-    assert len(first.fixed) == 3 and trace.segments[0].at >= 1
-    head, tail = (SampleInstant(0.0, *(column[cut] for column in first[1:]))
+    first = trace.records[0]
+    assert (first.i, first.instants) == (0, range(1))
+    assert len(first.lanes) == 3
+    _, second, third = trace.rows[:3]
+    head, tail = (first._replace(lanes=first.lanes[cut])
                   for cut in (slice(1), slice(1, None)))
-    second, third = tail.rows()
-    trace.discrete[:1] = [head, second._replace(event="depleted"),
-                          third._replace(event="role PSN"), tail]
-    trace.segments = [segment._replace(at=segment.at + 3)
-                      for segment in trace.segments]
+    trace.records[:1] = [head, second._replace(event="depleted"),
+                         third._replace(event="role PSN"), tail]
     monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
     text = csv_text(trace)
     assert text.splitlines()[1:6] == [
@@ -1436,9 +1489,10 @@ def test_a_bare_f_prints_each_voltage_as_six_decimals_do(v):
     # as v_cap and v_pv, in a sample row and an event row
     fixed = (1, v, "SSN", NodeState.SLEEP, 150.0)
     trace = TraceSet("t", 0.1, 0.1, [
-        SampleInstant(0.0, [fixed], [v], [0.0]),
+        TraceSegment(0, range(1), 0.1, (
+            SegmentLane(*fixed, stored_j(v), 0.0, 0, 0.0, 0.0),)),
         TraceRow(0.0, 1, v, *fixed[1:], 0.0, "depleted")],
-        [], [], [], {1: NodeAggregate(1, 0.0)})
+        [], [], {1: NodeAggregate(1, 0.0)})
     assert csv_text(trace) == row_by_row_csv(trace)
 
 
@@ -1446,8 +1500,8 @@ def one_segment_trace(lanes, ticks):
     """A trace of nothing but one segment at ticks, 0.1 s apart, its
     lanes given as (node_id, e0, net)."""
     return TraceSet(
-        "t", ticks[-1] * 0.1, 0.1, [],
-        [TraceSegment(0, 0, ticks, 0.1, tuple(
+        "t", ticks[-1] * 0.1, 0.1,
+        [TraceSegment(0, ticks, 0.1, tuple(
             SegmentLane(nid, 0.5, "SSN", NodeState.SLEEP, 150.0, e0, net, 0,
                         0.0, 1e-4)
             for nid, e0, net in lanes))],
@@ -1483,8 +1537,8 @@ def test_a_one_node_network_renders_as_row_by_row(monkeypatch, block_rows):
     # a row every tick, past 10 s and 100 s, of segments with one lane
     trace = run_scenario(Scenario(name="t", duration_s=120.0,
                                   nodes=(lone_node(),), trace_interval_s=0.1))
-    assert trace.segments
-    assert {len(segment.lanes) for segment in trace.segments} == {1}
+    assert {len(record.lanes) for record in trace.records
+            if type(record) is TraceSegment} == {1}
     monkeypatch.setattr("luxnet.trace.CSV_BLOCK_ROWS", block_rows)
     text = csv_text(trace)
     assert "\n99.90,1," in text and "\n100.00,1," in text
